@@ -2,7 +2,9 @@
 
 Weight matrices, rankings, linear-order encodings, Kendall tau distance,
 symmetric reordering, and objective evaluation. Everything here is
-immutable after construction and free of solver state.
+immutable after construction and free of solver state, except that a
+weight matrix keeps the solver's completion table, which depends on its
+weights alone.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ class WeightMatrix:
     write-protected.
     """
 
-    __slots__ = ("_weights", "_labels")
+    __slots__ = ("_weights", "_labels", "_completion")
 
     def __init__(self, weights, labels: Sequence[str] | None = None):
         arr = np.asarray(weights, dtype=float)
@@ -74,6 +76,9 @@ class WeightMatrix:
         arr.flags.writeable = False
         self._weights = arr
         self._labels = labels
+        # Exact completion table, a pure function of the weights, filled in
+        # by the solver (rankability.lop) the first time a search needs it.
+        self._completion: list[float] | None = None
 
     @property
     def n(self) -> int:

@@ -27,12 +27,17 @@ from .core import (
     ranking_from_order,
     validate_linear_order,
 )
-from .errors import InvalidKStarError, TruncatedOptimaError, UnprovenOptimumError
+from .errors import (
+    InvalidKStarError,
+    SolverConsistencyError,
+    TruncatedOptimaError,
+    UnprovenOptimumError,
+)
 from .lop import (
     DEFAULT_CONFIG,
     SolverConfig,
+    _completion_table,
     _Search,
-    _TABLE_MAX_N,
     _Timeout as _LopTimeout,
 )
 
@@ -115,10 +120,18 @@ class _PairSearch:
     when the not-yet-doubly-decided pairs cannot lift the discordance
     past the incumbent. Discordance is counted exactly: an item pair is
     scored at the first moment both rankings have decided its order.
+    The search starts from the pair (sigma0, sigma0) at distance 0.
     """
 
-    def __init__(self, a: WeightMatrix, k_star: float, cfg: SolverConfig):
+    def __init__(
+        self,
+        a: WeightMatrix,
+        k_star: float,
+        cfg: SolverConfig,
+        sigma0: tuple[int, ...],
+    ):
         n = a.n
+        self.matrix = a
         self.n = n
         self.eps = cfg.tolerance
         self.k_star = float(k_star)
@@ -128,8 +141,8 @@ class _PairSearch:
         self.total_pairs = n * (n - 1) // 2
         self.counted = 0
         self.discordant = 0
-        self.best_kappa = -1
-        self.best_pair: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+        self.best_kappa = 0
+        self.best_pair = (sigma0, sigma0)
         self.deadline: float | None = None
         self.timed_out = False
         self.nodes = 0
@@ -186,13 +199,11 @@ class _PairSearch:
         s.undo()
 
     def run(self) -> None:
-        if self.n <= _TABLE_MAX_N:
-            self.sides[0].deadline = self.deadline
-            try:
-                self.table = self.sides[0].build_completion_table()
-            except _LopTimeout:
-                self.timed_out = True
-                return
+        try:
+            self.table = _completion_table(self.matrix, self.deadline)
+        except _LopTimeout:
+            self.timed_out = True
+            return
         self._rec(True)
 
     def _rec(self, symmetric: bool) -> None:
@@ -285,9 +296,7 @@ def _first_optimal_order(
 ) -> tuple[int, ...]:
     search = _Search(a, cfg)
     search.deadline = deadline
-    orders, truncated = search.enumerate_leaves(
-        k_star, 1, use_table=a.n <= _TABLE_MAX_N
-    )
+    orders, truncated = search.enumerate_leaves(k_star, 1)
     if orders:
         return tuple(v + 1 for v in orders[0])
     if truncated:
@@ -314,6 +323,8 @@ def solve_kt(
         InvalidKStarError: when no ranking attains k_star.
         UnprovenOptimumError: when the time limit expires before even one
             ranking attaining k_star is found, so no pair can be reported.
+        SolverConsistencyError: when the joint search and the enumerated
+            optima disagree on the maximal distance.
     """
     cfg = cfg or DEFAULT_CONFIG
     start = time.monotonic()
@@ -321,13 +332,10 @@ def solve_kt(
     sigma0 = _first_optimal_order(a, k_star, cfg, deadline)
     total_pairs = a.n * (a.n - 1) // 2
 
-    search = _PairSearch(a, k_star, cfg)
+    search = _PairSearch(a, k_star, cfg, sigma0)
     search.deadline = deadline
-    search.best_kappa = 0
-    search.best_pair = (sigma0, sigma0)
     search.run()
     kappa = search.best_kappa
-    assert search.best_pair is not None
     first, second = search.best_pair
     proven = not search.timed_out
 
@@ -335,13 +343,15 @@ def solve_kt(
         # Canonical witness: smallest (first, second) among maximal pairs.
         enum_search = _Search(a, cfg)
         enum_search.deadline = deadline
-        orders, truncated = enum_search.enumerate_leaves(
-            k_star, cfg.enumeration_cap, use_table=a.n <= _TABLE_MAX_N
-        )
+        orders, truncated = enum_search.enumerate_leaves(k_star, cfg.enumeration_cap)
         if not truncated:
             one_based = [tuple(v + 1 for v in o) for o in orders]
             best, first, second = _max_distance_pair(one_based, a.n)
-            assert best == kappa
+            if best != kappa:
+                raise SolverConsistencyError(
+                    f"pair search found kappa={kappa}, the enumerated optima "
+                    f"give {best}"
+                )
     if first > second:
         first, second = second, first
     pair = (ranking_from_order(first), ranking_from_order(second))

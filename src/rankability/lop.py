@@ -4,8 +4,9 @@ Finds a permutation maximizing the sum of pairwise weights ranked in
 agreement, by depth-first branch and bound over ranking prefixes with an
 admissible pairwise bound and dominance memoization on the set of
 unplaced items. Also provides the insertion heuristic used for
-incumbents, enumeration of all optimal rankings, and the degree of
-linearity.
+incumbents, the exact subset completion table that the witness,
+enumeration and pair searches share, enumeration of all optimal
+rankings, and the degree of linearity.
 """
 
 from __future__ import annotations
@@ -36,7 +37,9 @@ __all__ = [
     "degree_of_linearity",
 ]
 
-# Exact completion tables take n * 2^n floats; 18 keeps that under 40 MB.
+# Building an exact completion table holds n * 2^n * 8 bytes of row sums plus
+# 2^n * 8 bytes of table, about 40 MB at n = 18; afterwards the matrix keeps
+# only the table, as a Python list of about 8 MB at n = 18.
 _TABLE_MAX_N = 18
 
 # Dominance memo entries are dropped beyond this to bound memory on large n.
@@ -118,6 +121,11 @@ class _CapReached(Exception):
     pass
 
 
+def _check_deadline(deadline: float | None) -> None:
+    if deadline is not None and time.monotonic() > deadline:
+        raise _Timeout
+
+
 def _float_rows(a: WeightMatrix) -> list[list[float]]:
     return [[float(x) for x in row] for row in a.weights]
 
@@ -143,6 +151,7 @@ class _Search:
     def __init__(self, a: WeightMatrix, cfg: SolverConfig):
         n = a.n
         w = _float_rows(a)
+        self.matrix = a
         self.n = n
         self.w = w
         self.eps = cfg.tolerance
@@ -216,10 +225,6 @@ class _Search:
         ):
             raise _Timeout
 
-    def _tick_now(self) -> None:
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise _Timeout
-
     # -- optimal value ---------------------------------------------------
 
     def run_value(
@@ -261,70 +266,39 @@ class _Search:
                     self._rec_value()
                     self.undo()
 
-    # -- exact completion values (bitmask dynamic program) ----------------
-
-    def build_completion_table(self) -> list[float]:
-        """table[S] = best objective an ordering of item set S can add."""
-        n = self.n
-        w = self.w
-        full = (1 << n) - 1
-        table = [0.0] * (full + 1)
-        rowsum = [[0.0] * (full + 1) for _ in range(n)]
-        for v in range(n):
-            rv = rowsum[v]
-            wv = w[v]
-            for s in range(1, full + 1):
-                low = s & -s
-                rv[s] = rv[s ^ low] + wv[low.bit_length() - 1]
-            self._tick_now()
-        for s in range(1, full + 1):
-            best = -1.0
-            t = s
-            while t:
-                low = t & -t
-                t ^= low
-                v = low.bit_length() - 1
-                val = rowsum[v][s ^ low] + table[s ^ low]
-                if val > best:
-                    best = val
-            table[s] = best
-            if (s & 65535) == 0:
-                self._tick_now()
-        return table
-
     # -- canonical witness -------------------------------------------------
 
-    def lex_min_witness(self, k_star: float, use_table: bool) -> list[int] | None:
-        """Lexicographically smallest order attaining k_star, or None on timeout."""
+    def lex_min_witness(self, k_star: float) -> list[int] | None:
+        """Lexicographically smallest order attaining k_star, or None if none does.
+
+        Raises _Timeout when the deadline passes first.
+        """
         self.reset()
         target = k_star - self.eps
-        try:
-            table = self.build_completion_table() if use_table else None
-            for _ in range(self.n):
-                placed = False
-                for v in range(self.n):
-                    if not self.in_rem[v]:
-                        continue
-                    if table is not None:
-                        bound = self.f + self.s_a[v] + table[self.rem_mask ^ (1 << v)]
-                        if bound >= target:
-                            self.apply(v)
-                            placed = True
-                            break
-                        continue
-                    bound = self.f + self.s_a[v] + self.u - self.s_m[v]
-                    if bound < target:
-                        continue
-                    self.apply(v)
-                    if self.rem_count == 0 or self._exists_completion(target):
+        table = _completion_table(self.matrix, self.deadline)
+        for _ in range(self.n):
+            placed = False
+            for v in range(self.n):
+                if not self.in_rem[v]:
+                    continue
+                if table is not None:
+                    bound = self.f + self.s_a[v] + table[self.rem_mask ^ (1 << v)]
+                    if bound >= target:
+                        self.apply(v)
                         placed = True
                         break
-                    self.undo()
-                if not placed:
-                    return None
-            return self.prefix.copy()
-        except _Timeout:
-            return None
+                    continue
+                bound = self.f + self.s_a[v] + self.u - self.s_m[v]
+                if bound < target:
+                    continue
+                self.apply(v)
+                if self.rem_count == 0 or self._exists_completion(target):
+                    placed = True
+                    break
+                self.undo()
+            if not placed:
+                return None
+        return self.prefix.copy()
 
     def _exists_completion(self, target: float) -> bool:
         self.nodes += 1
@@ -346,13 +320,13 @@ class _Search:
     # -- enumeration -------------------------------------------------------
 
     def enumerate_leaves(
-        self, k_star: float, cap: int, use_table: bool
+        self, k_star: float, cap: int
     ) -> tuple[list[tuple[int, ...]], bool]:
         """All optimal orders in lexicographic sequence, up to cap."""
         self.reset()
         found: list[tuple[int, ...]] = []
         try:
-            table = self.build_completion_table() if use_table else None
+            table = _completion_table(self.matrix, self.deadline)
             self._rec_enum(k_star, k_star - self.eps, cap, found, table)
             return found, False
         except (_CapReached, _Timeout):
@@ -387,6 +361,58 @@ class _Search:
                     self.undo()
                 else:
                     self.pruned += 1
+
+
+def _build_completion_table(w: np.ndarray, deadline: float | None) -> list[float]:
+    r"""table[S] = best objective an ordering of item set S can add.
+
+    Subset dynamic program over layers of equal-size sets: table[S] is the
+    best over v in S of placing v above the rest of S, worth
+    rowsum[v, S \ v] + table[S \ v], where rowsum[v, T] is the weight v
+    gains over the items of T. Row sums add the weights of T from its
+    highest item down, so they equal the scalar recurrence
+    rowsum[v, T] = rowsum[v, T \ low(T)] + w[v, low(T)] bit for bit.
+    Raises _Timeout between layers once the deadline has passed.
+    """
+    n = w.shape[0]
+    size = 1 << n
+    rowsum = np.zeros((n, size))
+    for b in range(n - 1, -1, -1):
+        # Sets whose lowest item is b: the same set without b, plus w[:, b].
+        blocks = rowsum.reshape(n, size >> (b + 1), 2 << b)
+        np.add(blocks[:, :, 0], w[:, b, None], out=blocks[:, :, 1 << b])
+    table = np.zeros(size)
+    set_sizes = np.bitwise_count(np.arange(size))
+    for k in range(1, n + 1):
+        _check_deadline(deadline)
+        layer = np.flatnonzero(set_sizes == k)
+        best = np.full(layer.size, -np.inf)
+        for v in range(n):
+            bit = 1 << v
+            has_v = np.flatnonzero(layer & bit)
+            rest = layer[has_v] ^ bit
+            best[has_v] = np.maximum(best[has_v], rowsum[v, rest] + table[rest])
+        table[layer] = best
+    # The searches index the table one entry at a time, which is faster
+    # on a list of Python floats than on an array.
+    return table.tolist()
+
+
+def _completion_table(a: WeightMatrix, deadline: float | None) -> list[float] | None:
+    """The matrix's exact completion table, or None above _TABLE_MAX_N.
+
+    Built on first use and kept on the matrix, so every solve of one
+    matrix shares a single table, which callers only read. Raises
+    _Timeout once the deadline has passed, also when the table already
+    exists, so that a search phase starting after its deadline does no
+    work.
+    """
+    if a.n > _TABLE_MAX_N:
+        return None
+    _check_deadline(deadline)
+    if a._completion is None:
+        a._completion = _build_completion_table(a.weights, deadline)
+    return a._completion
 
 
 def _greedy_insertion(w: list[list[float]], items: Sequence[int]) -> list[int]:
@@ -451,19 +477,18 @@ def heuristic_ranking(a: WeightMatrix, cfg: SolverConfig | None = None) -> Ranki
     starts: list[list[int]] = [net_wins]
     for _ in range(cfg.heuristic_restarts):
         starts.append([int(x) for x in rng.permutation(n)])
-    best_order: list[int] | None = None
+    # Every order is worth at least 0, so the first start always replaces
+    # this placeholder.
+    best_order: list[int] = []
     best_val = float("-inf")
     for start in starts:
         order = _insertion_local_search(w, _greedy_insertion(w, start))
         val = _order_value(w, order)
-        if (
-            best_order is None
-            or val > best_val + 1e-12
-            or (abs(val - best_val) <= 1e-12 and order < best_order)
+        if val > best_val + 1e-12 or (
+            abs(val - best_val) <= 1e-12 and order < best_order
         ):
             best_val = val
             best_order = order
-    assert best_order is not None
     reverse = best_order[::-1]
     if _order_value(w, reverse) > best_val:
         best_order = reverse
@@ -503,11 +528,11 @@ def prefix_upper_bound(a: WeightMatrix, partial: Sequence[int]) -> float:
 def solve_lop(a: WeightMatrix, cfg: SolverConfig | None = None) -> LopResult:
     """Maximize the decided pairwise weight over all rankings, exactly.
 
-    Proves optimality by exhausting the branch-and-bound tree. When the
-    configured time limit expires first, the best incumbent is returned
-    with proven=False; the reported value is always attained by the
-    reported ranking. The proven witness is the lexicographically
-    smallest optimal order.
+    Proves optimality by exhausting the branch-and-bound tree, then
+    reports the lexicographically smallest optimal order. When the
+    configured time limit expires before both are done, the best
+    incumbent is returned with proven=False; the reported value is always
+    attained by the reported ranking.
     """
     cfg = cfg or DEFAULT_CONFIG
     start = time.monotonic()
@@ -520,9 +545,14 @@ def solve_lop(a: WeightMatrix, cfg: SolverConfig | None = None) -> LopResult:
     best_val, best_order, timed_out = search.run_value(heur_order, heur_val)
     proven = not timed_out
     if proven:
-        witness = search.lex_min_witness(best_val, use_table=a.n <= _TABLE_MAX_N)
-        if witness is not None:
-            best_order = witness
+        try:
+            witness = search.lex_min_witness(best_val)
+        except _Timeout:
+            # The value is proven, but the incumbent need not be canonical.
+            proven = False
+        else:
+            if witness is not None:
+                best_order = witness
     ranking = ranking_from_order([v + 1 for v in best_order])
     stats = SearchStats(
         nodes=search.nodes,
@@ -557,7 +587,7 @@ def enumerate_optima(a: WeightMatrix, cfg: SolverConfig | None = None) -> Optima
     if cfg.time_limit is not None:
         search.deadline = time.monotonic() + cfg.time_limit
     orders, truncated = search.enumerate_leaves(
-        result.optimal_value, cfg.enumeration_cap, use_table=a.n <= _TABLE_MAX_N
+        result.optimal_value, cfg.enumeration_cap
     )
     rankings = tuple(
         ranking_from_order([v + 1 for v in order]) for order in orders

@@ -94,3 +94,28 @@ def max_hindsight(weights: np.ndarray) -> float:
     """Best achievable hindsight accuracy over all rankings (half tie credit)."""
     _, values = all_objectives(weights)
     return float(values.max() / weights.sum())
+
+
+def completion_table_loop(weights: np.ndarray) -> list[float]:
+    """Exact completion table by the scalar subset recurrence.
+
+    table[S] is the best objective an ordering of the item set S (a
+    bitmask) can add. rowsum[v][S] adds w[v, low(S)] to the row sum over S
+    without its lowest item. Reference for the solver's vectorized table.
+    """
+    n = weights.shape[0]
+    w = weights.tolist()
+    size = 1 << n
+    rowsum = [[0.0] * size for _ in range(n)]
+    table = [0.0] * size
+    for s in range(1, size):
+        low = s & -s
+        b = low.bit_length() - 1
+        for v in range(n):
+            rowsum[v][s] = rowsum[v][s ^ low] + w[v][b]
+        table[s] = max(
+            rowsum[v][s ^ (1 << v)] + table[s ^ (1 << v)]
+            for v in range(n)
+            if s >> v & 1
+        )
+    return table

@@ -360,14 +360,15 @@ class TestExitCodes:
 
 @pytest.fixture(scope="module")
 def hard_matrix_csv(tmp_path_factory):
-    """A 16-item instance too hard to prove within 0.05 seconds."""
+    """A p = 0.5 random tournament on 24 items, above the completion-table
+    budget: its branch and bound cannot finish within 0.05 seconds."""
     import numpy as np
 
     rng = np.random.default_rng(5)
-    n = 16
-    a = (rng.random((n, n)) < 0.5) * rng.integers(1, 5, (n, n))
-    a = np.triu(a, 1) + np.tril(a, -1)
-    path = tmp_path_factory.mktemp("hard") / "hard16.csv"
+    n = 24
+    wins = np.triu(rng.random((n, n)) < 0.5, 1).astype(int)
+    a = wins + np.triu(1 - wins, 1).T
+    path = tmp_path_factory.mktemp("hard") / "hard24.csv"
     rows = "\n".join(",".join(str(int(v)) for v in row) for row in a)
     path.write_text(rows + "\n", encoding="utf-8")
     return str(path)

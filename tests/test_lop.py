@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -19,6 +20,9 @@ from rankability.errors import (
     UndefinedMetricError,
     UnprovenOptimumError,
 )
+from rankability import lop
+from rankability.cli import main
+from rankability.ktdiam import solve_kt
 from rankability.lop import (
     DEFAULT_CONFIG,
     OptimaSet,
@@ -30,14 +34,18 @@ from rankability.lop import (
     solve_lop,
 )
 
+from rankability.sports import read_games_csv, season_report
+
 from tests.conftest import (
     COLLEGE_K_STAR,
     COLLEGE_OPTIMA_ORDERS,
+    COLLEGE_WEIGHTS,
+    DATA_DIR,
     DIGRAPH_LAMBDA,
     DIGRAPH_OPTIMA_COUNT,
     random_half_integer_matrix,
 )
-from tests.oracles import brute_force_lop
+from tests.oracles import all_objectives, brute_force_lop, completion_table_loop
 
 
 class TestSolverConfig:
@@ -273,3 +281,134 @@ class TestDegreeOfLinearity:
                 continue
             lam = degree_of_linearity(a)
             assert 0.5 - 1e-12 <= lam <= 1.0 + 1e-12
+
+
+def _random_weights(rng: np.random.Generator, n: int, integral: bool) -> np.ndarray:
+    if integral:
+        w = rng.integers(0, 5, size=(n, n)).astype(float)
+    else:
+        w = rng.random((n, n)) * rng.choice([1e-3, 1.0, 1e3])
+    np.fill_diagonal(w, 0.0)
+    return w
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """Count completion-table builds; the list grows by one per build."""
+    builds: list[int] = []
+    real = lop._build_completion_table
+
+    def counting(w, deadline):
+        builds.append(w.shape[0])
+        return real(w, deadline)
+
+    monkeypatch.setattr(lop, "_build_completion_table", counting)
+    return builds
+
+
+class TestCompletionTable:
+    @pytest.mark.parametrize("integral", [True, False])
+    def test_every_entry_is_the_best_ordering_of_its_set(self, integral):
+        rng = np.random.default_rng(31 if integral else 37)
+        for n in (2, 3, 5, 6, 7, 8):
+            w = _random_weights(rng, n, integral)
+            table = lop._build_completion_table(w, None)
+            assert len(table) == 1 << n
+            for s in range(1 << n):
+                items = [v for v in range(n) if s >> v & 1]
+                _, values = all_objectives(w[np.ix_(items, items)])
+                best = float(values.max())
+                if integral:
+                    assert table[s] == best
+                else:
+                    assert table[s] == pytest.approx(best, rel=1e-12, abs=1e-12)
+
+    def test_equals_the_scalar_recurrence_bit_for_bit(self):
+        rng = np.random.default_rng(41)
+        for n in (2, 4, 9, 11):
+            w = _random_weights(rng, n, integral=False)
+            assert lop._build_completion_table(w, None) == completion_table_loop(w)
+
+
+class TestOneTablePerMatrix:
+    def test_solve_lop_builds_one(self, table_builds):
+        solve_lop(WeightMatrix(COLLEGE_WEIGHTS))
+        assert table_builds == [10]
+
+    def test_enumerate_optima_builds_one(self, table_builds):
+        enumerate_optima(WeightMatrix(COLLEGE_WEIGHTS))
+        assert table_builds == [10]
+
+    def test_solve_lop_then_solve_kt_build_one(self, table_builds):
+        a = WeightMatrix(COLLEGE_WEIGHTS)
+        solve_kt(a, solve_lop(a).optimal_value)
+        assert table_builds == [10]
+
+    def test_season_report_builds_one_per_season(self, table_builds):
+        seasons = read_games_csv(DATA_DIR / "multi_season.csv")
+        for gs in seasons:
+            season_report(gs)
+        assert table_builds == [gs.team_count for gs in seasons]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lop"],
+            ["enumerate"],
+            ["kappa"],
+            ["kappa", "--oracle"],
+        ],
+    )
+    def test_each_matrix_command_builds_one(self, table_builds, capsys, argv):
+        path = str(DATA_DIR / "college_features.csv")
+        code = main([*argv, "--input", path, "--kind", "features"])
+        capsys.readouterr()
+        assert code == 0
+        assert table_builds == [10]
+
+    def test_season_command_builds_one_per_season(self, table_builds, capsys):
+        path = DATA_DIR / "multi_season.csv"
+        code = main(["season", "--input", str(path)])
+        capsys.readouterr()
+        assert code == 0
+        assert table_builds == [gs.team_count for gs in read_games_csv(path)]
+
+    def test_no_table_above_the_budget(self, table_builds):
+        n = lop._TABLE_MAX_N + 1
+        a = WeightMatrix(np.triu(np.ones((n, n)), 1))
+        res = solve_lop(a)
+        assert res.proven
+        assert res.ranking.order == tuple(range(1, n + 1))
+        assert table_builds == []
+
+
+@pytest.fixture
+def expiring_table_build(monkeypatch):
+    """Make every table build run into a deadline that has already passed."""
+    real = lop._build_completion_table
+
+    def expired(w, deadline):
+        return real(w, time.monotonic() - 1.0)
+
+    monkeypatch.setattr(lop, "_build_completion_table", expired)
+
+
+class TestDeadlineInsideTableBuild:
+    def test_lop_reports_unproven_incumbent(self, expiring_table_build):
+        a = WeightMatrix(COLLEGE_WEIGHTS)
+        res = solve_lop(a)
+        assert not res.proven
+        assert objective_value(a, res.ranking) == res.optimal_value
+        assert a._completion is None
+
+    def test_enumerate_refuses(self, expiring_table_build):
+        with pytest.raises(UnprovenOptimumError):
+            enumerate_optima(WeightMatrix(COLLEGE_WEIGHTS))
+
+    def test_kappa_is_unproven(self, expiring_table_build, capsys):
+        with pytest.raises(UnprovenOptimumError):
+            solve_kt(WeightMatrix(COLLEGE_WEIGHTS), COLLEGE_K_STAR)
+        path = str(DATA_DIR / "college_features.csv")
+        code = main(["kappa", "--input", path, "--kind", "features"])
+        capsys.readouterr()
+        assert code == 2
