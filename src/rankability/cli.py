@@ -2,8 +2,8 @@
 
 JSON is the canonical output (stable key order, shortest round-trip
 floats, no wall-clock fields), so identical inputs and configuration
-produce byte-identical bytes regardless of worker count. CSV output is a
-flattened projection of the same data.
+produce byte-identical bytes. CSV output is a flattened projection of the
+same data.
 
 Exit codes: 0 proven/ok, 1 input or usage error, 2 unproven result
 (time limit), 3 oracle mismatch.
@@ -15,13 +15,12 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from dataclasses import dataclass
 
 from .core import WeightMatrix, read_matrix_csv
 from .errors import RankabilityError, UnprovenOptimumError
-from .ktdiam import kappa_by_enumeration, solve_kt
+from .ktdiam import _kappa_by_pair_search, solve_kt
 from .lop import SolverConfig, enumerate_optima, solve_lop
 from .rating import colley_ratings, massey_ratings, ranking_from_ratings
 from .sports import (
@@ -40,7 +39,6 @@ EXIT_INPUT = 1
 EXIT_UNPROVEN = 2
 EXIT_ORACLE = 3
 
-_WORKERS_ENV = "RANKABILITY_WORKERS"
 _MATRIX_KINDS = ("matrix", "features")
 
 
@@ -96,11 +94,6 @@ def _build_parser() -> _Parser:
             help="wall-clock budget; exceeding it returns unproven results",
         )
         p.add_argument(
-            "--workers", type=int, default=None, metavar="N",
-            help=f"worker count (default ${_WORKERS_ENV} or 1); "
-            "results are identical for any value",
-        )
-        p.add_argument(
             "--cap", type=int, default=None, metavar="N",
             help="enumeration cap on the number of optimal rankings",
         )
@@ -118,7 +111,8 @@ def _build_parser() -> _Parser:
         )
         p.add_argument(
             "--oracle", action="store_true",
-            help="cross-check kappa against full enumeration (exit 3 on mismatch)",
+            help="cross-check kappa against the joint branch and bound alone "
+            "(exit 3 on mismatch)",
         )
         p.add_argument(
             "--aliases", default=None, metavar="PATH",
@@ -129,16 +123,6 @@ def _build_parser() -> _Parser:
 
 def _solver_config(args) -> SolverConfig:
     defaults = SolverConfig()
-    workers = args.workers
-    if workers is None:
-        env = os.environ.get(_WORKERS_ENV)
-        if env is not None:
-            try:
-                workers = int(env)
-            except ValueError:
-                raise ValueError(
-                    f"{_WORKERS_ENV} must be an integer, got {env!r}"
-                ) from None
     return SolverConfig(
         time_limit=args.time_limit,
         enumeration_cap=(
@@ -146,9 +130,6 @@ def _solver_config(args) -> SolverConfig:
         ),
         tolerance=(
             args.tolerance if args.tolerance is not None else defaults.tolerance
-        ),
-        parallel_workers=(
-            workers if workers is not None else defaults.parallel_workers
         ),
         rng_seed=args.seed if args.seed is not None else defaults.rng_seed,
     )
@@ -268,12 +249,18 @@ def cmd_kappa(config: CliConfig) -> int:
     }
     oracle_exit = EXIT_OK
     if config.oracle:
-        reference = kappa_by_enumeration(matrix, config.solver)
+        reference = _kappa_by_pair_search(
+            matrix, lop_result.optimal_value, config.solver
+        )
+        if not reference.proven:
+            raise UnprovenOptimumError(
+                "the oracle's joint search did not finish within the time limit"
+            )
         payload["oracle_kappa"] = int(reference.kappa)
-        if reference.kappa != kt.kappa:
+        if kt.proven and reference.kappa != kt.kappa:
             sys.stderr.write(
-                f"oracle mismatch: search found kappa={kt.kappa}, "
-                f"enumeration found kappa={reference.kappa}\n"
+                f"oracle mismatch: solve_kt found kappa={kt.kappa}, "
+                f"the joint search found kappa={reference.kappa}\n"
             )
             oracle_exit = EXIT_ORACLE
     if config.format == "json":

@@ -41,7 +41,3 @@ class TruncatedOptimaError(RankabilityError):
 
 class UnprovenOptimumError(RankabilityError):
     """An operation needs a proven optimum but the solve hit its time limit."""
-
-
-class SolverConsistencyError(RankabilityError):
-    """Two exact routes to the same quantity disagreed: a solver defect."""

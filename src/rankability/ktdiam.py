@@ -1,14 +1,15 @@
 """Maximal Kendall tau distance between optimal rankings.
 
-Realizes the coupled binary program over two linear orders x and y that
-must both attain the optimal objective value, with the concordance
-indicators z implied by the orientation pair rather than branched on.
-The joint branch and bound grows both orders position by position, so
-every generated orientation set is transitively closed and the 3-dicycle
-constraints hold by construction. A node is pruned when the prefix bound
-of either side drops below the optimal value, or when the pairs not yet
-ordered by both sides cannot lift the discordance past the best distance
-found.
+When the optima set fits the enumeration cap, kappa comes from scanning
+every pair of optima enumerated with the shared completion table. Otherwise
+it comes from the coupled binary program over two linear orders x and y
+that must both attain the optimal objective value, with the concordance
+indicators z implied by the orientation pair rather than branched on. Its
+joint branch and bound grows both orders position by position, so every
+generated orientation set is transitively closed and the 3-dicycle
+constraints hold by construction. A node is pruned when the prefix bound of
+either side drops below the optimal value, or when the pairs not yet ordered
+by both sides cannot lift the discordance past the best distance found.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .core import (
 )
 from .errors import (
     InvalidKStarError,
-    SolverConsistencyError,
     TruncatedOptimaError,
     UnprovenOptimumError,
 )
@@ -37,6 +37,7 @@ from .lop import (
     DEFAULT_CONFIG,
     SolverConfig,
     _completion_table,
+    _deadline,
     _Search,
     _Timeout as _LopTimeout,
 )
@@ -247,38 +248,42 @@ class _PairSearch:
 
 
 def _pack_pair_masks(orders: list[tuple[int, ...]], n: int) -> np.ndarray:
-    """One bit per unordered pair, set when the earlier item ranks higher."""
-    count = len(orders)
-    total_pairs = n * (n - 1) // 2
-    bits = np.zeros((count, total_pairs), dtype=np.uint8)
-    for row, order in enumerate(orders):
-        pos = [0] * n
-        for idx, item in enumerate(order):
-            pos[item - 1] = idx
-        bit = 0
-        for i in range(n):
-            for j in range(i + 1, n):
-                if pos[i] < pos[j]:
-                    bits[row, bit] = 1
-                bit += 1
-    return np.packbits(bits, axis=1)
+    """One bit per unordered pair i < j, set when i ranks above j.
+
+    Pairs run in np.triu_indices order; each row is packed by np.packbits.
+    """
+    # argsort of an order form gives every item's position.
+    pos = np.argsort(np.asarray(orders), axis=1).astype(np.min_scalar_type(n))
+    i, j = np.triu_indices(n, 1)
+    return np.packbits(pos[:, i] < pos[:, j], axis=1)
 
 
 def _max_distance_pair(
-    orders: list[tuple[int, ...]], n: int
-) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """Maximal Kendall tau distance and its lexicographically first pair.
+    orders: list[tuple[int, ...]], n: int, deadline: float | None
+) -> tuple[int, tuple[int, ...], tuple[int, ...], bool]:
+    """Maximal Kendall tau distance, its lexicographically first pair, completeness.
 
     orders must be sorted ascending; the scan keeps the first pair that
     attains each strictly larger distance, which makes the returned pair
-    the smallest (first, second) witness under tuple comparison.
+    the smallest (first, second) witness under tuple comparison. The
+    deadline is checked between rows; once it has passed, the best pair
+    so far is returned with completeness False.
     """
     packed = _pack_pair_masks(orders, n)
+    # Popcounts over 64-bit words, one contiguous array per word, are far
+    # cheaper than over bytes.
+    padded = np.zeros((len(orders), -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
+    padded[:, : packed.shape[1]] = packed
+    words = [np.ascontiguousarray(col) for col in padded.view(np.uint64).T]
     ceiling = n * (n - 1) // 2
     best = 0
     best_pair = (orders[0], orders[0])
     for a in range(len(orders)):
-        dist = np.bitwise_count(packed[a:] ^ packed[a]).sum(axis=1)
+        if deadline is not None and time.monotonic() > deadline:
+            return best, best_pair[0], best_pair[1], False
+        dist = np.zeros(len(orders) - a, dtype=np.min_scalar_type(ceiling))
+        for col in words:
+            dist += np.bitwise_count(col[a:] ^ col[a])
         b_rel = int(np.argmax(dist))
         d = int(dist[b_rel])
         if d > best:
@@ -288,24 +293,58 @@ def _max_distance_pair(
             best_pair = (orders[a], orders[a + b_rel])
         if best == ceiling:
             break
-    return best, best_pair[0], best_pair[1]
+    return best, best_pair[0], best_pair[1], True
 
 
-def _first_optimal_order(
-    a: WeightMatrix, k_star: float, cfg: SolverConfig, deadline: float | None
-) -> tuple[int, ...]:
+def _kt_result(
+    n: int, kappa: int, first: tuple[int, ...], second: tuple[int, ...], proven: bool
+) -> KtResult:
+    if first > second:
+        first, second = second, first
+    return KtResult(
+        kappa=kappa,
+        pair=(ranking_from_order(first), ranking_from_order(second)),
+        concordant_count=n * (n - 1) // 2 - kappa,
+        proven=proven,
+    )
+
+
+def _optimal_orders(
+    a: WeightMatrix, k_star: float, cap: int, cfg: SolverConfig, deadline: float | None
+) -> tuple[list[tuple[int, ...]], bool]:
+    """Optimal order forms in lexicographic sequence up to cap, and truncation.
+
+    Raises:
+        UnprovenOptimumError: when the time limit expires before any
+            optimal ranking is found.
+        InvalidKStarError: when no ranking attains k_star.
+    """
     search = _Search(a, cfg)
     search.deadline = deadline
-    orders, truncated = search.enumerate_leaves(k_star, 1)
-    if orders:
-        return tuple(v + 1 for v in orders[0])
-    if truncated:
-        raise UnprovenOptimumError(
-            "time limit expired before any optimal ranking was recovered"
+    orders, truncated = search.enumerate_leaves(k_star, cap)
+    if not orders:
+        if truncated:
+            raise UnprovenOptimumError(
+                "time limit expired before any optimal ranking was recovered"
+            )
+        raise InvalidKStarError(
+            f"no ranking attains the objective value {k_star!r} within tolerance"
         )
-    raise InvalidKStarError(
-        f"no ranking attains the objective value {k_star!r} within tolerance"
-    )
+    return [tuple(v + 1 for v in o) for o in orders], truncated
+
+
+def _pair_search(
+    a: WeightMatrix,
+    k_star: float,
+    cfg: SolverConfig,
+    sigma0: tuple[int, ...],
+    deadline: float | None,
+) -> KtResult:
+    search = _PairSearch(a, k_star, cfg, sigma0)
+    search.deadline = deadline
+    search.run()
+    first, second = search.best_pair
+    return _kt_result(a.n, search.best_kappa, first, second, not search.timed_out)
 
 
 def solve_kt(
@@ -313,54 +352,40 @@ def solve_kt(
 ) -> KtResult:
     """Two optimal rankings as far apart as possible in Kendall tau.
 
-    Runs the joint branch and bound over prefix pairs. On proven
-    completion the witness pair is canonicalized to the lexicographically
-    smallest (first, second) pair among all maximal-distance pairs,
-    recovered from the enumerated optima when enumeration fits the cap.
-    On timeout the best pair found so far is returned with proven=False.
+    Enumerates the optima with the shared completion table. When the
+    whole set fits the enumeration cap, kappa and the canonical pair, the
+    lexicographically smallest (first, second) pair among all
+    maximal-distance pairs, come from a scan over all pairs of optima.
+    When the cap or the time limit truncates the enumeration, the joint
+    branch and bound runs from the first optimum instead, and its pair
+    need not be canonical. On timeout the best pair found so far is
+    returned with proven=False.
 
     Raises:
         InvalidKStarError: when no ranking attains k_star.
         UnprovenOptimumError: when the time limit expires before even one
             ranking attaining k_star is found, so no pair can be reported.
-        SolverConsistencyError: when the joint search and the enumerated
-            optima disagree on the maximal distance.
     """
     cfg = cfg or DEFAULT_CONFIG
-    start = time.monotonic()
-    deadline = None if cfg.time_limit is None else start + cfg.time_limit
-    sigma0 = _first_optimal_order(a, k_star, cfg, deadline)
-    total_pairs = a.n * (a.n - 1) // 2
+    deadline = _deadline(cfg)
+    orders, truncated = _optimal_orders(a, k_star, cfg.enumeration_cap, cfg, deadline)
+    if truncated:
+        return _pair_search(a, k_star, cfg, orders[0], deadline)
+    return _kt_result(a.n, *_max_distance_pair(orders, a.n, deadline))
 
-    search = _PairSearch(a, k_star, cfg, sigma0)
-    search.deadline = deadline
-    search.run()
-    kappa = search.best_kappa
-    first, second = search.best_pair
-    proven = not search.timed_out
 
-    if proven and kappa > 0:
-        # Canonical witness: smallest (first, second) among maximal pairs.
-        enum_search = _Search(a, cfg)
-        enum_search.deadline = deadline
-        orders, truncated = enum_search.enumerate_leaves(k_star, cfg.enumeration_cap)
-        if not truncated:
-            one_based = [tuple(v + 1 for v in o) for o in orders]
-            best, first, second = _max_distance_pair(one_based, a.n)
-            if best != kappa:
-                raise SolverConsistencyError(
-                    f"pair search found kappa={kappa}, the enumerated optima "
-                    f"give {best}"
-                )
-    if first > second:
-        first, second = second, first
-    pair = (ranking_from_order(first), ranking_from_order(second))
-    return KtResult(
-        kappa=kappa,
-        pair=pair,
-        concordant_count=total_pairs - kappa,
-        proven=proven,
-    )
+def _kappa_by_pair_search(
+    a: WeightMatrix, k_star: float, cfg: SolverConfig | None = None
+) -> KtResult:
+    """kappa from the joint branch and bound alone, run from the first optimum.
+
+    The route solve_kt takes only when enumeration is truncated; the
+    CLI's --oracle check compares it with solve_kt on any input.
+    """
+    cfg = cfg or DEFAULT_CONFIG
+    deadline = _deadline(cfg)
+    orders, _ = _optimal_orders(a, k_star, 1, cfg, deadline)
+    return _pair_search(a, k_star, cfg, orders[0], deadline)
 
 
 def kappa_by_enumeration(
@@ -368,15 +393,13 @@ def kappa_by_enumeration(
 ) -> KtResult:
     """Exact maximal distance by enumerating every optimal ranking.
 
-    The reference route the branch and bound is checked against; only
-    usable when the full optima set fits the enumeration cap.
+    Only usable when the full optima set fits the enumeration cap.
 
     Raises:
         TruncatedOptimaError: when enumeration hit the cap or time limit.
     """
     from .lop import enumerate_optima
 
-    cfg = cfg or DEFAULT_CONFIG
     optima = enumerate_optima(a, cfg)
     if optima.truncated:
         raise TruncatedOptimaError(
@@ -384,14 +407,7 @@ def kappa_by_enumeration(
             "the complete set"
         )
     orders = [r.order for r in optima.rankings]
-    kappa, first, second = _max_distance_pair(orders, a.n)
-    total_pairs = a.n * (a.n - 1) // 2
-    return KtResult(
-        kappa=kappa,
-        pair=(ranking_from_order(first), ranking_from_order(second)),
-        concordant_count=total_pairs - kappa,
-        proven=True,
-    )
+    return _kt_result(a.n, *_max_distance_pair(orders, a.n, None))
 
 
 def _check_side(

@@ -50,16 +50,14 @@ _MEMO_CAP = 1 << 22
 class SolverConfig:
     """Knobs shared by every exact search in the package.
 
-    rng_seed fully determines heuristic randomization; parallel_workers is
-    accepted for interface stability but the search is single-threaded,
-    which makes reported witnesses and statistics reproducible by
-    construction.
+    rng_seed fully determines heuristic randomization; the search is
+    single-threaded, which makes reported witnesses and statistics
+    reproducible by construction.
     """
 
     time_limit: float | None = None
     enumeration_cap: int = 1_000_000
     tolerance: float = 1e-9
-    parallel_workers: int = 1
     heuristic_restarts: int = 16
     rng_seed: int = 0
 
@@ -70,8 +68,6 @@ class SolverConfig:
             raise ValueError("enumeration_cap must be at least 1")
         if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
-        if self.parallel_workers < 1:
-            raise ValueError("parallel_workers must be at least 1")
         if self.heuristic_restarts < 0:
             raise ValueError("heuristic_restarts must be nonnegative")
 
@@ -124,6 +120,11 @@ class _CapReached(Exception):
 def _check_deadline(deadline: float | None) -> None:
     if deadline is not None and time.monotonic() > deadline:
         raise _Timeout
+
+
+def _deadline(cfg: SolverConfig) -> float | None:
+    """When a call starting now must stop under cfg.time_limit."""
+    return None if cfg.time_limit is None else time.monotonic() + cfg.time_limit
 
 
 def _float_rows(a: WeightMatrix) -> list[list[float]]:
@@ -571,21 +572,22 @@ def enumerate_optima(a: WeightMatrix, cfg: SolverConfig | None = None) -> Optima
     Depth-first search keeps a branch only while its upper bound stays
     within tolerance of the optimal value; children are tried in
     ascending item order, so the output arrives already sorted
-    lexicographically. The cap and the time limit both set truncated.
+    lexicographically. The cap and the time limit both set truncated; the
+    time limit covers the whole call, value proof included.
 
     Raises:
         UnprovenOptimumError: when the optimal value itself could not be
             proven within the time limit.
     """
     cfg = cfg or DEFAULT_CONFIG
+    deadline = _deadline(cfg)
     result = solve_lop(a, cfg)
     if not result.proven:
         raise UnprovenOptimumError(
             "enumeration requires a proven optimal value; the solve timed out"
         )
     search = _Search(a, cfg)
-    if cfg.time_limit is not None:
-        search.deadline = time.monotonic() + cfg.time_limit
+    search.deadline = deadline
     orders, truncated = search.enumerate_leaves(
         result.optimal_value, cfg.enumeration_cap
     )

@@ -53,6 +53,26 @@ def _pair_mask(order: tuple[int, ...]) -> int:
     return mask
 
 
+def pack_pair_masks_loop(orders: list[tuple[int, ...]], n: int) -> np.ndarray:
+    """Pair bits of every order, packed per row, by the scalar double loop.
+
+    Reference for the solver's vectorized packing: bit (i, j) for i < j,
+    in row-major pair order, is set iff i is ranked above j.
+    """
+    bits = np.zeros((len(orders), n * (n - 1) // 2), dtype=np.uint8)
+    for row, order in enumerate(orders):
+        pos = [0] * n
+        for idx, item in enumerate(order):
+            pos[item - 1] = idx
+        bit = 0
+        for i in range(n):
+            for j in range(i + 1, n):
+                if pos[i] < pos[j]:
+                    bits[row, bit] = 1
+                bit += 1
+    return np.packbits(bits, axis=1)
+
+
 def kendall_distance(order1: tuple[int, ...], order2: tuple[int, ...]) -> int:
     return (_pair_mask(order1) ^ _pair_mask(order2)).bit_count()
 

