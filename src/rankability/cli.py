@@ -20,12 +20,11 @@ from dataclasses import dataclass
 
 from .core import WeightMatrix, read_matrix_csv
 from .errors import RankabilityError, UnprovenOptimumError
-from .ktdiam import _kappa_by_pair_search, solve_kt
+from .ktdiam import _kappa_by_pair_search, _solve_with_kappa
 from .lop import SolverConfig, enumerate_optima, solve_lop
 from .rating import colley_ratings, massey_ratings, ranking_from_ratings
 from .sports import (
     Stage,
-    foresight_accuracy,
     read_alias_csv,
     read_feature_table,
     read_games_csv,
@@ -38,8 +37,6 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_UNPROVEN = 2
 EXIT_ORACLE = 3
-
-_MATRIX_KINDS = ("matrix", "features")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -228,12 +225,7 @@ def cmd_lop(config: CliConfig) -> int:
 
 def cmd_kappa(config: CliConfig) -> int:
     matrix = _load_matrix(config)
-    lop_result = solve_lop(matrix, config.solver)
-    if not lop_result.proven:
-        raise UnprovenOptimumError(
-            "the optimal value was not proven within the time limit"
-        )
-    kt = solve_kt(matrix, lop_result.optimal_value, config.solver)
+    lop_result, _, _, kt = _solve_with_kappa(matrix, config.solver)
     payload = {
         "command": "kappa",
         "n": matrix.n,
@@ -259,7 +251,7 @@ def cmd_kappa(config: CliConfig) -> int:
         payload["oracle_kappa"] = int(reference.kappa)
         if kt.proven and reference.kappa != kt.kappa:
             sys.stderr.write(
-                f"oracle mismatch: solve_kt found kappa={kt.kappa}, "
+                f"oracle mismatch: the optima set gave kappa={kt.kappa}, "
                 f"the joint search found kappa={reference.kappa}\n"
             )
             oracle_exit = EXIT_ORACLE
@@ -358,14 +350,9 @@ def cmd_season(config: CliConfig) -> int:
             "optima_count", "proven", "truncated",
         ]
         rows = []
-        for gs, report in zip(seasons, reports):
-            if report.foresight:
-                fore_a = foresight_accuracy(
-                    gs, report.witness_pair[0], config.tie_mode
-                )
-                fore_b = foresight_accuracy(
-                    gs, report.witness_pair[1], config.tie_mode
-                )
+        for report in reports:
+            if report.witness_foresight is not None:
+                fore_a, fore_b = report.witness_foresight
                 rows_fore = [
                     _csv_cell(report.foresight["optimal"]),
                     _csv_cell(report.foresight["colley"]),

@@ -35,9 +35,5 @@ class InvalidKStarError(RankabilityError):
     """The supplied optimal value is not attained by any ranking."""
 
 
-class TruncatedOptimaError(RankabilityError):
-    """An operation needs the exact optima set but enumeration was truncated."""
-
-
 class UnprovenOptimumError(RankabilityError):
     """An operation needs a proven optimum but the solve hit its time limit."""

@@ -10,12 +10,14 @@ generated orientation set is transitively closed and the 3-dicycle
 constraints hold by construction. A node is pruned when the prefix bound of
 either side drops below the optimal value, or when the pairs not yet ordered
 by both sides cannot lift the discordance past the best distance found.
+Season reports and the kappa command solve, enumerate once and take kappa
+from those same orders, all under one deadline (_solve_with_kappa).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,18 +30,17 @@ from .core import (
     ranking_from_order,
     validate_linear_order,
 )
-from .errors import (
-    InvalidKStarError,
-    TruncatedOptimaError,
-    UnprovenOptimumError,
-)
+from .errors import InvalidKStarError, UnprovenOptimumError
 from .lop import (
     DEFAULT_CONFIG,
+    LopResult,
     SolverConfig,
     _completion_table,
     _deadline,
+    _optimal_orders,
     _Search,
     _Timeout as _LopTimeout,
+    solve_lop,
 )
 
 __all__ = [
@@ -47,7 +48,6 @@ __all__ = [
     "KtSolution",
     "KtValidationReport",
     "solve_kt",
-    "kappa_by_enumeration",
     "kt_solution_from_rankings",
     "validate_kt_solution",
 ]
@@ -309,30 +309,6 @@ def _kt_result(
     )
 
 
-def _optimal_orders(
-    a: WeightMatrix, k_star: float, cap: int, cfg: SolverConfig, deadline: float | None
-) -> tuple[list[tuple[int, ...]], bool]:
-    """Optimal order forms in lexicographic sequence up to cap, and truncation.
-
-    Raises:
-        UnprovenOptimumError: when the time limit expires before any
-            optimal ranking is found.
-        InvalidKStarError: when no ranking attains k_star.
-    """
-    search = _Search(a, cfg)
-    search.deadline = deadline
-    orders, truncated = search.enumerate_leaves(k_star, cap)
-    if not orders:
-        if truncated:
-            raise UnprovenOptimumError(
-                "time limit expired before any optimal ranking was recovered"
-            )
-        raise InvalidKStarError(
-            f"no ranking attains the objective value {k_star!r} within tolerance"
-        )
-    return [tuple(v + 1 for v in o) for o in orders], truncated
-
-
 def _pair_search(
     a: WeightMatrix,
     k_star: float,
@@ -345,6 +321,37 @@ def _pair_search(
     search.run()
     first, second = search.best_pair
     return _kt_result(a.n, search.best_kappa, first, second, not search.timed_out)
+
+
+def _kappa_from_orders(
+    a: WeightMatrix,
+    k_star: float,
+    orders: list[tuple[int, ...]],
+    truncated: bool,
+    cfg: SolverConfig,
+    deadline: float | None,
+) -> KtResult:
+    """kappa over the optima that lop._optimal_orders returned for k_star.
+
+    A complete set is scanned pair by pair; a truncated one seeds the
+    joint branch and bound with its first order.
+
+    Raises:
+        UnprovenOptimumError: when the deadline passed before any optimal
+            ranking was found.
+        InvalidKStarError: when no ranking attains k_star.
+    """
+    if not orders:
+        if truncated:
+            raise UnprovenOptimumError(
+                "time limit expired before any optimal ranking was recovered"
+            )
+        raise InvalidKStarError(
+            f"no ranking attains the objective value {k_star!r} within tolerance"
+        )
+    if truncated:
+        return _pair_search(a, k_star, cfg, orders[0], deadline)
+    return _kt_result(a.n, *_max_distance_pair(orders, a.n, deadline))
 
 
 def solve_kt(
@@ -369,9 +376,7 @@ def solve_kt(
     cfg = cfg or DEFAULT_CONFIG
     deadline = _deadline(cfg)
     orders, truncated = _optimal_orders(a, k_star, cfg.enumeration_cap, cfg, deadline)
-    if truncated:
-        return _pair_search(a, k_star, cfg, orders[0], deadline)
-    return _kt_result(a.n, *_max_distance_pair(orders, a.n, deadline))
+    return _kappa_from_orders(a, k_star, orders, truncated, cfg, deadline)
 
 
 def _kappa_by_pair_search(
@@ -379,35 +384,36 @@ def _kappa_by_pair_search(
 ) -> KtResult:
     """kappa from the joint branch and bound alone, run from the first optimum.
 
-    The route solve_kt takes only when enumeration is truncated; the
-    CLI's --oracle check compares it with solve_kt on any input.
+    A cap of one truncates every enumeration, so solve_kt takes the route
+    it otherwise takes only for large optima sets; the CLI's --oracle check
+    compares the two routes on any input.
     """
-    cfg = cfg or DEFAULT_CONFIG
-    deadline = _deadline(cfg)
-    orders, _ = _optimal_orders(a, k_star, 1, cfg, deadline)
-    return _pair_search(a, k_star, cfg, orders[0], deadline)
+    return solve_kt(a, k_star, replace(cfg or DEFAULT_CONFIG, enumeration_cap=1))
 
 
-def kappa_by_enumeration(
-    a: WeightMatrix, cfg: SolverConfig | None = None
-) -> KtResult:
-    """Exact maximal distance by enumerating every optimal ranking.
+def _solve_with_kappa(
+    a: WeightMatrix, cfg: SolverConfig
+) -> tuple[LopResult, list[tuple[int, ...]], bool, KtResult]:
+    """Solve, enumerate the optima once and take kappa from them.
 
-    Only usable when the full optima set fits the enumeration cap.
+    The deadline is taken before the solve, so cfg.time_limit bounds all
+    three phases. Returns the solve, the optimal orders, whether the
+    enumeration was truncated, and the kappa certificate.
 
     Raises:
-        TruncatedOptimaError: when enumeration hit the cap or time limit.
+        UnprovenOptimumError: when the optimal value is not proven, or no
+            optimal ranking is recovered, within the time limit.
     """
-    from .lop import enumerate_optima
-
-    optima = enumerate_optima(a, cfg)
-    if optima.truncated:
-        raise TruncatedOptimaError(
-            "optima enumeration was truncated; the maximal distance needs "
-            "the complete set"
+    deadline = _deadline(cfg)
+    result = solve_lop(a, cfg)
+    if not result.proven:
+        raise UnprovenOptimumError(
+            "the optimal value was not proven within the time limit"
         )
-    orders = [r.order for r in optima.rankings]
-    return _kt_result(a.n, *_max_distance_pair(orders, a.n, None))
+    k_star = result.optimal_value
+    orders, truncated = _optimal_orders(a, k_star, cfg.enumeration_cap, cfg, deadline)
+    kt = _kappa_from_orders(a, k_star, orders, truncated, cfg, deadline)
+    return result, orders, truncated, kt
 
 
 def _check_side(

@@ -500,9 +500,10 @@ def prefix_upper_bound(a: WeightMatrix, partial: Sequence[int]) -> float:
     """Admissible bound on any ranking starting with the given items.
 
     partial lists 1-based items occupying the top positions in order.
-    The bound adds the weight already decided by the prefix to
-    max(a_ij, a_ji) for every still-undecided pair, so it never falls
-    below the best completion and never increases as the prefix grows.
+    The bound is the search's own f + u after placing the prefix: the
+    weight the prefix already decides plus max(a_ij, a_ji) for every
+    still-undecided pair, so it never falls below the best completion and
+    never increases as the prefix grows.
     """
     n = a.n
     prefix = [int(p) - 1 for p in partial]
@@ -510,20 +511,10 @@ def prefix_upper_bound(a: WeightMatrix, partial: Sequence[int]) -> float:
         raise MalformedPermutationError(
             f"prefix must list distinct items in 1..{n}, got {tuple(partial)}"
         )
-    w = a.weights
-    in_prefix = set(prefix)
-    rest = [v for v in range(n) if v not in in_prefix]
-    decided = 0.0
-    for idx, p in enumerate(prefix):
-        for q in prefix[idx + 1 :]:
-            decided += w[p][q]
-        for r in rest:
-            decided += w[p][r]
-    undecided = 0.0
-    for idx, i in enumerate(rest):
-        for j in rest[idx + 1 :]:
-            undecided += max(w[i][j], w[j][i])
-    return float(decided + undecided)
+    search = _Search(a, DEFAULT_CONFIG)
+    for v in prefix:
+        search.apply(v)
+    return search.f + search.u
 
 
 def solve_lop(a: WeightMatrix, cfg: SolverConfig | None = None) -> LopResult:
@@ -566,6 +557,21 @@ def solve_lop(a: WeightMatrix, cfg: SolverConfig | None = None) -> LopResult:
     )
 
 
+def _optimal_orders(
+    a: WeightMatrix, k_star: float, cap: int, cfg: SolverConfig, deadline: float | None
+) -> tuple[list[tuple[int, ...]], bool]:
+    """Optimal 1-based order forms in lexicographic sequence, up to cap.
+
+    Returns the orders and whether the cap or the deadline stopped the
+    search before it was exhausted; raises nothing, so a deadline that has
+    already passed gives no orders and truncated=True.
+    """
+    search = _Search(a, cfg)
+    search.deadline = deadline
+    orders, truncated = search.enumerate_leaves(k_star, cap)
+    return [tuple(v + 1 for v in order) for order in orders], truncated
+
+
 def enumerate_optima(a: WeightMatrix, cfg: SolverConfig | None = None) -> OptimaSet:
     """Collect every ranking whose objective equals the proven optimum.
 
@@ -586,14 +592,10 @@ def enumerate_optima(a: WeightMatrix, cfg: SolverConfig | None = None) -> Optima
         raise UnprovenOptimumError(
             "enumeration requires a proven optimal value; the solve timed out"
         )
-    search = _Search(a, cfg)
-    search.deadline = deadline
-    orders, truncated = search.enumerate_leaves(
-        result.optimal_value, cfg.enumeration_cap
+    orders, truncated = _optimal_orders(
+        a, result.optimal_value, cfg.enumeration_cap, cfg, deadline
     )
-    rankings = tuple(
-        ranking_from_order([v + 1 for v in order]) for order in orders
-    )
+    rankings = tuple(ranking_from_order(order) for order in orders)
     return OptimaSet(rankings=rankings, truncated=truncated)
 
 

@@ -4,7 +4,8 @@ Bridges raw game results and the solvers: builds the win matrix with the
 half-point tie convention, measures how well a ranking explains played
 games (hindsight) or predicts playoff games (foresight), and assembles
 per-season reports with optimal, Colley, and Massey rankings side by
-side.
+side. A report solves its win matrix once, enumerates the optima once and
+takes kappa from them, all under one time limit.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from .errors import (
     MalformedInputError,
     UndefinedMetricError,
 )
-from .ktdiam import KtResult, solve_kt
-from .lop import DEFAULT_CONFIG, SolverConfig, enumerate_optima, solve_lop
+from .ktdiam import KtResult, _solve_with_kappa
+from .lop import DEFAULT_CONFIG, SolverConfig
 from .rating import colley_ratings, massey_ratings, ranking_from_ratings
 
 __all__ = [
@@ -408,6 +409,14 @@ def foresight_accuracy(
     return _ranking_accuracy(gs, games, sigma, tie_mode)
 
 
+def _pair_foresight(
+    gs: GameSet, kt: KtResult, tie_mode: str
+) -> tuple[tuple[float, float], float]:
+    """Playoff accuracies of the witness pair, and their absolute gap."""
+    first, second = (foresight_accuracy(gs, sigma, tie_mode) for sigma in kt.pair)
+    return (first, second), abs(first - second)
+
+
 def foresight_divergence(
     gs: GameSet, cfg: SolverConfig | None = None, tie_mode: str = "half"
 ) -> tuple[float, KtResult]:
@@ -417,18 +426,18 @@ def foresight_divergence(
     maximal Kendall tau distance, and returns the absolute difference of
     their playoff prediction accuracies together with the distance
     certificate. Note the returned pair maximizes rank distance, not
-    necessarily the accuracy difference itself.
+    necessarily the accuracy difference itself. The time limit bounds
+    the whole call.
 
     Raises:
         EmptyDataError: no regular or no playoff games.
+        UnprovenOptimumError: the optimal value was not proven, or no
+            optimal ranking recovered, within the time limit.
     """
     cfg = cfg or DEFAULT_CONFIG
     matrix = build_win_matrix(gs, Stage.REGULAR)
-    result = solve_lop(matrix, cfg)
-    kt = solve_kt(matrix, result.optimal_value, cfg)
-    first = foresight_accuracy(gs, kt.pair[0], tie_mode)
-    second = foresight_accuracy(gs, kt.pair[1], tie_mode)
-    return abs(first - second), kt
+    kt = _solve_with_kappa(matrix, cfg)[3]
+    return _pair_foresight(gs, kt, tie_mode)[1], kt
 
 
 def pearson_correlation(xs, ys) -> float:
@@ -465,8 +474,10 @@ class SeasonReport:
     hindsight and foresight map ranking names (optimal, colley, massey)
     to accuracies; foresight entries exist only when playoff games do.
     Every hindsight accuracy is bounded above by lambda_, with equality
-    for the optimal ranking under the half tie credit. optima_count is
-    None when enumeration was truncated.
+    for the optimal ranking under the half tie credit. witness_foresight
+    holds the foresight accuracies of the two witness_pair rankings, whose
+    gap is foresight_divergence; both are None without playoff games.
+    optima_count is None when enumeration was truncated.
     """
 
     season: int
@@ -477,6 +488,7 @@ class SeasonReport:
     hindsight: dict[str, float]
     foresight: dict[str, float]
     foresight_divergence: float | None
+    witness_foresight: tuple[float, float] | None
     optimal_ranking: Ranking
     colley_ranking: Ranking
     massey_ranking: Ranking
@@ -494,11 +506,14 @@ def season_report(
     Solves the regular-season win matrix for k*, the degree of
     linearity, the optima count, and the maximally distant optimal pair,
     then scores optimal, Colley, and Massey rankings in hindsight and —
-    when playoff games exist — foresight.
+    when playoff games exist — foresight. The matrix is solved once and
+    its optima enumerated once; the time limit bounds the whole call.
 
     Raises:
         EmptyDataError: no regular-season games.
         MalformedInputError: games from more than one season.
+        UnprovenOptimumError: the optimal value was not proven, or no
+            optimal ranking recovered, within the time limit.
     """
     cfg = cfg or DEFAULT_CONFIG
     seasons = gs.seasons
@@ -509,11 +524,8 @@ def season_report(
     matrix = build_win_matrix(gs, Stage.REGULAR)
     regular = gs.filter_stage(Stage.REGULAR)
 
-    lop_result = solve_lop(matrix, cfg)
+    lop_result, orders, truncated, kt = _solve_with_kappa(matrix, cfg)
     k_star = lop_result.optimal_value
-    lambda_ = k_star / matrix.total_sum()
-    optima = enumerate_optima(matrix, cfg)
-    kt = solve_kt(matrix, k_star, cfg)
 
     rankings = {
         "optimal": lop_result.ranking,
@@ -529,28 +541,26 @@ def season_report(
             name: foresight_accuracy(gs, sigma, tie_mode)
             for name, sigma in rankings.items()
         }
-        divergence = abs(
-            foresight_accuracy(gs, kt.pair[0], tie_mode)
-            - foresight_accuracy(gs, kt.pair[1], tie_mode)
-        )
+        witness_foresight, divergence = _pair_foresight(gs, kt, tie_mode)
     else:
         foresight = {}
-        divergence = None
+        witness_foresight = divergence = None
 
     return SeasonReport(
         season=seasons[0],
         teams=gs.teams,
-        lambda_=lambda_,
+        lambda_=k_star / matrix.total_sum(),
         kappa=kt.kappa,
         k_star=k_star,
         hindsight=hindsight,
         foresight=foresight,
         foresight_divergence=divergence,
+        witness_foresight=witness_foresight,
         optimal_ranking=lop_result.ranking,
         colley_ranking=rankings["colley"],
         massey_ranking=rankings["massey"],
         witness_pair=kt.pair,
-        optima_count=None if optima.truncated else optima.count,
-        proven=lop_result.proven and kt.proven,
-        truncated=optima.truncated,
+        optima_count=None if truncated else len(orders),
+        proven=kt.proven,
+        truncated=truncated,
     )

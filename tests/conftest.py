@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from rankability import cli, ktdiam, lop, sports
 from rankability.core import Ranking, WeightMatrix, ranking_from_order
 
 # 10 liberal arts colleges, a_ij = number of feature rankings where college i
@@ -121,3 +124,30 @@ def random_game_set(
             )
         )
     return game_set_from_records(records)
+
+
+@pytest.fixture
+def clock_jumps_after_solve(monkeypatch) -> float:
+    """Advance the solvers' clock by 1.5 time limits whenever solve_lop returns.
+
+    Returns the time limit to configure. After the jump a deadline taken
+    before the solve has passed, but a limit restarted after it has not.
+    solve_lop is replaced in every module that binds it.
+    """
+    limit = 10.0
+    offset = [0.0]
+    clock = SimpleNamespace(monotonic=lambda: time.monotonic() + offset[0])
+    monkeypatch.setattr(lop, "time", clock)
+    monkeypatch.setattr(ktdiam, "time", clock)
+    real = lop.solve_lop
+
+    def jumping(a, cfg=None):
+        result = real(a, cfg)
+        offset[0] += 1.5 * limit
+        return result
+
+    for module in (lop, ktdiam, sports, cli):
+        for name, value in list(vars(module).items()):
+            if value is real:
+                monkeypatch.setattr(module, name, jumping)
+    return limit

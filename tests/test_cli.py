@@ -143,14 +143,15 @@ class TestKappaCommand:
     def test_oracle_mismatch_exits_3(self, capsys, tmp_path, monkeypatch):
         import rankability.cli as cli_module
 
-        real_solve_kt = cli_module.solve_kt
+        real_solve = cli_module._solve_with_kappa
 
-        def wrong_solve_kt(matrix, k_star, cfg=None):
-            result = real_solve_kt(matrix, k_star, cfg)
-            object.__setattr__(result, "kappa", result.kappa + 1)
+        def wrong_kappa(matrix, cfg):
+            result = real_solve(matrix, cfg)
+            kt = result[-1]
+            object.__setattr__(kt, "kappa", kt.kappa + 1)
             return result
 
-        monkeypatch.setattr(cli_module, "solve_kt", wrong_solve_kt)
+        monkeypatch.setattr(cli_module, "_solve_with_kappa", wrong_kappa)
         path = write_digraph_csv(tmp_path, 3)
         code, out = run_cli(capsys, "kappa", "--input", path, "--oracle")
         assert code == 3
@@ -176,6 +177,16 @@ class TestKappaCommand:
             capsys, "kappa", "--input", hard_matrix_csv, "--time-limit", "0.05"
         )
         assert code == 2
+
+    def test_one_deadline_covers_the_whole_command(
+        self, capsys, clock_jumps_after_solve
+    ):
+        code, out = run_cli(
+            capsys, "kappa", "--input", COLLEGE, "--kind", "features",
+            "--time-limit", str(clock_jumps_after_solve),
+        )
+        assert code == 2
+        assert out == ""
 
 
 class TestEnumerateCommand:

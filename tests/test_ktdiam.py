@@ -16,15 +16,10 @@ from rankability.core import (
     objective_value,
     ranking_from_order,
 )
-from rankability.errors import (
-    InvalidKStarError,
-    TruncatedOptimaError,
-    UnprovenOptimumError,
-)
+from rankability.errors import InvalidKStarError, UnprovenOptimumError
 from rankability.ktdiam import (
     KtResult,
     KtSolution,
-    kappa_by_enumeration,
     kt_solution_from_rankings,
     solve_kt,
     validate_kt_solution,
@@ -248,6 +243,13 @@ class TestPairMasks:
 
 
 class TestKappaByEnumeration:
+    """solve_kt's scan of the complete optima set against the joint search.
+
+    A cap of one truncates every enumeration, so solve_kt then decides
+    kappa by the joint branch and bound alone, whose pair need not be
+    canonical.
+    """
+
     def test_matches_solve_kt_on_random_instances(self):
         rng = np.random.default_rng(17)
         for _ in range(30):
@@ -255,20 +257,20 @@ class TestKappaByEnumeration:
             a = random_half_integer_matrix(rng, n)
             k_star = solve_lop(a).optimal_value
             direct = solve_kt(a, k_star)
-            via_enum = kappa_by_enumeration(a)
-            assert direct.kappa == via_enum.kappa
-            assert (
-                (direct.pair[0].order, direct.pair[1].order)
-                == (via_enum.pair[0].order, via_enum.pair[1].order)
-            )
+            joint = solve_kt(a, k_star, SolverConfig(enumeration_cap=1))
+            assert direct.proven and joint.proven
+            assert direct.kappa == joint.kappa
+            assert kendall_tau_distance(*joint.pair) == joint.kappa
+            for ranking in joint.pair:
+                assert objective_value(a, ranking) == pytest.approx(k_star)
 
     def test_college(self, college_matrix):
-        result = kappa_by_enumeration(college_matrix)
-        assert result.kappa == 3 and result.proven
-
-    def test_truncated_enumeration_is_refused(self, digraphs):
-        with pytest.raises(TruncatedOptimaError):
-            kappa_by_enumeration(digraphs[4], SolverConfig(enumeration_cap=2))
+        direct = solve_kt(college_matrix, COLLEGE_K_STAR)
+        joint = solve_kt(
+            college_matrix, COLLEGE_K_STAR, SolverConfig(enumeration_cap=1)
+        )
+        assert direct.kappa == joint.kappa == 3
+        assert direct.proven and joint.proven
 
 
 class TestKtSolution:
@@ -367,10 +369,7 @@ class TestMediumInstances:
         a = WeightMatrix(wins)
         k_star = solve_lop(a).optimal_value
         direct = solve_kt(a, k_star)
-        via_enum = kappa_by_enumeration(a)
-        assert direct.proven
-        assert direct.kappa == via_enum.kappa
-        assert (
-            (direct.pair[0].order, direct.pair[1].order)
-            == (via_enum.pair[0].order, via_enum.pair[1].order)
-        )
+        joint = solve_kt(a, k_star, SolverConfig(enumeration_cap=1))
+        assert direct.proven and joint.proven
+        assert direct.kappa == joint.kappa
+        assert kendall_tau_distance(*joint.pair) == joint.kappa

@@ -408,6 +408,47 @@ class TestOneTablePerMatrix:
 
 
 @pytest.fixture
+def search_calls(monkeypatch):
+    """Count value proofs (run_value) and enumerations (enumerate_leaves)."""
+    calls: dict[str, int] = {"run_value": 0, "enumerate_leaves": 0}
+    for name in calls:
+        real = getattr(lop._Search, name)
+
+        def counting(self, *args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(self, *args)
+
+        monkeypatch.setattr(lop._Search, name, counting)
+    return calls
+
+
+class TestOneSolvePerMatrix:
+    def test_season_report_solves_and_enumerates_once(self, search_calls):
+        for gs in read_games_csv(DATA_DIR / "multi_season.csv"):
+            for name in search_calls:
+                search_calls[name] = 0
+            season_report(gs)
+            assert search_calls == {"run_value": 1, "enumerate_leaves": 1}
+
+    def test_season_command_solves_and_enumerates_once_per_season(
+        self, search_calls, capsys
+    ):
+        path = DATA_DIR / "multi_season.csv"
+        code = main(["season", "--input", str(path)])
+        capsys.readouterr()
+        assert code == 0
+        seasons = len(read_games_csv(path))
+        assert search_calls == {"run_value": seasons, "enumerate_leaves": seasons}
+
+    def test_kappa_command_solves_and_enumerates_once(self, search_calls, capsys):
+        path = str(DATA_DIR / "college_features.csv")
+        code = main(["kappa", "--input", path, "--kind", "features"])
+        capsys.readouterr()
+        assert code == 0
+        assert search_calls == {"run_value": 1, "enumerate_leaves": 1}
+
+
+@pytest.fixture
 def expiring_table_build(monkeypatch):
     """Make every table build run into a deadline that has already passed."""
     real = lop._build_completion_table

@@ -7,6 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
+from rankability import lop
 from rankability.core import (
     WeightMatrix,
     ranking_from_order,
@@ -17,6 +18,7 @@ from rankability.errors import (
     EmptyDataError,
     MalformedInputError,
     UndefinedMetricError,
+    UnprovenOptimumError,
 )
 from rankability.lop import SolverConfig, solve_lop
 from rankability.sports import (
@@ -379,6 +381,37 @@ class TestForesightDivergence:
         assert kt.kappa == 0
         assert divergence == 0.0
 
+    def test_unproven_solve_is_refused(self, monkeypatch):
+        # A 12-team round robin whose heuristic incumbent (51) falls short of
+        # k* (52); a value search stopped at once leaves that incumbent
+        # unproven, and no pair of rankings worth 51 may be reported.
+        rng = np.random.default_rng(7)
+        records = []
+        for i in range(1, 13):
+            for j in range(i + 1, 13):
+                score = (1, 0) if rng.random() < 0.5 else (0, 1)
+                records.append(_game(f"T{i:02d}", f"T{j:02d}", *score))
+        records.append(_game("T01", "T02", 1, 0, stage="playoff"))
+        games = game_set_from_records(records)
+        cfg = SolverConfig(time_limit=60, heuristic_restarts=0)
+        k_star = solve_lop(build_win_matrix(games, Stage.REGULAR), cfg).optimal_value
+        monkeypatch.setattr(
+            lop._Search,
+            "run_value",
+            lambda self, start_order, start_value: (start_value, start_order, True),
+        )
+        unproven = solve_lop(build_win_matrix(games, Stage.REGULAR), cfg)
+        assert not unproven.proven and unproven.optimal_value < k_star
+        with pytest.raises(UnprovenOptimumError):
+            foresight_divergence(games, cfg)
+
+    def test_one_deadline_covers_the_whole_call(self, clock_jumps_after_solve):
+        (games,) = read_games_csv(DATA_DIR / "divergence4.csv")
+        with pytest.raises(UnprovenOptimumError):
+            foresight_divergence(
+                games, SolverConfig(time_limit=clock_jumps_after_solve)
+            )
+
 
 class TestPearsonCorrelation:
     def test_identical_series(self):
@@ -430,6 +463,24 @@ class TestSeasonReport:
         assert report.foresight_divergence == pytest.approx(0.5)
         assert set(report.foresight) == {"optimal", "colley", "massey"}
         assert report.witness_pair[0].order <= report.witness_pair[1].order
+
+    def test_witness_foresight_scores_the_witness_pair(self):
+        (games,) = read_games_csv(DATA_DIR / "divergence4.csv")
+        report = season_report(games)
+        assert report.witness_foresight == tuple(
+            foresight_accuracy(games, sigma) for sigma in report.witness_pair
+        )
+        first, second = report.witness_foresight
+        assert report.foresight_divergence == abs(first - second)
+
+    def test_no_witness_foresight_without_playoffs(self):
+        (games,) = read_games_csv(DATA_DIR / "digraph3_season.csv")
+        assert season_report(games).witness_foresight is None
+
+    def test_one_deadline_covers_the_whole_call(self, clock_jumps_after_solve):
+        (games,) = read_games_csv(DATA_DIR / "divergence4.csv")
+        with pytest.raises(UnprovenOptimumError):
+            season_report(games, SolverConfig(time_limit=clock_jumps_after_solve))
 
     def test_multi_season_file(self):
         aliases = read_alias_csv(DATA_DIR / "aliases.csv")
