@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .core import WeightMatrix, read_matrix_csv
 from .errors import RankabilityError, UnprovenOptimumError
 from .ktdiam import _kappa_by_pair_search, _solve_with_kappa
-from .lop import SolverConfig, enumerate_optima, solve_lop
+from .lop import SolverConfig, _deadline, _remaining, enumerate_optima, solve_lop
 from .rating import colley_ratings, massey_ratings, ranking_from_ratings
 from .sports import (
     Stage,
@@ -328,8 +328,12 @@ def _season_payload(report) -> dict:
 
 def cmd_season(config: CliConfig) -> int:
     seasons = _load_seasons(config)
+    # One deadline for the whole file: each report gets the time left.
+    deadline = _deadline(config.solver)
     reports = [
-        season_report(gs, config.solver, tie_mode=config.tie_mode)
+        season_report(
+            gs, _remaining(config.solver, deadline), tie_mode=config.tie_mode
+        )
         for gs in seasons
     ]
     if config.format == "json":

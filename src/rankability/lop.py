@@ -5,14 +5,16 @@ agreement, by depth-first branch and bound over ranking prefixes with an
 admissible pairwise bound and dominance memoization on the set of
 unplaced items. Also provides the insertion heuristic used for
 incumbents, the exact subset completion table that the witness,
-enumeration and pair searches share, enumeration of all optimal
+enumeration and pair searches share, the table-free witness search
+above the table budget (memoized on the unplaced set and the decided
+weight when the arithmetic is exact), enumeration of all optimal
 rankings, and the degree of linearity.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -42,8 +44,21 @@ __all__ = [
 # only the table, as a Python list of about 8 MB at n = 18.
 _TABLE_MAX_N = 18
 
-# Dominance memo entries are dropped beyond this to bound memory on large n.
+# Dominance and witness memo entries are dropped beyond this to bound
+# memory on large n.
 _MEMO_CAP = 1 << 22
+
+# A witness memo entry packs a subtree's answer, nodes and pruned into one
+# int, pruned << (_NODE_BITS + 1) | nodes << 1 | answer, which takes about
+# half the memory of a tuple; a subtree would need 2^48 nodes, years of
+# search, to overflow its field.
+_NODE_BITS = 48
+_NODE_MASK = (1 << _NODE_BITS) - 1
+
+# The bound's starting sum counts every pair's larger weight twice, so
+# with weights in halves and a total below 2^51 every sum the search forms
+# is a multiple of 1/2 below 2^52 and exact in a double.
+_EXACT_TOTAL = 2.0**51
 
 
 @dataclass(frozen=True)
@@ -127,6 +142,32 @@ def _deadline(cfg: SolverConfig) -> float | None:
     return None if cfg.time_limit is None else time.monotonic() + cfg.time_limit
 
 
+def _remaining(cfg: SolverConfig, deadline: float | None) -> SolverConfig:
+    """cfg with its time limit cut to the time left before deadline.
+
+    Raises:
+        UnprovenOptimumError: once the deadline has passed.
+    """
+    if deadline is None:
+        return cfg
+    left = deadline - time.monotonic()
+    if not left > 0:
+        raise UnprovenOptimumError("the time limit passed before the call finished")
+    return replace(cfg, time_limit=left)
+
+
+def _exact_sums(a: WeightMatrix) -> bool:
+    """Whether every sum of the matrix's weights is exact in floating point.
+
+    True when every weight is a multiple of 1/2 and the total stays below
+    _EXACT_TOTAL. Then the search state after placing a set of items does
+    not depend on the order they were placed in, or on apply/undo cycles.
+    """
+    doubled = 2.0 * a.weights
+    # With every weight in halves, sums below 2^52 are exact in any order.
+    return np.array_equal(doubled, np.round(doubled)) and a.total_sum() < _EXACT_TOTAL
+
+
 def _float_rows(a: WeightMatrix) -> list[list[float]]:
     return [[float(x) for x in row] for row in a.weights]
 
@@ -147,6 +188,8 @@ class _Search:
     f is the weight already decided (prefix-prefix plus prefix-remaining
     pairs), u is the sum of max(a_ij, a_ji) over remaining pairs; f + u is
     an admissible upper bound on any completion of the current prefix.
+    The deadline is checked every 256 expanded nodes, counted apart from
+    nodes, which also counts the subtrees a memo hit replays.
     """
 
     def __init__(self, a: WeightMatrix, cfg: SolverConfig):
@@ -159,6 +202,7 @@ class _Search:
         self.deadline: float | None = None
         self.nodes = 0
         self.pruned = 0
+        self._expanded = 0
         self.pair_max = [
             [w[i][j] if w[i][j] >= w[j][i] else w[j][i] for j in range(n)]
             for i in range(n)
@@ -219,9 +263,10 @@ class _Search:
         self.u += s_m[v]
 
     def _tick(self) -> None:
+        self._expanded += 1
         if (
             self.deadline is not None
-            and (self.nodes & 255) == 0
+            and (self._expanded & 255) == 0
             and time.monotonic() > self.deadline
         ):
             raise _Timeout
@@ -272,11 +317,17 @@ class _Search:
     def lex_min_witness(self, k_star: float) -> list[int] | None:
         """Lexicographically smallest order attaining k_star, or None if none does.
 
-        Raises _Timeout when the deadline passes first.
+        Reads the completion table when there is one. Otherwise each
+        candidate item is kept when _exists_completion finds a completion
+        reaching k_star; with exact sums that search shares one memo over
+        the whole call. Raises _Timeout when the deadline passes first.
         """
         self.reset()
         target = k_star - self.eps
         table = _completion_table(self.matrix, self.deadline)
+        memo: dict[int, int] | None = (
+            {} if table is None and _exact_sums(self.matrix) else None
+        )
         for _ in range(self.n):
             placed = False
             for v in range(self.n):
@@ -293,7 +344,7 @@ class _Search:
                 if bound < target:
                     continue
                 self.apply(v)
-                if self.rem_count == 0 or self._exists_completion(target):
+                if self.rem_count == 0 or self._exists_completion(target, memo):
                     placed = True
                     break
                 self.undo()
@@ -301,22 +352,47 @@ class _Search:
                 return None
         return self.prefix.copy()
 
-    def _exists_completion(self, target: float) -> bool:
+    def _exists_completion(self, target: float, memo: dict[int, int] | None) -> bool:
+        """Whether some completion of the prefix reaches target.
+
+        With exact sums the subtree below a node depends only on the
+        unplaced set and f, so memo maps (rem_mask, f) to the answer and
+        the nodes and pruned the subtree added; a hit adds those counts
+        back, and the statistics equal those of the search without memo.
+        f is then a nonnegative multiple of 1/2, so the key is the int
+        2f << n | rem_mask.
+        """
+        if memo is not None:
+            key = int(2.0 * self.f) << self.n | self.rem_mask
+            hit = memo.get(key)
+            if hit is not None:
+                self.nodes += (hit >> 1) & _NODE_MASK
+                self.pruned += hit >> (_NODE_BITS + 1)
+                return bool(hit & 1)
+            nodes, pruned = self.nodes, self.pruned
         self.nodes += 1
         self._tick()
+        ok = False
         if self.rem_count == 0:
-            return self.f >= target
-        for v in self.child_order:
-            if self.in_rem[v]:
-                if self.f + self.s_a[v] + self.u - self.s_m[v] < target:
-                    self.pruned += 1
-                    continue
-                self.apply(v)
-                ok = self._exists_completion(target)
-                self.undo()
-                if ok:
-                    return True
-        return False
+            ok = self.f >= target
+        else:
+            for v in self.child_order:
+                if self.in_rem[v]:
+                    if self.f + self.s_a[v] + self.u - self.s_m[v] < target:
+                        self.pruned += 1
+                        continue
+                    self.apply(v)
+                    ok = self._exists_completion(target, memo)
+                    self.undo()
+                    if ok:
+                        break
+        if memo is not None and len(memo) < _MEMO_CAP:
+            memo[key] = (
+                (self.pruned - pruned) << (_NODE_BITS + 1)
+                | (self.nodes - nodes) << 1
+                | ok
+            )
+        return ok
 
     # -- enumeration -------------------------------------------------------
 

@@ -126,13 +126,11 @@ def random_game_set(
     return game_set_from_records(records)
 
 
-@pytest.fixture
-def clock_jumps_after_solve(monkeypatch) -> float:
-    """Advance the solvers' clock by 1.5 time limits whenever solve_lop returns.
+def _advance_clock_after_solve(monkeypatch, limits: float) -> float:
+    """Advance the solvers' clock by `limits` time limits whenever solve_lop returns.
 
-    Returns the time limit to configure. After the jump a deadline taken
-    before the solve has passed, but a limit restarted after it has not.
-    solve_lop is replaced in every module that binds it.
+    Returns the time limit to configure. solve_lop is replaced in every
+    module that binds it.
     """
     limit = 10.0
     offset = [0.0]
@@ -143,7 +141,7 @@ def clock_jumps_after_solve(monkeypatch) -> float:
 
     def jumping(a, cfg=None):
         result = real(a, cfg)
-        offset[0] += 1.5 * limit
+        offset[0] += limits * limit
         return result
 
     for module in (lop, ktdiam, sports, cli):
@@ -151,3 +149,22 @@ def clock_jumps_after_solve(monkeypatch) -> float:
             if value is real:
                 monkeypatch.setattr(module, name, jumping)
     return limit
+
+
+@pytest.fixture
+def clock_jumps_after_solve(monkeypatch) -> float:
+    """The clock jumps 1.5 time limits whenever solve_lop returns.
+
+    After the jump a deadline taken before the solve has passed, but a
+    limit restarted after it has not.
+    """
+    return _advance_clock_after_solve(monkeypatch, 1.5)
+
+
+@pytest.fixture
+def clock_creeps_after_solve(monkeypatch) -> float:
+    """The clock advances 0.6 time limits whenever solve_lop returns.
+
+    One solve stays inside the limit; two solves under one deadline do not.
+    """
+    return _advance_clock_after_solve(monkeypatch, 0.6)

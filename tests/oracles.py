@@ -139,3 +139,27 @@ def completion_table_loop(weights: np.ndarray) -> list[float]:
             if s >> v & 1
         )
     return table
+
+
+def exists_completion_loop(search, target: float) -> bool:
+    """Whether some completion of the search's prefix reaches target, with no memo.
+
+    The solver's table-free witness search before it was memoized, run on a
+    lop._Search state; it counts nodes and pruned the same way. Reference
+    for the counts the memo replays.
+    """
+    search.nodes += 1
+    search._tick()
+    if search.rem_count == 0:
+        return search.f >= target
+    for v in search.child_order:
+        if search.in_rem[v]:
+            if search.f + search.s_a[v] + search.u - search.s_m[v] < target:
+                search.pruned += 1
+                continue
+            search.apply(v)
+            ok = exists_completion_loop(search, target)
+            search.undo()
+            if ok:
+                return True
+    return False

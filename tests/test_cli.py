@@ -11,13 +11,18 @@ import io
 import json
 import subprocess
 import sys
+import time
+from types import SimpleNamespace
 
 import pytest
 
 from rankability import (
+    cli,
     kt_solution_from_rankings,
+    lop,
     ranking_from_order,
     read_matrix_csv,
+    sports,
     validate_kt_solution,
 )
 from rankability.cli import main
@@ -295,6 +300,46 @@ class TestSeasonCommand:
         assert seasons[0]["lambda"] == pytest.approx(5.5 / 6)
         assert seasons[0]["hindsight"]["optimal"] == pytest.approx(5 / 6)
         assert seasons[1]["kappa"] == 2
+
+    def test_one_deadline_covers_every_season(
+        self, capsys, clock_creeps_after_solve
+    ):
+        # Each solve takes 0.6 limits: one season fits, two do not.
+        limit = str(clock_creeps_after_solve)
+        code, _ = run_cli(
+            capsys, "season", "--input", str(DATA_DIR / "digraph3_season.csv"),
+            "--time-limit", limit,
+        )
+        assert code == 0
+        code, out = run_cli(
+            capsys, "season", "--input", str(DATA_DIR / "multi_season.csv"),
+            "--time-limit", limit,
+        )
+        assert code == 2
+        assert out == ""
+
+    def test_no_season_starts_after_the_deadline(self, capsys, monkeypatch):
+        limit = 10.0
+        offset = [0.0]
+        monkeypatch.setattr(
+            lop, "time", SimpleNamespace(monotonic=lambda: time.monotonic() + offset[0])
+        )
+        reports = []
+
+        def slow_report(gs, cfg, tie_mode):
+            assert cfg.time_limit <= limit
+            reports.append(sports.season_report(gs, cfg, tie_mode=tie_mode))
+            offset[0] += 1.5 * limit
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "season_report", slow_report)
+        code, out = run_cli(
+            capsys, "season", "--input", str(DATA_DIR / "multi_season.csv"),
+            "--time-limit", str(limit),
+        )
+        assert code == 2
+        assert out == ""
+        assert len(reports) == 1
 
     def test_matrix_kind_rejected(self, capsys, tmp_path):
         path = write_digraph_csv(tmp_path, 3)

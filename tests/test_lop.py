@@ -35,7 +35,15 @@ from rankability.lop import (
     solve_lop,
 )
 
-from rankability.sports import read_games_csv, season_report
+from rankability.sports import (
+    GameRecord,
+    Stage,
+    build_win_matrix,
+    game_set_from_records,
+    read_feature_table,
+    read_games_csv,
+    season_report,
+)
 
 from tests.conftest import (
     COLLEGE_K_STAR,
@@ -46,7 +54,12 @@ from tests.conftest import (
     DIGRAPH_OPTIMA_COUNT,
     random_half_integer_matrix,
 )
-from tests.oracles import all_objectives, brute_force_lop, completion_table_loop
+from tests.oracles import (
+    all_objectives,
+    brute_force_lop,
+    completion_table_loop,
+    exists_completion_loop,
+)
 
 
 class TestSolverConfig:
@@ -478,3 +491,173 @@ class TestDeadlineInsideTableBuild:
         code = main(["kappa", "--input", path, "--kind", "features"])
         capsys.readouterr()
         assert code == 2
+
+
+def _hidden_order_tournament(rng: np.random.Generator, n: int) -> np.ndarray:
+    """One game per pair; the better item of a hidden order wins w.p. 0.93."""
+    order = rng.permutation(n)
+    a = np.zeros((n, n))
+    for x, y in itertools.combinations(range(n), 2):
+        better, worse = order[x], order[y]
+        if rng.random() < 0.93:
+            a[better, worse] = 1.0
+        else:
+            a[worse, better] = 1.0
+    return a
+
+
+def _hidden_order_games(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Win matrix of one round robin with ties (half a point each way)."""
+    order = rng.permutation(n)
+    records = []
+    for x, y in itertools.combinations(range(n), 2):
+        if rng.random() < 0.15:
+            scores = (1, 1)
+        elif rng.random() < 0.9:
+            scores = (2, 1)
+        else:
+            scores = (1, 2)
+        records.append(
+            GameRecord(
+                season=2000,
+                stage="regular",
+                team_a=f"T{int(order[x]):02d}",
+                team_b=f"T{int(order[y]):02d}",
+                score_a=scores[0],
+                score_b=scores[1],
+            )
+        )
+    return build_win_matrix(game_set_from_records(records), Stage.REGULAR).weights
+
+
+@pytest.fixture
+def witness_calls(monkeypatch):
+    """Record, for every _exists_completion call, whether it had a memo."""
+    calls: list[bool] = []
+    real = lop._Search._exists_completion
+
+    def recording(self, target, memo):
+        calls.append(memo is not None)
+        return real(self, target, memo)
+
+    monkeypatch.setattr(lop._Search, "_exists_completion", recording)
+    return calls
+
+
+def _solve_without_witness_memo(monkeypatch, a: WeightMatrix):
+    """solve_lop with the memo-free witness search, and that search's nodes."""
+    witness_nodes = [0]
+
+    def memo_free(self, target, memo):
+        before = self.nodes
+        ok = exists_completion_loop(self, target)
+        witness_nodes[0] += self.nodes - before
+        return ok
+
+    with monkeypatch.context() as m:
+        m.setattr(lop._Search, "_exists_completion", memo_free)
+        return solve_lop(a), witness_nodes[0]
+
+
+class TestWitnessMemo:
+    """Above the table budget the memo must replay the memo-free search."""
+
+    @pytest.mark.parametrize(
+        "n,seed", [(19, 0), (19, 2), (20, 0), (20, 2), (21, 0), (21, 2)]
+    )
+    def test_hidden_order_tournaments(self, monkeypatch, witness_calls, n, seed):
+        a = WeightMatrix(_hidden_order_tournament(np.random.default_rng(seed), n))
+        self._assert_replays(monkeypatch, witness_calls, a)
+
+    @pytest.mark.parametrize("n,seed", [(19, 0), (19, 2), (20, 2), (21, 2)])
+    def test_games_with_ties(self, monkeypatch, witness_calls, n, seed):
+        w = _hidden_order_games(np.random.default_rng(seed), n)
+        assert np.any(w % 1.0 == 0.5)
+        self._assert_replays(monkeypatch, witness_calls, WeightMatrix(w))
+
+    def test_fractional_weights_take_the_memo_free_route(
+        self, monkeypatch, witness_calls
+    ):
+        rng = np.random.default_rng(0)
+        w = _hidden_order_tournament(rng, 19) * rng.uniform(0.5, 1.5, size=(19, 19))
+        a = WeightMatrix(w)
+        assert not lop._exact_sums(a)
+        res = solve_lop(a)
+        assert res.proven
+        assert witness_calls and not any(witness_calls)
+        plain, _ = _solve_without_witness_memo(monkeypatch, a)
+        assert (res.ranking, res.stats.nodes, res.stats.pruned) == (
+            plain.ranking,
+            plain.stats.nodes,
+            plain.stats.pruned,
+        )
+
+    @staticmethod
+    def _assert_replays(monkeypatch, witness_calls, a: WeightMatrix):
+        res = solve_lop(a)
+        assert res.proven
+        assert witness_calls and all(witness_calls)
+        plain, witness_nodes = _solve_without_witness_memo(monkeypatch, a)
+        assert plain.proven
+        assert res.ranking == plain.ranking
+        assert res.stats.nodes == plain.stats.nodes
+        assert res.stats.pruned == plain.stats.pruned
+        # The memo answered some subtrees instead of searching them again.
+        assert len(witness_calls) < witness_nodes
+
+    def test_deadline_after_the_value_proof_stops_the_witness_search(
+        self, monkeypatch, witness_calls
+    ):
+        a = WeightMatrix(_hidden_order_tournament(np.random.default_rng(0), 19))
+        limit = 10.0
+        offset = [0.0]
+        monkeypatch.setattr(
+            lop, "time", SimpleNamespace(monotonic=lambda: time.monotonic() + offset[0])
+        )
+        real_run_value = lop._Search.run_value
+        searches = []
+
+        def run_value(self, *args):
+            result = real_run_value(self, *args)
+            offset[0] += 2 * limit
+            searches.append((self, self._expanded))
+            return result
+
+        monkeypatch.setattr(lop._Search, "run_value", run_value)
+        res = solve_lop(a, SolverConfig(time_limit=limit))
+        assert not res.proven
+        assert objective_value(a, res.ranking) == res.optimal_value
+        # The witness search ran, memo hits included, and stopped within
+        # 256 expanded nodes.
+        ((search, expanded),) = searches
+        assert witness_calls and all(witness_calls)
+        assert 0 < search._expanded - expanded <= 256
+
+
+class TestExactSums:
+    def test_accepts_integer_and_half_integer_matrices(self, college_matrix):
+        rng = np.random.default_rng(4)
+        assert lop._exact_sums(WeightMatrix(_hidden_order_tournament(rng, 19)))
+        assert lop._exact_sums(random_half_integer_matrix(rng, 12))
+        assert lop._exact_sums(college_matrix)
+
+    def test_accepts_the_data_game_and_feature_matrices(self):
+        for name in ("multi_season.csv", "divergence4.csv", "digraph3_season.csv"):
+            for gs in read_games_csv(DATA_DIR / name):
+                for stage in (Stage.REGULAR, Stage.PLAYOFF):
+                    if gs.games_at(stage):
+                        assert lop._exact_sums(build_win_matrix(gs, stage))
+        assert lop._exact_sums(read_feature_table(DATA_DIR / "college_features.csv"))
+
+    def test_rejects_a_fractional_weight(self):
+        assert not lop._exact_sums(WeightMatrix([[0, 0.1], [1, 0]]))
+        assert not lop._exact_sums(WeightMatrix([[0, 0.25, 1], [1, 0, 0], [0, 1, 0]]))
+
+    def test_rejects_a_total_reaching_two_to_the_52(self):
+        assert not lop._exact_sums(WeightMatrix([[0, 2.0**52], [0, 0]]))
+        assert not lop._exact_sums(WeightMatrix([[0, 2.0**51], [2.0**51, 0]]))
+
+    def test_threshold(self):
+        below = lop._EXACT_TOTAL - 0.5
+        assert lop._exact_sums(WeightMatrix([[0, below], [0, 0]]))
+        assert not lop._exact_sums(WeightMatrix([[0, lop._EXACT_TOTAL], [0, 0]]))
