@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass
 
 from .core import WeightMatrix, read_matrix_csv
-from .errors import RankabilityError, UnprovenOptimumError
+from .errors import RankabilityError, UndefinedMetricError, UnprovenOptimumError
 from .ktdiam import _kappa_by_pair_search, _solve_with_kappa
 from .lop import SolverConfig, _deadline, _remaining, enumerate_optima, solve_lop
 from .rating import colley_ratings, massey_ratings, ranking_from_ratings
@@ -190,7 +190,9 @@ def cmd_lop(config: CliConfig) -> int:
     matrix = _load_matrix(config)
     total = matrix.total_sum()
     if total == 0.0:
-        raise ValueError("the degree of linearity is undefined for an all-zero matrix")
+        raise UndefinedMetricError(
+            "the degree of linearity is undefined for an all-zero matrix"
+        )
     result = solve_lop(matrix, config.solver)
     lambda_ = float(result.optimal_value / total)
     payload = {
@@ -225,12 +227,12 @@ def cmd_lop(config: CliConfig) -> int:
 
 def cmd_kappa(config: CliConfig) -> int:
     matrix = _load_matrix(config)
-    lop_result, _, _, kt = _solve_with_kappa(matrix, config.solver)
+    k_star, _, _, kt = _solve_with_kappa(matrix, config.solver)
     payload = {
         "command": "kappa",
         "n": matrix.n,
         "labels": list(matrix.labels) if matrix.labels else None,
-        "k_star": float(lop_result.optimal_value),
+        "k_star": float(k_star),
         "kappa": int(kt.kappa),
         "concordant_count": int(kt.concordant_count),
         "pair": [
@@ -241,9 +243,7 @@ def cmd_kappa(config: CliConfig) -> int:
     }
     oracle_exit = EXIT_OK
     if config.oracle:
-        reference = _kappa_by_pair_search(
-            matrix, lop_result.optimal_value, config.solver
-        )
+        reference = _kappa_by_pair_search(matrix, k_star, config.solver)
         if not reference.proven:
             raise UnprovenOptimumError(
                 "the oracle's joint search did not finish within the time limit"

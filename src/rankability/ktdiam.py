@@ -10,8 +10,8 @@ generated orientation set is transitively closed and the 3-dicycle
 constraints hold by construction. A node is pruned when the prefix bound of
 either side drops below the optimal value, or when the pairs not yet ordered
 by both sides cannot lift the discordance past the best distance found.
-Season reports and the kappa command solve, enumerate once and take kappa
-from those same orders, all under one deadline (_solve_with_kappa).
+Season reports and the kappa command prove k*, enumerate once and take
+kappa from those same orders, all under one deadline (_solve_with_kappa).
 """
 
 from __future__ import annotations
@@ -33,14 +33,13 @@ from .core import (
 from .errors import InvalidKStarError, UnprovenOptimumError
 from .lop import (
     DEFAULT_CONFIG,
-    LopResult,
     SolverConfig,
     _completion_table,
     _deadline,
     _optimal_orders,
+    _proven_value,
     _Search,
     _Timeout as _LopTimeout,
-    solve_lop,
 )
 
 __all__ = [
@@ -393,11 +392,12 @@ def _kappa_by_pair_search(
 
 def _solve_with_kappa(
     a: WeightMatrix, cfg: SolverConfig
-) -> tuple[LopResult, list[tuple[int, ...]], bool, KtResult]:
-    """Solve, enumerate the optima once and take kappa from them.
+) -> tuple[float, list[tuple[int, ...]], bool, KtResult]:
+    """Prove k*, enumerate the optima once and take kappa from them.
 
-    The deadline is taken before the solve, so cfg.time_limit bounds all
-    three phases. Returns the solve, the optimal orders, whether the
+    The deadline is taken before the value step, so cfg.time_limit bounds
+    all three phases. Returns k*, the optimal orders in lexicographic
+    sequence (the first is solve_lop's canonical witness), whether the
     enumeration was truncated, and the kappa certificate.
 
     Raises:
@@ -405,15 +405,10 @@ def _solve_with_kappa(
             optimal ranking is recovered, within the time limit.
     """
     deadline = _deadline(cfg)
-    result = solve_lop(a, cfg)
-    if not result.proven:
-        raise UnprovenOptimumError(
-            "the optimal value was not proven within the time limit"
-        )
-    k_star = result.optimal_value
+    k_star = _proven_value(a, cfg, deadline)
     orders, truncated = _optimal_orders(a, k_star, cfg.enumeration_cap, cfg, deadline)
     kt = _kappa_from_orders(a, k_star, orders, truncated, cfg, deadline)
-    return result, orders, truncated, kt
+    return k_star, orders, truncated, kt
 
 
 def _check_side(

@@ -1,14 +1,20 @@
 """Exact solver for the linear ordering problem.
 
-Finds a permutation maximizing the sum of pairwise weights ranked in
-agreement, by depth-first branch and bound over ranking prefixes with an
-admissible pairwise bound and dominance memoization on the set of
-unplaced items. Also provides the insertion heuristic used for
-incumbents, the exact subset completion table that the witness,
-enumeration and pair searches share, the table-free witness search
-above the table budget (memoized on the unplaced set and the decided
-weight when the arithmetic is exact), enumeration of all optimal
+solve_lop finds a permutation maximizing the sum of pairwise weights
+ranked in agreement, by depth-first branch and bound over ranking
+prefixes with an admissible pairwise bound and dominance memoization on
+the set of unplaced items, started from an insertion heuristic's
+incumbent. Also provides the exact subset completion table that the
+witness, enumeration and pair searches share, the table-free witness
+search above the table budget (memoized on the unplaced set and the
+decided weight when the arithmetic is exact), enumeration of all optimal
 rankings, and the degree of linearity.
+
+enumerate_optima, degree_of_linearity and the kappa and season routines
+need only the proven value k*, not a witness. Inside the table budget
+with exact sums they read it from the completion table, and run neither
+the heuristic nor the branch and bound; elsewhere they run solve_lop's
+value phase without its witness search.
 """
 
 from __future__ import annotations
@@ -67,7 +73,11 @@ class SolverConfig:
 
     rng_seed fully determines heuristic randomization; the search is
     single-threaded, which makes reported witnesses and statistics
-    reproducible by construction.
+    reproducible by construction. heuristic_restarts and rng_seed shape
+    only the branch and bound's incumbent: they matter to solve_lop, and
+    to the other routines only above the table budget or for weights
+    that are not all multiples of 1/2, where those run the same value
+    search.
     """
 
     time_limit: float | None = None
@@ -593,6 +603,47 @@ def prefix_upper_bound(a: WeightMatrix, partial: Sequence[int]) -> float:
     return search.f + search.u
 
 
+def _value_search(
+    a: WeightMatrix, cfg: SolverConfig, deadline: float | None
+) -> tuple[_Search, float, bool]:
+    """Value phase of solve_lop: the heuristic incumbent, then branch and bound.
+
+    Returns the search, whose best_val and best_order hold the best value
+    and order found, the heuristic's value, and whether the deadline
+    stopped the search before it was exhausted.
+    """
+    heur = heuristic_ranking(a, cfg)
+    search = _Search(a, cfg)
+    search.deadline = deadline
+    heur_order = [v - 1 for v in heur.order]
+    heur_val = _order_value(search.w, heur_order)
+    timed_out = search.run_value(heur_order, heur_val)[2]
+    return search, heur_val, timed_out
+
+
+def _proven_value(a: WeightMatrix, cfg: SolverConfig, deadline: float | None) -> float:
+    """The optimal objective value k*, proven before deadline, without a witness.
+
+    Inside the table budget with exact sums, k* is the completion table's
+    entry for the full set; no heuristic and no branch and bound run.
+    There any summation order gives the same bits, so the value equals
+    solve_lop's. Otherwise it comes from solve_lop's value phase.
+
+    Raises:
+        UnprovenOptimumError: when the deadline passes first.
+    """
+    if a.n <= _TABLE_MAX_N and _exact_sums(a):
+        try:
+            return _completion_table(a, deadline)[-1]
+        except _Timeout:
+            pass
+    else:
+        search, _, timed_out = _value_search(a, cfg, deadline)
+        if not timed_out:
+            return search.best_val
+    raise UnprovenOptimumError("the optimal value was not proven within the time limit")
+
+
 def solve_lop(a: WeightMatrix, cfg: SolverConfig | None = None) -> LopResult:
     """Maximize the decided pairwise weight over all rankings, exactly.
 
@@ -604,13 +655,8 @@ def solve_lop(a: WeightMatrix, cfg: SolverConfig | None = None) -> LopResult:
     """
     cfg = cfg or DEFAULT_CONFIG
     start = time.monotonic()
-    heur = heuristic_ranking(a, cfg)
-    search = _Search(a, cfg)
-    if cfg.time_limit is not None:
-        search.deadline = start + cfg.time_limit
-    heur_order = [v - 1 for v in heur.order]
-    heur_val = _order_value(search.w, heur_order)
-    best_val, best_order, timed_out = search.run_value(heur_order, heur_val)
+    search, heur_val, timed_out = _value_search(a, cfg, _deadline(cfg))
+    best_val, best_order = search.best_val, search.best_order
     proven = not timed_out
     if proven:
         try:
@@ -655,7 +701,10 @@ def enumerate_optima(a: WeightMatrix, cfg: SolverConfig | None = None) -> Optima
     within tolerance of the optimal value; children are tried in
     ascending item order, so the output arrives already sorted
     lexicographically. The cap and the time limit both set truncated; the
-    time limit covers the whole call, value proof included.
+    time limit covers the whole call, value proof included. The optimal
+    value comes from the completion table inside the table budget when
+    every weight is a multiple of 1/2; otherwise from the branch and
+    bound, the only case where cfg's heuristic settings are used.
 
     Raises:
         UnprovenOptimumError: when the optimal value itself could not be
@@ -663,14 +712,8 @@ def enumerate_optima(a: WeightMatrix, cfg: SolverConfig | None = None) -> Optima
     """
     cfg = cfg or DEFAULT_CONFIG
     deadline = _deadline(cfg)
-    result = solve_lop(a, cfg)
-    if not result.proven:
-        raise UnprovenOptimumError(
-            "enumeration requires a proven optimal value; the solve timed out"
-        )
-    orders, truncated = _optimal_orders(
-        a, result.optimal_value, cfg.enumeration_cap, cfg, deadline
-    )
+    k_star = _proven_value(a, cfg, deadline)
+    orders, truncated = _optimal_orders(a, k_star, cfg.enumeration_cap, cfg, deadline)
     rankings = tuple(ranking_from_order(order) for order in orders)
     return OptimaSet(rankings=rankings, truncated=truncated)
 
@@ -679,7 +722,9 @@ def degree_of_linearity(a: WeightMatrix, cfg: SolverConfig | None = None) -> flo
     """Fraction of total pairwise weight a best ranking agrees with.
 
     Always in [1/2, 1]: at least half by the reversal argument, at most 1
-    because the optimum counts a subset of the nonnegative weights.
+    because the optimum counts a subset of the nonnegative weights. The
+    optimum is proven as in enumerate_optima, so cfg's heuristic settings
+    matter only above the table budget or for weights not in halves.
 
     Raises:
         UndefinedMetricError: when all weights are zero.
@@ -690,9 +735,5 @@ def degree_of_linearity(a: WeightMatrix, cfg: SolverConfig | None = None) -> flo
         raise UndefinedMetricError(
             "degree of linearity is undefined for an all-zero matrix"
         )
-    result = solve_lop(a, cfg)
-    if not result.proven:
-        raise UnprovenOptimumError(
-            "degree of linearity requires a proven optimal value"
-        )
-    return result.optimal_value / total
+    cfg = cfg or DEFAULT_CONFIG
+    return _proven_value(a, cfg, _deadline(cfg)) / total

@@ -4,8 +4,8 @@ Bridges raw game results and the solvers: builds the win matrix with the
 half-point tie convention, measures how well a ranking explains played
 games (hindsight) or predicts playoff games (foresight), and assembles
 per-season reports with optimal, Colley, and Massey rankings side by
-side. A report solves its win matrix once, enumerates the optima once and
-takes kappa from them, all under one time limit.
+side. A report proves its win matrix's k* once, enumerates the optima
+once and takes kappa from them, all under one time limit.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import Ranking, WeightMatrix
+from .core import Ranking, WeightMatrix, ranking_from_order
 from .errors import (
     DimensionMismatchError,
     EmptyDataError,
@@ -506,8 +506,11 @@ def season_report(
     Solves the regular-season win matrix for k*, the degree of
     linearity, the optima count, and the maximally distant optimal pair,
     then scores optimal, Colley, and Massey rankings in hindsight and —
-    when playoff games exist — foresight. The matrix is solved once and
-    its optima enumerated once; the time limit bounds the whole call.
+    when playoff games exist — foresight. k* is proven once and the
+    optima enumerated once; the first optimum in lexicographic order is
+    the optimal ranking. The time limit bounds the whole call. Win
+    matrices count halves, so up to the table budget k* is read from the
+    completion table and cfg's heuristic settings are not used.
 
     Raises:
         EmptyDataError: no regular-season games.
@@ -524,11 +527,13 @@ def season_report(
     matrix = build_win_matrix(gs, Stage.REGULAR)
     regular = gs.filter_stage(Stage.REGULAR)
 
-    lop_result, orders, truncated, kt = _solve_with_kappa(matrix, cfg)
-    k_star = lop_result.optimal_value
+    k_star, orders, truncated, kt = _solve_with_kappa(matrix, cfg)
+    # Enumeration yields optima in lexicographic order, so the first is
+    # the canonical witness solve_lop reports.
+    optimal = ranking_from_order(orders[0])
 
     rankings = {
-        "optimal": lop_result.ranking,
+        "optimal": optimal,
         "colley": ranking_from_ratings(colley_ratings(regular)),
         "massey": ranking_from_ratings(massey_ratings(regular)),
     }
@@ -556,7 +561,7 @@ def season_report(
         foresight=foresight,
         foresight_divergence=divergence,
         witness_foresight=witness_foresight,
-        optimal_ranking=lop_result.ranking,
+        optimal_ranking=optimal,
         colley_ranking=rankings["colley"],
         massey_ranking=rankings["massey"],
         witness_pair=kt.pair,

@@ -127,22 +127,23 @@ def random_game_set(
 
 
 def _advance_clock_after_solve(monkeypatch, limits: float) -> float:
-    """Advance the solvers' clock by `limits` time limits whenever solve_lop returns.
+    """Advance the solvers' clock by `limits` time limits whenever k* is proven.
 
-    Returns the time limit to configure. solve_lop is replaced in every
-    module that binds it.
+    Returns the time limit to configure. The value step lop._proven_value,
+    which enumerate_optima, degree_of_linearity and every kappa and season
+    call run first, is replaced in every module that binds it.
     """
     limit = 10.0
     offset = [0.0]
     clock = SimpleNamespace(monotonic=lambda: time.monotonic() + offset[0])
     monkeypatch.setattr(lop, "time", clock)
     monkeypatch.setattr(ktdiam, "time", clock)
-    real = lop.solve_lop
+    real = lop._proven_value
 
-    def jumping(a, cfg=None):
-        result = real(a, cfg)
+    def jumping(a, cfg, deadline):
+        value = real(a, cfg, deadline)
         offset[0] += limits * limit
-        return result
+        return value
 
     for module in (lop, ktdiam, sports, cli):
         for name, value in list(vars(module).items()):
@@ -153,7 +154,7 @@ def _advance_clock_after_solve(monkeypatch, limits: float) -> float:
 
 @pytest.fixture
 def clock_jumps_after_solve(monkeypatch) -> float:
-    """The clock jumps 1.5 time limits whenever solve_lop returns.
+    """The clock jumps 1.5 time limits whenever k* is proven.
 
     After the jump a deadline taken before the solve has passed, but a
     limit restarted after it has not.
@@ -163,7 +164,7 @@ def clock_jumps_after_solve(monkeypatch) -> float:
 
 @pytest.fixture
 def clock_creeps_after_solve(monkeypatch) -> float:
-    """The clock advances 0.6 time limits whenever solve_lop returns.
+    """The clock advances 0.6 time limits whenever k* is proven.
 
     One solve stays inside the limit; two solves under one deadline do not.
     """

@@ -1,7 +1,8 @@
-"""Exhaustive brute-force oracles used to validate the exact solvers.
+"""Reference implementations used to validate the exact solvers.
 
-Everything here enumerates all n! permutations, so it is only usable for
-small n (the acceptance suite stays at n <= 8).
+The brute-force oracles enumerate all n! permutations, so they are only
+usable for small n (the acceptance suite stays at n <= 8). The loop and
+composition references restate a solver route in its plain form.
 """
 
 from __future__ import annotations
@@ -10,6 +11,10 @@ import functools
 import itertools
 
 import numpy as np
+
+from rankability.errors import UnprovenOptimumError
+from rankability.ktdiam import _kappa_from_orders
+from rankability.lop import _deadline, _optimal_orders, solve_lop
 
 
 @functools.lru_cache(maxsize=None)
@@ -163,3 +168,22 @@ def exists_completion_loop(search, target: float) -> bool:
             if ok:
                 return True
     return False
+
+
+def solve_with_kappa_via_solve_lop(a, cfg):
+    """k* from solve_lop, then the optima and kappa under one deadline.
+
+    The composition ktdiam._solve_with_kappa replaces with a value step
+    that reads k* from the completion table where it can: solve_lop's
+    value and canonical witness, lop._optimal_orders and
+    ktdiam._kappa_from_orders. Returns the LopResult, the optimal orders,
+    whether enumeration was truncated, and the KtResult.
+    """
+    deadline = _deadline(cfg)
+    result = solve_lop(a, cfg)
+    if not result.proven:
+        raise UnprovenOptimumError("the reference solve did not finish in time")
+    k_star = result.optimal_value
+    orders, truncated = _optimal_orders(a, k_star, cfg.enumeration_cap, cfg, deadline)
+    kt = _kappa_from_orders(a, k_star, orders, truncated, cfg, deadline)
+    return result, orders, truncated, kt

@@ -26,6 +26,7 @@ from rankability import (
     validate_kt_solution,
 )
 from rankability.cli import main
+from rankability.errors import UndefinedMetricError
 
 from tests.conftest import (
     COLLEGE_K_STAR,
@@ -398,6 +399,29 @@ class TestExitCodes:
         path.write_text("0,1,1\n0,0\n1,0,0\n", encoding="utf-8")
         code, _ = run_cli(capsys, "lop", "--input", str(path))
         assert code == 1
+
+    def test_all_zero_matrix_is_an_undefined_metric(self, capsys, tmp_path):
+        path = tmp_path / "zero.csv"
+        path.write_text("0,0,0\n0,0,0\n0,0,0\n", encoding="utf-8")
+        config = cli.CliConfig(
+            command="lop",
+            input_path=str(path),
+            kind="matrix",
+            format="json",
+            output=None,
+            tie_mode="half",
+            oracle=False,
+            aliases_path=None,
+            solver=lop.SolverConfig(),
+        )
+        message = "the degree of linearity is undefined for an all-zero matrix"
+        with pytest.raises(UndefinedMetricError, match=message):
+            cli.cmd_lop(config)
+        capsys.readouterr()
+        assert main(["lop", "--input", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"rankability lop: {message}\n"
 
     def test_games_kind_rejected_for_lop(self, capsys):
         code, _ = run_cli(

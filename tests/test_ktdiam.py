@@ -24,15 +24,35 @@ from rankability.ktdiam import (
     solve_kt,
     validate_kt_solution,
 )
-from rankability.lop import SolverConfig, enumerate_optima, solve_lop
+from rankability import lop
+from rankability.lop import (
+    DEFAULT_CONFIG,
+    SolverConfig,
+    enumerate_optima,
+    solve_lop,
+)
+from rankability.sports import (
+    GameRecord,
+    Stage,
+    build_win_matrix,
+    game_set_from_records,
+    season_report,
+)
 
 from tests.conftest import (
     COLLEGE_K_STAR,
     COLLEGE_OPTIMA_ORDERS,
     DIGRAPH_KAPPA,
+    COLLEGE_WEIGHTS,
+    random_game_set,
     random_half_integer_matrix,
 )
-from tests.oracles import brute_force_kappa, kendall_distance, pack_pair_masks_loop
+from tests.oracles import (
+    brute_force_kappa,
+    kendall_distance,
+    pack_pair_masks_loop,
+    solve_with_kappa_via_solve_lop,
+)
 
 
 class TestSolveKt:
@@ -373,3 +393,109 @@ class TestMediumInstances:
         assert direct.proven and joint.proven
         assert direct.kappa == joint.kappa
         assert kendall_tau_distance(*joint.pair) == joint.kappa
+
+
+def _round_robin(rng: np.random.Generator, n: int, upset: float):
+    """One game per pair; the lower-numbered team loses w.p. upset."""
+    records = []
+    for i, j in itertools.combinations(range(1, n + 1), 2):
+        upset_won = rng.random() < upset
+        records.append(
+            GameRecord(
+                season=2000,
+                stage="regular",
+                team_a=f"T{i:02d}",
+                team_b=f"T{j:02d}",
+                score_a=int(not upset_won),
+                score_b=int(upset_won),
+            )
+        )
+    return game_set_from_records(records)
+
+
+def _half_integral_seasons():
+    rng = np.random.default_rng(61)
+    for n in range(3, 11):
+        yield random_game_set(rng, n, 3 * n, tie_chance=0.2)
+
+
+def _tournament_seasons():
+    rng = np.random.default_rng(67)
+    for n in (12, 14, 16):
+        yield _round_robin(rng, n, 0.5)
+
+
+def _fractional_matrices():
+    rng = np.random.default_rng(71)
+    yield WeightMatrix(np.asarray(COLLEGE_WEIGHTS) * rng.uniform(0.5, 1.5, (10, 10)))
+    for n in (4, 6, 8):
+        w = rng.random((n, n))
+        np.fill_diagonal(w, 0.0)
+        yield WeightMatrix(w)
+
+
+class TestTableFirstValue:
+    """The table-first value step against k* from solve_lop.
+
+    Inside the table budget with exact sums, _proven_value reads k* from
+    the completion table; every other input takes solve_lop's value
+    phase. Either way, the value, the optima, kappa and the season's
+    canonical witness must equal the solve_lop composition bit for bit.
+    """
+
+    @staticmethod
+    def _assert_matches(a: WeightMatrix):
+        reference = solve_with_kappa_via_solve_lop(a, DEFAULT_CONFIG)
+        result, orders, truncated, kt = reference
+        assert lop._proven_value(a, DEFAULT_CONFIG, None) == result.optimal_value
+        assert ktdiam._solve_with_kappa(a, DEFAULT_CONFIG) == (
+            result.optimal_value,
+            orders,
+            truncated,
+            kt,
+        )
+        optima = enumerate_optima(a)
+        assert optima.truncated == truncated
+        assert [r.order for r in optima.rankings] == orders
+        assert orders[0] == result.ranking.order
+        return reference
+
+    def _assert_season_matches(self, gs):
+        a = build_win_matrix(gs, Stage.REGULAR)
+        result, orders, truncated, kt = self._assert_matches(a)
+        report = season_report(gs)
+        assert report.k_star == result.optimal_value
+        assert report.lambda_ == result.optimal_value / a.total_sum()
+        assert report.optimal_ranking == result.ranking
+        assert report.optima_count == len(orders)
+        assert report.truncated == truncated
+        assert (report.kappa, report.witness_pair, report.proven) == (
+            kt.kappa,
+            kt.pair,
+            kt.proven,
+        )
+
+    def test_random_half_integral_matrices(self):
+        rng = np.random.default_rng(59)
+        for n in range(3, 11):
+            a = random_half_integer_matrix(rng, n)
+            assert lop._exact_sums(a)
+            self._assert_matches(a)
+
+    @pytest.mark.parametrize(
+        "seasons",
+        [_half_integral_seasons, _tournament_seasons],
+        ids=["half_integral", "tournaments"],
+    )
+    def test_seasons(self, seasons):
+        for gs in seasons():
+            self._assert_season_matches(gs)
+
+    def test_fractional_weights(self):
+        for a in _fractional_matrices():
+            assert not lop._exact_sums(a)
+            self._assert_matches(a)
+
+    def test_above_the_table_budget(self):
+        gs = _round_robin(np.random.default_rng(5), lop._TABLE_MAX_N + 1, 0.07)
+        self._assert_season_matches(gs)

@@ -21,7 +21,7 @@ from rankability.errors import (
     UndefinedMetricError,
     UnprovenOptimumError,
 )
-from rankability import lop
+from rankability import ktdiam, lop
 from rankability.cli import main
 from rankability.ktdiam import solve_kt
 from rankability.lop import (
@@ -277,14 +277,14 @@ class TestEnumerateOptima:
         monkeypatch.setattr(
             lop, "time", SimpleNamespace(monotonic=lambda: time.monotonic() + offset[0])
         )
-        real_solve_lop = lop.solve_lop
+        real_proven_value = lop._proven_value
 
-        def slow_solve_lop(a, cfg):
-            result = real_solve_lop(a, cfg)
+        def slow_proven_value(a, cfg, deadline):
+            value = real_proven_value(a, cfg, deadline)
             offset[0] += 1.5 * limit
-            return result
+            return value
 
-        monkeypatch.setattr(lop, "solve_lop", slow_solve_lop)
+        monkeypatch.setattr(lop, "_proven_value", slow_proven_value)
         optima = enumerate_optima(
             WeightMatrix(COLLEGE_WEIGHTS), SolverConfig(time_limit=limit)
         )
@@ -422,17 +422,58 @@ class TestOneTablePerMatrix:
 
 @pytest.fixture
 def search_calls(monkeypatch):
-    """Count value proofs (run_value) and enumerations (enumerate_leaves)."""
-    calls: dict[str, int] = {"run_value": 0, "enumerate_leaves": 0}
-    for name in calls:
-        real = getattr(lop._Search, name)
+    """Count each phase of the exact core as it runs.
 
-        def counting(self, *args, _name=name, _real=real):
+    Heuristic incumbents (heuristic_ranking), value proofs (run_value),
+    canonical witness searches (lex_min_witness), completion table builds
+    (_build_completion_table) and enumerations (enumerate_leaves).
+    """
+    calls: dict[str, int] = {}
+    for owner, name in (
+        (lop, "heuristic_ranking"),
+        (lop._Search, "run_value"),
+        (lop._Search, "lex_min_witness"),
+        (lop, "_build_completion_table"),
+        (lop._Search, "enumerate_leaves"),
+    ):
+        calls[name] = 0
+        real = getattr(owner, name)
+
+        def counting(*args, _name=name, _real=real):
             calls[_name] += 1
-            return _real(self, *args)
+            return _real(*args)
 
-        monkeypatch.setattr(lop._Search, name, counting)
+        monkeypatch.setattr(owner, name, counting)
     return calls
+
+
+# Inside the table budget with exact sums, k* is the table's last entry: one
+# table build and one enumeration, and no heuristic, value search or witness.
+_TABLE_ROUTE = {
+    "heuristic_ranking": 0,
+    "run_value": 0,
+    "lex_min_witness": 0,
+    "_build_completion_table": 1,
+    "enumerate_leaves": 1,
+}
+
+
+def _search_route(tables: int) -> dict[str, int]:
+    """Counts when k* comes from the heuristic and the value branch and bound."""
+    return {
+        "heuristic_ranking": 1,
+        "run_value": 1,
+        "lex_min_witness": 0,
+        "_build_completion_table": tables,
+        "enumerate_leaves": 1,
+    }
+
+
+def _fractional_college() -> WeightMatrix:
+    rng = np.random.default_rng(5)
+    a = WeightMatrix(np.asarray(COLLEGE_WEIGHTS) * rng.uniform(0.5, 1.5, (10, 10)))
+    assert not lop._exact_sums(a)
+    return a
 
 
 class TestOneSolvePerMatrix:
@@ -441,7 +482,7 @@ class TestOneSolvePerMatrix:
             for name in search_calls:
                 search_calls[name] = 0
             season_report(gs)
-            assert search_calls == {"run_value": 1, "enumerate_leaves": 1}
+            assert search_calls == _TABLE_ROUTE
 
     def test_season_command_solves_and_enumerates_once_per_season(
         self, search_calls, capsys
@@ -451,14 +492,46 @@ class TestOneSolvePerMatrix:
         capsys.readouterr()
         assert code == 0
         seasons = len(read_games_csv(path))
-        assert search_calls == {"run_value": seasons, "enumerate_leaves": seasons}
+        assert search_calls == {k: v * seasons for k, v in _TABLE_ROUTE.items()}
 
     def test_kappa_command_solves_and_enumerates_once(self, search_calls, capsys):
         path = str(DATA_DIR / "college_features.csv")
         code = main(["kappa", "--input", path, "--kind", "features"])
         capsys.readouterr()
         assert code == 0
-        assert search_calls == {"run_value": 1, "enumerate_leaves": 1}
+        assert search_calls == _TABLE_ROUTE
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            enumerate_optima,
+            lambda a: ktdiam._solve_with_kappa(a, DEFAULT_CONFIG),
+        ],
+        ids=["enumerate_optima", "solve_with_kappa"],
+    )
+    def test_routes(self, search_calls, call):
+        call(WeightMatrix(COLLEGE_WEIGHTS))
+        assert search_calls == _TABLE_ROUTE
+        for name in search_calls:
+            search_calls[name] = 0
+        call(_fractional_college())
+        assert search_calls == _search_route(tables=1)
+        for name in search_calls:
+            search_calls[name] = 0
+        n = lop._TABLE_MAX_N + 1
+        call(WeightMatrix(_hidden_order_tournament(np.random.default_rng(3), n)))
+        assert search_calls == _search_route(tables=0)
+
+    def test_degree_of_linearity_reads_the_table(self, search_calls):
+        degree_of_linearity(WeightMatrix(COLLEGE_WEIGHTS))
+        assert search_calls == {**_TABLE_ROUTE, "enumerate_leaves": 0}
+        for name in search_calls:
+            search_calls[name] = 0
+        degree_of_linearity(_fractional_college())
+        assert search_calls == {
+            **_search_route(tables=0),
+            "enumerate_leaves": 0,
+        }
 
 
 @pytest.fixture

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -382,17 +383,19 @@ class TestForesightDivergence:
         assert divergence == 0.0
 
     def test_unproven_solve_is_refused(self, monkeypatch):
-        # A 12-team round robin whose heuristic incumbent (51) falls short of
-        # k* (52); a value search stopped at once leaves that incumbent
-        # unproven, and no pair of rankings worth 51 may be reported.
-        rng = np.random.default_rng(7)
+        # A 19-team round robin, above the table budget, whose heuristic
+        # incumbent (153) falls short of k* (154); a value search stopped at
+        # once leaves that incumbent unproven, and no pair of rankings worth
+        # 153 may be reported.
+        rng = np.random.default_rng(3)
         records = []
-        for i in range(1, 13):
-            for j in range(i + 1, 13):
-                score = (1, 0) if rng.random() < 0.5 else (0, 1)
+        for i in range(1, 20):
+            for j in range(i + 1, 20):
+                score = (1, 0) if rng.random() < 0.85 else (0, 1)
                 records.append(_game(f"T{i:02d}", f"T{j:02d}", *score))
         records.append(_game("T01", "T02", 1, 0, stage="playoff"))
         games = game_set_from_records(records)
+        assert games.team_count > lop._TABLE_MAX_N
         cfg = SolverConfig(time_limit=60, heuristic_restarts=0)
         k_star = solve_lop(build_win_matrix(games, Stage.REGULAR), cfg).optimal_value
         monkeypatch.setattr(
@@ -404,6 +407,19 @@ class TestForesightDivergence:
         assert not unproven.proven and unproven.optimal_value < k_star
         with pytest.raises(UnprovenOptimumError):
             foresight_divergence(games, cfg)
+
+    def test_deadline_inside_the_table_build_is_refused(self, monkeypatch):
+        # Inside the table budget k* is the table's; a build that runs into
+        # its deadline leaves no proven value.
+        (games,) = read_games_csv(DATA_DIR / "divergence4.csv")
+        real = lop._build_completion_table
+        monkeypatch.setattr(
+            lop,
+            "_build_completion_table",
+            lambda w, deadline: real(w, time.monotonic() - 1.0),
+        )
+        with pytest.raises(UnprovenOptimumError):
+            foresight_divergence(games, SolverConfig(time_limit=60))
 
     def test_one_deadline_covers_the_whole_call(self, clock_jumps_after_solve):
         (games,) = read_games_csv(DATA_DIR / "divergence4.csv")
