@@ -3,10 +3,12 @@
 JSON is the canonical output (stable key order, shortest round-trip
 floats, no wall-clock fields), so identical inputs and configuration
 produce byte-identical bytes. CSV output is a flattened projection of the
-same data.
+same data. Each subcommand defines only the flags it reads; the solver
+flags default to DEFAULT_CONFIG.
 
 Exit codes: 0 proven/ok, 1 input or usage error, 2 unproven result
-(time limit), 3 oracle mismatch.
+(time limit; for enumerate, a list the time limit cut short), 3 oracle
+mismatch.
 """
 
 from __future__ import annotations
@@ -16,12 +18,19 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import fields, replace
 
 from .core import WeightMatrix, read_matrix_csv
 from .errors import RankabilityError, UndefinedMetricError, UnprovenOptimumError
 from .ktdiam import _kappa_by_pair_search, _solve_with_kappa
-from .lop import SolverConfig, _deadline, _remaining, enumerate_optima, solve_lop
+from .lop import (
+    DEFAULT_CONFIG,
+    SolverConfig,
+    _deadline,
+    _remaining,
+    enumerate_optima,
+    solve_lop,
+)
 from .rating import colley_ratings, massey_ratings, ranking_from_ratings
 from .sports import (
     Stage,
@@ -31,7 +40,7 @@ from .sports import (
     season_report,
 )
 
-__all__ = ["CliConfig", "main"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -46,134 +55,112 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    """Validated invocation: input location/kind, output shape, knobs."""
+# Every flag beyond --input, --format and --output, in --help order. The
+# solver flags store into the SolverConfig field of the same name.
+_FLAGS = {
+    "--kind": dict(
+        choices=("matrix", "features"), default="matrix",
+        help="how to interpret the input file (default: %(default)s)",
+    ),
+    "--time-limit": dict(
+        dest="time_limit", type=float, default=DEFAULT_CONFIG.time_limit,
+        metavar="SEC",
+        help="wall-clock budget for the whole command; exceeding it returns "
+        "unproven results (default: %(default)s)",
+    ),
+    "--cap": dict(
+        dest="enumeration_cap", type=int, default=DEFAULT_CONFIG.enumeration_cap,
+        metavar="N",
+        help="enumeration cap on the number of optimal rankings "
+        "(default: %(default)s)",
+    ),
+    "--tolerance": dict(
+        dest="tolerance", type=float, default=DEFAULT_CONFIG.tolerance,
+        metavar="EPS",
+        help="numeric tolerance for optimality comparisons (default: %(default)s)",
+    ),
+    "--seed": dict(
+        dest="rng_seed", type=int, default=DEFAULT_CONFIG.rng_seed, metavar="N",
+        help="seed for the heuristic's randomized restarts (default: %(default)s)",
+    ),
+    "--tie-mode": dict(
+        choices=("half", "strict"), default="half",
+        help="tie credit in accuracy metrics (default: %(default)s)",
+    ),
+    "--oracle": dict(
+        action="store_true",
+        help="cross-check kappa against the joint branch and bound alone "
+        "(exit 3 on mismatch)",
+    ),
+    "--aliases": dict(
+        default=None, metavar="PATH",
+        help="team alias CSV (raw_name,canonical_name) for game data",
+    ),
+}
 
-    command: str
-    input_path: str
-    kind: str
-    format: str
-    output: str | None
-    tie_mode: str
-    oracle: bool
-    aliases_path: str | None
-    solver: SolverConfig
+_SOLVER = ("--time-limit", "--tolerance", "--seed")
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="rankability", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "lop": "solve for an optimal ranking and the degree of linearity",
-        "kappa": "maximal Kendall tau distance between optimal rankings",
-        "enumerate": "list every optimal ranking",
-        "season": "per-season rankability report from game data",
-        "ratings": "Colley and Massey ratings from game data",
-    }
-    for name, help_text in commands.items():
-        p = sub.add_parser(name, help=help_text)
-        game_command = name in ("season", "ratings")
+    for name, (run, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=run.__doc__)
+        p.set_defaults(run=run)
         p.add_argument("--input", required=True, help="input CSV path")
-        p.add_argument(
-            "--kind",
-            choices=("matrix", "games", "features"),
-            default="games" if game_command else "matrix",
-            help="how to interpret the input file",
-        )
         p.add_argument(
             "--format", choices=("json", "csv"), default="json",
             help="output format (JSON is canonical)",
         )
         p.add_argument("--output", default=None, help="output path (default stdout)")
-        p.add_argument(
-            "--time-limit", type=float, default=None, metavar="SEC",
-            help="wall-clock budget; exceeding it returns unproven results",
-        )
-        p.add_argument(
-            "--cap", type=int, default=None, metavar="N",
-            help="enumeration cap on the number of optimal rankings",
-        )
-        p.add_argument(
-            "--tolerance", type=float, default=None, metavar="EPS",
-            help="numeric tolerance for optimality comparisons",
-        )
-        p.add_argument(
-            "--seed", type=int, default=None, metavar="N",
-            help="seed for the heuristic's randomized restarts",
-        )
-        p.add_argument(
-            "--tie-mode", choices=("half", "strict"), default="half",
-            help="tie credit in accuracy metrics",
-        )
-        p.add_argument(
-            "--oracle", action="store_true",
-            help="cross-check kappa against the joint branch and bound alone "
-            "(exit 3 on mismatch)",
-        )
-        p.add_argument(
-            "--aliases", default=None, metavar="PATH",
-            help="team alias CSV (raw_name,canonical_name) for game data",
-        )
+        for flag, spec in _FLAGS.items():
+            if flag in flags:
+                p.add_argument(flag, **spec)
     return parser
 
 
 def _solver_config(args) -> SolverConfig:
-    defaults = SolverConfig()
-    return SolverConfig(
-        time_limit=args.time_limit,
-        enumeration_cap=(
-            args.cap if args.cap is not None else defaults.enumeration_cap
-        ),
-        tolerance=(
-            args.tolerance if args.tolerance is not None else defaults.tolerance
-        ),
-        rng_seed=args.seed if args.seed is not None else defaults.rng_seed,
+    """DEFAULT_CONFIG with the solver flags the command defines."""
+    parsed = vars(args)
+    return replace(
+        DEFAULT_CONFIG,
+        **{f.name: parsed[f.name] for f in fields(SolverConfig) if f.name in parsed},
     )
 
 
-def _load_matrix(config: CliConfig) -> WeightMatrix:
-    if config.kind == "matrix":
-        return read_matrix_csv(config.input_path)
-    if config.kind == "features":
-        return read_feature_table(config.input_path)
-    raise ValueError(
-        f"the {config.command} command takes --kind matrix or features, "
-        "not games (use the season or ratings command)"
-    )
+def _load_matrix(args) -> WeightMatrix:
+    if args.kind == "features":
+        return read_feature_table(args.input)
+    return read_matrix_csv(args.input)
 
 
-def _load_seasons(config: CliConfig):
-    if config.kind != "games":
-        raise ValueError(
-            f"the {config.command} command takes --kind games"
-        )
-    aliases = read_alias_csv(config.aliases_path) if config.aliases_path else None
-    return read_games_csv(config.input_path, aliases)
+def _load_seasons(args):
+    aliases = read_alias_csv(args.aliases) if args.aliases else None
+    return read_games_csv(args.input, aliases)
 
 
 def _ranking_payload(ranking) -> list[int]:
     return [int(v) for v in ranking.order]
 
 
-def _emit(config: CliConfig, text: str) -> None:
-    if config.output is None:
+def _emit(args, text: str) -> None:
+    if args.output is None:
         sys.stdout.write(text)
     else:
-        with open(config.output, "w", encoding="utf-8") as handle:
+        with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)
 
 
-def _emit_json(config: CliConfig, payload) -> None:
-    _emit(config, json.dumps(payload, indent=2) + "\n")
+def _emit_json(args, payload) -> None:
+    _emit(args, json.dumps(payload, indent=2) + "\n")
 
 
-def _emit_csv(config: CliConfig, header, rows) -> None:
+def _emit_csv(args, header, rows) -> None:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    _emit(config, buffer.getvalue())
+    _emit(args, buffer.getvalue())
 
 
 def _csv_cell(value):
@@ -186,14 +173,16 @@ def _csv_cell(value):
     return value
 
 
-def cmd_lop(config: CliConfig) -> int:
-    matrix = _load_matrix(config)
+def cmd_lop(args) -> int:
+    """solve for an optimal ranking and the degree of linearity"""
+    solver = _solver_config(args)
+    matrix = _load_matrix(args)
     total = matrix.total_sum()
     if total == 0.0:
         raise UndefinedMetricError(
             "the degree of linearity is undefined for an all-zero matrix"
         )
-    result = solve_lop(matrix, config.solver)
+    result = solve_lop(matrix, solver)
     lambda_ = float(result.optimal_value / total)
     payload = {
         "command": "lop",
@@ -209,11 +198,11 @@ def cmd_lop(config: CliConfig) -> int:
             "heuristic_value": float(result.stats.heuristic_value),
         },
     }
-    if config.format == "json":
-        _emit_json(config, payload)
+    if args.format == "json":
+        _emit_json(args, payload)
     else:
         _emit_csv(
-            config,
+            args,
             ["k_star", "lambda", "proven", "ranking"],
             [[
                 _csv_cell(payload["k_star"]),
@@ -225,9 +214,13 @@ def cmd_lop(config: CliConfig) -> int:
     return EXIT_OK if result.proven else EXIT_UNPROVEN
 
 
-def cmd_kappa(config: CliConfig) -> int:
-    matrix = _load_matrix(config)
-    k_star, _, _, kt = _solve_with_kappa(matrix, config.solver)
+def cmd_kappa(args) -> int:
+    """maximal Kendall tau distance between optimal rankings"""
+    solver = _solver_config(args)
+    matrix = _load_matrix(args)
+    # One deadline for the whole command: the oracle gets the time left.
+    deadline = _deadline(solver)
+    k_star, _, _, kt = _solve_with_kappa(matrix, _remaining(solver, deadline))
     payload = {
         "command": "kappa",
         "n": matrix.n,
@@ -242,8 +235,10 @@ def cmd_kappa(config: CliConfig) -> int:
         "proven": kt.proven,
     }
     oracle_exit = EXIT_OK
-    if config.oracle:
-        reference = _kappa_by_pair_search(matrix, k_star, config.solver)
+    if args.oracle:
+        reference = _kappa_by_pair_search(
+            matrix, k_star, _remaining(solver, deadline)
+        )
         if not reference.proven:
             raise UnprovenOptimumError(
                 "the oracle's joint search did not finish within the time limit"
@@ -255,11 +250,11 @@ def cmd_kappa(config: CliConfig) -> int:
                 f"the joint search found kappa={reference.kappa}\n"
             )
             oracle_exit = EXIT_ORACLE
-    if config.format == "json":
-        _emit_json(config, payload)
+    if args.format == "json":
+        _emit_json(args, payload)
     else:
         _emit_csv(
-            config,
+            args,
             ["kappa", "concordant_count", "proven", "first", "second"],
             [[
                 payload["kappa"],
@@ -274,9 +269,11 @@ def cmd_kappa(config: CliConfig) -> int:
     return EXIT_OK if kt.proven else EXIT_UNPROVEN
 
 
-def cmd_enumerate(config: CliConfig) -> int:
-    matrix = _load_matrix(config)
-    optima = enumerate_optima(matrix, config.solver)
+def cmd_enumerate(args) -> int:
+    """list every optimal ranking"""
+    solver = _solver_config(args)
+    matrix = _load_matrix(args)
+    optima = enumerate_optima(matrix, solver)
     payload = {
         "command": "enumerate",
         "n": matrix.n,
@@ -285,17 +282,21 @@ def cmd_enumerate(config: CliConfig) -> int:
         "truncated": optima.truncated,
         "rankings": [_ranking_payload(r) for r in optima.rankings],
     }
-    if config.format == "json":
-        _emit_json(config, payload)
+    if args.format == "json":
+        _emit_json(args, payload)
     else:
         _emit_csv(
-            config,
+            args,
             ["index", "ranking"],
             [
                 [idx + 1, " ".join(map(str, ranking))]
                 for idx, ranking in enumerate(payload["rankings"])
             ],
         )
+    # The cap stops the search at exactly cap orders, so a truncated list
+    # shorter than that was cut by the time limit.
+    if optima.truncated and optima.count < solver.enumeration_cap:
+        return EXIT_UNPROVEN
     return EXIT_OK
 
 
@@ -326,22 +327,22 @@ def _season_payload(report) -> dict:
     }
 
 
-def cmd_season(config: CliConfig) -> int:
-    seasons = _load_seasons(config)
+def cmd_season(args) -> int:
+    """per-season rankability report from game data"""
+    solver = _solver_config(args)
+    seasons = _load_seasons(args)
     # One deadline for the whole file: each report gets the time left.
-    deadline = _deadline(config.solver)
+    deadline = _deadline(solver)
     reports = [
-        season_report(
-            gs, _remaining(config.solver, deadline), tie_mode=config.tie_mode
-        )
+        season_report(gs, _remaining(solver, deadline), tie_mode=args.tie_mode)
         for gs in seasons
     ]
-    if config.format == "json":
+    if args.format == "json":
         _emit_json(
-            config,
+            args,
             {
                 "command": "season",
-                "tie_mode": config.tie_mode,
+                "tie_mode": args.tie_mode,
                 "seasons": [_season_payload(r) for r in reports],
             },
         )
@@ -382,12 +383,13 @@ def cmd_season(config: CliConfig) -> int:
                     _csv_cell(report.truncated),
                 ]
             )
-        _emit_csv(config, header, rows)
+        _emit_csv(args, header, rows)
     return EXIT_OK if all(r.proven for r in reports) else EXIT_UNPROVEN
 
 
-def cmd_ratings(config: CliConfig) -> int:
-    seasons = _load_seasons(config)
+def cmd_ratings(args) -> int:
+    """Colley and Massey ratings from game data"""
+    seasons = _load_seasons(args)
     blocks = []
     for gs in seasons:
         regular = gs.filter_stage(Stage.REGULAR)
@@ -408,8 +410,8 @@ def cmd_ratings(config: CliConfig) -> int:
                 },
             }
         )
-    if config.format == "json":
-        _emit_json(config, {"command": "ratings", "seasons": blocks})
+    if args.format == "json":
+        _emit_json(args, {"command": "ratings", "seasons": blocks})
     else:
         rows = []
         for block in blocks:
@@ -427,7 +429,7 @@ def cmd_ratings(config: CliConfig) -> int:
                     ]
                 )
         _emit_csv(
-            config,
+            args,
             ["season", "team", "colley_rating", "massey_rating",
              "colley_rank", "massey_rank"],
             rows,
@@ -435,12 +437,13 @@ def cmd_ratings(config: CliConfig) -> int:
     return EXIT_OK
 
 
+# Each command and the _FLAGS it reads; its docstring is its --help line.
 _COMMANDS = {
-    "lop": cmd_lop,
-    "kappa": cmd_kappa,
-    "enumerate": cmd_enumerate,
-    "season": cmd_season,
-    "ratings": cmd_ratings,
+    "lop": (cmd_lop, ("--kind", *_SOLVER)),
+    "kappa": (cmd_kappa, ("--kind", *_SOLVER, "--cap", "--oracle")),
+    "enumerate": (cmd_enumerate, ("--kind", *_SOLVER, "--cap")),
+    "season": (cmd_season, ("--aliases", *_SOLVER, "--cap", "--tie-mode")),
+    "ratings": (cmd_ratings, ("--aliases",)),
 }
 
 
@@ -448,19 +451,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        solver = _solver_config(args)
-        config = CliConfig(
-            command=args.command,
-            input_path=args.input,
-            kind=args.kind,
-            format=args.format,
-            output=args.output,
-            tie_mode=args.tie_mode,
-            oracle=args.oracle,
-            aliases_path=args.aliases,
-            solver=solver,
-        )
-        return _COMMANDS[args.command](config)
+        return args.run(args)
     except UnprovenOptimumError as exc:
         sys.stderr.write(f"rankability {args.command}: {exc}\n")
         return EXIT_UNPROVEN

@@ -126,22 +126,20 @@ def random_game_set(
     return game_set_from_records(records)
 
 
-def _advance_clock_after_solve(monkeypatch, limits: float) -> float:
-    """Advance the solvers' clock by `limits` time limits whenever k* is proven.
+def advance_clock_after(monkeypatch, real, limits: float) -> float:
+    """Advance the solvers' clock by `limits` time limits after each call of `real`.
 
-    Returns the time limit to configure. The value step lop._proven_value,
-    which enumerate_optima, degree_of_linearity and every kappa and season
-    call run first, is replaced in every module that binds it.
+    Returns the time limit to configure. `real` is replaced in every module
+    that binds it.
     """
     limit = 10.0
     offset = [0.0]
     clock = SimpleNamespace(monotonic=lambda: time.monotonic() + offset[0])
     monkeypatch.setattr(lop, "time", clock)
     monkeypatch.setattr(ktdiam, "time", clock)
-    real = lop._proven_value
 
-    def jumping(a, cfg, deadline):
-        value = real(a, cfg, deadline)
+    def jumping(*args, **kwargs):
+        value = real(*args, **kwargs)
         offset[0] += limits * limit
         return value
 
@@ -157,9 +155,11 @@ def clock_jumps_after_solve(monkeypatch) -> float:
     """The clock jumps 1.5 time limits whenever k* is proven.
 
     After the jump a deadline taken before the solve has passed, but a
-    limit restarted after it has not.
+    limit restarted after it has not. The value step lop._proven_value,
+    which enumerate_optima, degree_of_linearity and every kappa and season
+    call run first, is the call that advances it.
     """
-    return _advance_clock_after_solve(monkeypatch, 1.5)
+    return advance_clock_after(monkeypatch, lop._proven_value, 1.5)
 
 
 @pytest.fixture
@@ -168,4 +168,4 @@ def clock_creeps_after_solve(monkeypatch) -> float:
 
     One solve stays inside the limit; two solves under one deadline do not.
     """
-    return _advance_clock_after_solve(monkeypatch, 0.6)
+    return advance_clock_after(monkeypatch, lop._proven_value, 0.6)

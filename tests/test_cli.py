@@ -19,6 +19,7 @@ import pytest
 from rankability import (
     cli,
     kt_solution_from_rankings,
+    ktdiam,
     lop,
     ranking_from_order,
     read_matrix_csv,
@@ -38,6 +39,7 @@ from tests.conftest import (
     DIGRAPH_LAMBDA,
     DIGRAPH_OPTIMA_COUNT,
     DIGRAPH_WEIGHTS,
+    advance_clock_after,
 )
 
 COLLEGE = str(DATA_DIR / "college_features.csv")
@@ -178,6 +180,16 @@ class TestKappaCommand:
         assert code == 2
         assert out == ""
 
+    def test_oracle_shares_the_command_deadline(self, capsys, monkeypatch):
+        # The clock passes the deadline after the main flow, before the oracle.
+        limit = advance_clock_after(monkeypatch, ktdiam._solve_with_kappa, 1.5)
+        code, out = run_cli(
+            capsys, "kappa", "--input", COLLEGE, "--kind", "features",
+            "--oracle", "--time-limit", str(limit),
+        )
+        assert code == 2
+        assert out == ""
+
     def test_unproven_exits_2(self, capsys, tmp_path, hard_matrix_csv):
         code, _ = run_cli(
             capsys, "kappa", "--input", hard_matrix_csv, "--time-limit", "0.05"
@@ -220,6 +232,15 @@ class TestEnumerateCommand:
         )
         assert code == 0
         assert payload["count"] == 2
+        assert payload["truncated"] is True
+
+    def test_time_limit_cut_exits_2(self, capsys, clock_jumps_after_solve):
+        code, payload = run_json(
+            capsys, "enumerate", "--input", COLLEGE, "--kind", "features",
+            "--time-limit", str(clock_jumps_after_solve),
+        )
+        assert code == 2
+        assert payload["count"] == 0
         assert payload["truncated"] is True
 
     def test_csv_projection(self, capsys, tmp_path):
@@ -344,10 +365,9 @@ class TestSeasonCommand:
 
     def test_matrix_kind_rejected(self, capsys, tmp_path):
         path = write_digraph_csv(tmp_path, 3)
-        code, _ = run_cli(
-            capsys, "season", "--input", path, "--kind", "matrix"
-        )
-        assert code == 1
+        with pytest.raises(SystemExit) as excinfo:
+            main(["season", "--input", path, "--kind", "matrix"])
+        assert excinfo.value.code == 1
 
 
 class TestRatingsCommand:
@@ -381,6 +401,33 @@ class TestRatingsCommand:
         assert [r[1] for r in rows[1:]] == ["T1", "T2", "T3"]
 
 
+COMMON_FLAGS = ("--input", "--format", "--output")
+SOLVER_FLAGS = ("--time-limit", "--tolerance", "--seed")
+
+# The flags each subcommand reads; every other flag is a usage error.
+COMMAND_FLAGS = {
+    "lop": (*COMMON_FLAGS, "--kind", *SOLVER_FLAGS),
+    "enumerate": (*COMMON_FLAGS, "--kind", *SOLVER_FLAGS, "--cap"),
+    "kappa": (*COMMON_FLAGS, "--kind", *SOLVER_FLAGS, "--cap", "--oracle"),
+    "season": (*COMMON_FLAGS, "--aliases", *SOLVER_FLAGS, "--cap", "--tie-mode"),
+    "ratings": (*COMMON_FLAGS, "--aliases"),
+}
+
+FLAG_VALUES = {
+    "--input": ["y.csv"],
+    "--format": ["csv"],
+    "--output": ["out.json"],
+    "--kind": ["features"],
+    "--aliases": ["aliases.csv"],
+    "--time-limit": ["5"],
+    "--tolerance": ["1e-6"],
+    "--seed": ["3"],
+    "--cap": ["7"],
+    "--oracle": [],
+    "--tie-mode": ["strict"],
+}
+
+
 class TestExitCodes:
     def test_missing_file(self, capsys):
         code, _ = run_cli(capsys, "lop", "--input", "/no/such/file.csv")
@@ -403,20 +450,10 @@ class TestExitCodes:
     def test_all_zero_matrix_is_an_undefined_metric(self, capsys, tmp_path):
         path = tmp_path / "zero.csv"
         path.write_text("0,0,0\n0,0,0\n0,0,0\n", encoding="utf-8")
-        config = cli.CliConfig(
-            command="lop",
-            input_path=str(path),
-            kind="matrix",
-            format="json",
-            output=None,
-            tie_mode="half",
-            oracle=False,
-            aliases_path=None,
-            solver=lop.SolverConfig(),
-        )
+        args = cli._build_parser().parse_args(["lop", "--input", str(path)])
         message = "the degree of linearity is undefined for an all-zero matrix"
         with pytest.raises(UndefinedMetricError, match=message):
-            cli.cmd_lop(config)
+            cli.cmd_lop(args)
         capsys.readouterr()
         assert main(["lop", "--input", str(path)]) == 1
         captured = capsys.readouterr()
@@ -424,17 +461,30 @@ class TestExitCodes:
         assert captured.err == f"rankability lop: {message}\n"
 
     def test_games_kind_rejected_for_lop(self, capsys):
-        code, _ = run_cli(
-            capsys, "lop",
-            "--input", str(DATA_DIR / "digraph3_season.csv"),
-            "--kind", "games",
-        )
-        assert code == 1
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "lop", "--input", str(DATA_DIR / "digraph3_season.csv"),
+                "--kind", "games",
+            ])
+        assert excinfo.value.code == 1
 
     def test_unknown_flag_exits_1(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["lop", "--input", "x.csv", "--frobnicate"])
         assert excinfo.value.code == 1
+
+    @pytest.mark.parametrize("command", list(COMMAND_FLAGS))
+    @pytest.mark.parametrize("flag", list(FLAG_VALUES))
+    def test_each_command_takes_only_its_flags(self, capsys, command, flag):
+        argv = [command, "--input", "x.csv", flag, *FLAG_VALUES[flag]]
+        parser = cli._build_parser()
+        if flag in COMMAND_FLAGS[command]:
+            parser.parse_args(argv)
+            return
+        with pytest.raises(SystemExit) as excinfo:
+            parser.parse_args(argv)
+        assert excinfo.value.code == 1
+        assert flag in capsys.readouterr().err
 
     def test_missing_subcommand_exits_1(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
