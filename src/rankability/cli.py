@@ -293,7 +293,7 @@ def cmd_enumerate(args) -> int:
                 for idx, ranking in enumerate(payload["rankings"])
             ],
         )
-    # The cap stops the search at exactly cap orders, so a truncated list
+    # A list cut by the cap holds exactly cap orders, so a truncated list
     # shorter than that was cut by the time limit.
     if optima.truncated and optima.count < solver.enumeration_cap:
         return EXIT_UNPROVEN

@@ -10,6 +10,7 @@ generated orientation set is transitively closed and the 3-dicycle
 constraints hold by construction. A node is pruned when the prefix bound of
 either side drops below the optimal value, or when the pairs not yet ordered
 by both sides cannot lift the discordance past the best distance found.
+The joint search stops through its first side's _Search deadline tick.
 Season reports and the kappa command prove k*, enumerate once and take
 kappa from those same orders, all under one deadline (_solve_with_kappa).
 """
@@ -17,7 +18,7 @@ kappa from those same orders, all under one deadline (_solve_with_kappa).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -120,7 +121,9 @@ class _PairSearch:
     when the not-yet-doubly-decided pairs cannot lift the discordance
     past the incumbent. Discordance is counted exactly: an item pair is
     scored at the first moment both rankings have decided its order.
-    The search starts from the pair (sigma0, sigma0) at distance 0.
+    The search starts from the pair (sigma0, sigma0) at distance 0. Its
+    one stop signal is the first side's _Search._tick, which raises
+    lop._Timeout out of run once the deadline has passed.
     """
 
     def __init__(
@@ -129,13 +132,14 @@ class _PairSearch:
         k_star: float,
         cfg: SolverConfig,
         sigma0: tuple[int, ...],
+        deadline: float | None,
     ):
         n = a.n
         self.matrix = a
         self.n = n
         self.eps = cfg.tolerance
         self.k_star = float(k_star)
-        self.sides = (_Search(a, cfg), _Search(a, cfg))
+        self.sides = (_Search(a, cfg, deadline), _Search(a, cfg, deadline))
         self.pos = ([-1] * n, [-1] * n)
         self.table: list[float] | None = None
         self.total_pairs = n * (n - 1) // 2
@@ -143,21 +147,8 @@ class _PairSearch:
         self.discordant = 0
         self.best_kappa = 0
         self.best_pair = (sigma0, sigma0)
-        self.deadline: float | None = None
-        self.timed_out = False
-        self.nodes = 0
         self.order1 = list(range(n))
         self.order2 = list(range(n - 1, -1, -1))
-
-    def _tick(self) -> bool:
-        if (
-            self.deadline is not None
-            and (self.nodes & 127) == 0
-            and time.monotonic() > self.deadline
-        ):
-            self.timed_out = True
-            return True
-        return False
 
     def _bound_ok(self, side_idx: int, v: int) -> bool:
         s = self.sides[side_idx]
@@ -199,19 +190,13 @@ class _PairSearch:
         s.undo()
 
     def run(self) -> None:
-        try:
-            self.table = _completion_table(self.matrix, self.deadline)
-        except _LopTimeout:
-            self.timed_out = True
-            return
+        self.table = _completion_table(self.matrix, self.sides[0].deadline)
         self._rec(True)
 
     def _rec(self, symmetric: bool) -> None:
-        self.nodes += 1
-        if self.timed_out or self._tick():
-            return
         s1, s2 = self.sides
-        if s1.rem_count == 0:
+        s1._tick()
+        if s1.rem_mask == 0:
             if (
                 self.discordant > self.best_kappa
                 and abs(s1.f - self.k_star) <= self.eps
@@ -239,11 +224,7 @@ class _PairSearch:
                 d2 = self._place(1, v2)
                 self._rec(symmetric and v2 == v1)
                 self._unplace(1, d2)
-                if self.timed_out:
-                    break
             self._unplace(0, d1)
-            if self.timed_out:
-                return
 
 
 def _pack_pair_masks(orders: list[tuple[int, ...]], n: int) -> np.ndarray:
@@ -315,11 +296,36 @@ def _pair_search(
     sigma0: tuple[int, ...],
     deadline: float | None,
 ) -> KtResult:
-    search = _PairSearch(a, k_star, cfg, sigma0)
-    search.deadline = deadline
-    search.run()
+    """Joint branch and bound from sigma0; the best pair so far on timeout."""
+    search = _PairSearch(a, k_star, cfg, sigma0, deadline)
+    try:
+        search.run()
+        proven = True
+    except _LopTimeout:
+        proven = False
     first, second = search.best_pair
-    return _kt_result(a.n, search.best_kappa, first, second, not search.timed_out)
+    return _kt_result(a.n, search.best_kappa, first, second, proven)
+
+
+def _first_optimum(
+    k_star: float, orders: list[tuple[int, ...]], truncated: bool
+) -> tuple[int, ...]:
+    """The first of the optima that lop._optimal_orders returned for k_star.
+
+    Raises:
+        UnprovenOptimumError: when the deadline passed before any optimal
+            ranking was found.
+        InvalidKStarError: when no ranking attains k_star.
+    """
+    if orders:
+        return orders[0]
+    if truncated:
+        raise UnprovenOptimumError(
+            "time limit expired before any optimal ranking was recovered"
+        )
+    raise InvalidKStarError(
+        f"no ranking attains the objective value {k_star!r} within tolerance"
+    )
 
 
 def _kappa_from_orders(
@@ -333,23 +339,11 @@ def _kappa_from_orders(
     """kappa over the optima that lop._optimal_orders returned for k_star.
 
     A complete set is scanned pair by pair; a truncated one seeds the
-    joint branch and bound with its first order.
-
-    Raises:
-        UnprovenOptimumError: when the deadline passed before any optimal
-            ranking was found.
-        InvalidKStarError: when no ranking attains k_star.
+    joint branch and bound with its first order. Raises as _first_optimum.
     """
-    if not orders:
-        if truncated:
-            raise UnprovenOptimumError(
-                "time limit expired before any optimal ranking was recovered"
-            )
-        raise InvalidKStarError(
-            f"no ranking attains the objective value {k_star!r} within tolerance"
-        )
+    sigma0 = _first_optimum(k_star, orders, truncated)
     if truncated:
-        return _pair_search(a, k_star, cfg, orders[0], deadline)
+        return _pair_search(a, k_star, cfg, sigma0, deadline)
     return _kt_result(a.n, *_max_distance_pair(orders, a.n, deadline))
 
 
@@ -383,11 +377,15 @@ def _kappa_by_pair_search(
 ) -> KtResult:
     """kappa from the joint branch and bound alone, run from the first optimum.
 
-    A cap of one truncates every enumeration, so solve_kt takes the route
-    it otherwise takes only for large optima sets; the CLI's --oracle check
-    compares the two routes on any input.
+    Enumerates one optimum and searches from it under cfg.time_limit, on
+    any optima set; the CLI's --oracle check compares this route with the
+    scan of the complete set. Raises as _first_optimum.
     """
-    return solve_kt(a, k_star, replace(cfg or DEFAULT_CONFIG, enumeration_cap=1))
+    cfg = cfg or DEFAULT_CONFIG
+    deadline = _deadline(cfg)
+    orders, truncated = _optimal_orders(a, k_star, 1, cfg, deadline)
+    sigma0 = _first_optimum(k_star, orders, truncated)
+    return _pair_search(a, k_star, cfg, sigma0, deadline)
 
 
 def _solve_with_kappa(

@@ -122,8 +122,9 @@ class LopResult:
 class OptimaSet:
     """All optimal rankings, sorted lexicographically by order form.
 
-    truncated is set when the enumeration cap or the time limit stopped
-    the search before it was exhausted.
+    truncated is set when more optima exist than the enumeration cap, or
+    when the time limit stopped the search before it was exhausted; a
+    complete set of exactly cap rankings is not truncated.
     """
 
     rankings: tuple[Ranking, ...]
@@ -198,18 +199,21 @@ class _Search:
     f is the weight already decided (prefix-prefix plus prefix-remaining
     pairs), u is the sum of max(a_ij, a_ji) over remaining pairs; f + u is
     an admissible upper bound on any completion of the current prefix.
-    The deadline is checked every 256 expanded nodes, counted apart from
-    nodes, which also counts the subtrees a memo hit replays.
+    Every search stops early one way: _tick raises _Timeout once the
+    deadline has passed, checked every 256 expanded nodes, counted apart
+    from nodes, which also counts the subtrees a memo hit replays.
     """
 
-    def __init__(self, a: WeightMatrix, cfg: SolverConfig):
+    def __init__(
+        self, a: WeightMatrix, cfg: SolverConfig, deadline: float | None = None
+    ):
         n = a.n
         w = _float_rows(a)
         self.matrix = a
         self.n = n
         self.w = w
         self.eps = cfg.tolerance
-        self.deadline: float | None = None
+        self.deadline = deadline
         self.nodes = 0
         self.pruned = 0
         self._expanded = 0
@@ -227,7 +231,6 @@ class _Search:
         n = self.n
         self.in_rem = [True] * n
         self.rem_mask = (1 << n) - 1
-        self.rem_count = n
         self.prefix: list[int] = []
         self.s_a = [
             sum(self.w[v][r] for r in range(n) if r != v) for v in range(n)
@@ -248,7 +251,6 @@ class _Search:
         self.u -= s_m[v]
         in_rem[v] = False
         self.rem_mask ^= 1 << v
-        self.rem_count -= 1
         for r in range(self.n):
             if in_rem[r]:
                 s_a[r] -= w[r][v]
@@ -268,7 +270,6 @@ class _Search:
                 s_m[r] += pm[r][v]
         in_rem[v] = True
         self.rem_mask |= 1 << v
-        self.rem_count += 1
         self.f -= s_a[v]
         self.u += s_m[v]
 
@@ -283,23 +284,21 @@ class _Search:
 
     # -- optimal value ---------------------------------------------------
 
-    def run_value(
-        self, start_order: list[int], start_value: float
-    ) -> tuple[float, list[int], bool]:
-        """Prove the maximum objective, starting from a known incumbent."""
+    def run_value(self, start_order: list[int], start_value: float) -> bool:
+        """Prove the maximum objective from a known incumbent; True on timeout."""
         self.best_val = start_value
         self.best_order = list(start_order)
         self.child_order = list(start_order)
         try:
             self._rec_value()
-            return self.best_val, self.best_order, False
+            return False
         except _Timeout:
-            return self.best_val, self.best_order, True
+            return True
 
     def _rec_value(self) -> None:
         self.nodes += 1
         self._tick()
-        if self.rem_count == 0:
+        if self.rem_mask == 0:
             if self.f > self.best_val + self.eps:
                 self.best_val = self.f
                 self.best_order = self.prefix.copy()
@@ -354,7 +353,7 @@ class _Search:
                 if bound < target:
                     continue
                 self.apply(v)
-                if self.rem_count == 0 or self._exists_completion(target, memo):
+                if self.rem_mask == 0 or self._exists_completion(target, memo):
                     placed = True
                     break
                 self.undo()
@@ -383,7 +382,7 @@ class _Search:
         self.nodes += 1
         self._tick()
         ok = False
-        if self.rem_count == 0:
+        if self.rem_mask == 0:
             ok = self.f >= target
         else:
             for v in self.child_order:
@@ -427,9 +426,8 @@ class _Search:
         found: list[tuple[int, ...]],
         table: list[float] | None,
     ) -> None:
-        self.nodes += 1
         self._tick()
-        if self.rem_count == 0:
+        if self.rem_mask == 0:
             if abs(self.f - k_star) <= self.eps:
                 found.append(tuple(self.prefix))
                 if len(found) >= cap:
@@ -446,8 +444,6 @@ class _Search:
                     self.apply(v)
                     self._rec_enum(k_star, target, cap, found, table)
                     self.undo()
-                else:
-                    self.pruned += 1
 
 
 def _build_completion_table(w: np.ndarray, deadline: float | None) -> list[float]:
@@ -613,11 +609,10 @@ def _value_search(
     stopped the search before it was exhausted.
     """
     heur = heuristic_ranking(a, cfg)
-    search = _Search(a, cfg)
-    search.deadline = deadline
+    search = _Search(a, cfg, deadline)
     heur_order = [v - 1 for v in heur.order]
     heur_val = _order_value(search.w, heur_order)
-    timed_out = search.run_value(heur_order, heur_val)[2]
+    timed_out = search.run_value(heur_order, heur_val)
     return search, heur_val, timed_out
 
 
@@ -684,14 +679,14 @@ def _optimal_orders(
 ) -> tuple[list[tuple[int, ...]], bool]:
     """Optimal 1-based order forms in lexicographic sequence, up to cap.
 
-    Returns the orders and whether the cap or the deadline stopped the
-    search before it was exhausted; raises nothing, so a deadline that has
-    already passed gives no orders and truncated=True.
+    Returns the orders and truncated: whether more than cap optima exist
+    (the search looks for one past the cap) or the deadline stopped it.
+    Raises nothing, so a deadline that has already passed gives no orders
+    and truncated=True.
     """
-    search = _Search(a, cfg)
-    search.deadline = deadline
-    orders, truncated = search.enumerate_leaves(k_star, cap)
-    return [tuple(v + 1 for v in order) for order in orders], truncated
+    search = _Search(a, cfg, deadline)
+    orders, truncated = search.enumerate_leaves(k_star, cap + 1)
+    return [tuple(v + 1 for v in order) for order in orders[:cap]], truncated
 
 
 def enumerate_optima(a: WeightMatrix, cfg: SolverConfig | None = None) -> OptimaSet:
@@ -700,11 +695,13 @@ def enumerate_optima(a: WeightMatrix, cfg: SolverConfig | None = None) -> Optima
     Depth-first search keeps a branch only while its upper bound stays
     within tolerance of the optimal value; children are tried in
     ascending item order, so the output arrives already sorted
-    lexicographically. The cap and the time limit both set truncated; the
-    time limit covers the whole call, value proof included. The optimal
-    value comes from the completion table inside the table budget when
-    every weight is a multiple of 1/2; otherwise from the branch and
-    bound, the only case where cfg's heuristic settings are used.
+    lexicographically. truncated is set when more than cfg.enumeration_cap
+    optima exist, of which the first cap are returned, or when the time
+    limit stopped the search; the time limit covers the whole call, value
+    proof included. The optimal value comes from the completion table
+    inside the table budget when every weight is a multiple of 1/2;
+    otherwise from the branch and bound, the only case where cfg's
+    heuristic settings are used.
 
     Raises:
         UnprovenOptimumError: when the optimal value itself could not be

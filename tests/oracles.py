@@ -155,7 +155,7 @@ def exists_completion_loop(search, target: float) -> bool:
     """
     search.nodes += 1
     search._tick()
-    if search.rem_count == 0:
+    if search.rem_mask == 0:
         return search.f >= target
     for v in search.child_order:
         if search.in_rem[v]:

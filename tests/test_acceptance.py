@@ -32,9 +32,9 @@ from rankability import (
     solve_lop,
     validate_kt_solution,
     GameRecord,
-    SolverConfig,
     Stage,
 )
+from rankability import ktdiam
 from rankability.cli import main as cli_main
 
 from tests.conftest import (
@@ -143,8 +143,7 @@ def test_criterion_05_oracle_equivalence_200_instances():
         _, _, expected_kappa, _ = brute_force_kappa(weights, orders=optimal_orders)
         assert kt.proven
         assert kt.kappa == expected_kappa, f"trial {trial}: kappa"
-        # A cap of one leaves kappa to the joint branch and bound.
-        joint = solve_kt(matrix, result.optimal_value, SolverConfig(enumeration_cap=1))
+        joint = ktdiam._kappa_by_pair_search(matrix, result.optimal_value)
         assert joint.proven
         assert joint.kappa == expected_kappa, f"trial {trial}: joint kappa"
     elapsed = time.perf_counter() - start

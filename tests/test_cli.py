@@ -234,6 +234,19 @@ class TestEnumerateCommand:
         assert payload["count"] == 2
         assert payload["truncated"] is True
 
+    @pytest.mark.parametrize(("cap", "truncated"), [(6, False), (5, True)])
+    def test_truncated_only_when_more_optima_than_the_cap(
+        self, capsys, tmp_path, cap, truncated
+    ):
+        # digraph 4, all ones off the diagonal, has exactly six optima.
+        path = write_digraph_csv(tmp_path, 4)
+        code, payload = run_json(
+            capsys, "enumerate", "--input", path, "--cap", str(cap)
+        )
+        assert code == 0
+        assert payload["count"] == cap
+        assert payload["truncated"] is truncated
+
     def test_time_limit_cut_exits_2(self, capsys, clock_jumps_after_solve):
         code, payload = run_json(
             capsys, "enumerate", "--input", COLLEGE, "--kind", "features",

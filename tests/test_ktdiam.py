@@ -113,9 +113,8 @@ class TestSolveKt:
             assert result.proven
             assert result.kappa == kappa
             assert (result.pair[0].order, result.pair[1].order) == pair
-            # A cap of one truncates every enumeration, so the joint branch
-            # and bound decides kappa; its pair need not be canonical.
-            joint = solve_kt(a, k_star, SolverConfig(enumeration_cap=1))
+            # The joint branch and bound's pair need not be canonical.
+            joint = ktdiam._kappa_by_pair_search(a, k_star)
             assert joint.proven
             assert joint.kappa == kappa
 
@@ -146,8 +145,8 @@ class TestSolveKt:
             solve_kt(college_matrix, 1000.0)
 
     def test_timeout_yields_unproven_incumbent(self):
-        # A cap of one sends solve_kt to the joint search, which takes
-        # seconds on this instance even with the shared completion table.
+        # The joint search takes seconds on this instance even with the
+        # shared completion table.
         rng = np.random.default_rng(5)
         n = 16
         wins = np.zeros((n, n))
@@ -159,8 +158,8 @@ class TestSolveKt:
         a = WeightMatrix(wins)
         k_star = solve_lop(a).optimal_value
         try:
-            result = solve_kt(
-                a, k_star, SolverConfig(time_limit=0.1, enumeration_cap=1)
+            result = ktdiam._kappa_by_pair_search(
+                a, k_star, SolverConfig(time_limit=0.1)
             )
         except UnprovenOptimumError:
             pytest.skip("host too slow to recover even one optimum in the limit")
@@ -179,6 +178,7 @@ class TestSolveKt:
         [
             (SolverConfig(), "_max_distance_pair"),
             (SolverConfig(enumeration_cap=2), "_pair_search"),
+            (SolverConfig(enumeration_cap=3), "_max_distance_pair"),
         ],
     )
     def test_pair_search_runs_only_when_enumeration_is_truncated(
@@ -197,7 +197,8 @@ class TestSolveKt:
 
         for name in ("_max_distance_pair", "_pair_search"):
             monkeypatch.setattr(ktdiam, name, recording(name))
-        # digraph 3 has three optimal rankings, so a cap of 2 truncates.
+        # digraph 3 has three optimal rankings, so a cap of 2 truncates
+        # and a cap of 3 does not.
         result = solve_kt(digraphs[3], 2.0, cfg)
         assert calls == [route]
         assert result.proven and result.kappa == 2
@@ -240,6 +241,32 @@ class TestSolveKt:
             checked += 1
         assert checked > 0
 
+    def test_pair_search_past_its_deadline_reports_the_best_pair_so_far(
+        self, monkeypatch
+    ):
+        rng = np.random.default_rng(2)
+        n = 8
+        wins = np.zeros((n, n))
+        for i in range(n):
+            for j in range(i + 1, n):
+                w = int(rng.binomial(4, 0.5))
+                wins[i, j] = w
+                wins[j, i] = 4 - w
+        a = WeightMatrix(wins)
+        k_star = solve_lop(a).optimal_value
+        kappa = solve_kt(a, k_star).kappa
+        sigma0 = enumerate_optima(a).rankings[0].order
+        # The clock passes the deadline after the table check, so the first
+        # tick, at 256 nodes, stops a joint search that needs about 1,000.
+        clock = itertools.chain([0.0], itertools.repeat(np.inf))
+        monkeypatch.setattr(lop, "time", SimpleNamespace(monotonic=lambda: next(clock)))
+        result = ktdiam._pair_search(a, k_star, DEFAULT_CONFIG, sigma0, 1.0)
+        assert not result.proven
+        assert 0 < result.kappa < kappa
+        assert kendall_tau_distance(*result.pair) == result.kappa
+        for ranking in result.pair:
+            assert objective_value(a, ranking) == k_star
+
 
 class TestPairMasks:
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 9, 18, 24])
@@ -265,9 +292,8 @@ class TestPairMasks:
 class TestKappaByEnumeration:
     """solve_kt's scan of the complete optima set against the joint search.
 
-    A cap of one truncates every enumeration, so solve_kt then decides
-    kappa by the joint branch and bound alone, whose pair need not be
-    canonical.
+    ktdiam._kappa_by_pair_search decides kappa by the joint branch and
+    bound alone, whose pair need not be canonical.
     """
 
     def test_matches_solve_kt_on_random_instances(self):
@@ -277,7 +303,7 @@ class TestKappaByEnumeration:
             a = random_half_integer_matrix(rng, n)
             k_star = solve_lop(a).optimal_value
             direct = solve_kt(a, k_star)
-            joint = solve_kt(a, k_star, SolverConfig(enumeration_cap=1))
+            joint = ktdiam._kappa_by_pair_search(a, k_star)
             assert direct.proven and joint.proven
             assert direct.kappa == joint.kappa
             assert kendall_tau_distance(*joint.pair) == joint.kappa
@@ -286,9 +312,7 @@ class TestKappaByEnumeration:
 
     def test_college(self, college_matrix):
         direct = solve_kt(college_matrix, COLLEGE_K_STAR)
-        joint = solve_kt(
-            college_matrix, COLLEGE_K_STAR, SolverConfig(enumeration_cap=1)
-        )
+        joint = ktdiam._kappa_by_pair_search(college_matrix, COLLEGE_K_STAR)
         assert direct.kappa == joint.kappa == 3
         assert direct.proven and joint.proven
 
@@ -389,7 +413,7 @@ class TestMediumInstances:
         a = WeightMatrix(wins)
         k_star = solve_lop(a).optimal_value
         direct = solve_kt(a, k_star)
-        joint = solve_kt(a, k_star, SolverConfig(enumeration_cap=1))
+        joint = ktdiam._kappa_by_pair_search(a, k_star)
         assert direct.proven and joint.proven
         assert direct.kappa == joint.kappa
         assert kendall_tau_distance(*joint.pair) == joint.kappa
