@@ -74,15 +74,6 @@ _FLAGS = {
         help="enumeration cap on the number of optimal rankings "
         "(default: %(default)s)",
     ),
-    "--tolerance": dict(
-        dest="tolerance", type=float, default=DEFAULT_CONFIG.tolerance,
-        metavar="EPS",
-        help="numeric tolerance for optimality comparisons (default: %(default)s)",
-    ),
-    "--seed": dict(
-        dest="rng_seed", type=int, default=DEFAULT_CONFIG.rng_seed, metavar="N",
-        help="seed for the heuristic's randomized restarts (default: %(default)s)",
-    ),
     "--tie-mode": dict(
         choices=("half", "strict"), default="half",
         help="tie credit in accuracy metrics (default: %(default)s)",
@@ -98,7 +89,7 @@ _FLAGS = {
     ),
 }
 
-_SOLVER = ("--time-limit", "--tolerance", "--seed")
+_SOLVER = ("--time-limit",)
 
 
 def _build_parser() -> _Parser:

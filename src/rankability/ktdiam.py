@@ -40,6 +40,7 @@ from .lop import (
     _optimal_orders,
     _proven_value,
     _Search,
+    _slack,
     _Timeout as _LopTimeout,
 )
 
@@ -130,16 +131,15 @@ class _PairSearch:
         self,
         a: WeightMatrix,
         k_star: float,
-        cfg: SolverConfig,
         sigma0: tuple[int, ...],
         deadline: float | None,
     ):
         n = a.n
         self.matrix = a
         self.n = n
-        self.eps = cfg.tolerance
+        self.eps = _slack(a)
         self.k_star = float(k_star)
-        self.sides = (_Search(a, cfg, deadline), _Search(a, cfg, deadline))
+        self.sides = (_Search(a, deadline), _Search(a, deadline))
         self.pos = ([-1] * n, [-1] * n)
         self.table: list[float] | None = None
         self.total_pairs = n * (n - 1) // 2
@@ -290,14 +290,10 @@ def _kt_result(
 
 
 def _pair_search(
-    a: WeightMatrix,
-    k_star: float,
-    cfg: SolverConfig,
-    sigma0: tuple[int, ...],
-    deadline: float | None,
+    a: WeightMatrix, k_star: float, sigma0: tuple[int, ...], deadline: float | None
 ) -> KtResult:
     """Joint branch and bound from sigma0; the best pair so far on timeout."""
-    search = _PairSearch(a, k_star, cfg, sigma0, deadline)
+    search = _PairSearch(a, k_star, sigma0, deadline)
     try:
         search.run()
         proven = True
@@ -323,9 +319,7 @@ def _first_optimum(
         raise UnprovenOptimumError(
             "time limit expired before any optimal ranking was recovered"
         )
-    raise InvalidKStarError(
-        f"no ranking attains the objective value {k_star!r} within tolerance"
-    )
+    raise InvalidKStarError(f"no ranking attains the objective value {k_star!r}")
 
 
 def _kappa_from_orders(
@@ -333,7 +327,6 @@ def _kappa_from_orders(
     k_star: float,
     orders: list[tuple[int, ...]],
     truncated: bool,
-    cfg: SolverConfig,
     deadline: float | None,
 ) -> KtResult:
     """kappa over the optima that lop._optimal_orders returned for k_star.
@@ -343,7 +336,7 @@ def _kappa_from_orders(
     """
     sigma0 = _first_optimum(k_star, orders, truncated)
     if truncated:
-        return _pair_search(a, k_star, cfg, sigma0, deadline)
+        return _pair_search(a, k_star, sigma0, deadline)
     return _kt_result(a.n, *_max_distance_pair(orders, a.n, deadline))
 
 
@@ -368,8 +361,8 @@ def solve_kt(
     """
     cfg = cfg or DEFAULT_CONFIG
     deadline = _deadline(cfg)
-    orders, truncated = _optimal_orders(a, k_star, cfg.enumeration_cap, cfg, deadline)
-    return _kappa_from_orders(a, k_star, orders, truncated, cfg, deadline)
+    orders, truncated = _optimal_orders(a, k_star, cfg.enumeration_cap, deadline)
+    return _kappa_from_orders(a, k_star, orders, truncated, deadline)
 
 
 def _kappa_by_pair_search(
@@ -383,9 +376,9 @@ def _kappa_by_pair_search(
     """
     cfg = cfg or DEFAULT_CONFIG
     deadline = _deadline(cfg)
-    orders, truncated = _optimal_orders(a, k_star, 1, cfg, deadline)
+    orders, truncated = _optimal_orders(a, k_star, 1, deadline)
     sigma0 = _first_optimum(k_star, orders, truncated)
-    return _pair_search(a, k_star, cfg, sigma0, deadline)
+    return _pair_search(a, k_star, sigma0, deadline)
 
 
 def _solve_with_kappa(
@@ -403,18 +396,16 @@ def _solve_with_kappa(
             optimal ranking is recovered, within the time limit.
     """
     deadline = _deadline(cfg)
-    k_star = _proven_value(a, cfg, deadline)
-    orders, truncated = _optimal_orders(a, k_star, cfg.enumeration_cap, cfg, deadline)
-    kt = _kappa_from_orders(a, k_star, orders, truncated, cfg, deadline)
+    k_star = _proven_value(a, deadline)
+    orders, truncated = _optimal_orders(a, k_star, cfg.enumeration_cap, deadline)
+    kt = _kappa_from_orders(a, k_star, orders, truncated, deadline)
     return k_star, orders, truncated, kt
 
 
-def _check_side(
-    name: str, lo: LinearOrder, w: np.ndarray, k_star: float, eps: float
-) -> list[str]:
+def _check_side(name: str, lo: LinearOrder, a: WeightMatrix, k_star: float) -> list[str]:
     issues = [f"{name}: {v}" for v in validate_linear_order(lo)]
-    value = float((w * lo.x).sum())
-    if abs(value - k_star) > eps:
+    value = float((a.weights * lo.x).sum())
+    if abs(value - k_star) > _slack(a):
         issues.append(
             f"{name}: objective {value!r} differs from the optimal value {k_star!r}"
         )
@@ -422,16 +413,16 @@ def _check_side(
 
 
 def validate_kt_solution(
-    a: WeightMatrix, k_star: float, s: KtSolution, tolerance: float = 1e-9
+    a: WeightMatrix, k_star: float, s: KtSolution
 ) -> KtValidationReport:
     """Audit every constraint family of a claimed solution.
 
-    Reports violations instead of raising. The two optimally valid
-    inequalities are listed separately: a merely feasible solution may
-    break them, an optimal one never does.
+    Reports violations instead of raising. Each side's objective must
+    equal k_star within the solvers' comparison slack (lop._slack). The
+    two optimally valid inequalities are listed separately: a merely
+    feasible solution may break them, an optimal one never does.
     """
     n = a.n
-    w = np.asarray(a.weights, dtype=float)
     violations: list[str] = []
     if s.x.n != n or s.y.n != n or s.z.shape != (n, n):
         return KtValidationReport(
@@ -441,8 +432,8 @@ def validate_kt_solution(
             ),
             optimality_violations=(),
         )
-    violations.extend(_check_side("x", s.x, w, k_star, tolerance))
-    violations.extend(_check_side("y", s.y, w, k_star, tolerance))
+    violations.extend(_check_side("x", s.x, a, k_star))
+    violations.extend(_check_side("y", s.y, a, k_star))
     x, y, z = s.x.x, s.y.x, s.z
     for i in range(n):
         for j in range(n):

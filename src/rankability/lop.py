@@ -66,35 +66,31 @@ _NODE_MASK = (1 << _NODE_BITS) - 1
 # is a multiple of 1/2 below 2^52 and exact in a double.
 _EXACT_TOTAL = 2.0**51
 
+# The heuristic's randomized restarts and their seed. They shape only the
+# branch and bound's incumbent, so only solve_lop's stats and the run
+# time: never k*, the canonical ranking or the optima.
+_HEURISTIC_RESTARTS = 16
+_HEURISTIC_SEED = 0
+
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs shared by every exact search in the package.
+    """Limits shared by every exact search in the package.
 
-    rng_seed fully determines heuristic randomization; the search is
-    single-threaded, which makes reported witnesses and statistics
-    reproducible by construction. heuristic_restarts and rng_seed shape
-    only the branch and bound's incumbent: they matter to solve_lop, and
-    to the other routines only above the table budget or for weights
-    that are not all multiples of 1/2, where those run the same value
-    search.
+    The search is single-threaded and its heuristic restarts from a fixed
+    seed, so reported witnesses and statistics are reproducible by
+    construction. Which objective values count as equal is not set here:
+    the comparison slack is worked out from the matrix (_slack).
     """
 
     time_limit: float | None = None
     enumeration_cap: int = 1_000_000
-    tolerance: float = 1e-9
-    heuristic_restarts: int = 16
-    rng_seed: int = 0
 
     def __post_init__(self):
         if self.time_limit is not None and not self.time_limit > 0:
             raise ValueError("time_limit must be positive when set")
         if self.enumeration_cap < 1:
             raise ValueError("enumeration_cap must be at least 1")
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
-        if self.heuristic_restarts < 0:
-            raise ValueError("heuristic_restarts must be nonnegative")
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -179,6 +175,23 @@ def _exact_sums(a: WeightMatrix) -> bool:
     return np.array_equal(doubled, np.round(doubled)) and a.total_sum() < _EXACT_TOTAL
 
 
+def _slack(a: WeightMatrix) -> float:
+    """How far apart two objective sums of the matrix may be and still tie.
+
+    Every search, the heuristic and the validator compare through this one
+    value. It is 0 when _exact_sums holds, since then every sum is exact.
+    """
+    if _exact_sums(a):
+        return 0.0
+    # Every sum or bound the searches compare is built from about 4 n^2
+    # roundings, each of a nonnegative value below twice the total and off
+    # by at most 2^-53 of it, so two computations of one objective differ
+    # by less than about n^2 * 2^-49 of the total. The slack is 2^9 times
+    # that, room for the rounding that apply/undo cycles accumulate. It
+    # scales with the weights, so ties are decided alike at every scale.
+    return a.total_sum() * a.n * a.n * 2.0**-40
+
+
 def _float_rows(a: WeightMatrix) -> list[list[float]]:
     return [[float(x) for x in row] for row in a.weights]
 
@@ -204,15 +217,13 @@ class _Search:
     from nodes, which also counts the subtrees a memo hit replays.
     """
 
-    def __init__(
-        self, a: WeightMatrix, cfg: SolverConfig, deadline: float | None = None
-    ):
+    def __init__(self, a: WeightMatrix, deadline: float | None = None):
         n = a.n
         w = _float_rows(a)
         self.matrix = a
         self.n = n
         self.w = w
-        self.eps = cfg.tolerance
+        self.eps = _slack(a)
         self.deadline = deadline
         self.nodes = 0
         self.pruned = 0
@@ -306,7 +317,7 @@ class _Search:
         # Dominance: an earlier visit of the same remaining set with at
         # least this much decided weight already covered every completion.
         seen = self.memo.get(self.rem_mask)
-        if seen is not None and self.f <= seen + 1e-12:
+        if seen is not None and self.f <= seen + self.eps:
             self.pruned += 1
             return
         if len(self.memo) < _MEMO_CAP:
@@ -513,7 +524,13 @@ def _greedy_insertion(w: list[list[float]], items: Sequence[int]) -> list[int]:
     return order
 
 
-def _insertion_local_search(w: list[list[float]], order: list[int]) -> list[int]:
+def _insertion_local_search(
+    w: list[list[float]], order: list[int], slack: float
+) -> list[int]:
+    """Move single items while a move gains more than slack.
+
+    A gain within slack may be rounding alone, and taking it can cycle.
+    """
     n = len(order)
     improved = True
     while improved:
@@ -527,12 +544,12 @@ def _insertion_local_search(w: list[list[float]], order: list[int]) -> list[int]
             delta = sum(w[v][u] for u in rest)
             best_delta = current
             best_p = idx
-            if delta > best_delta:
+            if delta > best_delta + slack:
                 best_delta = delta
                 best_p = 0
             for p, u in enumerate(rest):
                 delta += w[u][v] - w[v][u]
-                if delta > best_delta:
+                if delta > best_delta + slack:
                     best_delta = delta
                     best_p = p + 1
             if best_p != idx:
@@ -542,33 +559,34 @@ def _insertion_local_search(w: list[list[float]], order: list[int]) -> list[int]
     return order
 
 
-def heuristic_ranking(a: WeightMatrix, cfg: SolverConfig | None = None) -> Ranking:
+def heuristic_ranking(a: WeightMatrix) -> Ranking:
     """Strong feasible ranking: greedy insertion plus insertion local search.
 
-    Deterministic for a fixed cfg.rng_seed. The returned ranking's
-    objective is at least total_sum(a) / 2, by taking the better of the
-    final order and its reverse.
+    Runs from the net-wins order and 16 random orders from a fixed seed, so
+    it is deterministic. The returned ranking's objective is at least
+    total_sum(a) / 2, by taking the better of the final order and its
+    reverse.
     """
-    cfg = cfg or DEFAULT_CONFIG
     n = a.n
     w = _float_rows(a)
-    rng = np.random.default_rng(cfg.rng_seed)
+    slack = _slack(a)
+    rng = np.random.default_rng(_HEURISTIC_SEED)
     net_wins = sorted(
         range(n),
         key=lambda v: (-(sum(w[v]) - sum(w[r][v] for r in range(n))), v),
     )
     starts: list[list[int]] = [net_wins]
-    for _ in range(cfg.heuristic_restarts):
+    for _ in range(_HEURISTIC_RESTARTS):
         starts.append([int(x) for x in rng.permutation(n)])
     # Every order is worth at least 0, so the first start always replaces
     # this placeholder.
     best_order: list[int] = []
     best_val = float("-inf")
     for start in starts:
-        order = _insertion_local_search(w, _greedy_insertion(w, start))
+        order = _insertion_local_search(w, _greedy_insertion(w, start), slack)
         val = _order_value(w, order)
-        if val > best_val + 1e-12 or (
-            abs(val - best_val) <= 1e-12 and order < best_order
+        if val > best_val + slack or (
+            abs(val - best_val) <= slack and order < best_order
         ):
             best_val = val
             best_order = order
@@ -593,30 +611,28 @@ def prefix_upper_bound(a: WeightMatrix, partial: Sequence[int]) -> float:
         raise MalformedPermutationError(
             f"prefix must list distinct items in 1..{n}, got {tuple(partial)}"
         )
-    search = _Search(a, DEFAULT_CONFIG)
+    search = _Search(a)
     for v in prefix:
         search.apply(v)
     return search.f + search.u
 
 
-def _value_search(
-    a: WeightMatrix, cfg: SolverConfig, deadline: float | None
-) -> tuple[_Search, float, bool]:
+def _value_search(a: WeightMatrix, deadline: float | None) -> tuple[_Search, float, bool]:
     """Value phase of solve_lop: the heuristic incumbent, then branch and bound.
 
     Returns the search, whose best_val and best_order hold the best value
     and order found, the heuristic's value, and whether the deadline
     stopped the search before it was exhausted.
     """
-    heur = heuristic_ranking(a, cfg)
-    search = _Search(a, cfg, deadline)
+    heur = heuristic_ranking(a)
+    search = _Search(a, deadline)
     heur_order = [v - 1 for v in heur.order]
     heur_val = _order_value(search.w, heur_order)
     timed_out = search.run_value(heur_order, heur_val)
     return search, heur_val, timed_out
 
 
-def _proven_value(a: WeightMatrix, cfg: SolverConfig, deadline: float | None) -> float:
+def _proven_value(a: WeightMatrix, deadline: float | None) -> float:
     """The optimal objective value k*, proven before deadline, without a witness.
 
     Inside the table budget with exact sums, k* is the completion table's
@@ -633,7 +649,7 @@ def _proven_value(a: WeightMatrix, cfg: SolverConfig, deadline: float | None) ->
         except _Timeout:
             pass
     else:
-        search, _, timed_out = _value_search(a, cfg, deadline)
+        search, _, timed_out = _value_search(a, deadline)
         if not timed_out:
             return search.best_val
     raise UnprovenOptimumError("the optimal value was not proven within the time limit")
@@ -650,7 +666,7 @@ def solve_lop(a: WeightMatrix, cfg: SolverConfig | None = None) -> LopResult:
     """
     cfg = cfg or DEFAULT_CONFIG
     start = time.monotonic()
-    search, heur_val, timed_out = _value_search(a, cfg, _deadline(cfg))
+    search, heur_val, timed_out = _value_search(a, _deadline(cfg))
     best_val, best_order = search.best_val, search.best_order
     proven = not timed_out
     if proven:
@@ -675,7 +691,7 @@ def solve_lop(a: WeightMatrix, cfg: SolverConfig | None = None) -> LopResult:
 
 
 def _optimal_orders(
-    a: WeightMatrix, k_star: float, cap: int, cfg: SolverConfig, deadline: float | None
+    a: WeightMatrix, k_star: float, cap: int, deadline: float | None
 ) -> tuple[list[tuple[int, ...]], bool]:
     """Optimal 1-based order forms in lexicographic sequence, up to cap.
 
@@ -684,7 +700,7 @@ def _optimal_orders(
     Raises nothing, so a deadline that has already passed gives no orders
     and truncated=True.
     """
-    search = _Search(a, cfg, deadline)
+    search = _Search(a, deadline)
     orders, truncated = search.enumerate_leaves(k_star, cap + 1)
     return [tuple(v + 1 for v in order) for order in orders[:cap]], truncated
 
@@ -693,15 +709,15 @@ def enumerate_optima(a: WeightMatrix, cfg: SolverConfig | None = None) -> Optima
     """Collect every ranking whose objective equals the proven optimum.
 
     Depth-first search keeps a branch only while its upper bound stays
-    within tolerance of the optimal value; children are tried in
-    ascending item order, so the output arrives already sorted
-    lexicographically. truncated is set when more than cfg.enumeration_cap
-    optima exist, of which the first cap are returned, or when the time
-    limit stopped the search; the time limit covers the whole call, value
-    proof included. The optimal value comes from the completion table
-    inside the table budget when every weight is a multiple of 1/2;
-    otherwise from the branch and bound, the only case where cfg's
-    heuristic settings are used.
+    within the comparison slack of the optimal value: 0 when every weight
+    is a multiple of 1/2, else n^2 * 2^-40 of the total weight. Children
+    are tried in ascending item order, so the output arrives already
+    sorted lexicographically. truncated is set when more than
+    cfg.enumeration_cap optima exist, of which the first cap are
+    returned, or when the time limit stopped the search; the time limit
+    covers the whole call, value proof included. The optimal value comes
+    from the completion table inside the table budget when every weight
+    is a multiple of 1/2; otherwise from the branch and bound.
 
     Raises:
         UnprovenOptimumError: when the optimal value itself could not be
@@ -709,8 +725,8 @@ def enumerate_optima(a: WeightMatrix, cfg: SolverConfig | None = None) -> Optima
     """
     cfg = cfg or DEFAULT_CONFIG
     deadline = _deadline(cfg)
-    k_star = _proven_value(a, cfg, deadline)
-    orders, truncated = _optimal_orders(a, k_star, cfg.enumeration_cap, cfg, deadline)
+    k_star = _proven_value(a, deadline)
+    orders, truncated = _optimal_orders(a, k_star, cfg.enumeration_cap, deadline)
     rankings = tuple(ranking_from_order(order) for order in orders)
     return OptimaSet(rankings=rankings, truncated=truncated)
 
@@ -720,8 +736,7 @@ def degree_of_linearity(a: WeightMatrix, cfg: SolverConfig | None = None) -> flo
 
     Always in [1/2, 1]: at least half by the reversal argument, at most 1
     because the optimum counts a subset of the nonnegative weights. The
-    optimum is proven as in enumerate_optima, so cfg's heuristic settings
-    matter only above the table budget or for weights not in halves.
+    optimum is proven as in enumerate_optima.
 
     Raises:
         UndefinedMetricError: when all weights are zero.
@@ -733,4 +748,4 @@ def degree_of_linearity(a: WeightMatrix, cfg: SolverConfig | None = None) -> flo
             "degree of linearity is undefined for an all-zero matrix"
         )
     cfg = cfg or DEFAULT_CONFIG
-    return _proven_value(a, cfg, _deadline(cfg)) / total
+    return _proven_value(a, _deadline(cfg)) / total

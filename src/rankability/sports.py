@@ -510,7 +510,7 @@ def season_report(
     optima enumerated once; the first optimum in lexicographic order is
     the optimal ranking. The time limit bounds the whole call. Win
     matrices count halves, so up to the table budget k* is read from the
-    completion table and cfg's heuristic settings are not used.
+    completion table and no heuristic runs.
 
     Raises:
         EmptyDataError: no regular-season games.

@@ -184,6 +184,6 @@ def solve_with_kappa_via_solve_lop(a, cfg):
     if not result.proven:
         raise UnprovenOptimumError("the reference solve did not finish in time")
     k_star = result.optimal_value
-    orders, truncated = _optimal_orders(a, k_star, cfg.enumeration_cap, cfg, deadline)
-    kt = _kappa_from_orders(a, k_star, orders, truncated, cfg, deadline)
+    orders, truncated = _optimal_orders(a, k_star, cfg.enumeration_cap, deadline)
+    kt = _kappa_from_orders(a, k_star, orders, truncated, deadline)
     return result, orders, truncated, kt

@@ -1,7 +1,7 @@
 """Tests for the command-line frontend.
 
-Most tests drive main() in process and capture stdout; one subprocess
-test checks the module entry point end to end.
+Most tests drive main() in process and capture stdout; subprocess tests
+check the module entry point end to end.
 """
 
 from __future__ import annotations
@@ -415,7 +415,7 @@ class TestRatingsCommand:
 
 
 COMMON_FLAGS = ("--input", "--format", "--output")
-SOLVER_FLAGS = ("--time-limit", "--tolerance", "--seed")
+SOLVER_FLAGS = ("--time-limit",)
 
 # The flags each subcommand reads; every other flag is a usage error.
 COMMAND_FLAGS = {
@@ -555,3 +555,15 @@ class TestDeterminism:
         assert result.returncode == 0
         payload = json.loads(result.stdout)
         assert payload["k_star"] == COLLEGE_K_STAR
+
+    def test_rounding_ties_end_the_heuristic(self):
+        # Weights in tenths: many orders tie up to rounding, and a local
+        # search that took moves gaining rounding alone never ended, time
+        # limit or not.
+        result = subprocess.run(
+            [sys.executable, "-m", "rankability.cli", "lop",
+             "--input", str(DATA_DIR / "tenths7.csv"), "--time-limit", "5"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 0
+        assert json.loads(result.stdout)["proven"] is True

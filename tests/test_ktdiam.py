@@ -260,7 +260,7 @@ class TestSolveKt:
         # tick, at 256 nodes, stops a joint search that needs about 1,000.
         clock = itertools.chain([0.0], itertools.repeat(np.inf))
         monkeypatch.setattr(lop, "time", SimpleNamespace(monotonic=lambda: next(clock)))
-        result = ktdiam._pair_search(a, k_star, DEFAULT_CONFIG, sigma0, 1.0)
+        result = ktdiam._pair_search(a, k_star, sigma0, 1.0)
         assert not result.proven
         assert 0 < result.kappa < kappa
         assert kendall_tau_distance(*result.pair) == result.kappa
@@ -471,7 +471,7 @@ class TestTableFirstValue:
     def _assert_matches(a: WeightMatrix):
         reference = solve_with_kappa_via_solve_lop(a, DEFAULT_CONFIG)
         result, orders, truncated, kt = reference
-        assert lop._proven_value(a, DEFAULT_CONFIG, None) == result.optimal_value
+        assert lop._proven_value(a, None) == result.optimal_value
         assert ktdiam._solve_with_kappa(a, DEFAULT_CONFIG) == (
             result.optimal_value,
             orders,

@@ -9,6 +9,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankability.core import (
     WeightMatrix,
@@ -66,9 +68,7 @@ class TestSolverConfig:
     def test_defaults(self):
         cfg = SolverConfig()
         assert cfg.enumeration_cap == 1_000_000
-        assert cfg.tolerance == 1e-9
-        assert cfg.heuristic_restarts == 16
-        assert cfg.rng_seed == 0
+        assert cfg.time_limit is None
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -76,8 +76,6 @@ class TestSolverConfig:
             {"time_limit": 0},
             {"time_limit": -1.0},
             {"enumeration_cap": 0},
-            {"tolerance": 0.0},
-            {"heuristic_restarts": -1},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -169,8 +167,7 @@ class TestHeuristic:
     def test_deterministic_for_fixed_seed(self):
         rng = np.random.default_rng(9)
         a = random_half_integer_matrix(rng, 8)
-        cfg = SolverConfig(rng_seed=42)
-        assert heuristic_ranking(a, cfg) == heuristic_ranking(a, cfg)
+        assert heuristic_ranking(a) == heuristic_ranking(a)
 
 
 class TestPrefixUpperBound:
@@ -279,8 +276,8 @@ class TestEnumerateOptima:
         )
         real_proven_value = lop._proven_value
 
-        def slow_proven_value(a, cfg, deadline):
-            value = real_proven_value(a, cfg, deadline)
+        def slow_proven_value(a, deadline):
+            value = real_proven_value(a, deadline)
             offset[0] += 1.5 * limit
             return value
 
@@ -734,3 +731,47 @@ class TestExactSums:
         below = lop._EXACT_TOTAL - 0.5
         assert lop._exact_sums(WeightMatrix([[0, below], [0, 0]]))
         assert not lop._exact_sums(WeightMatrix([[0, lop._EXACT_TOTAL], [0, 0]]))
+
+
+def _scaled_weights(family: str, n: int, scale: float, seed: int) -> np.ndarray:
+    """Seeded weights of one family, times scale.
+
+    The families are uniform reals, integers 0-4 plus noise up to 1e-3,
+    and tenths 0, 0.1 and 0.2, whose sums tie up to rounding.
+    """
+    rng = np.random.default_rng(seed)
+    if family == "uniform":
+        w = rng.uniform(0.0, 1.0, (n, n))
+    elif family == "noisy-integer":
+        w = rng.integers(0, 5, (n, n)) + rng.uniform(0.0, 1e-3, (n, n))
+    else:
+        w = rng.integers(0, 3, (n, n)) * 0.1
+    w = w * scale
+    np.fill_diagonal(w, 0.0)
+    return w
+
+
+class TestWeightScale:
+    """Ties are decided alike at every weight scale."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        family=st.sampled_from(("uniform", "noisy-integer", "tenths")),
+        n=st.integers(3, 7),
+        exponent=st.integers(-12, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_optima_equal_brute_force_at_the_slack(self, family, n, exponent, seed):
+        w = _scaled_weights(family, n, 10.0**exponent, seed)
+        a = WeightMatrix(w)
+        orders = [r.order for r in enumerate_optima(a).rankings]
+        assert orders
+        assert solve_lop(a).ranking.order in orders
+        assert orders == brute_force_lop(w, tol=lop._slack(a))[1]
+
+    def test_slack_is_zero_for_exact_sums_and_scales_otherwise(self, college_matrix):
+        assert lop._slack(college_matrix) == 0.0
+        w = _scaled_weights("uniform", 6, 1.0, 0)
+        small, large = WeightMatrix(w * 2.0**-30), WeightMatrix(w * 2.0**30)
+        assert 0.0 < lop._slack(small) < 1e-6 * small.total_sum()
+        assert lop._slack(large) == 2.0**60 * lop._slack(small)

@@ -396,12 +396,11 @@ class TestForesightDivergence:
         records.append(_game("T01", "T02", 1, 0, stage="playoff"))
         games = game_set_from_records(records)
         assert games.team_count > lop._TABLE_MAX_N
-        cfg = SolverConfig(time_limit=60, heuristic_restarts=0)
+        monkeypatch.setattr(lop, "_HEURISTIC_RESTARTS", 0)
+        cfg = SolverConfig(time_limit=60)
         k_star = solve_lop(build_win_matrix(games, Stage.REGULAR), cfg).optimal_value
         monkeypatch.setattr(
-            lop._Search,
-            "run_value",
-            lambda self, start_order, start_value: (start_value, start_order, True),
+            lop._Search, "run_value", lambda self, start_order, start_value: True
         )
         unproven = solve_lop(build_win_matrix(games, Stage.REGULAR), cfg)
         assert not unproven.proven and unproven.optimal_value < k_star
