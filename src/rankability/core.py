@@ -9,6 +9,7 @@ weights alone.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -77,8 +78,9 @@ class WeightMatrix:
         self._weights = arr
         self._labels = labels
         # Exact completion table, a pure function of the weights, filled in
-        # by the solver (rankability.lop) the first time a search needs it.
-        self._completion: list[float] | None = None
+        # by the solver (rankability.lop) the first time a search needs it:
+        # an array('d') of 2^n entries, 8 bytes each.
+        self._completion: array[float] | None = None
 
     @property
     def n(self) -> int:

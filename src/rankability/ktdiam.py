@@ -18,6 +18,7 @@ kappa from those same orders, all under one deadline (_solve_with_kappa).
 from __future__ import annotations
 
 import time
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,7 +142,7 @@ class _PairSearch:
         self.k_star = float(k_star)
         self.sides = (_Search(a, deadline), _Search(a, deadline))
         self.pos = ([-1] * n, [-1] * n)
-        self.table: list[float] | None = None
+        self.table: array[float] | None = None
         self.total_pairs = n * (n - 1) // 2
         self.counted = 0
         self.discordant = 0

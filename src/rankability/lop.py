@@ -20,6 +20,7 @@ value phase without its witness search.
 from __future__ import annotations
 
 import time
+from array import array
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -45,9 +46,11 @@ __all__ = [
     "degree_of_linearity",
 ]
 
-# Building an exact completion table holds n * 2^n * 8 bytes of row sums plus
-# 2^n * 8 bytes of table, about 40 MB at n = 18; afterwards the matrix keeps
-# only the table, as a Python list of about 8 MB at n = 18.
+# Building a completion table holds 2^n * 8 bytes of table, 2^n * 8 bytes of
+# sets sorted by size and the row sums: 2 * n * 2^ceil(n/2) * 8 bytes when
+# _exact_sums holds, n * 2^n * 8 bytes otherwise. At n = 18 the build's
+# traced peak is about 6.4 MiB in the first case and 42 MiB in the second;
+# afterwards the matrix keeps only the table, an array of 2 MiB.
 _TABLE_MAX_N = 18
 
 # Dominance and witness memo entries are dropped beyond this to bound
@@ -170,9 +173,14 @@ def _exact_sums(a: WeightMatrix) -> bool:
     _EXACT_TOTAL. Then the search state after placing a set of items does
     not depend on the order they were placed in, or on apply/undo cycles.
     """
-    doubled = 2.0 * a.weights
+    return _exact_weights(a.weights)
+
+
+def _exact_weights(w: np.ndarray) -> bool:
+    """_exact_sums of a bare weight array."""
+    doubled = 2.0 * w
     # With every weight in halves, sums below 2^52 are exact in any order.
-    return np.array_equal(doubled, np.round(doubled)) and a.total_sum() < _EXACT_TOTAL
+    return np.array_equal(doubled, np.round(doubled)) and float(w.sum()) < _EXACT_TOTAL
 
 
 def _slack(a: WeightMatrix) -> float:
@@ -363,11 +371,10 @@ class _Search:
                 bound = self.f + self.s_a[v] + self.u - self.s_m[v]
                 if bound < target:
                     continue
-                self.apply(v)
-                if self.rem_mask == 0 or self._exists_completion(target, memo):
+                if self.rem_mask == 1 << v or self._child_completes(v, target, memo):
+                    self.apply(v)
                     placed = True
                     break
-                self.undo()
             if not placed:
                 return None
         return self.prefix.copy()
@@ -377,19 +384,13 @@ class _Search:
 
         With exact sums the subtree below a node depends only on the
         unplaced set and f, so memo maps (rem_mask, f) to the answer and
-        the nodes and pruned the subtree added; a hit adds those counts
-        back, and the statistics equal those of the search without memo.
+        the nodes and pruned the subtree added. _child_completes reads it
+        before placing a child; a hit adds those counts back, and the
+        statistics equal those of the search without memo.
         f is then a nonnegative multiple of 1/2, so the key is the int
         2f << n | rem_mask.
         """
-        if memo is not None:
-            key = int(2.0 * self.f) << self.n | self.rem_mask
-            hit = memo.get(key)
-            if hit is not None:
-                self.nodes += (hit >> 1) & _NODE_MASK
-                self.pruned += hit >> (_NODE_BITS + 1)
-                return bool(hit & 1)
-            nodes, pruned = self.nodes, self.pruned
+        nodes, pruned = self.nodes, self.pruned
         self.nodes += 1
         self._tick()
         ok = False
@@ -401,17 +402,35 @@ class _Search:
                     if self.f + self.s_a[v] + self.u - self.s_m[v] < target:
                         self.pruned += 1
                         continue
-                    self.apply(v)
-                    ok = self._exists_completion(target, memo)
-                    self.undo()
-                    if ok:
+                    if self._child_completes(v, target, memo):
+                        ok = True
                         break
         if memo is not None and len(memo) < _MEMO_CAP:
-            memo[key] = (
+            memo[int(2.0 * self.f) << self.n | self.rem_mask] = (
                 (self.pruned - pruned) << (_NODE_BITS + 1)
                 | (self.nodes - nodes) << 1
                 | ok
             )
+        return ok
+
+    def _child_completes(
+        self, v: int, target: float, memo: dict[int, int] | None
+    ) -> bool:
+        """_exists_completion with v placed next, the state left unchanged.
+
+        Looks the child's key up before placing v, so a memo hit costs no
+        apply and no undo.
+        """
+        if memo is not None:
+            f = self.f + self.s_a[v]
+            hit = memo.get(int(2.0 * f) << self.n | self.rem_mask ^ (1 << v))
+            if hit is not None:
+                self.nodes += (hit >> 1) & _NODE_MASK
+                self.pruned += hit >> (_NODE_BITS + 1)
+                return bool(hit & 1)
+        self.apply(v)
+        ok = self._exists_completion(target, memo)
+        self.undo()
         return ok
 
     # -- enumeration -------------------------------------------------------
@@ -435,7 +454,7 @@ class _Search:
         target: float,
         cap: int,
         found: list[tuple[int, ...]],
-        table: list[float] | None,
+        table: array[float] | None,
     ) -> None:
         self._tick()
         if self.rem_mask == 0:
@@ -457,42 +476,76 @@ class _Search:
                     self.undo()
 
 
-def _build_completion_table(w: np.ndarray, deadline: float | None) -> list[float]:
-    r"""table[S] = best objective an ordering of item set S can add.
+def _row_sums(w: np.ndarray) -> np.ndarray:
+    r"""rowsum[v, T]: the weight row v gains over T, for each set T of w's columns.
 
-    Subset dynamic program over layers of equal-size sets: table[S] is the
-    best over v in S of placing v above the rest of S, worth
-    rowsum[v, S \ v] + table[S \ v], where rowsum[v, T] is the weight v
-    gains over the items of T. Row sums add the weights of T from its
-    highest item down, so they equal the scalar recurrence
-    rowsum[v, T] = rowsum[v, T \ low(T)] + w[v, low(T)] bit for bit.
-    Raises _Timeout between layers once the deadline has passed.
+    Adds the weights of T from its highest item down, so the sums equal the
+    scalar recurrence rowsum[v, T] = rowsum[v, T \ low(T)] + w[v, low(T)]
+    bit for bit.
     """
-    n = w.shape[0]
-    size = 1 << n
+    n, m = w.shape
+    size = 1 << m
     rowsum = np.zeros((n, size))
-    for b in range(n - 1, -1, -1):
+    for b in range(m - 1, -1, -1):
         # Sets whose lowest item is b: the same set without b, plus w[:, b].
         blocks = rowsum.reshape(n, size >> (b + 1), 2 << b)
         np.add(blocks[:, :, 0], w[:, b, None], out=blocks[:, :, 1 << b])
-    table = np.zeros(size)
+    return rowsum
+
+
+def _build_completion_table(w: np.ndarray, deadline: float | None) -> array[float]:
+    r"""table[S] = best objective an ordering of item set S can add.
+
+    Subset dynamic program over layers of equal-size sets, taken in turn
+    from one stable sort of the sets by size: table[S] is the best over v
+    in S of placing v above the rest of S, worth rowsum[v, S \ v] +
+    table[S \ v], where rowsum[v, T] is the weight v gains over the items
+    of T. The row sums come from one of two sources:
+
+    - When every sum of the weights is exact (_exact_weights), any order of
+      adding them gives the same bits, so a row sum is split at the low
+      h = floor(n/2) items: rowsum[v, T] = lo[v, T & low] + hi[v, T >> h],
+      from two tables of n * 2^ceil(n/2) entries instead of n * 2^n.
+    - Otherwise the order of adding decides the last bits, so the row sums
+      over all n items are kept, built so that the table equals the scalar
+      recurrence of tests/oracles.py::completion_table_loop bit for bit.
+
+    Returns the table as an array('d'): the searches index it one entry at
+    a time, which an array serves as fast as a list of Python floats, in
+    8 bytes per entry instead of about 32. Raises _Timeout between layers
+    once the deadline has passed.
+    """
+    n = w.shape[0]
+    size = 1 << n
+    # With h = n, hi holds only the empty set's zeros, and adding 0.0 to a
+    # nonnegative sum leaves its bits as they are.
+    h = n // 2 if _exact_weights(w) else n
+    lo = _row_sums(w[:, :h])
+    hi = _row_sums(w[:, h:])
+    low = (1 << h) - 1
+    # The DP fills the returned array in place, through a numpy view of it.
+    out = array("d", [0.0]) * size
+    table = np.frombuffer(out)
     set_sizes = np.bitwise_count(np.arange(size))
+    by_size = np.argsort(set_sizes, kind="stable")
+    ends = np.cumsum(np.bincount(set_sizes, minlength=n + 1))
     for k in range(1, n + 1):
         _check_deadline(deadline)
-        layer = np.flatnonzero(set_sizes == k)
+        layer = by_size[ends[k - 1] : ends[k]]
         best = np.full(layer.size, -np.inf)
         for v in range(n):
             bit = 1 << v
             has_v = np.flatnonzero(layer & bit)
             rest = layer[has_v] ^ bit
-            best[has_v] = np.maximum(best[has_v], rowsum[v, rest] + table[rest])
+            gain = lo[v, rest & low] + hi[v, rest >> h] + table[rest]
+            best[has_v] = np.maximum(best[has_v], gain)
         table[layer] = best
-    # The searches index the table one entry at a time, which is faster
-    # on a list of Python floats than on an array.
-    return table.tolist()
+    return out
 
 
-def _completion_table(a: WeightMatrix, deadline: float | None) -> list[float] | None:
+def _completion_table(
+    a: WeightMatrix, deadline: float | None
+) -> array[float] | None:
     """The matrix's exact completion table, or None above _TABLE_MAX_N.
 
     Built on first use and kept on the matrix, so every solve of one

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from array import array
 
 import numpy as np
 
@@ -121,12 +122,14 @@ def max_hindsight(weights: np.ndarray) -> float:
     return float(values.max() / weights.sum())
 
 
-def completion_table_loop(weights: np.ndarray) -> list[float]:
+def completion_table_loop(weights: np.ndarray) -> array[float]:
     """Exact completion table by the scalar subset recurrence.
 
     table[S] is the best objective an ordering of the item set S (a
     bitmask) can add. rowsum[v][S] adds w[v, low(S)] to the row sum over S
-    without its lowest item. Reference for the solver's vectorized table.
+    without its lowest item. Reference for the solver's vectorized table;
+    returned as an array('d') like the solver's, so that == compares the
+    two entry by entry.
     """
     n = weights.shape[0]
     w = weights.tolist()
@@ -143,7 +146,7 @@ def completion_table_loop(weights: np.ndarray) -> list[float]:
             for v in range(n)
             if s >> v & 1
         )
-    return table
+    return array("d", table)
 
 
 def exists_completion_loop(search, target: float) -> bool:

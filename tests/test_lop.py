@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -327,6 +328,21 @@ def _random_weights(rng: np.random.Generator, n: int, integral: bool) -> np.ndar
     return w
 
 
+def _tournament_with_ties(rng: np.random.Generator, n: int, games: int) -> np.ndarray:
+    """games per pair, each won by either side w.p. 0.4 or tied (1/2 each)."""
+    w = np.zeros((n, n))
+    for i, j in itertools.combinations(range(n), 2):
+        for r in rng.random(games):
+            if r < 0.2:
+                w[i, j] += 0.5
+                w[j, i] += 0.5
+            elif r < 0.6:
+                w[i, j] += 1.0
+            else:
+                w[j, i] += 1.0
+    return w
+
+
 @pytest.fixture
 def table_builds(monkeypatch):
     """Count completion-table builds; the list grows by one per build."""
@@ -363,6 +379,31 @@ class TestCompletionTable:
         for n in (2, 4, 9, 11):
             w = _random_weights(rng, n, integral=False)
             assert lop._build_completion_table(w, None) == completion_table_loop(w)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_exact_build_equals_the_scalar_recurrence(self, n):
+        # Exact sums take the split row sums: an odd n splits unevenly, and
+        # n = 1 leaves the low half empty.
+        rng = np.random.default_rng(43 + n)
+        matrices = [_tournament_with_ties(rng, n, games) for games in (1, 4)]
+        if n >= 2:
+            matrices.append(_hidden_order_games(rng, n))
+        for w in matrices:
+            assert lop._exact_weights(w)
+            assert lop._build_completion_table(w, None) == completion_table_loop(w)
+
+    def test_exact_build_traces_at_most_64_bytes_per_set(self):
+        n = 16
+        w = _tournament_with_ties(np.random.default_rng(47), n, 1)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            lop._build_completion_table(w, None)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= 64 << n
 
 
 class TestOneTablePerMatrix:
