@@ -9,7 +9,6 @@ weights alone.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -79,8 +78,10 @@ class WeightMatrix:
         self._labels = labels
         # Exact completion table, a pure function of the weights, filled in
         # by the solver (rankability.lop) the first time a search needs it:
-        # an array('d') of 2^n entries, 8 bytes each.
-        self._completion: array[float] | None = None
+        # a lop._Completion, the table as an array('d') of 2^n entries, 8
+        # bytes each, plus the row sums it was built from when every sum is
+        # exact.
+        self._completion: tuple | None = None
 
     @property
     def n(self) -> int:

@@ -36,7 +36,7 @@ from .errors import InvalidKStarError, UnprovenOptimumError
 from .lop import (
     DEFAULT_CONFIG,
     SolverConfig,
-    _completion_table,
+    _completion,
     _deadline,
     _optimal_orders,
     _proven_value,
@@ -191,7 +191,8 @@ class _PairSearch:
         s.undo()
 
     def run(self) -> None:
-        self.table = _completion_table(self.matrix, self.sides[0].deadline)
+        completion = _completion(self.matrix, self.sides[0].deadline)
+        self.table = None if completion is None else completion.table
         self._rec(True)
 
     def _rec(self, symmetric: bool) -> None:

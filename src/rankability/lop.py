@@ -8,7 +8,10 @@ incumbent. Also provides the exact subset completion table that the
 witness, enumeration and pair searches share, the table-free witness
 search above the table budget (memoized on the unplaced set and the
 decided weight when the arithmetic is exact), enumeration of all optimal
-rankings, and the degree of linearity.
+rankings, and the degree of linearity. When every sum of the weights is
+exact, these searches keep a prefix as its unplaced set and one scalar,
+and read each child's bound from split row sums in two lookups; other
+weights keep the incremental state with O(n) apply/undo per move (_Search).
 
 enumerate_optima, degree_of_linearity and the kappa and season routines
 need only the proven value k*, not a witness. Inside the table budget
@@ -22,7 +25,7 @@ from __future__ import annotations
 import time
 from array import array
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -50,7 +53,8 @@ __all__ = [
 # sets sorted by size and the row sums: 2 * n * 2^ceil(n/2) * 8 bytes when
 # _exact_sums holds, n * 2^n * 8 bytes otherwise. At n = 18 the build's
 # traced peak is about 6.4 MiB in the first case and 42 MiB in the second;
-# afterwards the matrix keeps only the table, an array of 2 MiB.
+# afterwards the matrix keeps the table, an array of 2 MiB, and in the first
+# case the split row sums as gain rows for the exact-path searches, 144 KiB.
 _TABLE_MAX_N = 18
 
 # Dominance and witness memo entries are dropped beyond this to bound
@@ -215,11 +219,27 @@ def _order_value(w: list[list[float]], order: Sequence[int]) -> float:
 
 
 class _Search:
-    """Prefix DFS state with O(n) incremental bound updates per move.
+    """Prefix DFS over rankings, in one of two state forms.
 
     f is the weight already decided (prefix-prefix plus prefix-remaining
     pairs), u is the sum of max(a_ij, a_ji) over remaining pairs; f + u is
     an admissible upper bound on any completion of the current prefix.
+
+    When _exact_sums holds (the exact path), a search state is the
+    unplaced set and one scalar, and a child's term is two lookups in
+    split row sums (_split_row_sums). Bound-side searches keep g = f + u;
+    placing v next adds the row sum of v's drop row, w - max(w, w.T), over
+    the items left after it (self.drops), and g == f at a leaf. Table-side
+    searches keep f; placing v next adds v's gain row sum, the split row
+    sums of w kept with the table (_Completion.gains). Every such sum is
+    exact, so each bound, dominance test and memo decision is the one the
+    incremental form makes.
+
+    Other weights keep the incremental form: apply/undo with O(n) updates
+    of per-item sums per move. There the last bits of f depend on the
+    order of the additions and subtractions that led to it, and solve_lop
+    reports f, so only that sequence reproduces it.
+
     Every search stops early one way: _tick raises _Timeout once the
     deadline has passed, checked every 256 expanded nodes, counted apart
     from nodes, which also counts the subtrees a memo hit replays.
@@ -232,6 +252,7 @@ class _Search:
         self.n = n
         self.w = w
         self.eps = _slack(a)
+        self.exact = _exact_sums(a)
         self.deadline = deadline
         self.nodes = 0
         self.pruned = 0
@@ -240,11 +261,30 @@ class _Search:
             [w[i][j] if w[i][j] >= w[j][i] else w[j][i] for j in range(n)]
             for i in range(n)
         ]
-        self.child_order = list(range(n))
+        self._set_child_order(range(n))
         self.memo: dict[int, float] = {}
         self.best_val = float("-inf")
         self.best_order: list[int] = []
+        # The exact path's split, as in the completion table.
+        self.h = n // 2
+        self.low = (1 << self.h) - 1
+        self.drops: tuple[list[array[float]], list[array[float]]] | None = None
         self.reset()
+
+    def _drop_rows(self) -> tuple[list[array[float]], list[array[float]]]:
+        """Split row sums of w - max(w, w.T), built for the first bound-side search.
+
+        The exact path's bound-side searches read them as self.drops.
+        """
+        if self.drops is None:
+            w = self.matrix.weights
+            self.drops = _split_row_sums(w - np.maximum(w, w.T))
+        return self.drops
+
+    def _set_child_order(self, order: Sequence[int]) -> None:
+        """Try children in this order; the exact path reads each with its bit."""
+        self.child_order = list(order)
+        self.child_bits = [(v, 1 << v) for v in order]
 
     def reset(self) -> None:
         n = self.n
@@ -307,9 +347,13 @@ class _Search:
         """Prove the maximum objective from a known incumbent; True on timeout."""
         self.best_val = start_value
         self.best_order = list(start_order)
-        self.child_order = list(start_order)
+        self._set_child_order(start_order)
         try:
-            self._rec_value()
+            if self.exact:
+                self._drop_rows()
+                self._rec_value_exact(self.rem_mask, self.f + self.u)
+            else:
+                self._rec_value()
             return False
         except _Timeout:
             return True
@@ -340,29 +384,63 @@ class _Search:
                     self._rec_value()
                     self.undo()
 
+    def _rec_value_exact(self, rem: int, g: float) -> None:
+        """_rec_value on the exact path, at unplaced set rem with bound g = f + u.
+
+        The memo holds g instead of f: u depends only on rem, so comparing
+        g values decides dominance exactly as comparing f values does.
+        """
+        self.nodes += 1
+        self._tick()
+        if rem == 0:
+            if g > self.best_val:
+                self.best_val = g
+                self.best_order = self.prefix.copy()
+            return
+        seen = self.memo.get(rem)
+        if seen is not None and g <= seen:
+            self.pruned += 1
+            return
+        if len(self.memo) < _MEMO_CAP:
+            self.memo[rem] = g
+        lo, hi = self.drops
+        low, h = self.low, self.h
+        prefix = self.prefix
+        for v, bit in self.child_bits:
+            if rem & bit:
+                t = rem ^ bit
+                bound = g + (lo[v][t & low] + hi[v][t >> h])
+                if bound <= self.best_val:
+                    self.pruned += 1
+                else:
+                    prefix.append(v)
+                    self._rec_value_exact(t, bound)
+                    prefix.pop()
+
     # -- canonical witness -------------------------------------------------
 
     def lex_min_witness(self, k_star: float) -> list[int] | None:
         """Lexicographically smallest order attaining k_star, or None if none does.
 
         Reads the completion table when there is one. Otherwise each
-        candidate item is kept when _exists_completion finds a completion
-        reaching k_star; with exact sums that search shares one memo over
-        the whole call. Raises _Timeout when the deadline passes first.
+        candidate item is kept when a search finds a completion reaching
+        k_star; on the exact path that search shares one memo over the
+        whole call (_exists_exact). Raises _Timeout when the deadline
+        passes first.
         """
         self.reset()
         target = k_star - self.eps
-        table = _completion_table(self.matrix, self.deadline)
-        memo: dict[int, int] | None = (
-            {} if table is None and _exact_sums(self.matrix) else None
-        )
+        completion = _completion(self.matrix, self.deadline)
+        if self.exact:
+            return self._lex_min_exact(target, completion)
         for _ in range(self.n):
             placed = False
             for v in range(self.n):
                 if not self.in_rem[v]:
                     continue
-                if table is not None:
-                    bound = self.f + self.s_a[v] + table[self.rem_mask ^ (1 << v)]
+                if completion is not None:
+                    t = self.rem_mask ^ (1 << v)
+                    bound = self.f + self.s_a[v] + completion.table[t]
                     if bound >= target:
                         self.apply(v)
                         placed = True
@@ -371,7 +449,7 @@ class _Search:
                 bound = self.f + self.s_a[v] + self.u - self.s_m[v]
                 if bound < target:
                     continue
-                if self.rem_mask == 1 << v or self._child_completes(v, target, memo):
+                if self.rem_mask == 1 << v or self._child_completes(v, target):
                     self.apply(v)
                     placed = True
                     break
@@ -379,59 +457,115 @@ class _Search:
                 return None
         return self.prefix.copy()
 
-    def _exists_completion(self, target: float, memo: dict[int, int] | None) -> bool:
-        """Whether some completion of the prefix reaches target.
+    def _exact_root(self, completion: _Completion | None) -> tuple[
+        float, tuple[list[array[float]], list[array[float]]], array[float] | None
+    ]:
+        """The empty prefix's scalar, rows and table for an exact-path search.
 
-        With exact sums the subtree below a node depends only on the
-        unplaced set and f, so memo maps (rem_mask, f) to the answer and
-        the nodes and pruned the subtree added. _child_completes reads it
-        before placing a child; a hit adds those counts back, and the
-        statistics equal those of the search without memo.
-        f is then a nonnegative multiple of 1/2, so the key is the int
-        2f << n | rem_mask.
+        With a table, the scalar is f and the rows are its gain rows;
+        without, the scalar is g = f + u and the rows are the drop rows.
+        """
+        if completion is None:
+            return self.f + self.u, self._drop_rows(), None
+        return self.f, completion.gains, completion.table
+
+    def _lex_min_exact(
+        self, target: float, completion: _Completion | None
+    ) -> list[int] | None:
+        """lex_min_witness on the exact path, from the empty prefix."""
+        x, (lo, hi), table = self._exact_root(completion)
+        low, h = self.low, self.h
+        memo: dict[int, int] = {}
+        rem = self.rem_mask
+        while rem:
+            for v in range(self.n):
+                if not rem >> v & 1:
+                    continue
+                t = rem ^ (1 << v)
+                child = x + (lo[v][t & low] + hi[v][t >> h])
+                if table is not None:
+                    if child + table[t] >= target:
+                        break
+                elif child >= target and (
+                    t == 0 or self._child_exact(t, child, target, memo)
+                ):
+                    break
+            else:
+                return None
+            self.prefix.append(v)
+            rem, x = t, child
+        return self.prefix.copy()
+
+    def _exists_completion(self, target: float) -> bool:
+        """Whether some completion of the prefix reaches target."""
+        self.nodes += 1
+        self._tick()
+        if self.rem_mask == 0:
+            return self.f >= target
+        for v in self.child_order:
+            if self.in_rem[v]:
+                if self.f + self.s_a[v] + self.u - self.s_m[v] < target:
+                    self.pruned += 1
+                    continue
+                if self._child_completes(v, target):
+                    return True
+        return False
+
+    def _child_completes(self, v: int, target: float) -> bool:
+        """_exists_completion with v placed next, the state left unchanged."""
+        self.apply(v)
+        ok = self._exists_completion(target)
+        self.undo()
+        return ok
+
+    def _exists_exact(
+        self, rem: int, g: float, target: float, memo: dict[int, int]
+    ) -> bool:
+        """_exists_completion on the exact path, at unplaced set rem with bound g.
+
+        The subtree below a node depends only on rem and g, so memo maps
+        the key 2g << n | rem (g = f + u is a nonnegative multiple of 1/2)
+        to the answer and the nodes and pruned the subtree added.
+        _child_exact reads it before expanding a child; a hit adds those
+        counts back, and the statistics equal those of the search without
+        memo.
         """
         nodes, pruned = self.nodes, self.pruned
         self.nodes += 1
         self._tick()
         ok = False
-        if self.rem_mask == 0:
-            ok = self.f >= target
+        if rem == 0:
+            ok = g >= target
         else:
-            for v in self.child_order:
-                if self.in_rem[v]:
-                    if self.f + self.s_a[v] + self.u - self.s_m[v] < target:
+            lo, hi = self.drops
+            low, h = self.low, self.h
+            for v, bit in self.child_bits:
+                if rem & bit:
+                    t = rem ^ bit
+                    child = g + (lo[v][t & low] + hi[v][t >> h])
+                    if child < target:
                         self.pruned += 1
-                        continue
-                    if self._child_completes(v, target, memo):
+                    elif self._child_exact(t, child, target, memo):
                         ok = True
                         break
-        if memo is not None and len(memo) < _MEMO_CAP:
-            memo[int(2.0 * self.f) << self.n | self.rem_mask] = (
+        if len(memo) < _MEMO_CAP:
+            memo[int(2.0 * g) << self.n | rem] = (
                 (self.pruned - pruned) << (_NODE_BITS + 1)
                 | (self.nodes - nodes) << 1
                 | ok
             )
         return ok
 
-    def _child_completes(
-        self, v: int, target: float, memo: dict[int, int] | None
+    def _child_exact(
+        self, rem: int, g: float, target: float, memo: dict[int, int]
     ) -> bool:
-        """_exists_completion with v placed next, the state left unchanged.
-
-        Looks the child's key up before placing v, so a memo hit costs no
-        apply and no undo.
-        """
-        if memo is not None:
-            f = self.f + self.s_a[v]
-            hit = memo.get(int(2.0 * f) << self.n | self.rem_mask ^ (1 << v))
-            if hit is not None:
-                self.nodes += (hit >> 1) & _NODE_MASK
-                self.pruned += hit >> (_NODE_BITS + 1)
-                return bool(hit & 1)
-        self.apply(v)
-        ok = self._exists_completion(target, memo)
-        self.undo()
-        return ok
+        """_exists_exact at a child, replayed from memo when it was searched before."""
+        hit = memo.get(int(2.0 * g) << self.n | rem)
+        if hit is None:
+            return self._exists_exact(rem, g, target, memo)
+        self.nodes += (hit >> 1) & _NODE_MASK
+        self.pruned += hit >> (_NODE_BITS + 1)
+        return bool(hit & 1)
 
     # -- enumeration -------------------------------------------------------
 
@@ -442,8 +576,13 @@ class _Search:
         self.reset()
         found: list[tuple[int, ...]] = []
         try:
-            table = _completion_table(self.matrix, self.deadline)
-            self._rec_enum(k_star, k_star - self.eps, cap, found, table)
+            completion = _completion(self.matrix, self.deadline)
+            if self.exact:
+                x, rows, table = self._exact_root(completion)
+                self._rec_enum_exact(self.rem_mask, x, k_star, cap, found, rows, table)
+            else:
+                table = None if completion is None else completion.table
+                self._rec_enum(k_star, k_star - self.eps, cap, found, table)
             return found, False
         except (_CapReached, _Timeout):
             return found, True
@@ -475,6 +614,41 @@ class _Search:
                     self._rec_enum(k_star, target, cap, found, table)
                     self.undo()
 
+    def _rec_enum_exact(
+        self,
+        rem: int,
+        x: float,
+        k_star: float,
+        cap: int,
+        found: list[tuple[int, ...]],
+        rows: tuple[list[array[float]], list[array[float]]],
+        table: array[float] | None,
+    ) -> None:
+        """_rec_enum on the exact path, at unplaced set rem and scalar x.
+
+        x and rows are as _exact_root gives them: with a table, a child's
+        bound adds the table's entry for the items left after it; without,
+        a child's x is its bound.
+        """
+        self._tick()
+        if rem == 0:
+            if x == k_star:
+                found.append(tuple(self.prefix))
+                if len(found) >= cap:
+                    raise _CapReached
+            return
+        lo, hi = rows
+        low, h = self.low, self.h
+        for v in range(self.n):
+            if rem >> v & 1:
+                t = rem ^ (1 << v)
+                child = x + (lo[v][t & low] + hi[v][t >> h])
+                bound = child if table is None else child + table[t]
+                if bound >= k_star:
+                    self.prefix.append(v)
+                    self._rec_enum_exact(t, child, k_star, cap, found, rows, table)
+                    self.prefix.pop()
+
 
 def _row_sums(w: np.ndarray) -> np.ndarray:
     r"""rowsum[v, T]: the weight row v gains over T, for each set T of w's columns.
@@ -493,7 +667,40 @@ def _row_sums(w: np.ndarray) -> np.ndarray:
     return rowsum
 
 
-def _build_completion_table(w: np.ndarray, deadline: float | None) -> array[float]:
+def _item_rows(sums: np.ndarray) -> list[array[float]]:
+    """Each row of sums as an array('d'), copied from its bytes.
+
+    The searches index a row one entry at a time, which an array serves as
+    fast as a list of Python floats, in 8 bytes per entry instead of
+    about 32; copying bytes is far cheaper than converting each entry.
+    """
+    return [array("d", row.tobytes()) for row in sums]
+
+
+def _split_row_sums(w: np.ndarray) -> tuple[list[array[float]], list[array[float]]]:
+    """Row sums of w split at h = floor(n/2), as per-item rows (lo, hi).
+
+    Row v's sum over a set T of items is lo[v][T & low] + hi[v][T >> h],
+    with low = 2^h - 1. Only when _exact_weights holds does it equal, bit
+    for bit, the same sum added in any other order.
+    """
+    h = w.shape[0] // 2
+    return _item_rows(_row_sums(w[:, :h])), _item_rows(_row_sums(w[:, h:]))
+
+
+class _Completion(NamedTuple):
+    """A matrix's exact completion table and, when sums are exact, its gain rows.
+
+    gains are the split row sums of w (_split_row_sums) that the table was
+    built from, kept for the exact path's table-side searches; None for
+    other weights.
+    """
+
+    table: array[float]
+    gains: tuple[list[array[float]], list[array[float]]] | None
+
+
+def _build_completion_table(w: np.ndarray, deadline: float | None) -> _Completion:
     r"""table[S] = best objective an ordering of item set S can add.
 
     Subset dynamic program over layers of equal-size sets, taken in turn
@@ -505,21 +712,22 @@ def _build_completion_table(w: np.ndarray, deadline: float | None) -> array[floa
     - When every sum of the weights is exact (_exact_weights), any order of
       adding them gives the same bits, so a row sum is split at the low
       h = floor(n/2) items: rowsum[v, T] = lo[v, T & low] + hi[v, T >> h],
-      from two tables of n * 2^ceil(n/2) entries instead of n * 2^n.
+      from two tables of n * 2^ceil(n/2) entries instead of n * 2^n. These
+      are returned as the gain rows.
     - Otherwise the order of adding decides the last bits, so the row sums
       over all n items are kept, built so that the table equals the scalar
       recurrence of tests/oracles.py::completion_table_loop bit for bit.
 
-    Returns the table as an array('d'): the searches index it one entry at
-    a time, which an array serves as fast as a list of Python floats, in
-    8 bytes per entry instead of about 32. Raises _Timeout between layers
-    once the deadline has passed.
+    Returns the table as an array('d'), which the searches index one entry
+    at a time (_item_rows). Raises _Timeout between layers once the
+    deadline has passed.
     """
     n = w.shape[0]
     size = 1 << n
+    exact = _exact_weights(w)
     # With h = n, hi holds only the empty set's zeros, and adding 0.0 to a
     # nonnegative sum leaves its bits as they are.
-    h = n // 2 if _exact_weights(w) else n
+    h = n // 2 if exact else n
     lo = _row_sums(w[:, :h])
     hi = _row_sums(w[:, h:])
     low = (1 << h) - 1
@@ -540,12 +748,10 @@ def _build_completion_table(w: np.ndarray, deadline: float | None) -> array[floa
             gain = lo[v, rest & low] + hi[v, rest >> h] + table[rest]
             best[has_v] = np.maximum(best[has_v], gain)
         table[layer] = best
-    return out
+    return _Completion(out, (_item_rows(lo), _item_rows(hi)) if exact else None)
 
 
-def _completion_table(
-    a: WeightMatrix, deadline: float | None
-) -> array[float] | None:
+def _completion(a: WeightMatrix, deadline: float | None) -> _Completion | None:
     """The matrix's exact completion table, or None above _TABLE_MAX_N.
 
     Built on first use and kept on the matrix, so every solve of one
@@ -698,7 +904,7 @@ def _proven_value(a: WeightMatrix, deadline: float | None) -> float:
     """
     if a.n <= _TABLE_MAX_N and _exact_sums(a):
         try:
-            return _completion_table(a, deadline)[-1]
+            return _completion(a, deadline).table[-1]
         except _Timeout:
             pass
     else:

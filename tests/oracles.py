@@ -1,8 +1,10 @@
 """Reference implementations used to validate the exact solvers.
 
 The brute-force oracles enumerate all n! permutations, so they are only
-usable for small n (the acceptance suite stays at n <= 8). The loop and
-composition references restate a solver route in its plain form.
+usable for small n (the acceptance suite stays at n <= 8). lop_milp
+solves the paper's binary program with an outside solver, so it checks k*
+above that. The loop and composition references restate a solver route in
+its plain form.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ import itertools
 from array import array
 
 import numpy as np
+from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.sparse import coo_array
 
 from rankability.errors import UnprovenOptimumError
 from rankability.ktdiam import _kappa_from_orders
@@ -41,6 +45,54 @@ def brute_force_lop(weights: np.ndarray, tol: float = 1e-9) -> tuple[float, list
     optima = perms[values >= k_star - tol]
     orders = sorted(tuple(int(x) + 1 for x in row) for row in optima)
     return k_star, orders
+
+
+def lop_milp(weights: np.ndarray) -> float:
+    """k* from the paper's LOP binary program, solved by HiGHS.
+
+    One binary x_ij per ordered pair i != j, 1 when i ranks above j;
+    maximize sum w_ij x_ij subject to x_ij + x_ji = 1 and, for every
+    directed 3-cycle, x_ij + x_jk + x_ki <= 2. The solution is rounded to
+    0/1, checked to be a transitive tournament, and its objective summed
+    exactly from the weights. Use only where k* is exact (weights in
+    halves), since it is compared with ==.
+    """
+    n = weights.shape[0]
+    index = -np.ones((n, n), dtype=int)
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    for col, (i, j) in enumerate(pairs):
+        index[i, j] = col
+    rows, cols = [], []
+    lower, upper = [], []
+
+    def add(row_cols, lo, hi):
+        rows.extend([len(lower)] * len(row_cols))
+        cols.extend(row_cols)
+        lower.append(lo)
+        upper.append(hi)
+
+    for i, j in itertools.combinations(range(n), 2):
+        add([index[i, j], index[j, i]], 1, 1)
+    for i, j, k in itertools.combinations(range(n), 3):
+        add([index[i, j], index[j, k], index[k, i]], -np.inf, 2)
+        add([index[i, k], index[k, j], index[j, i]], -np.inf, 2)
+    matrix = coo_array((np.ones(len(rows)), (rows, cols)), shape=(len(lower), len(pairs)))
+    result = milp(
+        c=-np.array([weights[i, j] for i, j in pairs]),
+        constraints=LinearConstraint(matrix.tocsr(), lower, upper),
+        integrality=np.ones(len(pairs)),
+        bounds=Bounds(0, 1),
+        options={"mip_rel_gap": 0},
+    )
+    if not result.success:
+        raise RuntimeError(f"milp failed: {result.message}")
+    above = np.zeros((n, n), dtype=bool)
+    for col, (i, j) in enumerate(pairs):
+        above[i, j] = result.x[col] > 0.5
+    # A transitive tournament: the item with w wins ranks w-th from the
+    # bottom, so the win counts are 0, 1, ..., n - 1.
+    assert sorted(above.sum(axis=1)) == list(range(n))
+    return float(weights[above].sum())
 
 
 def _pair_mask(order: tuple[int, ...]) -> int:

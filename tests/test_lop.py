@@ -62,6 +62,7 @@ from tests.oracles import (
     brute_force_lop,
     completion_table_loop,
     exists_completion_loop,
+    lop_milp,
 )
 
 
@@ -363,7 +364,7 @@ class TestCompletionTable:
         rng = np.random.default_rng(31 if integral else 37)
         for n in (2, 3, 5, 6, 7, 8):
             w = _random_weights(rng, n, integral)
-            table = lop._build_completion_table(w, None)
+            table = lop._build_completion_table(w, None).table
             assert len(table) == 1 << n
             for s in range(1 << n):
                 items = [v for v in range(n) if s >> v & 1]
@@ -378,7 +379,8 @@ class TestCompletionTable:
         rng = np.random.default_rng(41)
         for n in (2, 4, 9, 11):
             w = _random_weights(rng, n, integral=False)
-            assert lop._build_completion_table(w, None) == completion_table_loop(w)
+            table = lop._build_completion_table(w, None).table
+            assert table == completion_table_loop(w)
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_exact_build_equals_the_scalar_recurrence(self, n):
@@ -390,7 +392,8 @@ class TestCompletionTable:
             matrices.append(_hidden_order_games(rng, n))
         for w in matrices:
             assert lop._exact_weights(w)
-            assert lop._build_completion_table(w, None) == completion_table_loop(w)
+            table = lop._build_completion_table(w, None).table
+            assert table == completion_table_loop(w)
 
     def test_exact_build_traces_at_most_64_bytes_per_set(self):
         n = 16
@@ -643,30 +646,53 @@ def _hidden_order_games(rng: np.random.Generator, n: int) -> np.ndarray:
 
 @pytest.fixture
 def witness_calls(monkeypatch):
-    """Record, for every _exists_completion call, whether it had a memo."""
+    """Record, for every witness search node expanded, its route.
+
+    True for _exists_exact, the memoized exact-sum route; False for
+    _exists_completion, the apply/undo one.
+    """
     calls: list[bool] = []
-    real = lop._Search._exists_completion
+    for name, memoized in (("_exists_exact", True), ("_exists_completion", False)):
+        real = getattr(lop._Search, name)
 
-    def recording(self, target, memo):
-        calls.append(memo is not None)
-        return real(self, target, memo)
+        def recording(self, *args, _real=real, _memoized=memoized):
+            calls.append(_memoized)
+            return _real(self, *args)
 
-    monkeypatch.setattr(lop._Search, "_exists_completion", recording)
+        monkeypatch.setattr(lop._Search, name, recording)
     return calls
 
 
 def _solve_without_witness_memo(monkeypatch, a: WeightMatrix):
-    """solve_lop with the memo-free witness search, and that search's nodes."""
+    """solve_lop with the memo-free witness search, and that search's nodes.
+
+    Both routes run tests/oracles.py::exists_completion_loop. The exact
+    route's search is entered only from lex_min_witness, for one child of
+    the canonical prefix, so its state is rebuilt as the apply/undo state
+    of that prefix plus the child's item.
+    """
     witness_nodes = [0]
 
-    def memo_free(self, target, memo):
+    def memo_free(self, target):
         before = self.nodes
         ok = exists_completion_loop(self, target)
         witness_nodes[0] += self.nodes - before
         return ok
 
+    def memo_free_exact(self, rem, g, target, memo):
+        prefix = self.prefix.copy()
+        (child,) = {v for v in range(self.n) if not rem >> v & 1} - set(prefix)
+        self.reset()
+        for v in prefix + [child]:
+            self.apply(v)
+        assert self.f + self.u == g
+        ok = memo_free(self, target)
+        self.undo()
+        return ok
+
     with monkeypatch.context() as m:
         m.setattr(lop._Search, "_exists_completion", memo_free)
+        m.setattr(lop._Search, "_exists_exact", memo_free_exact)
         return solve_lop(a), witness_nodes[0]
 
 
@@ -743,6 +769,111 @@ class TestWitnessMemo:
         ((search, expanded),) = searches
         assert witness_calls and all(witness_calls)
         assert 0 < search._expanded - expanded <= 256
+
+
+def _value_witness_optima(a: WeightMatrix, exact: bool, cap: int = 100_000):
+    """solve_lop's phases on one route, forced by _Search.exact.
+
+    The value search's best value, best order, nodes and pruned; the
+    lex-min witness with the nodes and pruned it adds; and every optimum,
+    with truncated.
+    """
+    heur = [v - 1 for v in heuristic_ranking(a).order]
+    search = lop._Search(a)
+    search.exact = exact
+    assert not search.run_value(heur, lop._order_value(search.w, heur))
+    value = (search.best_val, search.best_order, search.nodes, search.pruned)
+    nodes, pruned = search.nodes, search.pruned
+    witness = search.lex_min_witness(search.best_val)
+    witness = (witness, search.nodes - nodes, search.pruned - pruned)
+    search = lop._Search(a)
+    search.exact = exact
+    optima = search.enumerate_leaves(value[0], cap)
+    return value, witness, optima
+
+
+class TestExactRoute:
+    """With exact sums, the unplaced-set routes equal the apply/undo ones."""
+
+    @staticmethod
+    def _assert_routes_agree(w: np.ndarray, table: bool) -> None:
+        a = WeightMatrix(w)
+        assert lop._exact_sums(a)
+        assert (a.n <= lop._TABLE_MAX_N) == table
+        exact = _value_witness_optima(a, exact=True)
+        assert exact == _value_witness_optima(WeightMatrix(w), exact=False)
+        value, (witness, _, _), (optima, truncated) = exact
+        assert witness is not None and tuple(witness) == optima[0]
+        assert not truncated
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(3, 12),
+        seed=st.integers(0, 2**32 - 1),
+        table=st.booleans(),
+    )
+    def test_half_integral_matrices(self, n, seed, table):
+        w = random_half_integer_matrix(np.random.default_rng(seed), n).weights
+        with pytest.MonkeyPatch.context() as m:
+            if not table:
+                # Without a table, the witness and the enumeration take
+                # their table-free sides.
+                m.setattr(lop, "_TABLE_MAX_N", 0)
+            self._assert_routes_agree(w, table)
+
+    # Seeds above the table budget are ones where the apply/undo route's
+    # witness search, which has no memo, takes well under a second.
+    @pytest.mark.parametrize(
+        "n,seed", [(14, 0), (15, 1), (16, 2), (19, 0), (20, 1), (21, 1)]
+    )
+    def test_hidden_order_tournaments(self, n, seed):
+        w = _hidden_order_tournament(np.random.default_rng(seed), n)
+        self._assert_routes_agree(w, n <= lop._TABLE_MAX_N)
+
+    @pytest.mark.parametrize(
+        "n,seed", [(14, 0), (15, 1), (16, 2), (19, 5), (20, 3), (21, 3)]
+    )
+    def test_games_with_ties(self, n, seed):
+        w = _hidden_order_games(np.random.default_rng(seed), n)
+        assert np.any(w % 1.0 == 0.5)
+        self._assert_routes_agree(w, n <= lop._TABLE_MAX_N)
+
+
+def _coin_tournament(rng: np.random.Generator, n: int, games: int) -> np.ndarray:
+    """games per pair, each won by either side w.p. 1/2 (acceptance criterion 8)."""
+    w = np.zeros((n, n))
+    for i, j in itertools.combinations(range(n), 2):
+        wins = rng.binomial(games, 0.5)
+        w[i, j] = wins
+        w[j, i] = games - wins
+    return w
+
+
+class TestKStarAgainstMilp:
+    """k* above the table budget equals the paper's binary program's, by HiGHS."""
+
+    @staticmethod
+    def _assert_k_star(w: np.ndarray) -> None:
+        assert w.shape[0] > lop._TABLE_MAX_N
+        res = solve_lop(WeightMatrix(w))
+        assert res.proven
+        assert res.optimal_value == lop_milp(w)
+
+    @pytest.mark.parametrize("n", range(19, 23))
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_hidden_order_tournaments(self, n, seed):
+        self._assert_k_star(_hidden_order_tournament(np.random.default_rng(seed), n))
+
+    def test_games_with_ties(self):
+        w = _hidden_order_games(np.random.default_rng(3), 20)
+        assert np.any(w % 1.0 == 0.5)
+        self._assert_k_star(w)
+
+    # Four games per pair: solve_lop proves these in well under a second,
+    # where one-game p = 1/2 tournaments at n = 19 take it seconds.
+    @pytest.mark.parametrize("seed", [4, 8])
+    def test_p_half_tournaments(self, seed):
+        self._assert_k_star(_coin_tournament(np.random.default_rng(seed), 19, 4))
 
 
 class TestExactSums:
