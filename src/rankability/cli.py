@@ -81,7 +81,8 @@ _FLAGS = {
     "--oracle": dict(
         action="store_true",
         help="cross-check kappa against the joint branch and bound alone "
-        "(exit 3 on mismatch)",
+        "(exit 3 on mismatch); above n = 18 that search may not finish "
+        "without --time-limit",
     ),
     "--aliases": dict(
         default=None, metavar="PATH",

@@ -13,6 +13,11 @@ exact, these searches keep a prefix as its unplaced set and one scalar,
 and read each child's bound from split row sums in two lookups; other
 weights keep the incremental state with O(n) apply/undo per move (_Search).
 
+The completion table is a subset dynamic program read as a grid, a set's
+high items picking the row and its low items the column; it is filled one
+layer of rows at a time, each item's term one numpy operation over whole
+rows or over every row of the layer (_build_completion_table).
+
 enumerate_optima, degree_of_linearity and the kappa and season routines
 need only the proven value k*, not a witness. Inside the table budget
 with exact sums they read it from the completion table, and run neither
@@ -22,6 +27,7 @@ value phase without its witness search.
 
 from __future__ import annotations
 
+import functools
 import time
 from array import array
 from dataclasses import dataclass, replace
@@ -49,12 +55,13 @@ __all__ = [
     "degree_of_linearity",
 ]
 
-# Building a completion table holds 2^n * 8 bytes of table, 2^n * 8 bytes of
-# sets sorted by size and the row sums: 2 * n * 2^ceil(n/2) * 8 bytes when
-# _exact_sums holds, n * 2^n * 8 bytes otherwise. At n = 18 the build's
-# traced peak is about 6.4 MiB in the first case and 42 MiB in the second;
-# afterwards the matrix keeps the table, an array of 2 MiB, and in the first
-# case the split row sums as gain rows for the exact-path searches, 144 KiB.
+# Building a completion table holds 2^n * 8 bytes of table, the row sums
+# (2 * n * 2^ceil(n/2) * 8 bytes when _exact_sums holds, n * 2^n * 8 bytes
+# otherwise) and work arrays the size of a few of the table's row layers.
+# At n = 18 the build's traced peak is about 4.5 MiB in the first case and
+# 40 MiB in the second; afterwards the matrix keeps the table, an array of
+# 2 MiB, and in the first case the split row sums as gain rows for the
+# exact-path searches, 144 KiB.
 _TABLE_MAX_N = 18
 
 # Dominance and witness memo entries are dropped beyond this to bound
@@ -700,54 +707,126 @@ class _Completion(NamedTuple):
     gains: tuple[list[array[float]], list[array[float]]] | None
 
 
+@functools.lru_cache(maxsize=None)
+def _subset_layers(m: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """The subsets of m items by size, with each (set, member) pair.
+
+    Entry k is (sets, items, rests): the C(m, k) sets of size k in
+    increasing order, and for every pair of a set and one of its members,
+    the member and the set without it. Pairs run member position first:
+    pair t * C(m, k) + s is sets[s] with its t-th lowest member, so a
+    max over members is a max over axis 0 of shape (k, C(m, k)). The
+    arrays hold no weights and are shared by every build over m items.
+    """
+    sets = np.arange(1 << m)
+    sizes = np.bitwise_count(sets)
+    layers = []
+    for k in range(m + 1):
+        layer = sets[sizes == k]
+        items = np.nonzero((layer[:, None] >> np.arange(m)) & 1)[1].reshape(layer.size, k)
+        arrays = (layer, items.T.ravel(), (layer[:, None] ^ (1 << items)).T.ravel())
+        for x in arrays:
+            x.flags.writeable = False
+        layers.append(arrays)
+    return tuple(layers)
+
+
 def _build_completion_table(w: np.ndarray, deadline: float | None) -> _Completion:
     r"""table[S] = best objective an ordering of item set S can add.
 
-    Subset dynamic program over layers of equal-size sets, taken in turn
-    from one stable sort of the sets by size: table[S] is the best over v
-    in S of placing v above the rest of S, worth rowsum[v, S \ v] +
-    table[S \ v], where rowsum[v, T] is the weight v gains over the items
-    of T. The row sums come from one of two sources:
+    Subset dynamic program: table[S] is the best over v in S of placing v
+    above the rest of S, worth rowsum[v, S \ v] + table[S \ v], where
+    rowsum[v, T] is the weight v gains over the items of T.
+
+    The table is read as a grid T[B, A] of 2^(n-h) rows by 2^h columns,
+    h = floor(n/2): S = B * 2^h + A, with A the set's low items and B its
+    high ones. The grid is filled one row layer, the rows B of one size,
+    at a time, in two terms:
+
+    - High items: placing j in B leaves row B \ j of the layer before, so
+      the term covers every A in whole-row operations, one per member
+      position of B over all rows of the layer. Their best starts the
+      layer.
+    - Low items: for each size of A in turn, placing i in A leaves column
+      A \ i of the same rows, filled one size earlier, so one gather over
+      all (A, i) pairs and all rows of the layer adds the term.
+
+    The (set, member) pairs come from _subset_layers. Each step adds the
+    row sum first and table[rest] after it, as the scalar recurrence does.
+    The row sums come from one of two sources:
 
     - When every sum of the weights is exact (_exact_weights), any order of
-      adding them gives the same bits, so a row sum is split at the low
-      h = floor(n/2) items: rowsum[v, T] = lo[v, T & low] + hi[v, T >> h],
-      from two tables of n * 2^ceil(n/2) entries instead of n * 2^n. These
-      are returned as the gain rows.
+      adding them gives the same bits, so a row sum is split the same way:
+      rowsum[v, S] = lo[v, A] + hi[v, B], from two tables of
+      n * 2^ceil(n/2) entries instead of n * 2^n. These are returned as
+      the gain rows.
     - Otherwise the order of adding decides the last bits, so the row sums
-      over all n items are kept, built so that the table equals the scalar
-      recurrence of tests/oracles.py::completion_table_loop bit for bit.
+      over all n items are kept, read through the same grid, and the
+      table equals the scalar recurrence of
+      tests/oracles.py::completion_table_loop bit for bit.
 
     Returns the table as an array('d'), which the searches index one entry
-    at a time (_item_rows). Raises _Timeout between layers once the
-    deadline has passed.
+    at a time (_item_rows). Raises _Timeout before any step of the grid,
+    the high term of a layer or one size of A, once the deadline has
+    passed.
     """
     n = w.shape[0]
-    size = 1 << n
+    h = n // 2
+    m = n - h
     exact = _exact_weights(w)
-    # With h = n, hi holds only the empty set's zeros, and adding 0.0 to a
-    # nonnegative sum leaves its bits as they are.
-    h = n // 2 if exact else n
-    lo = _row_sums(w[:, :h])
-    hi = _row_sums(w[:, h:])
-    low = (1 << h) - 1
     # The DP fills the returned array in place, through a numpy view of it.
-    out = array("d", [0.0]) * size
-    table = np.frombuffer(out)
-    set_sizes = np.bitwise_count(np.arange(size))
-    by_size = np.argsort(set_sizes, kind="stable")
-    ends = np.cumsum(np.bincount(set_sizes, minlength=n + 1))
-    for k in range(1, n + 1):
+    out = array("d", [0.0]) * (1 << n)
+    grid = np.frombuffer(out).reshape(1 << m, 1 << h)
+    # high_gain(v, B \ v) is v's row of gains over every A; low_gain(i, A \ i,
+    # rows) is i's gain at each row of the layer (axis 0) and pair (axis 1).
+    if exact:
+        lo = _row_sums(w[:, :h])
+        hi = _row_sums(w[:, h:])
+
+        def high_gain(v: np.ndarray, rest: np.ndarray) -> np.ndarray:
+            gain = np.take(lo, v, axis=0)
+            gain += hi[v, rest][:, None]
+            return gain
+
+        def low_gain(i: np.ndarray, rest: np.ndarray, rows: np.ndarray) -> np.ndarray:
+            gain = np.take(hi, (i << m) + rows[:, None])
+            gain += lo[i, rest]
+            return gain
+
+    else:
+        sums = _row_sums(w)
+        by_row = sums.reshape(n << m, 1 << h)
+
+        def high_gain(v: np.ndarray, rest: np.ndarray) -> np.ndarray:
+            return np.take(by_row, (v << m) + rest, axis=0)
+
+        def low_gain(i: np.ndarray, rest: np.ndarray, rows: np.ndarray) -> np.ndarray:
+            return np.take(sums, (i << n) + rest + (rows << h)[:, None])
+
+    low_layers = _subset_layers(h)
+    # Layer 0 is the row of the empty high set: the empty set adds 0, and
+    # the low-item steps fill the rest of the row.
+    layer = np.full((1, 1 << h), -np.inf)
+    layer[0, 0] = 0.0
+    for b, (rows, items, rests) in enumerate(_subset_layers(m)):
         _check_deadline(deadline)
-        layer = by_size[ends[k - 1] : ends[k]]
-        best = np.full(layer.size, -np.inf)
-        for v in range(n):
-            bit = 1 << v
-            has_v = np.flatnonzero(layer & bit)
-            rest = layer[has_v] ^ bit
-            gain = lo[v, rest & low] + hi[v, rest >> h] + table[rest]
-            best[has_v] = np.maximum(best[has_v], gain)
-        table[layer] = best
+        count = rows.size
+        for t in range(b):
+            rest = rests[t * count : (t + 1) * count]
+            gain = high_gain(h + items[t * count : (t + 1) * count], rest)
+            gain += np.take(grid, rest, axis=0)
+            if t == 0:
+                layer = gain
+            else:
+                np.maximum(layer, gain, out=layer)
+        for a in range(1, h + 1):
+            _check_deadline(deadline)
+            cols, low_items, low_rests = low_layers[a]
+            gain = low_gain(low_items, low_rests, rows)
+            gain += np.take(layer, low_rests, axis=1)
+            best = gain.reshape(count, a, cols.size).max(axis=1)
+            layer[:, cols] = np.maximum(layer[:, cols], best)
+        grid[rows] = layer
     return _Completion(out, (_item_rows(lo), _item_rows(hi)) if exact else None)
 
 

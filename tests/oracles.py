@@ -19,7 +19,13 @@ from scipy.sparse import coo_array
 
 from rankability.errors import UnprovenOptimumError
 from rankability.ktdiam import _kappa_from_orders
-from rankability.lop import _deadline, _optimal_orders, solve_lop
+from rankability.lop import (
+    _deadline,
+    _exact_weights,
+    _optimal_orders,
+    _row_sums,
+    solve_lop,
+)
 
 
 @functools.lru_cache(maxsize=None)
@@ -199,6 +205,45 @@ def completion_table_loop(weights: np.ndarray) -> array[float]:
             if s >> v & 1
         )
     return array("d", table)
+
+
+def completion_table_by_layers(w: np.ndarray) -> array[float]:
+    r"""Exact completion table by layers of equal-size sets, one item at a time.
+
+    Reference for the solver's grid build at n where the scalar recurrence
+    of completion_table_loop is too slow. Each layer comes from one stable
+    sort of the sets by size; for each item v, the layer's sets holding v
+    take rowsum[v, S \ v] + table[S \ v]. With exact sums
+    (lop._exact_weights) the row sums are split at h = floor(n/2),
+    otherwise they are kept over all n items, so the table equals
+    completion_table_loop bit for bit.
+    """
+    n = w.shape[0]
+    size = 1 << n
+    exact = _exact_weights(w)
+    # With h = n, hi holds only the empty set's zeros, and adding 0.0 to a
+    # nonnegative sum leaves its bits as they are.
+    h = n // 2 if exact else n
+    lo = _row_sums(w[:, :h])
+    hi = _row_sums(w[:, h:])
+    low = (1 << h) - 1
+    # The DP fills the returned array in place, through a numpy view of it.
+    out = array("d", [0.0]) * size
+    table = np.frombuffer(out)
+    set_sizes = np.bitwise_count(np.arange(size))
+    by_size = np.argsort(set_sizes, kind="stable")
+    ends = np.cumsum(np.bincount(set_sizes, minlength=n + 1))
+    for k in range(1, n + 1):
+        layer = by_size[ends[k - 1] : ends[k]]
+        best = np.full(layer.size, -np.inf)
+        for v in range(n):
+            bit = 1 << v
+            has_v = np.flatnonzero(layer & bit)
+            rest = layer[has_v] ^ bit
+            gain = lo[v, rest & low] + hi[v, rest >> h] + table[rest]
+            best[has_v] = np.maximum(best[has_v], gain)
+        table[layer] = best
+    return out
 
 
 def exists_completion_loop(search, target: float) -> bool:

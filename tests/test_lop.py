@@ -60,6 +60,7 @@ from tests.conftest import (
 from tests.oracles import (
     all_objectives,
     brute_force_lop,
+    completion_table_by_layers,
     completion_table_loop,
     exists_completion_loop,
     lop_milp,
@@ -394,6 +395,72 @@ class TestCompletionTable:
             assert lop._exact_weights(w)
             table = lop._build_completion_table(w, None).table
             assert table == completion_table_loop(w)
+
+    @pytest.mark.parametrize("n", range(13, 19))
+    def test_exact_build_equals_the_layered_build(self, n):
+        # Above n = 12 the scalar recurrence takes too long; the layered
+        # build equals it bit for bit, so it stands in.
+        rng = np.random.default_rng(59 + n)
+        matrices = [_tournament_with_ties(rng, n, games) for games in (1, 4)]
+        matrices.append(_hidden_order_games(rng, n))
+        for w in matrices:
+            assert lop._exact_weights(w)
+            table = lop._build_completion_table(w, None).table
+            assert table == completion_table_by_layers(w)
+
+    @pytest.mark.parametrize("n", range(12, 17))
+    def test_fractional_build_equals_the_layered_build(self, n):
+        w = _random_weights(np.random.default_rng(61 + n), n, integral=False)
+        assert not lop._exact_weights(w)
+        table = lop._build_completion_table(w, None).table
+        assert table == completion_table_by_layers(w)
+
+    @pytest.mark.parametrize("integral", [True, False])
+    def test_deadline_stops_the_build_at_the_next_grid_step(self, integral, monkeypatch):
+        # At n = 14 the grid is 2^7 x 2^7: each of its 8 row layers takes a
+        # high-item step and 7 low-layer steps, and each step reads the
+        # clock once before it starts.
+        n = 14
+        steps = 8 + 8 * 7
+        rng = np.random.default_rng(67)
+        if integral:
+            w = _tournament_with_ties(rng, n, 1)
+        else:
+            w = _random_weights(rng, n, integral=False)
+        assert lop._exact_weights(w) == integral
+        for passed_after in (0, 1, 8, 9, steps // 2, steps - 1, None):
+            reads = []
+
+            def monotonic():
+                reads.append(None)
+                return 0.0 if passed_after is None or len(reads) <= passed_after else 2.0
+
+            monkeypatch.setattr(lop, "time", SimpleNamespace(monotonic=monotonic))
+            if passed_after is None:
+                lop._build_completion_table(w, 1.0)
+                assert len(reads) == steps
+            else:
+                # The deadline passes after step passed_after; the check
+                # before the next step raises, and no further step runs.
+                with pytest.raises(lop._Timeout):
+                    lop._build_completion_table(w, 1.0)
+                assert len(reads) == passed_after + 1
+
+    def test_fractional_build_traces_no_more_than_the_layered_build(self):
+        # The layered build traced just over 137 bytes per set here: the
+        # row sums over all n items take 8 n of them and the table 8.
+        n = 14
+        w = _random_weights(np.random.default_rng(47), n, integral=False)
+        assert not lop._exact_weights(w)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            lop._build_completion_table(w, None)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= 137 << n
 
     def test_exact_build_traces_at_most_64_bytes_per_set(self):
         n = 16
