@@ -7,6 +7,10 @@ class RankabilityError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InvalidArgumentError(RankabilityError, ValueError):
+    """An argument lies outside the values its parameter accepts."""
+
+
 class DimensionMismatchError(RankabilityError):
     """Two objects that must share a size n do not."""
 

@@ -8,10 +8,12 @@ incumbent. Also provides the exact subset completion table that the
 witness, enumeration and pair searches share, the table-free witness
 search above the table budget (memoized on the unplaced set and the
 decided weight when the arithmetic is exact), enumeration of all optimal
-rankings, and the degree of linearity. When every sum of the weights is
-exact, these searches keep a prefix as its unplaced set and one scalar,
-and read each child's bound from split row sums in two lookups; other
-weights keep the incremental state with O(n) apply/undo per move (_Search).
+rankings, and the degree of linearity. The witness search and the
+enumeration keep a prefix as its unplaced set and one scalar, and read
+each child's bound from split row sums in two lookups, for every weight
+type. So does the value branch and bound when every sum of the weights is
+exact; for other weights it alone keeps the incremental state with O(n)
+apply/undo per move, since the value it reports is that state's (_Search).
 
 The completion table is a subset dynamic program read as a grid, a set's
 high items picking the row and its low items the column; it is filled one
@@ -37,6 +39,7 @@ import numpy as np
 
 from .core import Ranking, WeightMatrix, ranking_from_order
 from .errors import (
+    InvalidArgumentError,
     MalformedPermutationError,
     UndefinedMetricError,
     UnprovenOptimumError,
@@ -55,13 +58,13 @@ __all__ = [
     "degree_of_linearity",
 ]
 
-# Building a completion table holds 2^n * 8 bytes of table, the row sums
-# (2 * n * 2^ceil(n/2) * 8 bytes when _exact_sums holds, n * 2^n * 8 bytes
-# otherwise) and work arrays the size of a few of the table's row layers.
-# At n = 18 the build's traced peak is about 4.5 MiB in the first case and
-# 40 MiB in the second; afterwards the matrix keeps the table, an array of
-# 2 MiB, and in the first case the split row sums as gain rows for the
-# exact-path searches, 144 KiB.
+# Building a completion table holds 2^n * 8 bytes of table, the split row
+# sums (2 * n * 2^ceil(n/2) * 8 bytes), when _exact_sums fails also the row
+# sums over all n items (n * 2^n * 8 bytes), and work arrays the size of a
+# few of the table's row layers. At n = 18 the build's traced peak is about
+# 4.5 MiB with exact sums and 40 MiB without; afterwards the matrix keeps
+# the table, an array of 2 MiB, and the split row sums as gain rows for the
+# table-side searches, 144 KiB.
 _TABLE_MAX_N = 18
 
 # Dominance and witness memo entries are dropped beyond this to bound
@@ -102,9 +105,9 @@ class SolverConfig:
 
     def __post_init__(self):
         if self.time_limit is not None and not self.time_limit > 0:
-            raise ValueError("time_limit must be positive when set")
+            raise InvalidArgumentError("time_limit must be positive when set")
         if self.enumeration_cap < 1:
-            raise ValueError("enumeration_cap must be at least 1")
+            raise InvalidArgumentError("enumeration_cap must be at least 1")
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -203,11 +206,13 @@ def _slack(a: WeightMatrix) -> float:
     if _exact_sums(a):
         return 0.0
     # Every sum or bound the searches compare is built from about 4 n^2
-    # roundings, each of a nonnegative value below twice the total and off
+    # roundings, each of a value below twice the total in magnitude and off
     # by at most 2^-53 of it, so two computations of one objective differ
-    # by less than about n^2 * 2^-49 of the total. The slack is 2^9 times
-    # that, room for the rounding that apply/undo cycles accumulate. It
-    # scales with the weights, so ties are decided alike at every scale.
+    # by less than about n^2 * 2^-49 of the total; a bound from split row
+    # sums adds n row sums of at most n terms each to a start or table
+    # entry of as many. The slack is 2^9 times that, room for the rounding
+    # that the value search's apply/undo cycles accumulate. It scales
+    # with the weights, so ties are decided alike at every scale.
     return a.total_sum() * a.n * a.n * 2.0**-40
 
 
@@ -232,20 +237,21 @@ class _Search:
     pairs), u is the sum of max(a_ij, a_ji) over remaining pairs; f + u is
     an admissible upper bound on any completion of the current prefix.
 
-    When _exact_sums holds (the exact path), a search state is the
-    unplaced set and one scalar, and a child's term is two lookups in
-    split row sums (_split_row_sums). Bound-side searches keep g = f + u;
-    placing v next adds the row sum of v's drop row, w - max(w, w.T), over
-    the items left after it (self.drops), and g == f at a leaf. Table-side
-    searches keep f; placing v next adds v's gain row sum, the split row
-    sums of w kept with the table (_Completion.gains). Every such sum is
-    exact, so each bound, dominance test and memo decision is the one the
-    incremental form makes.
+    The unplaced-set form keeps a search state as the unplaced set and one
+    scalar, and reads a child's term in two lookups in split row sums
+    (_split_row_sums). Bound-side searches keep g = f + u; placing v next
+    adds the row sum of v's drop row, w - max(w, w.T), over the items left
+    after it (self.drops), and g == f at a leaf. Table-side searches keep
+    f; placing v next adds v's gain row sum, the split row sums of w kept
+    with the table (_Completion.gains).
 
-    Other weights keep the incremental form: apply/undo with O(n) updates
-    of per-item sums per move. There the last bits of f depend on the
-    order of the additions and subtractions that led to it, and solve_lop
-    reports f, so only that sequence reproduces it.
+    The witness search and the enumeration take this form for every weight
+    type, since they report only orders, chosen within the slack. The value
+    search takes it when _exact_sums holds (self.exact), where every such
+    sum is exact. Otherwise it keeps apply/undo with O(n) updates of
+    per-item sums per move: the last bits of f depend on the order of the
+    additions and subtractions that led to it, and solve_lop reports f, so
+    only that sequence reproduces it.
 
     Every search stops early one way: _tick raises _Timeout once the
     deadline has passed, checked every 256 expanded nodes, counted apart
@@ -272,7 +278,7 @@ class _Search:
         self.memo: dict[int, float] = {}
         self.best_val = float("-inf")
         self.best_order: list[int] = []
-        # The exact path's split, as in the completion table.
+        # The split of the unplaced-set form, as in the completion table.
         self.h = n // 2
         self.low = (1 << self.h) - 1
         self.drops: tuple[list[array[float]], list[array[float]]] | None = None
@@ -281,7 +287,7 @@ class _Search:
     def _drop_rows(self) -> tuple[list[array[float]], list[array[float]]]:
         """Split row sums of w - max(w, w.T), built for the first bound-side search.
 
-        The exact path's bound-side searches read them as self.drops.
+        The unplaced-set form's bound-side searches read them as self.drops.
         """
         if self.drops is None:
             w = self.matrix.weights
@@ -289,7 +295,7 @@ class _Search:
         return self.drops
 
     def _set_child_order(self, order: Sequence[int]) -> None:
-        """Try children in this order; the exact path reads each with its bit."""
+        """Try children in this order; the unplaced-set form reads their bits."""
         self.child_order = list(order)
         self.child_bits = [(v, 1 << v) for v in order]
 
@@ -429,58 +435,15 @@ class _Search:
     def lex_min_witness(self, k_star: float) -> list[int] | None:
         """Lexicographically smallest order attaining k_star, or None if none does.
 
-        Reads the completion table when there is one. Otherwise each
-        candidate item is kept when a search finds a completion reaching
-        k_star; on the exact path that search shares one memo over the
-        whole call (_exists_exact). Raises _Timeout when the deadline
-        passes first.
+        Places, position by position, the smallest item whose child still
+        reaches k_star within the slack: by the completion table when there
+        is one, else by a search for a completion (_exists), which with
+        exact sums shares one memo over the whole call. Every weight type
+        takes this route. Raises _Timeout when the deadline passes first.
         """
         self.reset()
         target = k_star - self.eps
-        completion = _completion(self.matrix, self.deadline)
-        if self.exact:
-            return self._lex_min_exact(target, completion)
-        for _ in range(self.n):
-            placed = False
-            for v in range(self.n):
-                if not self.in_rem[v]:
-                    continue
-                if completion is not None:
-                    t = self.rem_mask ^ (1 << v)
-                    bound = self.f + self.s_a[v] + completion.table[t]
-                    if bound >= target:
-                        self.apply(v)
-                        placed = True
-                        break
-                    continue
-                bound = self.f + self.s_a[v] + self.u - self.s_m[v]
-                if bound < target:
-                    continue
-                if self.rem_mask == 1 << v or self._child_completes(v, target):
-                    self.apply(v)
-                    placed = True
-                    break
-            if not placed:
-                return None
-        return self.prefix.copy()
-
-    def _exact_root(self, completion: _Completion | None) -> tuple[
-        float, tuple[list[array[float]], list[array[float]]], array[float] | None
-    ]:
-        """The empty prefix's scalar, rows and table for an exact-path search.
-
-        With a table, the scalar is f and the rows are its gain rows;
-        without, the scalar is g = f + u and the rows are the drop rows.
-        """
-        if completion is None:
-            return self.f + self.u, self._drop_rows(), None
-        return self.f, completion.gains, completion.table
-
-    def _lex_min_exact(
-        self, target: float, completion: _Completion | None
-    ) -> list[int] | None:
-        """lex_min_witness on the exact path, from the empty prefix."""
-        x, (lo, hi), table = self._exact_root(completion)
+        x, (lo, hi), table = self._root(_completion(self.matrix, self.deadline))
         low, h = self.low, self.h
         memo: dict[int, int] = {}
         rem = self.rem_mask
@@ -494,7 +457,7 @@ class _Search:
                     if child + table[t] >= target:
                         break
                 elif child >= target and (
-                    t == 0 or self._child_exact(t, child, target, memo)
+                    t == 0 or self._child(t, child, target, memo)
                 ):
                     break
             else:
@@ -503,39 +466,29 @@ class _Search:
             rem, x = t, child
         return self.prefix.copy()
 
-    def _exists_completion(self, target: float) -> bool:
-        """Whether some completion of the prefix reaches target."""
-        self.nodes += 1
-        self._tick()
-        if self.rem_mask == 0:
-            return self.f >= target
-        for v in self.child_order:
-            if self.in_rem[v]:
-                if self.f + self.s_a[v] + self.u - self.s_m[v] < target:
-                    self.pruned += 1
-                    continue
-                if self._child_completes(v, target):
-                    return True
-        return False
+    def _root(self, completion: _Completion | None) -> tuple[
+        float, tuple[list[array[float]], list[array[float]]], array[float] | None
+    ]:
+        """The empty prefix's scalar, rows and table for an unplaced-set search.
 
-    def _child_completes(self, v: int, target: float) -> bool:
-        """_exists_completion with v placed next, the state left unchanged."""
-        self.apply(v)
-        ok = self._exists_completion(target)
-        self.undo()
-        return ok
+        With a table, the scalar is f and the rows are its gain rows;
+        without, the scalar is g = f + u and the rows are the drop rows.
+        """
+        if completion is None:
+            return self.f + self.u, self._drop_rows(), None
+        return self.f, completion.gains, completion.table
 
-    def _exists_exact(
+    def _exists(
         self, rem: int, g: float, target: float, memo: dict[int, int]
     ) -> bool:
-        """_exists_completion on the exact path, at unplaced set rem with bound g.
+        """Whether some completion at unplaced set rem with bound g reaches target.
 
-        The subtree below a node depends only on rem and g, so memo maps
-        the key 2g << n | rem (g = f + u is a nonnegative multiple of 1/2)
-        to the answer and the nodes and pruned the subtree added.
-        _child_exact reads it before expanding a child; a hit adds those
+        With exact sums the subtree below a node depends only on rem and g,
+        so memo maps the key 2g << n | rem (g = f + u is a nonnegative
+        multiple of 1/2) to the answer and the nodes and pruned the subtree
+        added. _child reads it before expanding a child; a hit adds those
         counts back, and the statistics equal those of the search without
-        memo.
+        memo. Other weights have no exact key, so they add no entries.
         """
         nodes, pruned = self.nodes, self.pruned
         self.nodes += 1
@@ -552,10 +505,10 @@ class _Search:
                     child = g + (lo[v][t & low] + hi[v][t >> h])
                     if child < target:
                         self.pruned += 1
-                    elif self._child_exact(t, child, target, memo):
+                    elif self._child(t, child, target, memo):
                         ok = True
                         break
-        if len(memo) < _MEMO_CAP:
+        if self.exact and len(memo) < _MEMO_CAP:
             memo[int(2.0 * g) << self.n | rem] = (
                 (self.pruned - pruned) << (_NODE_BITS + 1)
                 | (self.nodes - nodes) << 1
@@ -563,13 +516,13 @@ class _Search:
             )
         return ok
 
-    def _child_exact(
+    def _child(
         self, rem: int, g: float, target: float, memo: dict[int, int]
     ) -> bool:
-        """_exists_exact at a child, replayed from memo when it was searched before."""
+        """_exists at a child, replayed from memo when it was searched before."""
         hit = memo.get(int(2.0 * g) << self.n | rem)
         if hit is None:
-            return self._exists_exact(rem, g, target, memo)
+            return self._exists(rem, g, target, memo)
         self.nodes += (hit >> 1) & _NODE_MASK
         self.pruned += hit >> (_NODE_BITS + 1)
         return bool(hit & 1)
@@ -583,45 +536,13 @@ class _Search:
         self.reset()
         found: list[tuple[int, ...]] = []
         try:
-            completion = _completion(self.matrix, self.deadline)
-            if self.exact:
-                x, rows, table = self._exact_root(completion)
-                self._rec_enum_exact(self.rem_mask, x, k_star, cap, found, rows, table)
-            else:
-                table = None if completion is None else completion.table
-                self._rec_enum(k_star, k_star - self.eps, cap, found, table)
+            x, rows, table = self._root(_completion(self.matrix, self.deadline))
+            self._rec_enum(self.rem_mask, x, k_star, cap, found, rows, table)
             return found, False
         except (_CapReached, _Timeout):
             return found, True
 
     def _rec_enum(
-        self,
-        k_star: float,
-        target: float,
-        cap: int,
-        found: list[tuple[int, ...]],
-        table: array[float] | None,
-    ) -> None:
-        self._tick()
-        if self.rem_mask == 0:
-            if abs(self.f - k_star) <= self.eps:
-                found.append(tuple(self.prefix))
-                if len(found) >= cap:
-                    raise _CapReached
-            return
-        for v in range(self.n):
-            if self.in_rem[v]:
-                decided = self.f + self.s_a[v]
-                if table is not None:
-                    bound = decided + table[self.rem_mask ^ (1 << v)]
-                else:
-                    bound = decided + self.u - self.s_m[v]
-                if bound >= target:
-                    self.apply(v)
-                    self._rec_enum(k_star, target, cap, found, table)
-                    self.undo()
-
-    def _rec_enum_exact(
         self,
         rem: int,
         x: float,
@@ -631,19 +552,21 @@ class _Search:
         rows: tuple[list[array[float]], list[array[float]]],
         table: array[float] | None,
     ) -> None:
-        """_rec_enum on the exact path, at unplaced set rem and scalar x.
+        """Collect the optimal leaves below unplaced set rem and scalar x.
 
-        x and rows are as _exact_root gives them: with a table, a child's
-        bound adds the table's entry for the items left after it; without,
-        a child's x is its bound.
+        x and rows are as _root gives them: with a table, a child's bound
+        adds the table's entry for the items left after it; without, a
+        child's x is its bound. A child is kept while its bound is within
+        the slack of k_star.
         """
         self._tick()
         if rem == 0:
-            if x == k_star:
+            if abs(x - k_star) <= self.eps:
                 found.append(tuple(self.prefix))
                 if len(found) >= cap:
                     raise _CapReached
             return
+        target = k_star - self.eps
         lo, hi = rows
         low, h = self.low, self.h
         for v in range(self.n):
@@ -651,9 +574,9 @@ class _Search:
                 t = rem ^ (1 << v)
                 child = x + (lo[v][t & low] + hi[v][t >> h])
                 bound = child if table is None else child + table[t]
-                if bound >= k_star:
+                if bound >= target:
                     self.prefix.append(v)
-                    self._rec_enum_exact(t, child, k_star, cap, found, rows, table)
+                    self._rec_enum(t, child, k_star, cap, found, rows, table)
                     self.prefix.pop()
 
 
@@ -689,22 +612,25 @@ def _split_row_sums(w: np.ndarray) -> tuple[list[array[float]], list[array[float
 
     Row v's sum over a set T of items is lo[v][T & low] + hi[v][T >> h],
     with low = 2^h - 1. Only when _exact_weights holds does it equal, bit
-    for bit, the same sum added in any other order.
+    for bit, the same sum added in any other order; otherwise it is within
+    the rounding that _slack allows for, which is all the witness search
+    and the enumeration need of it.
     """
     h = w.shape[0] // 2
     return _item_rows(_row_sums(w[:, :h])), _item_rows(_row_sums(w[:, h:]))
 
 
 class _Completion(NamedTuple):
-    """A matrix's exact completion table and, when sums are exact, its gain rows.
+    """A matrix's exact completion table and its gain rows.
 
-    gains are the split row sums of w (_split_row_sums) that the table was
-    built from, kept for the exact path's table-side searches; None for
-    other weights.
+    gains are the split row sums of w (_split_row_sums), kept for the
+    table-side witness search and enumeration. With exact sums the table
+    was built from them; otherwise from the row sums over all n items,
+    which the searches do not need.
     """
 
     table: array[float]
-    gains: tuple[list[array[float]], list[array[float]]] | None
+    gains: tuple[list[array[float]], list[array[float]]]
 
 
 @functools.lru_cache(maxsize=None)
@@ -753,13 +679,13 @@ def _build_completion_table(w: np.ndarray, deadline: float | None) -> _Completio
 
     The (set, member) pairs come from _subset_layers. Each step adds the
     row sum first and table[rest] after it, as the scalar recurrence does.
-    The row sums come from one of two sources:
+    The split row sums lo[v, A] and hi[v, B], two tables of
+    n * 2^ceil(n/2) entries, are built for every matrix and returned as
+    the gain rows. The DP reads its row sums from one of two sources:
 
     - When every sum of the weights is exact (_exact_weights), any order of
-      adding them gives the same bits, so a row sum is split the same way:
-      rowsum[v, S] = lo[v, A] + hi[v, B], from two tables of
-      n * 2^ceil(n/2) entries instead of n * 2^n. These are returned as
-      the gain rows.
+      adding them gives the same bits, so rowsum[v, S] = lo[v, A] +
+      hi[v, B], with no table of n * 2^n entries.
     - Otherwise the order of adding decides the last bits, so the row sums
       over all n items are kept, read through the same grid, and the
       table equals the scalar recurrence of
@@ -773,15 +699,14 @@ def _build_completion_table(w: np.ndarray, deadline: float | None) -> _Completio
     n = w.shape[0]
     h = n // 2
     m = n - h
-    exact = _exact_weights(w)
     # The DP fills the returned array in place, through a numpy view of it.
     out = array("d", [0.0]) * (1 << n)
     grid = np.frombuffer(out).reshape(1 << m, 1 << h)
+    lo = _row_sums(w[:, :h])
+    hi = _row_sums(w[:, h:])
     # high_gain(v, B \ v) is v's row of gains over every A; low_gain(i, A \ i,
     # rows) is i's gain at each row of the layer (axis 0) and pair (axis 1).
-    if exact:
-        lo = _row_sums(w[:, :h])
-        hi = _row_sums(w[:, h:])
+    if _exact_weights(w):
 
         def high_gain(v: np.ndarray, rest: np.ndarray) -> np.ndarray:
             gain = np.take(lo, v, axis=0)
@@ -827,7 +752,7 @@ def _build_completion_table(w: np.ndarray, deadline: float | None) -> _Completio
             best = gain.reshape(count, a, cols.size).max(axis=1)
             layer[:, cols] = np.maximum(layer[:, cols], best)
         grid[rows] = layer
-    return _Completion(out, (_item_rows(lo), _item_rows(hi)) if exact else None)
+    return _Completion(out, (_item_rows(lo), _item_rows(hi)))
 
 
 def _completion(a: WeightMatrix, deadline: float | None) -> _Completion | None:

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .core import Ranking, ranking_from_order
-from .errors import EmptyDataError
+from .errors import EmptyDataError, InvalidArgumentError
 
 if TYPE_CHECKING:
     from .sports import GameSet
@@ -51,7 +51,7 @@ class RatingVector:
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float).copy()
         if values.ndim != 1 or values.size == 0:
-            raise ValueError("ratings must form a nonempty vector")
+            raise InvalidArgumentError("ratings must form a nonempty vector")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "method", RatingMethod(self.method))

@@ -21,6 +21,7 @@ from .core import Ranking, WeightMatrix, ranking_from_order
 from .errors import (
     DimensionMismatchError,
     EmptyDataError,
+    InvalidArgumentError,
     MalformedInputError,
     UndefinedMetricError,
 )
@@ -355,7 +356,9 @@ def _ranking_accuracy(
     tie_mode: str,
 ) -> float:
     if tie_mode not in _TIE_MODES:
-        raise ValueError(f"tie_mode must be one of {_TIE_MODES}, got {tie_mode!r}")
+        raise InvalidArgumentError(
+            f"tie_mode must be one of {_TIE_MODES}, got {tie_mode!r}"
+        )
     if sigma.n != gs.team_count:
         raise DimensionMismatchError(
             f"ranking covers {sigma.n} items, schedule has {gs.team_count} teams"

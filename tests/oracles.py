@@ -1,10 +1,10 @@
 """Reference implementations used to validate the exact solvers.
 
 The brute-force oracles enumerate all n! permutations, so they are only
-usable for small n (the acceptance suite stays at n <= 8). lop_milp
-solves the paper's binary program with an outside solver, so it checks k*
-above that. The loop and composition references restate a solver route in
-its plain form.
+usable for small n (the acceptance suite stays at n <= 8). lop_milp and
+kt_milp solve the paper's binary programs with an outside solver, so they
+check k* and kappa above that. The loop and composition references
+restate a solver route in its plain form.
 """
 
 from __future__ import annotations
@@ -17,8 +17,9 @@ import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.sparse import coo_array
 
+from rankability.core import LinearOrder, WeightMatrix
 from rankability.errors import UnprovenOptimumError
-from rankability.ktdiam import _kappa_from_orders
+from rankability.ktdiam import KtSolution, _kappa_from_orders, validate_kt_solution
 from rankability.lop import (
     _deadline,
     _exact_weights,
@@ -53,6 +54,70 @@ def brute_force_lop(weights: np.ndarray, tol: float = 1e-9) -> tuple[float, list
     return k_star, orders
 
 
+class _BinaryProgram:
+    """Sparse rows lower <= A x <= upper over 0/1 columns, solved by HiGHS."""
+
+    def __init__(self):
+        self.rows: list[int] = []
+        self.cols: list[int] = []
+        self.vals: list[float] = []
+        self.lower: list[float] = []
+        self.upper: list[float] = []
+
+    def add(self, cols, lo, hi, vals=None):
+        self.rows.extend([len(self.lower)] * len(cols))
+        self.cols.extend(cols)
+        self.vals.extend([1.0] * len(cols) if vals is None else vals)
+        self.lower.append(lo)
+        self.upper.append(hi)
+
+    def add_linear_order(self, index: np.ndarray) -> None:
+        """Make columns index[i, j] a linear order: x_ij + x_ji = 1, no 3-dicycle."""
+        n = index.shape[0]
+        for i, j in itertools.combinations(range(n), 2):
+            self.add([index[i, j], index[j, i]], 1, 1)
+        for i, j, k in itertools.combinations(range(n), 3):
+            self.add([index[i, j], index[j, k], index[k, i]], -np.inf, 2)
+            self.add([index[i, k], index[k, j], index[j, i]], -np.inf, 2)
+
+    def minimize(self, c: np.ndarray) -> np.ndarray:
+        """The optimal 0/1 assignment, proven with mip_rel_gap 0, as bools."""
+        shape = (len(self.lower), len(c))
+        matrix = coo_array((self.vals, (self.rows, self.cols)), shape=shape)
+        result = milp(
+            c=c,
+            constraints=LinearConstraint(matrix.tocsr(), self.lower, self.upper),
+            integrality=np.ones(len(c)),
+            bounds=Bounds(0, 1),
+            options={"mip_rel_gap": 0},
+        )
+        if not result.success:
+            raise RuntimeError(f"milp failed: {result.message}")
+        return result.x > 0.5
+
+
+def _pair_columns(n: int) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """The ordered pairs i != j, and index[i, j], the column of pair (i, j)."""
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    index = -np.ones((n, n), dtype=int)
+    for col, (i, j) in enumerate(pairs):
+        index[i, j] = col
+    return pairs, index
+
+
+def _order_matrix(
+    chosen: np.ndarray, pairs: list[tuple[int, int]], n: int
+) -> np.ndarray:
+    """above[i, j] from one order's columns, checked to be a transitive tournament."""
+    above = np.zeros((n, n), dtype=bool)
+    for col, (i, j) in enumerate(pairs):
+        above[i, j] = chosen[col]
+    # A transitive tournament: the item with w wins ranks w-th from the
+    # bottom, so the win counts are 0, 1, ..., n - 1.
+    assert sorted(above.sum(axis=1)) == list(range(n))
+    return above
+
+
 def lop_milp(weights: np.ndarray) -> float:
     """k* from the paper's LOP binary program, solved by HiGHS.
 
@@ -64,41 +129,43 @@ def lop_milp(weights: np.ndarray) -> float:
     halves), since it is compared with ==.
     """
     n = weights.shape[0]
-    index = -np.ones((n, n), dtype=int)
-    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    for col, (i, j) in enumerate(pairs):
-        index[i, j] = col
-    rows, cols = [], []
-    lower, upper = [], []
+    pairs, index = _pair_columns(n)
+    program = _BinaryProgram()
+    program.add_linear_order(index)
+    chosen = program.minimize(-np.array([weights[i, j] for i, j in pairs]))
+    return float(weights[_order_matrix(chosen, pairs, n)].sum())
 
-    def add(row_cols, lo, hi):
-        rows.extend([len(lower)] * len(row_cols))
-        cols.extend(row_cols)
-        lower.append(lo)
-        upper.append(hi)
 
-    for i, j in itertools.combinations(range(n), 2):
-        add([index[i, j], index[j, i]], 1, 1)
-    for i, j, k in itertools.combinations(range(n), 3):
-        add([index[i, j], index[j, k], index[k, i]], -np.inf, 2)
-        add([index[i, k], index[k, j], index[j, i]], -np.inf, 2)
-    matrix = coo_array((np.ones(len(rows)), (rows, cols)), shape=(len(lower), len(pairs)))
-    result = milp(
-        c=-np.array([weights[i, j] for i, j in pairs]),
-        constraints=LinearConstraint(matrix.tocsr(), lower, upper),
-        integrality=np.ones(len(pairs)),
-        bounds=Bounds(0, 1),
-        options={"mip_rel_gap": 0},
-    )
-    if not result.success:
-        raise RuntimeError(f"milp failed: {result.message}")
-    above = np.zeros((n, n), dtype=bool)
+def kt_milp(weights: np.ndarray, k_star: float) -> int:
+    """kappa from the paper's binary program over x, y and z, solved by HiGHS.
+
+    x and y are two linear orders as in lop_milp, each held at k_star; z_ij
+    is 1 when both rank i above j, through the linking x_ij + y_ij - z_ij
+    <= 1. Minimizing sum z, the concordant pairs, gives kappa = C(n, 2) -
+    sum z. Weights must be in halves: then an order worth at least
+    k_star - 1/4 is worth k_star exactly, which is how the program holds
+    both orders there. Every solution is audited by
+    ktdiam.validate_kt_solution, optimality cuts included.
+    """
+    n = weights.shape[0]
+    pairs, index = _pair_columns(n)
+    m = len(pairs)
+    gains = [float(weights[i, j]) for i, j in pairs]
+    program = _BinaryProgram()
+    for side in (0, 1):
+        program.add_linear_order(index + side * m)
+        program.add(list(range(side * m, (side + 1) * m)), k_star - 0.25, np.inf, gains)
+    for col in range(m):
+        program.add([col, m + col, 2 * m + col], -np.inf, 1, [1.0, 1.0, -1.0])
+    chosen = program.minimize(np.concatenate([np.zeros(2 * m), np.ones(m)]))
+    x, y = (_order_matrix(chosen[s * m : (s + 1) * m], pairs, n) for s in (0, 1))
+    z = np.zeros((n, n), dtype=np.int8)
     for col, (i, j) in enumerate(pairs):
-        above[i, j] = result.x[col] > 0.5
-    # A transitive tournament: the item with w wins ranks w-th from the
-    # bottom, so the win counts are 0, 1, ..., n - 1.
-    assert sorted(above.sum(axis=1)) == list(range(n))
-    return float(weights[above].sum())
+        z[i, j] = chosen[2 * m + col]
+    solution = KtSolution(x=LinearOrder(x), y=LinearOrder(y), z=z)
+    report = validate_kt_solution(WeightMatrix(weights), k_star, solution)
+    assert report.feasible and report.passes_optimality_cuts, report
+    return n * (n - 1) // 2 - int(z.sum())
 
 
 def _pair_mask(order: tuple[int, ...]) -> int:

@@ -7,6 +7,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rankability.ktdiam as ktdiam
 
@@ -50,6 +52,8 @@ from tests.conftest import (
 from tests.oracles import (
     brute_force_kappa,
     kendall_distance,
+    kt_milp,
+    lop_milp,
     pack_pair_masks_loop,
     solve_with_kappa_via_solve_lop,
 )
@@ -523,3 +527,24 @@ class TestTableFirstValue:
     def test_above_the_table_budget(self):
         gs = _round_robin(np.random.default_rng(5), lop._TABLE_MAX_N + 1, 0.07)
         self._assert_season_matches(gs)
+
+
+class TestAgainstBinaryPrograms:
+    """k* and kappa equal those of the paper's binary programs, by HiGHS."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(3, 12),
+        top=st.sampled_from((1, 10)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_half_integral_matrices(self, n, top, seed):
+        # Weights in halves up to 5, or only 0 and 1/2, whose many ties
+        # give large optima sets.
+        rng = np.random.default_rng(seed)
+        w = rng.integers(0, top + 1, size=(n, n)) / 2.0
+        np.fill_diagonal(w, 0.0)
+        k_star = lop_milp(w)
+        res = solve_lop(WeightMatrix(w))
+        assert res.optimal_value == k_star
+        assert solve_kt(WeightMatrix(w), k_star).kappa == kt_milp(w, k_star)

@@ -17,6 +17,7 @@ from rankability.core import (
     WeightMatrix,
     objective_value,
     ranking_from_order,
+    read_matrix_csv,
     reverse_ranking,
 )
 from rankability.errors import (
@@ -712,105 +713,122 @@ def _hidden_order_games(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 @pytest.fixture
-def witness_calls(monkeypatch):
-    """Record, for every witness search node expanded, its route.
+def witness_memos(monkeypatch):
+    """Record, for every table-free witness search node expanded, its memo.
 
-    True for _exists_exact, the memoized exact-sum route; False for
-    _exists_completion, the apply/undo one.
+    The list grows by one per node _Search._exists expands and holds the
+    memo dict the node read, so after the search it shows the entries
+    inserted.
     """
-    calls: list[bool] = []
-    for name, memoized in (("_exists_exact", True), ("_exists_completion", False)):
-        real = getattr(lop._Search, name)
+    memos: list[dict[int, int]] = []
+    real = lop._Search._exists
 
-        def recording(self, *args, _real=real, _memoized=memoized):
-            calls.append(_memoized)
-            return _real(self, *args)
+    def recording(self, rem, g, target, memo):
+        memos.append(memo)
+        return real(self, rem, g, target, memo)
 
-        monkeypatch.setattr(lop._Search, name, recording)
-    return calls
+    monkeypatch.setattr(lop._Search, "_exists", recording)
+    return memos
 
 
 def _solve_without_witness_memo(monkeypatch, a: WeightMatrix):
     """solve_lop with the memo-free witness search, and that search's nodes.
 
-    Both routes run tests/oracles.py::exists_completion_loop. The exact
-    route's search is entered only from lex_min_witness, for one child of
-    the canonical prefix, so its state is rebuilt as the apply/undo state
-    of that prefix plus the child's item.
+    The search runs tests/oracles.py::exists_completion_loop. It is entered
+    only from lex_min_witness, for one child of the canonical prefix, so
+    its state is rebuilt as the apply/undo state of that prefix plus the
+    child's item.
     """
     witness_nodes = [0]
 
-    def memo_free(self, target):
-        before = self.nodes
-        ok = exists_completion_loop(self, target)
-        witness_nodes[0] += self.nodes - before
-        return ok
-
-    def memo_free_exact(self, rem, g, target, memo):
+    def memo_free(self, rem, g, target, memo):
         prefix = self.prefix.copy()
         (child,) = {v for v in range(self.n) if not rem >> v & 1} - set(prefix)
         self.reset()
         for v in prefix + [child]:
             self.apply(v)
-        assert self.f + self.u == g
-        ok = memo_free(self, target)
+        # Equal with exact sums, where the slack is 0.
+        assert abs(self.f + self.u - g) <= self.eps
+        before = self.nodes
+        ok = exists_completion_loop(self, target)
+        witness_nodes[0] += self.nodes - before
         self.undo()
         return ok
 
     with monkeypatch.context() as m:
-        m.setattr(lop._Search, "_exists_completion", memo_free)
-        m.setattr(lop._Search, "_exists_exact", memo_free_exact)
+        m.setattr(lop._Search, "_exists", memo_free)
         return solve_lop(a), witness_nodes[0]
 
 
+def _fractional_hidden_order(n: int) -> np.ndarray:
+    """A hidden-order tournament with each game's weight drawn from [0.5, 1.5)."""
+    rng = np.random.default_rng(0)
+    return _hidden_order_tournament(rng, n) * rng.uniform(0.5, 1.5, size=(n, n))
+
+
 class TestWitnessMemo:
-    """Above the table budget the memo must replay the memo-free search."""
+    """Above the table budget the witness search must replay the memo-free one."""
 
     @pytest.mark.parametrize(
         "n,seed", [(19, 0), (19, 2), (20, 0), (20, 2), (21, 0), (21, 2)]
     )
-    def test_hidden_order_tournaments(self, monkeypatch, witness_calls, n, seed):
+    def test_hidden_order_tournaments(self, monkeypatch, witness_memos, n, seed):
         a = WeightMatrix(_hidden_order_tournament(np.random.default_rng(seed), n))
-        self._assert_replays(monkeypatch, witness_calls, a)
+        self._assert_replays(monkeypatch, witness_memos, a)
 
     @pytest.mark.parametrize("n,seed", [(19, 0), (19, 2), (20, 2), (21, 2)])
-    def test_games_with_ties(self, monkeypatch, witness_calls, n, seed):
+    def test_games_with_ties(self, monkeypatch, witness_memos, n, seed):
         w = _hidden_order_games(np.random.default_rng(seed), n)
         assert np.any(w % 1.0 == 0.5)
-        self._assert_replays(monkeypatch, witness_calls, WeightMatrix(w))
+        self._assert_replays(monkeypatch, witness_memos, WeightMatrix(w))
 
     def test_fractional_weights_take_the_memo_free_route(
-        self, monkeypatch, witness_calls
+        self, monkeypatch, witness_memos
     ):
-        rng = np.random.default_rng(0)
-        w = _hidden_order_tournament(rng, 19) * rng.uniform(0.5, 1.5, size=(19, 19))
-        a = WeightMatrix(w)
-        assert not lop._exact_sums(a)
-        res = solve_lop(a)
-        assert res.proven
-        assert witness_calls and not any(witness_calls)
-        plain, _ = _solve_without_witness_memo(monkeypatch, a)
-        assert (res.ranking, res.stats.nodes, res.stats.pruned) == (
-            plain.ranking,
-            plain.stats.nodes,
-            plain.stats.pruned,
-        )
+        w = _fractional_hidden_order(19)
+        # The same matrix, written with repr, is the CI's float input above
+        # the table budget.
+        assert np.array_equal(read_matrix_csv(DATA_DIR / "fractional19.csv").weights, w)
+        self._assert_memo_free(monkeypatch, witness_memos, WeightMatrix(w))
+
+    @pytest.mark.parametrize("family", ["uniform", "noisy-integer", "tenths"])
+    def test_fractional_weights_without_a_table(
+        self, monkeypatch, witness_memos, family
+    ):
+        monkeypatch.setattr(lop, "_TABLE_MAX_N", 0)
+        a = WeightMatrix(_scaled_weights(family, 11, 1.0, 7))
+        self._assert_memo_free(monkeypatch, witness_memos, a)
 
     @staticmethod
-    def _assert_replays(monkeypatch, witness_calls, a: WeightMatrix):
+    def _assert_replays(monkeypatch, witness_memos, a: WeightMatrix):
         res = solve_lop(a)
         assert res.proven
-        assert witness_calls and all(witness_calls)
+        assert witness_memos and any(witness_memos)
         plain, witness_nodes = _solve_without_witness_memo(monkeypatch, a)
         assert plain.proven
         assert res.ranking == plain.ranking
         assert res.stats.nodes == plain.stats.nodes
         assert res.stats.pruned == plain.stats.pruned
         # The memo answered some subtrees instead of searching them again.
-        assert len(witness_calls) < witness_nodes
+        assert len(witness_memos) < witness_nodes
+
+    @staticmethod
+    def _assert_memo_free(monkeypatch, witness_memos, a: WeightMatrix):
+        assert not lop._exact_sums(a)
+        res = solve_lop(a)
+        assert res.proven
+        # A float g has no exact key, so the search runs without a memo.
+        assert witness_memos and not any(witness_memos)
+        plain, witness_nodes = _solve_without_witness_memo(monkeypatch, a)
+        assert (res.ranking, res.stats.nodes, res.stats.pruned) == (
+            plain.ranking,
+            plain.stats.nodes,
+            plain.stats.pruned,
+        )
+        assert len(witness_memos) == witness_nodes
 
     def test_deadline_after_the_value_proof_stops_the_witness_search(
-        self, monkeypatch, witness_calls
+        self, monkeypatch, witness_memos
     ):
         a = WeightMatrix(_hidden_order_tournament(np.random.default_rng(0), 19))
         limit = 10.0
@@ -831,19 +849,20 @@ class TestWitnessMemo:
         res = solve_lop(a, SolverConfig(time_limit=limit))
         assert not res.proven
         assert objective_value(a, res.ranking) == res.optimal_value
-        # The witness search ran, memo hits included, and stopped within
+        # The witness search ran, memo entries included, and stopped within
         # 256 expanded nodes.
         ((search, expanded),) = searches
-        assert witness_calls and all(witness_calls)
+        assert witness_memos and any(witness_memos)
         assert 0 < search._expanded - expanded <= 256
 
 
 def _value_witness_optima(a: WeightMatrix, exact: bool, cap: int = 100_000):
-    """solve_lop's phases on one route, forced by _Search.exact.
+    """solve_lop's phases with _Search.exact forced.
 
     The value search's best value, best order, nodes and pruned; the
     lex-min witness with the nodes and pruned it adds; and every optimum,
-    with truncated.
+    with truncated. exact picks the value search's state form and whether
+    the witness search keeps a memo.
     """
     heur = [v - 1 for v in heuristic_ranking(a).order]
     search = lop._Search(a)
@@ -860,42 +879,46 @@ def _value_witness_optima(a: WeightMatrix, exact: bool, cap: int = 100_000):
 
 
 class TestExactRoute:
-    """With exact sums, the unplaced-set routes equal the apply/undo ones."""
+    """With exact sums the value search's two state forms agree, and the
+    witness and the optima agree with and without a table.
+    """
 
     @staticmethod
-    def _assert_routes_agree(w: np.ndarray, table: bool) -> None:
+    def _assert_routes_agree(w: np.ndarray) -> None:
         a = WeightMatrix(w)
         assert lop._exact_sums(a)
-        assert (a.n <= lop._TABLE_MAX_N) == table
-        exact = _value_witness_optima(a, exact=True)
-        assert exact == _value_witness_optima(WeightMatrix(w), exact=False)
-        value, (witness, _, _), (optima, truncated) = exact
+        result = _value_witness_optima(a, exact=True)
+        # Both value-search forms; the witness search with and without memo.
+        assert result == _value_witness_optima(WeightMatrix(w), exact=False)
+        (k_star, *_), (witness, _, _), (optima, truncated) = result
         assert witness is not None and tuple(witness) == optima[0]
         assert not truncated
+        if a.n <= lop._TABLE_MAX_N:
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(lop, "_TABLE_MAX_N", 0)
+                free = _value_witness_optima(WeightMatrix(w), exact=True)
+            # The table-side witness expands no search nodes, so only the
+            # orders compare.
+            assert (free[1][0], free[2]) == (witness, result[2])
+        if a.n <= 8:
+            brute_k_star, orders = brute_force_lop(w, tol=0.0)
+            assert k_star == brute_k_star
+            assert [tuple(v + 1 for v in order) for order in optima] == orders
 
     @settings(max_examples=100, deadline=None)
-    @given(
-        n=st.integers(3, 12),
-        seed=st.integers(0, 2**32 - 1),
-        table=st.booleans(),
-    )
-    def test_half_integral_matrices(self, n, seed, table):
+    @given(n=st.integers(3, 12), seed=st.integers(0, 2**32 - 1))
+    def test_half_integral_matrices(self, n, seed):
         w = random_half_integer_matrix(np.random.default_rng(seed), n).weights
-        with pytest.MonkeyPatch.context() as m:
-            if not table:
-                # Without a table, the witness and the enumeration take
-                # their table-free sides.
-                m.setattr(lop, "_TABLE_MAX_N", 0)
-            self._assert_routes_agree(w, table)
+        self._assert_routes_agree(w)
 
-    # Seeds above the table budget are ones where the apply/undo route's
-    # witness search, which has no memo, takes well under a second.
+    # Seeds above the table budget are ones where the witness search
+    # without memo takes well under a second.
     @pytest.mark.parametrize(
         "n,seed", [(14, 0), (15, 1), (16, 2), (19, 0), (20, 1), (21, 1)]
     )
     def test_hidden_order_tournaments(self, n, seed):
         w = _hidden_order_tournament(np.random.default_rng(seed), n)
-        self._assert_routes_agree(w, n <= lop._TABLE_MAX_N)
+        self._assert_routes_agree(w)
 
     @pytest.mark.parametrize(
         "n,seed", [(14, 0), (15, 1), (16, 2), (19, 5), (20, 3), (21, 3)]
@@ -903,7 +926,7 @@ class TestExactRoute:
     def test_games_with_ties(self, n, seed):
         w = _hidden_order_games(np.random.default_rng(seed), n)
         assert np.any(w % 1.0 == 0.5)
-        self._assert_routes_agree(w, n <= lop._TABLE_MAX_N)
+        self._assert_routes_agree(w)
 
 
 def _coin_tournament(rng: np.random.Generator, n: int, games: int) -> np.ndarray:
@@ -1002,11 +1025,16 @@ class TestWeightScale:
     )
     def test_optima_equal_brute_force_at_the_slack(self, family, n, exponent, seed):
         w = _scaled_weights(family, n, 10.0**exponent, seed)
-        a = WeightMatrix(w)
-        orders = [r.order for r in enumerate_optima(a).rankings]
-        assert orders
-        assert solve_lop(a).ranking.order in orders
-        assert orders == brute_force_lop(w, tol=lop._slack(a))[1]
+        expected = brute_force_lop(w, tol=lop._slack(WeightMatrix(w)))[1]
+        # With the completion table, then with none: the witness and the
+        # enumeration take their table-free sides.
+        for table_max_n in (lop._TABLE_MAX_N, 0):
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(lop, "_TABLE_MAX_N", table_max_n)
+                a = WeightMatrix(w)
+                orders = [r.order for r in enumerate_optima(a).rankings]
+                assert orders == expected
+                assert solve_lop(a).ranking.order == orders[0]
 
     def test_slack_is_zero_for_exact_sums_and_scales_otherwise(self, college_matrix):
         assert lop._slack(college_matrix) == 0.0

@@ -8,6 +8,11 @@ from pathlib import Path
 import pytest
 
 import rankability
+from rankability import InvalidArgumentError, RankabilityError
+from rankability.core import ranking_from_order
+from rankability.lop import SolverConfig
+from rankability.rating import RatingVector
+from rankability.sports import GameRecord, game_set_from_records, hindsight_accuracy
 
 SOURCES = sorted(Path(rankability.__file__).parent.rglob("*.py"))
 
@@ -38,3 +43,24 @@ def test_no_absolute_tolerances(path):
         and 0 < abs(node.value) < 1e-6
     ]
     assert lines == [], f"{path.name}: float literals below 1e-6 at lines {lines}"
+
+
+def test_bad_arguments_raise_one_typed_error():
+    # A RankabilityError that is also a ValueError, so callers that catch
+    # ValueError keep working.
+    record = GameRecord(
+        season=2000, stage="regular", team_a="A", team_b="B", score_a=1, score_b=0
+    )
+    games = game_set_from_records([record])
+    sigma = ranking_from_order((1, 2))
+    calls = [
+        lambda: SolverConfig(time_limit=0),
+        lambda: SolverConfig(enumeration_cap=0),
+        lambda: RatingVector(values=[], method="massey"),
+        lambda: hindsight_accuracy(games, "regular", sigma, tie_mode="both"),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidArgumentError) as info:
+            call()
+        assert isinstance(info.value, RankabilityError)
+        assert isinstance(info.value, ValueError)
