@@ -15,6 +15,13 @@ type. So does the value branch and bound when every sum of the weights is
 exact; for other weights it alone keeps the incremental state with O(n)
 apply/undo per move, since the value it reports is that state's (_Search).
 
+The heuristic (heuristic_ranking) runs its 17 starts together as numpy
+arrays: one greedy insertion pass, then insertion local search steps that
+each read a window of every start's positions and move each start's first
+gaining item. Every sum it compares is a cumsum over the terms the scalar
+loops add, in their order, with masked terms exactly 0.0, so its orders
+and values are those loops' bit for bit.
+
 The completion table is a subset dynamic program read as a grid, a set's
 high items picking the row and its low items the column; it is filled one
 layer of rows at a time, each item's term one numpy operation over whole
@@ -33,7 +40,7 @@ import functools
 import time
 from array import array
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -88,6 +95,23 @@ _EXACT_TOTAL = 2.0**51
 # time: never k*, the canonical ranking or the optima.
 _HEURISTIC_RESTARTS = 16
 _HEURISTIC_SEED = 0
+
+# Positions of each start that one batched step of the heuristic reads
+# (_local_search_batch); at n <= 16 a step reads a whole pass. A
+# smaller window reads fewer positions after a move and a larger one takes
+# fewer steps: on a 2-vCPU x86-64 host 16 ran about as fast as whole passes
+# at n = 14 to 22, and on a uniform n = 200 matrix took 0.8 s of CPU where
+# whole passes took 7.3 s and the scalar loops 3.2 s.
+_HEURISTIC_WINDOW = 16
+
+# The heuristic runs its starts in chunks, at least one start each, whose
+# arrays stay within this many bytes: a local search step holds about
+# _STEP_ARRAYS arrays of n * window entries per start, and the fold of the
+# objectives _VALUE_ARRAYS arrays of n(n-1)/2, 8 bytes an entry. All 17
+# starts fit one chunk up to n = 143.
+_HEURISTIC_CHUNK_BYTES = 1 << 22
+_STEP_ARRAYS = 5
+_VALUE_ARRAYS = 3
 
 
 @dataclass(frozen=True)
@@ -220,13 +244,16 @@ def _float_rows(a: WeightMatrix) -> list[list[float]]:
     return [[float(x) for x in row] for row in a.weights]
 
 
-def _order_value(w: list[list[float]], order: Sequence[int]) -> float:
+def _fold(values: Iterable[float]) -> float:
+    """The sum of values, added left to right from 0.0.
+
+    Builtin sum() adds so before Python 3.12; from 3.12 it compensates its
+    rounding, so the last bits of a sum of floats would depend on the
+    Python version.
+    """
     total = 0.0
-    n = len(order)
-    for p in range(n):
-        wrow = w[order[p]]
-        for q in range(p + 1, n):
-            total += wrow[order[q]]
+    for x in values:
+        total += x
     return total
 
 
@@ -305,12 +332,12 @@ class _Search:
         self.rem_mask = (1 << n) - 1
         self.prefix: list[int] = []
         self.s_a = [
-            sum(self.w[v][r] for r in range(n) if r != v) for v in range(n)
+            _fold(self.w[v][r] for r in range(n) if r != v) for v in range(n)
         ]
         self.s_m = [
-            sum(self.pair_max[v][r] for r in range(n) if r != v) for v in range(n)
+            _fold(self.pair_max[v][r] for r in range(n) if r != v) for v in range(n)
         ]
-        self.u = sum(self.s_m) / 2.0
+        self.u = _fold(self.s_m) / 2.0
         self.f = 0.0
 
     def apply(self, v: int) -> None:
@@ -772,89 +799,233 @@ def _completion(a: WeightMatrix, deadline: float | None) -> _Completion | None:
     return a._completion
 
 
-def _greedy_insertion(w: list[list[float]], items: Sequence[int]) -> list[int]:
-    order: list[int] = []
-    for v in items:
-        delta = sum(w[v][u] for u in order)
-        best_delta = delta
-        best_p = 0
-        for p, u in enumerate(order):
-            delta += w[u][v] - w[v][u]
-            if delta > best_delta:
-                best_delta = delta
-                best_p = p + 1
-        order.insert(best_p, v)
-    return order
+@functools.lru_cache(maxsize=16)
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs p < q of n positions in row-major order, as two index arrays."""
+    above, below = np.triu_indices(n, 1)
+    above.flags.writeable = False
+    below.flags.writeable = False
+    return above, below
 
 
-def _insertion_local_search(
-    w: list[list[float]], order: list[int], slack: float
-) -> list[int]:
-    """Move single items while a move gains more than slack.
+def _order_values(w: np.ndarray, orders: np.ndarray) -> np.ndarray:
+    """The objective of each row of orders, bit for bit as a scalar loop adds it.
 
-    A gain within slack may be rounding alone, and taking it can cycle.
+    The loop starts from 0.0 and adds w[o_p, o_q] for every p < q in
+    row-major pair order; one cumsum over the same terms makes the same
+    additions in the same order. Adding 0.0 at the end turns the -0.0 that
+    a -0.0 weight can leave into the loop's 0.0 and changes nothing else.
     """
-    n = len(order)
-    improved = True
-    while improved:
-        improved = False
-        for idx in range(n):
-            v = order[idx]
-            rest = order[:idx] + order[idx + 1 :]
-            current = sum(w[u][v] for u in order[:idx]) + sum(
-                w[v][u] for u in order[idx + 1 :]
-            )
-            delta = sum(w[v][u] for u in rest)
-            best_delta = current
-            best_p = idx
-            if delta > best_delta + slack:
-                best_delta = delta
-                best_p = 0
-            for p, u in enumerate(rest):
-                delta += w[u][v] - w[v][u]
-                if delta > best_delta + slack:
-                    best_delta = delta
-                    best_p = p + 1
-            if best_p != idx:
-                rest.insert(best_p, v)
-                order = rest
-                improved = True
-    return order
+    n = w.shape[0]
+    above, below = _pairs(n)
+    index = orders[:, above]
+    index *= n
+    index += orders[:, below]
+    pairs = w.ravel().take(index, mode="clip")
+    del index
+    return np.cumsum(pairs, axis=1)[:, -1] + 0.0
+
+
+def _greedy_batch(ww: np.ndarray, items: np.ndarray) -> np.ndarray:
+    """Greedy insertion of each row of items, all rows in one pass; the orders.
+
+    ww stacks the weights and their transpose, flattened: ww[:, v * n + u]
+    is (w[v, u], w[u, v]). Step k places each row's k-th item v before
+    position p of its order where that gains most: v gains w[v, u] over
+    every placed u, and each u it moves below adds w[u, v] - w[v, u]. One
+    cumsum over those 2k terms gives every position's gain (position p at
+    entry k - 1 + p), added in the order of the scalar loop, whose strict
+    test keeps the first best position, as argmax does.
+    """
+    count, n = items.shape
+    orders = np.empty_like(items)
+    orders[:, 0] = items[:, 0]
+    gains = np.empty((count, 2 * n))
+    rows = np.arange(count)
+    cols = np.arange(1, n)
+    for k in range(1, n):
+        placed = orders[:, :k]
+        pair = ww.take(items[:, k, None] * n + placed, axis=1, mode="clip")
+        seq = gains[:, : 2 * k]
+        seq[:, :k] = pair[0]
+        np.subtract(pair[1], pair[0], out=seq[:, k:])
+        np.cumsum(seq, axis=1, out=seq)
+        at = seq[:, k - 1 :].argmax(axis=1)
+        np.copyto(orders[:, 1 : k + 1], placed, where=cols[:k] > at[:, None])
+        orders[rows, at] = items[:, k]
+    return orders
+
+
+def _first_move(
+    gains: np.ndarray,
+    current: list[float],
+    flags: list[bool],
+    slots: range,
+    top: int,
+    slack: float,
+) -> tuple[int, int] | None:
+    """The first flagged slot in slots whose item moves, and the position it moves to.
+
+    Slot b holds the item at position top + b of its order; gains[:, b] are
+    its n + 1 insertion gains, the gain at position p at entry p up to its
+    own position and at entry p + 1 after it (entry top + b + 1 repeats the
+    gain of staying). The scalar record rule runs on them: the item moves
+    to the last position that beats the best so far, starting from
+    current[b], by more than slack.
+    """
+    b = slots.start
+    while True in flags[b : slots.stop]:
+        b = flags.index(True, b, slots.stop)
+        at = top + b
+        best = current[b]
+        best_j = -1
+        for j, gain in enumerate(gains[:, b].tolist()):
+            if gain > best + slack:
+                best = gain
+                best_j = j
+        if best_j >= 0:
+            target = best_j if best_j <= at else best_j - 1
+            if target != at:
+                return b, target
+        b += 1
+    return None
+
+
+def _local_search_batch(
+    ww: np.ndarray, orders: np.ndarray, slack: float, window: int
+) -> None:
+    """Insertion local search on every row of orders at once, in place.
+
+    Each order is scanned position by position, as the scalar loop does:
+    the item there moves to its best position when that gains more than
+    slack over its current contribution (a gain within slack may be
+    rounding alone, and taking it can cycle); the scan goes on after that
+    position; a pass that moved an item starts another from the top, and
+    a pass that moved none ends the search.
+
+    A step reads the window positions after each active order's scan
+    pointer (wrapping into the next pass) as arrays of shape (n, orders,
+    window), item v at position i reading u = order[q] for every q:
+
+    - current, the weight v gains in place: w[u, v] over q < i plus
+      w[v, u] over q > i, each folded from 0 by its own cumsum over the
+      terms with the others masked to 0.0;
+    - the insertion gains: one cumsum over w[v, u] for every q (0.0 at
+      q = i), then w[u, v] - w[v, u] for every q (0.0 at q = i).
+
+    cumsum adds left to right and adding 0.0 changes no sum (-0.0 aside,
+    which compares equal), so these are the scalar loop's sums bit for bit
+    and every comparison decides alike. A slot is a mover when some gain
+    beats current by more than slack; the first mover of each order is
+    checked by the record rule (_first_move) and moved, and positions
+    after it are read again from the changed order in the next step.
+    """
+    count, n = orders.shape
+    scan = [0] * count
+    improved = [False] * count
+    active = list(range(count))
+    q = np.arange(n)
+    # The positions a step reads from each scan pointer, and sides[0][q, i]
+    # 1.0 where q < i, sides[1][q, i] where q > i.
+    windows = (q[:, None] + np.arange(window)) % n
+    sides = np.array([q[:, None] < q, q[:, None] > q], dtype=float)
+    while active:
+        size = len(active)
+        view = orders[active]
+        at = windows[[scan[r] for r in active]]
+        items = view.ravel().take(at + (np.arange(size) * n)[:, None])
+        # seq[:n] = w[v, u] and seq[n:] = w[u, v] for u = order[q] at row q.
+        # Every index is in range, so mode="clip" only spares take the
+        # bounds check and the copy it makes of out.
+        seq = np.empty((2 * n, size, window))
+        index = view.T[:, :, None] + items * n
+        ww.take(index, axis=1, out=seq.reshape(2, n, size, window), mode="clip")
+        del index
+        # parts[0] = w[u, v] above v and parts[1] = w[v, u] below it.
+        parts = sides.take(at, axis=2, mode="clip")
+        parts *= seq.reshape(2, n, size, window)[::-1]
+        np.cumsum(parts, axis=1, out=parts)
+        current = parts[0, -1] + parts[1, -1]
+        np.subtract(seq[n:], seq[:n], out=seq[n:])
+        np.cumsum(seq, axis=0, out=seq)
+        deltas = seq[n - 1 :]
+        movers = (deltas.max(axis=0) > current + slack).tolist()
+        current = current.tolist()
+        still = []
+        for column, r in enumerate(active):
+            top = scan[r]
+            gains, cur, flags = deltas[:, column], current[column], movers[column]
+            # Slots up to the end of the pass; the rest wrap into the next.
+            tail = min(window, n - top)
+            move = _first_move(gains, cur, flags, range(tail), top, slack)
+            if move is None and top + tail == n:
+                if not improved[r]:
+                    continue
+                improved[r] = False
+                wrapped = range(tail, window)
+                move = _first_move(gains, cur, flags, wrapped, top - n, slack)
+            if move is None:
+                scan[r] = (top + window) % n
+                still.append(r)
+                continue
+            b, target = move
+            at_b = (top + b) % n
+            order = orders[r].tolist()
+            order.insert(target, order.pop(at_b))
+            orders[r] = order
+            # The scan goes on after the moved position; past the last
+            # position the pass ends, having moved an item.
+            scan[r] = (at_b + 1) % n
+            improved[r] = at_b + 1 < n
+            still.append(r)
+        active = still
 
 
 def heuristic_ranking(a: WeightMatrix) -> Ranking:
     """Strong feasible ranking: greedy insertion plus insertion local search.
 
-    Runs from the net-wins order and 16 random orders from a fixed seed, so
-    it is deterministic. The returned ranking's objective is at least
-    total_sum(a) / 2, by taking the better of the final order and its
-    reverse.
+    Runs from the net-wins order and _HEURISTIC_RESTARTS random orders from
+    a fixed seed, so it is deterministic. The returned ranking's objective
+    is at least total_sum(a) / 2, by taking the better of the final order
+    and its reverse.
+
+    All starts run together as numpy arrays, in chunks whose arrays stay
+    within _HEURISTIC_CHUNK_BYTES: one greedy pass (_greedy_batch),
+    one batched local search (_local_search_batch) and one fold of
+    their objectives (_order_values). Every sum is formed by cumsum from
+    the same terms, in the same order, as the scalar loops of
+    tests/oracles.py::heuristic_ranking_loop form it, so the orders and
+    their values are those loops' bit for bit, at every weight scale.
     """
     n = a.n
-    w = _float_rows(a)
+    w = a.weights
     slack = _slack(a)
+    # Row and column sums, folded left to right.
+    net = (np.cumsum(w, axis=1)[:, -1] - np.cumsum(w, axis=0)[-1]).tolist()
     rng = np.random.default_rng(_HEURISTIC_SEED)
-    net_wins = sorted(
-        range(n),
-        key=lambda v: (-(sum(w[v]) - sum(w[r][v] for r in range(n))), v),
+    starts = np.array(
+        [sorted(range(n), key=lambda v: (-net[v], v))]
+        + [rng.permutation(n) for _ in range(_HEURISTIC_RESTARTS)]
     )
-    starts: list[list[int]] = [net_wins]
-    for _ in range(_HEURISTIC_RESTARTS):
-        starts.append([int(x) for x in rng.permutation(n)])
+    ww = np.stack([w.ravel(), w.T.ravel()])
+    window = min(n, _HEURISTIC_WINDOW)
+    per_start = 8 * max(_STEP_ARRAYS * n * window, _VALUE_ARRAYS * n * (n - 1) // 2)
+    chunk = max(1, _HEURISTIC_CHUNK_BYTES // per_start)
     # Every order is worth at least 0, so the first start always replaces
     # this placeholder.
     best_order: list[int] = []
     best_val = float("-inf")
-    for start in starts:
-        order = _insertion_local_search(w, _greedy_insertion(w, start), slack)
-        val = _order_value(w, order)
-        if val > best_val + slack or (
-            abs(val - best_val) <= slack and order < best_order
-        ):
-            best_val = val
-            best_order = order
+    for first in range(0, len(starts), chunk):
+        orders = _greedy_batch(ww, starts[first : first + chunk])
+        _local_search_batch(ww, orders, slack, window)
+        for order, val in zip(orders.tolist(), _order_values(w, orders).tolist()):
+            if val > best_val + slack or (
+                abs(val - best_val) <= slack and order < best_order
+            ):
+                best_val = val
+                best_order = order
     reverse = best_order[::-1]
-    if _order_value(w, reverse) > best_val:
+    if _order_values(w, np.array([reverse]))[0] > best_val:
         best_order = reverse
     return ranking_from_order([v + 1 for v in best_order])
 
@@ -883,14 +1054,16 @@ def prefix_upper_bound(a: WeightMatrix, partial: Sequence[int]) -> float:
 def _value_search(a: WeightMatrix, deadline: float | None) -> tuple[_Search, float, bool]:
     """Value phase of solve_lop: the heuristic incumbent, then branch and bound.
 
-    Returns the search, whose best_val and best_order hold the best value
-    and order found, the heuristic's value, and whether the deadline
-    stopped the search before it was exhausted.
+    The incumbent's value is the heuristic's own fold (_order_values), the
+    bits it ranked its starts by, read again for the one order that
+    heuristic_ranking returns. Returns the search, whose best_val and
+    best_order hold the best value and order found, the heuristic's value,
+    and whether the deadline stopped the search before it was exhausted.
     """
     heur = heuristic_ranking(a)
     search = _Search(a, deadline)
     heur_order = [v - 1 for v in heur.order]
-    heur_val = _order_value(search.w, heur_order)
+    heur_val = float(_order_values(a.weights, np.array([heur_order]))[0])
     timed_out = search.run_value(heur_order, heur_val)
     return search, heur_val, timed_out
 

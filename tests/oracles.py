@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from array import array
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.sparse import coo_array
 
-from rankability.core import LinearOrder, WeightMatrix
+from rankability import lop
+from rankability.core import LinearOrder, Ranking, WeightMatrix, ranking_from_order
 from rankability.errors import UnprovenOptimumError
 from rankability.ktdiam import KtSolution, _kappa_from_orders, validate_kt_solution
 from rankability.lop import (
@@ -354,3 +356,104 @@ def solve_with_kappa_via_solve_lop(a, cfg):
     orders, truncated = _optimal_orders(a, k_star, cfg.enumeration_cap, deadline)
     kt = _kappa_from_orders(a, k_star, orders, truncated, deadline)
     return result, orders, truncated, kt
+
+
+def _fold(values) -> float:
+    """Sum left to right from 0.0, as builtin sum() does before Python 3.12."""
+    return functools.reduce(operator.add, values, 0.0)
+
+
+def order_value_loop(w: list[list[float]], order: list[int]) -> float:
+    """Objective of a 0-based order, added pair by pair in row-major order."""
+    total = 0.0
+    n = len(order)
+    for p in range(n):
+        wrow = w[order[p]]
+        for q in range(p + 1, n):
+            total += wrow[order[q]]
+    return total
+
+
+def _greedy_insertion_loop(w: list[list[float]], items: list[int]) -> list[int]:
+    order: list[int] = []
+    for v in items:
+        delta = _fold(w[v][u] for u in order)
+        best_delta = delta
+        best_p = 0
+        for p, u in enumerate(order):
+            delta += w[u][v] - w[v][u]
+            if delta > best_delta:
+                best_delta = delta
+                best_p = p + 1
+        order.insert(best_p, v)
+    return order
+
+
+def _insertion_local_search_loop(
+    w: list[list[float]], order: list[int], slack: float
+) -> list[int]:
+    """Move single items while a move gains more than slack."""
+    n = len(order)
+    improved = True
+    while improved:
+        improved = False
+        for idx in range(n):
+            v = order[idx]
+            rest = order[:idx] + order[idx + 1 :]
+            current = _fold(w[u][v] for u in order[:idx]) + _fold(
+                w[v][u] for u in order[idx + 1 :]
+            )
+            delta = _fold(w[v][u] for u in rest)
+            best_delta = current
+            best_p = idx
+            if delta > best_delta + slack:
+                best_delta = delta
+                best_p = 0
+            for p, u in enumerate(rest):
+                delta += w[u][v] - w[v][u]
+                if delta > best_delta + slack:
+                    best_delta = delta
+                    best_p = p + 1
+            if best_p != idx:
+                rest.insert(best_p, v)
+                order = rest
+                improved = True
+    return order
+
+
+def heuristic_ranking_loop(a: WeightMatrix) -> Ranking:
+    """lop.heuristic_ranking by scalar loops, one start at a time.
+
+    Greedy insertion, then insertion local search, from the net-wins order
+    and lop._HEURISTIC_RESTARTS random orders (both read at call time);
+    the best final order within the slack, ties to the lexicographically
+    smaller, or its reverse when that is worth more. Every sum is a left
+    fold from 0.0, so the result does not depend on the Python version.
+    Reference for the solver's batched passes, which must match it order
+    for order.
+    """
+    n = a.n
+    w = a.weights.tolist()
+    slack = lop._slack(a)
+    rng = np.random.default_rng(lop._HEURISTIC_SEED)
+    net_wins = sorted(
+        range(n),
+        key=lambda v: (-(_fold(w[v]) - _fold(w[r][v] for r in range(n))), v),
+    )
+    starts: list[list[int]] = [net_wins]
+    for _ in range(lop._HEURISTIC_RESTARTS):
+        starts.append([int(x) for x in rng.permutation(n)])
+    best_order: list[int] = []
+    best_val = float("-inf")
+    for start in starts:
+        order = _insertion_local_search_loop(w, _greedy_insertion_loop(w, start), slack)
+        val = order_value_loop(w, order)
+        if val > best_val + slack or (
+            abs(val - best_val) <= slack and order < best_order
+        ):
+            best_val = val
+            best_order = order
+    reverse = best_order[::-1]
+    if order_value_loop(w, reverse) > best_val:
+        best_order = reverse
+    return ranking_from_order([v + 1 for v in best_order])

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import time
 import tracemalloc
 from types import SimpleNamespace
@@ -64,7 +66,9 @@ from tests.oracles import (
     completion_table_by_layers,
     completion_table_loop,
     exists_completion_loop,
+    heuristic_ranking_loop,
     lop_milp,
+    order_value_loop,
 )
 
 
@@ -172,6 +176,98 @@ class TestHeuristic:
         rng = np.random.default_rng(9)
         a = random_half_integer_matrix(rng, 8)
         assert heuristic_ranking(a) == heuristic_ranking(a)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(2, 25),
+        seed=st.integers(0, 2**32 - 1),
+        restarts=st.sampled_from((0, lop._HEURISTIC_RESTARTS)),
+    )
+    def test_batched_passes_match_the_loops_on_half_integral_weights(
+        self, n, seed, restarts
+    ):
+        w = random_half_integer_matrix(np.random.default_rng(seed), n).weights
+        _assert_heuristic_matches_loops(w, restarts)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        family=st.sampled_from(("uniform", "noisy-integer", "tenths")),
+        n=st.integers(2, 25),
+        exponent=st.integers(0, 12),
+        seed=st.integers(0, 2**32 - 1),
+        restarts=st.sampled_from((0, lop._HEURISTIC_RESTARTS)),
+    )
+    def test_batched_passes_match_the_loops_at_every_weight_scale(
+        self, family, n, exponent, seed, restarts
+    ):
+        _assert_heuristic_matches_loops(
+            _scaled_weights(family, n, 10.0**exponent, seed), restarts
+        )
+
+    @pytest.mark.parametrize("restarts", [0, lop._HEURISTIC_RESTARTS])
+    @pytest.mark.parametrize("weight", [0.0, 1.0, 0.1])
+    @pytest.mark.parametrize("n", [2, 7, 20])
+    def test_batched_passes_match_the_loops_on_constant_weights(
+        self, n, weight, restarts
+    ):
+        # Every order of an all-equal matrix ties; the all-zero matrix has
+        # nothing to gain, so no item ever moves.
+        w = np.full((n, n), weight)
+        np.fill_diagonal(w, 0.0)
+        _assert_heuristic_matches_loops(w, restarts)
+
+    def test_traced_peak_stays_within_the_chunk_bytes_at_n_200(self):
+        # At n = 200 the 17 starts run in chunks of 8, 8 and 1. Outside the
+        # chunks the call holds the weights stacked with their transpose
+        # and the pair indices of the objective fold, 3 n^2 entries of 8
+        # bytes (0.92 MiB here), and arrays of n entries per start.
+        a = random_half_integer_matrix(np.random.default_rng(1), 200)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            ranking = heuristic_ranking(a)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= lop._HEURISTIC_CHUNK_BYTES + (1 << 20)
+        assert ranking == heuristic_ranking_loop(a)
+
+
+def _assert_heuristic_matches_loops(w: np.ndarray, restarts: int) -> None:
+    """heuristic_ranking equals the scalar loops' ranking, its value their bits.
+
+    The value is the one _value_search gives the branch and bound and
+    reports as heuristic_value.
+    """
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(lop, "_HEURISTIC_RESTARTS", restarts)
+        a = WeightMatrix(w)
+        ranking = heuristic_ranking(a)
+        assert ranking == heuristic_ranking_loop(a)
+    order = [v - 1 for v in ranking.order]
+    value = float(lop._order_values(a.weights, np.array([order]))[0])
+    assert value.hex() == order_value_loop(a.weights.tolist(), order).hex()
+
+
+class TestSearchSums:
+    def test_state_sums_are_left_folds_on_every_python_version(self):
+        # Ten weights of 0.1 per row: added left to right they make
+        # 0.9999999999999999, while sum() from Python 3.12 compensates and
+        # makes 1.0. The value search's apply/undo state starts from these.
+        n = 11
+        w = np.full((n, n), 0.1)
+        np.fill_diagonal(w, 0.0)
+        rows = w.tolist()
+        folds = [
+            functools.reduce(operator.add, (rows[v][r] for r in range(n) if r != v))
+            for v in range(n)
+        ]
+        assert folds[0] != math.fsum(rows[0])
+        search = lop._Search(WeightMatrix(w))
+        assert search.s_a == folds
+        assert search.s_m == folds
+        assert search.u == functools.reduce(operator.add, folds) / 2.0
 
 
 class TestPrefixUpperBound:
@@ -867,7 +963,7 @@ def _value_witness_optima(a: WeightMatrix, exact: bool, cap: int = 100_000):
     heur = [v - 1 for v in heuristic_ranking(a).order]
     search = lop._Search(a)
     search.exact = exact
-    assert not search.run_value(heur, lop._order_value(search.w, heur))
+    assert not search.run_value(heur, order_value_loop(search.w, heur))
     value = (search.best_val, search.best_order, search.nodes, search.pruned)
     nodes, pruned = search.nodes, search.pruned
     witness = search.lex_min_witness(search.best_val)
