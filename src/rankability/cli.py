@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -93,7 +94,13 @@ _FLAGS = {
 _SOLVER = ("--time-limit",)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built once per process.
+
+    argparse measures the terminal on every add_argument, so building it
+    costs more than many small commands; nothing mutates it after.
+    """
     parser = _Parser(prog="rankability", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (run, flags) in _COMMANDS.items():

@@ -6,14 +6,19 @@ prefixes with an admissible pairwise bound and dominance memoization on
 the set of unplaced items, started from an insertion heuristic's
 incumbent. Also provides the exact subset completion table that the
 witness, enumeration and pair searches share, the table-free witness
-search above the table budget (memoized on the unplaced set and the
-decided weight when the arithmetic is exact), enumeration of all optimal
-rankings, and the degree of linearity. The witness search and the
-enumeration keep a prefix as its unplaced set and one scalar, and read
-each child's bound from split row sums in two lookups, for every weight
-type. So does the value branch and bound when every sum of the weights is
-exact; for other weights it alone keeps the incremental state with O(n)
-apply/undo per move, since the value it reports is that state's (_Search).
+search above the table budget, enumeration of all optimal rankings, and
+the degree of linearity. The witness search and the enumeration keep a
+prefix as its unplaced set and one scalar, and read each child's bound
+from split row sums in two lookups, for every weight type. So does the
+value branch and bound when every sum of the weights is exact; for other
+weights it alone keeps the incremental state with O(n) apply/undo per
+move, since the value it reports is that state's (_Search).
+
+Above the table budget, the canonical witness comes from one layered
+numpy pass over the states (unplaced set, bound) of the search for a
+completion: forward over the states that reach the target, backward for
+each state's answer and the nodes and pruned that search counts without
+a memo, then the placements read from them (_WitnessLayers).
 
 The heuristic (heuristic_ranking) runs its 17 starts together as numpy
 arrays: one greedy insertion pass, then insertion local search steps that
@@ -48,6 +53,7 @@ from .core import Ranking, WeightMatrix, ranking_from_order
 from .errors import (
     InvalidArgumentError,
     MalformedPermutationError,
+    RankabilityError,
     UndefinedMetricError,
     UnprovenOptimumError,
 )
@@ -74,16 +80,21 @@ __all__ = [
 # table-side searches, 144 KiB.
 _TABLE_MAX_N = 18
 
-# Dominance and witness memo entries are dropped beyond this to bound
-# memory on large n.
+# Dominance memo entries of the value search are dropped beyond this to
+# bound its memory on large n.
 _MEMO_CAP = 1 << 22
 
-# A witness memo entry packs a subtree's answer, nodes and pruned into one
-# int, pruned << (_NODE_BITS + 1) | nodes << 1 | answer, which takes about
-# half the memory of a tuple; a subtree would need 2^48 nodes, years of
-# search, to overflow its field.
-_NODE_BITS = 48
-_NODE_MASK = (1 << _NODE_BITS) - 1
+# The table-free witness pass (_WitnessLayers) forms the children of a
+# layer's states a chunk at a time, so that each work array of one entry
+# per state and item stays within this many bytes, at 8 bytes an entry;
+# a chunk holds about three such arrays at once. On the benchmark's
+# bnb-large inputs (n = 19-22), 64 KiB chunks ran about 5% faster but
+# raised the run's peak RSS by 0.2-0.3 MB.
+_WITNESS_CHUNK_BYTES = 1 << 14
+
+# The witness pass keeps its nodes and pruned per state as int64; a count
+# that would pass this raises rather than wraps.
+_COUNT_MAX = 2**63 - 1
 
 # The bound's starting sum counts every pair's larger weight twice, so
 # with weights in halves and a total below 2^51 every sum the search forms
@@ -265,12 +276,13 @@ class _Search:
     an admissible upper bound on any completion of the current prefix.
 
     The unplaced-set form keeps a search state as the unplaced set and one
-    scalar, and reads a child's term in two lookups in split row sums
-    (_split_row_sums). Bound-side searches keep g = f + u; placing v next
-    adds the row sum of v's drop row, w - max(w, w.T), over the items left
-    after it (self.drops), and g == f at a leaf. Table-side searches keep
-    f; placing v next adds v's gain row sum, the split row sums of w kept
-    with the table (_Completion.gains).
+    scalar, and reads a child's term in two lookups in split row sums, at
+    the halves of the parent's unplaced set (_split_row_sums). Bound-side
+    searches keep g = f + u; placing v next adds the row sum of v's drop
+    row, w - max(w, w.T), over the items left after it (self.drops), and
+    g == f at a leaf. Table-side searches keep f; placing v next adds v's
+    gain row sum, the split row sums of w kept with the table
+    (_Completion.gains).
 
     The witness search and the enumeration take this form for every weight
     type, since they report only orders, chosen within the slack. The value
@@ -280,9 +292,9 @@ class _Search:
     additions and subtractions that led to it, and solve_lop reports f, so
     only that sequence reproduces it.
 
-    Every search stops early one way: _tick raises _Timeout once the
-    deadline has passed, checked every 256 expanded nodes, counted apart
-    from nodes, which also counts the subtrees a memo hit replays.
+    Every search stops early one way, by raising _Timeout once the
+    deadline has passed: _tick checks it every 256 expanded nodes, and the
+    layered witness pass (_WitnessLayers) before every chunk of states.
     """
 
     def __init__(self, a: WeightMatrix, deadline: float | None = None):
@@ -301,17 +313,18 @@ class _Search:
             [w[i][j] if w[i][j] >= w[j][i] else w[j][i] for j in range(n)]
             for i in range(n)
         ]
+        # The split of the unplaced-set form, as in the completion table.
+        self.h = n // 2
+        self.low = (1 << self.h) - 1
+        self.item_bits = [_row_starts(v, n) for v in range(n)]
         self._set_child_order(range(n))
         self.memo: dict[int, float] = {}
         self.best_val = float("-inf")
         self.best_order: list[int] = []
-        # The split of the unplaced-set form, as in the completion table.
-        self.h = n // 2
-        self.low = (1 << self.h) - 1
-        self.drops: tuple[list[array[float]], list[array[float]]] | None = None
+        self.drops: tuple[array[float], array[float]] | None = None
         self.reset()
 
-    def _drop_rows(self) -> tuple[list[array[float]], list[array[float]]]:
+    def _drop_rows(self) -> tuple[array[float], array[float]]:
         """Split row sums of w - max(w, w.T), built for the first bound-side search.
 
         The unplaced-set form's bound-side searches read them as self.drops.
@@ -322,9 +335,13 @@ class _Search:
         return self.drops
 
     def _set_child_order(self, order: Sequence[int]) -> None:
-        """Try children in this order; the unplaced-set form reads their bits."""
+        """Try children in this order.
+
+        The unplaced-set form reads each item's bit and where its rows
+        start in the split row sums (_split_row_sums).
+        """
         self.child_order = list(order)
-        self.child_bits = [(v, 1 << v) for v in order]
+        self.child_bits = [_row_starts(v, self.n) for v in order]
 
     def reset(self) -> None:
         n = self.n
@@ -397,6 +414,10 @@ class _Search:
             return False
         except _Timeout:
             return True
+        finally:
+            # Nothing reads the dominance memo after the value search: free
+            # it before the witness search.
+            self.memo = {}
 
     def _rec_value(self) -> None:
         self.nodes += 1
@@ -444,17 +465,16 @@ class _Search:
         if len(self.memo) < _MEMO_CAP:
             self.memo[rem] = g
         lo, hi = self.drops
-        low, h = self.low, self.h
+        low, high = rem & self.low, rem >> self.h
         prefix = self.prefix
-        for v, bit in self.child_bits:
+        for v, bit, at_lo, at_hi in self.child_bits:
             if rem & bit:
-                t = rem ^ bit
-                bound = g + (lo[v][t & low] + hi[v][t >> h])
+                bound = g + (lo[at_lo + low] + hi[at_hi + high])
                 if bound <= self.best_val:
                     self.pruned += 1
                 else:
                     prefix.append(v)
-                    self._rec_value_exact(t, bound)
+                    self._rec_value_exact(rem ^ bit, bound)
                     prefix.pop()
 
     # -- canonical witness -------------------------------------------------
@@ -464,29 +484,26 @@ class _Search:
 
         Places, position by position, the smallest item whose child still
         reaches k_star within the slack: by the completion table when there
-        is one, else by a search for a completion (_exists), which with
-        exact sums shares one memo over the whole call. Every weight type
-        takes this route. Raises _Timeout when the deadline passes first.
+        is one, else by the layered pass over the states of the search for
+        a completion (_WitnessLayers), whose nodes and pruned it adds for
+        every child it tries. Every weight type takes this route. Raises
+        _Timeout when the deadline passes first.
         """
         self.reset()
         target = k_star - self.eps
-        x, (lo, hi), table = self._root(_completion(self.matrix, self.deadline))
-        low, h = self.low, self.h
-        memo: dict[int, int] = {}
+        completion = _completion(self.matrix, self.deadline)
+        if completion is None:
+            return _WitnessLayers(self, target).descend()
+        x, (lo, hi), table = self._root(completion)
         rem = self.rem_mask
         while rem:
-            for v in range(self.n):
-                if not rem >> v & 1:
-                    continue
-                t = rem ^ (1 << v)
-                child = x + (lo[v][t & low] + hi[v][t >> h])
-                if table is not None:
+            low, high = rem & self.low, rem >> self.h
+            for v, bit, at_lo, at_hi in self.item_bits:
+                if rem & bit:
+                    t = rem ^ bit
+                    child = x + (lo[at_lo + low] + hi[at_hi + high])
                     if child + table[t] >= target:
                         break
-                elif child >= target and (
-                    t == 0 or self._child(t, child, target, memo)
-                ):
-                    break
             else:
                 return None
             self.prefix.append(v)
@@ -494,7 +511,7 @@ class _Search:
         return self.prefix.copy()
 
     def _root(self, completion: _Completion | None) -> tuple[
-        float, tuple[list[array[float]], list[array[float]]], array[float] | None
+        float, tuple[array[float], array[float]], array[float] | None
     ]:
         """The empty prefix's scalar, rows and table for an unplaced-set search.
 
@@ -504,55 +521,6 @@ class _Search:
         if completion is None:
             return self.f + self.u, self._drop_rows(), None
         return self.f, completion.gains, completion.table
-
-    def _exists(
-        self, rem: int, g: float, target: float, memo: dict[int, int]
-    ) -> bool:
-        """Whether some completion at unplaced set rem with bound g reaches target.
-
-        With exact sums the subtree below a node depends only on rem and g,
-        so memo maps the key 2g << n | rem (g = f + u is a nonnegative
-        multiple of 1/2) to the answer and the nodes and pruned the subtree
-        added. _child reads it before expanding a child; a hit adds those
-        counts back, and the statistics equal those of the search without
-        memo. Other weights have no exact key, so they add no entries.
-        """
-        nodes, pruned = self.nodes, self.pruned
-        self.nodes += 1
-        self._tick()
-        ok = False
-        if rem == 0:
-            ok = g >= target
-        else:
-            lo, hi = self.drops
-            low, h = self.low, self.h
-            for v, bit in self.child_bits:
-                if rem & bit:
-                    t = rem ^ bit
-                    child = g + (lo[v][t & low] + hi[v][t >> h])
-                    if child < target:
-                        self.pruned += 1
-                    elif self._child(t, child, target, memo):
-                        ok = True
-                        break
-        if self.exact and len(memo) < _MEMO_CAP:
-            memo[int(2.0 * g) << self.n | rem] = (
-                (self.pruned - pruned) << (_NODE_BITS + 1)
-                | (self.nodes - nodes) << 1
-                | ok
-            )
-        return ok
-
-    def _child(
-        self, rem: int, g: float, target: float, memo: dict[int, int]
-    ) -> bool:
-        """_exists at a child, replayed from memo when it was searched before."""
-        hit = memo.get(int(2.0 * g) << self.n | rem)
-        if hit is None:
-            return self._exists(rem, g, target, memo)
-        self.nodes += (hit >> 1) & _NODE_MASK
-        self.pruned += hit >> (_NODE_BITS + 1)
-        return bool(hit & 1)
 
     # -- enumeration -------------------------------------------------------
 
@@ -576,7 +544,7 @@ class _Search:
         k_star: float,
         cap: int,
         found: list[tuple[int, ...]],
-        rows: tuple[list[array[float]], list[array[float]]],
+        rows: tuple[array[float], array[float]],
         table: array[float] | None,
     ) -> None:
         """Collect the optimal leaves below unplaced set rem and scalar x.
@@ -595,11 +563,11 @@ class _Search:
             return
         target = k_star - self.eps
         lo, hi = rows
-        low, h = self.low, self.h
-        for v in range(self.n):
-            if rem >> v & 1:
-                t = rem ^ (1 << v)
-                child = x + (lo[v][t & low] + hi[v][t >> h])
+        low, high = rem & self.low, rem >> self.h
+        for v, bit, at_lo, at_hi in self.item_bits:
+            if rem & bit:
+                t = rem ^ bit
+                child = x + (lo[at_lo + low] + hi[at_hi + high])
                 bound = child if table is None else child + table[t]
                 if bound >= target:
                     self.prefix.append(v)
@@ -607,16 +575,196 @@ class _Search:
                     self.prefix.pop()
 
 
-def _row_sums(w: np.ndarray) -> np.ndarray:
+def _distinct(x: np.ndarray) -> np.ndarray:
+    """The distinct values of x, ascending; sorts x in place.
+
+    np.unique would do, but its first call imports numpy.ma, about 1.5 MB.
+    """
+    x.sort()
+    keep = np.empty(x.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(x[1:], x[:-1], out=keep[1:])
+    return x[keep]
+
+
+class _WitnessLayers:
+    """The table-free witness search as one layered pass over its states.
+
+    Above the table budget, lex_min_witness asks for each child of the
+    canonical prefix whether some completion of it reaches target. A
+    depth-first search for one (tests/oracles.py::exists_completion_loop)
+    forms each child of a state with unplaced set rem and bound g = f + u
+    as g plus v's drop row sum over rem without v (_Search._drop_rows), so
+    its answer and the nodes and pruned it counts depend on (rem, g)
+    alone. The pass computes them for every state the search can reach,
+    one layer of placed items at a time, a subset DP (Held and Karp)
+    bounded by target:
+
+    - forward: from the root, every item unplaced and g = f + u, each
+      layer holds the distinct children with child >= target of the
+      layer before;
+    - backward: from the last layer up, each state's ok, nodes and pruned
+      as the depth-first search counted them, its children taken in the
+      search's child order up to the first ok one: 1 node for the state,
+      1 pruned for each child below target, and the nodes and pruned of
+      each other child; a child with rem empty is ok with 1 node;
+    - descent (descend): lex_min_witness places the smallest item whose
+      child reaches target and is ok, adding the nodes and pruned of every
+      child it tries that reaches target but not of a last one.
+
+    Children are formed with the same additions, so every comparison
+    decides as in the depth-first search, and the witness, nodes and
+    pruned are its own for every weight type. A layer keeps its states as
+    sorted complex keys rem + g i, 16 bytes a state, and its results 17
+    more; rem < 2^53 is exact as a double and g is never -0.0 or NaN, so
+    equal keys are equal states. The backward pass finds a child in the
+    next layer by binary search. Children are formed a chunk of states at
+    a time, each work array within _WITNESS_CHUNK_BYTES, after a deadline
+    check (_Timeout).
+
+    Raises:
+        RankabilityError: when a count would pass _COUNT_MAX.
+    """
+
+    def __init__(self, search: _Search, target: float):
+        n, h = search.n, search.h
+        self.search = search
+        self.target = target
+        # Arrays over a chunk's children are (position, state): position j
+        # of the child order places order[j].
+        order = np.array(search.child_order, dtype=np.int64)
+        self.bits = np.left_shift(1, order)
+        self.starts = (order << h)[:, None], (order << (n - h))[:, None]
+        # The drop rows, and the same memory as numpy arrays; their -inf
+        # entries put the child of an item placed already below any target.
+        self.rows = search._drop_rows()
+        self.lo, self.hi = (np.frombuffer(half) for half in self.rows)
+        self.chunk = max(1, _WITNESS_CHUNK_BYTES // (8 * n))
+        self.layers = self._forward()
+        self.results = self._backward()
+
+    def _children(self, rem: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The bounds of the states' children, which reach target, and their keys."""
+        search = self.search
+        at = self.starts[0] + (rem & search.low)
+        child = self.lo.take(at)
+        np.add(self.starts[1], rem >> search.h, out=at)
+        child += self.hi.take(at)
+        child += g
+        kept = child >= self.target
+        item, state = kept.nonzero()
+        keys = np.empty(item.size, dtype=complex)
+        keys.real = rem[state] ^ self.bits[item]
+        keys.imag = child[kept]
+        return child, kept, keys
+
+    def _forward(self) -> list[np.ndarray]:
+        """Layers 1 to n - 1: the states after placing that many items."""
+        search = self.search
+        rem, g = np.array([search.rem_mask]), np.array([search.f + search.u])
+        layers = []
+        for _ in range(search.n - 1):
+            keys, found = np.empty(0, dtype=complex), []
+            for start in range(0, rem.size, self.chunk):
+                _check_deadline(search.deadline)
+                part = slice(start, start + self.chunk)
+                found.append(self._children(rem[part], g[part])[2])
+                # Merged once they outnumber the layer's keys so far, so
+                # that each key is sorted a bounded number of times.
+                if sum(x.size for x in found) > keys.size or part.stop >= rem.size:
+                    keys = _distinct(np.concatenate([keys, *found]))
+                    found = []
+            layers.append(keys)
+            rem, g = keys.real.astype(np.int64), keys.imag
+        return layers
+
+    def _backward(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Each layer's ok and (nodes, pruned) per state, in key order.
+
+        Past a layer's states each array holds two entries more, what a
+        child adds to its parent when it is below target (1 pruned) and
+        when its item is placed already (nothing).
+        """
+        search = self.search
+        n = search.n
+        # Below the last layer every child reaching target has rem empty:
+        # ok, with 1 node.
+        below = None
+        ok_next = np.array([True, False, False])
+        counts_next = np.array([[1, 0, 0], [0, 1, 0]])
+        results = [None] * len(self.layers)
+        for k in range(len(self.layers) - 1, -1, -1):
+            keys = self.layers[k]
+            size = keys.size
+            rem, g = keys.real.astype(np.int64), keys.imag
+            ok = np.zeros(size + 2, dtype=bool)
+            counts = np.zeros((2, size + 2), dtype=np.int64)
+            counts[1, size] = 1
+            # A state adds the counts of at most n children, and 1.
+            exact = counts_next.max() > (_COUNT_MAX - 1) // n
+            for start in range(0, size, self.chunk):
+                _check_deadline(search.deadline)
+                part = slice(start, min(start + self.chunk, size))
+                child, kept, found = self._children(rem[part], g[part])
+                # Each child's entry in the next layer's arrays.
+                at = (child == -np.inf) + (ok_next.size - 2)
+                at[kept] = 0 if below is None else below.searchsorted(found)
+                # The search takes children up to the first ok one.
+                tried = ok_next.take(at)
+                np.logical_or.accumulate(tried, axis=0, out=tried)
+                ok[part] = tried[-1]
+                got = counts_next.take(at, axis=1)
+                if exact:
+                    got = got.astype(object)
+                got[:, 1:] *= ~tried[:-1]
+                total = got.sum(axis=1)
+                total[0] += 1
+                if exact and total.max() > _COUNT_MAX:
+                    raise RankabilityError("a witness search count passes the int64 range")
+                counts[:, part] = total
+            results[k] = ok, counts
+            below, ok_next, counts_next = keys, ok, counts
+        return results
+
+    def descend(self) -> list[int] | None:
+        """lex_min_witness's placements, reading each child's state from its layer."""
+        search = self.search
+        lo, hi = self.rows
+        rem, x = search.rem_mask, search.f + search.u
+        for k in range(search.n):
+            low, high = rem & search.low, rem >> search.h
+            for v, bit, at_lo, at_hi in search.item_bits:
+                if not rem & bit:
+                    continue
+                child = x + (lo[at_lo + low] + hi[at_hi + high])
+                if child < self.target:
+                    continue
+                t = rem ^ bit
+                if t == 0:
+                    break
+                ok, counts = self.results[k]
+                i = self.layers[k].searchsorted(complex(t, child))
+                search.nodes += int(counts[0, i])
+                search.pruned += int(counts[1, i])
+                if ok[i]:
+                    break
+            else:
+                return None
+            search.prefix.append(v)
+            rem, x = t, child
+        return search.prefix.copy()
+
+
+def _row_sums(w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     r"""rowsum[v, T]: the weight row v gains over T, for each set T of w's columns.
 
     Adds the weights of T from its highest item down, so the sums equal the
     scalar recurrence rowsum[v, T] = rowsum[v, T \ low(T)] + w[v, low(T)]
-    bit for bit.
+    bit for bit. Fills and returns out when given, which must hold zeros.
     """
     n, m = w.shape
     size = 1 << m
-    rowsum = np.zeros((n, size))
+    rowsum = np.zeros((n, size)) if out is None else out
     for b in range(m - 1, -1, -1):
         # Sets whose lowest item is b: the same set without b, plus w[:, b].
         blocks = rowsum.reshape(n, size >> (b + 1), 2 << b)
@@ -624,27 +772,57 @@ def _row_sums(w: np.ndarray) -> np.ndarray:
     return rowsum
 
 
-def _item_rows(sums: np.ndarray) -> list[array[float]]:
-    """Each row of sums as an array('d'), copied from its bytes.
+def _row_starts(v: int, n: int) -> tuple[int, int, int, int]:
+    """Item v's bit and where its rows start in split row sums (_split_row_sums)."""
+    h = n // 2
+    return v, 1 << v, v << h, v << (n - h)
 
-    The searches index a row one entry at a time, which an array serves as
-    fast as a list of Python floats, in 8 bytes per entry instead of
-    about 32; copying bytes is far cheaper than converting each entry.
+
+def _zero_rows(n: int, size: int) -> tuple[array[float], np.ndarray]:
+    """n rows of size zeros as one flat array('d'), and a numpy view of it."""
+    flat = array("d", [0.0]) * (n * size)
+    return flat, np.frombuffer(flat).reshape(n, size)
+
+
+def _shift_own_rows(sums: np.ndarray, first: int) -> None:
+    r"""Make one half of split row sums readable at the parent's set, in place.
+
+    sums[v, S] is row v's sum over each set S of the half's items, the
+    items from first on: lo for the low h = floor(n/2) items (first = 0),
+    hi for the others (first = h). A search placing v from unplaced set
+    rem reads v's sum over rem \ v as lo[(v << h) + (rem & low)] +
+    hi[(v << (n - h)) + (rem >> h)], with low = 2^h - 1: each half is read
+    at its part of rem, which holds v in v's own half. So there row v is
+    shifted to hold at a set with v the sum over that set without v, and
+    -inf at a set without v; every other entry is unchanged, and the sum
+    has the bits of lo[v, T & low] + hi[v, T >> h] at T = rem \ v.
     """
-    return [array("d", row.tobytes()) for row in sums]
+    for bit in range(sums.shape[1].bit_length() - 1):
+        pairs = sums[first + bit].reshape(-1, 2, 1 << bit)
+        pairs[:, 1] = pairs[:, 0]
+        pairs[:, 0] = -np.inf
 
 
-def _split_row_sums(w: np.ndarray) -> tuple[list[array[float]], list[array[float]]]:
-    """Row sums of w split at h = floor(n/2), as per-item rows (lo, hi).
+def _split_row_sums(w: np.ndarray) -> tuple[array[float], array[float]]:
+    """Row sums of w split at h = floor(n/2), as two flat arrays (lo, hi).
 
-    Row v's sum over a set T of items is lo[v][T & low] + hi[v][T >> h],
-    with low = 2^h - 1. Only when _exact_weights holds does it equal, bit
-    for bit, the same sum added in any other order; otherwise it is within
-    the rounding that _slack allows for, which is all the witness search
-    and the enumeration need of it.
+    Laid out by _shift_own_rows. The searches index them one entry at a
+    time, as fast as a list of Python floats in 8 bytes an entry instead
+    of about 32, and numpy reads them without a copy. Only when
+    _exact_weights holds does the sum of the two halves equal, bit for
+    bit, the same sum added in any other order; otherwise it is within the
+    rounding that _slack allows for, which is all the witness search and
+    the enumeration need of it.
     """
-    h = w.shape[0] // 2
-    return _item_rows(_row_sums(w[:, :h])), _item_rows(_row_sums(w[:, h:]))
+    n = w.shape[0]
+    h = n // 2
+    halves = []
+    for first, part in ((0, w[:, :h]), (h, w[:, h:])):
+        flat, sums = _zero_rows(n, 1 << part.shape[1])
+        _row_sums(part, sums)
+        _shift_own_rows(sums, first)
+        halves.append(flat)
+    return halves[0], halves[1]
 
 
 class _Completion(NamedTuple):
@@ -657,7 +835,7 @@ class _Completion(NamedTuple):
     """
 
     table: array[float]
-    gains: tuple[list[array[float]], list[array[float]]]
+    gains: tuple[array[float], array[float]]
 
 
 @functools.lru_cache(maxsize=None)
@@ -708,7 +886,8 @@ def _build_completion_table(w: np.ndarray, deadline: float | None) -> _Completio
     row sum first and table[rest] after it, as the scalar recurrence does.
     The split row sums lo[v, A] and hi[v, B], two tables of
     n * 2^ceil(n/2) entries, are built for every matrix and returned as
-    the gain rows. The DP reads its row sums from one of two sources:
+    the gain rows, laid out for the searches by _shift_own_rows after the
+    DP. The DP reads its row sums from one of two sources:
 
     - When every sum of the weights is exact (_exact_weights), any order of
       adding them gives the same bits, so rowsum[v, S] = lo[v, A] +
@@ -719,9 +898,8 @@ def _build_completion_table(w: np.ndarray, deadline: float | None) -> _Completio
       tests/oracles.py::completion_table_loop bit for bit.
 
     Returns the table as an array('d'), which the searches index one entry
-    at a time (_item_rows). Raises _Timeout before any step of the grid,
-    the high term of a layer or one size of A, once the deadline has
-    passed.
+    at a time. Raises _Timeout before any step of the grid, the high term
+    of a layer or one size of A, once the deadline has passed.
     """
     n = w.shape[0]
     h = n // 2
@@ -729,8 +907,10 @@ def _build_completion_table(w: np.ndarray, deadline: float | None) -> _Completio
     # The DP fills the returned array in place, through a numpy view of it.
     out = array("d", [0.0]) * (1 << n)
     grid = np.frombuffer(out).reshape(1 << m, 1 << h)
-    lo = _row_sums(w[:, :h])
-    hi = _row_sums(w[:, h:])
+    lo_rows, lo = _zero_rows(n, 1 << h)
+    hi_rows, hi = _zero_rows(n, 1 << m)
+    _row_sums(w[:, :h], lo)
+    _row_sums(w[:, h:], hi)
     # high_gain(v, B \ v) is v's row of gains over every A; low_gain(i, A \ i,
     # rows) is i's gain at each row of the layer (axis 0) and pair (axis 1).
     if _exact_weights(w):
@@ -779,7 +959,9 @@ def _build_completion_table(w: np.ndarray, deadline: float | None) -> _Completio
             best = gain.reshape(count, a, cols.size).max(axis=1)
             layer[:, cols] = np.maximum(layer[:, cols], best)
         grid[rows] = layer
-    return _Completion(out, (_item_rows(lo), _item_rows(hi)))
+    _shift_own_rows(lo, 0)
+    _shift_own_rows(hi, h)
+    return _Completion(out, (lo_rows, hi_rows))
 
 
 def _completion(a: WeightMatrix, deadline: float | None) -> _Completion | None:

@@ -320,7 +320,7 @@ def exists_completion_loop(search, target: float) -> bool:
 
     The solver's table-free witness search before it was memoized, run on a
     lop._Search state; it counts nodes and pruned the same way. Reference
-    for the counts the memo replays.
+    for the counts that lop._WitnessLayers computes per state.
     """
     search.nodes += 1
     search._tick()
@@ -337,6 +337,33 @@ def exists_completion_loop(search, target: float) -> bool:
             if ok:
                 return True
     return False
+
+
+def lex_min_witness_loop(search, k_star: float) -> list[int] | None:
+    """The table-free canonical witness by depth-first search, with no memo.
+
+    lop._Search.lex_min_witness above the table budget as a plain descent:
+    place, position by position, the smallest item whose child reaches
+    k_star within the slack and, unless it is the last item, has a
+    completion that does (exists_completion_loop), whose nodes and pruned
+    count for every child tried. Runs on the search's apply/undo state and
+    returns the order, or None when no order attains k_star.
+    """
+    search.reset()
+    target = k_star - search.eps
+    while search.rem_mask:
+        for v in range(search.n):
+            if not search.in_rem[v]:
+                continue
+            if search.f + search.s_a[v] + search.u - search.s_m[v] < target:
+                continue
+            search.apply(v)
+            if search.rem_mask == 0 or exists_completion_loop(search, target):
+                break
+            search.undo()
+        else:
+            return None
+    return search.prefix.copy()
 
 
 def solve_with_kappa_via_solve_lop(a, cfg):

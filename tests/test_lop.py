@@ -24,6 +24,7 @@ from rankability.core import (
 )
 from rankability.errors import (
     MalformedPermutationError,
+    RankabilityError,
     UndefinedMetricError,
     UnprovenOptimumError,
 )
@@ -65,8 +66,8 @@ from tests.oracles import (
     brute_force_lop,
     completion_table_by_layers,
     completion_table_loop,
-    exists_completion_loop,
     heuristic_ranking_loop,
+    lex_min_witness_loop,
     lop_milp,
     order_value_loop,
 )
@@ -809,51 +810,28 @@ def _hidden_order_games(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 @pytest.fixture
-def witness_memos(monkeypatch):
-    """Record, for every table-free witness search node expanded, its memo.
+def witness_passes(monkeypatch):
+    """Record every table-free witness pass (lop._WitnessLayers) as it starts."""
+    passes: list[lop._WitnessLayers] = []
+    real = lop._WitnessLayers.__init__
 
-    The list grows by one per node _Search._exists expands and holds the
-    memo dict the node read, so after the search it shows the entries
-    inserted.
+    def recording(self, search, target):
+        passes.append(self)
+        real(self, search, target)
+
+    monkeypatch.setattr(lop._WitnessLayers, "__init__", recording)
+    return passes
+
+
+def _solve_with_witness_oracle(monkeypatch, a: WeightMatrix):
+    """solve_lop with the memo-free depth-first witness search.
+
+    lex_min_witness runs tests/oracles.py::lex_min_witness_loop, which
+    searches the apply/undo state with exists_completion_loop.
     """
-    memos: list[dict[int, int]] = []
-    real = lop._Search._exists
-
-    def recording(self, rem, g, target, memo):
-        memos.append(memo)
-        return real(self, rem, g, target, memo)
-
-    monkeypatch.setattr(lop._Search, "_exists", recording)
-    return memos
-
-
-def _solve_without_witness_memo(monkeypatch, a: WeightMatrix):
-    """solve_lop with the memo-free witness search, and that search's nodes.
-
-    The search runs tests/oracles.py::exists_completion_loop. It is entered
-    only from lex_min_witness, for one child of the canonical prefix, so
-    its state is rebuilt as the apply/undo state of that prefix plus the
-    child's item.
-    """
-    witness_nodes = [0]
-
-    def memo_free(self, rem, g, target, memo):
-        prefix = self.prefix.copy()
-        (child,) = {v for v in range(self.n) if not rem >> v & 1} - set(prefix)
-        self.reset()
-        for v in prefix + [child]:
-            self.apply(v)
-        # Equal with exact sums, where the slack is 0.
-        assert abs(self.f + self.u - g) <= self.eps
-        before = self.nodes
-        ok = exists_completion_loop(self, target)
-        witness_nodes[0] += self.nodes - before
-        self.undo()
-        return ok
-
     with monkeypatch.context() as m:
-        m.setattr(lop._Search, "_exists", memo_free)
-        return solve_lop(a), witness_nodes[0]
+        m.setattr(lop._Search, "lex_min_witness", lex_min_witness_loop)
+        return solve_lop(a)
 
 
 def _fractional_hidden_order(n: int) -> np.ndarray:
@@ -863,68 +841,61 @@ def _fractional_hidden_order(n: int) -> np.ndarray:
 
 
 class TestWitnessMemo:
-    """Above the table budget the witness search must replay the memo-free one."""
+    """Above the table budget the layered witness pass equals the memo-free search.
+
+    The witness, nodes and pruned must be those of the depth-first search
+    without memo, for exact and for float weights.
+    """
 
     @pytest.mark.parametrize(
         "n,seed", [(19, 0), (19, 2), (20, 0), (20, 2), (21, 0), (21, 2)]
     )
-    def test_hidden_order_tournaments(self, monkeypatch, witness_memos, n, seed):
+    def test_hidden_order_tournaments(self, monkeypatch, witness_passes, n, seed):
         a = WeightMatrix(_hidden_order_tournament(np.random.default_rng(seed), n))
-        self._assert_replays(monkeypatch, witness_memos, a)
+        self._assert_equals_oracle(monkeypatch, witness_passes, a)
 
     @pytest.mark.parametrize("n,seed", [(19, 0), (19, 2), (20, 2), (21, 2)])
-    def test_games_with_ties(self, monkeypatch, witness_memos, n, seed):
+    def test_games_with_ties(self, monkeypatch, witness_passes, n, seed):
         w = _hidden_order_games(np.random.default_rng(seed), n)
         assert np.any(w % 1.0 == 0.5)
-        self._assert_replays(monkeypatch, witness_memos, WeightMatrix(w))
+        self._assert_equals_oracle(monkeypatch, witness_passes, WeightMatrix(w))
 
     def test_fractional_weights_take_the_memo_free_route(
-        self, monkeypatch, witness_memos
+        self, monkeypatch, witness_passes
     ):
         w = _fractional_hidden_order(19)
         # The same matrix, written with repr, is the CI's float input above
         # the table budget.
         assert np.array_equal(read_matrix_csv(DATA_DIR / "fractional19.csv").weights, w)
-        self._assert_memo_free(monkeypatch, witness_memos, WeightMatrix(w))
+        assert not lop._exact_sums(WeightMatrix(w))
+        self._assert_equals_oracle(monkeypatch, witness_passes, WeightMatrix(w))
 
     @pytest.mark.parametrize("family", ["uniform", "noisy-integer", "tenths"])
     def test_fractional_weights_without_a_table(
-        self, monkeypatch, witness_memos, family
+        self, monkeypatch, witness_passes, family
     ):
         monkeypatch.setattr(lop, "_TABLE_MAX_N", 0)
         a = WeightMatrix(_scaled_weights(family, 11, 1.0, 7))
-        self._assert_memo_free(monkeypatch, witness_memos, a)
-
-    @staticmethod
-    def _assert_replays(monkeypatch, witness_memos, a: WeightMatrix):
-        res = solve_lop(a)
-        assert res.proven
-        assert witness_memos and any(witness_memos)
-        plain, witness_nodes = _solve_without_witness_memo(monkeypatch, a)
-        assert plain.proven
-        assert res.ranking == plain.ranking
-        assert res.stats.nodes == plain.stats.nodes
-        assert res.stats.pruned == plain.stats.pruned
-        # The memo answered some subtrees instead of searching them again.
-        assert len(witness_memos) < witness_nodes
-
-    @staticmethod
-    def _assert_memo_free(monkeypatch, witness_memos, a: WeightMatrix):
         assert not lop._exact_sums(a)
+        self._assert_equals_oracle(monkeypatch, witness_passes, a)
+
+    @staticmethod
+    def _assert_equals_oracle(monkeypatch, witness_passes, a: WeightMatrix):
         res = solve_lop(a)
         assert res.proven
-        # A float g has no exact key, so the search runs without a memo.
-        assert witness_memos and not any(witness_memos)
-        plain, witness_nodes = _solve_without_witness_memo(monkeypatch, a)
+        # One pass, which reached states beyond the root's children.
+        (witness,) = witness_passes
+        assert any(layer.size for layer in witness.layers[1:])
+        plain = _solve_with_witness_oracle(monkeypatch, a)
+        assert plain.proven
         assert (res.ranking, res.stats.nodes, res.stats.pruned) == (
             plain.ranking,
             plain.stats.nodes,
             plain.stats.pruned,
         )
-        assert len(witness_memos) == witness_nodes
 
     def test_deadline_after_the_value_proof_stops_the_witness_search(
-        self, monkeypatch, witness_memos
+        self, monkeypatch, witness_passes
     ):
         a = WeightMatrix(_hidden_order_tournament(np.random.default_rng(0), 19))
         limit = 10.0
@@ -933,23 +904,43 @@ class TestWitnessMemo:
             lop, "time", SimpleNamespace(monotonic=lambda: time.monotonic() + offset[0])
         )
         real_run_value = lop._Search.run_value
-        searches = []
 
         def run_value(self, *args):
             result = real_run_value(self, *args)
             offset[0] += 2 * limit
-            searches.append((self, self._expanded))
             return result
 
         monkeypatch.setattr(lop._Search, "run_value", run_value)
         res = solve_lop(a, SolverConfig(time_limit=limit))
         assert not res.proven
         assert objective_value(a, res.ranking) == res.optimal_value
-        # The witness search ran, memo entries included, and stopped within
-        # 256 expanded nodes.
-        ((search, expanded),) = searches
-        assert witness_memos and any(witness_memos)
-        assert 0 < search._expanded - expanded <= 256
+        # The witness pass started and stopped at its first deadline check,
+        # before it finished a layer.
+        (witness,) = witness_passes
+        assert not hasattr(witness, "layers")
+
+
+class TestWitnessCounts:
+    """The witness pass keeps each state's nodes and pruned exact, or raises."""
+
+    def test_counts_near_the_limit_are_exact_and_past_it_raise(
+        self, monkeypatch, witness_passes
+    ):
+        a = WeightMatrix(_hidden_order_tournament(np.random.default_rng(2), 20))
+
+        def solve():
+            res = solve_lop(WeightMatrix(a.weights))
+            return res.ranking, res.stats.nodes, res.stats.pruned, res.proven
+
+        expected = solve()
+        top = max(int(counts.max()) for _, counts in witness_passes[0].results)
+        # A layer whose next layer holds a count above _COUNT_MAX // n sums
+        # in Python ints; at this limit some layers do, and none raises.
+        monkeypatch.setattr(lop, "_COUNT_MAX", top)
+        assert solve() == expected
+        monkeypatch.setattr(lop, "_COUNT_MAX", top - 1)
+        with pytest.raises(RankabilityError, match="int64"):
+            solve()
 
 
 def _value_witness_optima(a: WeightMatrix, exact: bool, cap: int = 100_000):
@@ -957,8 +948,7 @@ def _value_witness_optima(a: WeightMatrix, exact: bool, cap: int = 100_000):
 
     The value search's best value, best order, nodes and pruned; the
     lex-min witness with the nodes and pruned it adds; and every optimum,
-    with truncated. exact picks the value search's state form and whether
-    the witness search keeps a memo.
+    with truncated. exact picks the value search's state form.
     """
     heur = [v - 1 for v in heuristic_ranking(a).order]
     search = lop._Search(a)
@@ -984,7 +974,7 @@ class TestExactRoute:
         a = WeightMatrix(w)
         assert lop._exact_sums(a)
         result = _value_witness_optima(a, exact=True)
-        # Both value-search forms; the witness search with and without memo.
+        # Both value-search forms.
         assert result == _value_witness_optima(WeightMatrix(w), exact=False)
         (k_star, *_), (witness, _, _), (optima, truncated) = result
         assert witness is not None and tuple(witness) == optima[0]
