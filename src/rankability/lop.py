@@ -14,11 +14,13 @@ value branch and bound when every sum of the weights is exact; for other
 weights it alone keeps the incremental state with O(n) apply/undo per
 move, since the value it reports is that state's (_Search).
 
-Above the table budget, the canonical witness comes from one layered
-numpy pass over the states (unplaced set, bound) of the search for a
+Above the table budget, the canonical witness comes from layered numpy
+passes over the states (unplaced set, bound) of the search for a
 completion: forward over the states that reach the target, backward for
 each state's answer and the nodes and pruned that search counts without
-a memo, then the placements read from them (_WitnessLayers).
+a memo, then the placements read from them (witness.WitnessLayers). One pass
+over every such state serves where few prefixes tie at the optimum;
+where many do, narrower passes hold about the states that search visits.
 
 The heuristic (heuristic_ranking) runs its 17 starts together as numpy
 arrays: one greedy insertion pass, then insertion local search steps that
@@ -83,18 +85,6 @@ _TABLE_MAX_N = 18
 # Dominance memo entries of the value search are dropped beyond this to
 # bound its memory on large n.
 _MEMO_CAP = 1 << 22
-
-# The table-free witness pass (_WitnessLayers) forms the children of a
-# layer's states a chunk at a time, so that each work array of one entry
-# per state and item stays within this many bytes, at 8 bytes an entry;
-# a chunk holds about three such arrays at once. On the benchmark's
-# bnb-large inputs (n = 19-22), 64 KiB chunks ran about 5% faster but
-# raised the run's peak RSS by 0.2-0.3 MB.
-_WITNESS_CHUNK_BYTES = 1 << 14
-
-# The witness pass keeps its nodes and pruned per state as int64; a count
-# that would pass this raises rather than wraps.
-_COUNT_MAX = 2**63 - 1
 
 # The bound's starting sum counts every pair's larger weight twice, so
 # with weights in halves and a total below 2^51 every sum the search forms
@@ -292,9 +282,10 @@ class _Search:
     additions and subtractions that led to it, and solve_lop reports f, so
     only that sequence reproduces it.
 
-    Every search stops early one way, by raising _Timeout once the
-    deadline has passed: _tick checks it every 256 expanded nodes, and the
-    layered witness pass (_WitnessLayers) before every chunk of states.
+    Every search stops early one way, by raising _Timeout: _tick checks
+    the deadline every 256 expanded nodes, and the layered witness pass
+    (witness.WitnessLayers) before every chunk of states and when a pass
+    would hold more than witness._MAX_STATES states.
     """
 
     def __init__(self, a: WeightMatrix, deadline: float | None = None):
@@ -484,16 +475,23 @@ class _Search:
 
         Places, position by position, the smallest item whose child still
         reaches k_star within the slack: by the completion table when there
-        is one, else by the layered pass over the states of the search for
-        a completion (_WitnessLayers), whose nodes and pruned it adds for
+        is one, else by layered passes over the states of the search for a
+        completion (witness.WitnessLayers), whose nodes and pruned it adds for
         every child it tries. Every weight type takes this route. Raises
-        _Timeout when the deadline passes first.
+        _Timeout when the deadline passes first or a pass would hold more
+        than witness._MAX_STATES states.
         """
         self.reset()
         target = k_star - self.eps
         completion = _completion(self.matrix, self.deadline)
         if completion is None:
-            return _WitnessLayers(self, target).descend()
+            # Imported here, so that only a witness search without a table
+            # loads it. Without cached bytecode Python compiles a module on
+            # import, and the heap that takes stays in use: with the passes
+            # inside lop.py the bnb-large runs peaked 0.3-0.5 MB higher.
+            from .witness import WitnessLayers
+
+            return WitnessLayers(self, target).descend()
         x, (lo, hi), table = self._root(completion)
         rem = self.rem_mask
         while rem:
@@ -573,186 +571,6 @@ class _Search:
                     self.prefix.append(v)
                     self._rec_enum(t, child, k_star, cap, found, rows, table)
                     self.prefix.pop()
-
-
-def _distinct(x: np.ndarray) -> np.ndarray:
-    """The distinct values of x, ascending; sorts x in place.
-
-    np.unique would do, but its first call imports numpy.ma, about 1.5 MB.
-    """
-    x.sort()
-    keep = np.empty(x.size, dtype=bool)
-    keep[:1] = True
-    np.not_equal(x[1:], x[:-1], out=keep[1:])
-    return x[keep]
-
-
-class _WitnessLayers:
-    """The table-free witness search as one layered pass over its states.
-
-    Above the table budget, lex_min_witness asks for each child of the
-    canonical prefix whether some completion of it reaches target. A
-    depth-first search for one (tests/oracles.py::exists_completion_loop)
-    forms each child of a state with unplaced set rem and bound g = f + u
-    as g plus v's drop row sum over rem without v (_Search._drop_rows), so
-    its answer and the nodes and pruned it counts depend on (rem, g)
-    alone. The pass computes them for every state the search can reach,
-    one layer of placed items at a time, a subset DP (Held and Karp)
-    bounded by target:
-
-    - forward: from the root, every item unplaced and g = f + u, each
-      layer holds the distinct children with child >= target of the
-      layer before;
-    - backward: from the last layer up, each state's ok, nodes and pruned
-      as the depth-first search counted them, its children taken in the
-      search's child order up to the first ok one: 1 node for the state,
-      1 pruned for each child below target, and the nodes and pruned of
-      each other child; a child with rem empty is ok with 1 node;
-    - descent (descend): lex_min_witness places the smallest item whose
-      child reaches target and is ok, adding the nodes and pruned of every
-      child it tries that reaches target but not of a last one.
-
-    Children are formed with the same additions, so every comparison
-    decides as in the depth-first search, and the witness, nodes and
-    pruned are its own for every weight type. A layer keeps its states as
-    sorted complex keys rem + g i, 16 bytes a state, and its results 17
-    more; rem < 2^53 is exact as a double and g is never -0.0 or NaN, so
-    equal keys are equal states. The backward pass finds a child in the
-    next layer by binary search. Children are formed a chunk of states at
-    a time, each work array within _WITNESS_CHUNK_BYTES, after a deadline
-    check (_Timeout).
-
-    Raises:
-        RankabilityError: when a count would pass _COUNT_MAX.
-    """
-
-    def __init__(self, search: _Search, target: float):
-        n, h = search.n, search.h
-        self.search = search
-        self.target = target
-        # Arrays over a chunk's children are (position, state): position j
-        # of the child order places order[j].
-        order = np.array(search.child_order, dtype=np.int64)
-        self.bits = np.left_shift(1, order)
-        self.starts = (order << h)[:, None], (order << (n - h))[:, None]
-        # The drop rows, and the same memory as numpy arrays; their -inf
-        # entries put the child of an item placed already below any target.
-        self.rows = search._drop_rows()
-        self.lo, self.hi = (np.frombuffer(half) for half in self.rows)
-        self.chunk = max(1, _WITNESS_CHUNK_BYTES // (8 * n))
-        self.layers = self._forward()
-        self.results = self._backward()
-
-    def _children(self, rem: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The bounds of the states' children, which reach target, and their keys."""
-        search = self.search
-        at = self.starts[0] + (rem & search.low)
-        child = self.lo.take(at)
-        np.add(self.starts[1], rem >> search.h, out=at)
-        child += self.hi.take(at)
-        child += g
-        kept = child >= self.target
-        item, state = kept.nonzero()
-        keys = np.empty(item.size, dtype=complex)
-        keys.real = rem[state] ^ self.bits[item]
-        keys.imag = child[kept]
-        return child, kept, keys
-
-    def _forward(self) -> list[np.ndarray]:
-        """Layers 1 to n - 1: the states after placing that many items."""
-        search = self.search
-        rem, g = np.array([search.rem_mask]), np.array([search.f + search.u])
-        layers = []
-        for _ in range(search.n - 1):
-            keys, found = np.empty(0, dtype=complex), []
-            for start in range(0, rem.size, self.chunk):
-                _check_deadline(search.deadline)
-                part = slice(start, start + self.chunk)
-                found.append(self._children(rem[part], g[part])[2])
-                # Merged once they outnumber the layer's keys so far, so
-                # that each key is sorted a bounded number of times.
-                if sum(x.size for x in found) > keys.size or part.stop >= rem.size:
-                    keys = _distinct(np.concatenate([keys, *found]))
-                    found = []
-            layers.append(keys)
-            rem, g = keys.real.astype(np.int64), keys.imag
-        return layers
-
-    def _backward(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Each layer's ok and (nodes, pruned) per state, in key order.
-
-        Past a layer's states each array holds two entries more, what a
-        child adds to its parent when it is below target (1 pruned) and
-        when its item is placed already (nothing).
-        """
-        search = self.search
-        n = search.n
-        # Below the last layer every child reaching target has rem empty:
-        # ok, with 1 node.
-        below = None
-        ok_next = np.array([True, False, False])
-        counts_next = np.array([[1, 0, 0], [0, 1, 0]])
-        results = [None] * len(self.layers)
-        for k in range(len(self.layers) - 1, -1, -1):
-            keys = self.layers[k]
-            size = keys.size
-            rem, g = keys.real.astype(np.int64), keys.imag
-            ok = np.zeros(size + 2, dtype=bool)
-            counts = np.zeros((2, size + 2), dtype=np.int64)
-            counts[1, size] = 1
-            # A state adds the counts of at most n children, and 1.
-            exact = counts_next.max() > (_COUNT_MAX - 1) // n
-            for start in range(0, size, self.chunk):
-                _check_deadline(search.deadline)
-                part = slice(start, min(start + self.chunk, size))
-                child, kept, found = self._children(rem[part], g[part])
-                # Each child's entry in the next layer's arrays.
-                at = (child == -np.inf) + (ok_next.size - 2)
-                at[kept] = 0 if below is None else below.searchsorted(found)
-                # The search takes children up to the first ok one.
-                tried = ok_next.take(at)
-                np.logical_or.accumulate(tried, axis=0, out=tried)
-                ok[part] = tried[-1]
-                got = counts_next.take(at, axis=1)
-                if exact:
-                    got = got.astype(object)
-                got[:, 1:] *= ~tried[:-1]
-                total = got.sum(axis=1)
-                total[0] += 1
-                if exact and total.max() > _COUNT_MAX:
-                    raise RankabilityError("a witness search count passes the int64 range")
-                counts[:, part] = total
-            results[k] = ok, counts
-            below, ok_next, counts_next = keys, ok, counts
-        return results
-
-    def descend(self) -> list[int] | None:
-        """lex_min_witness's placements, reading each child's state from its layer."""
-        search = self.search
-        lo, hi = self.rows
-        rem, x = search.rem_mask, search.f + search.u
-        for k in range(search.n):
-            low, high = rem & search.low, rem >> search.h
-            for v, bit, at_lo, at_hi in search.item_bits:
-                if not rem & bit:
-                    continue
-                child = x + (lo[at_lo + low] + hi[at_hi + high])
-                if child < self.target:
-                    continue
-                t = rem ^ bit
-                if t == 0:
-                    break
-                ok, counts = self.results[k]
-                i = self.layers[k].searchsorted(complex(t, child))
-                search.nodes += int(counts[0, i])
-                search.pruned += int(counts[1, i])
-                if ok[i]:
-                    break
-            else:
-                return None
-            search.prefix.append(v)
-            rem, x = t, child
-        return search.prefix.copy()
 
 
 def _row_sums(w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -320,7 +320,7 @@ def exists_completion_loop(search, target: float) -> bool:
 
     The solver's table-free witness search before it was memoized, run on a
     lop._Search state; it counts nodes and pruned the same way. Reference
-    for the counts that lop._WitnessLayers computes per state.
+    for the counts that witness.WitnessLayers computes per state.
     """
     search.nodes += 1
     search._tick()

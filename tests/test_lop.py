@@ -28,7 +28,7 @@ from rankability.errors import (
     UndefinedMetricError,
     UnprovenOptimumError,
 )
-from rankability import ktdiam, lop
+from rankability import ktdiam, lop, witness
 from rankability.cli import main
 from rankability.ktdiam import solve_kt
 from rankability.lop import (
@@ -811,15 +811,15 @@ def _hidden_order_games(rng: np.random.Generator, n: int) -> np.ndarray:
 
 @pytest.fixture
 def witness_passes(monkeypatch):
-    """Record every table-free witness pass (lop._WitnessLayers) as it starts."""
-    passes: list[lop._WitnessLayers] = []
-    real = lop._WitnessLayers.__init__
+    """Record every table-free witness pass (witness.WitnessLayers) as it starts."""
+    passes: list[witness.WitnessLayers] = []
+    real = witness.WitnessLayers.__init__
 
     def recording(self, search, target):
         passes.append(self)
         real(self, search, target)
 
-    monkeypatch.setattr(lop._WitnessLayers, "__init__", recording)
+    monkeypatch.setattr(witness.WitnessLayers, "__init__", recording)
     return passes
 
 
@@ -917,13 +917,110 @@ class TestWitnessMemo:
         # The witness pass started and stopped at its first deadline check,
         # before it finished a layer.
         (witness,) = witness_passes
-        assert not hasattr(witness, "layers")
+        assert witness.layers == []
+
+
+def _tiered(n: int, seed: int) -> np.ndarray:
+    """Items in three tiers: 2 against a lower tier, 1 against the own tier.
+
+    Every order of the tiers from the top down is optimal, so many prefixes
+    tie at the optimum.
+    """
+    tier = np.random.default_rng(seed).integers(0, 3, n)
+    w = np.where(tier[:, None] > tier[None, :], 2.0, 1.0)
+    np.fill_diagonal(w, 0.0)
+    return w
+
+
+class TestNarrowWitnessPasses:
+    """Past its budget the witness pass holds about the states the
+    depth-first search visits, with the same witness, nodes and pruned.
+    """
+
+    def test_every_weight_equal_at_n_24(self, monkeypatch, witness_passes):
+        # All 2^24 sets reach the optimum; one pass over them held about
+        # 0.55 GB. The depth-first search visits about n states per child.
+        n = 24
+        a = WeightMatrix(np.ones((n, n)) - np.eye(n))
+        tracemalloc.start()
+        try:
+            res = solve_lop(a, SolverConfig(time_limit=60.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.proven
+        assert peak < 4 << 20
+        (witness,) = witness_passes
+        assert sum(layer.size for layer in witness.layers) < n**3
+        plain = _solve_with_witness_oracle(monkeypatch, a)
+        assert (res.ranking, res.stats.nodes, res.stats.pruned) == (
+            plain.ranking,
+            plain.stats.nodes,
+            plain.stats.pruned,
+        )
+
+    @pytest.mark.parametrize(
+        "family,n,seed",
+        [
+            ("hidden", 19, 0),
+            ("hidden", 20, 2),
+            ("games", 19, 2),
+            ("tiered", 19, 1),
+            ("tiered", 21, 4),
+            ("fractional", 19, 0),
+        ],
+    )
+    def test_narrow_passes_equal_the_oracle(
+        self, monkeypatch, witness_passes, family, n, seed
+    ):
+        rng = np.random.default_rng(seed)
+        w = {
+            "hidden": lambda: _hidden_order_tournament(rng, n),
+            "games": lambda: _hidden_order_games(rng, n),
+            "tiered": lambda: _tiered(n, seed),
+            "fractional": lambda: _fractional_hidden_order(n),
+        }[family]()
+        a = WeightMatrix(w)
+        monkeypatch.setattr(witness, "_STATES_PER_NODE", 0)
+        runs = []
+        real_run = witness.WitnessLayers._run
+
+        def recording(self, roots, width, cap):
+            runs.append(width)
+            return real_run(self, roots, width, cap)
+
+        monkeypatch.setattr(witness.WitnessLayers, "_run", recording)
+        res = solve_lop(a)
+        assert res.proven
+        # The first pass stopped at its budget and narrow passes followed.
+        # With tiers one narrow pass decides every state the walk reads;
+        # the others leave some undecided and widen.
+        assert runs[:2] == [n, 1]
+        if family != "tiered":
+            assert max(runs[1:]) > 1
+        plain = _solve_with_witness_oracle(monkeypatch, a)
+        assert (res.ranking, res.stats.nodes, res.stats.pruned) == (
+            plain.ranking,
+            plain.stats.nodes,
+            plain.stats.pruned,
+        )
+
+    def test_a_pass_over_the_state_cap_leaves_the_witness_unproven(
+        self, monkeypatch
+    ):
+        a = WeightMatrix(_hidden_order_tournament(np.random.default_rng(0), 19))
+        expected = solve_lop(a)
+        monkeypatch.setattr(witness, "_MAX_STATES", 50)
+        res = solve_lop(a)
+        assert not res.proven
+        assert res.optimal_value == expected.optimal_value
+        assert objective_value(a, res.ranking) == res.optimal_value
 
 
 class TestWitnessCounts:
     """The witness pass keeps each state's nodes and pruned exact, or raises."""
 
-    def test_counts_near_the_limit_are_exact_and_past_it_raise(
+    def test_a_layer_whose_counts_could_pass_the_limit_raises(
         self, monkeypatch, witness_passes
     ):
         a = WeightMatrix(_hidden_order_tournament(np.random.default_rng(2), 20))
@@ -933,12 +1030,12 @@ class TestWitnessCounts:
             return res.ranking, res.stats.nodes, res.stats.pruned, res.proven
 
         expected = solve()
-        top = max(int(counts.max()) for _, counts in witness_passes[0].results)
-        # A layer whose next layer holds a count above _COUNT_MAX // n sums
-        # in Python ints; at this limit some layers do, and none raises.
-        monkeypatch.setattr(lop, "_COUNT_MAX", top)
+        # The backward pass checks the counts of each layer below the
+        # first before it adds up to n of them.
+        top = max(int(counts.max()) for *_, counts in witness_passes[0].results[1:])
+        monkeypatch.setattr(witness, "_COUNT_MAX", top * a.n + 1)
         assert solve() == expected
-        monkeypatch.setattr(lop, "_COUNT_MAX", top - 1)
+        monkeypatch.setattr(witness, "_COUNT_MAX", top * a.n)
         with pytest.raises(RankabilityError, match="int64"):
             solve()
 
