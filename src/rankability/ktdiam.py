@@ -1,10 +1,11 @@
 """Maximal Kendall tau distance between optimal rankings.
 
 When the optima set fits the enumeration cap, kappa comes from scanning
-every pair of optima enumerated with the shared completion table. Otherwise
-it comes from the coupled binary program over two linear orders x and y
-that must both attain the optimal objective value, with the concordance
-indicators z implied by the orientation pair rather than branched on. Its
+every pair of the enumerated optima, a block of rows of the order array at
+a time (_max_distance_pair). Otherwise it comes from the coupled binary
+program over two linear orders x and y that must both attain the optimal
+objective value, with the concordance indicators z implied by the
+orientation pair rather than branched on. Its
 joint branch and bound grows both orders position by position, so every
 generated orientation set is transitively closed and the 3-dicycle
 constraints hold by construction. A node is pruned when the prefix bound of
@@ -53,6 +54,11 @@ __all__ = [
     "kt_solution_from_rankings",
     "validate_kt_solution",
 ]
+
+# The pair scan counts distances for a block of rows of the optima at a
+# time, as many rows as keep its work arrays, about 10 bytes per pair of a
+# row and a later optimum, within this many bytes (_max_distance_pair).
+_SCAN_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -229,53 +235,69 @@ class _PairSearch:
             self._unplace(0, d1)
 
 
-def _pack_pair_masks(orders: list[tuple[int, ...]], n: int) -> np.ndarray:
+def _pack_pair_masks(orders: np.ndarray, n: int) -> np.ndarray:
     """One bit per unordered pair i < j, set when i ranks above j.
 
-    Pairs run in np.triu_indices order; each row is packed by np.packbits.
+    orders holds one order form per row. Pairs run in np.triu_indices
+    order; each row is packed by np.packbits.
     """
     # argsort of an order form gives every item's position.
-    pos = np.argsort(np.asarray(orders), axis=1).astype(np.min_scalar_type(n))
+    pos = np.argsort(orders, axis=1).astype(np.min_scalar_type(n))
     i, j = np.triu_indices(n, 1)
     return np.packbits(pos[:, i] < pos[:, j], axis=1)
 
 
 def _max_distance_pair(
-    orders: list[tuple[int, ...]], n: int, deadline: float | None
+    orders: np.ndarray | list[tuple[int, ...]], n: int, deadline: float | None
 ) -> tuple[int, tuple[int, ...], tuple[int, ...], bool]:
     """Maximal Kendall tau distance, its lexicographically first pair, completeness.
 
-    orders must be sorted ascending; the scan keeps the first pair that
-    attains each strictly larger distance, which makes the returned pair
-    the smallest (first, second) witness under tuple comparison. The
-    deadline is checked between rows; once it has passed, the best pair
-    so far is returned with completeness False.
+    orders holds one order form per row, sorted ascending; the scan keeps
+    the first pair that attains each strictly larger distance, which makes
+    the returned pair the smallest (first, second) witness under tuple
+    comparison. Distances are counted for a block of rows against every
+    later row at once, blocks within _SCAN_BLOCK_BYTES of work arrays. The
+    deadline is checked before each row is read; once it has passed, the
+    best pair so far is returned with completeness False.
     """
+    orders = np.asarray(orders)
+    count = len(orders)
     packed = _pack_pair_masks(orders, n)
     # Popcounts over 64-bit words, one contiguous array per word, are far
     # cheaper than over bytes.
-    padded = np.zeros((len(orders), -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
+    padded = np.zeros((count, -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
     padded[:, : packed.shape[1]] = packed
     words = [np.ascontiguousarray(col) for col in padded.view(np.uint64).T]
     ceiling = n * (n - 1) // 2
+    # A block's work arrays: the 8-byte words XORed and their counts.
+    block = max(1, _SCAN_BLOCK_BYTES // (10 * count))
     best = 0
-    best_pair = (orders[0], orders[0])
-    for a in range(len(orders)):
-        if deadline is not None and time.monotonic() > deadline:
-            return best, best_pair[0], best_pair[1], False
-        dist = np.zeros(len(orders) - a, dtype=np.min_scalar_type(ceiling))
+    best_a = best_b = 0
+
+    def scanned(complete: bool) -> tuple[int, tuple[int, ...], tuple[int, ...], bool]:
+        first, second = orders[best_a].tolist(), orders[best_b].tolist()
+        return best, tuple(first), tuple(second), complete
+
+    for start in range(0, count, block):
+        stop = min(start + block, count)
+        dist = np.zeros((stop - start, count - start), dtype=np.min_scalar_type(ceiling))
         for col in words:
-            dist += np.bitwise_count(col[a:] ^ col[a])
-        b_rel = int(np.argmax(dist))
-        d = int(dist[b_rel])
-        if d > best:
-            # argmax returns the first maximizer, the lex-smallest partner;
-            # scanning a ascending makes the overall pair lex-smallest.
-            best = d
-            best_pair = (orders[a], orders[a + b_rel])
-        if best == ceiling:
-            break
-    return best, best_pair[0], best_pair[1], True
+            dist += np.bitwise_count(col[start:] ^ col[start:stop, None])
+        # Row a also holds its distances to the rows of the block before it.
+        # Those are at most best once those rows are scanned, so a row that
+        # beats best does so at a partner b >= a, and argmax returns the
+        # first such b, the lex-smallest partner.
+        partners = dist.argmax(axis=1).tolist()
+        reach = dist.max(axis=1).tolist()
+        for a in range(start, stop):
+            if deadline is not None and time.monotonic() > deadline:
+                return scanned(False)
+            if reach[a - start] > best:
+                # Scanning a ascending makes the overall pair lex-smallest.
+                best, best_a, best_b = reach[a - start], a, start + partners[a - start]
+            if best == ceiling:
+                return scanned(True)
+    return scanned(True)
 
 
 def _kt_result(
@@ -306,7 +328,7 @@ def _pair_search(
 
 
 def _first_optimum(
-    k_star: float, orders: list[tuple[int, ...]], truncated: bool
+    k_star: float, orders: np.ndarray, truncated: bool
 ) -> tuple[int, ...]:
     """The first of the optima that lop._optimal_orders returned for k_star.
 
@@ -315,8 +337,8 @@ def _first_optimum(
             ranking was found.
         InvalidKStarError: when no ranking attains k_star.
     """
-    if orders:
-        return orders[0]
+    if len(orders):
+        return tuple(orders[0].tolist())
     if truncated:
         raise UnprovenOptimumError(
             "time limit expired before any optimal ranking was recovered"
@@ -327,7 +349,7 @@ def _first_optimum(
 def _kappa_from_orders(
     a: WeightMatrix,
     k_star: float,
-    orders: list[tuple[int, ...]],
+    orders: np.ndarray,
     truncated: bool,
     deadline: float | None,
 ) -> KtResult:
@@ -385,12 +407,13 @@ def _kappa_by_pair_search(
 
 def _solve_with_kappa(
     a: WeightMatrix, cfg: SolverConfig
-) -> tuple[float, list[tuple[int, ...]], bool, KtResult]:
+) -> tuple[float, np.ndarray, bool, KtResult]:
     """Prove k*, enumerate the optima once and take kappa from them.
 
     The deadline is taken before the value step, so cfg.time_limit bounds
     all three phases. Returns k*, the optimal orders in lexicographic
-    sequence (the first is solve_lop's canonical witness), whether the
+    sequence as lop._optimal_orders gives them, one per row (the first is
+    solve_lop's canonical witness), whether the
     enumeration was truncated, and the kappa certificate.
 
     Raises:

@@ -34,6 +34,15 @@ high items picking the row and its low items the column; it is filled one
 layer of rows at a time, each item's term one numpy operation over whole
 rows or over every row of the layer (_build_completion_table).
 
+The optima come from one walk for both routes, with the table and above
+its budget without (_walk_optima): depth first over chunks of prefixes of
+one depth, every child of a chunk formed, bounded and kept by numpy
+operations over the whole chunk, with the additions of a search over one
+prefix at a time, so the orders and the truncated flag are that search's
+for every weight type. The kept children come out in lexicographic order
+and are walked before the rest of their parents' chunk, so the optima
+arrive sorted, held as one small-integer array rather than a tuple each.
+
 enumerate_optima, degree_of_linearity and the kappa and season routines
 need only the proven value k*, not a witness. Inside the table budget
 with exact sums they read it from the completion table, and run neither
@@ -114,6 +123,15 @@ _HEURISTIC_CHUNK_BYTES = 1 << 22
 _STEP_ARRAYS = 5
 _VALUE_ARRAYS = 3
 
+# The optima walk expands one chunk of prefixes at a time, at most as many
+# as keep its children's work arrays, about _WALK_ARRAYS arrays of 8 bytes
+# a child, within this many bytes (_walk_optima). Besides, each depth holds
+# the rest of at most one chunk's children, a row each of n + 8 (k - 1) + 16
+# bytes with k items left. On a 2-vCPU x86-64 host, 2^18 and 2^22 bytes
+# were no faster on inputs with many optima, and up to 1.4 times slower.
+_WALK_CHUNK_BYTES = 1 << 20
+_WALK_ARRAYS = 12
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -174,10 +192,6 @@ class OptimaSet:
 
 
 class _Timeout(Exception):
-    pass
-
-
-class _CapReached(Exception):
     pass
 
 
@@ -274,8 +288,9 @@ class _Search:
     gain row sum, the split row sums of w kept with the table
     (_Completion.gains).
 
-    The witness search and the enumeration take this form for every weight
-    type, since they report only orders, chosen within the slack. The value
+    The witness search takes this form for every weight type, as does the
+    optima walk (_walk_optima) over whole chunks of prefixes, since they
+    report only orders, chosen within the slack. The value
     search takes it when _exact_sums holds (self.exact), where every such
     sum is exact. Otherwise it keeps apply/undo with O(n) updates of
     per-item sums per move: the last bits of f depend on the order of the
@@ -492,7 +507,7 @@ class _Search:
             from .witness import WitnessLayers
 
             return WitnessLayers(self, target).descend()
-        x, (lo, hi), table = self._root(completion)
+        x, (lo, hi), table = self.f, completion.gains, completion.table
         rem = self.rem_mask
         while rem:
             low, high = rem & self.low, rem >> self.h
@@ -507,70 +522,6 @@ class _Search:
             self.prefix.append(v)
             rem, x = t, child
         return self.prefix.copy()
-
-    def _root(self, completion: _Completion | None) -> tuple[
-        float, tuple[array[float], array[float]], array[float] | None
-    ]:
-        """The empty prefix's scalar, rows and table for an unplaced-set search.
-
-        With a table, the scalar is f and the rows are its gain rows;
-        without, the scalar is g = f + u and the rows are the drop rows.
-        """
-        if completion is None:
-            return self.f + self.u, self._drop_rows(), None
-        return self.f, completion.gains, completion.table
-
-    # -- enumeration -------------------------------------------------------
-
-    def enumerate_leaves(
-        self, k_star: float, cap: int
-    ) -> tuple[list[tuple[int, ...]], bool]:
-        """All optimal orders in lexicographic sequence, up to cap."""
-        self.reset()
-        found: list[tuple[int, ...]] = []
-        try:
-            x, rows, table = self._root(_completion(self.matrix, self.deadline))
-            self._rec_enum(self.rem_mask, x, k_star, cap, found, rows, table)
-            return found, False
-        except (_CapReached, _Timeout):
-            return found, True
-
-    def _rec_enum(
-        self,
-        rem: int,
-        x: float,
-        k_star: float,
-        cap: int,
-        found: list[tuple[int, ...]],
-        rows: tuple[array[float], array[float]],
-        table: array[float] | None,
-    ) -> None:
-        """Collect the optimal leaves below unplaced set rem and scalar x.
-
-        x and rows are as _root gives them: with a table, a child's bound
-        adds the table's entry for the items left after it; without, a
-        child's x is its bound. A child is kept while its bound is within
-        the slack of k_star.
-        """
-        self._tick()
-        if rem == 0:
-            if abs(x - k_star) <= self.eps:
-                found.append(tuple(self.prefix))
-                if len(found) >= cap:
-                    raise _CapReached
-            return
-        target = k_star - self.eps
-        lo, hi = rows
-        low, high = rem & self.low, rem >> self.h
-        for v, bit, at_lo, at_hi in self.item_bits:
-            if rem & bit:
-                t = rem ^ bit
-                child = x + (lo[at_lo + low] + hi[at_hi + high])
-                bound = child if table is None else child + table[t]
-                if bound >= target:
-                    self.prefix.append(v)
-                    self._rec_enum(t, child, k_star, cap, found, rows, table)
-                    self.prefix.pop()
 
 
 def _row_sums(w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -1126,29 +1077,141 @@ def solve_lop(a: WeightMatrix, cfg: SolverConfig | None = None) -> LopResult:
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _other_columns(k: int) -> np.ndarray:
+    """others[j]: the columns 0..k-1 other than j, ascending, for each j < k."""
+    cols = np.arange(k - 1)
+    others = cols + (cols >= np.arange(k)[:, None])
+    others.flags.writeable = False
+    return others
+
+
+def _walk_optima(
+    n: int,
+    root: float,
+    rows: tuple[array[float], array[float]],
+    table: array[float] | None,
+    k_star: float,
+    eps: float,
+    limit: int,
+    deadline: float | None,
+) -> tuple[np.ndarray, bool]:
+    """Optimal 0-based orders in lexicographic sequence, up to limit of them.
+
+    A depth-first walk over chunks of prefixes of one depth, in
+    lexicographic order, each prefix a row of its order, its unplaced items
+    in ascending order, its unplaced set and its scalar. root and rows are
+    the empty prefix's scalar and rows in the unplaced-set form (_Search):
+    with a table, f and the gain rows, and a child's bound adds the table's
+    entry for the items left after it; without, g = f + u and the drop
+    rows, and a child's scalar is its bound. For the first rows of the top
+    chunk, every child's scalar is its parent's plus two lookups, in numpy
+    operations over a (rows, unplaced items) grid: the additions of the
+    depth-first search over one prefix at a time
+    (tests/oracles.py::enumerate_leaves_loop), in the same order, so the
+    same bits. Children whose bound reaches k_star - eps are kept, at the
+    last position those within eps of k_star; the grid lists them parent
+    first, item second, which is lexicographic order, and they are pushed
+    above the rest of their parents' chunk, which they all precede.
+
+    Returns the orders as an (count, n) int8 array and whether the walk
+    stopped early: on reaching limit orders, or when the deadline, checked
+    before each chunk, has passed, with the orders found so far.
+    """
+    lo, hi = np.frombuffer(rows[0]), np.frombuffer(rows[1])
+    completions = None if table is None else np.frombuffer(table)
+    h = n // 2
+    low = (1 << h) - 1
+    items = np.arange(n)
+    bits, at_lo, at_hi = 1 << items, items << h, items << (n - h)
+    target = k_star - eps
+    # A chunk's orders are full width; positions from its depth on are unset.
+    full = np.array([(1 << n) - 1])
+    stack = [(0, np.zeros((1, n), np.int8), items[None], full, np.array([root]))]
+    leaves = [np.empty((0, n), np.int8)]
+    found = 0
+    while stack:
+        if deadline is not None and time.monotonic() > deadline:
+            return np.concatenate(leaves), True
+        depth, orders, item, rem, x = stack.pop()
+        k = n - depth
+        chunk = max(1, _WALK_CHUNK_BYTES // (_WALK_ARRAYS * 8 * k))
+        if rem.size > chunk:
+            stack.append((depth, orders[chunk:], item[chunk:], rem[chunk:], x[chunk:]))
+            orders, item, rem, x = orders[:chunk], item[:chunk], rem[:chunk], x[:chunk]
+        # child[r, j]: row r's scalar after placing its j-th unplaced item.
+        index = at_lo[item]
+        index += (rem & low)[:, None]
+        child = lo[index]
+        index = at_hi[item]
+        index += (rem >> h)[:, None]
+        child += hi[index]
+        child += x[:, None]
+        depth += 1
+        if depth == n:
+            # The bound at a leaf adds table[0] = 0.0: its scalar alone.
+            keep = (child >= target) & (np.abs(child - k_star) <= eps)
+        elif completions is None:
+            keep = child >= target
+        else:
+            keep = child + completions[rem[:, None] ^ bits[item]] >= target
+        kept = np.flatnonzero(keep)
+        if not kept.size:
+            continue
+        parent, col = np.divmod(kept, k)
+        placed = item.ravel()[kept]
+        kids = orders.take(parent, axis=0)
+        kids[:, depth - 1] = placed
+        if depth < n:
+            left = item[parent[:, None], _other_columns(k)[col]]
+            stack.append(
+                (depth, kids, left, rem[parent] ^ bits[placed], child.ravel()[kept])
+            )
+            continue
+        leaves.append(kids)
+        found += kept.size
+        if found >= limit:
+            return np.concatenate(leaves)[:limit], True
+    return np.concatenate(leaves), False
+
+
 def _optimal_orders(
     a: WeightMatrix, k_star: float, cap: int, deadline: float | None
-) -> tuple[list[tuple[int, ...]], bool]:
+) -> tuple[np.ndarray, bool]:
     """Optimal 1-based order forms in lexicographic sequence, up to cap.
 
-    Returns the orders and truncated: whether more than cap optima exist
-    (the search looks for one past the cap) or the deadline stopped it.
-    Raises nothing, so a deadline that has already passed gives no orders
-    and truncated=True.
+    Returns the orders as an (count, n) int8 array, one order per row, and
+    truncated: whether more than cap optima exist (the walk looks for one
+    past the cap) or the deadline stopped it. Raises nothing, so a
+    deadline that has already passed gives no orders and truncated=True.
     """
-    search = _Search(a, deadline)
-    orders, truncated = search.enumerate_leaves(k_star, cap + 1)
-    return [tuple(v + 1 for v in order) for order in orders[:cap]], truncated
+    try:
+        completion = _completion(a, deadline)
+    except _Timeout:
+        return np.empty((0, a.n), np.int8), True
+    if completion is None:
+        search = _Search(a)
+        root, rows, table = search.f + search.u, search._drop_rows(), None
+    else:
+        root, rows, table = 0.0, completion.gains, completion.table
+    orders, truncated = _walk_optima(
+        a.n, root, rows, table, k_star, _slack(a), cap + 1, deadline
+    )
+    orders = orders[:cap]
+    orders += 1
+    return orders, truncated
 
 
 def enumerate_optima(a: WeightMatrix, cfg: SolverConfig | None = None) -> OptimaSet:
     """Collect every ranking whose objective equals the proven optimum.
 
-    Depth-first search keeps a branch only while its upper bound stays
-    within the comparison slack of the optimal value: 0 when every weight
-    is a multiple of 1/2, else n^2 * 2^-40 of the total weight. Children
-    are tried in ascending item order, so the output arrives already
-    sorted lexicographically. truncated is set when more than
+    A depth-first walk over chunks of prefixes (_walk_optima) keeps a
+    prefix only while its upper bound stays within the comparison slack of
+    the optimal value: 0 when every weight is a multiple of 1/2, else
+    n^2 * 2^-40 of the total weight. Each chunk's children are kept in
+    ascending item order below each prefix, and walked before the rest of
+    the chunk, so the output arrives already sorted lexicographically.
+    truncated is set when more than
     cfg.enumeration_cap optima exist, of which the first cap are
     returned, or when the time limit stopped the search; the time limit
     covers the whole call, value proof included. The optimal value comes
@@ -1163,7 +1226,7 @@ def enumerate_optima(a: WeightMatrix, cfg: SolverConfig | None = None) -> Optima
     deadline = _deadline(cfg)
     k_star = _proven_value(a, deadline)
     orders, truncated = _optimal_orders(a, k_star, cfg.enumeration_cap, deadline)
-    rankings = tuple(ranking_from_order(order) for order in orders)
+    rankings = tuple(ranking_from_order(order) for order in orders.tolist())
     return OptimaSet(rankings=rankings, truncated=truncated)
 
 

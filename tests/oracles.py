@@ -366,6 +366,63 @@ def lex_min_witness_loop(search, k_star: float) -> list[int] | None:
     return search.prefix.copy()
 
 
+class _CapReached(Exception):
+    pass
+
+
+def enumerate_leaves_loop(
+    search, k_star: float, cap: int
+) -> tuple[list[tuple[int, ...]], bool]:
+    """All optimal 0-based orders in lexicographic sequence, up to cap.
+
+    lop._walk_optima as a depth-first search over one prefix at a time, on
+    a lop._Search's unplaced-set form: with the completion table, from f
+    and the gain rows; without, from g = f + u and the drop rows. Returns
+    the orders and whether the cap or the deadline (checked every 256
+    nodes) stopped it. Reference for the walk's orders and flags.
+    """
+    search.reset()
+    found: list[tuple[int, ...]] = []
+    try:
+        completion = lop._completion(search.matrix, search.deadline)
+        if completion is None:
+            x, rows, table = search.f + search.u, search._drop_rows(), None
+        else:
+            x, rows, table = search.f, completion.gains, completion.table
+        _rec_enum(search, search.rem_mask, x, k_star, cap, found, rows, table)
+        return found, False
+    except (_CapReached, lop._Timeout):
+        return found, True
+
+
+def _rec_enum(search, rem, x, k_star, cap, found, rows, table) -> None:
+    """Collect the optimal leaves below unplaced set rem and scalar x.
+
+    With a table, a child's bound adds the table's entry for the items left
+    after it; without, a child's x is its bound. A child is kept while its
+    bound is within the slack of k_star.
+    """
+    search._tick()
+    if rem == 0:
+        if abs(x - k_star) <= search.eps:
+            found.append(tuple(search.prefix))
+            if len(found) >= cap:
+                raise _CapReached
+        return
+    target = k_star - search.eps
+    lo, hi = rows
+    low, high = rem & search.low, rem >> search.h
+    for v, bit, at_lo, at_hi in search.item_bits:
+        if rem & bit:
+            t = rem ^ bit
+            child = x + (lo[at_lo + low] + hi[at_hi + high])
+            bound = child if table is None else child + table[t]
+            if bound >= target:
+                search.prefix.append(v)
+                _rec_enum(search, t, child, k_star, cap, found, rows, table)
+                search.prefix.pop()
+
+
 def solve_with_kappa_via_solve_lop(a, cfg):
     """k* from solve_lop, then the optima and kappa under one deadline.
 

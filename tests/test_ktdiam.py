@@ -281,6 +281,21 @@ class TestPairMasks:
         assert packed.dtype == np.uint8
         assert np.array_equal(packed, pack_pair_masks_loop(orders, n))
 
+    # Blocks of one row each, and of a few rows each; the default block
+    # holds every row of these sets.
+    @pytest.mark.parametrize("block_bytes", [1, 200])
+    def test_scan_blocks_keep_the_canonical_pair(self, monkeypatch, block_bytes):
+        monkeypatch.setattr(ktdiam, "_SCAN_BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(11)
+        for _ in range(30):
+            n = int(rng.integers(3, 8))
+            a = random_half_integer_matrix(rng, n)
+            k_star, _, kappa, pair = brute_force_kappa(np.asarray(a.weights))
+            result = solve_kt(a, k_star)
+            assert result.proven
+            assert result.kappa == kappa
+            assert (result.pair[0].order, result.pair[1].order) == pair
+
     def test_scan_counts_past_255_discordant_pairs(self):
         # C(24, 2) = 276 does not fit the 8-bit counts of smaller n.
         n = 24
@@ -476,16 +491,17 @@ class TestTableFirstValue:
         reference = solve_with_kappa_via_solve_lop(a, DEFAULT_CONFIG)
         result, orders, truncated, kt = reference
         assert lop._proven_value(a, None) == result.optimal_value
-        assert ktdiam._solve_with_kappa(a, DEFAULT_CONFIG) == (
+        k_star, found, flag, kappa = ktdiam._solve_with_kappa(a, DEFAULT_CONFIG)
+        assert (k_star, found.tolist(), flag, kappa) == (
             result.optimal_value,
-            orders,
+            orders.tolist(),
             truncated,
             kt,
         )
         optima = enumerate_optima(a)
         assert optima.truncated == truncated
-        assert [r.order for r in optima.rankings] == orders
-        assert orders[0] == result.ranking.order
+        assert [list(r.order) for r in optima.rankings] == orders.tolist()
+        assert tuple(orders[0].tolist()) == result.ranking.order
         return reference
 
     def _assert_season_matches(self, gs):

@@ -66,6 +66,7 @@ from tests.oracles import (
     brute_force_lop,
     completion_table_by_layers,
     completion_table_loop,
+    enumerate_leaves_loop,
     heuristic_ranking_loop,
     lex_min_witness_loop,
     lop_milp,
@@ -390,6 +391,116 @@ class TestEnumerateOptima:
         assert optima.count == 0
 
 
+def _walk_and_loop(w: np.ndarray, cap: int, table_free: bool):
+    """lop._optimal_orders' orders and flag, then the depth-first loop's.
+
+    table_free makes both take the drop rows instead of the table.
+    """
+    k_star = lop._proven_value(WeightMatrix(w), None)
+    with pytest.MonkeyPatch.context() as m:
+        if table_free:
+            m.setattr(lop, "_TABLE_MAX_N", 0)
+        orders, truncated = lop._optimal_orders(WeightMatrix(w), k_star, cap, None)
+        search = lop._Search(WeightMatrix(w))
+        loop, loop_truncated = enumerate_leaves_loop(search, k_star, cap + 1)
+    expected = [[v + 1 for v in order] for order in loop[:cap]]
+    return (orders.tolist(), truncated), (expected, loop_truncated)
+
+
+def _every_weight_equal(n: int) -> np.ndarray:
+    w = np.ones((n, n))
+    np.fill_diagonal(w, 0.0)
+    return w
+
+
+class TestOptimaWalk:
+    """The chunked walk against the depth-first search over one prefix at a
+    time (tests/oracles.py::enumerate_leaves_loop): the same orders, in the
+    same sequence, and the same truncated flag.
+    """
+
+    @pytest.mark.parametrize("cap", [1, 5, 10**6])
+    @pytest.mark.parametrize("table_free", [False, True], ids=["table", "drop_rows"])
+    def test_equals_the_loop_on_random_matrices(self, cap, table_free):
+        rng = np.random.default_rng(61)
+        for family in ("integer", "tenths", "equal") * 8:
+            n = int(rng.integers(3, 9))
+            if family == "integer":
+                w = rng.integers(0, 4, (n, n)).astype(float)
+            elif family == "tenths":
+                w = rng.integers(0, 3, (n, n)) * 0.1
+            else:
+                w = _every_weight_equal(n)
+            np.fill_diagonal(w, 0.0)
+            assert lop._exact_sums(WeightMatrix(w)) == (family != "tenths")
+            walk, loop = _walk_and_loop(w, cap, table_free)
+            assert walk == loop
+
+    # hidden20.csv and fractional19.csv lie above the table budget; the
+    # loop takes minutes on tournament18.csv without the table.
+    @pytest.mark.parametrize("cap", [1, 5, 10**6])
+    @pytest.mark.parametrize(
+        "name,table_free",
+        [
+            ("hidden20", False),
+            ("fractional19", False),
+            ("tournament18", False),
+            ("equal8", False),
+            ("equal8", True),
+        ],
+    )
+    def test_equals_the_loop_on_the_data_files(self, name, table_free, cap):
+        if name == "equal8":
+            w = _every_weight_equal(8)
+        else:
+            w = read_matrix_csv(DATA_DIR / f"{name}.csv").weights
+        walk, loop = _walk_and_loop(w, cap, table_free)
+        assert walk == loop
+
+    def test_a_deadline_keeps_the_leaves_found_before_it(self, monkeypatch):
+        a = WeightMatrix(_coin_tournament(np.random.default_rng(1), 7, 2))
+        k_star = lop._proven_value(a, None)
+        full, truncated = lop._optimal_orders(a, k_star, 10**6, None)
+        assert not truncated and len(full) > 3
+        # One prefix per chunk. The table is built, so _completion reads the
+        # clock once before the walk, which reads it before every chunk.
+        monkeypatch.setattr(lop, "_WALK_CHUNK_BYTES", 1)
+        counts = []
+        for chunks in range(1, 200):
+            clock = itertools.chain([0.0] * (1 + chunks), itertools.repeat(np.inf))
+            monkeypatch.setattr(
+                lop, "time", SimpleNamespace(monotonic=lambda: next(clock))
+            )
+            orders, truncated = lop._optimal_orders(a, k_star, 10**6, 1.0)
+            if not truncated:
+                break
+            assert orders.tolist() == full[: len(orders)].tolist()
+            counts.append(len(orders))
+        # After the first chunk, the empty prefix, no leaf is found yet.
+        assert counts[0] == 0
+        assert counts == sorted(counts)
+        assert 0 < counts[len(counts) // 2] < len(full)
+        assert orders.tolist() == full.tolist()
+
+    def test_the_walk_to_the_cap_traces_under_64_mib(self):
+        n = 12
+        a = WeightMatrix(_every_weight_equal(n))
+        k_star = lop._proven_value(a, None)
+        cap = DEFAULT_CONFIG.enumeration_cap
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            orders, truncated = lop._optimal_orders(a, k_star, cap, None)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert truncated and orders.shape == (cap, n)
+        first = list(range(1, n + 1))
+        assert orders[:2].tolist() == [first, first[:-2] + first[:-3:-1]]
+        assert peak - before < 64 << 20
+
+
 class TestDegreeOfLinearity:
     def test_digraph_values(self, digraphs):
         for idx, expected in DIGRAPH_LAMBDA.items():
@@ -632,7 +743,7 @@ def search_calls(monkeypatch):
 
     Heuristic incumbents (heuristic_ranking), value proofs (run_value),
     canonical witness searches (lex_min_witness), completion table builds
-    (_build_completion_table) and enumerations (enumerate_leaves).
+    (_build_completion_table) and enumerations (_walk_optima).
     """
     calls: dict[str, int] = {}
     for owner, name in (
@@ -640,7 +751,7 @@ def search_calls(monkeypatch):
         (lop._Search, "run_value"),
         (lop._Search, "lex_min_witness"),
         (lop, "_build_completion_table"),
-        (lop._Search, "enumerate_leaves"),
+        (lop, "_walk_optima"),
     ):
         calls[name] = 0
         real = getattr(owner, name)
@@ -660,7 +771,7 @@ _TABLE_ROUTE = {
     "run_value": 0,
     "lex_min_witness": 0,
     "_build_completion_table": 1,
-    "enumerate_leaves": 1,
+    "_walk_optima": 1,
 }
 
 
@@ -671,7 +782,7 @@ def _search_route(tables: int) -> dict[str, int]:
         "run_value": 1,
         "lex_min_witness": 0,
         "_build_completion_table": tables,
-        "enumerate_leaves": 1,
+        "_walk_optima": 1,
     }
 
 
@@ -730,13 +841,13 @@ class TestOneSolvePerMatrix:
 
     def test_degree_of_linearity_reads_the_table(self, search_calls):
         degree_of_linearity(WeightMatrix(COLLEGE_WEIGHTS))
-        assert search_calls == {**_TABLE_ROUTE, "enumerate_leaves": 0}
+        assert search_calls == {**_TABLE_ROUTE, "_walk_optima": 0}
         for name in search_calls:
             search_calls[name] = 0
         degree_of_linearity(_fractional_college())
         assert search_calls == {
             **_search_route(tables=0),
-            "enumerate_leaves": 0,
+            "_walk_optima": 0,
         }
 
 
@@ -1044,8 +1155,9 @@ def _value_witness_optima(a: WeightMatrix, exact: bool, cap: int = 100_000):
     """solve_lop's phases with _Search.exact forced.
 
     The value search's best value, best order, nodes and pruned; the
-    lex-min witness with the nodes and pruned it adds; and every optimum,
-    with truncated. exact picks the value search's state form.
+    lex-min witness with the nodes and pruned it adds; and every optimum
+    from the walk, 0-based, with truncated. exact picks the value search's
+    state form.
     """
     heur = [v - 1 for v in heuristic_ranking(a).order]
     search = lop._Search(a)
@@ -1055,9 +1167,8 @@ def _value_witness_optima(a: WeightMatrix, exact: bool, cap: int = 100_000):
     nodes, pruned = search.nodes, search.pruned
     witness = search.lex_min_witness(search.best_val)
     witness = (witness, search.nodes - nodes, search.pruned - pruned)
-    search = lop._Search(a)
-    search.exact = exact
-    optima = search.enumerate_leaves(value[0], cap)
+    orders, truncated = lop._optimal_orders(a, value[0], cap, None)
+    optima = [tuple(order) for order in (orders - 1).tolist()], truncated
     return value, witness, optima
 
 
