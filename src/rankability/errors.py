@@ -39,5 +39,9 @@ class InvalidKStarError(RankabilityError):
     """The supplied optimal value is not attained by any ranking."""
 
 
+class TooManyItemsError(RankabilityError):
+    """The matrix has more items than the exact searches support."""
+
+
 class UnprovenOptimumError(RankabilityError):
     """An operation needs a proven optimum but the solve hit its time limit."""

@@ -1,18 +1,20 @@
 """Exact solver for the linear ordering problem.
 
 solve_lop finds a permutation maximizing the sum of pairwise weights
-ranked in agreement, by depth-first branch and bound over ranking
-prefixes with an admissible pairwise bound and dominance memoization on
-the set of unplaced items, started from an insertion heuristic's
-incumbent. Also provides the exact subset completion table that the
-witness, enumeration and pair searches share, the table-free witness
-search above the table budget, enumeration of all optimal rankings, and
-the degree of linearity. The witness search and the enumeration keep a
-prefix as its unplaced set and one scalar, and read each child's bound
-from split row sums in two lookups, for every weight type. So does the
-value branch and bound when every sum of the weights is exact; for other
-weights it alone keeps the incremental state with O(n) apply/undo per
-move, since the value it reports is that state's (_Search).
+ranked in agreement, by branch and bound over ranking prefixes with an
+admissible pairwise bound and dominance on the set of unplaced items,
+started from an insertion heuristic's incumbent. Also provides the exact
+subset completion table that the witness, enumeration and pair searches
+share, the table-free witness search above the table budget, enumeration
+of all optimal rankings, and the degree of linearity. The witness search
+and the enumeration keep a prefix as its unplaced set and one scalar, and
+read each child's bound from split row sums in two lookups, for every
+weight type. So does the value proof when every sum of the weights is
+exact, as layered numpy passes over the visits of a depth-first search
+with a dominance memo, with that search's value, order and counts
+(value.prove_value). For other weights the value search is that
+depth-first search itself, and keeps the incremental state with O(n)
+apply/undo per move, since the value it reports is that state's (_Search).
 
 Above the table budget, the canonical witness comes from layered numpy
 passes over the states (unplaced set, bound) of the search for a
@@ -65,6 +67,7 @@ from .errors import (
     InvalidArgumentError,
     MalformedPermutationError,
     RankabilityError,
+    TooManyItemsError,
     UndefinedMetricError,
     UnprovenOptimumError,
 )
@@ -91,8 +94,14 @@ __all__ = [
 # table-side searches, 144 KiB.
 _TABLE_MAX_N = 18
 
-# Dominance memo entries of the value search are dropped beyond this to
-# bound its memory on large n.
+# The most items the searches on split row sums take (_split_row_sums):
+# those hold 8 n (2^floor(n/2) + 2^ceil(n/2)) bytes, 0.67 GB at n = 40 and
+# about twice as much for every two items more, and keep unplaced sets as
+# int64 (value.py) and in complex keys, exact below 2^53 (witness.py).
+_MAX_ITEMS = 40
+
+# Dominance memo entries of the depth-first value search for weights whose
+# sums are not exact are dropped beyond this to bound its memory on large n.
 _MEMO_CAP = 1 << 22
 
 # The bound's starting sum counts every pair's larger weight twice, so
@@ -129,6 +138,7 @@ _VALUE_ARRAYS = 3
 # the rest of at most one chunk's children, a row each of n + 8 (k - 1) + 16
 # bytes with k items left. On a 2-vCPU x86-64 host, 2^18 and 2^22 bytes
 # were no faster on inputs with many optima, and up to 1.4 times slower.
+# The value passes form children in blocks within the same bytes (value.py).
 _WALK_CHUNK_BYTES = 1 << 20
 _WALK_ARRAYS = 12
 
@@ -292,15 +302,16 @@ class _Search:
     optima walk (_walk_optima) over whole chunks of prefixes, since they
     report only orders, chosen within the slack. The value
     search takes it when _exact_sums holds (self.exact), where every such
-    sum is exact. Otherwise it keeps apply/undo with O(n) updates of
-    per-item sums per move: the last bits of f depend on the order of the
-    additions and subtractions that led to it, and solve_lop reports f, so
-    only that sequence reproduces it.
+    sum is exact, as the layered passes of value.prove_value. Otherwise it
+    keeps apply/undo with O(n) updates of per-item sums per move: the last
+    bits of f depend on the order of the additions and subtractions that
+    led to it, and solve_lop reports f, so only that sequence reproduces it.
 
-    Every search stops early one way, by raising _Timeout: _tick checks
-    the deadline every 256 expanded nodes, and the layered witness pass
-    (witness.WitnessLayers) before every chunk of states and when a pass
-    would hold more than witness._MAX_STATES states.
+    Every search stops early one way, by raising _Timeout: the depth-first
+    value search (_rec_value) checks the deadline every 256 expanded nodes
+    (_tick), and the layered passes (value.prove_value and
+    witness.WitnessLayers) before every block of states and when a layer
+    or a pass would hold more than witness._MAX_STATES states.
     """
 
     def __init__(self, a: WeightMatrix, deadline: float | None = None):
@@ -323,7 +334,8 @@ class _Search:
         self.h = n // 2
         self.low = (1 << self.h) - 1
         self.item_bits = [_row_starts(v, n) for v in range(n)]
-        self._set_child_order(range(n))
+        # The order the value search tries children in.
+        self.child_order = list(range(n))
         self.memo: dict[int, float] = {}
         self.best_val = float("-inf")
         self.best_order: list[int] = []
@@ -339,15 +351,6 @@ class _Search:
             w = self.matrix.weights
             self.drops = _split_row_sums(w - np.maximum(w, w.T))
         return self.drops
-
-    def _set_child_order(self, order: Sequence[int]) -> None:
-        """Try children in this order.
-
-        The unplaced-set form reads each item's bit and where its rows
-        start in the split row sums (_split_row_sums).
-        """
-        self.child_order = list(order)
-        self.child_bits = [_row_starts(v, self.n) for v in order]
 
     def reset(self) -> None:
         n = self.n
@@ -407,14 +410,21 @@ class _Search:
     # -- optimal value ---------------------------------------------------
 
     def run_value(self, start_order: list[int], start_value: float) -> bool:
-        """Prove the maximum objective from a known incumbent; True on timeout."""
+        """Prove the maximum objective from a known incumbent; True on timeout.
+
+        Tries children in the incumbent's order. With exact sums the
+        layered passes of value.prove_value run the search.
+        """
         self.best_val = start_value
         self.best_order = list(start_order)
-        self._set_child_order(start_order)
+        self.child_order = list(start_order)
         try:
             if self.exact:
-                self._drop_rows()
-                self._rec_value_exact(self.rem_mask, self.f + self.u)
+                # Imported here, so that only a value search with exact
+                # sums compiles and loads the passes.
+                from .value import prove_value
+
+                prove_value(self)
             else:
                 self._rec_value()
             return False
@@ -450,38 +460,6 @@ class _Search:
                     self.apply(v)
                     self._rec_value()
                     self.undo()
-
-    def _rec_value_exact(self, rem: int, g: float) -> None:
-        """_rec_value on the exact path, at unplaced set rem with bound g = f + u.
-
-        The memo holds g instead of f: u depends only on rem, so comparing
-        g values decides dominance exactly as comparing f values does.
-        """
-        self.nodes += 1
-        self._tick()
-        if rem == 0:
-            if g > self.best_val:
-                self.best_val = g
-                self.best_order = self.prefix.copy()
-            return
-        seen = self.memo.get(rem)
-        if seen is not None and g <= seen:
-            self.pruned += 1
-            return
-        if len(self.memo) < _MEMO_CAP:
-            self.memo[rem] = g
-        lo, hi = self.drops
-        low, high = rem & self.low, rem >> self.h
-        prefix = self.prefix
-        for v, bit, at_lo, at_hi in self.child_bits:
-            if rem & bit:
-                bound = g + (lo[at_lo + low] + hi[at_hi + high])
-                if bound <= self.best_val:
-                    self.pruned += 1
-                else:
-                    prefix.append(v)
-                    self._rec_value_exact(rem ^ bit, bound)
-                    prefix.pop()
 
     # -- canonical witness -------------------------------------------------
 
@@ -582,8 +560,15 @@ def _split_row_sums(w: np.ndarray) -> tuple[array[float], array[float]]:
     bit, the same sum added in any other order; otherwise it is within the
     rounding that _slack allows for, which is all the witness search and
     the enumeration need of it.
+
+    Raises:
+        TooManyItemsError: above _MAX_ITEMS items, before any allocation.
     """
     n = w.shape[0]
+    if n > _MAX_ITEMS:
+        raise TooManyItemsError(
+            f"the exact searches take at most {_MAX_ITEMS} items, got n={n}"
+        )
     h = n // 2
     halves = []
     for first, part in ((0, w[:, :h]), (h, w[:, h:])):

@@ -1,0 +1,204 @@
+"""The exact-sum value proof, as layered numpy passes over the search's visits.
+
+lop._Search.run_value proves k* from an incumbent. Where every sum of the
+weights is exact, prove_value finds the best value and order, and the
+nodes and pruned, of a depth-first branch and bound with a dominance memo
+on the unplaced set (tests/oracles.py::value_search_loop), one layer of
+placed items at a time: a bounded dynamic program over unplaced sets, in
+the manner of Morin and Marsten, "Branch-and-Bound Strategies for Dynamic
+Programming", Operations Research 24(4), 1976.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .lop import _WALK_CHUNK_BYTES, _check_deadline, _Search, _Timeout
+from .witness import _MAX_STATES
+
+# A pass forms the children of a block of a layer's visits at a time, in
+# about this many work arrays of 8 bytes per child, within
+# lop._WALK_CHUNK_BYTES.
+_CHILD_ARRAYS = 6
+
+
+def prove_value(search: _Search) -> None:
+    """search's exact-sum value search, from its incumbent best_val and best_order.
+
+    The depth-first search visits a state (unplaced set rem, bound g) and,
+    unless an earlier visit to rem had a bound at least g, forms each child
+    as g plus the item's drop row sum over rem without it, in
+    search.child_order; it visits a child whose bound is above the
+    incumbent, and counts one pruned for every other child and for every
+    state it does not expand. A leaf it visits raises the incumbent to its
+    bound. A pass (_Passes.run) finds all of that by layers:
+
+    - A layer holds the visits of one depth in the search's order, parent
+      first and the child's position in child_order second. Sets of
+      different depths differ in size, so the memo acts within a layer: a
+      visit is expanded when its bound is above that of every earlier
+      visit to the same set.
+    - A pass checks each child against the value of the last known leaf
+      before it in the search's order, or the start value before the
+      first. The incumbent only rises, so no check is stricter than the
+      search's: the pass holds every state the search visits, with the
+      same bound, and expands every one whose children the search visits.
+      So each leaf of the search is a record of the pass, a leaf whose
+      bound is above the start value and every leaf before it. And each
+      record is a leaf of the search: every check on its path compares
+      its bound or more with an incumbent no higher than the record before
+      it. The first pass thus finds every leaf, and a second, run only
+      when there is one, checks every child as the search does.
+
+    A visit's key is its parent's position among the expanded visits of
+    its layer times n plus its own position in child_order. A pass keeps
+    the keys of the expanded visits, to read a leaf's order, and forms
+    children a block of visits at a time, within lop._WALK_CHUNK_BYTES of
+    work arrays, after a deadline check. It raises _Timeout when the
+    deadline has passed or a layer would hold more than witness._MAX_STATES
+    visits. The leaves of the passes that finished are kept in best_val
+    and best_order; nodes and pruned count every visit of the last pass,
+    finished or not.
+    """
+    nodes, pruned = search.nodes, search.pruned
+    passes = _Passes(search)
+    while True:
+        search.nodes, search.pruned = nodes, pruned
+        if not passes.run():
+            return
+        search.best_val, search.best_order = passes.leaves[-1]
+
+
+class _Passes:
+    """The passes of one value search, and the leaves they found."""
+
+    def __init__(self, search: _Search):
+        n, h = search.n, search.h
+        self.search = search
+        order = np.array(search.child_order, dtype=np.int64)
+        self.order = order
+        self.rank = np.argsort(order)
+        self.bits = np.left_shift(1, order)
+        self.at_lo, self.at_hi = order << h, order << (n - h)
+        self.lo, self.hi = (np.frombuffer(half) for half in search._drop_rows())
+        self.block = max(1, _WALK_CHUNK_BYTES // (_CHILD_ARRAYS * 8 * n))
+        self.start = search.best_val
+        # The search's leaves found so far, as (value, order), in its order.
+        self.leaves: list[tuple[float, list[int]]] = []
+
+    def run(self) -> bool:
+        """One pass; whether it found leaves that were not known before."""
+        search = self.search
+        n = search.n
+        leaves = self.leaves
+        thresholds = np.array([self.start] + [value for value, _ in leaves])
+        # ranks[d, i]: the position in child_order of leaf i's item at depth
+        # d + 1; keys[i]: the key of leaf i's visit at the current depth.
+        ranks = self.rank[np.array([o for _, o in leaves], dtype=np.int64)]
+        ranks = ranks.reshape(-1, n).T
+        keys = np.zeros(len(leaves), dtype=np.int64)
+        rem = np.array([search.rem_mask], dtype=np.int64)
+        g = np.array([search.f + search.u])
+        key = np.zeros(1, dtype=np.int64)
+        # layers[d]: the keys of the visits expanded at depth d.
+        layers = []
+        for d in range(n):
+            _check_deadline(search.deadline)
+            search.nodes += rem.size
+            if not rem.size:
+                return False
+            expanded = _expanded(rem, g)
+            layers.append(key[expanded])
+            search.pruned += rem.size - expanded.size + expanded.size * (n - d)
+            # Each known leaf's visit here is expanded: the search visits its
+            # child on the leaf's path.
+            keys = layers[d].searchsorted(keys) * n + ranks[d]
+            rem, g = rem[expanded], g[expanded]
+            found, rems, bounds, held = [], [], [], 0
+            for start in range(0, rem.size, self.block):
+                if start:
+                    _check_deadline(search.deadline)
+                part = slice(start, start + self.block)
+                at, child = self._children(
+                    rem[part], g[part], start * n, thresholds, keys
+                )
+                held += at.size
+                if held > _MAX_STATES:
+                    raise _Timeout
+                row, rank = np.divmod(at, n)
+                rems.append(rem[part][row] ^ self.bits[rank])
+                at += start * n
+                found.append(at)
+                bounds.append(child)
+            search.pruned -= held
+            del rem, g, key
+            key, rem, g = (np.concatenate(x) for x in (found, rems, bounds))
+        search.nodes += rem.size
+        # The records among the leaves, from the start value on.
+        best = np.maximum.accumulate(np.concatenate(([self.start], g)))
+        records = np.flatnonzero(g > best[:-1])[len(leaves) :]
+        for leaf in records.tolist():
+            path = [0] * n
+            at = int(key[leaf])
+            for d in range(n - 1, -1, -1):
+                path[d] = int(self.order[at % n])
+                at = int(layers[d][at // n])
+            leaves.append((float(g[leaf]), path))
+        return bool(records.size)
+
+    def _children(
+        self,
+        rem: np.ndarray,
+        g: np.ndarray,
+        first: int,
+        thresholds: np.ndarray,
+        ancestors: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Which children of the visits (rem, g) the search visits, and their bounds.
+
+        Returns each visited child's index in the (visit, position) grid of
+        the children, and its bound. The child at index i has key first + i
+        and is checked against thresholds[j], j the number of found leaves
+        whose visit at the child's depth has a key below it.
+        """
+        search = self.search
+        at = self.at_lo + (rem & search.low)[:, None]
+        child = self.lo.take(at)
+        np.add(self.at_hi, (rem >> search.h)[:, None], out=at)
+        child += self.hi.take(at)
+        child += g[:, None]
+        if ancestors.size:
+            j = ancestors.searchsorted(np.arange(first, first + child.size))
+            kept = child > thresholds.take(j).reshape(child.shape)
+        else:
+            kept = child > thresholds[0]
+        at = np.flatnonzero(kept)
+        return at, child.ravel().take(at)
+
+
+def _expanded(rem: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The positions of the visits the memo expands, ascending.
+
+    A visit is expanded when its bound is above the bound of every earlier
+    visit to the same set: sorted by set, bound descending and position,
+    it comes before every earlier visit of its set.
+    """
+    size = rem.size
+    if size == 1:
+        return np.zeros(1, dtype=np.int64)
+    by = np.lexsort((-g, rem))
+    sets = rem[by]
+    first = np.empty(size, dtype=bool)
+    first[0] = True
+    np.not_equal(sets[1:], sets[:-1], out=first[1:])
+    del sets
+    # Each position less size times its set's rank: every set's values lie
+    # below those of the sets before it, so a running minimum restarts at
+    # each set.
+    at = np.cumsum(first)
+    at *= -size
+    at += by
+    np.equal(np.minimum.accumulate(at), at, out=first)
+    keep = np.zeros(size, dtype=bool)
+    keep[by[first]] = True
+    return np.flatnonzero(keep)

@@ -315,6 +315,65 @@ def completion_table_by_layers(w: np.ndarray) -> array[float]:
     return out
 
 
+def value_search_loop(search, start_order: list[int], start_value: float) -> bool:
+    """lop._Search.run_value on the exact path, by depth-first branch and bound.
+
+    The solver's exact-sum value search before the layered passes of
+    rankability.value replaced it: from the incumbent, it tries children
+    in the incumbent's order, keeps the bound g = f + u in the unplaced-set
+    form, and skips a state whose unplaced set an earlier visit reached
+    with a bound at least as high (a dict memo of up to lop._MEMO_CAP
+    sets). Sets best_val, best_order, nodes and pruned on the search and
+    returns whether the deadline (checked every 256 expanded nodes)
+    stopped it. Reference for rankability.value.prove_value.
+    """
+    search.best_val = start_value
+    search.best_order = list(start_order)
+    search.child_order = list(start_order)
+    search._drop_rows()
+    children = [lop._row_starts(v, search.n) for v in start_order]
+    try:
+        _rec_value_exact(search, children, {}, search.rem_mask, search.f + search.u)
+        return False
+    except lop._Timeout:
+        return True
+
+
+def _rec_value_exact(search, children, memo: dict[int, float], rem: int, g: float) -> None:
+    """The value search at unplaced set rem with bound g = f + u.
+
+    children lists each item's bit and where its rows start in the drop
+    rows (lop._row_starts), in the order the search tries them. The memo
+    holds g instead of f: u depends only on rem, so comparing
+    g values decides dominance exactly as comparing f values does.
+    """
+    search.nodes += 1
+    search._tick()
+    if rem == 0:
+        if g > search.best_val:
+            search.best_val = g
+            search.best_order = search.prefix.copy()
+        return
+    seen = memo.get(rem)
+    if seen is not None and g <= seen:
+        search.pruned += 1
+        return
+    if len(memo) < lop._MEMO_CAP:
+        memo[rem] = g
+    lo, hi = search.drops
+    low, high = rem & search.low, rem >> search.h
+    prefix = search.prefix
+    for v, bit, at_lo, at_hi in children:
+        if rem & bit:
+            bound = g + (lo[at_lo + low] + hi[at_hi + high])
+            if bound <= search.best_val:
+                search.pruned += 1
+            else:
+                prefix.append(v)
+                _rec_value_exact(search, children, memo, rem ^ bit, bound)
+                prefix.pop()
+
+
 def exists_completion_loop(search, target: float) -> bool:
     """Whether some completion of the search's prefix reaches target, with no memo.
 

@@ -504,6 +504,26 @@ class TestExitCodes:
             main([])
         assert excinfo.value.code == 1
 
+    @pytest.mark.parametrize("command", ["lop", "enumerate", "kappa"])
+    def test_more_items_than_the_exact_searches_take_exits_1(
+        self, capsys, tmp_path, command
+    ):
+        # A 0/1 tournament on 64 items, exact sums: its split row sums would
+        # take 64 * 2^32 doubles a half, which once ended in a MemoryError.
+        n = 64
+        path = tmp_path / "big64.csv"
+        rows = (",".join("1" if j > i else "0" for j in range(n)) for i in range(n))
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        argv = [command, "--input", str(path), "--kind", "matrix", "--time-limit", "5"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"rankability {command}: the exact searches take at most "
+            f"{lop._MAX_ITEMS} items, got n=64\n"
+        )
+
     def test_time_limit_unproven_exits_2(self, capsys, hard_matrix_csv):
         code, payload = run_json(
             capsys, "lop", "--input", hard_matrix_csv, "--time-limit", "0.05"

@@ -25,10 +25,11 @@ from rankability.core import (
 from rankability.errors import (
     MalformedPermutationError,
     RankabilityError,
+    TooManyItemsError,
     UndefinedMetricError,
     UnprovenOptimumError,
 )
-from rankability import ktdiam, lop, witness
+from rankability import ktdiam, lop, value, witness
 from rankability.cli import main
 from rankability.ktdiam import solve_kt
 from rankability.lop import (
@@ -71,6 +72,7 @@ from tests.oracles import (
     lex_min_witness_loop,
     lop_milp,
     order_value_loop,
+    value_search_loop,
 )
 
 
@@ -1221,6 +1223,148 @@ class TestExactRoute:
         w = _hidden_order_games(np.random.default_rng(seed), n)
         assert np.any(w % 1.0 == 0.5)
         self._assert_routes_agree(w)
+
+
+def _value_runs(w: np.ndarray, start: list[int] | None = None):
+    """run_value and the depth-first value search from one incumbent.
+
+    start is the incumbent's 0-based order, the heuristic's by default;
+    each side returns (best_val, best_order, nodes, pruned, timed_out).
+    """
+    a = WeightMatrix(w)
+    if start is None:
+        start = [v - 1 for v in heuristic_ranking(a).order]
+    runs = []
+    for run in (lop._Search.run_value, value_search_loop):
+        search = lop._Search(WeightMatrix(w))
+        assert search.exact
+        timed_out = run(search, start, order_value_loop(search.w, start))
+        runs.append(
+            (search.best_val, search.best_order, search.nodes, search.pruned, timed_out)
+        )
+    return runs
+
+
+class TestValuePasses:
+    """With exact sums run_value's layered passes (rankability.value) are
+    the depth-first value search with its memo (tests/oracles.py::
+    value_search_loop): the same best value and order, nodes and pruned.
+    """
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize(
+        "family", ["integer", "halves", "equal", "tiered", "hidden"]
+    )
+    def test_seeded_matrices(self, family, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 15))
+        w = {
+            "integer": lambda: _random_weights(rng, n, integral=True),
+            "halves": lambda: _tournament_with_ties(rng, n, 3),
+            "equal": lambda: _every_weight_equal(n),
+            "tiered": lambda: _tiered(n, seed),
+            "hidden": lambda: _hidden_order_tournament(rng, n),
+        }[family]()
+        # The heuristic's incumbent, then a random order's, which the
+        # search improves on several times where orders differ in value.
+        passes, loop = _value_runs(w)
+        assert passes == loop
+        passes, loop = _value_runs(w, rng.permutation(n).tolist())
+        assert passes == loop
+        assert not passes[-1]
+
+    @pytest.mark.parametrize("name", ["coin19", "hidden20", "tournament18"])
+    def test_data_files(self, name):
+        # coin19's incumbent (126) is one below k* = 127, so a second pass
+        # runs after the first finds the improving leaf.
+        passes, loop = _value_runs(read_matrix_csv(DATA_DIR / f"{name}.csv").weights)
+        assert passes == loop
+
+    def test_the_first_pass_finds_every_improvement(self, monkeypatch):
+        w = _random_weights(np.random.default_rng(5), 12, integral=True)
+        found = []
+        real = value._Passes.run
+
+        def run(self):
+            new = real(self)
+            found.append(list(self.leaves))
+            return new
+
+        monkeypatch.setattr(value._Passes, "run", run)
+        (best_val, best_order, *_), loop = _value_runs(w, list(range(12)))
+        # The second pass only counts the search's nodes and pruned.
+        first, second = found
+        assert len(first) > 2 and second == first
+        values = [leaf_value for leaf_value, _ in first]
+        assert values == sorted(set(values))
+        assert first[-1] == (best_val, best_order) == tuple(loop[:2])
+
+    @staticmethod
+    def _clocked_search(monkeypatch, a: WeightMatrix, limit: float):
+        """A search under a clock that moves only when the test moves it."""
+        clock = [0.0]
+        monkeypatch.setattr(lop, "time", SimpleNamespace(monotonic=lambda: clock[0]))
+        return lop._Search(a, lop._deadline(SolverConfig(time_limit=limit))), clock
+
+    def test_a_past_deadline_stops_before_the_first_layer(self, monkeypatch):
+        a = read_matrix_csv(DATA_DIR / "coin19.csv")
+        search, clock = self._clocked_search(monkeypatch, a, 10.0)
+        start = [v - 1 for v in heuristic_ranking(a).order]
+        start_value = order_value_loop(search.w, start)
+        clock[0] = 10.5
+        assert search.run_value(start, start_value)
+        assert (search.best_val, search.best_order) == (start_value, start)
+        assert (search.nodes, search.pruned) == (0, 0)
+
+    def test_a_deadline_between_passes_keeps_the_improvements(self, monkeypatch):
+        w = _random_weights(np.random.default_rng(5), 12, integral=True)
+        start = list(range(12))
+        search, clock = self._clocked_search(monkeypatch, WeightMatrix(w), 10.0)
+        real = value._Passes.run
+
+        def run(self):
+            new = real(self)
+            clock[0] = 10.5
+            return new
+
+        monkeypatch.setattr(value._Passes, "run", run)
+        start_value = order_value_loop(search.w, start)
+        assert search.run_value(start, start_value)
+        # The first pass found every improvement, up to k*; the second
+        # stopped at its first deadline check.
+        assert search.best_val > start_value
+        assert search.best_val == lop._proven_value(WeightMatrix(w), None)
+        assert order_value_loop(search.w, search.best_order) == search.best_val
+
+    def test_a_layer_over_the_state_cap_stops_the_search(self, monkeypatch):
+        a = read_matrix_csv(DATA_DIR / "coin19.csv")
+        monkeypatch.setattr(value, "_MAX_STATES", 1000)
+        res = solve_lop(a)
+        assert not res.proven
+        assert res.optimal_value == res.stats.heuristic_value
+        assert objective_value(a, res.ranking) == res.optimal_value
+
+
+class TestItemLimit:
+    """Above lop._MAX_ITEMS the exact searches refuse a matrix before they
+    allocate its split row sums."""
+
+    def test_the_limit_is_exact(self, monkeypatch):
+        w = _hidden_order_tournament(np.random.default_rng(0), 12)
+        monkeypatch.setattr(lop, "_MAX_ITEMS", 12)
+        assert solve_lop(WeightMatrix(w)).proven
+        monkeypatch.setattr(lop, "_MAX_ITEMS", 11)
+        with pytest.raises(TooManyItemsError, match="at most 11 items, got n=12"):
+            solve_lop(WeightMatrix(w))
+
+    def test_64_items_are_refused(self):
+        # The split row sums would take 64 * 2^32 doubles a half; asking
+        # for them once raised a bare MemoryError.
+        n = 64
+        a = WeightMatrix(np.triu(np.ones((n, n)), 1))
+        for call in (solve_lop, enumerate_optima, degree_of_linearity):
+            with pytest.raises(TooManyItemsError, match="got n=64"):
+                call(a)
 
 
 def _coin_tournament(rng: np.random.Generator, n: int, games: int) -> np.ndarray:
