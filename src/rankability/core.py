@@ -79,8 +79,7 @@ class WeightMatrix:
         # Exact completion table, a pure function of the weights, filled in
         # by the solver (rankability.lop) the first time a search needs it:
         # a lop._Completion, the table as an array('d') of 2^n entries, 8
-        # bytes each, plus the row sums it was built from when every sum is
-        # exact.
+        # bytes each, plus the split row sums it was built from.
         self._completion: tuple | None = None
 
     @property

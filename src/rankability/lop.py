@@ -34,7 +34,8 @@ and values are those loops' bit for bit.
 The completion table is a subset dynamic program read as a grid, a set's
 high items picking the row and its low items the column; it is filled one
 layer of rows at a time, each item's term one numpy operation over whole
-rows or over every row of the layer (_build_completion_table).
+rows or over every row of the layer, from the split row sums the searches
+read (_build_completion_table).
 
 The optima come from one walk for both routes, with the table and above
 its budget without (_walk_optima): depth first over chunks of prefixes of
@@ -86,12 +87,11 @@ __all__ = [
 ]
 
 # Building a completion table holds 2^n * 8 bytes of table, the split row
-# sums (2 * n * 2^ceil(n/2) * 8 bytes), when _exact_sums fails also the row
-# sums over all n items (n * 2^n * 8 bytes), and work arrays the size of a
-# few of the table's row layers. At n = 18 the build's traced peak is about
-# 4.5 MiB with exact sums and 40 MiB without; afterwards the matrix keeps
-# the table, an array of 2 MiB, and the split row sums as gain rows for the
-# table-side searches, 144 KiB.
+# sums (2 * n * 2^ceil(n/2) * 8 bytes) and work arrays the size of a few of
+# the table's row layers. At n = 18 the build's traced peak is about
+# 4.5 MiB for every weight type; afterwards the matrix keeps the table, an
+# array of 2 MiB, and the split row sums as gain rows for the table-side
+# searches, 144 KiB.
 _TABLE_MAX_N = 18
 
 # The most items the searches on split row sums take (_split_row_sums):
@@ -141,6 +141,12 @@ _VALUE_ARRAYS = 3
 # The value passes form children in blocks within the same bytes (value.py).
 _WALK_CHUNK_BYTES = 1 << 20
 _WALK_ARRAYS = 12
+
+# No layered pass, of the value proof (value.py) or of the table-free
+# witness (witness.py), holds more states than this: 140 MB at the witness
+# pass's 34 bytes a state. One that would raises _Timeout, and solve_lop
+# reports its incumbent with proven=False.
+_MAX_STATES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -236,14 +242,9 @@ def _exact_sums(a: WeightMatrix) -> bool:
     _EXACT_TOTAL. Then the search state after placing a set of items does
     not depend on the order they were placed in, or on apply/undo cycles.
     """
-    return _exact_weights(a.weights)
-
-
-def _exact_weights(w: np.ndarray) -> bool:
-    """_exact_sums of a bare weight array."""
-    doubled = 2.0 * w
+    doubled = 2.0 * a.weights
     # With every weight in halves, sums below 2^52 are exact in any order.
-    return np.array_equal(doubled, np.round(doubled)) and float(w.sum()) < _EXACT_TOTAL
+    return np.array_equal(doubled, np.round(doubled)) and a.total_sum() < _EXACT_TOTAL
 
 
 def _slack(a: WeightMatrix) -> float:
@@ -311,7 +312,7 @@ class _Search:
     value search (_rec_value) checks the deadline every 256 expanded nodes
     (_tick), and the layered passes (value.prove_value and
     witness.WitnessLayers) before every block of states and when a layer
-    or a pass would hold more than witness._MAX_STATES states.
+    or a pass would hold more than _MAX_STATES states.
     """
 
     def __init__(self, a: WeightMatrix, deadline: float | None = None):
@@ -472,7 +473,7 @@ class _Search:
         completion (witness.WitnessLayers), whose nodes and pruned it adds for
         every child it tries. Every weight type takes this route. Raises
         _Timeout when the deadline passes first or a pass would hold more
-        than witness._MAX_STATES states.
+        than _MAX_STATES states.
         """
         self.reset()
         target = k_star - self.eps
@@ -525,41 +526,25 @@ def _row_starts(v: int, n: int) -> tuple[int, int, int, int]:
     return v, 1 << v, v << h, v << (n - h)
 
 
-def _zero_rows(n: int, size: int) -> tuple[array[float], np.ndarray]:
-    """n rows of size zeros as one flat array('d'), and a numpy view of it."""
-    flat = array("d", [0.0]) * (n * size)
-    return flat, np.frombuffer(flat).reshape(n, size)
+def _split_row_sums(w: np.ndarray) -> tuple[array[float], array[float]]:
+    r"""Row sums of w split at h = floor(n/2), as two flat arrays (lo, hi).
 
-
-def _shift_own_rows(sums: np.ndarray, first: int) -> None:
-    r"""Make one half of split row sums readable at the parent's set, in place.
-
-    sums[v, S] is row v's sum over each set S of the half's items, the
-    items from first on: lo for the low h = floor(n/2) items (first = 0),
-    hi for the others (first = h). A search placing v from unplaced set
+    lo[v, S] is row v's sum over each set S of the low h items, hi[v, S]
+    over each set S of the others. A search placing v from unplaced set
     rem reads v's sum over rem \ v as lo[(v << h) + (rem & low)] +
     hi[(v << (n - h)) + (rem >> h)], with low = 2^h - 1: each half is read
-    at its part of rem, which holds v in v's own half. So there row v is
-    shifted to hold at a set with v the sum over that set without v, and
-    -inf at a set without v; every other entry is unchanged, and the sum
-    has the bits of lo[v, T & low] + hi[v, T >> h] at T = rem \ v.
-    """
-    for bit in range(sums.shape[1].bit_length() - 1):
-        pairs = sums[first + bit].reshape(-1, 2, 1 << bit)
-        pairs[:, 1] = pairs[:, 0]
-        pairs[:, 0] = -np.inf
+    at its part of rem, which holds v in v's own half. So in v's own half
+    row v is shifted to hold at a set with v the sum over that set without
+    v, and -inf at a set without v; every other row is unshifted, and the
+    sum has the bits of lo[v, T & low] + hi[v, T >> h] at T = rem \ v.
 
-
-def _split_row_sums(w: np.ndarray) -> tuple[array[float], array[float]]:
-    """Row sums of w split at h = floor(n/2), as two flat arrays (lo, hi).
-
-    Laid out by _shift_own_rows. The searches index them one entry at a
-    time, as fast as a list of Python floats in 8 bytes an entry instead
-    of about 32, and numpy reads them without a copy. Only when
-    _exact_weights holds does the sum of the two halves equal, bit for
-    bit, the same sum added in any other order; otherwise it is within the
-    rounding that _slack allows for, which is all the witness search and
-    the enumeration need of it.
+    The searches index them one entry at a time, as fast as a list of
+    Python floats in 8 bytes an entry instead of about 32, and numpy reads
+    them without a copy. Only when _exact_sums holds does the sum of the
+    two halves equal, bit for bit, the same sum added in any other order;
+    otherwise it is within the rounding that _slack allows for, which is
+    all the completion table, the witness search and the enumeration need
+    of it.
 
     Raises:
         TooManyItemsError: above _MAX_ITEMS items, before any allocation.
@@ -572,9 +557,13 @@ def _split_row_sums(w: np.ndarray) -> tuple[array[float], array[float]]:
     h = n // 2
     halves = []
     for first, part in ((0, w[:, :h]), (h, w[:, h:])):
-        flat, sums = _zero_rows(n, 1 << part.shape[1])
+        flat = array("d", [0.0]) * (n << part.shape[1])
+        sums = np.frombuffer(flat).reshape(n, -1)
         _row_sums(part, sums)
-        _shift_own_rows(sums, first)
+        for bit in range(part.shape[1]):
+            pairs = sums[first + bit].reshape(-1, 2, 1 << bit)
+            pairs[:, 1] = pairs[:, 0]
+            pairs[:, 0] = -np.inf
         halves.append(flat)
     return halves[0], halves[1]
 
@@ -582,10 +571,8 @@ def _split_row_sums(w: np.ndarray) -> tuple[array[float], array[float]]:
 class _Completion(NamedTuple):
     """A matrix's exact completion table and its gain rows.
 
-    gains are the split row sums of w (_split_row_sums), kept for the
-    table-side witness search and enumeration. With exact sums the table
-    was built from them; otherwise from the row sums over all n items,
-    which the searches do not need.
+    gains are the split row sums of w (_split_row_sums) that the table was
+    built from, kept for the table-side witness search and enumeration.
     """
 
     table: array[float]
@@ -593,15 +580,16 @@ class _Completion(NamedTuple):
 
 
 @functools.lru_cache(maxsize=None)
-def _subset_layers(m: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+def _subset_layers(m: int) -> tuple[tuple[np.ndarray, ...], ...]:
     """The subsets of m items by size, with each (set, member) pair.
 
-    Entry k is (sets, items, rests): the C(m, k) sets of size k in
+    Entry k is (sets, items, rests, owners): the C(m, k) sets of size k in
     increasing order, and for every pair of a set and one of its members,
-    the member and the set without it. Pairs run member position first:
-    pair t * C(m, k) + s is sets[s] with its t-th lowest member, so a
-    max over members is a max over axis 0 of shape (k, C(m, k)). The
-    arrays hold no weights and are shared by every build over m items.
+    the member, the set without it and the set itself. Pairs run member
+    position first: pair t * C(m, k) + s is sets[s] with its t-th lowest
+    member, so a max over members is a max over axis 0 of shape
+    (k, C(m, k)). The arrays hold no weights and are shared by every
+    build over m items.
     """
     sets = np.arange(1 << m)
     sizes = np.bitwise_count(sets)
@@ -609,7 +597,12 @@ def _subset_layers(m: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], .
     for k in range(m + 1):
         layer = sets[sizes == k]
         items = np.nonzero((layer[:, None] >> np.arange(m)) & 1)[1].reshape(layer.size, k)
-        arrays = (layer, items.T.ravel(), (layer[:, None] ^ (1 << items)).T.ravel())
+        arrays = (
+            layer,
+            items.T.ravel(),
+            (layer[:, None] ^ (1 << items)).T.ravel(),
+            np.tile(layer, k),
+        )
         for x in arrays:
             x.flags.writeable = False
         layers.append(arrays)
@@ -636,20 +629,16 @@ def _build_completion_table(w: np.ndarray, deadline: float | None) -> _Completio
       A \ i of the same rows, filled one size earlier, so one gather over
       all (A, i) pairs and all rows of the layer adds the term.
 
-    The (set, member) pairs come from _subset_layers. Each step adds the
-    row sum first and table[rest] after it, as the scalar recurrence does.
-    The split row sums lo[v, A] and hi[v, B], two tables of
-    n * 2^ceil(n/2) entries, are built for every matrix and returned as
-    the gain rows, laid out for the searches by _shift_own_rows after the
-    DP. The DP reads its row sums from one of two sources:
-
-    - When every sum of the weights is exact (_exact_weights), any order of
-      adding them gives the same bits, so rowsum[v, S] = lo[v, A] +
-      hi[v, B], with no table of n * 2^n entries.
-    - Otherwise the order of adding decides the last bits, so the row sums
-      over all n items are kept, read through the same grid, and the
-      table equals the scalar recurrence of
-      tests/oracles.py::completion_table_loop bit for bit.
+    The (set, member) pairs come from _subset_layers. The row sums are the
+    split row sums of w (_split_row_sums), built once and returned as the
+    gain rows: rowsum[v, S \ v] = lo[v, A] + hi[v, B], read at the parent
+    set, since v's own half holds there its sum without v. Each step adds
+    the row sum first and table[rest] after it, as the scalar recurrence
+    does. When every sum of the weights is exact (_exact_sums), any order
+    of adding them gives the same bits, so the table equals
+    tests/oracles.py::completion_table_loop bit for bit; otherwise its
+    entries are within the rounding that _slack allows for, and every
+    reader compares them within it.
 
     Returns the table as an array('d'), which the searches index one entry
     at a time. Raises _Timeout before any step of the grid, the high term
@@ -661,61 +650,40 @@ def _build_completion_table(w: np.ndarray, deadline: float | None) -> _Completio
     # The DP fills the returned array in place, through a numpy view of it.
     out = array("d", [0.0]) * (1 << n)
     grid = np.frombuffer(out).reshape(1 << m, 1 << h)
-    lo_rows, lo = _zero_rows(n, 1 << h)
-    hi_rows, hi = _zero_rows(n, 1 << m)
-    _row_sums(w[:, :h], lo)
-    _row_sums(w[:, h:], hi)
-    # high_gain(v, B \ v) is v's row of gains over every A; low_gain(i, A \ i,
-    # rows) is i's gain at each row of the layer (axis 0) and pair (axis 1).
-    if _exact_weights(w):
-
-        def high_gain(v: np.ndarray, rest: np.ndarray) -> np.ndarray:
-            gain = np.take(lo, v, axis=0)
-            gain += hi[v, rest][:, None]
-            return gain
-
-        def low_gain(i: np.ndarray, rest: np.ndarray, rows: np.ndarray) -> np.ndarray:
-            gain = np.take(hi, (i << m) + rows[:, None])
-            gain += lo[i, rest]
-            return gain
-
-    else:
-        sums = _row_sums(w)
-        by_row = sums.reshape(n << m, 1 << h)
-
-        def high_gain(v: np.ndarray, rest: np.ndarray) -> np.ndarray:
-            return np.take(by_row, (v << m) + rest, axis=0)
-
-        def low_gain(i: np.ndarray, rest: np.ndarray, rows: np.ndarray) -> np.ndarray:
-            return np.take(sums, (i << n) + rest + (rows << h)[:, None])
-
+    gains = _split_row_sums(w)
+    lo = np.frombuffer(gains[0]).reshape(n, 1 << h)
+    hi = np.frombuffer(gains[1]).reshape(n, 1 << m)
     low_layers = _subset_layers(h)
     # Layer 0 is the row of the empty high set: the empty set adds 0, and
     # the low-item steps fill the rest of the row.
     layer = np.full((1, 1 << h), -np.inf)
     layer[0, 0] = 0.0
-    for b, (rows, items, rests) in enumerate(_subset_layers(m)):
+    for b, (rows, items, rests, _) in enumerate(_subset_layers(m)):
         _check_deadline(deadline)
         count = rows.size
         for t in range(b):
-            rest = rests[t * count : (t + 1) * count]
-            gain = high_gain(h + items[t * count : (t + 1) * count], rest)
-            gain += np.take(grid, rest, axis=0)
+            pairs = slice(t * count, (t + 1) * count)
+            v = h + items[pairs]
+            # v's gains over every A, then over B \ v at each row B.
+            gain = np.take(lo, v, axis=0)
+            gain += hi[v, rows][:, None]
+            gain += np.take(grid, rests[pairs], axis=0)
             if t == 0:
                 layer = gain
             else:
                 np.maximum(layer, gain, out=layer)
         for a in range(1, h + 1):
             _check_deadline(deadline)
-            cols, low_items, low_rests = low_layers[a]
-            gain = low_gain(low_items, low_rests, rows)
+            cols, low_items, low_rests, owners = low_layers[a]
+            # i's gain over each row B of the layer (axis 0), then over
+            # A \ i at each pair (axis 1).
+            gain = np.take(hi, (low_items << m) + rows[:, None])
+            gain += lo[low_items, owners]
             gain += np.take(layer, low_rests, axis=1)
             best = gain.reshape(count, a, cols.size).max(axis=1)
             layer[:, cols] = np.maximum(layer[:, cols], best)
         grid[rows] = layer
-    _shift_own_rows(lo, 0)
-    _shift_own_rows(hi, h)
-    return _Completion(out, (lo_rows, hi_rows))
+    return _Completion(out, gains)
 
 
 def _completion(a: WeightMatrix, deadline: float | None) -> _Completion | None:

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lop import _WALK_CHUNK_BYTES, _check_deadline, _Search, _Timeout
-from .witness import _MAX_STATES
+from .lop import _MAX_STATES, _WALK_CHUNK_BYTES, _check_deadline, _Search, _Timeout
 
 # A pass forms the children of a block of a layer's visits at a time, in
 # about this many work arrays of 8 bytes per child, within
@@ -55,7 +54,7 @@ def prove_value(search: _Search) -> None:
     the keys of the expanded visits, to read a leaf's order, and forms
     children a block of visits at a time, within lop._WALK_CHUNK_BYTES of
     work arrays, after a deadline check. It raises _Timeout when the
-    deadline has passed or a layer would hold more than witness._MAX_STATES
+    deadline has passed or a layer would hold more than lop._MAX_STATES
     visits. The leaves of the passes that finished are kept in best_val
     and best_order; nodes and pruned count every visit of the last pass,
     finished or not.

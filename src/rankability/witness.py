@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import RankabilityError
-from .lop import _check_deadline, _Search, _Timeout
+from .lop import _MAX_STATES, _check_deadline, _Search, _Timeout
 
 # The witness pass forms the children of a
 # layer's states a chunk at a time, so that each work array of one entry
@@ -31,11 +31,6 @@ _CHUNK_BYTES = 1 << 14
 # nodes. Past the budget the pass holds only the states the depth-first
 # search visits (WitnessLayers.descend).
 _STATES_PER_NODE = 4
-
-# No pass holds more states than this, about 34 bytes each, 140 MB in
-# all; one that would raises _Timeout, and solve_lop reports its
-# incumbent with proven=False.
-_MAX_STATES = 1 << 22
 
 # The witness pass keeps its nodes and pruned per state as int64. A layer
 # whose states could add up more than this raises rather than wraps.

@@ -24,7 +24,7 @@ from rankability.errors import UnprovenOptimumError
 from rankability.ktdiam import KtSolution, _kappa_from_orders, validate_kt_solution
 from rankability.lop import (
     _deadline,
-    _exact_weights,
+    _exact_sums,
     _optimal_orders,
     _row_sums,
     solve_lop,
@@ -283,13 +283,13 @@ def completion_table_by_layers(w: np.ndarray) -> array[float]:
     of completion_table_loop is too slow. Each layer comes from one stable
     sort of the sets by size; for each item v, the layer's sets holding v
     take rowsum[v, S \ v] + table[S \ v]. With exact sums
-    (lop._exact_weights) the row sums are split at h = floor(n/2),
+    (lop._exact_sums) the row sums are split at h = floor(n/2),
     otherwise they are kept over all n items, so the table equals
     completion_table_loop bit for bit.
     """
     n = w.shape[0]
     size = 1 << n
-    exact = _exact_weights(w)
+    exact = _exact_sums(WeightMatrix(w))
     # With h = n, hi holds only the empty set's zeros, and adding 0.0 to a
     # nonnegative sum leaves its bits as they are.
     h = n // 2 if exact else n
