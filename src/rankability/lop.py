@@ -16,13 +16,14 @@ with a dominance memo, with that search's value, order and counts
 depth-first search itself, and keeps the incremental state with O(n)
 apply/undo per move, since the value it reports is that state's (_Search).
 
-Above the table budget, the canonical witness comes from layered numpy
-passes over the states (unplaced set, bound) of the search for a
-completion: forward over the states that reach the target, backward for
-each state's answer and the nodes and pruned that search counts without
-a memo, then the placements read from them (witness.WitnessLayers). One pass
-over every such state serves where few prefixes tie at the optimum;
-where many do, narrower passes hold about the states that search visits.
+Above the table budget, the canonical witness reads, for each child it
+tries, the answer of the search for a completion and the nodes and
+pruned that search counts without a memo, which depend on the child's
+state (unplaced set, bound) alone (witness.WitnessLayers). Where few
+prefixes tie at the optimum one layered numpy pass finds them for every
+state that reaches the target: forward over those states, backward for
+each state's answer and counts. Where many do, the pass stops at its
+budget and that search itself answers, memoized on the state.
 
 The heuristic (heuristic_ranking) runs its 17 starts together as numpy
 arrays: one greedy insertion pass, then insertion local search steps that
@@ -143,9 +144,10 @@ _WALK_CHUNK_BYTES = 1 << 20
 _WALK_ARRAYS = 12
 
 # No layered pass, of the value proof (value.py) or of the table-free
-# witness (witness.py), holds more states than this: 140 MB at the witness
-# pass's 34 bytes a state. One that would raises _Timeout, and solve_lop
-# reports its incumbent with proven=False.
+# witness (witness.py), holds more states than this: 138 MB at the witness
+# pass's 33 bytes a state. The witness's memoized search holds an eighth
+# as many, at about 215 bytes a state. One that would raises _Timeout,
+# and solve_lop reports its incumbent with proven=False.
 _MAX_STATES = 1 << 22
 
 
@@ -310,9 +312,10 @@ class _Search:
 
     Every search stops early one way, by raising _Timeout: the depth-first
     value search (_rec_value) checks the deadline every 256 expanded nodes
-    (_tick), and the layered passes (value.prove_value and
+    (_tick), the layered passes (value.prove_value and
     witness.WitnessLayers) before every block of states and when a layer
-    or a pass would hold more than _MAX_STATES states.
+    or a pass would hold more than _MAX_STATES states, and the witness's
+    memoized search every 1024 states and past _MAX_STATES >> 3 of them.
     """
 
     def __init__(self, a: WeightMatrix, deadline: float | None = None):
@@ -469,11 +472,12 @@ class _Search:
 
         Places, position by position, the smallest item whose child still
         reaches k_star within the slack: by the completion table when there
-        is one, else by layered passes over the states of the search for a
-        completion (witness.WitnessLayers), whose nodes and pruned it adds for
-        every child it tries. Every weight type takes this route. Raises
-        _Timeout when the deadline passes first or a pass would hold more
-        than _MAX_STATES states.
+        is one, else by the search for a completion, read from one layered
+        pass over its states or from that search memoized on its state
+        (witness.WitnessLayers), whose nodes and pruned it adds for every
+        child it tries. Every weight type takes this route. Raises
+        _Timeout when the deadline passes first or the pass or the memo
+        would hold more states than its cap.
         """
         self.reset()
         target = k_star - self.eps

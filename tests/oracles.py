@@ -377,9 +377,10 @@ def _rec_value_exact(search, children, memo: dict[int, float], rem: int, g: floa
 def exists_completion_loop(search, target: float) -> bool:
     """Whether some completion of the search's prefix reaches target, with no memo.
 
-    The solver's table-free witness search before it was memoized, run on a
+    The solver's table-free witness search without its memo, run on a
     lop._Search state; it counts nodes and pruned the same way. Reference
-    for the counts that witness.WitnessLayers computes per state.
+    for the counts that witness.WitnessLayers reads per state from its
+    pass or its memo.
     """
     search.nodes += 1
     search._tick()

@@ -967,10 +967,11 @@ def _fractional_hidden_order(n: int) -> np.ndarray:
 
 
 class TestWitnessMemo:
-    """Above the table budget the layered witness pass equals the memo-free search.
+    """Above the table budget the witness pass and the memoized search
+    equal the memo-free search.
 
     The witness, nodes and pruned must be those of the depth-first search
-    without memo, for exact and for float weights.
+    without memo, for exact and for float weights, on either route.
     """
 
     @pytest.mark.parametrize(
@@ -978,23 +979,28 @@ class TestWitnessMemo:
     )
     def test_hidden_order_tournaments(self, monkeypatch, witness_passes, n, seed):
         a = WeightMatrix(_hidden_order_tournament(np.random.default_rng(seed), n))
-        self._assert_equals_oracle(monkeypatch, witness_passes, a)
+        self._assert_equals_oracle(monkeypatch, witness_passes, a, "pass")
 
     @pytest.mark.parametrize("n,seed", [(19, 0), (19, 2), (20, 2), (21, 2)])
     def test_games_with_ties(self, monkeypatch, witness_passes, n, seed):
         w = _hidden_order_games(np.random.default_rng(seed), n)
         assert np.any(w % 1.0 == 0.5)
-        self._assert_equals_oracle(monkeypatch, witness_passes, WeightMatrix(w))
+        self._assert_equals_oracle(monkeypatch, witness_passes, WeightMatrix(w), "pass")
 
-    def test_fractional_weights_take_the_memo_free_route(
-        self, monkeypatch, witness_passes
-    ):
+    def test_fractional_weights_take_the_memo_route(self, monkeypatch, witness_passes):
         w = _fractional_hidden_order(19)
         # The same matrix, written with repr, is the CI's float input above
         # the table budget.
         assert np.array_equal(read_matrix_csv(DATA_DIR / "fractional19.csv").weights, w)
         assert not lop._exact_sums(WeightMatrix(w))
-        self._assert_equals_oracle(monkeypatch, witness_passes, WeightMatrix(w))
+        self._assert_equals_oracle(monkeypatch, witness_passes, WeightMatrix(w), "memo")
+
+    def test_tiers_with_upsets_take_the_memo_route(self, monkeypatch, witness_passes):
+        w = _tiered(24, [24, 3, 5, 1], upsets=0.05)
+        # The CI's exact-sum input for the memo route.
+        assert np.array_equal(read_matrix_csv(DATA_DIR / "tiers24.csv").weights, w)
+        assert lop._exact_sums(WeightMatrix(w))
+        self._assert_equals_oracle(monkeypatch, witness_passes, WeightMatrix(w), "memo")
 
     @pytest.mark.parametrize("family", ["uniform", "noisy-integer", "tenths"])
     def test_fractional_weights_without_a_table(
@@ -1003,15 +1009,20 @@ class TestWitnessMemo:
         monkeypatch.setattr(lop, "_TABLE_MAX_N", 0)
         a = WeightMatrix(_scaled_weights(family, 11, 1.0, 7))
         assert not lop._exact_sums(a)
-        self._assert_equals_oracle(monkeypatch, witness_passes, a)
+        self._assert_equals_oracle(monkeypatch, witness_passes, a, "pass")
 
     @staticmethod
-    def _assert_equals_oracle(monkeypatch, witness_passes, a: WeightMatrix):
+    def _assert_equals_oracle(monkeypatch, witness_passes, a: WeightMatrix, route):
         res = solve_lop(a)
         assert res.proven
-        # One pass, which reached states beyond the root's children.
         (witness,) = witness_passes
-        assert any(layer.size for layer in witness.layers[1:])
+        if route == "pass":
+            # One pass, which reached states beyond the root's children.
+            assert any(layer.size for layer in witness.layers[1:])
+            assert not witness.memo
+        else:
+            # The pass stopped at its budget and the memo answered.
+            assert witness.layers == [] and witness.memo
         plain = _solve_with_witness_oracle(monkeypatch, a)
         assert plain.proven
         assert (res.ranking, res.stats.nodes, res.stats.pruned) == (
@@ -1046,21 +1057,36 @@ class TestWitnessMemo:
         assert witness.layers == []
 
 
-def _tiered(n: int, seed: int) -> np.ndarray:
+def _tiered(n: int, seed, upsets: float = 0.0) -> np.ndarray:
     """Items in three tiers: 2 against a lower tier, 1 against the own tier.
 
-    Every order of the tiers from the top down is optimal, so many prefixes
-    tie at the optimum.
+    Without upsets every order of the tiers from the top down is optimal,
+    so many prefixes tie at the optimum. Each pair is upset, its two
+    weights swapped, with probability upsets.
     """
-    tier = np.random.default_rng(seed).integers(0, 3, n)
+    rng = np.random.default_rng(seed)
+    tier = rng.integers(0, 3, n)
     w = np.where(tier[:, None] > tier[None, :], 2.0, 1.0)
     np.fill_diagonal(w, 0.0)
+    if upsets:
+        upset = np.triu(rng.random((n, n)) < upsets, 1)
+        upset |= upset.T
+        w = np.where(upset, w.T, w)
     return w
 
 
+def _forced_memo_result(a: WeightMatrix):
+    """solve_lop's ranking, nodes, pruned and proven, forced onto the memo route."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(witness, "_STATES_PER_NODE", 0)
+        res = solve_lop(a)
+    return res.ranking, res.stats.nodes, res.stats.pruned, res.proven
+
+
 class TestNarrowWitnessPasses:
-    """Past its budget the witness pass holds about the states the
-    depth-first search visits, with the same witness, nodes and pruned.
+    """Past its budget the witness pass gives way to the depth-first search
+    memoized on its states, which holds only the states it visits, with the
+    same witness, nodes and pruned.
     """
 
     def test_every_weight_equal_at_n_24(self, monkeypatch, witness_passes):
@@ -1077,7 +1103,8 @@ class TestNarrowWitnessPasses:
         assert res.proven
         assert peak < 4 << 20
         (witness,) = witness_passes
-        assert sum(layer.size for layer in witness.layers) < n**3
+        assert witness.layers == []
+        assert 0 < len(witness.memo) < n * n
         plain = _solve_with_witness_oracle(monkeypatch, a)
         assert (res.ranking, res.stats.nodes, res.stats.pruned) == (
             plain.ranking,
@@ -1107,29 +1134,41 @@ class TestNarrowWitnessPasses:
             "fractional": lambda: _fractional_hidden_order(n),
         }[family]()
         a = WeightMatrix(w)
-        monkeypatch.setattr(witness, "_STATES_PER_NODE", 0)
-        runs = []
-        real_run = witness.WitnessLayers._run
-
-        def recording(self, roots, width, cap):
-            runs.append(width)
-            return real_run(self, roots, width, cap)
-
-        monkeypatch.setattr(witness.WitnessLayers, "_run", recording)
-        res = solve_lop(a)
-        assert res.proven
-        # The first pass stopped at its budget and narrow passes followed.
-        # With tiers one narrow pass decides every state the walk reads;
-        # the others leave some undecided and widen.
-        assert runs[:2] == [n, 1]
-        if family != "tiered":
-            assert max(runs[1:]) > 1
+        ranking, nodes, pruned, proven = _forced_memo_result(a)
+        assert proven
+        # The pass stopped at its budget and the memo answered.
+        (descent,) = witness_passes
+        assert descent.layers == [] and descent.memo
         plain = _solve_with_witness_oracle(monkeypatch, a)
-        assert (res.ranking, res.stats.nodes, res.stats.pruned) == (
+        assert (ranking, nodes, pruned) == (
             plain.ranking,
             plain.stats.nodes,
             plain.stats.pruned,
         )
+
+    @pytest.mark.parametrize("family", ["integer", "halves", "float", "tenths"])
+    def test_both_routes_agree_on_seeded_matrices(self, monkeypatch, family):
+        monkeypatch.setattr(lop, "_TABLE_MAX_N", 0)
+        rng = np.random.default_rng(23)
+        for _ in range(12):
+            n = int(rng.integers(4, 12))
+            w = {
+                "integer": lambda: _random_weights(rng, n, integral=True),
+                "halves": lambda: _tournament_with_ties(rng, n, 2),
+                "float": lambda: _random_weights(rng, n, integral=False),
+                "tenths": lambda: _scaled_weights(
+                    "tenths", n, 1.0, int(rng.integers(2**32))
+                ),
+            }[family]()
+            assert lop._exact_sums(WeightMatrix(w)) == (family in ("integer", "halves"))
+            res = solve_lop(WeightMatrix(w))
+            assert res.proven
+            assert _forced_memo_result(WeightMatrix(w)) == (
+                res.ranking,
+                res.stats.nodes,
+                res.stats.pruned,
+                res.proven,
+            )
 
     def test_a_pass_over_the_state_cap_leaves_the_witness_unproven(
         self, monkeypatch
@@ -1139,6 +1178,50 @@ class TestNarrowWitnessPasses:
         monkeypatch.setattr(witness, "_MAX_STATES", 50)
         res = solve_lop(a)
         assert not res.proven
+        assert res.optimal_value == expected.optimal_value
+        assert objective_value(a, res.ranking) == res.optimal_value
+
+    def test_the_memo_over_its_entry_cap_leaves_the_witness_unproven(
+        self, monkeypatch, witness_passes
+    ):
+        a = WeightMatrix(_hidden_order_tournament(np.random.default_rng(0), 19))
+        expected = solve_lop(a)
+        forced = _forced_memo_result(a)
+        states = len(witness_passes[-1].memo)
+        monkeypatch.setattr(witness, "_STATES_PER_NODE", 0)
+        # The memo may hold _MAX_STATES >> 3 states.
+        monkeypatch.setattr(witness, "_MAX_STATES", states << 3)
+        assert _forced_memo_result(a) == forced
+        monkeypatch.setattr(witness, "_MAX_STATES", (states - 1) << 3)
+        res = solve_lop(a)
+        assert not res.proven
+        assert len(witness_passes[-1].memo) == states - 1
+        assert res.optimal_value == expected.optimal_value
+        assert objective_value(a, res.ranking) == res.optimal_value
+
+    def test_a_deadline_inside_the_memo_leaves_the_witness_unproven(
+        self, monkeypatch, witness_passes
+    ):
+        a = WeightMatrix(_hidden_order_tournament(np.random.default_rng(0), 19))
+        expected = solve_lop(a)
+        monkeypatch.setattr(witness, "_STATES_PER_NODE", 0)
+        limit = 10.0
+        offset = [0.0]
+        monkeypatch.setattr(
+            lop, "time", SimpleNamespace(monotonic=lambda: time.monotonic() + offset[0])
+        )
+        real_exists = witness.WitnessLayers._exists
+
+        def exists(self, rem, g):
+            if len(self.memo) >= 512:
+                offset[0] = 2 * limit
+            return real_exists(self, rem, g)
+
+        monkeypatch.setattr(witness.WitnessLayers, "_exists", exists)
+        res = solve_lop(a, SolverConfig(time_limit=limit))
+        assert not res.proven
+        # The memo read the clock at 0 states and stopped at 1024.
+        assert len(witness_passes[-1].memo) == 1024
         assert res.optimal_value == expected.optimal_value
         assert objective_value(a, res.ranking) == res.optimal_value
 
