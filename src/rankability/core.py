@@ -66,6 +66,13 @@ class WeightMatrix:
             raise MalformedInputError(f"negative weight at ({i + 1}, {j + 1})")
         if np.diagonal(arr).any():
             raise MalformedInputError("diagonal entries must be 0")
+        # The searches add up to twice the total weight (the bound of the
+        # empty prefix sums every pair's larger weight twice).
+        with np.errstate(over="ignore"):
+            if not np.isfinite(2.0 * arr.sum()):
+                raise MalformedInputError(
+                    "weights too large: twice their total overflows"
+                )
         if labels is not None:
             labels = tuple(str(x) for x in labels)
             if len(labels) != n:
@@ -165,16 +172,21 @@ def ranking_from_order(order: Iterable[int]) -> Ranking:
     Raises:
         MalformedPermutationError: on duplicates or out-of-range items.
     """
-    items = [int(x) for x in order]
+    items = tuple(map(int, order))
     n = len(items)
     if sorted(items) != list(range(1, n + 1)):
         raise MalformedPermutationError(
-            f"order must be a permutation of 1..{n}, got {tuple(items)}"
+            f"order must be a permutation of 1..{n}, got {items}"
         )
     position = [0] * n
-    for k, item in enumerate(items):
-        position[item - 1] = k + 1
-    return Ranking(position)
+    for k, item in enumerate(items, start=1):
+        position[item - 1] = k
+    # Both forms are known to be permutations: set them without
+    # Ranking.__init__ checking the position form again.
+    ranking = object.__new__(Ranking)
+    object.__setattr__(ranking, "position", tuple(position))
+    object.__setattr__(ranking, "order", items)
+    return ranking
 
 
 def ranking_from_position(position: Iterable[int]) -> Ranking:

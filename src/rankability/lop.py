@@ -265,7 +265,14 @@ def _slack(a: WeightMatrix) -> float:
     # entry of as many. The slack is 2^9 times that, room for the rounding
     # that the value search's apply/undo cycles accumulate. It scales
     # with the weights, so ties are decided alike at every scale.
-    return a.total_sum() * a.n * a.n * 2.0**-40
+    total = a.total_sum()
+    slack = total * a.n * a.n * 2.0**-40
+    if slack == np.inf:
+        # total * n * n overflowed. Scaling by the power of two first keeps
+        # the product finite for every finite total; where both orders are
+        # finite and normal they give the same bits.
+        slack = total * 2.0**-40 * a.n * a.n
+    return slack
 
 
 def _float_rows(a: WeightMatrix) -> list[list[float]]:
@@ -583,34 +590,49 @@ class _Completion(NamedTuple):
     gains: tuple[array[float], array[float]]
 
 
-@functools.lru_cache(maxsize=None)
-def _subset_layers(m: int) -> tuple[tuple[np.ndarray, ...], ...]:
+class _Subsets(NamedTuple):
     """The subsets of m items by size, with each (set, member) pair.
 
-    Entry k is (sets, items, rests, owners): the C(m, k) sets of size k in
-    increasing order, and for every pair of a set and one of its members,
-    the member, the set without it and the set itself. Pairs run member
-    position first: pair t * C(m, k) + s is sets[s] with its t-th lowest
-    member, so a max over members is a max over axis 0 of shape
-    (k, C(m, k)). The arrays hold no weights and are shared by every
-    build over m items.
+    layers[k] is (sets, items, rests, owners): the C(m, k) sets of size k
+    in increasing order, and for every pair of a set and one of its
+    members, the member, the set without it and the set itself. Pairs run
+    member position first: pair t * C(m, k) + s is sets[s] with its t-th
+    lowest member, so a max over members is a max over axis 0 of shape
+    (k, C(m, k)).
+
+    order lists all 2^m sets by size, layer after layer, and position is
+    its inverse: position[S] is S's index in order. Layer k's sets are
+    order[starts[k]:starts[k + 1]].
     """
+
+    layers: tuple[tuple[np.ndarray, ...], ...]
+    order: np.ndarray
+    position: np.ndarray
+    starts: tuple[int, ...]
+
+
+@functools.lru_cache(maxsize=None)
+def _subsets(m: int) -> _Subsets:
+    """_Subsets of m items, m <= 9: weight-free, shared by every build."""
     sets = np.arange(1 << m)
     sizes = np.bitwise_count(sets)
     layers = []
     for k in range(m + 1):
         layer = sets[sizes == k]
         items = np.nonzero((layer[:, None] >> np.arange(m)) & 1)[1].reshape(layer.size, k)
-        arrays = (
+        layers.append((
             layer,
             items.T.ravel(),
             (layer[:, None] ^ (1 << items)).T.ravel(),
             np.tile(layer, k),
-        )
-        for x in arrays:
-            x.flags.writeable = False
-        layers.append(arrays)
-    return tuple(layers)
+        ))
+    order = np.concatenate([arrays[0] for arrays in layers])
+    position = np.empty_like(order)
+    position[order] = sets
+    for x in (order, position, *(x for arrays in layers for x in arrays)):
+        x.flags.writeable = False
+    starts = np.cumsum([0] + [arrays[0].size for arrays in layers]).tolist()
+    return _Subsets(tuple(layers), order, position, tuple(starts))
 
 
 def _build_completion_table(w: np.ndarray, deadline: float | None) -> _Completion:
@@ -631,15 +653,19 @@ def _build_completion_table(w: np.ndarray, deadline: float | None) -> _Completio
       layer.
     - Low items: for each size of A in turn, placing i in A leaves column
       A \ i of the same rows, filled one size earlier, so one gather over
-      all (A, i) pairs and all rows of the layer adds the term.
+      all (A, i) pairs and all rows of the layer adds the term. For this
+      term the layer's columns are held by size (_Subsets.order), so each
+      size is one slice. i's gain over the row's high items is a gather
+      from the layer's small block of low items' row sums; its gain over
+      A \ i is the same for every row and is gathered once per build.
 
-    The (set, member) pairs come from _subset_layers. The row sums are the
-    split row sums of w (_split_row_sums), built once and returned as the
-    gain rows: rowsum[v, S \ v] = lo[v, A] + hi[v, B], read at the parent
-    set, since v's own half holds there its sum without v. Each step adds
-    the row sum first and table[rest] after it, as the scalar recurrence
-    does. When every sum of the weights is exact (_exact_sums), any order
-    of adding them gives the same bits, so the table equals
+    The (set, member) pairs come from _subsets. The row sums are the split
+    row sums of w (_split_row_sums), built once and returned as the gain
+    rows: rowsum[v, S \ v] = lo[v, A] + hi[v, B], read at the parent set,
+    since v's own half holds there its sum without v. Each step adds the
+    row sum first and table[rest] after it, as the scalar recurrence does.
+    When every sum of the weights is exact (_exact_sums), any order of
+    adding them gives the same bits, so the table equals
     tests/oracles.py::completion_table_loop bit for bit; otherwise its
     entries are within the rounding that _slack allows for, and every
     reader compares them within it.
@@ -657,36 +683,52 @@ def _build_completion_table(w: np.ndarray, deadline: float | None) -> _Completio
     gains = _split_row_sums(w)
     lo = np.frombuffer(gains[0]).reshape(n, 1 << h)
     hi = np.frombuffer(gains[1]).reshape(n, 1 << m)
-    low_layers = _subset_layers(h)
+    low = _subsets(h)
+    # For each size a of A: its columns by size; for each (A, i) pair, i,
+    # the column of A \ i, and i's gain over A \ i.
+    low_steps = [
+        (
+            slice(low.starts[a], low.starts[a + 1]),
+            items,
+            low.position[rests],
+            lo[items, owners],
+        )
+        for a, (_, items, rests, owners) in enumerate(low.layers)
+        if a
+    ]
     # Layer 0 is the row of the empty high set: the empty set adds 0, and
     # the low-item steps fill the rest of the row.
     layer = np.full((1, 1 << h), -np.inf)
     layer[0, 0] = 0.0
-    for b, (rows, items, rests, _) in enumerate(_subset_layers(m)):
+    for b, (rows, items, rests, _) in enumerate(_subsets(m).layers):
         _check_deadline(deadline)
         count = rows.size
         for t in range(b):
             pairs = slice(t * count, (t + 1) * count)
             v = h + items[pairs]
             # v's gains over every A, then over B \ v at each row B.
-            gain = np.take(lo, v, axis=0)
+            gain = lo.take(v, axis=0)
             gain += hi[v, rows][:, None]
-            gain += np.take(grid, rests[pairs], axis=0)
+            gain += grid.take(rests[pairs], axis=0)
             if t == 0:
                 layer = gain
             else:
                 np.maximum(layer, gain, out=layer)
-        for a in range(1, h + 1):
+        # Columns by size for the low-item steps, each size one slice; the
+        # store puts them back in set order.
+        layer = layer.take(low.order, axis=1)
+        # Each low item's gain over the high items of each row B.
+        high_part = hi[:h, rows].T
+        for a, (cols, low_items, low_rests, low_gain) in enumerate(low_steps, 1):
             _check_deadline(deadline)
-            cols, low_items, low_rests, owners = low_layers[a]
             # i's gain over each row B of the layer (axis 0), then over
             # A \ i at each pair (axis 1).
-            gain = np.take(hi, (low_items << m) + rows[:, None])
-            gain += lo[low_items, owners]
-            gain += np.take(layer, low_rests, axis=1)
-            best = gain.reshape(count, a, cols.size).max(axis=1)
-            layer[:, cols] = np.maximum(layer[:, cols], best)
-        grid[rows] = layer
+            gain = high_part.take(low_items, axis=1)
+            gain += low_gain
+            gain += layer.take(low_rests, axis=1)
+            best = layer[:, cols]
+            np.maximum(best, gain.reshape(count, a, -1).max(axis=1), out=best)
+        grid[rows] = layer.take(low.position, axis=1)
     return _Completion(out, gains)
 
 

@@ -17,11 +17,13 @@ from types import SimpleNamespace
 import pytest
 
 from rankability import (
+    OptimaSet,
     cli,
     kt_solution_from_rankings,
     ktdiam,
     lop,
     ranking_from_order,
+    read_feature_table,
     read_matrix_csv,
     sports,
     validate_kt_solution,
@@ -207,6 +209,19 @@ class TestKappaCommand:
         assert out == ""
 
 
+def enumerate_stdout(matrix, optima) -> str:
+    """enumerate's JSON output, as json.dumps renders its whole payload."""
+    payload = {
+        "command": "enumerate",
+        "n": matrix.n,
+        "labels": list(matrix.labels) if matrix.labels else None,
+        "count": optima.count,
+        "truncated": optima.truncated,
+        "rankings": [[int(v) for v in r.order] for r in optima.rankings],
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
 class TestEnumerateCommand:
     def test_college_six_rankings_sorted(self, capsys):
         code, payload = run_json(
@@ -255,6 +270,66 @@ class TestEnumerateCommand:
         assert code == 2
         assert payload["count"] == 0
         assert payload["truncated"] is True
+
+    @pytest.mark.parametrize(
+        "fixture, count",
+        [
+            ("features", 6),  # labelled
+            ("digraph1", 1),
+            ("hidden20.csv", 15),  # two-digit items
+        ],
+    )
+    def test_json_is_the_whole_payload_dumped(self, capsys, tmp_path, fixture, count):
+        # The rankings are written as text; the bytes must be those of
+        # json.dumps(payload, indent=2).
+        if fixture == "features":
+            argv, matrix = ["--kind", "features"], read_feature_table(COLLEGE)
+            path = COLLEGE
+        elif fixture == "digraph1":
+            path = write_digraph_csv(tmp_path, 1)
+            argv, matrix = [], read_matrix_csv(path)
+        else:
+            path = str(DATA_DIR / fixture)
+            argv, matrix = [], read_matrix_csv(path)
+        optima = lop.enumerate_optima(matrix)
+        assert optima.count == count
+        code, out = run_cli(capsys, "enumerate", "--input", path, *argv)
+        assert code == 0
+        assert out == enumerate_stdout(matrix, optima)
+
+    def test_json_without_optima_is_the_whole_payload_dumped(
+        self, capsys, clock_jumps_after_solve
+    ):
+        code, out = run_cli(
+            capsys, "enumerate", "--input", COLLEGE, "--kind", "features",
+            "--time-limit", str(clock_jumps_after_solve),
+        )
+        assert code == 2
+        none = OptimaSet(rankings=(), truncated=True)
+        assert out == enumerate_stdout(read_feature_table(COLLEGE), none)
+
+    def test_output_file_holds_the_whole_payload_dumped(self, capsys, tmp_path):
+        path = write_digraph_csv(tmp_path, 3)
+        target = tmp_path / "optima.json"
+        code, out = run_cli(
+            capsys, "enumerate", "--input", path, "--output", str(target)
+        )
+        assert code == 0
+        assert out == ""
+        matrix = read_matrix_csv(path)
+        expected = enumerate_stdout(matrix, lop.enumerate_optima(matrix))
+        assert target.read_text(encoding="utf-8") == expected
+
+    def test_csv_rows_are_the_orders(self, capsys):
+        path = str(DATA_DIR / "hidden20.csv")
+        code, out = run_cli(capsys, "enumerate", "--input", path, "--format", "csv")
+        assert code == 0
+        optima = lop.enumerate_optima(read_matrix_csv(path))
+        expected = "index,ranking\n" + "".join(
+            f"{k},{' '.join(map(str, r.order))}\n"
+            for k, r in enumerate(optima.rankings, start=1)
+        )
+        assert out == expected
 
     def test_csv_projection(self, capsys, tmp_path):
         path = write_digraph_csv(tmp_path, 3)
@@ -524,6 +599,35 @@ class TestExitCodes:
             f"{lop._MAX_ITEMS} items, got n=64\n"
         )
 
+    @pytest.mark.parametrize("command", ["lop", "enumerate", "kappa"])
+    def test_large_finite_weights_are_solved(self, capsys, tmp_path, command):
+        # total * n * n overflows here; an infinite slack once made the
+        # heuristic's comparisons NaN.
+        path = tmp_path / "large.csv"
+        path.write_text("0,4e307\n4e307,0\n", encoding="utf-8")
+        code, payload = run_json(capsys, command, "--input", str(path))
+        assert code == 0
+        if command == "lop":
+            assert payload["k_star"] == 4e307
+            assert payload["ranking"] == [1, 2]
+        elif command == "enumerate":
+            assert payload["rankings"] == [[1, 2], [2, 1]]
+        else:
+            assert payload["kappa"] == 1
+
+    @pytest.mark.parametrize("command", ["lop", "enumerate", "kappa"])
+    def test_weights_whose_total_overflows_exit_1(self, capsys, tmp_path, command):
+        path = tmp_path / "huge.csv"
+        path.write_text("0,8e307,8e307\n8e307,0,8e307\n8e307,8e307,0\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main([command, "--input", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"rankability {command}: {path}: weights too large: "
+            "twice their total overflows\n"
+        )
+
     def test_time_limit_unproven_exits_2(self, capsys, hard_matrix_csv):
         code, payload = run_json(
             capsys, "lop", "--input", hard_matrix_csv, "--time-limit", "0.05"
@@ -594,6 +698,8 @@ class TestDeterminism:
     [
         ("lop", "tenths7"),
         ("enumerate", "tenths7"),
+        ("enumerate", "tournament18"),
+        ("enumerate", "hidden20"),
         ("kappa", "tenths7"),
         ("lop", "fractional19"),
         ("lop", "coin19"),
@@ -610,8 +716,10 @@ def test_fixture_stdout_is_pinned_byte_for_byte(capsys, command, fixture):
     # table-free witness and its nodes and pruned, from the witness pass
     # for coin19 and hidden20 and from the memoized search for
     # fractional19 and tiers24. tiers24 has over a million optima, so
-    # only its lop output is pinned. The expected files were recorded
-    # once and must not change.
+    # only its lop output is pinned. The enumerate files pin the optima of
+    # a p = 0.5 tournament at n = 18 (77, walked with the largest table)
+    # and of hidden20 (15, walked without one). The expected files were
+    # recorded once and must not change.
     code, out = run_cli(
         capsys, command, "--input", str(DATA_DIR / f"{fixture}.csv"), "--kind", "matrix"
     )

@@ -91,6 +91,20 @@ class TestWeightMatrix:
         with pytest.raises(MalformedInputError):
             WeightMatrix([[0, float("nan")], [2, 0]])
 
+    @pytest.mark.parametrize("n, weight", [(2, 4.5e307), (3, 3e307), (3, 8e307)])
+    def test_rejects_weights_whose_doubled_total_overflows(self, n, weight):
+        # The searches sum every pair's larger weight twice.
+        w = np.full((n, n), weight)
+        np.fill_diagonal(w, 0.0)
+        with pytest.raises(MalformedInputError, match=r"overflows"):
+            WeightMatrix(w)
+
+    @pytest.mark.parametrize("n, weight", [(2, 4.49e307), (3, 1.49e307), (4, 1e300)])
+    def test_accepts_weights_whose_doubled_total_is_finite(self, n, weight):
+        w = np.full((n, n), weight)
+        np.fill_diagonal(w, 0.0)
+        assert math.isfinite(2.0 * WeightMatrix(w).total_sum())
+
     def test_rejects_label_count_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             WeightMatrix([[0, 1], [2, 0]], ["only-one"])
@@ -126,6 +140,32 @@ class TestRanking:
             ranking_from_order((0, 1, 2))
         with pytest.raises(MalformedPermutationError):
             ranking_from_position((1, 2, 4))
+
+    def test_rejects_items_past_n_and_repeats(self):
+        with pytest.raises(MalformedPermutationError):
+            ranking_from_order((1, 2, 4))
+        with pytest.raises(MalformedPermutationError):
+            ranking_from_order(np.array([2, 1, 2]))
+        with pytest.raises(MalformedPermutationError):
+            ranking_from_order((1, 2, 3, -1))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 40).flatmap(lambda n: st.permutations(list(range(1, n + 1)))))
+    def test_order_form_equals_the_position_form(self, order):
+        # ranking_from_order checks the order once and sets both forms
+        # itself; the result must be the Ranking the checked constructor
+        # builds from the position form.
+        position = [0] * len(order)
+        for k, item in enumerate(order, start=1):
+            position[item - 1] = k
+        expected = Ranking(position)
+        for given_order in (order, np.array(order)):
+            built = ranking_from_order(given_order)
+            assert built == expected
+            assert hash(built) == hash(expected)
+            assert built.position == expected.position
+            assert built.order == expected.order == tuple(order)
+            assert {type(x) for x in built.position + built.order} == {int}
 
     def test_reverse(self):
         r = ranking_from_order((3, 1, 2))

@@ -1608,6 +1608,33 @@ class TestWeightScale:
                 ))
             assert results[0] == results[1]
 
+    def test_slack_is_finite_where_total_times_n_squared_overflows(self):
+        a = WeightMatrix(np.array([[0.0, 4e307], [4e307, 0.0]]))
+        assert a.total_sum() * a.n * a.n == math.inf
+        assert lop._slack(a) == a.total_sum() * 2.0**-40 * a.n * a.n
+        assert math.isfinite(lop._slack(a))
+
+    @pytest.mark.parametrize("n, total", [(2, 8e307), (3, 1e300), (6, 1e300), (8, 8.98e307)])
+    def test_results_at_the_largest_scales_equal_those_at_scale_one(self, n, total):
+        # Up to the largest total WeightMatrix takes, ties and orders are
+        # decided as at scale one.
+        cfg = SolverConfig(enumeration_cap=2000)
+        w = _scaled_weights("noisy-integer", n, 1.0, n)
+        results = []
+        for scale in (1.0, total / w.sum()):
+            a = WeightMatrix(w * scale)
+            found = solve_lop(a)
+            kt = solve_kt(a, found.optimal_value, cfg)
+            results.append((
+                found.ranking,
+                found.proven,
+                enumerate_optima(a, cfg),
+                kt.kappa,
+                kt.proven,
+                kt.pair,
+            ))
+        assert results[0] == results[1]
+
     def test_slack_is_zero_for_exact_sums_and_scales_otherwise(self, college_matrix):
         assert lop._slack(college_matrix) == 0.0
         w = _scaled_weights("uniform", 6, 1.0, 0)
