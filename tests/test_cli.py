@@ -701,6 +701,8 @@ class TestDeterminism:
         ("enumerate", "tournament18"),
         ("enumerate", "hidden20"),
         ("kappa", "tenths7"),
+        ("kappa", "tournament18"),
+        ("kappa", "hidden20"),
         ("lop", "fractional19"),
         ("lop", "coin19"),
         ("lop", "hidden20"),
@@ -718,11 +720,21 @@ def test_fixture_stdout_is_pinned_byte_for_byte(capsys, command, fixture):
     # fractional19 and tiers24. tiers24 has over a million optima, so
     # only its lop output is pinned. The enumerate files pin the optima of
     # a p = 0.5 tournament at n = 18 (77, walked with the largest table)
-    # and of hidden20 (15, walked without one). The expected files were
-    # recorded once and must not change.
+    # and of hidden20 (15, walked without one); the kappa files pin the pair
+    # scan over those optima. The expected files were recorded once and
+    # must not change.
     code, out = run_cli(
         capsys, command, "--input", str(DATA_DIR / f"{fixture}.csv"), "--kind", "matrix"
     )
     assert code == 0
     expected = DATA_DIR / "golden" / f"{command}-{fixture}.json"
+    assert out.encode() == expected.read_bytes()
+
+
+def test_season_stdout_is_pinned_byte_for_byte(capsys):
+    # The season flow over several seasons: each season's completion table,
+    # optima walk and kappa. Recorded once and must not change.
+    code, out = run_cli(capsys, "season", "--input", str(DATA_DIR / "multi_season.csv"))
+    assert code == 0
+    expected = DATA_DIR / "golden" / "season-multi_season.json"
     assert out.encode() == expected.read_bytes()
