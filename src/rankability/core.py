@@ -135,12 +135,8 @@ class Ranking:
     order: tuple[int, ...] = field(compare=False)
 
     def __init__(self, position: Sequence[int]):
-        pos = tuple(int(p) for p in position)
+        pos = _permutation(position, "positions")
         n = len(pos)
-        if sorted(pos) != list(range(1, n + 1)):
-            raise MalformedPermutationError(
-                f"positions must be a permutation of 1..{n}, got {pos}"
-            )
         order = [0] * n
         for item, p in enumerate(pos, start=1):
             order[p - 1] = item
@@ -163,6 +159,22 @@ class Ranking:
         return self.order <= other.order
 
 
+def _permutation(values: Iterable[int], form: str) -> tuple[int, ...]:
+    """values as Python ints; MalformedPermutationError unless they are 1..n."""
+    values = tuple(values)
+    try:
+        items = tuple(map(int, values))
+    except (TypeError, ValueError, OverflowError):
+        items = None
+    # One comparison with their int() images rejects non-integral values,
+    # strings included, and accepts integral values of any numeric type.
+    if items != values or sorted(items) != list(range(1, len(items) + 1)):
+        raise MalformedPermutationError(
+            f"{form} must be a permutation of 1..{len(values)}, got {values}"
+        )
+    return items
+
+
 def ranking_from_order(order: Iterable[int]) -> Ranking:
     """Build a Ranking from a best-to-worst item list.
 
@@ -170,14 +182,11 @@ def ranking_from_order(order: Iterable[int]) -> Ranking:
         order: n distinct 1-based item indices, best first.
 
     Raises:
-        MalformedPermutationError: on duplicates or out-of-range items.
+        MalformedPermutationError: on duplicates, out-of-range or
+            non-integral items.
     """
-    items = tuple(map(int, order))
+    items = _permutation(order, "order")
     n = len(items)
-    if sorted(items) != list(range(1, n + 1)):
-        raise MalformedPermutationError(
-            f"order must be a permutation of 1..{n}, got {items}"
-        )
     position = [0] * n
     for k, item in enumerate(items, start=1):
         position[item - 1] = k

@@ -72,15 +72,14 @@ class _Passes:
     """The passes of one value search, and the leaves they found."""
 
     def __init__(self, search: _Search):
-        n, h = search.n, search.h
         self.search = search
         order = np.array(search.child_order, dtype=np.int64)
         self.order = order
         self.rank = np.argsort(order)
         self.bits = np.left_shift(1, order)
-        self.at_lo, self.at_hi = order << h, order << (n - h)
-        self.lo, self.hi = (np.frombuffer(half) for half in search._drop_rows())
-        self.block = max(1, _WALK_CHUNK_BYTES // (_CHILD_ARRAYS * 8 * n))
+        self.rows = search.drops
+        self.at_lo, self.at_hi = self.rows.at_lo.take(order), self.rows.at_hi.take(order)
+        self.block = max(1, _WALK_CHUNK_BYTES // (_CHILD_ARRAYS * 8 * search.n))
         self.start = search.best_val
         # The search's leaves found so far, as (value, order), in its order.
         self.leaves: list[tuple[float, list[int]]] = []
@@ -160,12 +159,7 @@ class _Passes:
         and is checked against thresholds[j], j the number of found leaves
         whose visit at the child's depth has a key below it.
         """
-        search = self.search
-        at = self.at_lo + (rem & search.low)[:, None]
-        child = self.lo.take(at)
-        np.add(self.at_hi, (rem >> search.h)[:, None], out=at)
-        child += self.hi.take(at)
-        child += g[:, None]
+        child = self.rows.children(rem[:, None], g[:, None], self.at_lo, self.at_hi)
         if ancestors.size:
             j = ancestors.searchsorted(np.arange(first, first + child.size))
             kept = child > thresholds.take(j).reshape(child.shape)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import RankabilityError
-from .lop import _MAX_STATES, _check_deadline, _Search, _Timeout
+from .lop import _MAX_STATES, _check_deadline, _descend, _Search, _Timeout
 
 # The witness pass forms the children of a
 # layer's states a chunk at a time, so that each work array of one entry
@@ -57,7 +57,7 @@ class WitnessLayers:
     canonical prefix whether some completion of it reaches target. A
     depth-first search for one (tests/oracles.py::exists_completion_loop)
     forms each child of a state with unplaced set rem and bound g = f + u
-    as g plus v's drop row sum over rem without v (_Search._drop_rows), so
+    as g plus v's drop row sum over rem without v (_Search.drops), so
     its answer and the nodes and pruned it counts depend on (rem, g)
     alone. It takes the children in the search's child order up to the
     first ok one and counts 1 node for the state, 1 pruned for each child
@@ -100,20 +100,18 @@ class WitnessLayers:
     """
 
     def __init__(self, search: _Search, target: float):
-        n, h = search.n, search.h
         self.search = search
         self.target = target
-        # Arrays over a chunk's children are (position, state): position j
-        # of the child order places order[j].
+        # The drop rows; their -inf entries put the child of an item placed
+        # already below any target.
+        self.rows = rows = search.drops
         order = np.array(search.child_order, dtype=np.int64)
         self.bits = np.left_shift(1, order)
-        self.starts = (order << h)[:, None], (order << (n - h))[:, None]
-        self.children = [search.item_bits[v] for v in search.child_order]
-        # The drop rows, and the same memory as numpy arrays; their -inf
-        # entries put the child of an item placed already below any target.
-        self.rows = search._drop_rows()
-        self.lo, self.hi = (np.frombuffer(half) for half in self.rows)
-        self.chunk = max(1, _CHUNK_BYTES // (8 * n))
+        # Arrays over a chunk's children are (position, state): position j
+        # of the child order places order[j].
+        self.at_lo, self.at_hi = rows.at_lo[order, None], rows.at_hi[order, None]
+        self.children = [rows.items[v] for v in search.child_order]
+        self.chunk = max(1, _CHUNK_BYTES // (8 * search.n))
         self.layers: list[np.ndarray] = []
         self.results: list[tuple[np.ndarray, np.ndarray]] = []
         self.memo: dict[tuple[int, float], tuple[bool, int, int]] = {}
@@ -123,8 +121,7 @@ class WitnessLayers:
 
         Reads each child's state from the pass or, past its budget, the memo.
         """
-        search = self.search
-        lo, hi = self.rows
+        search, target = self.search, self.target
         budget = _STATES_PER_NODE * (search.nodes + search.n)
         layers = self._forward(min(budget, _MAX_STATES))
         state = self._exists
@@ -132,28 +129,20 @@ class WitnessLayers:
             self.layers = layers
             self.results = self._backward()
             state = self._lookup
-        rem, x = search.rem_mask, search.f + search.u
-        while rem:
-            low, high = rem & search.low, rem >> search.h
-            for v, bit, at_lo, at_hi in search.item_bits:
-                if not rem & bit:
-                    continue
-                child = x + (lo[at_lo + low] + hi[at_hi + high])
-                if child < self.target:
-                    continue
-                t = rem ^ bit
-                if t == 0:
-                    break
-                ok, nodes, pruned = state(t, child)
-                search.nodes += nodes
-                search.pruned += pruned
-                if ok:
-                    break
-            else:
-                return None
-            search.prefix.append(v)
-            rem, x = t, child
-        return search.prefix.copy()
+
+        def reaches(t: int, child: float) -> bool:
+            if child < target:
+                return False
+            if t == 0:
+                return True
+            ok, nodes, pruned = state(t, child)
+            search.nodes += nodes
+            search.pruned += pruned
+            return ok
+
+        return _descend(
+            self.rows, search.rem_mask, search.f + search.u, search.prefix, reaches
+        )
 
     def _lookup(self, rem: int, g: float) -> tuple[bool, int, int]:
         """The pass's answer, nodes and pruned at a state that reaches target."""
@@ -170,8 +159,9 @@ class WitnessLayers:
         hit = memo.get((rem, g))
         if hit is not None:
             return hit
-        lo, hi = self.rows
-        low, high = rem & self.search.low, rem >> self.search.h
+        rows = self.rows
+        lo, hi = rows.lo, rows.hi
+        low, high = rem & rows.low, rem >> rows.h
         ok, nodes, pruned = False, 1, 0
         for v, bit, at_lo, at_hi in self.children:
             if rem & bit:
@@ -196,12 +186,7 @@ class WitnessLayers:
 
     def _children(self, rem: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, ...]:
         """The bounds of the states' children, which reach target, and their keys."""
-        search = self.search
-        at = self.starts[0] + (rem & search.low)
-        child = self.lo.take(at)
-        np.add(self.starts[1], rem >> search.h, out=at)
-        child += self.hi.take(at)
-        child += g
+        child = self.rows.children(rem, g, self.at_lo, self.at_hi)
         kept = child >= self.target
         item, state = kept.nonzero()
         keys = np.empty(item.size, dtype=complex)

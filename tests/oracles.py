@@ -330,8 +330,8 @@ def value_search_loop(search, start_order: list[int], start_value: float) -> boo
     search.best_val = start_value
     search.best_order = list(start_order)
     search.child_order = list(start_order)
-    search._drop_rows()
-    children = [lop._row_starts(v, search.n) for v in start_order]
+    rows = search.drops
+    children = [rows.items[v] for v in start_order]
     try:
         _rec_value_exact(search, children, {}, search.rem_mask, search.f + search.u)
         return False
@@ -343,7 +343,7 @@ def _rec_value_exact(search, children, memo: dict[int, float], rem: int, g: floa
     """The value search at unplaced set rem with bound g = f + u.
 
     children lists each item's bit and where its rows start in the drop
-    rows (lop._row_starts), in the order the search tries them. The memo
+    rows (lop._SplitRows.items), in the order the search tries them. The memo
     holds g instead of f: u depends only on rem, so comparing
     g values decides dominance exactly as comparing f values does.
     """
@@ -360,8 +360,9 @@ def _rec_value_exact(search, children, memo: dict[int, float], rem: int, g: floa
         return
     if len(memo) < lop._MEMO_CAP:
         memo[rem] = g
-    lo, hi = search.drops
-    low, high = rem & search.low, rem >> search.h
+    rows = search.drops
+    lo, hi = rows.lo, rows.hi
+    low, high = rem & rows.low, rem >> rows.h
     prefix = search.prefix
     for v, bit, at_lo, at_hi in children:
         if rem & bit:
@@ -446,7 +447,7 @@ def enumerate_leaves_loop(
     try:
         completion = lop._completion(search.matrix, search.deadline)
         if completion is None:
-            x, rows, table = search.f + search.u, search._drop_rows(), None
+            x, rows, table = search.f + search.u, search.drops, None
         else:
             x, rows, table = search.f, completion.gains, completion.table
         _rec_enum(search, search.rem_mask, x, k_star, cap, found, rows, table)
@@ -470,9 +471,9 @@ def _rec_enum(search, rem, x, k_star, cap, found, rows, table) -> None:
                 raise _CapReached
         return
     target = k_star - search.eps
-    lo, hi = rows
-    low, high = rem & search.low, rem >> search.h
-    for v, bit, at_lo, at_hi in search.item_bits:
+    lo, hi = rows.lo, rows.hi
+    low, high = rem & rows.low, rem >> rows.h
+    for v, bit, at_lo, at_hi in rows.items:
         if rem & bit:
             t = rem ^ bit
             child = x + (lo[at_lo + low] + hi[at_hi + high])

@@ -141,6 +141,33 @@ class TestRanking:
         with pytest.raises(MalformedPermutationError):
             ranking_from_position((1, 2, 4))
 
+    @pytest.mark.parametrize(
+        "items",
+        [
+            (1.7, 2.2),
+            (2.9, 1.0),
+            (np.float64(1.5), 2),
+            np.array([2.5, 1.0]),
+            "21",
+            ("1", "2"),
+            (1, float("nan")),
+            (float("inf"), 1),
+        ],
+    )
+    def test_rejects_non_integral_items(self, items):
+        # int() would truncate (1.7, 2.2) to (1, 2) and read "21" as (2, 1).
+        with pytest.raises(MalformedPermutationError):
+            ranking_from_order(items)
+        with pytest.raises(MalformedPermutationError):
+            ranking_from_position(items)
+
+    def test_accepts_integral_values_of_any_numeric_type(self):
+        for items in ((2.0, 1.0), (np.float64(2.0), np.int8(1)), np.array([2.0, 1.0])):
+            assert ranking_from_order(items).order == (2, 1)
+            r = ranking_from_position(items)
+            assert r.position == (2, 1)
+            assert all(type(p) is int for p in r.position + r.order)
+
     def test_rejects_items_past_n_and_repeats(self):
         with pytest.raises(MalformedPermutationError):
             ranking_from_order((1, 2, 4))

@@ -96,6 +96,11 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
 
+    def test_accepts_numpy_numbers(self):
+        cfg = SolverConfig(time_limit=np.float64(60.0), enumeration_cap=np.int64(2))
+        optima = enumerate_optima(WeightMatrix(COLLEGE_WEIGHTS), cfg)
+        assert optima.count == 2 and optima.truncated
+
 
 class TestSolveLop:
     def test_college_value(self, college_matrix):
@@ -679,6 +684,44 @@ class TestCompletionTable:
         finally:
             tracemalloc.stop()
         assert peak - before <= 64 << n
+
+
+class TestSplitRows:
+    """The one numpy child kernel of the value passes, the walk and the witness pass."""
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_children_have_the_bits_of_the_scalar_sums(self, n):
+        rng = np.random.default_rng(83 + n)
+        rows = lop._split_row_sums(_random_weights(rng, n, integral=False))
+        count = 40
+        rem = rng.integers(0, 1 << n, count)
+        x = rng.uniform(-100.0, 100.0, count)
+        order = rng.permutation(n)
+        state = np.arange(count)[:, None]
+        # (items, the state of each child, rem and x as the caller passes them)
+        shapes = [
+            # Value passes: one row of items for all states, (state, position).
+            (order, np.broadcast_to(state, (count, n)), rem[:, None], x[:, None]),
+            # Walk: a row of items per state.
+            (rng.integers(0, n, (count, 3)), np.broadcast_to(state, (count, 3)),
+             rem[:, None], x[:, None]),
+            # Witness pass: a column of items, (position, state).
+            (order[:, None], np.broadcast_to(state.T, (n, count)), rem, x),
+        ]
+        for items, states, r, xs in shapes:
+            child = rows.children(r, xs, rows.at_lo.take(items), rows.at_hi.take(items))
+            assert child.shape == states.shape
+            items = np.broadcast_to(items, states.shape)
+            expected = []
+            for s, v in zip(states.ravel().tolist(), items.ravel().tolist()):
+                _, _, at_lo, at_hi = rows.items[v]
+                low, high = int(rem[s]) & rows.low, int(rem[s]) >> rows.h
+                expected.append(float(x[s]) + (rows.lo[at_lo + low] + rows.hi[at_hi + high]))
+            assert child.tobytes() == np.reshape(expected, states.shape).tobytes()
+            # An item placed already gives -inf; every other child is finite.
+            placed = (rem[states] >> items) & 1 == 0
+            assert placed.any() and (child[placed] == -np.inf).all()
+            assert np.isfinite(child[~placed]).all()
 
 
 class TestTableRouteImports:

@@ -56,6 +56,12 @@ def test_bad_arguments_raise_one_typed_error():
     calls = [
         lambda: SolverConfig(time_limit=0),
         lambda: SolverConfig(enumeration_cap=0),
+        # A cap that slices would fail on, and values that do not compare
+        # with numbers.
+        lambda: SolverConfig(enumeration_cap=1.5),
+        lambda: SolverConfig(enumeration_cap=2.0),
+        lambda: SolverConfig(enumeration_cap="5"),
+        lambda: SolverConfig(time_limit="5"),
         lambda: RatingVector(values=[], method="massey"),
         lambda: hindsight_accuracy(games, "regular", sigma, tie_mode="both"),
     ]
