@@ -28,8 +28,8 @@ from .lop import (
     DEFAULT_CONFIG,
     SolverConfig,
     _deadline,
+    _enumerate_orders,
     _remaining,
-    enumerate_optima,
     solve_lop,
 )
 from .rating import colley_ratings, massey_ratings, ranking_from_ratings
@@ -288,15 +288,16 @@ def cmd_enumerate(args) -> int:
     """list every optimal ranking"""
     solver = _solver_config(args)
     matrix = _load_matrix(args)
-    optima = enumerate_optima(matrix, solver)
-    orders = [r.order for r in optima.rankings]
+    # The orders as rows of ints, without a Ranking each.
+    orders, truncated = _enumerate_orders(matrix, solver)
+    orders = orders.tolist()
     if args.format == "json":
         head = {
             "command": "enumerate",
             "n": matrix.n,
             "labels": list(matrix.labels) if matrix.labels else None,
-            "count": optima.count,
-            "truncated": optima.truncated,
+            "count": len(orders),
+            "truncated": truncated,
         }
         # The bytes of json.dumps(payload, indent=2) with the orders as its
         # last key, "rankings". With indent set, json.dumps runs its
@@ -316,7 +317,7 @@ def cmd_enumerate(args) -> int:
         )
     # A list cut by the cap holds exactly cap orders, so a truncated list
     # shorter than that was cut by the time limit.
-    if optima.truncated and optima.count < solver.enumeration_cap:
+    if truncated and len(orders) < solver.enumeration_cap:
         return EXIT_UNPROVEN
     return EXIT_OK
 

@@ -159,16 +159,24 @@ class Ranking:
         return self.order <= other.order
 
 
-def _permutation(values: Iterable[int], form: str) -> tuple[int, ...]:
-    """values as Python ints; MalformedPermutationError unless they are 1..n."""
-    values = tuple(values)
+def _integral(values: tuple) -> tuple[int, ...] | None:
+    """values as Python ints, or None unless every one is integral.
+
+    One comparison with their int() images rejects non-integral values,
+    strings included, and accepts integral values of any numeric type.
+    """
     try:
         items = tuple(map(int, values))
     except (TypeError, ValueError, OverflowError):
-        items = None
-    # One comparison with their int() images rejects non-integral values,
-    # strings included, and accepts integral values of any numeric type.
-    if items != values or sorted(items) != list(range(1, len(items) + 1)):
+        return None
+    return items if items == values else None
+
+
+def _permutation(values: Iterable[int], form: str) -> tuple[int, ...]:
+    """values as Python ints; MalformedPermutationError unless they are 1..n."""
+    values = tuple(values)
+    items = _integral(values)
+    if items is None or sorted(items) != list(range(1, len(items) + 1)):
         raise MalformedPermutationError(
             f"{form} must be a permutation of 1..{len(values)}, got {values}"
         )

@@ -24,9 +24,10 @@ tries, the answer of the search for a completion and the nodes and
 pruned that search counts without a memo, which depend on the child's
 state (unplaced set, bound) alone (witness.WitnessLayers). Where few
 prefixes tie at the optimum one layered numpy pass finds them for every
-state that reaches the target: forward over those states, backward for
-each state's answer and counts. Where many do, the pass stops at its
-budget and that search itself answers, memoized on the state.
+state that reaches the target: forward over those states, linking each
+child to its state in the next layer once, then backward along those
+links for each state's answer and counts. Where many do, the pass stops
+at its budget and that search itself answers, memoized on the state.
 
 The heuristic (heuristic_ranking) runs its 17 starts together as numpy
 arrays: one greedy insertion pass, then insertion local search steps that
@@ -68,7 +69,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import Ranking, WeightMatrix, ranking_from_order
+from .core import Ranking, WeightMatrix, _integral, ranking_from_order
 from .errors import (
     InvalidArgumentError,
     MalformedPermutationError,
@@ -147,11 +148,13 @@ _VALUE_ARRAYS = 3
 _WALK_CHUNK_BYTES = 1 << 20
 _WALK_ARRAYS = 12
 
-# No layered pass, of the value proof (value.py) or of the table-free
-# witness (witness.py), holds more states than this: 138 MB at the witness
-# pass's 33 bytes a state. The witness's memoized search holds an eighth
-# as many, at about 215 bytes a state. One that would raises _Timeout,
-# and solve_lop reports its incumbent with proven=False.
+# No layer of the value proof (value.py) holds more states than this, and
+# the table-free witness pass (witness.py) holds at most this many times
+# 33 bytes, 138 MB, at 33 + 4n bytes a state, its key, results and links.
+# Past that the witness's memoized search answers, which holds an eighth
+# as many states, at about 215 bytes a state. A value layer or a memo
+# that would hold more raises _Timeout, and solve_lop reports its
+# incumbent with proven=False.
 _MAX_STATES = 1 << 22
 
 
@@ -170,9 +173,12 @@ class SolverConfig:
 
     def __post_init__(self):
         limit, cap = self.time_limit, self.enumeration_cap
-        if limit is not None and not (isinstance(limit, numbers.Real) and limit > 0):
+        # bool passes both number checks, and True would run as 1.
+        if limit is not None and (
+            isinstance(limit, bool) or not (isinstance(limit, numbers.Real) and limit > 0)
+        ):
             raise InvalidArgumentError("time_limit must be a positive number when set")
-        if not isinstance(cap, numbers.Integral) or cap < 1:
+        if isinstance(cap, bool) or not isinstance(cap, numbers.Integral) or cap < 1:
             raise InvalidArgumentError("enumeration_cap must be an integer of at least 1")
 
 
@@ -318,39 +324,42 @@ class _Search:
     report only orders, chosen within the slack. The value
     search takes it when _exact_sums holds (self.exact), where every such
     sum is exact, as the layered passes of value.prove_value. Otherwise it
-    keeps apply/undo with O(n) updates of per-item sums per move: the last
-    bits of f depend on the order of the additions and subtractions that
-    led to it, and solve_lop reports f, so only that sequence reproduces it.
+    keeps apply/undo with O(n) updates of per-item sums per move (s_a and
+    s_m, built on first use): the last bits of f depend on the order of
+    the additions and subtractions that led to it, and solve_lop reports
+    f, so only that sequence reproduces it.
 
     Every search stops early one way, by raising _Timeout: the depth-first
     value search (_rec_value) checks the deadline every 256 expanded nodes
     (_tick), the layered passes (value.prove_value and
-    witness.WitnessLayers) before every block of states and when a layer
-    or a pass would hold more than _MAX_STATES states, and the witness's
-    memoized search every 1024 states and past _MAX_STATES >> 3 of them.
+    witness.WitnessLayers) before every block of states, the value passes
+    also when a layer would hold more than _MAX_STATES states, and the
+    witness's memoized search every 1024 states and past _MAX_STATES >> 3
+    of them.
     """
 
     def __init__(self, a: WeightMatrix, deadline: float | None = None):
         n = a.n
-        w = _float_rows(a)
         self.matrix = a
         self.n = n
-        self.w = w
         self.eps = _slack(a)
         self.exact = _exact_sums(a)
         self.deadline = deadline
         self.nodes = 0
         self.pruned = 0
         self._expanded = 0
-        self.pair_max = [
-            [w[i][j] if w[i][j] >= w[j][i] else w[j][i] for j in range(n)]
-            for i in range(n)
-        ]
         # The order the value search tries children in.
         self.child_order = list(range(n))
         self.memo: dict[int, float] = {}
         self.best_val = float("-inf")
         self.best_order: list[int] = []
+        # u at the root: half the fold of s_m. cumsum adds each row of pair
+        # maxima left to right from a leading 0.0, as _fold does; the
+        # diagonal's zero leaves every partial sum of nonnegative weights as
+        # it is.
+        w = a.weights
+        pair_max = np.concatenate([np.zeros((n, 1)), np.maximum(w, w.T)], axis=1)
+        self._root_u = _fold(pair_max.cumsum(axis=1)[:, -1].tolist()) / 2.0
         self.reset()
 
     @functools.cached_property
@@ -360,18 +369,41 @@ class _Search:
         return _split_row_sums(w - np.maximum(w, w.T))
 
     def reset(self) -> None:
-        n = self.n
-        self.in_rem = [True] * n
-        self.rem_mask = (1 << n) - 1
+        """Back to the root, with no item placed and s_a and s_m unbuilt."""
+        self.in_rem = [True] * self.n
+        self.rem_mask = (1 << self.n) - 1
         self.prefix: list[int] = []
-        self.s_a = [
-            _fold(self.w[v][r] for r in range(n) if r != v) for v in range(n)
+        self.f, self.u = 0.0, self._root_u
+        self.__dict__.pop("s_a", None)
+        self.__dict__.pop("s_m", None)
+
+    # The per-item sums and weight lists of the apply/undo moves, built at
+    # the root on first use: only the value search without exact sums,
+    # prefix_upper_bound and the kappa pair search read them.
+
+    @functools.cached_property
+    def w(self) -> list[list[float]]:
+        return _float_rows(self.matrix)
+
+    @functools.cached_property
+    def pair_max(self) -> list[list[float]]:
+        w, n = self.w, self.n
+        return [
+            [w[i][j] if w[i][j] >= w[j][i] else w[j][i] for j in range(n)]
+            for i in range(n)
         ]
-        self.s_m = [
-            _fold(self.pair_max[v][r] for r in range(n) if r != v) for v in range(n)
-        ]
-        self.u = _fold(self.s_m) / 2.0
-        self.f = 0.0
+
+    @functools.cached_property
+    def s_a(self) -> list[float]:
+        """Each unplaced item's weight over the other unplaced items, as folds."""
+        w, n = self.w, self.n
+        return [_fold(w[v][r] for r in range(n) if r != v) for v in range(n)]
+
+    @functools.cached_property
+    def s_m(self) -> list[float]:
+        """Each unplaced item's pair maxima over the other unplaced items, as folds."""
+        pm, n = self.pair_max, self.n
+        return [_fold(pm[v][r] for r in range(n) if r != v) for v in range(n)]
 
     def apply(self, v: int) -> None:
         w = self.w
@@ -1038,12 +1070,13 @@ def prefix_upper_bound(a: WeightMatrix, partial: Sequence[int]) -> float:
     still-undecided pair, so it never falls below the best completion and
     never increases as the prefix grows.
     """
-    n = a.n
-    prefix = [int(p) - 1 for p in partial]
-    if len(set(prefix)) != len(prefix) or any(v < 0 or v >= n for v in prefix):
+    n, partial = a.n, tuple(partial)
+    items = _integral(partial)
+    if items is None or len(set(items)) != len(items) or not all(0 < v <= n for v in items):
         raise MalformedPermutationError(
-            f"prefix must list distinct items in 1..{n}, got {tuple(partial)}"
+            f"prefix must list distinct items in 1..{n}, got {partial}"
         )
+    prefix = [v - 1 for v in items]
     search = _Search(a)
     for v in prefix:
         search.apply(v)
@@ -1263,12 +1296,21 @@ def enumerate_optima(a: WeightMatrix, cfg: SolverConfig | None = None) -> Optima
         UnprovenOptimumError: when the optimal value itself could not be
             proven within the time limit.
     """
+    orders, truncated = _enumerate_orders(a, cfg)
+    rankings = tuple(ranking_from_order(order) for order in orders.tolist())
+    return OptimaSet(rankings=rankings, truncated=truncated)
+
+
+def _enumerate_orders(a: WeightMatrix, cfg: SolverConfig | None) -> tuple[np.ndarray, bool]:
+    """enumerate_optima's orders and truncated flag, as _optimal_orders gives them.
+
+    Raises:
+        UnprovenOptimumError: as enumerate_optima.
+    """
     cfg = cfg or DEFAULT_CONFIG
     deadline = _deadline(cfg)
     k_star = _proven_value(a, deadline)
-    orders, truncated = _optimal_orders(a, k_star, cfg.enumeration_cap, deadline)
-    rankings = tuple(ranking_from_order(order) for order in orders.tolist())
-    return OptimaSet(rankings=rankings, truncated=truncated)
+    return _optimal_orders(a, k_star, cfg.enumeration_cap, deadline)
 
 
 def degree_of_linearity(a: WeightMatrix, cfg: SolverConfig | None = None) -> float:

@@ -700,6 +700,7 @@ class TestDeterminism:
         ("enumerate", "tenths7"),
         ("enumerate", "tournament18"),
         ("enumerate", "hidden20"),
+        ("enumerate", "fractional19"),
         ("kappa", "tenths7"),
         ("kappa", "tournament18"),
         ("kappa", "hidden20"),
@@ -707,6 +708,7 @@ class TestDeterminism:
         ("lop", "coin19"),
         ("lop", "hidden20"),
         ("lop", "tiers24"),
+        ("lop", "tournament18"),
     ],
 )
 def test_fixture_stdout_is_pinned_byte_for_byte(capsys, command, fixture):
@@ -718,11 +720,13 @@ def test_fixture_stdout_is_pinned_byte_for_byte(capsys, command, fixture):
     # table-free witness and its nodes and pruned, from the witness pass
     # for coin19 and hidden20 and from the memoized search for
     # fractional19 and tiers24. tiers24 has over a million optima, so
-    # only its lop output is pinned. The enumerate files pin the optima of
-    # a p = 0.5 tournament at n = 18 (77, walked with the largest table)
-    # and of hidden20 (15, walked without one); the kappa files pin the pair
-    # scan over those optima. The expected files were recorded once and
-    # must not change.
+    # only its lop output is pinned. tournament18's lop file pins the
+    # value passes' nodes and pruned and the table-side witness at n = 18.
+    # The enumerate files pin the optima of a p = 0.5 tournament at n = 18
+    # (77, walked with the largest table), of hidden20 (15, walked without
+    # one) and of fractional19 (1, walked without one on float sums); the
+    # kappa files pin the pair scan over those optima. The expected files
+    # were recorded once and must not change.
     code, out = run_cli(
         capsys, command, "--input", str(DATA_DIR / f"{fixture}.csv"), "--kind", "matrix"
     )

@@ -25,6 +25,7 @@ from rankability.core import (
     reverse_ranking,
 )
 from rankability.errors import (
+    InvalidArgumentError,
     MalformedPermutationError,
     RankabilityError,
     TooManyItemsError,
@@ -94,6 +95,21 @@ class TestSolverConfig:
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
+            SolverConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"time_limit": True},
+            {"time_limit": False},
+            {"enumeration_cap": True},
+            {"enumeration_cap": False},
+        ],
+    )
+    def test_rejects_bools(self, kwargs):
+        # bool is a numbers.Integral: True would run as a 1-second limit or
+        # a cap of 1.
+        with pytest.raises(InvalidArgumentError):
             SolverConfig(**kwargs)
 
     def test_accepts_numpy_numbers(self):
@@ -280,6 +296,31 @@ class TestSearchSums:
         assert search.s_m == folds
         assert search.u == functools.reduce(operator.add, folds) / 2.0
 
+    @pytest.mark.parametrize("n", [2, 5, 11, 23])
+    def test_root_sums_are_the_moves_folds_after_any_moves(self, n):
+        # The root's u is folded in numpy, s_a and s_m in Python on first
+        # use: the bits must agree, and reset restores the root exactly.
+        rng = np.random.default_rng(31 + n)
+        w = _random_weights(rng, n, integral=False) * 10.0 ** rng.uniform(-8, 8)
+        search = lop._Search(WeightMatrix(w))
+        assert "s_a" not in vars(search) and "s_m" not in vars(search)
+        rows, pair_max = w.tolist(), np.maximum(w, w.T).tolist()
+        assert search.u == lop._fold(search.s_m) / 2.0
+        assert search.s_a == [
+            lop._fold(rows[v][r] for r in range(n) if r != v) for v in range(n)
+        ]
+        assert search.s_m == [
+            lop._fold(pair_max[v][r] for r in range(n) if r != v) for v in range(n)
+        ]
+        root = (search.u, list(search.s_a), list(search.s_m))
+        for v in rng.permutation(n)[: n - 1]:
+            search.apply(int(v))
+        for _ in range(n - 1):
+            search.undo()
+        search.reset()
+        assert (search.f, search.rem_mask, search.prefix) == (0.0, (1 << n) - 1, [])
+        assert (search.u, search.s_a, search.s_m) == root
+
 
 class TestPrefixUpperBound:
     def test_empty_prefix_sums_pair_maxima(self, digraphs, college_matrix):
@@ -312,6 +353,13 @@ class TestPrefixUpperBound:
                     best = max(best, objective_value(a, sigma))
                 assert bound >= best - 1e-9
                 previous = bound
+
+    def test_rejects_non_integral_items(self, digraphs):
+        for partial in ([1.7], [1, 2.5], ["1"], [float("nan")], [np.float64(1.5)]):
+            with pytest.raises(MalformedPermutationError):
+                prefix_upper_bound(digraphs[1], partial)
+        expected = prefix_upper_bound(digraphs[1], [1, 2])
+        assert prefix_upper_bound(digraphs[1], [1.0, np.int64(2)]) == expected
 
     def test_rejects_duplicate_or_out_of_range(self, digraphs):
         with pytest.raises(MalformedPermutationError):
@@ -1098,6 +1146,129 @@ class TestWitnessMemo:
         # before it finished a layer.
         (witness,) = witness_passes
         assert witness.layers == []
+
+
+def _coin19() -> WeightMatrix:
+    """A coin tournament with 2 games per pair at n = 19, rng seed 0.
+
+    Many prefixes tie at its optimum: the witness pass holds 68,315 states,
+    up to 17,167 in one layer, over many chunks of states.
+    """
+    return WeightMatrix(_coin_tournament(np.random.default_rng(0), 19, 2))
+
+
+class TestWitnessLinks:
+    """The forward pass links each child once; the backward pass only
+    gathers over the links, with the depth-first search's witness, nodes
+    and pruned.
+    """
+
+    def test_tens_of_thousands_of_states_equal_the_oracle(
+        self, monkeypatch, witness_passes
+    ):
+        a = _coin19()
+        TestWitnessMemo._assert_equals_oracle(monkeypatch, witness_passes, a, "pass")
+        (descent,) = witness_passes
+        assert sum(layer.size for layer in descent.layers) == 68_315
+        assert max(layer.size for layer in descent.layers) > 100 * descent.chunk
+        # Each layer's links: one int32 per item and state.
+        assert [link.shape for link in descent.links] == [
+            (a.n, layer.size) for layer in descent.layers
+        ]
+        assert all(link.dtype == np.int32 for link in descent.links)
+
+    def test_links_carried_over_many_merges_are_the_same(
+        self, monkeypatch, witness_passes
+    ):
+        # With no floor on a merge, a large layer merges many times, and the
+        # links made before its last merge are carried to its final keys.
+        a = _coin19()
+        expected = solve_lop(a)
+        merges = []
+        real_distinct = witness._distinct
+        monkeypatch.setattr(witness, "_MERGE_KEYS", 0)
+        monkeypatch.setattr(
+            witness, "_distinct", lambda x: merges.append(x.size) or real_distinct(x)
+        )
+        res = solve_lop(a)
+        first, second = witness_passes
+        assert len(merges) > 5 * len(second.layers)
+        assert (res.ranking, res.stats.nodes, res.stats.pruned) == (
+            expected.ranking,
+            expected.stats.nodes,
+            expected.stats.pruned,
+        )
+        for old, new in zip(first.layers + first.links, second.layers + second.links):
+            assert np.array_equal(old, new)
+
+    def test_the_byte_cap_gives_way_to_the_memo(self, monkeypatch, witness_passes):
+        # The pass may hold _MAX_STATES * 33 bytes, at 33 + 4n bytes a state.
+        a = _coin19()
+
+        def solve():
+            res = solve_lop(a)
+            return res.ranking, res.stats.nodes, res.stats.pruned, res.proven
+
+        expected = solve()
+        states = sum(layer.size for layer in witness_passes[-1].layers)
+        bytes_per_state = 33 + 4 * a.n
+        cap = -(-states * bytes_per_state // 33)
+        monkeypatch.setattr(witness, "_MAX_STATES", cap)
+        assert solve() == expected
+        descent = witness_passes[-1]
+        assert descent.layers and not descent.memo
+        # Keys, links and results; past its states, each layer's results
+        # hold two entries more.
+        held = [*descent.layers, *descent.links, *itertools.chain(*descent.results)]
+        assert sum(x.nbytes for x in held) == states * bytes_per_state + 34 * (a.n - 1)
+        monkeypatch.setattr(witness, "_MAX_STATES", cap - 1)
+        assert solve() == expected
+        descent = witness_passes[-1]
+        assert descent.layers == [] and descent.links == [] and descent.memo
+
+    def test_traced_peak_at_the_cap_stays_near_the_cap(self, monkeypatch):
+        a = _coin19()
+        search, _, timed_out = lop._value_search(a, None)
+        assert not timed_out
+        nodes, pruned = search.nodes, search.pruned
+        cap = -(-68_315 * (33 + 4 * a.n) // 33)
+        monkeypatch.setattr(witness, "_MAX_STATES", cap)
+        tracemalloc.start()
+        try:
+            order = search.lex_min_witness(search.best_val)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert order is not None and search.nodes > nodes and search.pruned > pruned
+        # 7.45 MB held at the cap; the work arrays and merges add about 5%.
+        assert peak < 1.1 * cap * 33
+
+    def test_a_deadline_inside_the_backward_pass_leaves_the_witness_unproven(
+        self, monkeypatch, witness_passes
+    ):
+        a = WeightMatrix(_hidden_order_tournament(np.random.default_rng(0), 19))
+        expected = solve_lop(a)
+        limit = 10.0
+        offset = [0.0]
+        monkeypatch.setattr(
+            lop, "time", SimpleNamespace(monotonic=lambda: time.monotonic() + offset[0])
+        )
+        real_backward = witness.WitnessLayers._backward
+
+        def backward(self):
+            offset[0] = 2 * limit
+            return real_backward(self)
+
+        monkeypatch.setattr(witness.WitnessLayers, "_backward", backward)
+        res = solve_lop(a, SolverConfig(time_limit=limit))
+        assert not res.proven
+        assert res.optimal_value == expected.optimal_value
+        assert objective_value(a, res.ranking) == res.optimal_value
+        # The forward pass finished; the backward pass stopped at its first
+        # deadline check, and the memo did not start.
+        descent = witness_passes[-1]
+        assert descent.layers and descent.links
+        assert descent.results == [] and not descent.memo
 
 
 def _tiered(n: int, seed, upsets: float = 0.0) -> np.ndarray:

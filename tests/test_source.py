@@ -62,6 +62,9 @@ def test_bad_arguments_raise_one_typed_error():
         lambda: SolverConfig(enumeration_cap=2.0),
         lambda: SolverConfig(enumeration_cap="5"),
         lambda: SolverConfig(time_limit="5"),
+        # bool passes the number checks: True would run as 1.
+        lambda: SolverConfig(time_limit=True),
+        lambda: SolverConfig(enumeration_cap=True),
         lambda: RatingVector(values=[], method="massey"),
         lambda: hindsight_accuracy(games, "regular", sigma, tie_mode="both"),
     ]
