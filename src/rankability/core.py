@@ -9,6 +9,7 @@ weights alone.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -17,6 +18,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     InfeasibleSolutionError,
+    InvalidArgumentError,
     MalformedInputError,
     MalformedPermutationError,
 )
@@ -106,9 +108,13 @@ class WeightMatrix:
         return float(self._weights.sum())
 
     def __getitem__(self, ij: tuple[int, int]) -> float:
-        """1-based entry access: A[i, j] with i, j in 1..n."""
+        """1-based entry access: A[i, j] with i, j in 1..n.
+
+        Raises:
+            InvalidArgumentError: when i or j is not an integer in 1..n.
+        """
         i, j = ij
-        return float(self._weights[i - 1, j - 1])
+        return float(self._weights[_offset(i, self.n), _offset(j, self.n)])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeightMatrix):
@@ -148,8 +154,12 @@ class Ranking:
         return len(self.position)
 
     def rank_of(self, item: int) -> int:
-        """1-based rank of a 1-based item."""
-        return self.position[item - 1]
+        """1-based rank of a 1-based item.
+
+        Raises:
+            InvalidArgumentError: when item is not an integer in 1..n.
+        """
+        return self.position[_offset(item, len(self.position))]
 
     def __lt__(self, other: "Ranking") -> bool:
         # Lexicographic on the order form; used to canonicalize witnesses.
@@ -157,6 +167,16 @@ class Ranking:
 
     def __le__(self, other: "Ranking") -> bool:
         return self.order <= other.order
+
+
+def _offset(index: int, n: int) -> int:
+    """A 1-based index as a 0-based one; InvalidArgumentError unless it is in 1..n.
+
+    Python and numpy would read 0 and negative indexes from the end.
+    """
+    if isinstance(index, numbers.Integral) and 0 < index <= n:
+        return int(index) - 1
+    raise InvalidArgumentError(f"index must be an integer in 1..{n}, got {index!r}")
 
 
 def _integral(values: tuple) -> tuple[int, ...] | None:

@@ -5,21 +5,22 @@ every pair of the enumerated optima, a block of rows of the order array at
 a time (_max_distance_pair). Otherwise it comes from the coupled binary
 program over two linear orders x and y that must both attain the optimal
 objective value, with the concordance indicators z implied by the
-orientation pair rather than branched on. Its
-joint branch and bound grows both orders position by position, so every
-generated orientation set is transitively closed and the 3-dicycle
-constraints hold by construction. A node is pruned when the prefix bound of
-either side drops below the optimal value, or when the pairs not yet ordered
-by both sides cannot lift the discordance past the best distance found.
-The joint search stops through its first side's _Search deadline tick.
-Season reports and the kappa command prove k*, enumerate once and take
-kappa from those same orders, all under one deadline (_solve_with_kappa).
+orientation pair rather than branched on. Its joint branch and bound
+grows both orders position by position, so every generated orientation
+set is transitively closed and the 3-dicycle constraints hold by
+construction. Each side is a prefix in the optima walk's form
+(lop._prefix_form), its children bounded by two lookups in split row
+sums. A node is pruned when the prefix bound of either side drops below
+the optimal value, or when the pairs not yet ordered by both sides cannot
+lift the discordance past the best distance found. The joint search reads
+the deadline every 256 nodes. Season reports and the kappa command prove
+k*, enumerate once and take kappa from those same orders, all under one
+deadline (_solve_with_kappa).
 """
 
 from __future__ import annotations
 
 import time
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,11 +38,11 @@ from .errors import InvalidKStarError, UnprovenOptimumError
 from .lop import (
     DEFAULT_CONFIG,
     SolverConfig,
-    _completion,
+    _check_deadline,
     _deadline,
     _optimal_orders,
+    _prefix_form,
     _proven_value,
-    _Search,
     _slack,
     _Timeout as _LopTimeout,
 )
@@ -122,16 +123,16 @@ def kt_solution_from_rankings(sigma1: Ranking, sigma2: Ranking) -> KtSolution:
 class _PairSearch:
     """Joint search for two maximally distant optimal rankings.
 
-    Both rankings are built position by position in lockstep, so each
-    side's partial solution is a prefix of a linear order and the
-    3-dicycle constraints hold by construction. A side is pruned as soon
-    as its prefix bound falls below the optimal value; the pair is pruned
-    when the not-yet-doubly-decided pairs cannot lift the discordance
-    past the incumbent. Discordance is counted exactly: an item pair is
-    scored at the first moment both rankings have decided its order.
-    The search starts from the pair (sigma0, sigma0) at distance 0. Its
-    one stop signal is the first side's _Search._tick, which raises
-    lop._Timeout out of run once the deadline has passed.
+    Both rankings are built position by position in lockstep, so the
+    3-dicycle constraints hold by construction. Each side is a prefix in
+    the optima walk's form (lop._prefix_form): its unplaced set, one scalar
+    and its items. A child is kept while its bound reaches k* minus the
+    slack, and a leaf counts when its scalar is within the slack of k*. A
+    pair is pruned when its reach, C(n, 2) less the pairs both sides have
+    ordered alike, counted by popcounts of item masks, cannot pass the
+    incumbent; at a leaf the reach is the distance. The search starts from
+    (sigma0, sigma0) at distance 0 and reads the deadline every 256 nodes,
+    raising lop._Timeout out of run once it has passed.
     """
 
     def __init__(
@@ -141,98 +142,73 @@ class _PairSearch:
         sigma0: tuple[int, ...],
         deadline: float | None,
     ):
-        n = a.n
         self.matrix = a
-        self.n = n
         self.eps = _slack(a)
         self.k_star = float(k_star)
-        self.sides = (_Search(a, deadline), _Search(a, deadline))
-        self.pos = ([-1] * n, [-1] * n)
-        self.table: array[float] | None = None
-        self.total_pairs = n * (n - 1) // 2
-        self.counted = 0
-        self.discordant = 0
+        self.deadline = deadline
+        self.nodes = 0
         self.best_kappa = 0
         self.best_pair = (sigma0, sigma0)
-        self.order1 = list(range(n))
-        self.order2 = list(range(n - 1, -1, -1))
-
-    def _bound_ok(self, side_idx: int, v: int) -> bool:
-        s = self.sides[side_idx]
-        target = self.k_star - self.eps
-        if self.table is not None:
-            return s.f + s.s_a[v] + self.table[s.rem_mask ^ (1 << v)] >= target
-        return s.f + s.s_a[v] + s.u - s.s_m[v] >= target
-
-    def _place(self, side_idx: int, v: int) -> tuple[int, int]:
-        """Extend one prefix and score pairs now decided on both sides."""
-        s = self.sides[side_idx]
-        s.apply(v)
-        self.pos[side_idx][v] = len(s.prefix) - 1
-        pos_o = self.pos[1 - side_idx]
-        in_rem_s = s.in_rem
-        o_in_rem = self.sides[1 - side_idx].in_rem
-        cd = 0
-        dd = 0
-        v_placed_other = not o_in_rem[v]
-        pos_ov = pos_o[v]
-        for r in range(self.n):
-            if in_rem_s[r]:
-                if v_placed_other:
-                    cd += 1
-                    if not o_in_rem[r] and pos_o[r] < pos_ov:
-                        dd += 1
-                elif not o_in_rem[r]:
-                    cd += 1
-                    dd += 1
-        self.counted += cd
-        self.discordant += dd
-        return cd, dd
-
-    def _unplace(self, side_idx: int, delta: tuple[int, int]) -> None:
-        self.counted -= delta[0]
-        self.discordant -= delta[1]
-        s = self.sides[side_idx]
-        self.pos[side_idx][s.prefix[-1]] = -1
-        s.undo()
 
     def run(self) -> None:
-        completion = _completion(self.matrix, self.sides[0].deadline)
-        self.table = None if completion is None else completion.table
-        self._rec(True)
+        n = self.matrix.n
+        root, self.rows, self.table = _prefix_form(self.matrix, self.deadline)
+        # below[s][v]: the items side s ranks below v, set as it places v.
+        self.below = ([0] * n, [0] * n)
+        self.prefixes: tuple[list[int], list[int]] = ([], [])
+        # The first side tries its items in ascending order, the second in
+        # descending order.
+        self.descending = self.rows.items[::-1]
+        full = (1 << n) - 1
+        self._rec(full, root, full, root, n * (n - 1) // 2, True)
 
-    def _rec(self, symmetric: bool) -> None:
-        s1, s2 = self.sides
-        s1._tick()
-        if s1.rem_mask == 0:
-            if (
-                self.discordant > self.best_kappa
-                and abs(s1.f - self.k_star) <= self.eps
-                and abs(s2.f - self.k_star) <= self.eps
-            ):
-                self.best_kappa = self.discordant
-                self.best_pair = (
-                    tuple(v + 1 for v in s1.prefix),
-                    tuple(v + 1 for v in s2.prefix),
-                )
+    def _children(self, rem: int, x: float, items: list) -> list:
+        """(v, bit, rem without v, scalar) of each child kept, in the order of items."""
+        rows, table = self.rows, self.table
+        target = self.k_star - self.eps
+        lo, hi = rows.lo, rows.hi
+        low, high = rem & rows.low, rem >> rows.h
+        kept = []
+        for v, bit, at_lo, at_hi in items:
+            if rem & bit:
+                t = rem ^ bit
+                child = x + (lo[at_lo + low] + hi[at_hi + high])
+                if (child if table is None else child + table[t]) >= target:
+                    kept.append((v, bit, t, child))
+        return kept
+
+    def _rec(
+        self, rem1: int, x1: float, rem2: int, x2: float, reach: int, symmetric: bool
+    ) -> None:
+        self.nodes += 1
+        if not self.nodes & 255:
+            _check_deadline(self.deadline)
+        if not rem1:
+            k, eps = self.k_star, self.eps
+            if reach > self.best_kappa and abs(x1 - k) <= eps and abs(x2 - k) <= eps:
+                self.best_kappa = reach
+                self.best_pair = tuple(tuple(v + 1 for v in p) for p in self.prefixes)
             return
-        if self.discordant + (self.total_pairs - self.counted) <= self.best_kappa:
+        if reach <= self.best_kappa:
             return
-        for v1 in self.order1:
-            if not s1.in_rem[v1] or not self._bound_ok(0, v1):
-                continue
-            d1 = self._place(0, v1)
-            for v2 in self.order2:
-                if (
-                    not s2.in_rem[v2]
-                    or (symmetric and v2 < v1)
-                    or not self._bound_ok(1, v2)
-                ):
-                    continue
-                d2 = self._place(1, v2)
-                self._rec(symmetric and v2 == v1)
-                self._unplace(1, d2)
-            self._unplace(0, d1)
+        prefix1, prefix2 = self.prefixes
+        below1, below2 = self.below
+        seconds = self._children(rem2, x2, self.descending)
+        for v1, bit1, t1, y1 in self._children(rem1, x1, self.rows.items):
+            # Once both sides have placed v1, it makes a concordant pair
+            # with each item that both rank below it.
+            below1[v1] = t1
+            reach1 = reach if rem2 & bit1 else reach - (t1 & below2[v1]).bit_count()
+            prefix1.append(v1)
+            for v2, bit2, t2, y2 in seconds:
+                if symmetric and v2 < v1:
+                    break
+                below2[v2] = t2
+                reach2 = reach1 if t1 & bit2 else reach1 - (t2 & below1[v2]).bit_count()
+                prefix2.append(v2)
+                self._rec(t1, y1, t2, y2, reach2, symmetric and v2 == v1)
+                prefix2.pop()
+            prefix1.pop()
 
 
 def _pack_pair_masks(orders: np.ndarray, n: int) -> np.ndarray:

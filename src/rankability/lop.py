@@ -6,18 +6,18 @@ admissible pairwise bound and dominance on the set of unplaced items,
 started from an insertion heuristic's incumbent. Also provides the exact
 subset completion table that the witness, enumeration and pair searches
 share, the table-free witness search above the table budget, enumeration
-of all optimal rankings, and the degree of linearity. The witness search
-and the enumeration keep a prefix as its unplaced set and one scalar, and
-read each child's bound from split row sums in two lookups, for every
-weight type. So does the value proof when every sum of the weights is
-exact, as layered numpy passes over the visits of a depth-first search
-with a dominance memo, with that search's value, order and counts
-(value.prove_value). Only _SplitRows knows how those sums are laid out:
-its one kernel forms the children of numpy arrays of states, and one
-scalar descent (_descend) places the canonical witness's items. For other
-weights the value search is that depth-first search itself, and keeps
-the incremental state with O(n) apply/undo per move, since the value it
-reports is that state's (_Search).
+of all optimal rankings, and the degree of linearity. The witness search,
+the enumeration and the kappa pair search keep a prefix as its unplaced
+set and one scalar, and read each child's bound from split row sums in
+two lookups, for every weight type. So does the value proof when every
+sum of the weights is exact, as layered numpy passes over the visits of a
+depth-first search with a dominance memo, with that search's value, order
+and counts (value.prove_value). Only _SplitRows knows how those sums are
+laid out: its one kernel forms the children of numpy arrays of states, and
+one scalar descent (_descend) places the canonical witness's items. For
+other weights the value search is that depth-first search itself, and
+keeps the incremental state with O(n) apply/undo per move, since the value
+it reports is that state's (_Search).
 
 Above the table budget, the canonical witness reads, for each child it
 tries, the answer of the search for a completion and the nodes and
@@ -319,8 +319,9 @@ class _Search:
     gain row sum, the split row sums of w kept with the table
     (_Completion.gains).
 
-    The witness search takes this form for every weight type, as does the
-    optima walk (_walk_optima) over whole chunks of prefixes, since they
+    The witness search takes this form for every weight type, as do the
+    optima walk (_walk_optima) over whole chunks of prefixes and the kappa
+    joint search (ktdiam._PairSearch), both from _prefix_form, since they
     report only orders, chosen within the slack. The value
     search takes it when _exact_sums holds (self.exact), where every such
     sum is exact, as the layered passes of value.prove_value. Otherwise it
@@ -353,20 +354,13 @@ class _Search:
         self.memo: dict[int, float] = {}
         self.best_val = float("-inf")
         self.best_order: list[int] = []
-        # u at the root: half the fold of s_m. cumsum adds each row of pair
-        # maxima left to right from a leading 0.0, as _fold does; the
-        # diagonal's zero leaves every partial sum of nonnegative weights as
-        # it is.
-        w = a.weights
-        pair_max = np.concatenate([np.zeros((n, 1)), np.maximum(w, w.T)], axis=1)
-        self._root_u = _fold(pair_max.cumsum(axis=1)[:, -1].tolist()) / 2.0
+        self._root_u = _root_bound(a.weights)
         self.reset()
 
     @functools.cached_property
     def drops(self) -> _SplitRows:
-        """Split row sums of w - max(w, w.T), built for the first bound-side search."""
-        w = self.matrix.weights
-        return _split_row_sums(w - np.maximum(w, w.T))
+        """The drop rows (_drop_rows), built for the first bound-side search."""
+        return _drop_rows(self.matrix.weights)
 
     def reset(self) -> None:
         """Back to the root, with no item placed and s_a and s_m unbuilt."""
@@ -378,8 +372,8 @@ class _Search:
         self.__dict__.pop("s_m", None)
 
     # The per-item sums and weight lists of the apply/undo moves, built at
-    # the root on first use: only the value search without exact sums,
-    # prefix_upper_bound and the kappa pair search read them.
+    # the root on first use: only the value search without exact sums and
+    # prefix_upper_bound read them.
 
     @functools.cached_property
     def w(self) -> list[list[float]]:
@@ -530,6 +524,21 @@ class _Search:
             return child + completion.table[t] >= target
 
         return _descend(completion.gains, self.rem_mask, self.f, self.prefix, reaches)
+
+
+def _root_bound(w: np.ndarray) -> float:
+    """u at the root: half the fold of the pair maxima, added as _fold adds.
+
+    cumsum adds each row left to right from a leading 0.0; the diagonal's
+    zero leaves every partial sum of nonnegative weights as it is.
+    """
+    pair_max = np.concatenate([np.zeros((len(w), 1)), np.maximum(w, w.T)], axis=1)
+    return _fold(pair_max.cumsum(axis=1)[:, -1].tolist()) / 2.0
+
+
+def _drop_rows(w: np.ndarray) -> _SplitRows:
+    """Split row sums of w - max(w, w.T), the bound-side searches' rows."""
+    return _split_row_sums(w - np.maximum(w, w.T))
 
 
 def _descend(
@@ -1181,13 +1190,13 @@ def _walk_optima(
     A depth-first walk over chunks of prefixes of one depth, in
     lexicographic order, each prefix a row of its order, its unplaced items
     in ascending order, its unplaced set and its scalar. root and rows are
-    the empty prefix's scalar and rows in the unplaced-set form (_Search):
-    with a table, f and the gain rows, and a child's bound adds the table's
-    entry for the items left after it; without, g = f + u and the drop
-    rows, and a child's scalar is its bound. For the first rows of the top
-    chunk, every child's scalar is its parent's plus two lookups, in numpy
-    operations over a (rows, unplaced items) grid: the additions of the
-    depth-first search over one prefix at a time
+    the empty prefix's scalar and rows in the unplaced-set form
+    (_prefix_form): with a table, f and the gain rows, and a child's bound
+    adds the table's entry for the items left after it; without, g = f + u
+    and the drop rows, and a child's scalar is its bound. For the first rows
+    of the top chunk, every child's scalar is its parent's plus two lookups,
+    in numpy operations over a (rows, unplaced items) grid: the additions of
+    the depth-first search over one prefix at a time
     (tests/oracles.py::enumerate_leaves_loop), in the same order, so the
     same bits. Children whose bound reaches k_star - eps are kept, at the
     last position those within eps of k_star; the grid lists them parent
@@ -1249,6 +1258,19 @@ def _walk_optima(
     return np.concatenate(leaves), False
 
 
+def _prefix_form(a: WeightMatrix, deadline: float | None) -> tuple:
+    """The empty prefix in the unplaced-set form (_Search) as (scalar, rows, table).
+
+    With the completion table: f = 0.0, the gain rows and the table. Above
+    its budget: g = f + u as _Search folds it, the drop rows and None.
+    Raises _Timeout as _completion does.
+    """
+    completion = _completion(a, deadline)
+    if completion is None:
+        return _root_bound(a.weights), _drop_rows(a.weights), None
+    return 0.0, completion.gains, completion.table
+
+
 def _optimal_orders(
     a: WeightMatrix, k_star: float, cap: int, deadline: float | None
 ) -> tuple[np.ndarray, bool]:
@@ -1260,14 +1282,9 @@ def _optimal_orders(
     deadline that has already passed gives no orders and truncated=True.
     """
     try:
-        completion = _completion(a, deadline)
+        root, rows, table = _prefix_form(a, deadline)
     except _Timeout:
         return np.empty((0, a.n), np.int8), True
-    if completion is None:
-        search = _Search(a)
-        root, rows, table = search.f + search.u, search.drops, None
-    else:
-        root, rows, table = 0.0, completion.gains, completion.table
     orders, truncated = _walk_optima(
         root, rows, table, k_star, _slack(a), cap + 1, deadline
     )

@@ -54,6 +54,15 @@ class Stage(str, Enum):
     PLAYOFF = "playoff"
 
 
+def _stage(stage: Stage | str) -> Stage:
+    """stage as a Stage; InvalidArgumentError, naming the stages, if it is none."""
+    try:
+        return Stage(stage)
+    except ValueError:
+        names = ", ".join(repr(s.value) for s in Stage)
+        raise InvalidArgumentError(f"stage must be one of {names}, got {stage!r}") from None
+
+
 @dataclass(frozen=True)
 class GameRecord:
     """One played game; scores are final, equal scores mean a tie."""
@@ -67,7 +76,7 @@ class GameRecord:
     date: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "stage", Stage(self.stage))
+        object.__setattr__(self, "stage", _stage(self.stage))
         if self.team_a == self.team_b:
             raise MalformedInputError(
                 f"a game needs two distinct teams, got {self.team_a!r} twice"
@@ -130,7 +139,7 @@ class GameSet:
             raise MalformedInputError(f"unknown team {team!r}") from None
 
     def games_at(self, stage: Stage | str) -> tuple[GameRecord, ...]:
-        stage = Stage(stage)
+        stage = _stage(stage)
         return tuple(g for g in self.games if g.stage is stage)
 
     def filter_stage(self, stage: Stage | str) -> GameSet:
@@ -207,7 +216,7 @@ def read_games_csv(path, aliases: dict[str, str] | None = None) -> tuple[GameSet
                 name_b = values["team_b"]
                 record = GameRecord(
                     season=int(values["season"]),
-                    stage=Stage(values["stage"].lower()),
+                    stage=values["stage"].lower(),
                     team_a=aliases.get(name_a, name_a),
                     team_b=aliases.get(name_b, name_b),
                     score_a=int(values["score_a"]),
@@ -329,8 +338,9 @@ def build_win_matrix(gs: GameSet, stage: Stage | str) -> WeightMatrix:
 
     Raises:
         EmptyDataError: no games at the stage.
+        InvalidArgumentError: stage names no Stage.
     """
-    stage = Stage(stage)
+    stage = _stage(stage)
     games = gs.games_at(stage)
     if not games:
         raise EmptyDataError(f"no {stage.value} games in the schedule")
@@ -390,6 +400,7 @@ def hindsight_accuracy(
     Raises:
         EmptyDataError: no games at the stage.
         DimensionMismatchError: ranking size differs from team count.
+        InvalidArgumentError: stage names no Stage.
     """
     games = gs.games_at(stage)
     if not games:

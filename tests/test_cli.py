@@ -693,25 +693,34 @@ class TestDeterminism:
         assert json.loads(result.stdout)["proven"] is True
 
 
+# (command, fixture, extra arguments) of each run pinned by a golden file.
+PINNED_RUNS = [
+    ("lop", "tenths7", ()),
+    ("enumerate", "tenths7", ()),
+    ("enumerate", "tournament18", ()),
+    ("enumerate", "hidden20", ()),
+    ("enumerate", "fractional19", ()),
+    ("kappa", "tenths7", ()),
+    ("kappa", "tournament18", ()),
+    ("kappa", "hidden20", ()),
+    ("kappa", "tournament18", ("--cap", "10")),
+    ("lop", "fractional19", ()),
+    ("lop", "coin19", ()),
+    ("lop", "hidden20", ()),
+    ("lop", "tiers24", ()),
+    ("lop", "tournament18", ()),
+]
+
+
+def golden_name(command: str, fixture: str, extra: tuple[str, ...]) -> str:
+    """lop-tenths7, or kappa-tournament18-cap10 with extra ("--cap", "10")."""
+    return f"{command}-{fixture}" + "".join(extra).replace("--", "-")
+
+
 @pytest.mark.parametrize(
-    "command, fixture",
-    [
-        ("lop", "tenths7"),
-        ("enumerate", "tenths7"),
-        ("enumerate", "tournament18"),
-        ("enumerate", "hidden20"),
-        ("enumerate", "fractional19"),
-        ("kappa", "tenths7"),
-        ("kappa", "tournament18"),
-        ("kappa", "hidden20"),
-        ("lop", "fractional19"),
-        ("lop", "coin19"),
-        ("lop", "hidden20"),
-        ("lop", "tiers24"),
-        ("lop", "tournament18"),
-    ],
+    "command, fixture, extra", PINNED_RUNS, ids=[golden_name(*run) for run in PINNED_RUNS]
 )
-def test_fixture_stdout_is_pinned_byte_for_byte(capsys, command, fixture):
+def test_fixture_stdout_is_pinned_byte_for_byte(capsys, command, fixture, extra):
     # tenths7 and fractional19 hold weights whose sums are not exact: the
     # last bits of k_star and of the statistics depend on the order of every
     # addition, so every Python and numpy version must print the same
@@ -725,13 +734,15 @@ def test_fixture_stdout_is_pinned_byte_for_byte(capsys, command, fixture):
     # The enumerate files pin the optima of a p = 0.5 tournament at n = 18
     # (77, walked with the largest table), of hidden20 (15, walked without
     # one) and of fractional19 (1, walked without one on float sums); the
-    # kappa files pin the pair scan over those optima. The expected files
-    # were recorded once and must not change.
+    # kappa files pin the pair scan over those optima, and with a cap of 10
+    # on tournament18's 77 optima the joint branch and bound's pair. The
+    # expected files were recorded once and must not change.
     code, out = run_cli(
-        capsys, command, "--input", str(DATA_DIR / f"{fixture}.csv"), "--kind", "matrix"
+        capsys, command, "--input", str(DATA_DIR / f"{fixture}.csv"), "--kind", "matrix",
+        *extra,
     )
     assert code == 0
-    expected = DATA_DIR / "golden" / f"{command}-{fixture}.json"
+    expected = DATA_DIR / "golden" / f"{golden_name(command, fixture, extra)}.json"
     assert out.encode() == expected.read_bytes()
 
 

@@ -315,19 +315,27 @@ class TestKappaByEnumeration:
     bound alone, whose pair need not be canonical.
     """
 
-    def test_matches_solve_kt_on_random_instances(self):
-        rng = np.random.default_rng(17)
-        for _ in range(30):
-            n = int(rng.integers(3, 8))
-            a = random_half_integer_matrix(rng, n)
-            k_star = solve_lop(a).optimal_value
-            direct = solve_kt(a, k_star)
-            joint = ktdiam._kappa_by_pair_search(a, k_star)
-            assert direct.proven and joint.proven
-            assert direct.kappa == joint.kappa
-            assert kendall_tau_distance(*joint.pair) == joint.kappa
-            for ranking in joint.pair:
-                assert objective_value(a, ranking) == pytest.approx(k_star)
+    def test_matches_solve_kt_on_random_instances(self, monkeypatch):
+        # Weights in halves, whose sums are exact, and in tenths, whose sums
+        # are not; with the completion table and, at a budget of 0 items,
+        # without it, where the joint search bounds by the drop rows.
+        for table_max_n in (lop._TABLE_MAX_N, 0):
+            monkeypatch.setattr(lop, "_TABLE_MAX_N", table_max_n)
+            for step in (2.0, 10.0):
+                rng = np.random.default_rng(17)
+                for _ in range(30):
+                    n = int(rng.integers(3, 8))
+                    weights = rng.integers(0, 11, size=(n, n)) / step
+                    np.fill_diagonal(weights, 0.0)
+                    a = WeightMatrix(weights)
+                    k_star = solve_lop(a).optimal_value
+                    direct = solve_kt(a, k_star)
+                    joint = ktdiam._kappa_by_pair_search(a, k_star)
+                    assert direct.proven and joint.proven
+                    assert direct.kappa == joint.kappa
+                    assert kendall_tau_distance(*joint.pair) == joint.kappa
+                    for ranking in joint.pair:
+                        assert objective_value(a, ranking) == pytest.approx(k_star)
 
     def test_college(self, college_matrix):
         direct = solve_kt(college_matrix, COLLEGE_K_STAR)

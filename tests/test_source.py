@@ -9,10 +9,15 @@ import pytest
 
 import rankability
 from rankability import InvalidArgumentError, RankabilityError
-from rankability.core import ranking_from_order
+from rankability.core import WeightMatrix, ranking_from_order
 from rankability.lop import SolverConfig
 from rankability.rating import RatingVector
-from rankability.sports import GameRecord, game_set_from_records, hindsight_accuracy
+from rankability.sports import (
+    GameRecord,
+    build_win_matrix,
+    game_set_from_records,
+    hindsight_accuracy,
+)
 
 SOURCES = sorted(Path(rankability.__file__).parent.rglob("*.py"))
 
@@ -67,6 +72,22 @@ def test_bad_arguments_raise_one_typed_error():
         lambda: SolverConfig(enumeration_cap=True),
         lambda: RatingVector(values=[], method="massey"),
         lambda: hindsight_accuracy(games, "regular", sigma, tie_mode="both"),
+        # A stage string that names no Stage.
+        lambda: GameRecord(
+            season=2000, stage="bogus", team_a="A", team_b="B", score_a=1, score_b=0
+        ),
+        lambda: games.games_at("bogus"),
+        lambda: build_win_matrix(games, "bogus"),
+        lambda: hindsight_accuracy(games, "bogus", sigma),
+        # 1-based accessors outside 1..n: index 0 would read entry (2, 1)
+        # and item 2's rank, and -1 the last row or item.
+        lambda: WeightMatrix([[0, 1], [2, 0]])[0, 1],
+        lambda: WeightMatrix([[0, 1], [2, 0]])[1, -1],
+        lambda: WeightMatrix([[0, 1], [2, 0]])[3, 1],
+        lambda: WeightMatrix([[0, 1], [2, 0]])[1.0, 2],
+        lambda: sigma.rank_of(0),
+        lambda: sigma.rank_of(-1),
+        lambda: sigma.rank_of(3),
     ]
     for call in calls:
         with pytest.raises(InvalidArgumentError) as info:

@@ -156,7 +156,7 @@ class TestReadGamesCsv:
             "2000,regular,A,B,10,3\n"
             "2000,exhibition,A,B,1,2\n"
         )
-        with pytest.raises(MalformedInputError, match="line 3"):
+        with pytest.raises(MalformedInputError, match="line 3: stage must be one of"):
             read_games_csv(bad)
 
     def test_unparsable_score_reports_line_number(self, tmp_path):
