@@ -626,6 +626,15 @@ class _SplitRows(NamedTuple):
         return child
 
 
+def _item_count(n: int) -> int:
+    """n; TooManyItemsError above _MAX_ITEMS, the most the exact searches take."""
+    if n > _MAX_ITEMS:
+        raise TooManyItemsError(
+            f"the exact searches take at most {_MAX_ITEMS} items, got n={n}"
+        )
+    return n
+
+
 def _split_row_sums(w: np.ndarray) -> _SplitRows:
     r"""w's row sums split at h = floor(n/2), as _SplitRows.
 
@@ -646,11 +655,7 @@ def _split_row_sums(w: np.ndarray) -> _SplitRows:
     Raises:
         TooManyItemsError: above _MAX_ITEMS items, before any allocation.
     """
-    n = w.shape[0]
-    if n > _MAX_ITEMS:
-        raise TooManyItemsError(
-            f"the exact searches take at most {_MAX_ITEMS} items, got n={n}"
-        )
+    n = _item_count(w.shape[0])
     h = n // 2
     halves = []
     for first, part in ((0, w[:, :h]), (h, w[:, h:])):
@@ -1100,7 +1105,11 @@ def _value_search(a: WeightMatrix, deadline: float | None) -> tuple[_Search, flo
     heuristic_ranking returns. Returns the search, whose best_val and
     best_order hold the best value and order found, the heuristic's value,
     and whether the deadline stopped the search before it was exhausted.
+
+    Raises:
+        TooManyItemsError: above _MAX_ITEMS items, before the heuristic.
     """
+    _item_count(a.n)
     heur = heuristic_ranking(a)
     search = _Search(a, deadline)
     heur_order = [v - 1 for v in heur.order]

@@ -4,8 +4,11 @@ Bridges raw game results and the solvers: builds the win matrix with the
 half-point tie convention, measures how well a ranking explains played
 games (hindsight) or predicts playoff games (foresight), and assembles
 per-season reports with optimal, Colley, and Massey rankings side by
-side. A report proves its win matrix's k* once, enumerates the optima
-once and takes kappa from them, all under one time limit.
+side. A GameSet scores its games once, into an outcome table of team
+indexes, score margins and stages; the win matrix, the accuracies and
+the rating systems all read that table. A report proves its win
+matrix's k* once, enumerates the optima once and takes kappa from them,
+all under one time limit.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import Ranking, WeightMatrix, ranking_from_order
+from .core import Ranking, WeightMatrix, _integral, ranking_from_order
 from .errors import (
     DimensionMismatchError,
     EmptyDataError,
@@ -81,6 +84,17 @@ class GameRecord:
             raise MalformedInputError(
                 f"a game needs two distinct teams, got {self.team_a!r} twice"
             )
+        given = (self.season, self.score_a, self.score_b)
+        # Python ints pass as they are, other integral values are stored as
+        # ints. A bool passes as an integer, and True would count as 1.
+        if not type(self.season) is type(self.score_a) is type(self.score_b) is int:
+            values = _integral(given)
+            if values is None or not {bool, np.bool_}.isdisjoint(map(type, given)):
+                raise MalformedInputError(
+                    f"season and scores must be integers, got {given}"
+                )
+            for name, value in zip(("season", "score_a", "score_b"), values):
+                object.__setattr__(self, name, value)
         if self.score_a < 0 or self.score_b < 0:
             raise MalformedInputError(
                 f"scores must be nonnegative, got {self.score_a}:{self.score_b}"
@@ -106,6 +120,11 @@ class GameSet:
     _index: dict[str, int] = field(
         init=False, repr=False, compare=False, hash=False
     )
+    # The outcome table: one row per game, in game order, of team_a's and
+    # team_b's 0-based index, score_a - score_b and 1 for a playoff game.
+    _table: np.ndarray = field(
+        init=False, repr=False, compare=False, hash=False
+    )
 
     def __post_init__(self):
         teams = tuple(self.teams)
@@ -116,16 +135,22 @@ class GameSet:
             raise MalformedInputError(
                 "teams must be unique and in lexicographic order"
             )
-        index = {team: pos + 1 for pos, team in enumerate(teams)}
-        for record in games:
-            for team in (record.team_a, record.team_b):
-                if team not in index:
-                    raise MalformedInputError(
-                        f"game references unknown team {team!r}"
-                    )
+        index = {team: pos for pos, team in enumerate(teams)}
+        try:
+            outcomes = np.array(
+                [(index[g.team_a], index[g.team_b], g.score_a - g.score_b,
+                  g.stage is Stage.PLAYOFF) for g in games],
+                dtype=np.int64,
+            ).reshape(-1, 4)
+        except KeyError as exc:
+            team = exc.args[0]
+            raise MalformedInputError(f"game references unknown team {team!r}") from None
+        except OverflowError:
+            raise MalformedInputError("score margins must fit in 64-bit integers") from None
         object.__setattr__(self, "teams", teams)
         object.__setattr__(self, "games", games)
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_table", outcomes)
 
     @property
     def team_count(self) -> int:
@@ -134,9 +159,21 @@ class GameSet:
     def index(self, team: str) -> int:
         """1-based index of a team in the lexicographic team order."""
         try:
-            return self._index[team]
+            return self._index[team] + 1
         except KeyError:
             raise MalformedInputError(f"unknown team {team!r}") from None
+
+    def _outcomes(self, stage: Stage | str | None = None) -> tuple[np.ndarray, ...]:
+        """team_a's and team_b's 0-based index and score_a - score_b of each
+        game at a stage (by default every game), in game order; EmptyDataError
+        if there is none, InvalidArgumentError if stage names no Stage."""
+        rows, name = self._table, ""
+        if stage is not None:
+            stage = _stage(stage)
+            rows, name = rows[rows[:, 3] == (stage is Stage.PLAYOFF)], f"{stage.value} "
+        if not len(rows):
+            raise EmptyDataError(f"no {name}games in the schedule")
+        return rows[:, 0], rows[:, 1], rows[:, 2]
 
     def games_at(self, stage: Stage | str) -> tuple[GameRecord, ...]:
         stage = _stage(stage)
@@ -340,31 +377,22 @@ def build_win_matrix(gs: GameSet, stage: Stage | str) -> WeightMatrix:
         EmptyDataError: no games at the stage.
         InvalidArgumentError: stage names no Stage.
     """
-    stage = _stage(stage)
-    games = gs.games_at(stage)
-    if not games:
-        raise EmptyDataError(f"no {stage.value} games in the schedule")
+    a, b, margin = gs._outcomes(stage)
     n = gs.team_count
     weights = np.zeros((n, n))
-    for record in games:
-        i = gs.index(record.team_a) - 1
-        j = gs.index(record.team_b) - 1
-        if record.score_a > record.score_b:
-            weights[i, j] += 1.0
-        elif record.score_b > record.score_a:
-            weights[j, i] += 1.0
-        else:
-            weights[i, j] += 0.5
-            weights[j, i] += 0.5
+    # team_a's credit: 1 for a win, 1/2 for a tie and 0 for a loss.
+    credit = 0.5 + 0.5 * np.sign(margin)
+    np.add.at(weights, (a, b), credit)
+    np.add.at(weights, (b, a), 1.0 - credit)
     return WeightMatrix(weights, labels=gs.teams)
 
 
 def _ranking_accuracy(
-    gs: GameSet,
-    games: tuple[GameRecord, ...],
-    sigma: Ranking,
-    tie_mode: str,
+    gs: GameSet, stage: Stage | str, sigma: Ranking, tie_mode: str
 ) -> float:
+    """Share of the stage's games that sigma ranks the winner of first,
+    plus half of its ties under tie_mode "half"."""
+    a, b, margin = gs._outcomes(stage)
     if tie_mode not in _TIE_MODES:
         raise InvalidArgumentError(
             f"tie_mode must be one of {_TIE_MODES}, got {tie_mode!r}"
@@ -373,18 +401,10 @@ def _ranking_accuracy(
         raise DimensionMismatchError(
             f"ranking covers {sigma.n} items, schedule has {gs.team_count} teams"
         )
-    credit = 0.0
-    for record in games:
-        i = gs.index(record.team_a)
-        j = gs.index(record.team_b)
-        if record.tied:
-            if tie_mode == "half":
-                credit += 0.5
-        else:
-            winner, loser = (i, j) if record.score_a > record.score_b else (j, i)
-            if sigma.rank_of(winner) < sigma.rank_of(loser):
-                credit += 1.0
-    return credit / len(games)
+    rank = np.array(sigma.position)
+    explained = np.count_nonzero(np.sign(margin) * (rank[b] - rank[a]) > 0)
+    ties = np.count_nonzero(margin == 0) if tie_mode == "half" else 0
+    return float(explained + 0.5 * ties) / margin.size
 
 
 def hindsight_accuracy(
@@ -402,10 +422,7 @@ def hindsight_accuracy(
         DimensionMismatchError: ranking size differs from team count.
         InvalidArgumentError: stage names no Stage.
     """
-    games = gs.games_at(stage)
-    if not games:
-        raise EmptyDataError(f"no {Stage(stage).value} games to score against")
-    return _ranking_accuracy(gs, games, sigma, tie_mode)
+    return _ranking_accuracy(gs, stage, sigma, tie_mode)
 
 
 def foresight_accuracy(
@@ -417,10 +434,7 @@ def foresight_accuracy(
         EmptyDataError: no playoff games.
         DimensionMismatchError: ranking size differs from team count.
     """
-    games = gs.games_at(Stage.PLAYOFF)
-    if not games:
-        raise EmptyDataError("no playoff games to predict")
-    return _ranking_accuracy(gs, games, sigma, tie_mode)
+    return _ranking_accuracy(gs, Stage.PLAYOFF, sigma, tie_mode)
 
 
 def _pair_foresight(
@@ -555,7 +569,7 @@ def season_report(
         name: hindsight_accuracy(gs, Stage.REGULAR, sigma, tie_mode)
         for name, sigma in rankings.items()
     }
-    if gs.games_at(Stage.PLAYOFF):
+    if gs.game_count(Stage.PLAYOFF):
         foresight = {
             name: foresight_accuracy(gs, sigma, tie_mode)
             for name, sigma in rankings.items()

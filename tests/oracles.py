@@ -4,7 +4,9 @@ The brute-force oracles enumerate all n! permutations, so they are only
 usable for small n (the acceptance suite stays at n <= 8). lop_milp and
 kt_milp solve the paper's binary programs with an outside solver, so they
 check k* and kappa above that. The loop and composition references
-restate a solver route in its plain form.
+restate a solver route in its plain form; the per-game loops restate the
+win matrix, the accuracies and the Colley and Massey systems that the
+sports and rating modules read from a game set's outcome table.
 """
 
 from __future__ import annotations
@@ -602,3 +604,108 @@ def heuristic_ranking_loop(a: WeightMatrix) -> Ranking:
     if order_value_loop(w, reverse) > best_val:
         best_order = reverse
     return ranking_from_order([v + 1 for v in best_order])
+
+
+def _team_indices(gs, record) -> tuple[int, int]:
+    return gs.index(record.team_a) - 1, gs.index(record.team_b) - 1
+
+
+def win_matrix_loop(gs, stage) -> np.ndarray:
+    """sports.build_win_matrix's weights, one game at a time."""
+    n = gs.team_count
+    weights = np.zeros((n, n))
+    for record in gs.games_at(stage):
+        i, j = _team_indices(gs, record)
+        if record.score_a > record.score_b:
+            weights[i, j] += 1.0
+        elif record.score_b > record.score_a:
+            weights[j, i] += 1.0
+        else:
+            weights[i, j] += 0.5
+            weights[j, i] += 0.5
+    return weights
+
+
+def ranking_accuracy_loop(gs, stage, sigma: Ranking, tie_mode: str) -> float:
+    """sports.hindsight_accuracy at a stage, one game at a time."""
+    games = gs.games_at(stage)
+    credit = 0.0
+    for record in games:
+        i = gs.index(record.team_a)
+        j = gs.index(record.team_b)
+        if record.tied:
+            if tie_mode == "half":
+                credit += 0.5
+        else:
+            winner, loser = (i, j) if record.score_a > record.score_b else (j, i)
+            if sigma.rank_of(winner) < sigma.rank_of(loser):
+                credit += 1.0
+    return credit / len(games)
+
+
+def colley_loop(gs) -> np.ndarray:
+    """rating.colley_ratings' values, the system assembled one game at a time."""
+    n = gs.team_count
+    c = 2.0 * np.eye(n)
+    b = np.ones(n)
+    for record in gs.games:
+        i, j = _team_indices(gs, record)
+        c[i, i] += 1.0
+        c[j, j] += 1.0
+        c[i, j] -= 1.0
+        c[j, i] -= 1.0
+        if record.score_a > record.score_b:
+            b[i] += 0.5
+            b[j] -= 0.5
+        elif record.score_b > record.score_a:
+            b[j] += 0.5
+            b[i] -= 0.5
+    return np.linalg.solve(c, b)
+
+
+def _components_loop(n: int, adjacent: np.ndarray) -> list[list[int]]:
+    """Connected components by depth-first search, each in ascending order."""
+    seen = [False] * n
+    components: list[list[int]] = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        stack = [start]
+        seen[start] = True
+        component = []
+        while stack:
+            v = stack.pop()
+            component.append(v)
+            for u in range(n):
+                if not seen[u] and adjacent[v, u]:
+                    seen[u] = True
+                    stack.append(u)
+        components.append(sorted(component))
+    return components
+
+
+def massey_loop(gs) -> tuple[np.ndarray, bool]:
+    """rating.massey_ratings' values and connected flag, the system
+    assembled one game at a time and split by depth-first search."""
+    n = gs.team_count
+    m = np.zeros((n, n))
+    p = np.zeros(n)
+    for record in gs.games:
+        i, j = _team_indices(gs, record)
+        m[i, i] += 1.0
+        m[j, j] += 1.0
+        m[i, j] -= 1.0
+        m[j, i] -= 1.0
+        diff = float(record.score_a - record.score_b)
+        p[i] += diff
+        p[j] -= diff
+    values = np.zeros(n)
+    components = _components_loop(n, m != 0.0)
+    for component in components:
+        idx = np.asarray(component)
+        system = m[np.ix_(idx, idx)].copy()
+        rhs = p[idx].copy()
+        system[-1, :] = 1.0
+        rhs[-1] = 0.0
+        values[idx] = np.linalg.solve(system, rhs)
+    return values, len(components) == 1

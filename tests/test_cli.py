@@ -753,3 +753,16 @@ def test_season_stdout_is_pinned_byte_for_byte(capsys):
     assert code == 0
     expected = DATA_DIR / "golden" / "season-multi_season.json"
     assert out.encode() == expected.read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_ratings_stdout_is_pinned_byte_for_byte(capsys, fmt):
+    # Colley and Massey over several seasons, one of them with a tie: the
+    # shared schedule matrix and both solves. Recorded once and must not
+    # change.
+    code, out = run_cli(
+        capsys, "ratings", "--input", str(DATA_DIR / "multi_season.csv"), "--format", fmt
+    )
+    assert code == 0
+    expected = DATA_DIR / "golden" / f"ratings-multi_season.{fmt}"
+    assert out.encode() == expected.read_bytes()

@@ -1667,6 +1667,22 @@ class TestItemLimit:
         with pytest.raises(TooManyItemsError, match="at most 11 items, got n=12"):
             solve_lop(WeightMatrix(w))
 
+    def test_41_float_items_are_refused_before_any_search(self):
+        # Weights whose sums are not exact once ran the value search until
+        # the time limit, and with none set kept running.
+        w = np.random.default_rng(0).random((41, 41))
+        np.fill_diagonal(w, 0.0)
+        a = WeightMatrix(w)
+        assert not lop._exact_sums(a)
+        for call in (solve_lop, enumerate_optima, degree_of_linearity):
+            start = time.perf_counter()
+            with pytest.raises(TooManyItemsError, match="at most 40 items, got n=41"):
+                call(a)
+            assert time.perf_counter() - start < 1.0
+        # The heuristic and the prefix bound take any n.
+        assert heuristic_ranking(a).n == 41
+        assert prefix_upper_bound(a, [1]) > 0
+
     def test_64_items_are_refused(self):
         # The split row sums would take 64 * 2^32 doubles a half; asking
         # for them once raised a bare MemoryError.

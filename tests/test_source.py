@@ -5,10 +5,11 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rankability
-from rankability import InvalidArgumentError, RankabilityError
+from rankability import InvalidArgumentError, MalformedInputError, RankabilityError
 from rankability.core import WeightMatrix, ranking_from_order
 from rankability.lop import SolverConfig
 from rankability.rating import RatingVector
@@ -94,3 +95,14 @@ def test_bad_arguments_raise_one_typed_error():
             call()
         assert isinstance(info.value, RankabilityError)
         assert isinstance(info.value, ValueError)
+    # A game's season and scores must be integers, as its other fields are
+    # checked, with MalformedInputError: a string score once raised a bare
+    # TypeError, and a string season, a fractional score and a bool were
+    # accepted.
+    cases = (("x", 1), (2000, "3"), (2000, 1.5), (2000, True), (True, 1), (2000, np.True_))
+    for season, score_a in cases:
+        with pytest.raises(MalformedInputError):
+            GameRecord(season, "regular", "A", "B", score_a, 1)
+    record = GameRecord(2000.0, "regular", "A", "B", np.int64(3), 1.0)
+    assert (record.season, record.score_a, record.score_b) == (2000, 3, 1)
+    assert all(type(v) is int for v in (record.season, record.score_a, record.score_b))

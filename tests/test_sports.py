@@ -22,6 +22,7 @@ from rankability.errors import (
     UnprovenOptimumError,
 )
 from rankability.lop import SolverConfig, solve_lop
+from rankability.rating import colley_ratings, massey_ratings
 from rankability.sports import (
     GameRecord,
     GameSet,
@@ -46,7 +47,13 @@ from tests.conftest import (
     DIGRAPH_WEIGHTS,
     random_game_set,
 )
-from tests.oracles import max_hindsight
+from tests.oracles import (
+    colley_loop,
+    massey_loop,
+    max_hindsight,
+    ranking_accuracy_loop,
+    win_matrix_loop,
+)
 
 
 def _game(team_a, team_b, score_a, score_b, stage="regular", season=2000):
@@ -116,6 +123,12 @@ class TestGameSet:
     def test_empty_records_rejected(self):
         with pytest.raises(EmptyDataError):
             game_set_from_records([])
+
+    def test_margin_beyond_64_bits_rejected(self):
+        # The outcome table holds score_a - score_b as a 64-bit integer.
+        game_set_from_records([_game("A", "B", 2**63 - 1, 0)])
+        with pytest.raises(MalformedInputError, match="64-bit"):
+            game_set_from_records([_game("A", "B", 2**63, 0)])
 
 
 class TestReadGamesCsv:
@@ -252,6 +265,68 @@ class TestReadFeatureTable:
         path.write_text("item,f1\nA,1\n")
         with pytest.raises(EmptyDataError):
             read_feature_table(path)
+
+
+def _random_schedule(rng: np.random.Generator) -> tuple[GameSet, bool]:
+    """A random schedule over T01..Tnn and whether it holds idle teams.
+
+    Teams fall into one to three groups that never meet, so the schedule
+    is often disconnected, and a team alone in its group or drawn idle
+    plays no game. A quarter of the games are ties and a third are
+    playoff games.
+    """
+    n = int(rng.integers(2, 12))
+    group = rng.integers(0, rng.integers(1, 4), size=n)
+    group[rng.random(n) < 0.15] = -1
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j and group[i] == group[j] >= 0]
+    if not pairs:
+        group[:2], pairs = 0, [(0, 1)]
+    records = []
+    for k in rng.integers(0, len(pairs), size=int(rng.integers(1, 40))):
+        i, j = pairs[k]
+        score_a = int(rng.integers(0, 30))
+        score_b = score_a if rng.random() < 0.25 else int(rng.integers(0, 30))
+        stage = "playoff" if rng.random() < 1 / 3 else "regular"
+        records.append(_game(f"T{i + 1:02d}", f"T{j + 1:02d}", score_a, score_b, stage))
+    played = {t for r in records for t in (r.team_a, r.team_b)}
+    teams = tuple(f"T{t + 1:02d}" for t in range(n))
+    return GameSet(teams=teams, games=tuple(records)), len(played) < n
+
+
+class TestOutcomeTableAgainstLoops:
+    """The outcome table's consumers equal the per-game reference loops
+    bit for bit: every sum is of integers or halves, so the order of the
+    additions cannot change a bit."""
+
+    def test_random_schedules(self):
+        rng = np.random.default_rng(24)
+        seen = {"tie": 0, "idle": 0, "disconnected": 0, "playoff": 0}
+        for _ in range(300):
+            gs, idle = _random_schedule(rng)
+            seen["idle"] += idle
+            seen["tie"] += gs.tie_count() > 0
+            seen["playoff"] += gs.game_count(Stage.PLAYOFF) > 0
+            for stage in Stage:
+                if not gs.game_count(stage):
+                    continue
+                weights = build_win_matrix(gs, stage).weights
+                assert weights.tobytes() == win_matrix_loop(gs, stage).tobytes()
+                sigma = ranking_from_order(rng.permutation(gs.team_count) + 1)
+                for tie_mode in ("half", "strict"):
+                    accuracy = hindsight_accuracy(gs, stage, sigma, tie_mode)
+                    assert type(accuracy) is float
+                    assert accuracy == ranking_accuracy_loop(gs, stage, sigma, tie_mode)
+                    if stage is Stage.PLAYOFF:
+                        assert foresight_accuracy(gs, sigma, tie_mode) == accuracy
+            colley = colley_ratings(gs)
+            assert colley.values.tobytes() == colley_loop(gs).tobytes()
+            assert colley.connected
+            massey = massey_ratings(gs)
+            values, connected = massey_loop(gs)
+            assert massey.values.tobytes() == values.tobytes()
+            assert massey.connected is connected
+            seen["disconnected"] += not connected
+        assert min(seen.values()) >= 30 and seen["disconnected"] <= 270, seen
 
 
 class TestBuildWinMatrix:
