@@ -447,8 +447,35 @@ def read_matrix_csv(path) -> WeightMatrix:
         raise MalformedInputError(f"{path}: {exc}") from None
 
 
+def _label_reads_back(label: str, first: bool) -> bool:
+    """Whether read_matrix_csv reads label back as it is from a labels line.
+
+    The reader splits the line at commas, strips each name and drops an
+    empty first one; a line break would end the line, and a lone surrogate
+    has no UTF-8 encoding.
+    """
+    return (
+        label == label.strip()
+        and not any(c in ",\n\r" or "\ud800" <= c <= "\udfff" for c in label)
+        and not (first and label == "")
+    )
+
+
 def write_matrix_csv(a: WeightMatrix, path) -> None:
-    """Write a weight matrix in the CSV format accepted by read_matrix_csv."""
+    """Write a weight matrix in the CSV format accepted by read_matrix_csv.
+
+    Raises:
+        InvalidArgumentError: naming the first label that read_matrix_csv
+            would not read back as it is, before the file is opened.
+    """
+    for pos, label in enumerate(a.labels or ()):
+        if not _label_reads_back(label, pos == 0):
+            raise InvalidArgumentError(
+                f"label {pos + 1} ({label!r}) would not read back from a matrix"
+                " CSV: a label holds no comma, line break or lone surrogate and"
+                " does not start or end with whitespace, and the first is not"
+                " empty"
+            )
     with open(path, "w", encoding="utf-8") as fh:
         if a.labels is not None:
             fh.write("labels:" + ",".join(a.labels) + "\n")

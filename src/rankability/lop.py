@@ -32,9 +32,9 @@ at its budget and that search itself answers, memoized on the state.
 The heuristic (heuristic_ranking) runs its 17 starts together as numpy
 arrays: one greedy insertion pass, then insertion local search steps that
 each read a window of every start's positions and move each start's first
-gaining item. Every sum it compares is a cumsum over the terms the scalar
-loops add, in their order, with masked terms exactly 0.0, so its orders
-and values are those loops' bit for bit.
+gaining item. Every sum it compares is a cumsum or a fold over the terms
+the scalar loops add, in their order, with masked terms exactly 0.0, so its
+orders and values are those loops' bit for bit.
 
 The completion table is a subset dynamic program read as a grid, a set's
 high items picking the row and its low items the column; it is filled one
@@ -122,11 +122,13 @@ _HEURISTIC_RESTARTS = 16
 _HEURISTIC_SEED = 0
 
 # Positions of each start that one batched step of the heuristic reads
-# (_local_search_batch); at n <= 16 a step reads a whole pass. A
-# smaller window reads fewer positions after a move and a larger one takes
-# fewer steps: on a 2-vCPU x86-64 host 16 ran about as fast as whole passes
-# at n = 14 to 22, and on a uniform n = 200 matrix took 0.8 s of CPU where
-# whole passes took 7.3 s and the scalar loops 3.2 s.
+# (_local_search_batch) above _MAX_ITEMS; up to _MAX_ITEMS a step reads a
+# whole pass. A smaller window reads fewer positions after a move and a
+# larger one takes fewer steps: on a 2-vCPU x86-64 host whole passes took
+# about 5% less time than windows of 16 over the benchmark's 160 bnb-large
+# inputs (n = 19 to 22; 0.34 s against 0.36 s, medians of 10 alternating
+# runs), while on a uniform n = 200 matrix windows of 16 took 0.8 s of CPU
+# where whole passes took 7.3 s and the scalar loops 3.2 s.
 _HEURISTIC_WINDOW = 16
 
 # The heuristic runs its starts in chunks, at least one start each, whose
@@ -953,17 +955,21 @@ def _local_search_batch(
     window), item v at position i reading u = order[q] for every q:
 
     - current, the weight v gains in place: w[u, v] over q < i plus
-      w[v, u] over q > i, each folded from 0 by its own cumsum over the
-      terms with the others masked to 0.0;
-    - the insertion gains: one cumsum over w[v, u] for every q (0.0 at
-      q = i), then w[u, v] - w[v, u] for every q (0.0 at q = i).
+      w[v, u] over q > i, each folded over q with the other terms masked
+      to 0.0;
+    - the insertion gains: the fold of w[v, u] over every q (0.0 at
+      q = i), then its prefix sums with w[u, v] - w[v, u] for every q
+      (0.0 at q = i).
 
-    cumsum adds left to right and adding 0.0 changes no sum (-0.0 aside,
-    which compares equal), so these are the scalar loop's sums bit for bit
-    and every comparison decides alike. A slot is a mover when some gain
-    beats current by more than slack; the first mover of each order is
-    checked by the record rule (_first_move) and moved, and positions
-    after it are read again from the changed order in the next step.
+    Each fold is np.add.reduce over an axis other than the last of a
+    C-contiguous array, which adds the terms in index order, and each
+    prefix sum a cumsum, which adds left to right; adding 0.0 changes no
+    sum (-0.0 aside, which compares equal), so these are the scalar loop's
+    sums bit for bit and every comparison decides alike. A slot is a mover
+    when some gain beats current by more than slack; the first mover of
+    each order is checked by the record rule (_first_move) and moved, and
+    positions after it are read again from the changed order in the next
+    step.
     """
     count, n = orders.shape
     scan = [0] * count
@@ -989,11 +995,15 @@ def _local_search_batch(
         # parts[0] = w[u, v] above v and parts[1] = w[v, u] below it.
         parts = sides.take(at, axis=2, mode="clip")
         parts *= seq.reshape(2, n, size, window)[::-1]
-        np.cumsum(parts, axis=1, out=parts)
-        current = parts[0, -1] + parts[1, -1]
+        folds = np.add.reduce(parts, axis=1)
+        current = folds[0] + folds[1]
+        # deltas[0] is the fold of seq[:n], and deltas[p] adds the first p
+        # differences to it.
+        fold = np.add.reduce(seq[:n], axis=0)
         np.subtract(seq[n:], seq[:n], out=seq[n:])
-        np.cumsum(seq, axis=0, out=seq)
         deltas = seq[n - 1 :]
+        deltas[0] = fold
+        np.cumsum(deltas, axis=0, out=deltas)
         movers = (deltas.max(axis=0) > current + slack).tolist()
         current = current.tolist()
         still = []
@@ -1026,34 +1036,46 @@ def _local_search_batch(
         active = still
 
 
+@functools.lru_cache(maxsize=16)
+def _random_starts(n: int, restarts: int) -> np.ndarray:
+    """The heuristic's random orders of 0..n-1, read-only, one row each.
+
+    The rows are the first restarts permutation(n) draws of a generator
+    seeded with _HEURISTIC_SEED, drawn once per n and restarts.
+    """
+    rng = np.random.default_rng(_HEURISTIC_SEED)
+    starts = np.array([rng.permutation(n) for _ in range(restarts)], dtype=np.int64)
+    starts = starts.reshape(restarts, n)
+    starts.flags.writeable = False
+    return starts
+
+
 def heuristic_ranking(a: WeightMatrix) -> Ranking:
     """Strong feasible ranking: greedy insertion plus insertion local search.
 
     Runs from the net-wins order and _HEURISTIC_RESTARTS random orders from
-    a fixed seed, so it is deterministic. The returned ranking's objective
-    is at least total_sum(a) / 2, by taking the better of the final order
-    and its reverse.
+    a fixed seed (_random_starts), so it is deterministic. The returned
+    ranking's objective is at least total_sum(a) / 2, by taking the better
+    of the final order and its reverse.
 
     All starts run together as numpy arrays, in chunks whose arrays stay
     within _HEURISTIC_CHUNK_BYTES: one greedy pass (_greedy_batch),
     one batched local search (_local_search_batch) and one fold of
-    their objectives (_order_values). Every sum is formed by cumsum from
-    the same terms, in the same order, as the scalar loops of
-    tests/oracles.py::heuristic_ranking_loop form it, so the orders and
-    their values are those loops' bit for bit, at every weight scale.
+    their objectives (_order_values). Every sum is formed by cumsum or by
+    a fold in index order from the same terms, in the same order, as the
+    scalar loops of tests/oracles.py::heuristic_ranking_loop form it, so
+    the orders and their values are those loops' bit for bit, at every
+    weight scale.
     """
     n = a.n
     w = a.weights
     slack = _slack(a)
     # Row and column sums, folded left to right.
     net = (np.cumsum(w, axis=1)[:, -1] - np.cumsum(w, axis=0)[-1]).tolist()
-    rng = np.random.default_rng(_HEURISTIC_SEED)
-    starts = np.array(
-        [sorted(range(n), key=lambda v: (-net[v], v))]
-        + [rng.permutation(n) for _ in range(_HEURISTIC_RESTARTS)]
-    )
+    net_wins = sorted(range(n), key=lambda v: (-net[v], v))
+    starts = np.vstack([net_wins, _random_starts(n, _HEURISTIC_RESTARTS)])
     ww = np.stack([w.ravel(), w.T.ravel()])
-    window = min(n, _HEURISTIC_WINDOW)
+    window = n if n <= _MAX_ITEMS else _HEURISTIC_WINDOW
     per_start = 8 * max(_STEP_ARRAYS * n * window, _VALUE_ARRAYS * n * (n - 1) // 2)
     chunk = max(1, _HEURISTIC_CHUNK_BYTES // per_start)
     # Every order is worth at least 0, so the first start always replaces

@@ -17,6 +17,7 @@ import csv
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from itertools import compress
 
 import numpy as np
 
@@ -180,8 +181,19 @@ class GameSet:
         return tuple(g for g in self.games if g.stage is stage)
 
     def filter_stage(self, stage: Stage | str) -> GameSet:
-        """Same teams and indices, games restricted to one stage."""
-        return GameSet(teams=self.teams, games=self.games_at(stage))
+        """Same teams and indices, games restricted to one stage.
+
+        This set's games were checked when it was built, so the stage's set
+        shares its team index and takes the stage's rows of its outcome
+        table instead of checking and scoring the games again.
+        """
+        keep = self._table[:, 3] == (_stage(stage) is Stage.PLAYOFF)
+        sub = object.__new__(GameSet)
+        object.__setattr__(sub, "teams", self.teams)
+        object.__setattr__(sub, "games", tuple(compress(self.games, keep.tolist())))
+        object.__setattr__(sub, "_index", self._index)
+        object.__setattr__(sub, "_table", self._table[keep])
+        return sub
 
     def game_count(self, stage: Stage | str | None = None) -> int:
         return len(self.games if stage is None else self.games_at(stage))

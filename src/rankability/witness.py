@@ -17,10 +17,12 @@ from .lop import _MAX_STATES, _check_deadline, _descend, _Search, _Timeout
 
 # The witness pass takes a layer's states a chunk at a time, so that each
 # work array of one entry per state and item stays within this many bytes,
-# at 8 bytes an entry; a chunk holds about three such arrays at once. On the
-# benchmark's bnb-large inputs (n = 19-22), 64 KiB chunks ran about 5%
-# faster but raised the run's peak RSS by 0.2-0.3 MB.
-_CHUNK_BYTES = 1 << 14
+# at 8 bytes an entry; a chunk holds about three such arrays at once. On a
+# 2-vCPU x86-64 host, solve_lop over the benchmark's 160 bnb-large inputs
+# (n = 19-22) took 0.96 s with 64 KiB chunks against 1.05 s with 16 KiB
+# (medians of 6 alternating runs), and the bnb-large run's peak RSS went
+# from 40.96 to 41.22 MB (medians of 10, with the heuristic's changes).
+_CHUNK_BYTES = 1 << 16
 
 # The forward pass merges a layer's new children into its keys once they
 # outnumber both the keys so far and this many (1 MiB): each key is sorted

@@ -707,6 +707,7 @@ PINNED_RUNS = [
     ("lop", "fractional19", ()),
     ("lop", "coin19", ()),
     ("lop", "hidden20", ()),
+    ("lop", "hidden32", ()),
     ("lop", "tiers24", ()),
     ("lop", "tournament18", ()),
 ]
@@ -728,8 +729,10 @@ def test_fixture_stdout_is_pinned_byte_for_byte(capsys, command, fixture, extra)
     # tiers24 are exact and above the table budget: their files pin the
     # table-free witness and its nodes and pruned, from the witness pass
     # for coin19 and hidden20 and from the memoized search for
-    # fractional19 and tiers24. tiers24 has over a million optima, so
-    # only its lop output is pinned. tournament18's lop file pins the
+    # fractional19 and tiers24. hidden32 (a hidden-order tournament, rng
+    # seed 1) pins the heuristic's whole-order steps at n = 32, with the
+    # value passes and the witness pass. tiers24 has over a million optima,
+    # so only its lop output is pinned. tournament18's lop file pins the
     # value passes' nodes and pruned and the table-side witness at n = 18.
     # The enumerate files pin the optima of a p = 0.5 tournament at n = 18
     # (77, walked with the largest table), of hidden20 (15, walked without

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +35,7 @@ from rankability.core import (
 from rankability.errors import (
     DimensionMismatchError,
     InfeasibleSolutionError,
+    InvalidArgumentError,
     MalformedInputError,
     MalformedPermutationError,
 )
@@ -342,6 +346,66 @@ class TestMatrixCsv:
         path = tmp_path / "m.csv"
         write_matrix_csv(a, path)
         assert read_matrix_csv(path) == a
+
+    @pytest.mark.parametrize(
+        "labels, bad",
+        [
+            (("y", "a,b"), 2),
+            (("y", "a\nb"), 2),
+            (("y", "a\rb"), 2),
+            (("y", " x"), 2),
+            (("y", "x\t"), 2),
+            (("y", "\ud800"), 2),
+            (("", "y"), 1),
+        ],
+    )
+    def test_a_label_that_would_not_read_back_is_refused(self, tmp_path, labels, bad):
+        path = tmp_path / "m.csv"
+        a = WeightMatrix([[0, 1], [2, 0]], labels)
+        named = re.escape(f"label {bad} ({labels[bad - 1]!r})")
+        with pytest.raises(InvalidArgumentError, match=named):
+            write_matrix_csv(a, path)
+        assert not path.exists()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(2, 5).flatmap(
+            lambda n: st.tuples(
+                st.lists(
+                    st.text(
+                        st.one_of(
+                            st.characters(),
+                            st.sampled_from(",\n\r \t\x0b\x1c\x85\u2028\ufeff\ud800"),
+                        ),
+                        max_size=4,
+                    ),
+                    min_size=n,
+                    max_size=n,
+                ),
+                st.lists(
+                    st.lists(st.floats(0.0, 1e300), min_size=n, max_size=n),
+                    min_size=n,
+                    max_size=n,
+                ),
+            )
+        )
+    )
+    def test_written_labels_and_weights_read_back_or_the_writer_raises(self, case):
+        labels, rows = case
+        w = np.array(rows)
+        np.fill_diagonal(w, 0.0)
+        # Divided by the entry count, twice the total stays finite.
+        a = WeightMatrix(w / w.size, labels)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.csv"
+            try:
+                write_matrix_csv(a, path)
+            except InvalidArgumentError:
+                assert not path.exists()
+                return
+            back = read_matrix_csv(path)
+        assert back.labels == a.labels
+        assert np.array_equal(back.weights, a.weights)
 
     def test_rejects_ragged_rows(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rankability.core import (
@@ -204,12 +204,16 @@ class TestHeuristic:
         a = random_half_integer_matrix(rng, 8)
         assert heuristic_ranking(a) == heuristic_ranking(a)
 
+    # n = 40 and 41 lie on either side of the step window's rule: whole
+    # passes up to lop._MAX_ITEMS, windows of lop._HEURISTIC_WINDOW above.
     @settings(max_examples=40, deadline=None)
     @given(
         n=st.integers(2, 25),
         seed=st.integers(0, 2**32 - 1),
         restarts=st.sampled_from((0, lop._HEURISTIC_RESTARTS)),
     )
+    @example(n=40, seed=1, restarts=lop._HEURISTIC_RESTARTS)
+    @example(n=41, seed=1, restarts=lop._HEURISTIC_RESTARTS)
     def test_batched_passes_match_the_loops_on_half_integral_weights(
         self, n, seed, restarts
     ):
@@ -224,6 +228,10 @@ class TestHeuristic:
         seed=st.integers(0, 2**32 - 1),
         restarts=st.sampled_from((0, lop._HEURISTIC_RESTARTS)),
     )
+    @example(family="uniform", n=40, exponent=0, seed=2, restarts=16)
+    @example(family="uniform", n=41, exponent=0, seed=2, restarts=16)
+    @example(family="noisy-integer", n=40, exponent=6, seed=3, restarts=16)
+    @example(family="tenths", n=41, exponent=12, seed=4, restarts=16)
     def test_batched_passes_match_the_loops_at_every_weight_scale(
         self, family, n, exponent, seed, restarts
     ):
@@ -233,7 +241,7 @@ class TestHeuristic:
 
     @pytest.mark.parametrize("restarts", [0, lop._HEURISTIC_RESTARTS])
     @pytest.mark.parametrize("weight", [0.0, 1.0, 0.1])
-    @pytest.mark.parametrize("n", [2, 7, 20])
+    @pytest.mark.parametrize("n", [2, 7, 20, 40, 41])
     def test_batched_passes_match_the_loops_on_constant_weights(
         self, n, weight, restarts
     ):
@@ -242,6 +250,46 @@ class TestHeuristic:
         w = np.full((n, n), weight)
         np.fill_diagonal(w, 0.0)
         _assert_heuristic_matches_loops(w, restarts)
+
+    @pytest.mark.parametrize(
+        "n, size, window", [(2, 1, 2), (25, 1, 25), (40, 17, 40), (41, 3, 16)]
+    )
+    def test_step_folds_add_in_index_order(self, n, size, window):
+        # _local_search_batch folds its (2, n, size, window) terms over n,
+        # and n rows of (size, window) terms, with np.add.reduce; both must
+        # add in index order, as cumsum and the scalar loops do. Terms of
+        # 17 orders of magnitude make any other order round differently.
+        rng = np.random.default_rng(n)
+        shape = (2, n, size, window)
+        x = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+        assert np.array_equal(np.add.reduce(x, axis=1), np.cumsum(x, axis=1)[:, -1])
+        assert np.array_equal(np.add.reduce(x[0], axis=0), np.cumsum(x[0], axis=0)[-1])
+
+    @pytest.mark.parametrize("restarts", [0, lop._HEURISTIC_RESTARTS])
+    def test_random_starts_are_the_seeded_draws(self, restarts):
+        for n in range(2, 61):
+            rng = np.random.default_rng(lop._HEURISTIC_SEED)
+            expected = [rng.permutation(n) for _ in range(restarts)]
+            starts = lop._random_starts(n, restarts)
+            assert starts.shape == (restarts, n) and starts.dtype == np.int64
+            assert np.array_equal(starts, np.reshape(expected, (restarts, n)))
+            assert not starts.flags.writeable
+
+    def test_random_starts_follow_the_restarts_at_call_time(self, monkeypatch):
+        # The starts are cached per (n, restarts), so a count patched after
+        # an earlier call with another count must still be read.
+        a = random_half_integer_matrix(np.random.default_rng(4), 9)
+        seen = []
+        real = lop._greedy_batch
+        monkeypatch.setattr(
+            lop, "_greedy_batch", lambda ww, items: seen.append(items) or real(ww, items)
+        )
+        for restarts in (3, lop._HEURISTIC_RESTARTS, 0, 3):
+            monkeypatch.setattr(lop, "_HEURISTIC_RESTARTS", restarts)
+            heuristic_ranking(a)
+            starts = seen.pop()
+            assert not seen and len(starts) == 1 + restarts
+            assert np.array_equal(starts[1:], lop._random_starts(a.n, restarts))
 
     def test_traced_peak_stays_within_the_chunk_bytes_at_n_200(self):
         # At n = 200 the 17 starts run in chunks of 8, 8 and 1. Outside the
@@ -1002,6 +1050,14 @@ def _hidden_order_tournament(rng: np.random.Generator, n: int) -> np.ndarray:
     return a
 
 
+def test_hidden32_is_the_seeded_hidden_order_tournament():
+    # tests/data/hidden32.csv, whose lop stdout a golden file pins: the
+    # heuristic steps over whole orders at n = 32, between the sizes of the
+    # other golden files and lop._MAX_ITEMS.
+    w = _hidden_order_tournament(np.random.default_rng(1), 32)
+    assert np.array_equal(read_matrix_csv(DATA_DIR / "hidden32.csv").weights, w)
+
+
 def _hidden_order_games(rng: np.random.Generator, n: int) -> np.ndarray:
     """Win matrix of one round robin with ties (half a point each way)."""
     order = rng.permutation(n)
@@ -1166,6 +1222,8 @@ class TestWitnessLinks:
     def test_tens_of_thousands_of_states_equal_the_oracle(
         self, monkeypatch, witness_passes
     ):
+        # 16 KiB chunks, so that the largest layer spans over 100 of them.
+        monkeypatch.setattr(witness, "_CHUNK_BYTES", 1 << 14)
         a = _coin19()
         TestWitnessMemo._assert_equals_oracle(monkeypatch, witness_passes, a, "pass")
         (descent,) = witness_passes
@@ -1180,8 +1238,10 @@ class TestWitnessLinks:
     def test_links_carried_over_many_merges_are_the_same(
         self, monkeypatch, witness_passes
     ):
-        # With no floor on a merge, a large layer merges many times, and the
-        # links made before its last merge are carried to its final keys.
+        # With no floor on a merge and 16 KiB chunks, a large layer merges
+        # many times, and the links made before its last merge are carried
+        # to its final keys.
+        monkeypatch.setattr(witness, "_CHUNK_BYTES", 1 << 14)
         a = _coin19()
         expected = solve_lop(a)
         merges = []

@@ -113,6 +113,19 @@ class TestGameSet:
         assert regular.game_count() == 1
         assert games.game_count(Stage.PLAYOFF) == 1
 
+    @pytest.mark.parametrize("stage", list(Stage))
+    def test_filter_stage_equals_a_set_built_from_the_stage_games(self, stage):
+        seasons = read_games_csv(DATA_DIR / "multi_season.csv")
+        assert any(gs.game_count(Stage.PLAYOFF) for gs in seasons)
+        for gs in seasons:
+            stage_set = gs.filter_stage(stage.value)
+            built = GameSet(gs.teams, gs.games_at(stage))
+            for name in ("teams", "games", "_index"):
+                assert getattr(stage_set, name) == getattr(built, name)
+            assert stage_set._table.dtype == built._table.dtype
+            assert stage_set._table.shape == built._table.shape
+            assert np.array_equal(stage_set._table, built._table)
+
     def test_tie_count(self):
         games = game_set_from_records(
             [_game("A", "B", 1, 1), _game("A", "B", 2, 0)]
