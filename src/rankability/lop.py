@@ -122,13 +122,19 @@ _HEURISTIC_RESTARTS = 16
 _HEURISTIC_SEED = 0
 
 # Positions of each start that one batched step of the heuristic reads
-# (_local_search_batch) above _MAX_ITEMS; up to _MAX_ITEMS a step reads a
-# whole pass. A smaller window reads fewer positions after a move and a
-# larger one takes fewer steps: on a 2-vCPU x86-64 host whole passes took
-# about 5% less time than windows of 16 over the benchmark's 160 bnb-large
-# inputs (n = 19 to 22; 0.34 s against 0.36 s, medians of 10 alternating
-# runs), while on a uniform n = 200 matrix windows of 16 took 0.8 s of CPU
-# where whole passes took 7.3 s and the scalar loops 3.2 s.
+# (_local_search_batch): a whole pass up to _HEURISTIC_WHOLE_PASS items,
+# _HEURISTIC_WINDOW above. A smaller window reads fewer positions after a
+# move and a larger one takes fewer steps. On a 2-vCPU x86-64 host, CPU
+# time of 12 hidden-order tournaments per size (p = 0.93, as bnb-large),
+# whole passes against windows of 16, medians of 11 alternating runs: at
+# n = 19 0.022 s against 0.024 s, n = 22 0.029 against 0.031, n = 25 0.033
+# against 0.037, n = 30 0.052 against 0.048, n = 40 0.090 against 0.069;
+# over the 160 bnb-large inputs (n = 19 to 22) 0.34 s against 0.36 s. On
+# uniform integer matrices windows of 16 were ahead from n = 22 (3% there,
+# 38% at n = 40), and windows of 22 took 0.49 s against 0.36 s at n = 100;
+# on a uniform n = 200 matrix windows of 16 took 0.8 s of CPU where whole
+# passes took 7.3 s and the scalar loops 3.2 s.
+_HEURISTIC_WHOLE_PASS = 22
 _HEURISTIC_WINDOW = 16
 
 # The heuristic runs its starts in chunks, at least one start each, whose
@@ -1075,7 +1081,7 @@ def heuristic_ranking(a: WeightMatrix) -> Ranking:
     net_wins = sorted(range(n), key=lambda v: (-net[v], v))
     starts = np.vstack([net_wins, _random_starts(n, _HEURISTIC_RESTARTS)])
     ww = np.stack([w.ravel(), w.T.ravel()])
-    window = n if n <= _MAX_ITEMS else _HEURISTIC_WINDOW
+    window = n if n <= _HEURISTIC_WHOLE_PASS else _HEURISTIC_WINDOW
     per_start = 8 * max(_STEP_ARRAYS * n * window, _VALUE_ARRAYS * n * (n - 1) // 2)
     chunk = max(1, _HEURISTIC_CHUNK_BYTES // per_start)
     # Every order is worth at least 0, so the first start always replaces

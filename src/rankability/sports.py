@@ -14,7 +14,7 @@ all under one time limit.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import compress
@@ -118,6 +118,9 @@ class GameSet:
 
     teams: tuple[str, ...]
     games: tuple[GameRecord, ...]
+    # The games' rows of a checked set's outcome table (filter_stage), or
+    # None to check and score the games.
+    _rows: InitVar[np.ndarray | None] = None
     _index: dict[str, int] = field(
         init=False, repr=False, compare=False, hash=False
     )
@@ -127,7 +130,7 @@ class GameSet:
         init=False, repr=False, compare=False, hash=False
     )
 
-    def __post_init__(self):
+    def __post_init__(self, _rows: np.ndarray | None):
         teams = tuple(self.teams)
         games = tuple(self.games)
         if not teams:
@@ -137,17 +140,19 @@ class GameSet:
                 "teams must be unique and in lexicographic order"
             )
         index = {team: pos for pos, team in enumerate(teams)}
-        try:
-            outcomes = np.array(
-                [(index[g.team_a], index[g.team_b], g.score_a - g.score_b,
-                  g.stage is Stage.PLAYOFF) for g in games],
-                dtype=np.int64,
-            ).reshape(-1, 4)
-        except KeyError as exc:
-            team = exc.args[0]
-            raise MalformedInputError(f"game references unknown team {team!r}") from None
-        except OverflowError:
-            raise MalformedInputError("score margins must fit in 64-bit integers") from None
+        outcomes = _rows
+        if outcomes is None:
+            try:
+                outcomes = np.array(
+                    [(index[g.team_a], index[g.team_b], g.score_a - g.score_b,
+                      g.stage is Stage.PLAYOFF) for g in games],
+                    dtype=np.int64,
+                ).reshape(-1, 4)
+            except KeyError as exc:
+                team = exc.args[0]
+                raise MalformedInputError(f"game references unknown team {team!r}") from None
+            except OverflowError:
+                raise MalformedInputError("score margins must fit in 64-bit integers") from None
         object.__setattr__(self, "teams", teams)
         object.__setattr__(self, "games", games)
         object.__setattr__(self, "_index", index)
@@ -184,16 +189,12 @@ class GameSet:
         """Same teams and indices, games restricted to one stage.
 
         This set's games were checked when it was built, so the stage's set
-        shares its team index and takes the stage's rows of its outcome
-        table instead of checking and scoring the games again.
+        takes the stage's rows of its outcome table instead of checking and
+        scoring the games again.
         """
         keep = self._table[:, 3] == (_stage(stage) is Stage.PLAYOFF)
-        sub = object.__new__(GameSet)
-        object.__setattr__(sub, "teams", self.teams)
-        object.__setattr__(sub, "games", tuple(compress(self.games, keep.tolist())))
-        object.__setattr__(sub, "_index", self._index)
-        object.__setattr__(sub, "_table", self._table[keep])
-        return sub
+        games = tuple(compress(self.games, keep.tolist()))
+        return GameSet(self.teams, games, self._table[keep])
 
     def game_count(self, stage: Stage | str | None = None) -> int:
         return len(self.games if stage is None else self.games_at(stage))

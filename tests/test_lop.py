@@ -204,14 +204,18 @@ class TestHeuristic:
         a = random_half_integer_matrix(rng, 8)
         assert heuristic_ranking(a) == heuristic_ranking(a)
 
-    # n = 40 and 41 lie on either side of the step window's rule: whole
-    # passes up to lop._MAX_ITEMS, windows of lop._HEURISTIC_WINDOW above.
+    # n = 22 and 23 lie on either side of the step window's rule: whole
+    # passes up to lop._HEURISTIC_WHOLE_PASS, windows of
+    # lop._HEURISTIC_WINDOW above; 40 and 41 on either side of
+    # lop._MAX_ITEMS, which the heuristic does not enforce.
     @settings(max_examples=40, deadline=None)
     @given(
         n=st.integers(2, 25),
         seed=st.integers(0, 2**32 - 1),
         restarts=st.sampled_from((0, lop._HEURISTIC_RESTARTS)),
     )
+    @example(n=22, seed=1, restarts=lop._HEURISTIC_RESTARTS)
+    @example(n=23, seed=1, restarts=lop._HEURISTIC_RESTARTS)
     @example(n=40, seed=1, restarts=lop._HEURISTIC_RESTARTS)
     @example(n=41, seed=1, restarts=lop._HEURISTIC_RESTARTS)
     def test_batched_passes_match_the_loops_on_half_integral_weights(
@@ -228,6 +232,8 @@ class TestHeuristic:
         seed=st.integers(0, 2**32 - 1),
         restarts=st.sampled_from((0, lop._HEURISTIC_RESTARTS)),
     )
+    @example(family="uniform", n=22, exponent=0, seed=2, restarts=16)
+    @example(family="tenths", n=23, exponent=9, seed=5, restarts=16)
     @example(family="uniform", n=40, exponent=0, seed=2, restarts=16)
     @example(family="uniform", n=41, exponent=0, seed=2, restarts=16)
     @example(family="noisy-integer", n=40, exponent=6, seed=3, restarts=16)
@@ -241,7 +247,7 @@ class TestHeuristic:
 
     @pytest.mark.parametrize("restarts", [0, lop._HEURISTIC_RESTARTS])
     @pytest.mark.parametrize("weight", [0.0, 1.0, 0.1])
-    @pytest.mark.parametrize("n", [2, 7, 20, 40, 41])
+    @pytest.mark.parametrize("n", [2, 7, 20, 22, 23, 40, 41])
     def test_batched_passes_match_the_loops_on_constant_weights(
         self, n, weight, restarts
     ):
@@ -252,18 +258,57 @@ class TestHeuristic:
         _assert_heuristic_matches_loops(w, restarts)
 
     @pytest.mark.parametrize(
-        "n, size, window", [(2, 1, 2), (25, 1, 25), (40, 17, 40), (41, 3, 16)]
+        "n, count, window",
+        [(2, 1, 2), (9, 3, 9), (22, 17, 22), (23, 4, 16), (41, 3, 16)],
     )
-    def test_step_folds_add_in_index_order(self, n, size, window):
-        # _local_search_batch folds its (2, n, size, window) terms over n,
-        # and n rows of (size, window) terms, with np.add.reduce; both must
-        # add in index order, as cumsum and the scalar loops do. Terms of
-        # 17 orders of magnitude make any other order round differently.
+    def test_step_sums_are_the_loops_sums_bit_for_bit(
+        self, monkeypatch, n, count, window
+    ):
+        # With an infinite slack no item moves, so one pass reads every
+        # position of every order once, in steps of window positions (the
+        # last wrapping into the next pass); each step hands each order's
+        # current and insertion gains to lop._first_move. They must be the
+        # scalar loop's sums: weights of 17 orders of magnitude make a
+        # fold in any other order round differently.
         rng = np.random.default_rng(n)
-        shape = (2, n, size, window)
-        x = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
-        assert np.array_equal(np.add.reduce(x, axis=1), np.cumsum(x, axis=1)[:, -1])
-        assert np.array_equal(np.add.reduce(x[0], axis=0), np.cumsum(x[0], axis=0)[-1])
+        w = rng.random((n, n)) * 10.0 ** rng.integers(-8, 9, (n, n))
+        np.fill_diagonal(w, 0.0)
+        orders = np.array([rng.permutation(n) for _ in range(count)])
+        seen = []
+        real = lop._first_move
+
+        def spy(gains, current, flags, slots, top, slack):
+            seen.append((top, gains.copy(), list(current)))
+            return real(gains, current, flags, slots, top, slack)
+
+        monkeypatch.setattr(lop, "_first_move", spy)
+        ww = np.stack([w.ravel(), w.T.ravel()])
+        lop._local_search_batch(ww, orders.copy(), float("inf"), window)
+        rows = w.tolist()
+        steps = -(-n // window)
+        assert len(seen) == steps * count
+        for call, (top, gains, current) in enumerate(seen):
+            order = orders[call % count].tolist()
+            assert top == call // count * window
+            for b in range(window):
+                i = (top + b) % n
+                v = order[i]
+                rest = order[:i] + order[i + 1 :]
+                cur = lop._fold(rows[u][v] for u in order[:i]) + lop._fold(
+                    rows[v][u] for u in order[i + 1 :]
+                )
+                delta = lop._fold(rows[v][u] for u in rest)
+                loop = [delta]
+                for u in rest:
+                    delta += rows[u][v] - rows[v][u]
+                    loop.append(delta)
+                # The step also reads v's own position, adding 0.0 there.
+                loop.insert(i + 1, loop[i])
+                # Adding 0.0 only turns -0.0 into 0.0, so compare x + 0.0.
+                assert (current[b] + 0.0).hex() == (cur + 0.0).hex()
+                assert [(x + 0.0).hex() for x in gains[:, b].tolist()] == [
+                    (x + 0.0).hex() for x in loop
+                ]
 
     @pytest.mark.parametrize("restarts", [0, lop._HEURISTIC_RESTARTS])
     def test_random_starts_are_the_seeded_draws(self, restarts):
@@ -1051,9 +1096,9 @@ def _hidden_order_tournament(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def test_hidden32_is_the_seeded_hidden_order_tournament():
-    # tests/data/hidden32.csv, whose lop stdout a golden file pins: the
-    # heuristic steps over whole orders at n = 32, between the sizes of the
-    # other golden files and lop._MAX_ITEMS.
+    # tests/data/hidden32.csv, whose lop stdout a golden file pins: n = 32
+    # lies between the sizes of the other golden files and lop._MAX_ITEMS,
+    # where the heuristic steps over windows of lop._HEURISTIC_WINDOW.
     w = _hidden_order_tournament(np.random.default_rng(1), 32)
     assert np.array_equal(read_matrix_csv(DATA_DIR / "hidden32.csv").weights, w)
 
