@@ -9,6 +9,22 @@ flags default to DEFAULT_CONFIG.
 Exit codes: 0 proven/ok, 1 input or usage error, 2 unproven result
 (time limit; for enumerate, a list the time limit cut short), 3 oracle
 mismatch.
+
+When this module is imported before numpy, the command line owns the
+process: the console script, ``python -m rankability.cli``, or any
+script whose first numpy-loading import is this module. Such a process
+starts and exits lean, with every printed byte the same:
+
+- numpy's OpenBLAS gets one thread (OPENBLAS_NUM_THREADS=1, unless the
+  variable is already set), so no worker thread spins while the
+  interpreter imports; the commands' matrices are small.
+- gc.freeze() takes the objects made by the imports out of every later
+  collection, the last one at interpreter exit included.
+
+Imported after numpy (tests, notebooks, a script that calls main), it
+changes neither the environment nor the collector. Every solver module
+is imported here, not per command, so that no command's first call
+pays for compiling one.
 """
 
 from __future__ import annotations
@@ -16,15 +32,22 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import gc
 import io
 import json
+import os
 import sys
 from dataclasses import fields, replace
 
-from .core import WeightMatrix, read_matrix_csv
-from .errors import RankabilityError, UndefinedMetricError, UnprovenOptimumError
-from .ktdiam import _kappa_by_pair_search, _solve_with_kappa
-from .lop import (
+_OWNS_PROCESS = "numpy" not in sys.modules
+if _OWNS_PROCESS:
+    # Read when numpy first loads OpenBLAS, so it must be set before that.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from .core import WeightMatrix, read_matrix_csv  # noqa: E402
+from .errors import RankabilityError, UndefinedMetricError, UnprovenOptimumError  # noqa: E402
+from .ktdiam import _kappa_by_pair_search, _solve_with_kappa  # noqa: E402
+from .lop import (  # noqa: E402
     DEFAULT_CONFIG,
     SolverConfig,
     _deadline,
@@ -32,14 +55,17 @@ from .lop import (
     _remaining,
     solve_lop,
 )
-from .rating import colley_ratings, massey_ratings, ranking_from_ratings
-from .sports import (
+from .rating import colley_ratings, massey_ratings, ranking_from_ratings  # noqa: E402
+from .sports import (  # noqa: E402
     Stage,
     read_alias_csv,
     read_feature_table,
     read_games_csv,
     season_report,
 )
+
+if _OWNS_PROCESS:
+    gc.freeze()
 
 __all__ = ["main"]
 

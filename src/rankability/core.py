@@ -412,7 +412,7 @@ def read_matrix_csv(path) -> WeightMatrix:
     The first line may be ``labels:`` followed by n comma-separated names;
     the remaining n lines hold n comma-separated nonnegative reals each.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         lines = [ln.strip() for ln in fh]
     lines = [(idx + 1, ln) for idx, ln in enumerate(lines) if ln]
     if not lines:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 from dataclasses import InitVar, dataclass, field
 from enum import Enum
-from fractions import Fraction
 from itertools import compress
 
 import numpy as np
@@ -58,8 +57,16 @@ class Stage(str, Enum):
     PLAYOFF = "playoff"
 
 
+# Each stage by its value; a lookup here costs a fraction of Stage(value).
+_STAGES = {s.value: s for s in Stage}
+
+
 def _stage(stage: Stage | str) -> Stage:
     """stage as a Stage; InvalidArgumentError, naming the stages, if it is none."""
+    try:
+        return _STAGES[stage]
+    except (KeyError, TypeError):  # not a stage's value, or unhashable
+        pass
     try:
         return Stage(stage)
     except ValueError:
@@ -242,39 +249,48 @@ def read_games_csv(path, aliases: dict[str, str] | None = None) -> tuple[GameSet
     """
     aliases = aliases or {}
     by_season: dict[int, list[GameRecord]] = {}
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None:
             raise EmptyDataError(f"{path}: empty file")
-        fields = [name.strip() for name in reader.fieldnames]
-        missing = [c for c in _REQUIRED_GAME_COLUMNS if c not in fields]
+        # Each name's cell index, as a dict per row keyed by the header reads
+        # it: a repeated name reads its last column, and of names equal once
+        # stripped, the last distinct name wins.
+        last = {name: pos for pos, name in enumerate(header)}
+        column = {name.strip(): pos for name, pos in last.items()}
+        missing = [c for c in _REQUIRED_GAME_COLUMNS if c not in column]
         if missing:
             raise MalformedInputError(
                 f"{path}: header is missing columns {', '.join(missing)}"
             )
+        season, stage, team_a, team_b, score_a, score_b = (
+            column[c] for c in _REQUIRED_GAME_COLUMNS
+        )
+        date = column.get("date")
+        named = tuple(column.values())
+        width = len(header)
         for row in reader:
-            line = reader.line_num
-            values = {
-                (k.strip() if k else k): (v.strip() if v else "")
-                for k, v in row.items()
-                if k is not None
-            }
-            if not any(values.values()):
+            # Missing cells read as empty; cells past the header are ignored.
+            row += [""] * (width - len(row))
+            if not any(row[pos].strip() for pos in named):
                 continue
             try:
-                name_a = values["team_a"]
-                name_b = values["team_b"]
+                name_a = row[team_a].strip()
+                name_b = row[team_b].strip()
                 record = GameRecord(
-                    season=int(values["season"]),
-                    stage=values["stage"].lower(),
+                    season=int(row[season].strip()),
+                    stage=row[stage].strip().lower(),
                     team_a=aliases.get(name_a, name_a),
                     team_b=aliases.get(name_b, name_b),
-                    score_a=int(values["score_a"]),
-                    score_b=int(values["score_b"]),
-                    date=values.get("date") or None,
+                    score_a=int(row[score_a].strip()),
+                    score_b=int(row[score_b].strip()),
+                    date=None if date is None else row[date].strip() or None,
                 )
-            except (KeyError, ValueError, MalformedInputError) as exc:
-                raise MalformedInputError(f"{path}: line {line}: {exc}") from exc
+            except (ValueError, MalformedInputError) as exc:
+                raise MalformedInputError(
+                    f"{path}: line {reader.line_num}: {exc}"
+                ) from exc
             by_season.setdefault(record.season, []).append(record)
     if not by_season:
         raise EmptyDataError(f"{path}: no game rows")
@@ -291,7 +307,7 @@ def read_alias_csv(path) -> dict[str, str]:
             the same raw name to different canonical names.
     """
     aliases: dict[str, str] = {}
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None:
@@ -331,9 +347,12 @@ def read_feature_table(path) -> WeightMatrix:
             an unparsable rank, with the line number.
         EmptyDataError: fewer than two items.
     """
+    # Only feature tables read fractions, so only they import the module.
+    from fractions import Fraction
+
     names: list[str] = []
     rows: list[list[Fraction]] = []
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -691,6 +692,63 @@ class TestDeterminism:
         )
         assert result.returncode == 0
         assert json.loads(result.stdout)["proven"] is True
+
+
+# Runs ratings through main() in a fresh interpreter and prints, as JSON,
+# OPENBLAS_NUM_THREADS, the frozen object count, the thread count (None
+# off Linux) and whether the environment is as it was before the import.
+_RULES_PROBE = """\
+import gc, json, os, sys
+{before}
+environ = dict(os.environ)
+from rankability.cli import main
+code = main(["ratings", "--input", sys.argv[1], "--output", os.devnull])
+tasks = "/proc/self/task"
+print(json.dumps({{
+    "code": code,
+    "blas": os.environ.get("OPENBLAS_NUM_THREADS"),
+    "frozen": gc.get_freeze_count(),
+    "threads": len(os.listdir(tasks)) if os.path.isdir(tasks) else None,
+    "environ_kept": dict(os.environ) == environ,
+}}))
+"""
+
+
+def _probe_process_rules(before: str = "", **env: str) -> dict:
+    child_env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    result = subprocess.run(
+        [sys.executable, "-c", _RULES_PROBE.format(before=before),
+         str(DATA_DIR / "multi_season.csv")],
+        env={**child_env, **env}, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    probe = json.loads(result.stdout)
+    assert probe["code"] == 0
+    return probe
+
+
+class TestProcessRules:
+    """A process the CLI owns (it imported the CLI before numpy) starts and
+    exits lean; one that imported numpy first is left as it was."""
+
+    def test_a_cli_owned_run_has_one_blas_thread_and_a_frozen_heap(self):
+        probe = _probe_process_rules()
+        assert probe["blas"] == "1"
+        assert probe["frozen"] > 0
+        if probe["threads"] is not None:
+            assert probe["threads"] == 1
+
+    def test_the_users_blas_setting_is_kept(self):
+        probe = _probe_process_rules(OPENBLAS_NUM_THREADS="2")
+        assert probe["blas"] == "2"
+        assert probe["environ_kept"]
+        assert probe["frozen"] > 0
+
+    def test_imported_after_numpy_it_changes_nothing(self):
+        probe = _probe_process_rules(before="import numpy")
+        assert probe["blas"] is None
+        assert probe["environ_kept"]
+        assert probe["frozen"] == 0
 
 
 # (command, fixture, extra arguments) of each run pinned by a golden file.

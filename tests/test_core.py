@@ -341,6 +341,16 @@ class TestMatrixCsv:
         write_matrix_csv(college_matrix, path)
         assert read_matrix_csv(path) == college_matrix
 
+    @pytest.mark.parametrize("text", ["labels:A,B\n0,1\n2,0\n", "0,1.5\n0.5,0\n"])
+    def test_a_byte_order_mark_is_skipped(self, tmp_path, text):
+        # Excel's "CSV UTF-8" files start with U+FEFF.
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text("\ufeff" + text, encoding="utf-8")
+        a = read_matrix_csv(plain)
+        assert read_matrix_csv(marked) == a
+        assert a.labels == (("A", "B") if text.startswith("labels:") else None)
+
     def test_round_trip_without_labels(self, tmp_path):
         a = WeightMatrix([[0, 1.5], [0.5, 0]])
         path = tmp_path / "m.csv"

@@ -17,6 +17,7 @@ from rankability.core import (
     kendall_tau_distance,
     objective_value,
     ranking_from_order,
+    read_matrix_csv,
 )
 from rankability.errors import InvalidKStarError, UnprovenOptimumError
 from rankability.ktdiam import (
@@ -44,6 +45,7 @@ from rankability.sports import (
 from tests.conftest import (
     COLLEGE_K_STAR,
     COLLEGE_OPTIMA_ORDERS,
+    DATA_DIR,
     DIGRAPH_KAPPA,
     COLLEGE_WEIGHTS,
     random_game_set,
@@ -555,6 +557,16 @@ class TestTableFirstValue:
 
 class TestAgainstBinaryPrograms:
     """k* and kappa equal those of the paper's binary programs, by HiGHS."""
+
+    def test_hidden20_above_the_table_budget(self):
+        a = read_matrix_csv(DATA_DIR / "hidden20.csv")
+        assert a.n > lop._TABLE_MAX_N
+        w = np.asarray(a.weights)
+        k_star = lop_milp(w)
+        assert solve_lop(a).optimal_value == k_star
+        kt = solve_kt(a, k_star)
+        assert kt.proven
+        assert kt.kappa == kt_milp(w, k_star)
 
     @settings(max_examples=40, deadline=None)
     @given(

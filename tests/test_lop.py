@@ -1808,15 +1808,40 @@ def _coin_tournament(rng: np.random.Generator, n: int, games: int) -> np.ndarray
     return w
 
 
+def _league(rng: np.random.Generator, n: int) -> np.ndarray:
+    """A double round robin of goals: a win scores 1, a tie 1/2 to each side.
+
+    Team strengths are normal(0, 0.6); then each ordered (home, away) pair,
+    home outer and away inner, plays one game: home goals are
+    poisson(2.6 * exp(edge / 2)), then away goals poisson(2.6 * exp(-edge /
+    2)), with edge the home strength less the away strength.
+    """
+    strength = rng.normal(0.0, 0.6, size=n)
+    w = np.zeros((n, n))
+    for home, away in itertools.permutations(range(n), 2):
+        edge = strength[home] - strength[away]
+        home_goals = rng.poisson(2.6 * np.exp(edge / 2))
+        away_goals = rng.poisson(2.6 * np.exp(-edge / 2))
+        if home_goals > away_goals:
+            w[home, away] += 1.0
+        elif away_goals > home_goals:
+            w[away, home] += 1.0
+        else:
+            w[home, away] += 0.5
+            w[away, home] += 0.5
+    return w
+
+
 class TestKStarAgainstMilp:
     """k* above the table budget equals the paper's binary program's, by HiGHS."""
 
     @staticmethod
-    def _assert_k_star(w: np.ndarray) -> None:
+    def _assert_k_star(w: np.ndarray) -> float:
         assert w.shape[0] > lop._TABLE_MAX_N
         res = solve_lop(WeightMatrix(w))
         assert res.proven
         assert res.optimal_value == lop_milp(w)
+        return res.optimal_value
 
     @pytest.mark.parametrize("n", range(19, 23))
     @pytest.mark.parametrize("seed", [0, 1])
@@ -1833,6 +1858,15 @@ class TestKStarAgainstMilp:
     @pytest.mark.parametrize("seed", [4, 8])
     def test_p_half_tournaments(self, seed):
         self._assert_k_star(_coin_tournament(np.random.default_rng(seed), 19, 4))
+
+    # League size, with ties: solve_lop proves each in about a second at most.
+    @pytest.mark.parametrize(
+        "n, seed, k_star", [(24, 2, 415.5), (28, 1, 579.5), (32, 2, 792.0)]
+    )
+    def test_leagues(self, n, seed, k_star):
+        w = _league(np.random.default_rng(seed), n)
+        assert np.any(w % 1.0 == 0.5)
+        assert self._assert_k_star(w) == k_star
 
 
 class TestExactSums:

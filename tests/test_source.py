@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -106,3 +109,44 @@ def test_bad_arguments_raise_one_typed_error():
     record = GameRecord(2000.0, "regular", "A", "B", np.int64(3), 1.0)
     assert (record.season, record.score_a, record.score_b) == (2000, 3, 1)
     assert all(type(v) is int for v in (record.season, record.score_a, record.score_b))
+
+
+class TestLazyNamespace:
+    """The package resolves its public names on first access (PEP 562)."""
+
+    def test_names_resolve_to_their_submodules_objects_on_first_access(self):
+        # A fresh interpreter: this one has read every name already.
+        code = """\
+import importlib, json, sys
+import rankability
+loaded = sorted(m for m in sys.modules
+                if m.partition(".")[0] == "numpy" or m.startswith("rankability."))
+wrong = []
+for name in rankability.__all__:
+    if name == "__version__":
+        continue
+    module = importlib.import_module(f"rankability.{rankability._SUBMODULE[name]}")
+    value = getattr(module, name)
+    # Defined or exported there, not merely imported from elsewhere.
+    home = name in getattr(module, "__all__", ()) or (
+        getattr(value, "__module__", None) == module.__name__
+    )
+    if getattr(rankability, name) is not value or not home:
+        wrong.append(name)
+missing = sorted(set(rankability.__all__) - set(dir(rankability)))
+print(json.dumps([loaded, wrong, missing]))
+"""
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        loaded, wrong, missing = json.loads(result.stdout)
+        # import rankability loads neither numpy nor any solver module.
+        assert loaded == []
+        assert wrong == [] and missing == []
+
+    def test_an_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="has no attribute 'solve_lp'"):
+            rankability.solve_lp
+        with pytest.raises(ImportError):
+            from rankability import solve_lp  # noqa: F401

@@ -212,6 +212,159 @@ class TestReadGamesCsv:
         assert games.game_count() == 1
 
 
+def _plain_and_marked(tmp_path, text: str) -> tuple:
+    """text written to two files, the second led by a byte-order mark."""
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text, encoding="utf-8")
+    # Excel's "CSV UTF-8" files start with U+FEFF.
+    marked.write_text("\ufeff" + text, encoding="utf-8")
+    return plain, marked
+
+
+def _records(seasons) -> list[tuple]:
+    return [
+        (g.season, g.stage, g.team_a, g.team_b, g.score_a, g.score_b, g.date)
+        for gs in seasons
+        for g in gs.games
+    ]
+
+
+class TestReadGamesCsvRows:
+    """How rows map to records, as a csv.DictReader over the header reads them."""
+
+    @staticmethod
+    def _read(tmp_path, text: str):
+        path = tmp_path / "games.csv"
+        path.write_text(text, encoding="utf-8")
+        return read_games_csv(path)
+
+    def test_a_repeated_header_name_reads_its_last_column(self, tmp_path):
+        seasons = self._read(
+            tmp_path,
+            "season,stage,team_a,team_b,score_a,score_b,score_a\n"
+            "2000,regular,A,B,9,3,1\n",
+        )
+        assert _records(seasons) == [(2000, Stage.REGULAR, "A", "B", 1, 3, None)]
+
+    def test_names_equal_after_padding_read_the_last_name(self, tmp_path):
+        seasons = self._read(
+            tmp_path,
+            "season,stage,team_a,team_b,score_a,score_b, score_a,score_a\n"
+            "2000,regular,A,B,9,3,5,1\n",
+        )
+        assert _records(seasons) == [(2000, Stage.REGULAR, "A", "B", 5, 3, None)]
+
+    def test_cells_past_the_header_are_ignored(self, tmp_path):
+        seasons = self._read(
+            tmp_path,
+            "season,stage,team_a,team_b,score_a,score_b\n"
+            "2000,regular,A,B,1,0,extra,cells\n"
+            ",,,,,,only,extras\n",
+        )
+        assert _records(seasons) == [(2000, Stage.REGULAR, "A", "B", 1, 0, None)]
+
+    def test_missing_cells_read_as_empty(self, tmp_path):
+        seasons = self._read(
+            tmp_path,
+            "season,stage,team_a,team_b,score_a,score_b,date\n"
+            "2000,regular,A,B,1,0\n",
+        )
+        assert _records(seasons) == [(2000, Stage.REGULAR, "A", "B", 1, 0, None)]
+        with pytest.raises(
+            MalformedInputError,
+            match=r"line 3: invalid literal for int\(\) with base 10: ''$",
+        ):
+            self._read(
+                tmp_path,
+                "season,stage,team_a,team_b,score_a,score_b\n"
+                "2000,regular,A,B,1,0\n"
+                "2000,regular,A,B,1\n",
+            )
+
+    def test_padded_header_names_and_cells_are_stripped(self, tmp_path):
+        seasons = self._read(
+            tmp_path,
+            " season , stage,team_a ,\tteam_b,score_a,score_b , date\n"
+            " 2000 , PLAYOFF ,  A , B\t,1 , 0, 2000-01-02 \n",
+        )
+        assert _records(seasons) == [(2000, Stage.PLAYOFF, "A", "B", 1, 0, "2000-01-02")]
+        # Names are stripped, not folded to lower case.
+        with pytest.raises(MalformedInputError, match="missing columns stage$"):
+            self._read(
+                tmp_path,
+                "season,Stage,team_a,team_b,score_a,score_b\n2000,regular,A,B,1,0\n",
+            )
+
+    def test_rows_of_commas_or_spaces_are_skipped(self, tmp_path):
+        seasons = self._read(
+            tmp_path,
+            "season,stage,team_a,team_b,score_a,score_b,note\n"
+            ",,,,,,\n"
+            "  , ,\t,,  ,,  \n"
+            "2000,regular,A,B,1,0,\n"
+            ",\n"
+            "2000,regular,B,A,2,2,x\n",
+        )
+        assert _records(seasons) == [
+            (2000, Stage.REGULAR, "A", "B", 1, 0, None),
+            (2000, Stage.REGULAR, "B", "A", 2, 2, None),
+        ]
+
+    def test_a_row_with_only_an_unknown_column_is_read(self, tmp_path):
+        with pytest.raises(MalformedInputError, match="line 2: invalid literal"):
+            self._read(
+                tmp_path,
+                "season,stage,team_a,team_b,score_a,score_b,note\n"
+                ",,,,,,remark\n",
+            )
+
+    def test_a_quoted_cell_over_two_lines_ends_on_the_second(self, tmp_path):
+        text = (
+            "season,stage,team_a,team_b,score_a,score_b\n"
+            '2000,regular,"A\nB",C,1,0\n'
+            "2000,regular,A,C,x,0\n"
+        )
+        with pytest.raises(MalformedInputError, match="line 4: invalid literal"):
+            self._read(tmp_path, text)
+        text = (
+            "season,stage,team_a,team_b,score_a,score_b\n"
+            '2000,regular,"A\nB",C,one,0\n'
+        )
+        with pytest.raises(MalformedInputError, match="line 3: invalid literal"):
+            self._read(tmp_path, text)
+        seasons = self._read(
+            tmp_path,
+            "season,stage,team_a,team_b,score_a,score_b\n"
+            '2000,regular,"A\nB",C,1,0\n',
+        )
+        assert _records(seasons) == [(2000, Stage.REGULAR, "A\nB", "C", 1, 0, None)]
+
+    def test_a_byte_order_mark_is_skipped(self, tmp_path):
+        plain, marked = _plain_and_marked(
+            tmp_path, "season,stage,team_a,team_b,score_a,score_b\n2000,regular,A,B,1,0\n"
+        )
+        records = _records(read_games_csv(plain))
+        assert records == [(2000, Stage.REGULAR, "A", "B", 1, 0, None)]
+        assert _records(read_games_csv(marked)) == records
+
+    def test_with_and_without_a_date_column(self, tmp_path):
+        rows = "2001,regular,B,A,3,1,2001-09-02\n2000,playoff,A,B,2,0,\n"
+        seasons = self._read(
+            tmp_path, "season,stage,team_a,team_b,score_a,score_b,date\n" + rows
+        )
+        assert _records(seasons) == [
+            (2000, Stage.PLAYOFF, "A", "B", 2, 0, None),
+            (2001, Stage.REGULAR, "B", "A", 3, 1, "2001-09-02"),
+        ]
+        seasons = self._read(
+            tmp_path, "season,stage,team_a,team_b,score_a,score_b,day\n" + rows
+        )
+        assert _records(seasons) == [
+            (2000, Stage.PLAYOFF, "A", "B", 2, 0, None),
+            (2001, Stage.REGULAR, "B", "A", 3, 1, None),
+        ]
+
+
 class TestReadAliasCsv:
     def test_round_trip(self):
         aliases = read_alias_csv(DATA_DIR / "aliases.csv")
@@ -228,6 +381,11 @@ class TestReadAliasCsv:
         bad.write_text("raw_name,canonical_name\nA,B\nA,C\n")
         with pytest.raises(MalformedInputError):
             read_alias_csv(bad)
+
+    def test_a_byte_order_mark_is_skipped(self, tmp_path):
+        plain, marked = _plain_and_marked(tmp_path, "raw_name,canonical_name\nA,B\n")
+        assert read_alias_csv(plain) == {"A": "B"}
+        assert read_alias_csv(marked) == {"A": "B"}
 
 
 class TestReadFeatureTable:
@@ -272,6 +430,12 @@ class TestReadFeatureTable:
         path.write_text(body)
         with pytest.raises(MalformedInputError):
             read_feature_table(path)
+
+    def test_a_byte_order_mark_is_skipped(self, tmp_path):
+        plain, marked = _plain_and_marked(tmp_path, "item,f1,f2\nA,1,2\nB,1,5\n")
+        matrix = read_feature_table(plain)
+        assert matrix.labels == ("A", "B")
+        assert read_feature_table(marked) == matrix
 
     def test_single_item_is_empty(self, tmp_path):
         path = tmp_path / "features.csv"
