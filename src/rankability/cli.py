@@ -15,11 +15,14 @@ process: the console script, ``python -m rankability.cli``, or any
 script whose first numpy-loading import is this module. Such a process
 starts and exits lean, with every printed byte the same:
 
-- numpy's OpenBLAS gets one thread (OPENBLAS_NUM_THREADS=1, unless the
-  variable is already set), so no worker thread spins while the
-  interpreter imports; the commands' matrices are small.
-- gc.freeze() takes the objects made by the imports out of every later
-  collection, the last one at interpreter exit included.
+- numpy's OpenBLAS gets one thread (OPENBLAS_NUM_THREADS=1, unless one
+  of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS is
+  already set), so no worker thread spins while the interpreter imports;
+  the commands' matrices are small. The variable stays in os.environ,
+  so child processes inherit it.
+- gc.freeze() takes the objects made so far out of every later
+  collection, the last one at interpreter exit included: the imports'
+  objects, and whatever a script built before importing this module.
 
 Imported after numpy (tests, notebooks, a script that calls main), it
 changes neither the environment nor the collector. Every solver module
@@ -39,10 +42,14 @@ import os
 import sys
 from dataclasses import fields, replace
 
+# The variables OpenBLAS reads for its thread count; any one of them set
+# is the user's choice.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
 _OWNS_PROCESS = "numpy" not in sys.modules
-if _OWNS_PROCESS:
+if _OWNS_PROCESS and not any(v in os.environ for v in _BLAS_THREAD_VARS):
     # Read when numpy first loads OpenBLAS, so it must be set before that.
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .core import WeightMatrix, read_matrix_csv  # noqa: E402
 from .errors import RankabilityError, UndefinedMetricError, UnprovenOptimumError  # noqa: E402

@@ -66,10 +66,6 @@ def _stage(stage: Stage | str) -> Stage:
     try:
         return _STAGES[stage]
     except (KeyError, TypeError):  # not a stage's value, or unhashable
-        pass
-    try:
-        return Stage(stage)
-    except ValueError:
         names = ", ".join(repr(s.value) for s in Stage)
         raise InvalidArgumentError(f"stage must be one of {names}, got {stage!r}") from None
 

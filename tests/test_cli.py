@@ -715,7 +715,8 @@ print(json.dumps({{
 
 
 def _probe_process_rules(before: str = "", **env: str) -> dict:
-    child_env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    blas_vars = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    child_env = {k: v for k, v in os.environ.items() if k not in blas_vars}
     result = subprocess.run(
         [sys.executable, "-c", _RULES_PROBE.format(before=before),
          str(DATA_DIR / "multi_season.csv")],
@@ -741,6 +742,12 @@ class TestProcessRules:
     def test_the_users_blas_setting_is_kept(self):
         probe = _probe_process_rules(OPENBLAS_NUM_THREADS="2")
         assert probe["blas"] == "2"
+        assert probe["environ_kept"]
+        assert probe["frozen"] > 0
+
+    def test_the_users_omp_setting_is_kept_too(self):
+        probe = _probe_process_rules(OMP_NUM_THREADS="2")
+        assert probe["blas"] is None
         assert probe["environ_kept"]
         assert probe["frozen"] > 0
 
