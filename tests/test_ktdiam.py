@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,7 +19,9 @@ from rankability.core import (
     objective_value,
     ranking_from_order,
     read_matrix_csv,
+    write_matrix_csv,
 )
+from rankability.cli import main
 from rankability.errors import InvalidKStarError, UnprovenOptimumError
 from rankability.ktdiam import (
     KtResult,
@@ -59,6 +62,7 @@ from tests.oracles import (
     pack_pair_masks_loop,
     solve_with_kappa_via_solve_lop,
 )
+from tests.test_lop import _coin_tournament, _league
 
 
 class TestSolveKt:
@@ -567,6 +571,28 @@ class TestAgainstBinaryPrograms:
         kt = solve_kt(a, k_star)
         assert kt.proven
         assert kt.kappa == kt_milp(w, k_star)
+
+    # The kappa command above the table budget, where it walks thousands
+    # of optima without a table: about 11 s on league 24/2 and 5 s on coin
+    # 19/0 with 2 games a pair, and kt_milp about 1 s and 10 s.
+    @pytest.mark.slow
+    @pytest.mark.parametrize(
+        "w, k_star, kappa",
+        [
+            (_league(np.random.default_rng(2), 24), 415.5, 51),
+            (_coin_tournament(np.random.default_rng(0), 19, 2), 224.0, 83),
+        ],
+        ids=["league24-2", "coin19-0-g2"],
+    )
+    def test_kappa_command_at_league_size(self, capsys, tmp_path, w, k_star, kappa):
+        path = tmp_path / "weights.csv"
+        write_matrix_csv(WeightMatrix(w), path)
+        code = main(["kappa", "--input", str(path), "--kind", "matrix"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert payload["proven"]
+        assert payload["k_star"] == lop_milp(w) == k_star
+        assert payload["kappa"] == kt_milp(w, payload["k_star"]) == kappa
 
     @settings(max_examples=40, deadline=None)
     @given(
