@@ -21,18 +21,13 @@ starts and exits lean, with every printed byte the same:
   the commands' matrices are small. The variable stays in os.environ,
   so child processes inherit it.
 - gc.freeze() takes the objects made so far out of every later
-  collection, the last one at interpreter exit included: numpy's and
-  the shared modules' objects, and whatever a script built before
-  importing this module.
-- Each command imports only the modules it runs, in its body, so
-  ratings compiles neither the LOP nor the kappa solver, and lop and
-  enumerate no kappa search. Without cached bytecode
-  (PYTHONDONTWRITEBYTECODE), a process compiles each module it imports.
+  collection, the last one at interpreter exit included: the imports'
+  objects, and whatever a script built before importing this module.
 
 Imported after numpy (tests, notebooks, a script that calls main), it
-changes neither the environment nor the collector, and it imports every
-command's modules up front, so that no command's first call pays for
-compiling one.
+changes neither the environment nor the collector. Every solver module
+is imported here, not per command, so that no command's first call
+pays for compiling one.
 """
 
 from __future__ import annotations
@@ -56,19 +51,33 @@ if _OWNS_PROCESS and not any(v in os.environ for v in _BLAS_THREAD_VARS):
     # Read when numpy first loads OpenBLAS, so it must be set before that.
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-from .core import DEFAULT_CONFIG, SolverConfig, WeightMatrix, read_matrix_csv  # noqa: E402
+from .core import WeightMatrix, read_matrix_csv  # noqa: E402
 from .errors import (  # noqa: E402
     EmptyDataError,
     RankabilityError,
     UndefinedMetricError,
     UnprovenOptimumError,
 )
+from .ktdiam import _kappa_by_pair_search, _solve_with_kappa  # noqa: E402
+from .lop import (  # noqa: E402
+    DEFAULT_CONFIG,
+    SolverConfig,
+    _deadline,
+    _enumerate_orders,
+    _remaining,
+    solve_lop,
+)
+from .rating import colley_ratings, massey_ratings, ranking_from_ratings  # noqa: E402
+from .sports import (  # noqa: E402
+    Stage,
+    read_alias_csv,
+    read_feature_table,
+    read_games_csv,
+    season_report,
+)
 
 if _OWNS_PROCESS:
     gc.freeze()
-else:
-    # Every command's modules, so that no command's first call compiles one.
-    from . import ktdiam, lop, rating, sports  # noqa: E402, F401
 
 __all__ = ["main"]
 
@@ -158,8 +167,6 @@ def _solver_config(args) -> SolverConfig:
 
 def _load_matrix(args) -> WeightMatrix:
     if args.kind == "features":
-        from .sports import read_feature_table
-
         return read_feature_table(args.input)
     return read_matrix_csv(args.input)
 
@@ -167,8 +174,6 @@ def _load_matrix(args) -> WeightMatrix:
 def _load_seasons(args):
     """The file's seasons; EmptyDataError names the first without regular
     games, which both game commands need."""
-    from .sports import Stage, read_alias_csv, read_games_csv
-
     aliases = read_alias_csv(args.aliases) if args.aliases else None
     seasons = read_games_csv(args.input, aliases)
     for gs in seasons:
@@ -229,8 +234,6 @@ def _csv_cell(value):
 
 def cmd_lop(args) -> int:
     """solve for an optimal ranking and the degree of linearity"""
-    from .lop import solve_lop
-
     solver = _solver_config(args)
     matrix = _load_matrix(args)
     total = matrix.total_sum()
@@ -272,9 +275,6 @@ def cmd_lop(args) -> int:
 
 def cmd_kappa(args) -> int:
     """maximal Kendall tau distance between optimal rankings"""
-    from .ktdiam import _kappa_by_pair_search, _solve_with_kappa
-    from .lop import _deadline, _remaining
-
     solver = _solver_config(args)
     matrix = _load_matrix(args)
     # One deadline for the whole command: the oracle gets the time left.
@@ -330,8 +330,6 @@ def cmd_kappa(args) -> int:
 
 def cmd_enumerate(args) -> int:
     """list every optimal ranking"""
-    from .lop import _enumerate_orders
-
     solver = _solver_config(args)
     matrix = _load_matrix(args)
     # The orders as rows of ints, without a Ranking each.
@@ -397,9 +395,6 @@ def _season_payload(report) -> dict:
 
 def cmd_season(args) -> int:
     """per-season rankability report from game data"""
-    from .lop import _deadline, _remaining
-    from .sports import season_report
-
     solver = _solver_config(args)
     seasons = _load_seasons(args)
     # One deadline for the whole file: each report gets the time left.
@@ -460,9 +455,6 @@ def cmd_season(args) -> int:
 
 def cmd_ratings(args) -> int:
     """Colley and Massey ratings from game data"""
-    from .rating import colley_ratings, massey_ratings, ranking_from_ratings
-    from .sports import Stage
-
     seasons = _load_seasons(args)
     blocks = []
     for gs in seasons:

@@ -17,18 +17,10 @@ import csv
 from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from itertools import compress
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import (
-    DEFAULT_CONFIG,
-    Ranking,
-    SolverConfig,
-    WeightMatrix,
-    _integral,
-    ranking_from_order,
-)
+from .core import Ranking, WeightMatrix, _integral, ranking_from_order
 from .errors import (
     DimensionMismatchError,
     EmptyDataError,
@@ -36,9 +28,9 @@ from .errors import (
     MalformedInputError,
     UndefinedMetricError,
 )
-
-if TYPE_CHECKING:
-    from .ktdiam import KtResult
+from .ktdiam import KtResult, _solve_with_kappa
+from .lop import DEFAULT_CONFIG, SolverConfig
+from .rating import colley_ratings, massey_ratings, ranking_from_ratings
 
 __all__ = [
     "Stage",
@@ -498,8 +490,6 @@ def foresight_divergence(
         UnprovenOptimumError: the optimal value was not proven, or no
             optimal ranking recovered, within the time limit.
     """
-    from .ktdiam import _solve_with_kappa
-
     cfg = cfg or DEFAULT_CONFIG
     matrix = build_win_matrix(gs, Stage.REGULAR)
     kt = _solve_with_kappa(matrix, cfg)[3]
@@ -584,12 +574,6 @@ def season_report(
         UnprovenOptimumError: the optimal value was not proven, or no
             optimal ranking recovered, within the time limit.
     """
-    # The solvers and the rating systems load on the first report: reading
-    # games or a feature table loads neither, so the command line's ratings
-    # command compiles no solver and its lop command no rating system.
-    from .ktdiam import _solve_with_kappa
-    from .rating import colley_ratings, massey_ratings, ranking_from_ratings
-
     cfg = cfg or DEFAULT_CONFIG
     seasons = gs.seasons
     if len(seasons) > 1:

@@ -152,9 +152,9 @@ class TestKappaCommand:
         assert report.passes_optimality_cuts
 
     def test_oracle_mismatch_exits_3(self, capsys, tmp_path, monkeypatch):
-        # The command imports its solvers when it runs, so the patch goes
-        # on the defining module.
-        real_solve = ktdiam._solve_with_kappa
+        import rankability.cli as cli_module
+
+        real_solve = cli_module._solve_with_kappa
 
         def wrong_kappa(matrix, cfg):
             result = real_solve(matrix, cfg)
@@ -162,20 +162,22 @@ class TestKappaCommand:
             object.__setattr__(kt, "kappa", kt.kappa + 1)
             return result
 
-        monkeypatch.setattr(ktdiam, "_solve_with_kappa", wrong_kappa)
+        monkeypatch.setattr(cli_module, "_solve_with_kappa", wrong_kappa)
         path = write_digraph_csv(tmp_path, 3)
         code, out = run_cli(capsys, "kappa", "--input", path, "--oracle")
         assert code == 3
 
     def test_oracle_out_of_time_exits_2(self, capsys, tmp_path, monkeypatch):
-        real_oracle = ktdiam._kappa_by_pair_search
+        import rankability.cli as cli_module
+
+        real_oracle = cli_module._kappa_by_pair_search
 
         def timed_out_oracle(matrix, k_star, cfg=None):
             result = real_oracle(matrix, k_star, cfg)
             object.__setattr__(result, "proven", False)
             return result
 
-        monkeypatch.setattr(ktdiam, "_kappa_by_pair_search", timed_out_oracle)
+        monkeypatch.setattr(cli_module, "_kappa_by_pair_search", timed_out_oracle)
         path = write_digraph_csv(tmp_path, 3)
         code, out = run_cli(capsys, "kappa", "--input", path, "--oracle")
         assert code == 2
@@ -434,15 +436,14 @@ class TestSeasonCommand:
             lop, "time", SimpleNamespace(monotonic=lambda: time.monotonic() + offset[0])
         )
         reports = []
-        real_report = sports.season_report
 
         def slow_report(gs, cfg, tie_mode):
             assert cfg.time_limit <= limit
-            reports.append(real_report(gs, cfg, tie_mode=tie_mode))
+            reports.append(sports.season_report(gs, cfg, tie_mode=tie_mode))
             offset[0] += 1.5 * limit
             return reports[-1]
 
-        monkeypatch.setattr(sports, "season_report", slow_report)
+        monkeypatch.setattr(cli, "season_report", slow_report)
         code, out = run_cli(
             capsys, "season", "--input", str(DATA_DIR / "multi_season.csv"),
             "--time-limit", str(limit),
@@ -531,9 +532,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["season", "ratings"])
     def test_a_season_without_regular_games_is_named(self, capsys, tmp_path, command):
-        # Season 2002 has a playoff game only. The messages were "no regular
-        # games in the schedule" and, for ratings, "no games in the
-        # schedule", which named neither the season nor the stage.
+        # Season 2002 has a playoff game only.
         path = tmp_path / "no_regular_2002.csv"
         path.write_text(
             "season,stage,team_a,team_b,score_a,score_b\n"
@@ -717,18 +716,13 @@ class TestDeterminism:
 # Runs the command line's main() on its arguments in a fresh interpreter
 # and writes, as JSON on its last stderr line, the exit code,
 # OPENBLAS_NUM_THREADS, the frozen object count, the thread count (None
-# off Linux), whether the environment is as it was before the import, and
-# which of the command modules were loaded after the import and after the
-# command. The command's own output goes to stdout.
+# off Linux) and whether the environment is as it was before the import.
+# The command's own output goes to stdout.
 _RULES_PROBE = """\
 import gc, json, os, sys
 {before}
 environ = dict(os.environ)
 from rankability.cli import main
-watched = {watched!r}
-def loaded():
-    return [m for m in watched if "rankability." + m in sys.modules]
-at_import = loaded()
 code = main(sys.argv[1:])
 sys.stdout.flush()
 tasks = "/proc/self/task"
@@ -738,20 +732,15 @@ sys.stderr.write(json.dumps({{
     "frozen": gc.get_freeze_count(),
     "threads": len(os.listdir(tasks)) if os.path.isdir(tasks) else None,
     "environ_kept": dict(os.environ) == environ,
-    "at_import": at_import,
-    "loaded": loaded(),
 }}) + "\\n")
 """
-
-# The modules that not every command runs.
-_COMMAND_MODULES = ("lop", "ktdiam", "value", "witness", "sports", "rating")
 
 
 def _run_probe(argv, before: str = "", **env: str) -> tuple[dict, bytes]:
     """The probe's report and the command's stdout bytes."""
     blas_vars = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
     child_env = {k: v for k, v in os.environ.items() if k not in blas_vars}
-    probe = _RULES_PROBE.format(before=before, watched=_COMMAND_MODULES)
+    probe = _RULES_PROBE.format(before=before)
     result = subprocess.run(
         [sys.executable, "-c", probe, *argv],
         env={**child_env, **env}, capture_output=True, timeout=60,
@@ -772,43 +761,15 @@ def _input(name: str) -> tuple[str, ...]:
     return ("--input", str(DATA_DIR / name))
 
 
-def _features() -> tuple[str, ...]:
-    return (*_input("college_features.csv"), "--kind", "features")
-
-
-def _tenths7() -> tuple[str, ...]:
-    return (*_input("tenths7.csv"), "--kind", "matrix")
-
-
-# (arguments, the command modules loaded after the command) in a process
-# the command line owns. value is the exact value passes, which solve_lop
-# runs on college_features and enumerate does not need on either input.
-MODULES_PER_COMMAND = [
-    (("ratings", *_input("multi_season.csv")), {"sports", "rating"}),
-    (("ratings", *_input("multi_season.csv"), "--format", "csv"), {"sports", "rating"}),
-    (("season", *_input("multi_season.csv")), {"lop", "ktdiam", "sports", "rating"}),
-    (("lop", *_tenths7()), {"lop"}),
-    (("lop", *_features()), {"lop", "value", "sports"}),
-    (("enumerate", *_tenths7()), {"lop"}),
-    (("enumerate", *_features()), {"lop", "sports"}),
-    (("kappa", *_tenths7()), {"lop", "ktdiam"}),
-    (("kappa", *_features()), {"lop", "ktdiam", "sports"}),
-]
-
 # (arguments, golden file) of runs whose stdout, in a process the command
 # line owns, must equal the golden file.
 OWNED_GOLDEN_RUNS = [
     (("season", *_input("multi_season.csv")), "season-multi_season.json"),
     (("ratings", *_input("multi_season.csv")), "ratings-multi_season.json"),
     (("ratings", *_input("multi_season.csv"), "--format", "csv"), "ratings-multi_season.csv"),
-    (("kappa", *_tenths7(), "--time-limit", "5"), "kappa-tenths7.json"),
+    (("kappa", *_input("tenths7.csv"), "--kind", "matrix", "--time-limit", "5"),
+     "kappa-tenths7.json"),
 ]
-
-
-def _argv_id(argv) -> str:
-    """lop-tenths7, or ratings-multi_season-csv for a run in CSV."""
-    stem = os.path.splitext(os.path.basename(argv[argv.index("--input") + 1]))[0]
-    return "-".join([argv[0], stem, *(["csv"] if "csv" in argv else [])])
 
 
 class TestProcessRules:
@@ -839,35 +800,6 @@ class TestProcessRules:
         assert probe["blas"] is None
         assert probe["environ_kept"]
         assert probe["frozen"] == 0
-
-    @pytest.mark.parametrize(
-        "argv, modules", MODULES_PER_COMMAND,
-        ids=[_argv_id(argv) for argv, _ in MODULES_PER_COMMAND],
-    )
-    def test_a_cli_owned_command_loads_only_its_modules(self, argv, modules):
-        probe, _ = _run_probe((*argv, "--output", os.devnull))
-        assert probe["code"] == 0
-        assert probe["at_import"] == []
-        assert set(probe["loaded"]) == modules
-
-    def test_imported_after_numpy_it_loads_every_command_module(self):
-        # Up front, so that no command's first call compiles one; lop
-        # itself loads value and witness when a search needs them.
-        probe = _probe_process_rules(before="import numpy")
-        assert set(probe["at_import"]) == {"lop", "ktdiam", "sports", "rating"}
-
-    def test_game_data_alone_loads_no_solver(self):
-        code = (
-            "import json, sys\n"
-            "import rankability.sports\n"
-            f"print(json.dumps([m for m in {_COMMAND_MODULES!r} "
-            "if 'rankability.' + m in sys.modules]))\n"
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
-        )
-        assert result.returncode == 0, result.stderr
-        assert json.loads(result.stdout) == ["sports"]
 
     @pytest.mark.parametrize(
         "argv, golden", OWNED_GOLDEN_RUNS, ids=[golden for _, golden in OWNED_GOLDEN_RUNS]
