@@ -29,6 +29,7 @@ from rankability.lop import (
     _exact_sums,
     _optimal_orders,
     _row_sums,
+    _split_row_sums,
     solve_lop,
 )
 
@@ -274,6 +275,28 @@ def completion_table_loop(weights: np.ndarray) -> array[float]:
             rowsum[v][s ^ (1 << v)] + table[s ^ (1 << v)]
             for v in range(n)
             if s >> v & 1
+        )
+    return array("d", table)
+
+
+def completion_table_split_loop(weights: np.ndarray) -> array[float]:
+    r"""Completion table by the scalar recurrence over the split row sums.
+
+    table[S] = max over v in S of (lo[v, S & low] + hi[v, S >> h]) +
+    table[S \ v], with lo and hi from lop._split_row_sums(w), read at the
+    parent set S as the searches read them. The solver's build adds these
+    terms in this order for every weight type, so the two are equal bit for
+    bit also where the sums are not exact. Returned as an array('d') like
+    the solver's.
+    """
+    rows = _split_row_sums(weights)
+    table = [0.0] * (1 << weights.shape[0])
+    for s in range(1, len(table)):
+        low, high = s & rows.low, s >> rows.h
+        table[s] = max(
+            rows.lo[at_lo + low] + rows.hi[at_hi + high] + table[s ^ bit]
+            for _, bit, at_lo, at_hi in rows.items
+            if s & bit
         )
     return array("d", table)
 

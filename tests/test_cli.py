@@ -15,10 +15,12 @@ import sys
 import time
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from rankability import (
     OptimaSet,
+    WeightMatrix,
     cli,
     kt_solution_from_rankings,
     ktdiam,
@@ -28,6 +30,7 @@ from rankability import (
     read_matrix_csv,
     sports,
     validate_kt_solution,
+    write_matrix_csv,
 )
 from rankability.cli import main
 from rankability.errors import UndefinedMetricError
@@ -44,6 +47,7 @@ from tests.conftest import (
     DIGRAPH_WEIGHTS,
     advance_clock_after,
 )
+from tests.test_lop import _tenths_tournament
 
 COLLEGE = str(DATA_DIR / "college_features.csv")
 
@@ -811,13 +815,25 @@ class TestProcessRules:
 
 
 # (command, fixture, extra arguments) of each run pinned by a golden file.
+def test_tenths16_is_written_by_its_generator(tmp_path):
+    # A p = 0.5 tournament at n = 16 in tenths (rng seed 1): float sums on
+    # the completion table's route, pinned by the lop, enumerate and kappa
+    # golden files below.
+    path = tmp_path / "tenths16.csv"
+    write_matrix_csv(WeightMatrix(_tenths_tournament(np.random.default_rng(1), 16)), path)
+    assert path.read_bytes() == (DATA_DIR / "tenths16.csv").read_bytes()
+
+
 PINNED_RUNS = [
     ("lop", "tenths7", ()),
+    ("lop", "tenths16", ()),
     ("enumerate", "tenths7", ()),
+    ("enumerate", "tenths16", ()),
     ("enumerate", "tournament18", ()),
     ("enumerate", "hidden20", ()),
     ("enumerate", "fractional19", ()),
     ("kappa", "tenths7", ()),
+    ("kappa", "tenths16", ()),
     ("kappa", "tournament18", ()),
     ("kappa", "hidden20", ()),
     ("kappa", "tournament18", ("--cap", "10")),
@@ -839,10 +855,11 @@ def golden_name(command: str, fixture: str, extra: tuple[str, ...]) -> str:
     "command, fixture, extra", PINNED_RUNS, ids=[golden_name(*run) for run in PINNED_RUNS]
 )
 def test_fixture_stdout_is_pinned_byte_for_byte(capsys, command, fixture, extra):
-    # tenths7 and fractional19 hold weights whose sums are not exact: the
-    # last bits of k_star and of the statistics depend on the order of every
-    # addition, so every Python and numpy version must print the same
-    # bytes. coin19 (a p = 0.5 tournament, rng seed 1016), hidden20 and
+    # tenths7, tenths16 and fractional19 hold weights whose sums are not
+    # exact: the last bits of k_star and of the statistics depend on the
+    # order of every addition, so every Python and numpy version must print
+    # the same bytes. tenths16 (4 optima) takes them through a completion
+    # table of 2^16 entries. coin19 (a p = 0.5 tournament, rng seed 1016), hidden20 and
     # tiers24 are exact and above the table budget: their files pin the
     # table-free witness and its nodes and pruned, from the witness pass
     # for coin19 and hidden20 and from the memoized search for

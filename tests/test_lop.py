@@ -70,6 +70,7 @@ from tests.oracles import (
     brute_force_lop,
     completion_table_by_layers,
     completion_table_loop,
+    completion_table_split_loop,
     enumerate_leaves_loop,
     heuristic_ranking_loop,
     lex_min_witness_loop,
@@ -760,6 +761,22 @@ class TestCompletionTable:
             assert lop._exact_sums(WeightMatrix(w))
             table = lop._build_completion_table(w, None).table
             assert table == completion_table_by_layers(w)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_fractional_build_equals_the_split_recurrence(self, n):
+        # Sums that are not exact keep the bits of their order of addition:
+        # the build adds each split row sum's halves, then table[rest], as
+        # the scalar recurrence over the same split row sums does. Compared
+        # as int64 so that every bit counts.
+        rng = np.random.default_rng(71 + n)
+        for _ in range(3):
+            w = _random_weights(rng, n, integral=False)
+            assert n == 1 or not lop._exact_sums(WeightMatrix(w))
+            table = lop._build_completion_table(w, None).table
+            expected = completion_table_split_loop(w)
+            assert np.array_equal(
+                np.frombuffer(table, dtype=np.int64), np.frombuffer(expected, dtype=np.int64)
+            )
 
     @pytest.mark.parametrize("n", [2, 4, 9, 11, 12, 13, 14, 15, 16])
     def test_fractional_build_is_within_the_slack_of_the_references(self, n):
@@ -1805,6 +1822,23 @@ def _coin_tournament(rng: np.random.Generator, n: int, games: int) -> np.ndarray
         wins = rng.binomial(games, 0.5)
         w[i, j] = wins
         w[j, i] = games - wins
+    return w
+
+
+def _tenths_tournament(rng: np.random.Generator, n: int) -> np.ndarray:
+    """One game per pair, weighted integers(1, 4) / 10, won by either side w.p. 1/2.
+
+    Pairs come in itertools.combinations order; each draws its weight, then
+    random() < 0.5 gives it to w[i, j], else to w[j, i]. Sums of tenths are
+    not exact, so these take the float route.
+    """
+    w = np.zeros((n, n))
+    for i, j in itertools.combinations(range(n), 2):
+        weight = rng.integers(1, 4) / 10
+        if rng.random() < 0.5:
+            w[i, j] = weight
+        else:
+            w[j, i] = weight
     return w
 
 
