@@ -40,7 +40,9 @@ The completion table is a subset dynamic program read as a grid, a set's
 high items picking the row and its low items the column; it is filled one
 layer of rows at a time, each item's term one numpy operation over whole
 rows or over every row of the layer, from the split row sums the searches
-read (_build_completion_table).
+read (_build_completion_table). The low items' terms run on the layer held
+transposed, a column per row, so that each of their gathers copies one
+contiguous run of the layer's rows per index.
 
 The optima come from one walk for both routes, with the table and above
 its budget without (_walk_optima): depth first over chunks of prefixes of
@@ -95,7 +97,7 @@ __all__ = [
 # Building a completion table holds 2^n * 8 bytes of table, the split row
 # sums (2 * n * 2^ceil(n/2) * 8 bytes) and work arrays the size of a few of
 # the table's row layers. At n = 18 the build's traced peak is about
-# 4.5 MiB for every weight type; afterwards the matrix keeps the table, an
+# 4.7 MiB for every weight type; afterwards the matrix keeps the table, an
 # array of 2 MiB, and the split row sums as gain rows for the table-side
 # searches, 144 KiB.
 _TABLE_MAX_N = 18
@@ -757,21 +759,29 @@ def _build_completion_table(w: np.ndarray, deadline: float | None) -> _Completio
     - Low items: for each size of A in turn, placing i in A leaves column
       A \ i of the same rows, filled one size earlier, so one gather over
       all (A, i) pairs and all rows of the layer adds the term. For this
-      term the layer's columns are held by size (_Subsets.order), so each
-      size is one slice. i's gain over the row's high items is a gather
-      from the layer's small block of low items' row sums; its gain over
-      A \ i is the same for every row and is gathered once per build.
+      term the layer is transposed once, after the high items' term, with
+      its columns held by size (_Subsets.order) as its rows: each size is
+      one slice, each gathered index copies the contiguous run of that
+      column's entries over every row of the layer, and the max over
+      members reduces the leading axis. The layer goes back into the grid,
+      in set order, once at the end. i's gain over the row's high items
+      is a gather from the layer's small block of low items' row sums; its
+      gain over A \ i is the same for every row and is gathered once per
+      build.
 
     The (set, member) pairs come from _subsets. The row sums are the split
     row sums of w (_split_row_sums), built once and returned as the gain
     rows: rowsum[v, S \ v] = lo[v, A] + hi[v, B], read at the parent set,
     since v's own half holds there its sum without v. Each step adds the
     row sum first and table[rest] after it, as the scalar recurrence does.
-    When every sum of the weights is exact (_exact_sums), any order of
-    adding them gives the same bits, so the table equals
+    So for every weight type the table equals the scalar recurrence over
+    the same split row sums (tests/oracles.py::completion_table_split_loop)
+    bit for bit. When every sum of the weights is exact (_exact_sums), any
+    order of adding them gives the same bits, so the table also equals
     tests/oracles.py::completion_table_loop bit for bit; otherwise its
-    entries are within the rounding that _slack allows for, and every
-    reader compares them within it.
+    entries are within the rounding that _slack allows for of that
+    recurrence over unsplit row sums, and every reader compares them
+    within it.
 
     Returns the table as an array('d'), which the searches index one entry
     at a time. Raises _Timeout before any step of the grid, the high term
@@ -788,13 +798,14 @@ def _build_completion_table(w: np.ndarray, deadline: float | None) -> _Completio
     hi = gains.hi_view.reshape(n, 1 << m)
     low = _subsets(h)
     # For each size a of A: its columns by size; for each (A, i) pair, i,
-    # the column of A \ i, and i's gain over A \ i.
+    # the column of A \ i, and i's gain over A \ i, one per row of the
+    # transposed layer.
     low_steps = [
         (
             slice(low.starts[a], low.starts[a + 1]),
             items,
             low.position[rests],
-            lo[items, owners],
+            lo[items, owners][:, None],
         )
         for a, (_, items, rests, owners) in enumerate(low.layers)
         if a
@@ -817,21 +828,22 @@ def _build_completion_table(w: np.ndarray, deadline: float | None) -> _Completio
                 layer = gain
             else:
                 np.maximum(layer, gain, out=layer)
-        # Columns by size for the low-item steps, each size one slice; the
-        # store puts them back in set order.
-        layer = layer.take(low.order, axis=1)
+        # Transposed for the low-item steps, columns by size as rows, so
+        # each size is one slice and each (A, i) pair reads a contiguous
+        # run of the layer's rows; the store puts it back in set order.
+        layer = layer.T.take(low.order, axis=0)
         # Each low item's gain over the high items of each row B.
-        high_part = hi[:h, rows].T
+        high_part = hi[:h, rows]
         for a, (cols, low_items, low_rests, low_gain) in enumerate(low_steps, 1):
             _check_deadline(deadline)
-            # i's gain over each row B of the layer (axis 0), then over
-            # A \ i at each pair (axis 1).
-            gain = high_part.take(low_items, axis=1)
+            # i's gain over each row B of the layer (axis 1), then over
+            # A \ i at each pair (axis 0).
+            gain = high_part.take(low_items, axis=0)
             gain += low_gain
-            gain += layer.take(low_rests, axis=1)
-            best = layer[:, cols]
-            np.maximum(best, gain.reshape(count, a, -1).max(axis=1), out=best)
-        grid[rows] = layer.take(low.position, axis=1)
+            gain += layer.take(low_rests, axis=0)
+            best = layer[cols]
+            np.maximum(best, gain.reshape(a, -1, count).max(axis=0), out=best)
+        grid[rows] = layer.take(low.position, axis=0).T
     return _Completion(out, gains)
 
 

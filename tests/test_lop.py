@@ -825,23 +825,25 @@ class TestCompletionTable:
     @pytest.mark.parametrize("integral", [True, False])
     def test_build_traces_at_most_64_bytes_per_set(self, integral):
         # Every weight type takes the split row sums: no table of row sums
-        # over all n items, which alone would take 8 n bytes per set.
-        n = 16
-        rng = np.random.default_rng(47)
-        if integral:
-            w = _tournament_with_ties(rng, n, 1)
-        else:
-            w = _random_weights(rng, n, integral=False)
-        assert lop._exact_sums(WeightMatrix(w)) == integral
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before, _ = tracemalloc.get_traced_memory()
-            lop._build_completion_table(w, None)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak - before <= 64 << n
+        # over all n items, which alone would take 8 n bytes per set. n = 17
+        # splits unevenly, and n = 18 is the table budget; each traces about
+        # 19-20 bytes per set.
+        for n in (16, 17, 18):
+            rng = np.random.default_rng(47)
+            if integral:
+                w = _tournament_with_ties(rng, n, 1)
+            else:
+                w = _random_weights(rng, n, integral=False)
+            assert lop._exact_sums(WeightMatrix(w)) == integral
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                before, _ = tracemalloc.get_traced_memory()
+                lop._build_completion_table(w, None)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak - before <= 64 << n, n
 
 
 class TestSplitRows:
