@@ -814,7 +814,6 @@ class TestProcessRules:
         assert out == (DATA_DIR / "golden" / golden).read_bytes()
 
 
-# (command, fixture, extra arguments) of each run pinned by a golden file.
 def test_tenths16_is_written_by_its_generator(tmp_path):
     # A p = 0.5 tournament at n = 16 in tenths (rng seed 1): float sums on
     # the completion table's route, pinned by the lop, enumerate and kappa
@@ -824,6 +823,7 @@ def test_tenths16_is_written_by_its_generator(tmp_path):
     assert path.read_bytes() == (DATA_DIR / "tenths16.csv").read_bytes()
 
 
+# (command, fixture, extra arguments) of each run pinned by a golden file.
 PINNED_RUNS = [
     ("lop", "tenths7", ()),
     ("lop", "tenths16", ()),
@@ -859,10 +859,10 @@ def test_fixture_stdout_is_pinned_byte_for_byte(capsys, command, fixture, extra)
     # exact: the last bits of k_star and of the statistics depend on the
     # order of every addition, so every Python and numpy version must print
     # the same bytes. tenths16 (4 optima) takes them through a completion
-    # table of 2^16 entries. coin19 (a p = 0.5 tournament, rng seed 1016), hidden20 and
-    # tiers24 are exact and above the table budget: their files pin the
-    # table-free witness and its nodes and pruned, from the witness pass
-    # for coin19 and hidden20 and from the memoized search for
+    # table of 2^16 entries. coin19 (a p = 0.5 tournament, rng seed 1016),
+    # hidden20 and tiers24 are exact and above the table budget: their files
+    # pin the table-free witness and its nodes and pruned, from the witness
+    # pass for coin19 and hidden20 and from the memoized search for
     # fractional19 and tiers24. hidden32 (a hidden-order tournament, rng
     # seed 1) pins the heuristic's whole-order steps at n = 32, with the
     # value passes and the witness pass. tiers24 has over a million optima,
