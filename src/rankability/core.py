@@ -3,8 +3,8 @@
 Weight matrices, rankings, linear-order encodings, Kendall tau distance,
 symmetric reordering, and objective evaluation. Everything here is
 immutable after construction and free of solver state, except that a
-weight matrix keeps the solver's completion table, which depends on its
-weights alone.
+weight matrix keeps the solver's exact core, which depends on its weights
+alone.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ class WeightMatrix:
     write-protected.
     """
 
-    __slots__ = ("_weights", "_labels", "_completion")
+    __slots__ = ("_weights", "_labels", "_core")
 
     def __init__(self, weights, labels: Sequence[str] | None = None):
         arr = np.asarray(weights, dtype=float)
@@ -85,11 +85,9 @@ class WeightMatrix:
         arr.flags.writeable = False
         self._weights = arr
         self._labels = labels
-        # Exact completion table, a pure function of the weights, filled in
-        # by the solver (rankability.lop) the first time a search needs it:
-        # a lop._Completion, the table as an array('d') of 2^n entries, 8
-        # bytes each, plus the split row sums it was built from.
-        self._completion: tuple | None = None
+        # The exact searches' shared structures (a lop._Core), a pure
+        # function of the weights, made the first time a search needs them.
+        self._core = None
 
     @property
     def n(self) -> int:

@@ -9,17 +9,19 @@ orientation pair rather than branched on. Its joint branch and bound
 grows both orders position by position, so every generated orientation
 set is transitively closed and the 3-dicycle constraints hold by
 construction. Each side is a prefix in the optima walk's form
-(lop._prefix_form), its children bounded by two lookups in split row
-sums. A node is pruned when the prefix bound of either side drops below
-the optimal value, or when the pairs not yet ordered by both sides cannot
-lift the discordance past the best distance found. The joint search reads
-the deadline every 256 nodes. Season reports and the kappa command prove
-k*, enumerate once and take kappa from those same orders, all under one
-deadline (_solve_with_kappa).
+(lop._Core.prefix_form), its children bounded by two lookups in split
+row sums. A node is pruned when the prefix bound of either side drops
+below the optimal value, or when the pairs not yet ordered by both sides
+cannot lift the discordance past the best distance found. The joint
+search reads the deadline every 256 nodes. Season reports and the kappa
+command prove k*, enumerate once and take kappa from those same orders,
+all under one deadline (_solve_with_kappa).
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -34,14 +36,14 @@ from .core import (
     ranking_from_order,
     validate_linear_order,
 )
-from .errors import InvalidKStarError, UnprovenOptimumError
+from .errors import InvalidArgumentError, InvalidKStarError, UnprovenOptimumError
 from .lop import (
     DEFAULT_CONFIG,
     SolverConfig,
     _check_deadline,
+    _core,
     _deadline,
     _optimal_orders,
-    _prefix_form,
     _proven_value,
     _slack,
     _Timeout as _LopTimeout,
@@ -125,9 +127,9 @@ class _PairSearch:
 
     Both rankings are built position by position in lockstep, so the
     3-dicycle constraints hold by construction. Each side is a prefix in
-    the optima walk's form (lop._prefix_form): its unplaced set, one scalar
-    and its items. A child is kept while its bound reaches k* minus the
-    slack, and a leaf counts when its scalar is within the slack of k*. A
+    the optima walk's form (lop._Core.prefix_form): its unplaced set, one
+    scalar and its items. A child is kept while its bound reaches k* minus
+    the slack, and a leaf counts when its scalar is within the slack of k*. A
     pair is pruned when its reach, C(n, 2) less the pairs both sides have
     ordered alike, counted by popcounts of item masks, cannot pass the
     incumbent; at a leaf the reach is the distance. The search starts from
@@ -142,8 +144,8 @@ class _PairSearch:
         sigma0: tuple[int, ...],
         deadline: float | None,
     ):
-        self.matrix = a
-        self.eps = _slack(a)
+        self.core = _core(a)
+        self.eps = self.core.eps
         self.k_star = float(k_star)
         self.deadline = deadline
         self.nodes = 0
@@ -151,8 +153,8 @@ class _PairSearch:
         self.best_pair = (sigma0, sigma0)
 
     def run(self) -> None:
-        n = self.matrix.n
-        root, self.rows, self.table = _prefix_form(self.matrix, self.deadline)
+        root, self.rows, self.table = self.core.prefix_form(self.deadline)
+        n = len(self.rows.items)
         # below[s][v]: the items side s ranks below v, set as it places v.
         self.below = ([0] * n, [0] * n)
         self.prefixes: tuple[list[int], list[int]] = ([], [])
@@ -340,12 +342,19 @@ def _kappa_from_orders(
     return _kt_result(a.n, *_max_distance_pair(orders, a.n, deadline))
 
 
+def _check_k_star(k_star) -> None:
+    """InvalidArgumentError unless k_star is a real number other than a bool or NaN."""
+    # True would run as 1, and NaN differs from no objective by more than the slack.
+    if isinstance(k_star, bool) or not isinstance(k_star, numbers.Real) or math.isnan(k_star):
+        raise InvalidArgumentError(f"k_star must be a real number, got {k_star!r}")
+
+
 def solve_kt(
     a: WeightMatrix, k_star: float, cfg: SolverConfig | None = None
 ) -> KtResult:
     """Two optimal rankings as far apart as possible in Kendall tau.
 
-    Enumerates the optima with the shared completion table. When the
+    Enumerates the optima from the matrix's exact core. When the
     whole set fits the enumeration cap, kappa and the canonical pair, the
     lexicographically smallest (first, second) pair among all
     maximal-distance pairs, come from a scan over all pairs of optima.
@@ -355,10 +364,12 @@ def solve_kt(
     returned with proven=False.
 
     Raises:
+        InvalidArgumentError: when k_star is not a real number (_check_k_star).
         InvalidKStarError: when no ranking attains k_star.
         UnprovenOptimumError: when the time limit expires before even one
             ranking attaining k_star is found, so no pair can be reported.
     """
+    _check_k_star(k_star)
     cfg = cfg or DEFAULT_CONFIG
     deadline = _deadline(cfg)
     orders, truncated = _optimal_orders(a, k_star, cfg.enumeration_cap, deadline)
@@ -418,11 +429,13 @@ def validate_kt_solution(
 ) -> KtValidationReport:
     """Audit every constraint family of a claimed solution.
 
-    Reports violations instead of raising. Each side's objective must
-    equal k_star within the solvers' comparison slack (lop._slack). The
-    two optimally valid inequalities are listed separately: a merely
+    Reports violations instead of raising, save InvalidArgumentError for a
+    k_star that is not a real number (_check_k_star). Each side's objective
+    must equal k_star within the solvers' comparison slack (lop._slack).
+    The two optimally valid inequalities are listed separately: a merely
     feasible solution may break them, an optimal one never does.
     """
+    _check_k_star(k_star)
     n = a.n
     violations: list[str] = []
     if s.x.n != n or s.y.n != n or s.z.shape != (n, n):

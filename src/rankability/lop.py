@@ -4,13 +4,13 @@ solve_lop finds a permutation maximizing the sum of pairwise weights
 ranked in agreement, by branch and bound over ranking prefixes with an
 admissible pairwise bound and dominance on the set of unplaced items,
 started from an insertion heuristic's incumbent. Also provides the exact
-subset completion table that the witness, enumeration and pair searches
-share, the table-free witness search above the table budget, enumeration
-of all optimal rankings, and the degree of linearity. The witness search,
-the enumeration and the kappa pair search keep a prefix as its unplaced
-set and one scalar, and read each child's bound from split row sums in
-two lookups, for every weight type. So does the value proof when every
-sum of the weights is exact, as layered numpy passes over the visits of a
+core that every search of one matrix shares (_Core), its completion table,
+the table-free witness search above the table budget, enumeration of all
+optimal rankings, and the degree of linearity. The witness search, the
+enumeration and the kappa pair search keep a prefix as its unplaced set
+and one scalar, and read each child's bound from split row sums in two
+lookups, for every weight type. So does the value proof when every sum of
+the weights is exact, as layered numpy passes over the visits of a
 depth-first search with a dominance memo, with that search's value, order
 and counts (value.prove_value). Only _SplitRows knows how those sums are
 laid out: its one kernel forms the children of numpy arrays of states, and
@@ -54,10 +54,8 @@ and are walked before the rest of their parents' chunk, so the optima
 arrive sorted, held as one small-integer array rather than a tuple each.
 
 enumerate_optima, degree_of_linearity and the kappa and season routines
-need only the proven value k*, not a witness. Inside the table budget
-with exact sums they read it from the completion table, and run neither
-the heuristic nor the branch and bound; elsewhere they run solve_lop's
-value phase without its witness search.
+need only the proven value k*, not a witness, which inside the table
+budget with exact sums they read off the core's table (_proven_value).
 """
 
 from __future__ import annotations
@@ -97,15 +95,16 @@ __all__ = [
 # Building a completion table holds 2^n * 8 bytes of table, the split row
 # sums (2 * n * 2^ceil(n/2) * 8 bytes) and work arrays the size of a few of
 # the table's row layers. At n = 18 the build's traced peak is about
-# 4.7 MiB for every weight type; afterwards the matrix keeps the table, an
-# array of 2 MiB, and the split row sums as gain rows for the table-side
-# searches, 144 KiB.
+# 4.7 MiB for every weight type; afterwards the matrix's core keeps the
+# table, an array of 2 MiB, and the split row sums as gain rows for the
+# table-side searches, 144 KiB.
 _TABLE_MAX_N = 18
 
 # The most items the searches on split row sums take (_split_row_sums):
-# those hold 8 n (2^floor(n/2) + 2^ceil(n/2)) bytes, 0.67 GB at n = 40 and
-# about twice as much for every two items more, and keep unplaced sets as
-# int64 (value.py) and in complex keys, exact below 2^53 (witness.py).
+# those hold 8 n (2^floor(n/2) + 2^ceil(n/2)) bytes, 0.3 MiB at n = 20,
+# 32 MiB at n = 32, 0.67 GB at n = 40 and about twice as much for every two
+# items more, and keep unplaced sets as int64 (value.py) and in complex
+# keys, exact below 2^53 (witness.py).
 _MAX_ITEMS = 40
 
 # Dominance memo entries of the depth-first value search for weights whose
@@ -270,34 +269,97 @@ def _exact_sums(a: WeightMatrix) -> bool:
     return np.array_equal(doubled, np.round(doubled)) and a.total_sum() < _EXACT_TOTAL
 
 
-def _slack(a: WeightMatrix) -> float:
-    """How far apart two objective sums of the matrix may be and still tie.
+class _Core:
+    """What every exact search of one matrix shares, each part built once.
 
-    Every search, the heuristic and the validator compare through this one
-    value. It is 0 when _exact_sums holds, since then every sum is exact.
+    Kept on the matrix (_core), as a pure function of its weights: exact,
+    whether _exact_sums holds; eps, the slack through which every search,
+    the heuristic and the validator compare objective sums (_slack); and,
+    built on first use, the bound-side searches' root bound and drop rows,
+    which live as long as the matrix (their bytes are at _MAX_ITEMS), and
+    the completion table. The unplaced-set searches start from prefix_form.
     """
-    if _exact_sums(a):
-        return 0.0
-    # Every sum or bound the searches compare is built from about 4 n^2
-    # roundings, each of a value below twice the total in magnitude and off
-    # by at most 2^-53 of it, so two computations of one objective differ
-    # by less than about n^2 * 2^-49 of the total; a bound from split row
-    # sums adds n row sums of at most n terms each to a start or table
-    # entry of as many. The slack is 2^9 times that, room for the rounding
-    # that the value search's apply/undo cycles accumulate. It scales
-    # with the weights, so ties are decided alike at every scale.
-    total = a.total_sum()
-    slack = total * a.n * a.n * 2.0**-40
-    if slack == np.inf:
-        # total * n * n overflowed. Scaling by the power of two first keeps
-        # the product finite for every finite total; where both orders are
-        # finite and normal they give the same bits.
-        slack = total * 2.0**-40 * a.n * a.n
-    return slack
+
+    def __init__(self, a: WeightMatrix):
+        # The weights, not the matrix, which keeps the core.
+        self.weights = a.weights
+        self.exact = _exact_sums(a)
+        self.table: array[float] | None = None
+        self.gains: _SplitRows | None = None
+        # With exact sums every sum is exact and ties are equal. Otherwise
+        # every sum or bound the searches compare is built from about 4 n^2
+        # roundings, each of a value below twice the total in magnitude and
+        # off by at most 2^-53 of it, so two computations of one objective
+        # differ by less than about n^2 * 2^-49 of the total; a bound from
+        # split row sums adds n row sums of at most n terms each to a start
+        # or table entry of as many. The slack is 2^9 times that, room for
+        # the rounding that the value search's apply/undo cycles accumulate.
+        # It scales with the weights, so ties are decided alike at every
+        # scale.
+        total = a.total_sum()
+        self.eps = 0.0 if self.exact else total * a.n * a.n * 2.0**-40
+        if self.eps == np.inf:
+            # total * n * n overflowed. Scaling by the power of two first
+            # keeps the product finite for every finite total; where both
+            # orders are finite and normal they give the same bits.
+            self.eps = total * 2.0**-40 * a.n * a.n
+
+    @functools.cached_property
+    def root(self) -> float:
+        """u at the empty prefix: half the fold of the pair maxima, added as _fold adds.
+
+        cumsum adds each row left to right from a leading 0.0; the diagonal's
+        zero leaves every partial sum of nonnegative weights as it is.
+        """
+        w = self.weights
+        pair_max = np.concatenate([np.zeros((len(w), 1)), np.maximum(w, w.T)], axis=1)
+        return _fold(pair_max.cumsum(axis=1)[:, -1].tolist()) / 2.0
+
+    @functools.cached_property
+    def drops(self) -> _SplitRows:
+        """Split row sums of w - max(w, w.T), the bound-side searches' rows."""
+        w = self.weights
+        return _split_row_sums(w - np.maximum(w, w.T))
+
+    def completion(self, deadline: float | None) -> array[float] | None:
+        """The exact completion table, or None above _TABLE_MAX_N.
+
+        Built with its gain rows (gains), the split row sums of w that the
+        table-side searches read; a build that the deadline stops keeps
+        neither. Raises _Timeout once the deadline has passed, also when the
+        table exists, so that a search phase starting after its deadline
+        does no work.
+        """
+        if len(self.weights) > _TABLE_MAX_N:
+            return None
+        _check_deadline(deadline)
+        if self.table is None:
+            self.table, self.gains = _build_completion_table(self.weights, deadline)
+        return self.table
+
+    def prefix_form(self, deadline: float | None) -> tuple:
+        """The empty prefix in the unplaced-set form (_Search) as (scalar, rows, table).
+
+        With the completion table: f = 0.0, the gain rows and the table.
+        Above its budget: g = f + u = root, the drop rows and None. Raises
+        _Timeout as completion does.
+        """
+        table = self.completion(deadline)
+        if table is None:
+            return self.root, self.drops, None
+        return 0.0, self.gains, table
 
 
-def _float_rows(a: WeightMatrix) -> list[list[float]]:
-    return [[float(x) for x in row] for row in a.weights]
+def _core(a: WeightMatrix) -> _Core:
+    """The matrix's _Core, made on first use."""
+    if a._core is None:
+        a._core = _Core(a)
+    return a._core
+
+
+def _slack(a: WeightMatrix) -> float:
+    """How far apart two objective sums of the matrix may be and still tie (_Core)."""
+    return _core(a).eps
 
 
 def _fold(values: Iterable[float]) -> float:
@@ -324,17 +386,16 @@ class _Search:
     scalar, and reads a child's term in two lookups in split row sums, at
     the halves of the parent's unplaced set (_SplitRows). Bound-side
     searches keep g = f + u; placing v next adds the row sum of v's drop
-    row, w - max(w, w.T), over the items left after it (self.drops), and
-    g == f at a leaf. Table-side searches keep f; placing v next adds v's
-    gain row sum, the split row sums of w kept with the table
-    (_Completion.gains).
+    row, w - max(w, w.T), over the items left after it, and g == f at a
+    leaf. Table-side searches keep f; placing v next adds v's gain row sum,
+    the split row sums of w kept with the table. Both are the core's.
 
     The witness search takes this form for every weight type, as do the
     optima walk (_walk_optima) over whole chunks of prefixes and the kappa
-    joint search (ktdiam._PairSearch), both from _prefix_form, since they
-    report only orders, chosen within the slack. The value
-    search takes it when _exact_sums holds (self.exact), where every such
-    sum is exact, as the layered passes of value.prove_value. Otherwise it
+    joint search (ktdiam._PairSearch), both from _Core.prefix_form, since
+    they report only orders, chosen within the slack. The value search
+    takes it when _exact_sums holds (self.exact), where every such sum is
+    exact, as the layered passes of value.prove_value. Otherwise it
     keeps apply/undo with O(n) updates of per-item sums per move (s_a and
     s_m, built on first use): the last bits of f depend on the order of
     the additions and subtractions that led to it, and solve_lop reports
@@ -351,10 +412,10 @@ class _Search:
 
     def __init__(self, a: WeightMatrix, deadline: float | None = None):
         n = a.n
-        self.matrix = a
         self.n = n
-        self.eps = _slack(a)
-        self.exact = _exact_sums(a)
+        # Plain attributes, which the scalar loops read faster than the core's.
+        self.core = core = _core(a)
+        self.eps, self.exact, self.root = core.eps, core.exact, core.root
         self.deadline = deadline
         self.nodes = 0
         self.pruned = 0
@@ -364,20 +425,14 @@ class _Search:
         self.memo: dict[int, float] = {}
         self.best_val = float("-inf")
         self.best_order: list[int] = []
-        self._root_u = _root_bound(a.weights)
         self.reset()
-
-    @functools.cached_property
-    def drops(self) -> _SplitRows:
-        """The drop rows (_drop_rows), built for the first bound-side search."""
-        return _drop_rows(self.matrix.weights)
 
     def reset(self) -> None:
         """Back to the root, with no item placed and s_a and s_m unbuilt."""
         self.in_rem = [True] * self.n
         self.rem_mask = (1 << self.n) - 1
         self.prefix: list[int] = []
-        self.f, self.u = 0.0, self._root_u
+        self.f, self.u = 0.0, self.root
         self.__dict__.pop("s_a", None)
         self.__dict__.pop("s_m", None)
 
@@ -387,7 +442,7 @@ class _Search:
 
     @functools.cached_property
     def w(self) -> list[list[float]]:
-        return _float_rows(self.matrix)
+        return self.core.weights.tolist()
 
     @functools.cached_property
     def pair_max(self) -> list[list[float]]:
@@ -443,12 +498,8 @@ class _Search:
 
     def _tick(self) -> None:
         self._expanded += 1
-        if (
-            self.deadline is not None
-            and (self._expanded & 255) == 0
-            and time.monotonic() > self.deadline
-        ):
-            raise _Timeout
+        if not self._expanded & 255:
+            _check_deadline(self.deadline)
 
     # -- optimal value ---------------------------------------------------
 
@@ -520,8 +571,8 @@ class _Search:
         """
         self.reset()
         target = k_star - self.eps
-        completion = _completion(self.matrix, self.deadline)
-        if completion is None:
+        table = self.core.completion(self.deadline)
+        if table is None:
             # Imported here, so that only a witness search without a table
             # loads it. Without cached bytecode Python compiles a module on
             # import, and the heap that takes stays in use: with the passes
@@ -531,24 +582,9 @@ class _Search:
             return WitnessLayers(self, target).descend()
 
         def reaches(t: int, child: float) -> bool:
-            return child + completion.table[t] >= target
+            return child + table[t] >= target
 
-        return _descend(completion.gains, self.rem_mask, self.f, self.prefix, reaches)
-
-
-def _root_bound(w: np.ndarray) -> float:
-    """u at the root: half the fold of the pair maxima, added as _fold adds.
-
-    cumsum adds each row left to right from a leading 0.0; the diagonal's
-    zero leaves every partial sum of nonnegative weights as it is.
-    """
-    pair_max = np.concatenate([np.zeros((len(w), 1)), np.maximum(w, w.T)], axis=1)
-    return _fold(pair_max.cumsum(axis=1)[:, -1].tolist()) / 2.0
-
-
-def _drop_rows(w: np.ndarray) -> _SplitRows:
-    """Split row sums of w - max(w, w.T), the bound-side searches' rows."""
-    return _split_row_sums(w - np.maximum(w, w.T))
+        return _descend(self.core.gains, self.rem_mask, self.f, self.prefix, reaches)
 
 
 def _descend(
@@ -684,17 +720,6 @@ def _split_row_sums(w: np.ndarray) -> _SplitRows:
     return _SplitRows(lo, hi, lo_view, hi_view, h, (1 << h) - 1, items, at_lo, at_hi)
 
 
-class _Completion(NamedTuple):
-    """A matrix's exact completion table and its gain rows.
-
-    gains are the split row sums of w (_split_row_sums) that the table was
-    built from, kept for the table-side witness search and enumeration.
-    """
-
-    table: array[float]
-    gains: _SplitRows
-
-
 class _Subsets(NamedTuple):
     """The subsets of m items by size, with each (set, member) pair.
 
@@ -740,7 +765,7 @@ def _subsets(m: int) -> _Subsets:
     return _Subsets(tuple(layers), order, position, tuple(starts))
 
 
-def _build_completion_table(w: np.ndarray, deadline: float | None) -> _Completion:
+def _build_completion_table(w: np.ndarray, deadline: float | None) -> tuple:
     r"""table[S] = best objective an ordering of item set S can add.
 
     Subset dynamic program: table[S] is the best over v in S of placing v
@@ -784,8 +809,9 @@ def _build_completion_table(w: np.ndarray, deadline: float | None) -> _Completio
     within it.
 
     Returns the table as an array('d'), which the searches index one entry
-    at a time. Raises _Timeout before any step of the grid, the high term
-    of a layer or one size of A, once the deadline has passed.
+    at a time, and the gain rows. Raises _Timeout before any step of the
+    grid, the high term of a layer or one size of A, once the deadline has
+    passed.
     """
     n = w.shape[0]
     gains = _split_row_sums(w)
@@ -844,24 +870,7 @@ def _build_completion_table(w: np.ndarray, deadline: float | None) -> _Completio
             best = layer[cols]
             np.maximum(best, gain.reshape(a, -1, count).max(axis=0), out=best)
         grid[rows] = layer.take(low.position, axis=0).T
-    return _Completion(out, gains)
-
-
-def _completion(a: WeightMatrix, deadline: float | None) -> _Completion | None:
-    """The matrix's exact completion table, or None above _TABLE_MAX_N.
-
-    Built on first use and kept on the matrix, so every solve of one
-    matrix shares a single table, which callers only read. Raises
-    _Timeout once the deadline has passed, also when the table already
-    exists, so that a search phase starting after its deadline does no
-    work.
-    """
-    if a.n > _TABLE_MAX_N:
-        return None
-    _check_deadline(deadline)
-    if a._completion is None:
-        a._completion = _build_completion_table(a.weights, deadline)
-    return a._completion
+    return out, gains
 
 
 @functools.lru_cache(maxsize=16)
@@ -1169,9 +1178,9 @@ def _proven_value(a: WeightMatrix, deadline: float | None) -> float:
     Raises:
         UnprovenOptimumError: when the deadline passes first.
     """
-    if a.n <= _TABLE_MAX_N and _exact_sums(a):
+    if a.n <= _TABLE_MAX_N and _core(a).exact:
         try:
-            return _completion(a, deadline).table[-1]
+            return _core(a).completion(deadline)[-1]
         except _Timeout:
             pass
     else:
@@ -1226,23 +1235,17 @@ def _other_columns(k: int) -> np.ndarray:
 
 
 def _walk_optima(
-    root: float,
-    rows: _SplitRows,
-    table: array[float] | None,
-    k_star: float,
-    eps: float,
-    limit: int,
-    deadline: float | None,
+    core: _Core, k_star: float, limit: int, deadline: float | None
 ) -> tuple[np.ndarray, bool]:
     """Optimal 0-based orders in lexicographic sequence, up to limit of them.
 
     A depth-first walk over chunks of prefixes of one depth, in
     lexicographic order, each prefix a row of its order, its unplaced items
-    in ascending order, its unplaced set and its scalar. root and rows are
-    the empty prefix's scalar and rows in the unplaced-set form
-    (_prefix_form): with a table, f and the gain rows, and a child's bound
-    adds the table's entry for the items left after it; without, g = f + u
-    and the drop rows, and a child's scalar is its bound. For the first rows
+    in ascending order, its unplaced set and its scalar. It starts from the
+    core's empty prefix in the unplaced-set form (_Core.prefix_form): with
+    a table, f and the gain rows, and a child's bound adds the table's
+    entry for the items left after it; without, g = f + u and the drop
+    rows, and a child's scalar is its bound. For the first rows
     of the top chunk, every child's scalar is its parent's plus two lookups,
     in numpy operations over a (rows, unplaced items) grid: the additions of
     the depth-first search over one prefix at a time
@@ -1254,13 +1257,15 @@ def _walk_optima(
 
     Returns the orders as an (count, n) int8 array and whether the walk
     stopped early: on reaching limit orders, or when the deadline, checked
-    before each chunk, has passed, with the orders found so far.
+    before each chunk, has passed, with the orders found so far. Raises
+    _Timeout as prefix_form does.
     """
+    root, rows, table = core.prefix_form(deadline)
     completions = None if table is None else np.frombuffer(table)
     n = len(rows.items)
     items = np.arange(n)
     bits = 1 << items
-    target = k_star - eps
+    target = k_star - core.eps
     # A chunk's orders are full width; positions from its depth on are unset.
     full = np.array([(1 << n) - 1])
     stack = [(0, np.zeros((1, n), np.int8), items[None], full, np.array([root]))]
@@ -1282,7 +1287,7 @@ def _walk_optima(
         depth += 1
         if depth == n:
             # The bound at a leaf adds table[0] = 0.0: its scalar alone.
-            keep = (child >= target) & (np.abs(child - k_star) <= eps)
+            keep = (child >= target) & (np.abs(child - k_star) <= core.eps)
         elif completions is None:
             keep = child >= target
         else:
@@ -1307,19 +1312,6 @@ def _walk_optima(
     return np.concatenate(leaves), False
 
 
-def _prefix_form(a: WeightMatrix, deadline: float | None) -> tuple:
-    """The empty prefix in the unplaced-set form (_Search) as (scalar, rows, table).
-
-    With the completion table: f = 0.0, the gain rows and the table. Above
-    its budget: g = f + u as _Search folds it, the drop rows and None.
-    Raises _Timeout as _completion does.
-    """
-    completion = _completion(a, deadline)
-    if completion is None:
-        return _root_bound(a.weights), _drop_rows(a.weights), None
-    return 0.0, completion.gains, completion.table
-
-
 def _optimal_orders(
     a: WeightMatrix, k_star: float, cap: int, deadline: float | None
 ) -> tuple[np.ndarray, bool]:
@@ -1331,12 +1323,9 @@ def _optimal_orders(
     deadline that has already passed gives no orders and truncated=True.
     """
     try:
-        root, rows, table = _prefix_form(a, deadline)
+        orders, truncated = _walk_optima(_core(a), k_star, cap + 1, deadline)
     except _Timeout:
         return np.empty((0, a.n), np.int8), True
-    orders, truncated = _walk_optima(
-        root, rows, table, k_star, _slack(a), cap + 1, deadline
-    )
     orders = orders[:cap]
     orders += 1
     return orders, truncated

@@ -77,7 +77,7 @@ class _Passes:
         self.order = order
         self.rank = np.argsort(order)
         self.bits = np.left_shift(1, order)
-        self.rows = search.drops
+        self.rows = search.core.drops
         self.at_lo, self.at_hi = self.rows.at_lo.take(order), self.rows.at_hi.take(order)
         self.block = max(1, _WALK_CHUNK_BYTES // (_CHILD_ARRAYS * 8 * search.n))
         self.start = search.best_val

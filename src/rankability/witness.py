@@ -64,7 +64,7 @@ class WitnessLayers:
     canonical prefix whether some completion of it reaches target. A
     depth-first search for one (tests/oracles.py::exists_completion_loop)
     forms each child of a state with unplaced set rem and bound g = f + u
-    as g plus v's drop row sum over rem without v (_Search.drops), so its
+    as g plus v's drop row sum over rem without v (_Core.drops), so its
     answer, nodes and pruned depend on (rem, g) alone. It takes children
     in child order up to the first ok one and counts 1 node for the state,
     1 pruned for each child below target, and the nodes and pruned of each
@@ -100,7 +100,7 @@ class WitnessLayers:
         self.target = target
         # The drop rows; their -inf entries put the child of an item placed
         # already below any target.
-        self.rows = rows = search.drops
+        self.rows = rows = search.core.drops
         order = np.array(search.child_order, dtype=np.int64)
         self.bits = np.left_shift(1, order)
         # Arrays over a chunk's children are (position, state): position j

@@ -355,7 +355,7 @@ def value_search_loop(search, start_order: list[int], start_value: float) -> boo
     search.best_val = start_value
     search.best_order = list(start_order)
     search.child_order = list(start_order)
-    rows = search.drops
+    rows = search.core.drops
     children = [rows.items[v] for v in start_order]
     try:
         _rec_value_exact(search, children, {}, search.rem_mask, search.f + search.u)
@@ -385,7 +385,7 @@ def _rec_value_exact(search, children, memo: dict[int, float], rem: int, g: floa
         return
     if len(memo) < lop._MEMO_CAP:
         memo[rem] = g
-    rows = search.drops
+    rows = search.core.drops
     lo, hi = rows.lo, rows.hi
     low, high = rem & rows.low, rem >> rows.h
     prefix = search.prefix
@@ -462,19 +462,16 @@ def enumerate_leaves_loop(
     """All optimal 0-based orders in lexicographic sequence, up to cap.
 
     lop._walk_optima as a depth-first search over one prefix at a time, on
-    a lop._Search's unplaced-set form: with the completion table, from f
-    and the gain rows; without, from g = f + u and the drop rows. Returns
-    the orders and whether the cap or the deadline (checked every 256
-    nodes) stopped it. Reference for the walk's orders and flags.
+    a lop._Search's unplaced-set form, from the core's empty prefix
+    (lop._Core.prefix_form): with the completion table, f and the gain
+    rows; without, g = f + u and the drop rows. Returns the orders and
+    whether the cap or the deadline (checked every 256 nodes) stopped it.
+    Reference for the walk's orders and flags.
     """
     search.reset()
     found: list[tuple[int, ...]] = []
     try:
-        completion = lop._completion(search.matrix, search.deadline)
-        if completion is None:
-            x, rows, table = search.f + search.u, search.drops, None
-        else:
-            x, rows, table = search.f, completion.gains, completion.table
+        x, rows, table = search.core.prefix_form(search.deadline)
         _rec_enum(search, search.rem_mask, x, k_star, cap, found, rows, table)
         return found, False
     except (_CapReached, lop._Timeout):

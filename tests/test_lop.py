@@ -613,7 +613,7 @@ class TestOptimaWalk:
         k_star = lop._proven_value(a, None)
         full, truncated = lop._optimal_orders(a, k_star, 10**6, None)
         assert not truncated and len(full) > 3
-        # One prefix per chunk. The table is built, so _completion reads the
+        # One prefix per chunk. The table is built, so completion reads the
         # clock once before the walk, which reads it before every chunk.
         monkeypatch.setattr(lop, "_WALK_CHUNK_BYTES", 1)
         counts = []
@@ -725,7 +725,7 @@ class TestCompletionTable:
         rng = np.random.default_rng(31 if integral else 37)
         for n in (2, 3, 5, 6, 7, 8):
             w = _random_weights(rng, n, integral)
-            table = lop._build_completion_table(w, None).table
+            table, _ = lop._build_completion_table(w, None)
             assert len(table) == 1 << n
             for s in range(1 << n):
                 items = [v for v in range(n) if s >> v & 1]
@@ -747,7 +747,7 @@ class TestCompletionTable:
         for w in matrices:
             # WeightMatrix takes at least two items; one item's sums are 0.
             assert n == 1 or lop._exact_sums(WeightMatrix(w))
-            table = lop._build_completion_table(w, None).table
+            table, _ = lop._build_completion_table(w, None)
             assert table == completion_table_loop(w)
 
     @pytest.mark.parametrize("n", range(13, 19))
@@ -759,7 +759,7 @@ class TestCompletionTable:
         matrices.append(_hidden_order_games(rng, n))
         for w in matrices:
             assert lop._exact_sums(WeightMatrix(w))
-            table = lop._build_completion_table(w, None).table
+            table, _ = lop._build_completion_table(w, None)
             assert table == completion_table_by_layers(w)
 
     @pytest.mark.parametrize("n", range(1, 13))
@@ -772,7 +772,7 @@ class TestCompletionTable:
         for _ in range(3):
             w = _random_weights(rng, n, integral=False)
             assert n == 1 or not lop._exact_sums(WeightMatrix(w))
-            table = lop._build_completion_table(w, None).table
+            table, _ = lop._build_completion_table(w, None)
             expected = completion_table_split_loop(w)
             assert np.array_equal(
                 np.frombuffer(table, dtype=np.int64), np.frombuffer(expected, dtype=np.int64)
@@ -788,7 +788,7 @@ class TestCompletionTable:
         a = WeightMatrix(w)
         assert not lop._exact_sums(a)
         reference = completion_table_loop(w) if n <= 11 else completion_table_by_layers(w)
-        table = lop._build_completion_table(w, None).table
+        table, _ = lop._build_completion_table(w, None)
         assert np.max(np.abs(np.subtract(table, reference))) <= lop._slack(a)
 
     @pytest.mark.parametrize("integral", [True, False])
@@ -1057,6 +1057,45 @@ class TestOneSolvePerMatrix:
         call(WeightMatrix(_hidden_order_tournament(np.random.default_rng(3), n)))
         assert search_calls == _search_route(tables=0)
 
+    def test_each_structure_is_built_once(self, monkeypatch, capsys):
+        # Builds of split row sums (drop rows, or gain rows with the table)
+        # and tests of _exact_sums, per command: each matrix's core makes
+        # each once. lop on tournament18 builds both kinds of rows: drop
+        # rows for the value passes, gain rows with the table for the
+        # witness.
+        calls = {"_split_row_sums": 0, "_exact_sums": 0}
+        for name in calls:
+            real = getattr(lop, name)
+
+            def counting(*args, _name=name, _real=real):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(lop, name, counting)
+        hidden = ["--input", str(DATA_DIR / "hidden20.csv"), "--kind", "matrix"]
+        tournament = ["--input", str(DATA_DIR / "tournament18.csv"), "--kind", "matrix"]
+        path = DATA_DIR / "multi_season.csv"
+        seasons = len(read_games_csv(path))
+        # argv, exit code, then the rows and _exact_sums calls expected.
+        cases = [
+            (["lop", *hidden], 0, 1, 1),
+            (["enumerate", *hidden], 0, 1, 1),
+            (["kappa", *hidden], 0, 1, 1),
+            # The oracle's joint search does not finish: exit 2.
+            (["kappa", *hidden, "--oracle", "--time-limit", "5"], 2, 1, 1),
+            (["lop", *tournament], 0, 2, 1),
+            (["enumerate", *tournament], 0, 1, 1),
+            (["kappa", *tournament], 0, 1, 1),
+            (["kappa", *tournament, "--cap", "10"], 0, 1, 1),
+            (["season", "--input", str(path)], 0, seasons, seasons),
+        ]
+        for argv, code, rows, exact in cases:
+            for name in calls:
+                calls[name] = 0
+            got = main(argv)
+            capsys.readouterr()
+            assert (got, calls) == (code, {"_split_row_sums": rows, "_exact_sums": exact})
+
     def test_degree_of_linearity_reads_the_table(self, search_calls):
         degree_of_linearity(WeightMatrix(COLLEGE_WEIGHTS))
         assert search_calls == {**_TABLE_ROUTE, "_walk_optima": 0}
@@ -1086,7 +1125,7 @@ class TestDeadlineInsideTableBuild:
         res = solve_lop(a)
         assert not res.proven
         assert objective_value(a, res.ranking) == res.optimal_value
-        assert a._completion is None
+        assert a._core.table is None
 
     def test_enumerate_refuses(self, expiring_table_build):
         with pytest.raises(UnprovenOptimumError):
@@ -1999,8 +2038,9 @@ class TestWeightScale:
                 a = WeightMatrix(w)
                 assert not lop._exact_sums(a)
                 if recurrence:
-                    completion = lop._completion(a, None)
-                    a._completion = completion._replace(table=completion_table_loop(w))
+                    core = lop._core(a)
+                    core.completion(None)
+                    core.table = completion_table_loop(w)
                 found = solve_lop(a)
                 results.append((
                     found.optimal_value,

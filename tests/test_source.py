@@ -14,6 +14,7 @@ import pytest
 import rankability
 from rankability import InvalidArgumentError, MalformedInputError, RankabilityError
 from rankability.core import WeightMatrix, ranking_from_order
+from rankability.ktdiam import kt_solution_from_rankings, solve_kt, validate_kt_solution
 from rankability.lop import SolverConfig
 from rankability.rating import RatingVector
 from rankability.sports import (
@@ -54,6 +55,49 @@ def test_no_absolute_tolerances(path):
     assert lines == [], f"{path.name}: float literals below 1e-6 at lines {lines}"
 
 
+# The builders of what every exact search of a matrix shares, and the one
+# function outside lop._Core that may call each: the table build makes its
+# own gain rows.
+_CORE_BUILDERS = {
+    "_exact_sums": None,
+    "_build_completion_table": None,
+    "_split_row_sums": "_build_completion_table",
+}
+
+
+def _builder_calls(node: ast.AST, scope: tuple[str, ...]):
+    """(name, scope) of each call of a _CORE_BUILDERS name below node.
+
+    scope names the classes and functions that enclose the call, outermost
+    first.
+    """
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = (*scope, child.name)
+        elif isinstance(child, ast.Call):
+            func = child.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in _CORE_BUILDERS:
+                yield name, scope
+        yield from _builder_calls(child, inner)
+
+
+def test_only_the_core_builds_the_shared_structures():
+    # One exact core per matrix: a search that built its own slack, drop
+    # rows or completion table would hold a second copy of them.
+    stray = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for name, scope in _builder_calls(tree, ()):
+            allowed = (path.name == "lop.py" and scope[:1] == ("_Core",)) or (
+                path.name == "lop.py" and scope == (_CORE_BUILDERS[name],)
+            )
+            if not allowed:
+                stray.append(f"{path.name}: {name} in {'.'.join(scope) or 'module'}")
+    assert stray == []
+
+
 def test_bad_arguments_raise_one_typed_error():
     # A RankabilityError that is also a ValueError, so callers that catch
     # ValueError keep working.
@@ -62,6 +106,10 @@ def test_bad_arguments_raise_one_typed_error():
     )
     games = game_set_from_records([record])
     sigma = ranking_from_order((1, 2))
+    cyclic = WeightMatrix([[0, 2, 1], [0, 0, 3], [1, 0, 0]])
+    solution = kt_solution_from_rankings(
+        ranking_from_order((1, 2, 3)), ranking_from_order((1, 2, 3))
+    )
     calls = [
         lambda: SolverConfig(time_limit=0),
         lambda: SolverConfig(enumeration_cap=0),
@@ -92,6 +140,12 @@ def test_bad_arguments_raise_one_typed_error():
         lambda: sigma.rank_of(0),
         lambda: sigma.rank_of(-1),
         lambda: sigma.rank_of(3),
+        # A k* that is not a real number: NaN once passed every objective
+        # check, "5" and None raised a bare TypeError, and True ran as 1.
+        lambda: validate_kt_solution(cyclic, float("nan"), solution),
+        lambda: solve_kt(cyclic, "5"),
+        lambda: solve_kt(cyclic, None),
+        lambda: solve_kt(cyclic, True),
     ]
     for call in calls:
         with pytest.raises(InvalidArgumentError) as info:
