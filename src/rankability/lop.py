@@ -42,7 +42,11 @@ layer of rows at a time, each item's term one numpy operation over whole
 rows or over every row of the layer, from the split row sums the searches
 read (_build_completion_table). The low items' terms run on the layer held
 transposed, a column per row, so that each of their gathers copies one
-contiguous run of the layer's rows per index.
+contiguous run of the layer's rows per index. With exact sums and twice
+the total within int16 (_Core.narrow), the same steps run in int16 on
+doubled weights, whose every sum is then an exact integer, and the grid is
+halved into the table once at the end: the same bits, from elements a
+quarter the size.
 
 The optima come from one walk for both routes, with the table and above
 its budget without (_walk_optima): depth first over chunks of prefixes of
@@ -95,9 +99,10 @@ __all__ = [
 # Building a completion table holds 2^n * 8 bytes of table, the split row
 # sums (2 * n * 2^ceil(n/2) * 8 bytes) and work arrays the size of a few of
 # the table's row layers. At n = 18 the build's traced peak is about
-# 4.7 MiB for every weight type; afterwards the matrix's core keeps the
-# table, an array of 2 MiB, and the split row sums as gain rows for the
-# table-side searches, 144 KiB.
+# 4.7 MiB on the float64 route and 2.8 MiB on the int16 one, which holds an
+# int16 grid of 0.5 MiB and its work arrays and only then the table;
+# afterwards the matrix's core keeps the table, an array of 2 MiB, and the
+# split row sums as gain rows for the table-side searches, 144 KiB.
 _TABLE_MAX_N = 18
 
 # The most items the searches on split row sums take (_split_row_sums):
@@ -273,11 +278,13 @@ class _Core:
     """What every exact search of one matrix shares, each part built once.
 
     Kept on the matrix (_core), as a pure function of its weights: exact,
-    whether _exact_sums holds; eps, the slack through which every search,
-    the heuristic and the validator compare objective sums (_slack); and,
-    built on first use, the bound-side searches' root bound and drop rows,
-    which live as long as the matrix (their bytes are at _MAX_ITEMS), and
-    the completion table. The unplaced-set searches start from prefix_form.
+    whether _exact_sums holds; narrow, whether the completion table is
+    built in int16 (_build_completion_table); eps, the slack through which
+    every search, the heuristic and the validator compare objective sums
+    (_slack); and, built on first use, the bound-side searches' root bound
+    and drop rows, which live as long as the matrix (their bytes are at
+    _MAX_ITEMS), and the completion table. The unplaced-set searches start
+    from prefix_form.
     """
 
     def __init__(self, a: WeightMatrix):
@@ -297,6 +304,10 @@ class _Core:
         # It scales with the weights, so ties are decided alike at every
         # scale.
         total = a.total_sum()
+        # With exact sums every sum the table build forms is a multiple of
+        # 1/2 of at most the total, so doubled it is exact in int16 up to
+        # this total (_build_completion_table).
+        self.narrow = self.exact and 2.0 * total <= np.iinfo(np.int16).max
         self.eps = 0.0 if self.exact else total * a.n * a.n * 2.0**-40
         if self.eps == np.inf:
             # total * n * n overflowed. Scaling by the power of two first
@@ -334,7 +345,9 @@ class _Core:
             return None
         _check_deadline(deadline)
         if self.table is None:
-            self.table, self.gains = _build_completion_table(self.weights, deadline)
+            self.table, self.gains = _build_completion_table(
+                self.weights, deadline, self.narrow
+            )
         return self.table
 
     def prefix_form(self, deadline: float | None) -> tuple:
@@ -765,7 +778,9 @@ def _subsets(m: int) -> _Subsets:
     return _Subsets(tuple(layers), order, position, tuple(starts))
 
 
-def _build_completion_table(w: np.ndarray, deadline: float | None) -> tuple:
+def _build_completion_table(
+    w: np.ndarray, deadline: float | None, narrow: bool
+) -> tuple:
     r"""table[S] = best objective an ordering of item set S can add.
 
     Subset dynamic program: table[S] is the best over v in S of placing v
@@ -808,20 +823,34 @@ def _build_completion_table(w: np.ndarray, deadline: float | None) -> tuple:
     recurrence over unsplit row sums, and every reader compares them
     within it.
 
+    narrow, which only the core decides (_Core.narrow), takes the same
+    steps in int16 on doubled weights. The weights are nonnegative, so
+    every sum a step forms is the value of an ordering of a subset, a row
+    sum or a row sum plus a table entry, at most the total. With exact sums
+    each is a multiple of 1/2, so when twice the total fits in int16 each
+    doubled sum is an exact integer, and the halved grid has the bits of
+    the float64 one. No step reads the split rows' -inf entries, and layer
+    0's initial entries never win a maximum, so -1 stands for both.
+
     Returns the table as an array('d'), which the searches index one entry
-    at a time, and the gain rows. Raises _Timeout before any step of the
-    grid, the high term of a layer or one size of A, once the deadline has
-    passed.
+    at a time, and the gain rows, float64 on both routes. Raises _Timeout
+    before any step of the grid, the high term of a layer or one size of A,
+    once the deadline has passed.
     """
     n = w.shape[0]
     gains = _split_row_sums(w)
     h = gains.h
     m = n - h
-    # The DP fills the returned array in place, through a numpy view of it.
-    out = array("d", [0.0]) * (1 << n)
-    grid = np.frombuffer(out).reshape(1 << m, 1 << h)
     lo = gains.lo_view.reshape(n, 1 << h)
     hi = gains.hi_view.reshape(n, 1 << m)
+    if narrow:
+        # Doubled, with the -inf entries as -1.
+        lo, hi = (np.maximum(2.0 * x, -1.0).astype(np.int16) for x in (lo, hi))
+        grid = np.empty((1 << m, 1 << h), np.int16)
+    else:
+        # The DP fills the returned array in place, through a numpy view of it.
+        out = array("d", [0.0]) * (1 << n)
+        grid = np.frombuffer(out).reshape(1 << m, 1 << h)
     low = _subsets(h)
     # For each size a of A: its columns by size; for each (A, i) pair, i,
     # the column of A \ i, and i's gain over A \ i, one per row of the
@@ -838,7 +867,7 @@ def _build_completion_table(w: np.ndarray, deadline: float | None) -> tuple:
     ]
     # Layer 0 is the row of the empty high set: the empty set adds 0, and
     # the low-item steps fill the rest of the row.
-    layer = np.full((1, 1 << h), -np.inf)
+    layer = np.full((1, 1 << h), -1 if narrow else -np.inf, grid.dtype)
     layer[0, 0] = 0.0
     for b, (rows, items, rests, _) in enumerate(_subsets(m).layers):
         _check_deadline(deadline)
@@ -870,6 +899,11 @@ def _build_completion_table(w: np.ndarray, deadline: float | None) -> tuple:
             best = layer[cols]
             np.maximum(best, gain.reshape(a, -1, count).max(axis=0), out=best)
         grid[rows] = layer.take(low.position, axis=0).T
+    if narrow:
+        # Allocated after the grid steps, so that the peak holds no table of
+        # doubles beside their work arrays; halving is exact.
+        out = array("d", [0.0]) * (1 << n)
+        np.multiply(grid.ravel(), 0.5, out=np.frombuffer(out))
     return out, gains
 
 

@@ -11,6 +11,7 @@ import sys
 import time
 import tracemalloc
 from types import SimpleNamespace
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from rankability.core import (
     ranking_from_order,
     read_matrix_csv,
     reverse_ranking,
+    write_matrix_csv,
 )
 from rankability.errors import (
     InvalidArgumentError,
@@ -711,12 +713,24 @@ def table_builds(monkeypatch):
     builds: list[int] = []
     real = lop._build_completion_table
 
-    def counting(w, deadline):
+    def counting(w, deadline, narrow):
         builds.append(w.shape[0])
-        return real(w, deadline)
+        return real(w, deadline, narrow)
 
     monkeypatch.setattr(lop, "_build_completion_table", counting)
     return builds
+
+
+def _narrow(w: np.ndarray) -> bool:
+    """Whether the core builds w's completion table in int16."""
+    return lop._core(WeightMatrix(w)).narrow
+
+
+def _same_bits(table, expected) -> bool:
+    """Whether two tables are equal bit for bit, compared as int64."""
+    return np.array_equal(
+        np.frombuffer(table, dtype=np.int64), np.frombuffer(expected, dtype=np.int64)
+    )
 
 
 class TestCompletionTable:
@@ -725,7 +739,8 @@ class TestCompletionTable:
         rng = np.random.default_rng(31 if integral else 37)
         for n in (2, 3, 5, 6, 7, 8):
             w = _random_weights(rng, n, integral)
-            table, _ = lop._build_completion_table(w, None)
+            assert _narrow(w) == integral
+            table, _ = lop._build_completion_table(w, None, integral)
             assert len(table) == 1 << n
             for s in range(1 << n):
                 items = [v for v in range(n) if s >> v & 1]
@@ -747,8 +762,12 @@ class TestCompletionTable:
         for w in matrices:
             # WeightMatrix takes at least two items; one item's sums are 0.
             assert n == 1 or lop._exact_sums(WeightMatrix(w))
-            table, _ = lop._build_completion_table(w, None)
-            assert table == completion_table_loop(w)
+            # The core builds these in int16; the float64 route gives the
+            # same bits.
+            assert n == 1 or _narrow(w)
+            for narrow in (True, False):
+                table, _ = lop._build_completion_table(w, None, narrow)
+                assert table == completion_table_loop(w)
 
     @pytest.mark.parametrize("n", range(13, 19))
     def test_exact_build_equals_the_layered_build(self, n):
@@ -759,8 +778,10 @@ class TestCompletionTable:
         matrices.append(_hidden_order_games(rng, n))
         for w in matrices:
             assert lop._exact_sums(WeightMatrix(w))
-            table, _ = lop._build_completion_table(w, None)
-            assert table == completion_table_by_layers(w)
+            assert _narrow(w)
+            for narrow in (True, False):
+                table, _ = lop._build_completion_table(w, None, narrow)
+                assert table == completion_table_by_layers(w)
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_fractional_build_equals_the_split_recurrence(self, n):
@@ -772,11 +793,8 @@ class TestCompletionTable:
         for _ in range(3):
             w = _random_weights(rng, n, integral=False)
             assert n == 1 or not lop._exact_sums(WeightMatrix(w))
-            table, _ = lop._build_completion_table(w, None)
-            expected = completion_table_split_loop(w)
-            assert np.array_equal(
-                np.frombuffer(table, dtype=np.int64), np.frombuffer(expected, dtype=np.int64)
-            )
+            table, _ = lop._build_completion_table(w, None, False)
+            assert _same_bits(table, completion_table_split_loop(w))
 
     @pytest.mark.parametrize("n", [2, 4, 9, 11, 12, 13, 14, 15, 16])
     def test_fractional_build_is_within_the_slack_of_the_references(self, n):
@@ -788,22 +806,31 @@ class TestCompletionTable:
         a = WeightMatrix(w)
         assert not lop._exact_sums(a)
         reference = completion_table_loop(w) if n <= 11 else completion_table_by_layers(w)
-        table, _ = lop._build_completion_table(w, None)
+        table, _ = lop._build_completion_table(w, None, False)
         assert np.max(np.abs(np.subtract(table, reference))) <= lop._slack(a)
 
-    @pytest.mark.parametrize("integral", [True, False])
-    def test_deadline_stops_the_build_at_the_next_grid_step(self, integral, monkeypatch):
+    @pytest.mark.parametrize(
+        "integral, scale", [(True, 1.0), (False, 1.0), (True, 2500.0)],
+        ids=["True", "False", "wide"],
+    )
+    def test_deadline_stops_the_build_at_the_next_grid_step(
+        self, integral, scale, monkeypatch
+    ):
         # At n = 14 the grid is 2^7 x 2^7: each of its 8 row layers takes a
         # high-item step and 7 low-layer steps, and each step reads the
-        # clock once before it starts.
+        # clock once before it starts. So on all three routes: exact sums
+        # in int16, float sums, and exact sums whose total is too large for
+        # int16 ("wide"), in float64.
         n = 14
         steps = 8 + 8 * 7
         rng = np.random.default_rng(67)
         if integral:
-            w = _tournament_with_ties(rng, n, 1)
+            w = _tournament_with_ties(rng, n, 1) * scale
         else:
             w = _random_weights(rng, n, integral=False)
         assert lop._exact_sums(WeightMatrix(w)) == integral
+        narrow = _narrow(w)
+        assert narrow == (integral and scale == 1.0)
         for passed_after in (0, 1, 8, 9, steps // 2, steps - 1, None):
             reads = []
 
@@ -813,21 +840,21 @@ class TestCompletionTable:
 
             monkeypatch.setattr(lop, "time", SimpleNamespace(monotonic=monotonic))
             if passed_after is None:
-                lop._build_completion_table(w, 1.0)
+                lop._build_completion_table(w, 1.0, narrow)
                 assert len(reads) == steps
             else:
                 # The deadline passes after step passed_after; the check
                 # before the next step raises, and no further step runs.
                 with pytest.raises(lop._Timeout):
-                    lop._build_completion_table(w, 1.0)
+                    lop._build_completion_table(w, 1.0, narrow)
                 assert len(reads) == passed_after + 1
 
     @pytest.mark.parametrize("integral", [True, False])
     def test_build_traces_at_most_64_bytes_per_set(self, integral):
         # Every weight type takes the split row sums: no table of row sums
         # over all n items, which alone would take 8 n bytes per set. n = 17
-        # splits unevenly, and n = 18 is the table budget; each traces about
-        # 19-20 bytes per set.
+        # splits unevenly, and n = 18 is the table budget; on the float64
+        # route each traces about 19-20 bytes per set.
         for n in (16, 17, 18):
             rng = np.random.default_rng(47)
             if integral:
@@ -835,15 +862,79 @@ class TestCompletionTable:
             else:
                 w = _random_weights(rng, n, integral=False)
             assert lop._exact_sums(WeightMatrix(w)) == integral
-            tracemalloc.start()
-            try:
-                tracemalloc.reset_peak()
-                before, _ = tracemalloc.get_traced_memory()
-                lop._build_completion_table(w, None)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak - before <= 64 << n, n
+            assert _traced_build_peak(w, False) <= 64 << n, n
+
+    def test_narrow_build_traces_at_most_16_bytes_per_set(self):
+        # The int16 grid and work arrays take a quarter of the float64
+        # route's, and the table of doubles comes after the work arrays:
+        # exact tournaments trace about 11-13 bytes per set, the float64
+        # route 19-20.
+        for n in (16, 17, 18):
+            w = _tournament_with_ties(np.random.default_rng(47), n, 1)
+            assert _narrow(w)
+            assert _traced_build_peak(w, True) <= 16 << n, n
+
+    @pytest.mark.parametrize(
+        "case, narrow",
+        [("at the limit", True), ("half above it", False), ("all zero", True)],
+    )
+    def test_the_core_builds_in_int16_while_twice_the_total_fits(
+        self, case, narrow, monkeypatch
+    ):
+        # Twice the total 16383.5 is 32767, the int16 maximum. Every weight
+        # agrees with the order 1, 2, 3, 4, so the full set's entry is the
+        # total: the int16 grid's last entry is its maximum.
+        w = np.array([
+            [0.0, 4000.0, 1000.5, 3000.0],
+            [0.0, 0.0, 2000.0, 1500.0],
+            [0.0, 0.0, 0.0, 4883.0],
+            [0.0, 0.0, 0.0, 0.0],
+        ])
+        if case == "half above it":
+            w[2, 3] += 0.5
+        elif case == "all zero":
+            w[:] = 0.0
+        a = WeightMatrix(w)
+        assert lop._exact_sums(a)
+        routes = []
+        real = lop._build_completion_table
+
+        def recording(w, deadline, narrow):
+            routes.append(narrow)
+            return real(w, deadline, narrow)
+
+        monkeypatch.setattr(lop, "_build_completion_table", recording)
+        table = lop._core(a).completion(None)
+        assert routes == [narrow]
+        assert _same_bits(table, completion_table_loop(w))
+        if case != "all zero":
+            assert table[-1] == a.total_sum()
+        if case == "half above it":
+            # The limit is tight: in int16 the full set's best ordering,
+            # doubled 32768, would wrap, and a worse one would win.
+            wrapped, _ = real(w, None, True)
+            assert wrapped[-1] < table[-1]
+
+    def test_one_item_builds_alike_on_both_routes(self):
+        # WeightMatrix takes at least two items, so no core picks a route
+        # for one; its table, [0, 0], comes out of both.
+        w = np.zeros((1, 1))
+        for narrow in (True, False):
+            table, _ = lop._build_completion_table(w, None, narrow)
+            assert _same_bits(table, completion_table_loop(w))
+
+
+def _traced_build_peak(w: np.ndarray, narrow: bool) -> int:
+    """Bytes the build's traced heap peaks at above where it started."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        lop._build_completion_table(w, None, narrow)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - before
 
 
 class TestSplitRows:
@@ -1113,8 +1204,8 @@ def expiring_table_build(monkeypatch):
     """Make every table build run into a deadline that has already passed."""
     real = lop._build_completion_table
 
-    def expired(w, deadline):
-        return real(w, time.monotonic() - 1.0)
+    def expired(w, deadline, narrow):
+        return real(w, time.monotonic() - 1.0, narrow)
 
     monkeypatch.setattr(lop, "_build_completion_table", expired)
 
@@ -1866,21 +1957,51 @@ def _coin_tournament(rng: np.random.Generator, n: int, games: int) -> np.ndarray
     return w
 
 
-def _tenths_tournament(rng: np.random.Generator, n: int) -> np.ndarray:
-    """One game per pair, weighted integers(1, 4) / 10, won by either side w.p. 1/2.
+def _drawn_tournament(
+    rng: np.random.Generator, n: int, draw: Callable[[], float]
+) -> np.ndarray:
+    """One game per pair, weighted draw(), won by either side w.p. 1/2.
 
     Pairs come in itertools.combinations order; each draws its weight, then
-    random() < 0.5 gives it to w[i, j], else to w[j, i]. Sums of tenths are
-    not exact, so these take the float route.
+    random() < 0.5 gives it to w[i, j], else to w[j, i].
     """
     w = np.zeros((n, n))
     for i, j in itertools.combinations(range(n), 2):
-        weight = rng.integers(1, 4) / 10
+        weight = draw()
         if rng.random() < 0.5:
             w[i, j] = weight
         else:
             w[j, i] = weight
     return w
+
+
+def _tenths_tournament(rng: np.random.Generator, n: int) -> np.ndarray:
+    """A _drawn_tournament weighted integers(1, 4) / 10.
+
+    Sums of tenths are not exact, so these take the float route.
+    """
+    return _drawn_tournament(rng, n, lambda: rng.integers(1, 4) / 10)
+
+
+def _points_tournament(rng: np.random.Generator, n: int) -> np.ndarray:
+    """A _drawn_tournament weighted integers(1, 5) * 2500.
+
+    Sums are exact, but twice the total is far above the int16 limit, so
+    the completion table takes the float64 route.
+    """
+    return _drawn_tournament(rng, n, lambda: rng.integers(1, 5) * 2500.0)
+
+
+def test_points16_is_written_by_its_generator(tmp_path):
+    # A p = 0.5 tournament at n = 16 in points (rng seed 1), total 742,500:
+    # exact sums on the float64 table route, pinned by the lop, enumerate
+    # and kappa golden files (tests/test_cli.py::PINNED_RUNS).
+    w = _points_tournament(np.random.default_rng(1), 16)
+    a = WeightMatrix(w)
+    assert lop._exact_sums(a) and not _narrow(w)
+    path = tmp_path / "points16.csv"
+    write_matrix_csv(a, path)
+    assert path.read_bytes() == (DATA_DIR / "points16.csv").read_bytes()
 
 
 def _league(rng: np.random.Generator, n: int) -> np.ndarray:

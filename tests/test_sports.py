@@ -667,7 +667,7 @@ class TestForesightDivergence:
         monkeypatch.setattr(
             lop,
             "_build_completion_table",
-            lambda w, deadline: real(w, time.monotonic() - 1.0),
+            lambda w, deadline, narrow: real(w, time.monotonic() - 1.0, narrow),
         )
         with pytest.raises(UnprovenOptimumError):
             foresight_divergence(games, SolverConfig(time_limit=60))
