@@ -28,6 +28,8 @@ state that reaches the target: forward over those states, linking each
 child to its state in the next layer once, then backward along those
 links for each state's answer and counts. Where many do, the pass stops
 at its budget and that search itself answers, memoized on the state.
+The pass, the memo and each layer of the value passes hold at most
+_HELD_BYTES of states, one budget that every state cap derives from.
 
 The heuristic (heuristic_ranking) runs its 17 starts together as numpy
 arrays: one greedy insertion pass, then insertion local search steps that
@@ -114,6 +116,8 @@ _MAX_ITEMS = 40
 
 # Dominance memo entries of the depth-first value search for weights whose
 # sums are not exact are dropped beyond this to bound its memory on large n.
+# It is not drawn from _HELD_BYTES: which entries the memo keeps decides
+# which visits it prunes, and so the nodes and pruned that solve_lop prints.
 _MEMO_CAP = 1 << 22
 
 # The bound's starting sum counts every pair's larger weight twice, so
@@ -162,14 +166,23 @@ _VALUE_ARRAYS = 3
 _WALK_CHUNK_BYTES = 1 << 20
 _WALK_ARRAYS = 12
 
-# No layer of the value proof (value.py) holds more states than this, and
-# the table-free witness pass (witness.py) holds at most this many times
-# 33 bytes, 138 MB, at 33 + 4n bytes a state, its key, results and links.
-# Past that the witness's memoized search answers, which holds an eighth
-# as many states, at about 215 bytes a state. A value layer or a memo
-# that would hold more raises _Timeout, and solve_lop reports its
-# incumbent with proven=False.
-_MAX_STATES = 1 << 22
+# No phase of one call holds more than this many bytes of search states:
+# a layer of the value proof (value.py), the table-free witness pass or
+# the witness's memoized search (witness.py). Each phase states the bytes
+# it holds per state where it builds them, and its state cap is this
+# budget over those bytes (_state_cap), read at call time. A phase that
+# would hold more raises _Timeout, and solve_lop reports its incumbent
+# with proven=False. The drop rows and the completion table are the
+# core's, outside the budget. 512 MiB is the least budget tried that lets
+# the witness pass prove league 30/1 and 32/1 (tests/test_lop.py::_league,
+# 156 and 472 MB of pass states); at 256 and 320 MiB 32/1 still ended
+# unproven, later and larger.
+_HELD_BYTES = 1 << 29
+
+
+def _state_cap(state_bytes: int) -> int:
+    """The most states of state_bytes bytes each that one phase may hold."""
+    return _HELD_BYTES // state_bytes
 
 
 @dataclass(frozen=True)
@@ -417,10 +430,10 @@ class _Search:
     Every search stops early one way, by raising _Timeout: the depth-first
     value search (_rec_value) checks the deadline every 256 expanded nodes
     (_tick), the layered passes (value.prove_value and
-    witness.WitnessLayers) before every block of states, the value passes
-    also when a layer would hold more than _MAX_STATES states, and the
-    witness's memoized search every 1024 states and past _MAX_STATES >> 3
-    of them.
+    witness.WitnessLayers) before every block of states, and the
+    witness's memoized search every 1024 states. The value passes, the
+    witness pass and the memo also raise it when their states would fill
+    more than _HELD_BYTES (_state_cap).
     """
 
     def __init__(self, a: WeightMatrix, deadline: float | None = None):

@@ -13,12 +13,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lop import _MAX_STATES, _WALK_CHUNK_BYTES, _check_deadline, _Search, _Timeout
+from .lop import _WALK_CHUNK_BYTES, _check_deadline, _Search, _state_cap, _Timeout
 
 # A pass forms the children of a block of a layer's visits at a time, in
 # about this many work arrays of 8 bytes per child, within
 # lop._WALK_CHUNK_BYTES.
 _CHILD_ARRAYS = 6
+
+# The bytes a pass holds per visit of its largest layer: its 24 bytes of
+# key, set and bound, and the sort and concatenation temporaries beside
+# them. The traced peak of the value search (tracemalloc, drop rows built
+# beforehand) over its largest layer's visits was 78.6 to 79.4 bytes on
+# coin19.csv and on league 28/1, 30/1 and 32/1, with 75,737 to 1,072,323
+# visits in that layer.
+_VISIT_BYTES = 80
 
 
 def prove_value(search: _Search) -> None:
@@ -54,10 +62,10 @@ def prove_value(search: _Search) -> None:
     the keys of the expanded visits, to read a leaf's order, and forms
     children a block of visits at a time, within lop._WALK_CHUNK_BYTES of
     work arrays, after a deadline check. It raises _Timeout when the
-    deadline has passed or a layer would hold more than lop._MAX_STATES
-    visits. The leaves of the passes that finished are kept in best_val
-    and best_order; nodes and pruned count every visit of the last pass,
-    finished or not.
+    deadline has passed or a layer's visits, at _VISIT_BYTES each, would
+    fill more than lop._HELD_BYTES. The leaves of the passes that
+    finished are kept in best_val and best_order; nodes and pruned count
+    every visit of the last pass, finished or not.
     """
     nodes, pruned = search.nodes, search.pruned
     passes = _Passes(search)
@@ -100,6 +108,7 @@ class _Passes:
         key = np.zeros(1, dtype=np.int64)
         # layers[d]: the keys of the visits expanded at depth d.
         layers = []
+        cap = _state_cap(_VISIT_BYTES)
         for d in range(n):
             _check_deadline(search.deadline)
             search.nodes += rem.size
@@ -121,7 +130,7 @@ class _Passes:
                     rem[part], g[part], start * n, thresholds, keys
                 )
                 held += at.size
-                if held > _MAX_STATES:
+                if held > cap:
                     raise _Timeout
                 row, rank = np.divmod(at, n)
                 rems.append(rem[part][row] ^ self.bits[rank])

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import RankabilityError
-from .lop import _MAX_STATES, _check_deadline, _descend, _Search, _Timeout
+from .lop import _check_deadline, _descend, _Search, _state_cap, _Timeout
 
 # The witness pass takes a layer's states a chunk at a time, so that each
 # work array of one entry per state and item stays within this many bytes,
@@ -33,8 +33,18 @@ _MERGE_KEYS = 1 << 16
 # number at most this many per node of the value search: 0.6 to 2.2 on the
 # benchmark's 160 bnb-large inputs and a p = 0.5 tournament at n = 19. With
 # every weight equal all 2^n sets reach it, and the value search expands a
-# handful of nodes; there the memoized search answers.
+# handful of nodes; there the memoized search answers. This is a rule on
+# work, not on memory, so it is not drawn from lop._HELD_BYTES: it sends
+# inputs rich in ties to the memo, which visits only the states it needs,
+# long before the pass would fill the budget.
 _STATES_PER_NODE = 4
+
+# The bytes the memoized search holds per state: a dict entry keyed by the
+# tuple (rem, g), whose value is the tuple of its answer and counts. Its
+# traced peak over its states was 214.7 bytes on coin19.csv (313,295
+# states), 220.8 on hidden32.csv (72,069), 234.2 on league 28/1 (52,269)
+# and 241.4 on league 30/1 (856,813), as the dict's spare slots vary.
+_MEMO_STATE_BYTES = 256
 
 # The witness pass keeps its nodes and pruned per state as int64. A layer
 # whose states could add up more than this raises rather than wraps.
@@ -57,6 +67,15 @@ def _distinct(x: np.ndarray) -> np.ndarray:
     return x[keep]
 
 
+def _pass_state_bytes(n: int) -> int:
+    """The bytes the witness pass holds per state at n items.
+
+    A sorted complex key rem + g i (16), the answer and two int64 counts
+    (17) and an int32 link per child (4n).
+    """
+    return 33 + 4 * n
+
+
 class WitnessLayers:
     """The table-free witness search, read from one pass or from a memo.
 
@@ -73,9 +92,9 @@ class WitnessLayers:
     descend reads them from one pass over every state that reaches
     target, a subset DP (Held and Karp) bounded by target, while those
     number at most _STATES_PER_NODE per node of the value search and fill
-    at most _MAX_STATES * 33 bytes, at 33 + 4n bytes a state: a sorted
-    complex key rem + g i (16), answer and counts (17), an int32 link per
-    child. Forward (_forward), each layer holds the distinct children of
+    at most lop._HELD_BYTES at _pass_state_bytes(n) a state: a sorted
+    complex key rem + g i, answer and counts, an int32 link per child.
+    Forward (_forward), each layer holds the distinct children of
     the layer before that reach target, each linked to its index there or
     to _BELOW or _PLACED; backward (_backward), each state's answer, nodes
     and pruned are gathered over its links. Past that budget the search
@@ -89,7 +108,7 @@ class WitnessLayers:
     2^53 is exact as a double and g is never -0.0 or NaN, so equal keys
     are equal states, found by binary search. Both passes check the
     deadline before each chunk of states (_Timeout), the memo every 1024
-    states; past _MAX_STATES >> 3 states, about 215 bytes each, it raises.
+    states; past lop._HELD_BYTES at _MEMO_STATE_BYTES a state, it raises.
 
     Raises:
         RankabilityError: when a count of the pass could pass _COUNT_MAX.
@@ -112,13 +131,14 @@ class WitnessLayers:
         self.links: list[np.ndarray] = []
         self.results: list[tuple[np.ndarray, np.ndarray]] = []
         self.memo: dict[tuple[int, float], tuple[bool, int, int]] = {}
+        self.memo_cap = _state_cap(_MEMO_STATE_BYTES)
 
     def descend(self) -> list[int] | None:
         """lex_min_witness's placements, read from the pass or past its budget the memo."""
         search, target, n = self.search, self.target, self.search.n
         budget = _STATES_PER_NODE * (search.nodes + n)
         state = self._exists
-        if self._forward(min(budget, _MAX_STATES * 33 // (33 + 4 * n))):
+        if self._forward(min(budget, _state_cap(_pass_state_bytes(n)))):
             self.results = self._backward()
             state = self._lookup
 
@@ -167,7 +187,7 @@ class WitnessLayers:
         # States enter the memo one at a time, each after its children, so
         # its size takes every value here: the cap holds exactly, and the
         # clock is read every 1024 states.
-        if len(memo) >= _MAX_STATES >> 3:
+        if len(memo) >= self.memo_cap:
             raise _Timeout
         if not len(memo) & 1023:
             _check_deadline(self.search.deadline)

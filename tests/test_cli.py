@@ -911,18 +911,12 @@ def test_ratings_stdout_is_pinned_byte_for_byte(capsys, fmt):
 
 
 @pytest.mark.slow
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 2: since the witness pass's state cap, lop stops "
-    "unproven on league 30/1, with the same k*",
-)
 def test_league30_lop_matches_its_proven_golden(capsys):
-    # League 30/1 (tests/test_lop.py::_league, rng seed 1), the size where
-    # the witness pass's state cap ends lop unproven although k* is proven.
-    # The golden file was recorded at commit 0262550, before the cap, where
-    # lop proves it with nodes 7,084,511,036. Once the witness proves it
-    # again this test passes, and strict xfail fails the run: then drop the
-    # mark.
+    # League 30/1 (tests/test_lop.py::_league, rng seed 1): the witness
+    # pass holds 1,022,099 states, 156 MB, within lop._HELD_BYTES. The
+    # golden file was recorded at commit 0262550, where lop proves it with
+    # nodes 7,084,511,036; a cap below that pass once ended lop unproven
+    # here although k* was proven.
     code, out = run_cli(
         capsys, "lop", "--input", str(DATA_DIR / "league30.csv"), "--kind", "matrix"
     )

@@ -1456,18 +1456,20 @@ class TestWitnessLinks:
             assert np.array_equal(old, new)
 
     def test_the_byte_cap_gives_way_to_the_memo(self, monkeypatch, witness_passes):
-        # The pass may hold _MAX_STATES * 33 bytes, at 33 + 4n bytes a state.
-        a = _coin19()
+        # The pass may hold lop._HELD_BYTES, at 33 + 4n bytes a state. Here
+        # the value layers and the memo fit in fewer bytes than the pass.
+        a = WeightMatrix(_hidden_order_tournament(np.random.default_rng(0), 20))
 
         def solve():
             res = solve_lop(a)
             return res.ranking, res.stats.nodes, res.stats.pruned, res.proven
 
         expected = solve()
+        assert expected[-1]
         states = sum(layer.size for layer in witness_passes[-1].layers)
         bytes_per_state = 33 + 4 * a.n
-        cap = -(-states * bytes_per_state // 33)
-        monkeypatch.setattr(witness, "_MAX_STATES", cap)
+        assert witness._pass_state_bytes(a.n) == bytes_per_state
+        monkeypatch.setattr(lop, "_HELD_BYTES", states * bytes_per_state)
         assert solve() == expected
         descent = witness_passes[-1]
         assert descent.layers and not descent.memo
@@ -1475,7 +1477,7 @@ class TestWitnessLinks:
         # hold two entries more.
         held = [*descent.layers, *descent.links, *itertools.chain(*descent.results)]
         assert sum(x.nbytes for x in held) == states * bytes_per_state + 34 * (a.n - 1)
-        monkeypatch.setattr(witness, "_MAX_STATES", cap - 1)
+        monkeypatch.setattr(lop, "_HELD_BYTES", states * bytes_per_state - 1)
         assert solve() == expected
         descent = witness_passes[-1]
         assert descent.layers == [] and descent.links == [] and descent.memo
@@ -1485,8 +1487,8 @@ class TestWitnessLinks:
         search, _, timed_out = lop._value_search(a, None)
         assert not timed_out
         nodes, pruned = search.nodes, search.pruned
-        cap = -(-68_315 * (33 + 4 * a.n) // 33)
-        monkeypatch.setattr(witness, "_MAX_STATES", cap)
+        budget = 68_315 * (33 + 4 * a.n)
+        monkeypatch.setattr(lop, "_HELD_BYTES", budget)
         tracemalloc.start()
         try:
             order = search.lex_min_witness(search.best_val)
@@ -1495,7 +1497,7 @@ class TestWitnessLinks:
             tracemalloc.stop()
         assert order is not None and search.nodes > nodes and search.pruned > pruned
         # 7.45 MB held at the cap; the work arrays and merges add about 5%.
-        assert peak < 1.1 * cap * 33
+        assert peak < 1.1 * budget
 
     def test_a_deadline_inside_the_backward_pass_leaves_the_witness_unproven(
         self, monkeypatch, witness_passes
@@ -1639,13 +1641,27 @@ class TestNarrowWitnessPasses:
             )
 
     def test_a_pass_over_the_state_cap_leaves_the_witness_unproven(
-        self, monkeypatch
+        self, monkeypatch, witness_passes
     ):
+        # Here the memo needs more bytes than the pass, so a budget that
+        # the pass overruns stops the memo too.
         a = WeightMatrix(_hidden_order_tournament(np.random.default_rng(0), 19))
         expected = solve_lop(a)
-        monkeypatch.setattr(witness, "_MAX_STATES", 50)
+        states = sum(layer.size for layer in witness_passes[-1].layers)
+        fit = states * witness._pass_state_bytes(a.n)
+        monkeypatch.setattr(lop, "_HELD_BYTES", fit)
+        res = solve_lop(a)
+        assert (res.ranking, res.stats.nodes, res.stats.pruned, res.proven) == (
+            expected.ranking,
+            expected.stats.nodes,
+            expected.stats.pruned,
+            True,
+        )
+        monkeypatch.setattr(lop, "_HELD_BYTES", fit - 1)
         res = solve_lop(a)
         assert not res.proven
+        descent = witness_passes[-1]
+        assert descent.layers == [] and len(descent.memo) == descent.memo_cap
         assert res.optimal_value == expected.optimal_value
         assert objective_value(a, res.ranking) == res.optimal_value
 
@@ -1657,10 +1673,11 @@ class TestNarrowWitnessPasses:
         forced = _forced_memo_result(a)
         states = len(witness_passes[-1].memo)
         monkeypatch.setattr(witness, "_STATES_PER_NODE", 0)
-        # The memo may hold _MAX_STATES >> 3 states.
-        monkeypatch.setattr(witness, "_MAX_STATES", states << 3)
+        # The memo may hold lop._HELD_BYTES, at _MEMO_STATE_BYTES a state.
+        fit = states * witness._MEMO_STATE_BYTES
+        monkeypatch.setattr(lop, "_HELD_BYTES", fit)
         assert _forced_memo_result(a) == forced
-        monkeypatch.setattr(witness, "_MAX_STATES", (states - 1) << 3)
+        monkeypatch.setattr(lop, "_HELD_BYTES", fit - 1)
         res = solve_lop(a)
         assert not res.proven
         assert len(witness_passes[-1].memo) == states - 1
@@ -1900,13 +1917,65 @@ class TestValuePasses:
         assert search.best_val == lop._proven_value(WeightMatrix(w), None)
         assert order_value_loop(search.w, search.best_order) == search.best_val
 
+    @staticmethod
+    def _value_phase(a: WeightMatrix):
+        """solve_lop's value phase: best value and order, nodes, pruned, timed out."""
+        search, _, timed_out = lop._value_search(a, None)
+        return search.best_val, search.best_order, search.nodes, search.pruned, timed_out
+
+    @staticmethod
+    def _largest_layer(monkeypatch, a: WeightMatrix) -> int:
+        """The most visits that one layer of a's value passes holds."""
+        sizes = []
+        real = value._expanded
+        with monkeypatch.context() as m:
+            m.setattr(value, "_expanded", lambda rem, g: sizes.append(rem.size) or real(rem, g))
+            lop._value_search(a, None)
+        return max(sizes)
+
     def test_a_layer_over_the_state_cap_stops_the_search(self, monkeypatch):
+        # A layer may hold lop._HELD_BYTES, at _VISIT_BYTES a visit.
         a = read_matrix_csv(DATA_DIR / "coin19.csv")
-        monkeypatch.setattr(value, "_MAX_STATES", 1000)
+        expected = self._value_phase(a)
+        assert not expected[-1]
+        fit = self._largest_layer(monkeypatch, a) * value._VISIT_BYTES
+        monkeypatch.setattr(lop, "_HELD_BYTES", fit)
+        assert self._value_phase(a) == expected
+        monkeypatch.setattr(lop, "_HELD_BYTES", fit - 1)
+        assert self._value_phase(a)[-1]
         res = solve_lop(a)
         assert not res.proven
         assert res.optimal_value == res.stats.heuristic_value
         assert objective_value(a, res.ranking) == res.optimal_value
+
+    def test_traced_peak_at_the_cap_stays_near_the_cap(self, monkeypatch):
+        a = read_matrix_csv(DATA_DIR / "coin19.csv")
+        # This first search also builds the drop rows, which the core keeps
+        # outside the budget.
+        budget = self._largest_layer(monkeypatch, a) * value._VISIT_BYTES
+        monkeypatch.setattr(lop, "_HELD_BYTES", budget)
+        tracemalloc.start()
+        try:
+            _, _, timed_out = lop._value_search(a, None)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not timed_out
+        # 209,269 visits in the largest layer: 16.7 MB held at the cap.
+        assert peak < 1.1 * budget
+
+
+def test_no_state_cap_is_below_the_caps_it_replaced():
+    # Every state cap derives from lop._HELD_BYTES. The three caps before it
+    # were 2^22 visits a value layer, 2^22 * 33 bytes of witness pass at
+    # 33 + 4n bytes a state, and 2^19 memo entries.
+    # Only the pass's bytes a state depend on n.
+    assert lop._state_cap(value._VISIT_BYTES) >= 1 << 22
+    assert lop._state_cap(witness._MEMO_STATE_BYTES) >= 1 << 19
+    for n in range(19, lop._MAX_ITEMS + 1):
+        assert lop._state_cap(witness._pass_state_bytes(n)) >= (1 << 22) * 33 // (
+            33 + 4 * n
+        )
 
 
 class TestItemLimit:
@@ -2062,6 +2131,15 @@ class TestKStarAgainstMilp:
     def test_leagues(self, n, seed, k_star):
         w = _league(np.random.default_rng(seed), n)
         assert np.any(w % 1.0 == 0.5)
+        assert self._assert_k_star(w) == k_star
+
+    # League 30/1 and 32/1, whose witness passes hold 1,022,099 and
+    # 2,931,525 states, 156 and 472 MB, within lop._HELD_BYTES: about 3 and
+    # 11 s on a 2-vCPU host, so left to the slow job.
+    @pytest.mark.slow
+    @pytest.mark.parametrize("n, k_star", [(30, 660.5), (32, 749.5)])
+    def test_leagues_whose_witness_pass_is_largest(self, n, k_star):
+        w = _league(np.random.default_rng(1), n)
         assert self._assert_k_star(w) == k_star
 
 
