@@ -110,8 +110,9 @@ _TABLE_MAX_N = 18
 # The most items the searches on split row sums take (_split_row_sums):
 # those hold 8 n (2^floor(n/2) + 2^ceil(n/2)) bytes, 0.3 MiB at n = 20,
 # 32 MiB at n = 32, 0.67 GB at n = 40 and about twice as much for every two
-# items more, and keep unplaced sets as int64 (value.py) and in complex
-# keys, exact below 2^53 (witness.py).
+# items more, and keep unplaced sets as int64, packed with a bound code into
+# one int64 key where it fits 63 bits (_packed_key), else in complex keys,
+# exact below 2^53 (witness.py).
 _MAX_ITEMS = 40
 
 # Dominance memo entries of the depth-first value search for weights whose
@@ -183,6 +184,52 @@ _HELD_BYTES = 1 << 29
 def _state_cap(state_bytes: int) -> int:
     """The most states of state_bytes bytes each that one phase may hold."""
     return _HELD_BYTES // state_bytes
+
+
+class _PackedKey(NamedTuple):
+    """A search state as one int64 key: unplaced set, bound code, low bits.
+
+    The set takes the high bits, an integer code of the state's bound the
+    code_bits below them, and the low_bits at the bottom are left for a
+    field of the caller's, such as a position. So the keys sort as (set,
+    code, field), and numpy's int64 sort and binary search serve where a
+    lexsort or complex keys would. Only the exact route (_Core.exact)
+    packs: there every bound is a multiple of 1/2 below 2^52, so twice the
+    difference of two bounds is an exact integer, the code. pack takes
+    numpy arrays or Python ints.
+    """
+
+    code_bits: int
+    low_bits: int
+
+    @property
+    def shift(self) -> int:
+        """The bits below the set."""
+        return self.code_bits + self.low_bits
+
+    def pack(self, rem, code):
+        """The keys of sets rem and codes code, with low bits 0.
+
+        An int64 array code becomes the keys, so that a layer's keys take
+        one temporary beside them.
+        """
+        code <<= self.low_bits
+        code |= rem << self.shift
+        return code
+
+
+def _packed_key(n: int, span: float, low_bits: int = 0) -> _PackedKey | None:
+    """The key form for sets of n items, codes 0 to span and low_bits more bits.
+
+    None when the key would not fit in 63 bits, so that it stays a
+    nonnegative int64, or when span is negative.
+    """
+    if not span >= 0:
+        return None
+    code_bits = int(span).bit_length()
+    if n + code_bits + low_bits > 63:
+        return None
+    return _PackedKey(code_bits, low_bits)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lop import _WALK_CHUNK_BYTES, _check_deadline, _Search, _state_cap, _Timeout
+from .lop import _WALK_CHUNK_BYTES, _check_deadline, _packed_key, _Search, _state_cap, _Timeout
 
 # A pass forms the children of a block of a layer's visits at a time, in
 # about this many work arrays of 8 bytes per child, within
@@ -23,10 +23,21 @@ _CHILD_ARRAYS = 6
 # The bytes a pass holds per visit of its largest layer: its 24 bytes of
 # key, set and bound, and the sort and concatenation temporaries beside
 # them. The traced peak of the value search (tracemalloc, drop rows built
-# beforehand) over its largest layer's visits was 78.6 to 79.4 bytes on
-# coin19.csv and on league 28/1, 30/1 and 32/1, with 75,737 to 1,072,323
-# visits in that layer.
-_VISIT_BYTES = 80
+# beforehand) over its largest layer's visits was 52.0 to 56.3 bytes on
+# coin19.csv and on league 28/1, 30/1, 31/1 and 32/1, with 75,737 to
+# 1,072,323 visits in that layer; on league 29/1, whose largest layer holds
+# 17,341 visits, the fixed costs brought it to 73.6.
+_VISIT_BYTES = 60
+
+# Layers of fewer visits take np.lexsort even where their keys would pack
+# (_expanded): the packed sort's dozen numpy calls cost more than they save
+# there. On a 2-vCPU x86-64 host (numpy 2.4.6, best of 15 timings), one
+# layer took 9.5-16 us with np.lexsort against 18-20 us packed at 15 visits,
+# 14-15 against 21-22 at 128, 34-51 against 30-44 at 512, 70-104 against
+# 33-54 at 768, 462 against 85 at 4096 and 0.19 s against 0.029 s at 2^20.
+# Over the value passes of the benchmark's tables inputs, 512 took 38.6 ms
+# and 128, 256 and 1024 38.1-39.9 ms, against 49.6 ms with no layer packed.
+_PACKED_VISITS = 512
 
 
 def prove_value(search: _Search) -> None:
@@ -114,12 +125,13 @@ class _Passes:
             search.nodes += rem.size
             if not rem.size:
                 return False
-            expanded = _expanded(rem, g)
+            expanded = _expanded(rem, g, n)
             layers.append(key[expanded])
             search.pruned += rem.size - expanded.size + expanded.size * (n - d)
-            # Each known leaf's visit here is expanded: the search visits its
-            # child on the leaf's path.
-            keys = layers[d].searchsorted(keys) * n + ranks[d]
+            if leaves:
+                # Each known leaf's visit here is expanded: the search visits
+                # its child on the leaf's path.
+                keys = layers[d].searchsorted(keys) * n + ranks[d]
             rem, g = rem[expanded], g[expanded]
             found, rems, bounds, held = [], [], [], 0
             for start in range(0, rem.size, self.block):
@@ -139,7 +151,12 @@ class _Passes:
                 bounds.append(child)
             search.pruned -= held
             del rem, g, key
-            key, rem, g = (np.concatenate(x) for x in (found, rems, bounds))
+            if len(found) == 1:
+                (key,), (rem,), (g,) = found, rems, bounds
+            else:
+                key, rem, g = (np.concatenate(x) for x in (found, rems, bounds))
+            # The blocks would stay beside the layer through its sort.
+            del found, rems, bounds
         search.nodes += rem.size
         # The records among the leaves, from the start value on.
         best = np.maximum.accumulate(np.concatenate(([self.start], g)))
@@ -178,18 +195,37 @@ class _Passes:
         return at, child.ravel().take(at)
 
 
-def _expanded(rem: np.ndarray, g: np.ndarray) -> np.ndarray:
+def _expanded(rem: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
     """The positions of the visits the memo expands, ascending.
 
     A visit is expanded when its bound is above the bound of every earlier
     visit to the same set: sorted by set, bound descending and position,
-    it comes before every earlier visit of its set.
+    it comes before every earlier visit of its set. From _PACKED_VISITS
+    visits, where the set, twice the bound's drop below the layer's
+    largest and the position fit one key (lop._packed_key), the keys are
+    unique and one np.sort orders them; otherwise np.lexsort does.
     """
     size = rem.size
     if size == 1:
         return np.zeros(1, dtype=np.int64)
-    by = np.lexsort((-g, rem))
-    sets = rem[by]
+    form = None
+    if size >= _PACKED_VISITS:
+        top = g.max()
+        form = _packed_key(n, 2 * (top - g.min()), (size - 1).bit_length())
+    if form is None:
+        by = np.lexsort((-g, rem))
+        sets = rem[by]
+    else:
+        code = np.subtract(top, g)
+        code *= 2
+        code = code.astype(np.int64)
+        # The sorted keys, read as positions and then shifted to sets.
+        sets = form.pack(rem, code)
+        del code
+        sets |= np.arange(size)
+        sets.sort()
+        by = sets & ((1 << form.low_bits) - 1)
+        sets >>= form.shift
     first = np.empty(size, dtype=bool)
     first[0] = True
     np.not_equal(sets[1:], sets[:-1], out=first[1:])

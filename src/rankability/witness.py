@@ -6,6 +6,9 @@ to k*, and counts the nodes and pruned children of a depth-first search
 for that completion. WitnessLayers reads the same answers and counts
 from one pass over that search's states, forward to form and link them
 and backward over the links, or from that search memoized on its state.
+The pass sorts and searches its states as int64 keys packed by
+lop._packed_key where the weights' sums are exact and the key fits, and as
+complex keys otherwise.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import RankabilityError
-from .lop import _check_deadline, _descend, _Search, _state_cap, _Timeout
+from .lop import _check_deadline, _descend, _packed_key, _Search, _state_cap, _Timeout
 
 # The witness pass takes a layer's states a chunk at a time, so that each
 # work array of one entry per state and item stays within this many bytes,
@@ -67,13 +70,13 @@ def _distinct(x: np.ndarray) -> np.ndarray:
     return x[keep]
 
 
-def _pass_state_bytes(n: int) -> int:
+def _pass_state_bytes(n: int, packed: bool) -> int:
     """The bytes the witness pass holds per state at n items.
 
-    A sorted complex key rem + g i (16), the answer and two int64 counts
-    (17) and an int32 link per child (4n).
+    A sorted key, int64 when packed (8) and else complex rem + g i (16),
+    the answer and two int64 counts (17) and an int32 link per child (4n).
     """
-    return 33 + 4 * n
+    return (8 if packed else 16) + 17 + 4 * n
 
 
 class WitnessLayers:
@@ -92,11 +95,13 @@ class WitnessLayers:
     descend reads them from one pass over every state that reaches
     target, a subset DP (Held and Karp) bounded by target, while those
     number at most _STATES_PER_NODE per node of the value search and fill
-    at most lop._HELD_BYTES at _pass_state_bytes(n) a state: a sorted
-    complex key rem + g i, answer and counts, an int32 link per child.
-    Forward (_forward), each layer holds the distinct children of
-    the layer before that reach target, each linked to its index there or
-    to _BELOW or _PLACED; backward (_backward), each state's answer, nodes
+    at most lop._HELD_BYTES at _pass_state_bytes a state: a sorted key,
+    answer and counts, an int32 link per child. With exact sums, where rem
+    and the code 2 (g - target) fit 63 bits (lop._packed_key, form), the
+    key is that one int64; otherwise it is complex, rem + g i. Forward
+    (_forward), each layer holds the distinct children of the layer
+    before that reach target, each linked to its index there or to
+    _BELOW or _PLACED; backward (_backward), each state's answer, nodes
     and pruned are gathered over its links. Past that budget the search
     itself answers (_exists), memoized on (rem, g), which holds only the
     states it visits. descend places the smallest item whose child
@@ -104,9 +109,10 @@ class WitnessLayers:
     it tries that reaches target but not of a last one.
 
     Children are formed with the same additions, so the witness, nodes
-    and pruned are the depth-first search's for every weight type. rem <
-    2^53 is exact as a double and g is never -0.0 or NaN, so equal keys
-    are equal states, found by binary search. Both passes check the
+    and pruned are the depth-first search's for every weight type. Both
+    key forms sort as (rem, g) do: the code is exact, and in a complex key
+    rem < 2^53 is exact as a double and g is never -0.0 or NaN. So equal
+    keys are equal states, found by binary search. Both passes check the
     deadline before each chunk of states (_Timeout), the memo every 1024
     states; past lop._HELD_BYTES at _MEMO_STATE_BYTES a state, it raises.
 
@@ -126,6 +132,10 @@ class WitnessLayers:
         # of the child order places order[j].
         self.at_lo, self.at_hi = rows.at_lo[order, None], rows.at_hi[order, None]
         self.children = [rows.items[v] for v in search.child_order]
+        # Every state the pass keeps has target <= g <= the root's bound, so
+        # with exact sums its key packs rem and 2 (g - target) when they fit.
+        root = search.f + search.u
+        self.form = _packed_key(search.n, 2 * (root - target)) if search.exact else None
         self.chunk = max(1, _CHUNK_BYTES // (8 * search.n))
         self.layers: list[np.ndarray] = []
         self.links: list[np.ndarray] = []
@@ -138,7 +148,8 @@ class WitnessLayers:
         search, target, n = self.search, self.target, self.search.n
         budget = _STATES_PER_NODE * (search.nodes + n)
         state = self._exists
-        if self._forward(min(budget, _state_cap(_pass_state_bytes(n)))):
+        cap = _state_cap(_pass_state_bytes(n, self.form is not None))
+        if self._forward(min(budget, cap)):
             self.results = self._backward()
             state = self._lookup
 
@@ -158,7 +169,11 @@ class WitnessLayers:
         """The pass's answer, nodes and pruned at a state that reaches target."""
         k = self.search.n - 1 - rem.bit_count()
         keys, (ok, counts) = self.layers[k], self.results[k]
-        i = int(keys.searchsorted(complex(rem, g)))
+        if self.form is None:
+            key = complex(rem, g)
+        else:
+            key = self.form.pack(rem, int(2 * (g - self.target)))
+        i = int(keys.searchsorted(key))
         return bool(ok[i]), int(counts[0, i]), int(counts[1, i])
 
     def _exists(self, rem: int, g: float) -> tuple[bool, int, int]:
@@ -199,10 +214,27 @@ class WitnessLayers:
         child = self.rows.children(rem, g, self.at_lo, self.at_hi)
         kept = child >= self.target
         item, state = kept.nonzero()
-        keys = np.empty(item.size, dtype=complex)
-        keys.real = rem[state] ^ self.bits[item]
-        keys.imag = child[kept]
-        return child, kept, keys
+        return child, kept, self._keys(rem[state] ^ self.bits[item], child[kept])
+
+    def _keys(self, rem: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """The keys of the states (rem, g), packed or complex."""
+        if self.form is not None:
+            g = g - self.target
+            g *= 2
+            return self.form.pack(rem, g.astype(np.int64))
+        keys = np.empty(rem.size, dtype=complex)
+        keys.real = rem
+        keys.imag = g
+        return keys
+
+    def _states(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The states (rem, g) of the keys."""
+        form = self.form
+        if form is None:
+            return keys.real.astype(np.int64), keys.imag
+        g = (keys & ((1 << form.code_bits) - 1)) * 0.5
+        g += self.target
+        return keys >> form.code_bits, g
 
     def _forward(self, cap: int) -> bool:
         """Layers 1 to n - 1, the states after placing that many items, and their links.
@@ -211,13 +243,13 @@ class WitnessLayers:
         False, keeping neither, past cap states.
         """
         search, n = self.search, self.search.n
-        keys = np.array([complex(search.rem_mask, search.f + search.u)])
+        keys = self._keys(np.array([search.rem_mask]), np.array([search.f + search.u]))
         total, layers, links = 0, [], []
         for k in range(1, n + 1):
-            rem, g = keys.real.astype(np.int64), keys.imag
+            rem, g = self._states(keys)
             link = np.empty((n, rem.size), dtype=np.int32)
             # Per merge: its first column, and where the keys before it went.
-            keys, found, merges, done = np.empty(0, dtype=complex), [], [], 0
+            keys, found, merges, done = keys[:0], [], [], 0
             for start in range(0, rem.size, self.chunk):
                 _check_deadline(search.deadline)
                 part = slice(start, start + self.chunk)

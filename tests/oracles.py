@@ -400,6 +400,35 @@ def _rec_value_exact(search, children, memo: dict[int, float], rem: int, g: floa
                 prefix.pop()
 
 
+def expanded_lexsort(rem: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The positions of a layer's visits that the value memo expands, ascending.
+
+    rankability.value._expanded with np.lexsort on every layer, as before
+    its packed int64 keys: a visit is expanded when its bound is above the
+    bound of every earlier visit to the same set. Sorted stably by set and
+    bound descending, it comes before every earlier visit of its set.
+    Reference for value._expanded on both its routes.
+    """
+    size = rem.size
+    if size == 1:
+        return np.zeros(1, dtype=np.int64)
+    by = np.lexsort((-g, rem))
+    sets = rem[by]
+    first = np.empty(size, dtype=bool)
+    first[0] = True
+    np.not_equal(sets[1:], sets[:-1], out=first[1:])
+    # Each position less size times its set's rank: every set's values lie
+    # below those of the sets before it, so a running minimum restarts at
+    # each set.
+    at = np.cumsum(first)
+    at *= -size
+    at += by
+    np.equal(np.minimum.accumulate(at), at, out=first)
+    keep = np.zeros(size, dtype=bool)
+    keep[by[first]] = True
+    return np.flatnonzero(keep)
+
+
 def exists_completion_loop(search, target: float) -> bool:
     """Whether some completion of the search's prefix reaches target, with no memo.
 

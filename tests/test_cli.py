@@ -47,7 +47,7 @@ from tests.conftest import (
     DIGRAPH_WEIGHTS,
     advance_clock_after,
 )
-from tests.test_lop import _tenths_tournament
+from tests.test_lop import _league, _league_season_csv, _tenths_tournament
 
 COLLEGE = str(DATA_DIR / "college_features.csv")
 
@@ -823,6 +823,22 @@ def test_tenths16_is_written_by_its_generator(tmp_path):
     assert path.read_bytes() == (DATA_DIR / "tenths16.csv").read_bytes()
 
 
+def test_league20_games_is_written_by_its_generator():
+    # A 20-team double round robin of goals (tests/test_lop.py::
+    # _league_games, rng seed 1) and 4 playoff games among its 4 strongest
+    # teams: the season golden file below, above the table budget.
+    text = _league_season_csv(np.random.default_rng(1), 20)
+    assert text.encode() == (DATA_DIR / "league20_games.csv").read_bytes()
+
+
+def test_league32_is_written_by_its_generator(tmp_path):
+    # League 32/1 (tests/test_lop.py::_league), whose lop golden file the
+    # slow job compares.
+    path = tmp_path / "league32.csv"
+    write_matrix_csv(WeightMatrix(_league(np.random.default_rng(1), 32)), path)
+    assert path.read_bytes() == (DATA_DIR / "league32.csv").read_bytes()
+
+
 # (command, fixture, extra arguments) of each run pinned by a golden file.
 PINNED_RUNS = [
     ("lop", "tenths7", ()),
@@ -897,6 +913,16 @@ def test_season_stdout_is_pinned_byte_for_byte(capsys):
     assert out.encode() == expected.read_bytes()
 
 
+def test_league20_season_stdout_is_pinned_byte_for_byte(capsys):
+    # A 20-team season, above the table budget: season_report's value
+    # passes, table-free witness and optima walk (5,994 optima, kappa 32).
+    # Recorded once and must not change.
+    code, out = run_cli(capsys, "season", "--input", str(DATA_DIR / "league20_games.csv"))
+    assert code == 0
+    expected = DATA_DIR / "golden" / "season-league20.json"
+    assert out.encode() == expected.read_bytes()
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_ratings_stdout_is_pinned_byte_for_byte(capsys, fmt):
     # Colley and Massey over several seasons, one of them with a tie: the
@@ -922,3 +948,15 @@ def test_league30_lop_matches_its_proven_golden(capsys):
     )
     assert code == 0
     assert out.encode() == (DATA_DIR / "golden" / "lop-league30.json").read_bytes()
+
+
+@pytest.mark.slow
+def test_league32_lop_matches_its_proven_golden(capsys):
+    # League 32/1 (tests/test_lop.py::_league, rng seed 1): k* 749.5 with
+    # nodes 69,554,109,397, and the largest witness pass of the league
+    # checks, 2,931,525 states, whose keys the pass sorts and merges.
+    code, out = run_cli(
+        capsys, "lop", "--input", str(DATA_DIR / "league32.csv"), "--kind", "matrix"
+    )
+    assert code == 0
+    assert out.encode() == (DATA_DIR / "golden" / "lop-league32.json").read_bytes()

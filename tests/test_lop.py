@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 import math
 import operator
 import subprocess
@@ -15,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rankability.core import (
@@ -74,6 +75,7 @@ from tests.oracles import (
     completion_table_loop,
     completion_table_split_loop,
     enumerate_leaves_loop,
+    expanded_lexsort,
     heuristic_ranking_loop,
     lex_min_witness_loop,
     lop_milp,
@@ -1456,8 +1458,9 @@ class TestWitnessLinks:
             assert np.array_equal(old, new)
 
     def test_the_byte_cap_gives_way_to_the_memo(self, monkeypatch, witness_passes):
-        # The pass may hold lop._HELD_BYTES, at 33 + 4n bytes a state. Here
-        # the value layers and the memo fit in fewer bytes than the pass.
+        # The pass may hold lop._HELD_BYTES, at 25 + 4n bytes a state for
+        # this exact input, whose keys pack into int64. Here the value layers
+        # and the memo fit in fewer bytes than the pass.
         a = WeightMatrix(_hidden_order_tournament(np.random.default_rng(0), 20))
 
         def solve():
@@ -1467,8 +1470,9 @@ class TestWitnessLinks:
         expected = solve()
         assert expected[-1]
         states = sum(layer.size for layer in witness_passes[-1].layers)
-        bytes_per_state = 33 + 4 * a.n
-        assert witness._pass_state_bytes(a.n) == bytes_per_state
+        assert witness_passes[-1].form is not None
+        bytes_per_state = 25 + 4 * a.n
+        assert witness._pass_state_bytes(a.n, True) == bytes_per_state
         monkeypatch.setattr(lop, "_HELD_BYTES", states * bytes_per_state)
         assert solve() == expected
         descent = witness_passes[-1]
@@ -1487,7 +1491,8 @@ class TestWitnessLinks:
         search, _, timed_out = lop._value_search(a, None)
         assert not timed_out
         nodes, pruned = search.nodes, search.pruned
-        budget = 68_315 * (33 + 4 * a.n)
+        # The pass's 68,315 states, at the bytes of their int64 keys.
+        budget = 68_315 * witness._pass_state_bytes(a.n, True)
         monkeypatch.setattr(lop, "_HELD_BYTES", budget)
         tracemalloc.start()
         try:
@@ -1648,7 +1653,8 @@ class TestNarrowWitnessPasses:
         a = WeightMatrix(_hidden_order_tournament(np.random.default_rng(0), 19))
         expected = solve_lop(a)
         states = sum(layer.size for layer in witness_passes[-1].layers)
-        fit = states * witness._pass_state_bytes(a.n)
+        assert witness_passes[-1].form is not None
+        fit = states * witness._pass_state_bytes(a.n, True)
         monkeypatch.setattr(lop, "_HELD_BYTES", fit)
         res = solve_lop(a)
         assert (res.ranking, res.stats.nodes, res.stats.pruned, res.proven) == (
@@ -1929,7 +1935,9 @@ class TestValuePasses:
         sizes = []
         real = value._expanded
         with monkeypatch.context() as m:
-            m.setattr(value, "_expanded", lambda rem, g: sizes.append(rem.size) or real(rem, g))
+            m.setattr(
+                value, "_expanded", lambda rem, g, n: sizes.append(rem.size) or real(rem, g, n)
+            )
             lop._value_search(a, None)
         return max(sizes)
 
@@ -1965,17 +1973,155 @@ class TestValuePasses:
         assert peak < 1.1 * budget
 
 
+class TestPackedKeys:
+    """The exact route's searches sort and search states as one int64 key
+    (lop._packed_key), with the results of the lexsort and complex keys
+    that remain their fallbacks. Here value layers of any size pack where
+    their keys fit, unless a test says otherwise.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _every_layer_packs(self, monkeypatch):
+        monkeypatch.setattr(value, "_PACKED_VISITS", 2)
+
+    @staticmethod
+    def _expanded_and_lexsorts(rem: np.ndarray, g: np.ndarray, n: int, expanded=None):
+        """value._expanded's positions, and how many np.lexsort calls it made."""
+        expanded = expanded or value._expanded
+        calls = []
+        real = np.lexsort
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(np, "lexsort", lambda keys: calls.append(1) or real(keys))
+            got = expanded(rem, g, n)
+        return got, len(calls)
+
+    @pytest.mark.parametrize("packs", [False, True])
+    def test_layers_below_the_packed_size_take_lexsort(self, monkeypatch, packs):
+        # The module's own size rule, not this class's.
+        monkeypatch.undo()
+        rng = np.random.default_rng(packs)
+        size = value._PACKED_VISITS - 1 + packs
+        rem = rng.integers(0, 64, size).astype(np.int64) << 14
+        g = rng.integers(0, 40, size) / 2
+        got, lexsorts = self._expanded_and_lexsorts(rem, g, 20)
+        assert lexsorts == (not packs)
+        assert np.array_equal(got, expanded_lexsort(rem, g))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_layers_with_repeats_and_ties_equal_the_reference(self, data):
+        # Few distinct sets and bounds: repeated sets, tied bounds, and
+        # layers of a single visit.
+        n = data.draw(st.integers(1, lop._MAX_ITEMS), label="n")
+        size = data.draw(st.integers(1, 64), label="size")
+        pool = data.draw(st.lists(st.integers(0, 2**n - 1), min_size=1, max_size=6))
+        rem = np.array(
+            data.draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size)),
+            dtype=np.int64,
+        )
+        halves = data.draw(st.lists(st.integers(0, 12), min_size=size, max_size=size))
+        base = data.draw(st.integers(0, 2**40), label="base")
+        g = (np.array(halves) + base) / 2
+        got, lexsorts = self._expanded_and_lexsorts(rem, g, n)
+        assert lexsorts == 0
+        assert np.array_equal(got, expanded_lexsort(rem, g))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(10, lop._MAX_ITEMS),
+        size=st.integers(2, 64),
+        over=st.integers(0, 1),
+        data=st.data(),
+    )
+    def test_keys_of_63_bits_pack_and_one_bit_more_falls_back(self, n, size, over, data):
+        # The set's n bits, the position's and the code's add up to 63 + over;
+        # the widest code is 2^(code_bits - 1), twice the widest bound drop.
+        position_bits = (size - 1).bit_length()
+        code_bits = 63 + over - n - position_bits
+        assume(1 <= code_bits <= 52)
+        widest = 2 ** (code_bits - 1)
+        codes = data.draw(
+            st.lists(
+                st.sampled_from([0, widest, 1, widest - 1, widest // 2]),
+                min_size=size - 2,
+                max_size=size - 2,
+            )
+        )
+        codes = np.array([0, widest, *codes])[data.draw(st.permutations(range(size)))]
+        rem = np.array(
+            data.draw(st.lists(st.integers(0, 3), min_size=size, max_size=size)),
+            dtype=np.int64,
+        ) << (n - 2)
+        g = (2.0**51 - codes) / 2
+        assert (lop._packed_key(n, 2 * (g.max() - g.min()), position_bits) is None) == over
+        got, lexsorts = self._expanded_and_lexsorts(rem, g, n)
+        assert lexsorts == over
+        assert np.array_equal(got, expanded_lexsort(rem, g))
+
+    def test_codes_too_wide_for_63_bits_take_the_fallbacks(self, witness_passes):
+        # hidden20.csv scaled by 2^40: its total stays below _EXACT_TOTAL, so
+        # the exact route runs, but its bound codes need about 2^40 times the
+        # room. Scaling by a power of two decides every comparison alike.
+        a = read_matrix_csv(DATA_DIR / "hidden20.csv")
+        scaled = WeightMatrix(a.weights * 2.0**40)
+        assert lop._core(scaled).exact and scaled.total_sum() < lop._EXACT_TOTAL
+        # Each value layer of two or more visits: whether its key fits, and
+        # how many np.lexsort calls it made.
+        layers = []
+        real = value._expanded
+
+        def expanded(rem, g, n):
+            got, lexsorts = self._expanded_and_lexsorts(rem, g, n, real)
+            if rem.size > 1:
+                span = 2 * (g.max() - g.min())
+                fits = lop._packed_key(n, span, (rem.size - 1).bit_length()) is not None
+                layers.append((fits, lexsorts))
+            assert np.array_equal(got, expanded_lexsort(rem, g))
+            return got
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(value, "_expanded", expanded)
+            res = solve_lop(scaled)
+        wide = [lexsorts for fits, lexsorts in layers if not fits]
+        assert len(wide) > len(layers) // 2 and wide == [1] * len(wide)
+        assert all(lexsorts == 0 for fits, lexsorts in layers if fits)
+        (descent,) = witness_passes
+        assert descent.form is None
+        assert descent.layers and all(keys.dtype == complex for keys in descent.layers)
+        golden = json.loads((DATA_DIR / "golden" / "lop-hidden20.json").read_text())
+        assert res.proven and res.optimal_value == golden["k_star"] * 2.0**40
+        assert list(res.ranking.order) == golden["ranking"]
+        assert res.stats.nodes == golden["stats"]["nodes"]
+        assert res.stats.pruned == golden["stats"]["pruned"]
+
+    def test_the_unscaled_input_packs_every_key(self, witness_passes):
+        a = read_matrix_csv(DATA_DIR / "hidden20.csv")
+        calls = []
+        real = np.lexsort
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(np, "lexsort", lambda keys: calls.append(1) or real(keys))
+            res = solve_lop(a)
+        assert res.proven and calls == []
+        (descent,) = witness_passes
+        assert descent.form is not None
+        assert all(keys.dtype == np.int64 for keys in descent.layers)
+
+
 def test_no_state_cap_is_below_the_caps_it_replaced():
     # Every state cap derives from lop._HELD_BYTES. The three caps before it
     # were 2^22 visits a value layer, 2^22 * 33 bytes of witness pass at
     # 33 + 4n bytes a state, and 2^19 memo entries.
-    # Only the pass's bytes a state depend on n.
+    # Only the pass's bytes a state depend on n: 33 + 4n with complex keys
+    # and 25 + 4n with packed ones.
     assert lop._state_cap(value._VISIT_BYTES) >= 1 << 22
     assert lop._state_cap(witness._MEMO_STATE_BYTES) >= 1 << 19
     for n in range(19, lop._MAX_ITEMS + 1):
-        assert lop._state_cap(witness._pass_state_bytes(n)) >= (1 << 22) * 33 // (
-            33 + 4 * n
-        )
+        assert witness._pass_state_bytes(n, False) == 33 + 4 * n
+        assert witness._pass_state_bytes(n, True) == 25 + 4 * n
+        for packed in (False, True):
+            assert lop._state_cap(witness._pass_state_bytes(n, packed)) >= (
+                (1 << 22) * 33 // (33 + 4 * n)
+            )
 
 
 class TestItemLimit:
@@ -2073,20 +2219,33 @@ def test_points16_is_written_by_its_generator(tmp_path):
     assert path.read_bytes() == (DATA_DIR / "points16.csv").read_bytes()
 
 
-def _league(rng: np.random.Generator, n: int) -> np.ndarray:
-    """A double round robin of goals: a win scores 1, a tie 1/2 to each side.
+def _goals(rng: np.random.Generator, edge: float) -> tuple[int, int]:
+    """One game's goals, home then away: poisson(2.6 * exp(edge / 2)) and
+    poisson(2.6 * exp(-edge / 2)), edge the home strength less the away's.
+    """
+    return int(rng.poisson(2.6 * np.exp(edge / 2))), int(rng.poisson(2.6 * np.exp(-edge / 2)))
+
+
+def _league_games(
+    rng: np.random.Generator, n: int
+) -> tuple[np.ndarray, list[tuple[int, int, int, int]]]:
+    """A double round robin's team strengths and games (home, away, home goals, away goals).
 
     Team strengths are normal(0, 0.6); then each ordered (home, away) pair,
-    home outer and away inner, plays one game: home goals are
-    poisson(2.6 * exp(edge / 2)), then away goals poisson(2.6 * exp(-edge /
-    2)), with edge the home strength less the away strength.
+    home outer and away inner, plays one game (_goals).
     """
     strength = rng.normal(0.0, 0.6, size=n)
+    games = [
+        (home, away, *_goals(rng, strength[home] - strength[away]))
+        for home, away in itertools.permutations(range(n), 2)
+    ]
+    return strength, games
+
+
+def _league(rng: np.random.Generator, n: int) -> np.ndarray:
+    """_league_games as weights: a win scores 1, a tie 1/2 to each side."""
     w = np.zeros((n, n))
-    for home, away in itertools.permutations(range(n), 2):
-        edge = strength[home] - strength[away]
-        home_goals = rng.poisson(2.6 * np.exp(edge / 2))
-        away_goals = rng.poisson(2.6 * np.exp(-edge / 2))
+    for home, away, home_goals, away_goals in _league_games(rng, n)[1]:
         if home_goals > away_goals:
             w[home, away] += 1.0
         elif away_goals > home_goals:
@@ -2095,6 +2254,27 @@ def _league(rng: np.random.Generator, n: int) -> np.ndarray:
             w[home, away] += 0.5
             w[away, home] += 0.5
     return w
+
+
+def _league_season_csv(rng: np.random.Generator, n: int) -> str:
+    """_league_games as one season's games CSV, then 4 playoff games.
+
+    Team i is T01, T02, ..., so the teams sort in index order and the
+    regular season's win matrix is _league's from the same draws. The
+    playoffs pair the 4 strongest teams, strongest first, as 1-4, 2-3, 1-2
+    and 3-4, the first team at home.
+    """
+    strength, games = _league_games(rng, n)
+    top = np.argsort(-strength, kind="stable")[:4].tolist()
+    playoffs = [
+        (top[a], top[b], *_goals(rng, strength[top[a]] - strength[top[b]]))
+        for a, b in ((0, 3), (1, 2), (0, 1), (2, 3))
+    ]
+    lines = ["season,stage,team_a,team_b,score_a,score_b"]
+    for stage, rows in (("regular", games), ("playoff", playoffs)):
+        for home, away, home_goals, away_goals in rows:
+            lines.append(f"2020,{stage},T{home + 1:02d},T{away + 1:02d},{home_goals},{away_goals}")
+    return "\n".join(lines) + "\n"
 
 
 class TestKStarAgainstMilp:
