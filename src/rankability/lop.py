@@ -24,12 +24,16 @@ tries, the answer of the search for a completion and the nodes and
 pruned that search counts without a memo, which depend on the child's
 state (unplaced set, bound) alone (witness.WitnessLayers). Where few
 prefixes tie at the optimum one layered numpy pass finds them for every
-state that reaches the target: forward over those states, linking each
-child to its state in the next layer once, then backward along those
-links for each state's answer and counts. Where many do, the pass stops
-at its budget and that search itself answers, memoized on the state.
-The pass, the memo and each layer of the value passes hold at most
-_HELD_BYTES of states, one budget that every state cap derives from.
+state that reaches the target: forward over those states, keeping for
+each state the list of its edges, its children in the next layer that
+reach the target, then backward along those edges for each state's
+answer and counts. The forward pass stops at the first narrow layer,
+from which that search itself answers, memoized on the state, within a
+bound of order n^2 states; past the bound the pass resumes from there.
+Where many prefixes tie, the pass stops at its budget and the memoized
+search answers for the whole descent. The pass, the memo and each layer
+of the value passes hold at most _HELD_BYTES of states, one budget that
+every state cap derives from.
 
 The heuristic (heuristic_ranking) runs its 17 starts together as numpy
 arrays: one greedy insertion pass, then insertion local search steps that
@@ -176,8 +180,8 @@ _WALK_ARRAYS = 12
 # with proven=False. The drop rows and the completion table are the
 # core's, outside the budget. 512 MiB is the least budget tried that lets
 # the witness pass prove league 30/1 and 32/1 (tests/test_lop.py::_league,
-# 156 and 472 MB of pass states); at 256 and 320 MiB 32/1 still ended
-# unproven, later and larger.
+# 156 and 472 MB of pass states when it kept an int32 link per item and
+# state); at 256 and 320 MiB 32/1 still ended unproven, later and larger.
 _HELD_BYTES = 1 << 29
 
 
@@ -478,9 +482,10 @@ class _Search:
     value search (_rec_value) checks the deadline every 256 expanded nodes
     (_tick), the layered passes (value.prove_value and
     witness.WitnessLayers) before every block of states, and the
-    witness's memoized search every 1024 states. The value passes, the
-    witness pass and the memo also raise it when their states would fill
-    more than _HELD_BYTES (_state_cap).
+    witness's memoized search every 1024 states. The value passes and the
+    witness's memo also raise it when their states would fill more than
+    _HELD_BYTES (_state_cap); the witness pass past it gives way to the
+    memo.
     """
 
     def __init__(self, a: WeightMatrix, deadline: float | None = None):
@@ -636,11 +641,12 @@ class _Search:
         Places, position by position, the smallest item whose child still
         reaches k_star within the slack: by the completion table when there
         is one, else by the search for a completion, read from one layered
-        pass over its states or from that search memoized on its state
+        pass over its states and, past the pass's cut, from that search
+        memoized on its state, or from the memoized search alone
         (witness.WitnessLayers), whose nodes and pruned it adds for every
         child it tries. Every weight type takes this route. Raises
-        _Timeout when the deadline passes first or the pass or the memo
-        would hold more states than its cap.
+        _Timeout when the deadline passes first or the memo alone would
+        hold more states than its cap.
         """
         self.reset()
         target = k_star - self.eps

@@ -1,20 +1,23 @@
-"""The table-free canonical witness, from one layered numpy pass or a memo.
+"""The table-free canonical witness, from one layered numpy pass and a memo.
 
 Above the completion-table budget, lop._Search.lex_min_witness places,
 position by position, the smallest item that some completion still takes
 to k*, and counts the nodes and pruned children of a depth-first search
 for that completion. WitnessLayers reads the same answers and counts
-from one pass over that search's states, forward to form and link them
-and backward over the links, or from that search memoized on its state.
-The pass sorts and searches its states as int64 keys packed by
-lop._packed_key where the weights' sums are exact and the key fits, and as
-complex keys otherwise.
+from one pass over that search's states: forward, each layer's states
+with an edge list per state to its children in the next layer, and
+backward over those edges. The narrow layers past a cut, and the inputs
+whose pass would hold too much, are answered by that search itself,
+memoized on its state. The pass sorts and searches its states as int64
+keys packed by lop._packed_key where the weights' sums are exact and the
+key fits, and as complex keys otherwise.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import lop
 from .errors import RankabilityError
 from .lop import _check_deadline, _descend, _packed_key, _Search, _state_cap, _Timeout
 
@@ -29,7 +32,7 @@ _CHUNK_BYTES = 1 << 16
 
 # The forward pass merges a layer's new children into its keys once they
 # outnumber both the keys so far and this many (1 MiB): each key is sorted
-# a bounded number of times, and only larger layers carry links forward.
+# a bounded number of times, and only larger layers carry edges forward.
 _MERGE_KEYS = 1 << 16
 
 # The witness pass holds every state that reaches the target, while they
@@ -42,6 +45,18 @@ _MERGE_KEYS = 1 << 16
 # long before the pass would fill the budget.
 _STATES_PER_NODE = 4
 
+# The memo answers the layers past the pass's cut while it holds at most
+# _TAIL_FACTOR n^2 states at n items; past that it gives way and the pass
+# resumes from the cut, so a tail that widens again costs at most that
+# many memo states. A narrow layer costs the pass about 80 us, forward and
+# backward, whatever its size, and the memo about 4 us a state: over the
+# benchmark's 160 bnb-large inputs the cut took 1,680 layers from the pass
+# and gave the memo 7,258 states, 45 an input (median; at most 68, where
+# n^2 >= 361), and the witness phase went from 450 to 338 ms (2-vCPU
+# x86-64 host). League 30/1 and 32/1, coin19.csv and hidden32.csv leave
+# the memo 9 to 43 states.
+_TAIL_FACTOR = 1
+
 # The bytes the memoized search holds per state: a dict entry keyed by the
 # tuple (rem, g), whose value is the tuple of its answer and counts. Its
 # traced peak over its states was 214.7 bytes on coin19.csv (313,295
@@ -49,13 +64,18 @@ _STATES_PER_NODE = 4
 # and 241.4 on league 30/1 (856,813), as the dict's spare slots vary.
 _MEMO_STATE_BYTES = 256
 
+# The bytes the witness pass holds per edge, a child that reaches target:
+# its index in the next layer (int32) and its position in the child order
+# (uint8).
+_PASS_EDGE_BYTES = 5
+
 # The witness pass keeps its nodes and pruned per state as int64. A layer
 # whose states could add up more than this raises rather than wraps.
 _COUNT_MAX = 2**63 - 1
 
-# The links of a child below target (1 pruned) and, one more, of one whose
-# item is placed already (nothing): the two entries past a layer's states.
-_BELOW, _PLACED = -2, -1
+
+class _GiveWay(Exception):
+    """The memo past the cut passed its bound: the pass resumes from the cut."""
 
 
 def _distinct(x: np.ndarray) -> np.ndarray:
@@ -70,17 +90,24 @@ def _distinct(x: np.ndarray) -> np.ndarray:
     return x[keep]
 
 
-def _pass_state_bytes(n: int, packed: bool) -> int:
-    """The bytes the witness pass holds per state at n items.
+def _pass_state_bytes(packed: bool) -> int:
+    """The bytes the witness pass holds per state, besides its edges.
 
     A sorted key, int64 when packed (8) and else complex rem + g i (16),
-    the answer and two int64 counts (17) and an int32 link per child (4n).
+    the answer and two counts as three int64 (24) and the int64 offset of
+    its first edge (8). Each edge adds _PASS_EDGE_BYTES.
     """
-    return (8 if packed else 16) + 17 + 4 * n
+    return (8 if packed else 16) + 24 + 8
+
+
+def _check_counts(top: int, n: int) -> None:
+    """Raise unless a state adding n counts of at most top, and 1, fits _COUNT_MAX."""
+    if top > (_COUNT_MAX - 1) // n:
+        raise RankabilityError("a witness search count could pass the int64 range")
 
 
 class WitnessLayers:
-    """The table-free witness search, read from one pass or from a memo.
+    """The table-free witness search, read from one pass and a memo.
 
     Above the table budget, lex_min_witness asks for each child of the
     canonical prefix whether some completion of it reaches target. A
@@ -92,21 +119,28 @@ class WitnessLayers:
     1 pruned for each child below target, and the nodes and pruned of each
     other child; a child with rem empty is ok with 1 node.
 
-    descend reads them from one pass over every state that reaches
-    target, a subset DP (Held and Karp) bounded by target, while those
-    number at most _STATES_PER_NODE per node of the value search and fill
-    at most lop._HELD_BYTES at _pass_state_bytes a state: a sorted key,
-    answer and counts, an int32 link per child. With exact sums, where rem
-    and the code 2 (g - target) fit 63 bits (lop._packed_key, form), the
-    key is that one int64; otherwise it is complex, rem + g i. Forward
-    (_forward), each layer holds the distinct children of the layer
-    before that reach target, each linked to its index there or to
-    _BELOW or _PLACED; backward (_backward), each state's answer, nodes
-    and pruned are gathered over its links. Past that budget the search
-    itself answers (_exists), memoized on (rem, g), which holds only the
-    states it visits. descend places the smallest item whose child
-    reaches target and is ok, adding the nodes and pruned of every child
-    it tries that reaches target but not of a last one.
+    descend reads them from one pass over the states that reach target, a
+    subset DP (Held and Karp) bounded by target, while those number at
+    most _STATES_PER_NODE per node of the value search and, with the memo
+    below, fill at most lop._HELD_BYTES: _pass_state_bytes a state, a
+    sorted key, answer and counts and an edge offset, and _PASS_EDGE_BYTES
+    an edge. With exact sums, where rem and the code 2 (g - target) fit 63
+    bits (lop._packed_key, form), the key is that one int64; otherwise it
+    is complex, rem + g i. Forward (_forward), each layer holds the
+    distinct children of the layer before that reach target, and each of
+    its states a list of edges, the children that reach target in child
+    order, each with its index in the next layer and its position. The
+    forward pass stops at the first layer from depth 2 on that holds at
+    most n states (_cuts): the search memoized on (rem, g) (_exists)
+    answers that layer's states and everything below them, while it
+    holds at most _TAIL_FACTOR n^2 states; past that it gives way
+    (_GiveWay) and the pass resumes from the cut. Backward (_backward),
+    each state's answer, nodes and pruned come from its first ok edge,
+    the edges up to it and the unplaced items before it.
+    Past lop._HELD_BYTES the pass gives way to the memo alone, which holds
+    only the states it visits. descend places the smallest item whose
+    child reaches target and is ok, adding the nodes and pruned of every
+    child it tries that reaches target but not of a last one.
 
     Children are formed with the same additions, so the witness, nodes
     and pruned are the depth-first search's for every weight type. Both
@@ -114,7 +148,8 @@ class WitnessLayers:
     rem < 2^53 is exact as a double and g is never -0.0 or NaN. So equal
     keys are equal states, found by binary search. Both passes check the
     deadline before each chunk of states (_Timeout), the memo every 1024
-    states; past lop._HELD_BYTES at _MEMO_STATE_BYTES a state, it raises.
+    states; past lop._HELD_BYTES at _MEMO_STATE_BYTES a state, the memo
+    alone raises it.
 
     Raises:
         RankabilityError: when a count of the pass could pass _COUNT_MAX.
@@ -126,32 +161,57 @@ class WitnessLayers:
         # The drop rows; their -inf entries put the child of an item placed
         # already below any target.
         self.rows = rows = search.core.drops
+        n = search.n
         order = np.array(search.child_order, dtype=np.int64)
         self.bits = np.left_shift(1, order)
-        # Arrays over a chunk's children are (position, state): position j
+        # before[p]: the set of the first p items in child order.
+        self.before = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(self.bits, out=self.before[1:])
+        # Arrays over a chunk's children are (state, position): position j
         # of the child order places order[j].
-        self.at_lo, self.at_hi = rows.at_lo[order, None], rows.at_hi[order, None]
+        self.at_lo, self.at_hi = rows.at_lo[order], rows.at_hi[order]
         self.children = [rows.items[v] for v in search.child_order]
         # Every state the pass keeps has target <= g <= the root's bound, so
         # with exact sums its key packs rem and 2 (g - target) when they fit.
         root = search.f + search.u
-        self.form = _packed_key(search.n, 2 * (root - target)) if search.exact else None
-        self.chunk = max(1, _CHUNK_BYTES // (8 * search.n))
+        self.form = _packed_key(n, 2 * (root - target)) if search.exact else None
+        self.state_bytes = _pass_state_bytes(self.form is not None)
+        self.chunk = max(1, _CHUNK_BYTES // (8 * n))
+        # starts[i]: the flat index of a chunk's state i in its (state,
+        # position) arrays.
+        self.starts = np.arange(0, (self.chunk + 1) * n, n)
         self.layers: list[np.ndarray] = []
-        self.links: list[np.ndarray] = []
-        self.results: list[tuple[np.ndarray, np.ndarray]] = []
+        self.edges: list[list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = []
+        self.results: list[np.ndarray | None] = []
+        self.states = self.held = 0
+        # The first depth the memo answers; n while the pass runs to the end.
+        self.cut = n
+        self.may_cut = True
         self.memo: dict[tuple[int, float], tuple[bool, int, int]] = {}
         self.memo_cap = _state_cap(_MEMO_STATE_BYTES)
+        self.overrun: type[Exception] = _Timeout
 
     def descend(self) -> list[int] | None:
-        """lex_min_witness's placements, read from the pass or past its budget the memo."""
-        search, target, n = self.search, self.target, self.search.n
-        budget = _STATES_PER_NODE * (search.nodes + n)
-        state = self._exists
-        cap = _state_cap(_pass_state_bytes(n, self.form is not None))
-        if self._forward(min(budget, cap)):
-            self.results = self._backward()
-            state = self._lookup
+        """lex_min_witness's placements, from the pass and its memo, or the memo alone."""
+        search = self.search
+        budget = _STATES_PER_NODE * (search.nodes + search.n)
+        nodes, pruned, placed = search.nodes, search.pruned, len(search.prefix)
+        while self._forward(budget):
+            try:
+                self._backward(self._answer_cut())
+                return self._place(self._lookup)
+            except _GiveWay:
+                # Forget what the memo found and its placements, and resume
+                # the pass from the cut to the last layer.
+                search.nodes, search.pruned = nodes, pruned
+                del search.prefix[placed:]
+                self.memo, self.results, self.may_cut = {}, [], False
+        self.memo_cap, self.overrun = _state_cap(_MEMO_STATE_BYTES), _Timeout
+        return self._place(self._exists)
+
+    def _place(self, state) -> list[int] | None:
+        """The descent, with state(rem, g) the answer and counts at a child that reaches."""
+        search, target = self.search, self.target
 
         def reaches(t: int, child: float) -> bool:
             if child < target:
@@ -163,18 +223,24 @@ class WitnessLayers:
             search.pruned += pruned
             return ok
 
-        return _descend(self.rows, search.rem_mask, search.f + search.u, search.prefix, reaches)
+        root = search.f + search.u
+        return _descend(self.rows, search.rem_mask, root, search.prefix, reaches)
 
     def _lookup(self, rem: int, g: float) -> tuple[bool, int, int]:
-        """The pass's answer, nodes and pruned at a state that reaches target."""
-        k = self.search.n - 1 - rem.bit_count()
-        keys, (ok, counts) = self.layers[k], self.results[k]
+        """The answer, nodes and pruned at a state that reaches target.
+
+        The pass's, or from the cut on the memo's.
+        """
+        depth = self.search.n - rem.bit_count()
+        if depth >= self.cut:
+            return self._exists(rem, g)
+        keys = self.layers[depth]
         if self.form is None:
             key = complex(rem, g)
         else:
             key = self.form.pack(rem, int(2 * (g - self.target)))
-        i = int(keys.searchsorted(key))
-        return bool(ok[i]), int(counts[0, i]), int(counts[1, i])
+        ok, nodes, pruned = self.results[depth][int(keys.searchsorted(key))].tolist()
+        return bool(ok), nodes, pruned
 
     def _exists(self, rem: int, g: float) -> tuple[bool, int, int]:
         """The depth-first search's answer, nodes and pruned at (rem, g), memoized."""
@@ -203,18 +269,11 @@ class WitnessLayers:
         # its size takes every value here: the cap holds exactly, and the
         # clock is read every 1024 states.
         if len(memo) >= self.memo_cap:
-            raise _Timeout
+            raise self.overrun
         if not len(memo) & 1023:
             _check_deadline(self.search.deadline)
         memo[rem, g] = result = ok, nodes, pruned
         return result
-
-    def _children(self, rem: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The bounds of the states' children, which reach target, and their keys."""
-        child = self.rows.children(rem, g, self.at_lo, self.at_hi)
-        kept = child >= self.target
-        item, state = kept.nonzero()
-        return child, kept, self._keys(rem[state] ^ self.bits[item], child[kept])
 
     def _keys(self, rem: np.ndarray, g: np.ndarray) -> np.ndarray:
         """The keys of the states (rem, g), packed or complex."""
@@ -227,98 +286,179 @@ class WitnessLayers:
         keys.imag = g
         return keys
 
+    def _sets(self, keys: np.ndarray) -> np.ndarray:
+        """The unplaced sets of the keys."""
+        if self.form is None:
+            return keys.real.astype(np.int64)
+        return keys >> self.form.code_bits
+
     def _states(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The states (rem, g) of the keys."""
-        form = self.form
-        if form is None:
-            return keys.real.astype(np.int64), keys.imag
-        g = (keys & ((1 << form.code_bits) - 1)) * 0.5
+        if self.form is None:
+            return self._sets(keys), keys.imag
+        g = (keys & ((1 << self.form.code_bits) - 1)) * 0.5
         g += self.target
-        return keys >> form.code_bits, g
+        return self._sets(keys), g
 
-    def _forward(self, cap: int) -> bool:
-        """Layers 1 to n - 1, the states after placing that many items, and their links.
+    def _cuts(self, depth: int, size: int) -> bool:
+        """Whether the memo answers a new layer of size states at depth, and all below."""
+        return depth >= 2 and size <= self.search.n
 
-        links[k][j, i]: child j (in child order) of state i of layers[k].
-        False, keeping neither, past cap states.
+    def _forward(self, budget: int) -> bool:
+        """The layers after the last one kept, and their edges, to the cut or the end.
+
+        layers[d] holds the sorted keys of the states after placing d
+        items, and edges[d] their edges, a block (offsets, index, position)
+        per chunk of states: a chunk's state i has the edges at rows
+        offsets[i] + 1 to offsets[i + 1] of index and position, its
+        children that reach target in child order, each with its index in
+        layers[d + 1], or 0 for rem empty below layer n - 1, and its
+        position in the child order. Rows 0 and -1 stand before and past
+        the chunk's edges, at index the row past the next layer's states
+        and at position n. Stops at the first new layer that _cuts while
+        may_cut, and sets cut to its depth. False, keeping nothing, past
+        budget states or lop._HELD_BYTES with the edges.
         """
         search, n = self.search, self.search.n
-        keys = self._keys(np.array([search.rem_mask]), np.array([search.f + search.u]))
-        total, layers, links = 0, [], []
-        for k in range(1, n + 1):
-            rem, g = self._states(keys)
-            link = np.empty((n, rem.size), dtype=np.int32)
-            # Per merge: its first column, and where the keys before it went.
-            keys, found, merges, done = keys[:0], [], [], 0
-            for start in range(0, rem.size, self.chunk):
+        layers, edges, target = self.layers, self.edges, self.target
+        if not layers:
+            root = np.array([search.f + search.u])
+            layers.append(self._keys(np.array([search.rem_mask]), root))
+            self.states, self.held = 1, self.state_bytes
+        while len(edges) < n:
+            depth = len(edges) + 1
+            rem, g = self._states(layers[-1])
+            size = rem.size
+            # Per merge: its first block and where the keys before it went.
+            keys, found, blocks, merges = layers[-1][:0], [], [], []
+            linked = 0
+            for start in range(0, size, self.chunk):
                 _check_deadline(search.deadline)
-                part = slice(start, start + self.chunk)
-                child, kept, new = self._children(rem[part], g[part])
-                at = link[:, part]
-                np.add(child == -np.inf, _BELOW, out=at, casting="unsafe")
-                if k == n:
-                    # Each such child has rem empty: ok with 1 node, entry 0.
-                    at[kept] = 0
+                sets = rem[start : start + self.chunk, None]
+                x = g[start : start + self.chunk, None]
+                child = self.rows.children(sets, x, self.at_lo, self.at_hi)
+                # The edges, state by state, each state's in child order.
+                at = np.flatnonzero(child >= target)
+                offsets = at.searchsorted(self.starts[: len(sets) + 1])
+                index = np.empty(at.size + 2, dtype=np.int32)
+                position = np.empty(at.size + 2, dtype=np.uint8)
+                np.remainder(at, n, out=position[1:-1], casting="unsafe")
+                position[0] = position[-1] = n
+                blocks.append((offsets, index, position))
+                linked += at.size
+                if depth == n:
+                    index[1:-1] = 0
                     continue
-                found.append((at, kept, new))
-                pending = sum(x[2].size for x in found)
-                if pending > max(keys.size, _MERGE_KEYS) or part.stop >= rem.size:
+                found.append(self._keys((sets ^ self.bits).take(at), child.take(at)))
+                pending = sum(new.size for new in found)
+                if pending > max(keys.size, _MERGE_KEYS) or start + self.chunk >= size:
                     old = keys
-                    keys = _distinct(np.concatenate([keys, *(x[2] for x in found)]))
-                    for at, kept, new in found:
-                        at[kept] = keys.searchsorted(new)
-                    merges.append((done, keys.searchsorted(old)))
-                    found, done = [], part.stop
-                    if total + keys.size > cap:
-                        return False
-            # Carry the links of earlier merges to the last merge's keys.
+                    keys = _distinct(np.concatenate([keys, *found]))
+                    moved = keys.searchsorted(old) if merges else None
+                    merges.append((len(blocks) - len(found), moved))
+                    for (_, index, _), new in zip(blocks[-len(found) :], found):
+                        index[1:-1] = keys.searchsorted(new)
+                    found = []
+                    if self._over(keys.size, linked, budget):
+                        return self._drop()
+            # Carry the indices of earlier merges to the last merge's keys.
             ahead = None
             for (begin, _), (end, moved) in reversed(list(zip(merges, merges[1:]))):
                 ahead = moved if ahead is None else ahead.take(moved)
-                cols = link[:, begin:end]
-                cols[...] = np.append(ahead, (_BELOW, _PLACED)).take(cols, mode="wrap")
-            # The root's links are not read, nor the empty keys past layer n - 1.
-            total += keys.size
+                for _, index, _ in blocks[begin:end]:
+                    index[1:-1] = ahead.take(index[1:-1])
+            past = 1 if depth == n else keys.size
+            for _, index, _ in blocks:
+                index[0] = index[-1] = past
+            if depth == n:
+                keys = keys[:0]
+            if self._over(keys.size, linked, budget):
+                return self._drop()
+            self.states += keys.size
+            self.held += keys.size * self.state_bytes + linked * _PASS_EDGE_BYTES
+            edges.append(blocks)
+            if depth == n:
+                break
             layers.append(keys)
-            links.append(link)
-        self.layers, self.links = layers[:-1], links[1:]
+            if self.may_cut and self._cuts(depth, keys.size):
+                self.cut = depth
+                return True
+        self.cut = n
         return True
 
-    def _backward(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Each layer's answers and (nodes, pruned) per state, in key order.
+    def _over(self, states: int, linked: int, budget: int) -> bool:
+        """Whether states and linked edges more than those kept pass budget or the bytes."""
+        held = self.held + states * self.state_bytes + linked * _PASS_EDGE_BYTES
+        return self.states + states > budget or held > lop._HELD_BYTES
 
-        Past a layer's states two entries more hold what a child at _BELOW
-        (1 pruned) and at _PLACED (nothing) adds to its parent.
+    def _drop(self) -> bool:
+        """Keep no layer: False."""
+        self.layers, self.edges = [], []
+        self.states = self.held = 0
+        return False
+
+    def _answer_cut(self) -> np.ndarray:
+        """The results of the cut layer, from the memo, or of rem empty below the last.
+
+        One row per state, (ok, nodes, pruned), and one row more, (1, 0, 0),
+        past the last, which every backward step reads past a chunk's edges.
+        """
+        n = self.search.n
+        if self.cut == n:
+            return np.array([[1, 1, 0], [1, 0, 0]], dtype=np.int64)
+        # The memo's states count against the bytes the pass left.
+        room = (lop._HELD_BYTES - self.held) // _MEMO_STATE_BYTES
+        self.memo_cap = min(_TAIL_FACTOR * n * n, room)
+        self.overrun = _GiveWay
+        rem, g = self._states(self.layers[self.cut])
+        answers = [self._exists(r, x) for r, x in zip(rem.tolist(), g.tolist())]
+        _check_counts(max((max(c[1:]) for c in answers), default=0), n)
+        return np.array([*answers, (1, 0, 0)], dtype=np.int64)
+
+    def _backward(self, below: np.ndarray) -> None:
+        """Each layer's results, from below, those of the layer after the last edges.
+
+        results[d] holds (ok, nodes, pruned) for each state of layers[d]
+        and one row more, (1, 0, 0), as below does, for d from 1 to the
+        cut, or n; results[0] is not read.
         """
         search, n = self.search, self.search.n
-        # Entry 0 below the last layer: rem empty, ok with 1 node.
-        ok_next = np.array([True, False, False])
-        counts_next = np.array([[1, 0, 0], [0, 1, 0]])
-        results = [None] * len(self.links)
-        for k in range(len(self.links) - 1, -1, -1):
-            # A state adds the counts of at most n children, and 1.
-            if counts_next.max() > (_COUNT_MAX - 1) // n:
-                raise RankabilityError("a witness search count could pass the int64 range")
-            link = self.links[k]
-            size = link.shape[1]
-            ok = np.zeros(size + 2, dtype=bool)
-            counts = np.zeros((2, size + 2), dtype=np.int64)
-            counts[1, size] = 1
-            for start in range(0, size, self.chunk):
+        results: list[np.ndarray | None] = [None] * len(self.edges) + [below]
+        for depth in range(len(self.edges) - 1, 0, -1):
+            # Each state counts 1 node or more: below's largest entry is a count.
+            _check_counts(int(below.max()), n)
+            keys = self.layers[depth]
+            result = np.empty((keys.size + 1, 3), dtype=np.int64)
+            result[-1] = 1, 0, 0
+            start = 0
+            for offsets, index, position in self.edges[depth]:
                 _check_deadline(search.deadline)
-                part = slice(start, min(start + self.chunk, size))
-                at = link[:, part]
-                # The search takes children up to the first ok one.
-                # scanning[j]: no child up to j was ok.
-                scanning = ok_next.take(at, mode="wrap")
-                np.logical_or.accumulate(scanning, axis=0, out=scanning)
-                ok[part] = scanning[-1]
-                np.logical_not(scanning, out=scanning)
-                got = counts_next.take(at, axis=1, mode="wrap")
-                got[:, 1:] *= scanning[:-1]
-                total = got.sum(axis=1)
-                total[0] += 1
-                counts[:, part] = total
-            results[k] = ok, counts
-            ok_next, counts_next = ok, counts
-        return results
+                heads, tails = offsets[:-1], offsets[1:]
+                stop = start + heads.size
+                # The children's results by row; the rows before and past
+                # the edges read below's last row, which is ok.
+                got = below.take(index, axis=0)
+                # The search takes children up to the first ok one, row
+                # first, or to tails where none is ok.
+                hit = np.flatnonzero(got[:, 0])
+                first = hit[hit.searchsorted(heads, side="right")]
+                ok = first <= tails
+                end = np.where(ok, first, tails)
+                # Rows heads + 1 to end: their nodes and pruned, and ok in
+                # column 0. The running sums may wrap in int64, but each
+                # state's difference is exact, as its sum fits
+                # (_check_counts).
+                sums = np.cumsum(got, axis=0, out=got)
+                out = result[start:stop]
+                np.subtract(sums.take(end, axis=0), sums.take(heads, axis=0), out=out)
+                out[:, 1] += 1
+                # Pruned: the unplaced items before the first ok position,
+                # less the edges there.
+                at = np.where(ok, position[first], n)
+                sets = self._sets(keys[start:stop])
+                out[:, 2] += np.bitwise_count(sets & self.before[at])
+                out[:, 2] -= end - heads
+                out[:, 2] += ok
+                start = stop
+            results[depth] = below = result
+        self.results = results

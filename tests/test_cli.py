@@ -939,10 +939,10 @@ def test_ratings_stdout_is_pinned_byte_for_byte(capsys, fmt):
 @pytest.mark.slow
 def test_league30_lop_matches_its_proven_golden(capsys):
     # League 30/1 (tests/test_lop.py::_league, rng seed 1): the witness
-    # pass holds 1,022,099 states, 156 MB, within lop._HELD_BYTES. The
-    # golden file was recorded at commit 0262550, where lop proves it with
-    # nodes 7,084,511,036; a cap below that pass once ended lop unproven
-    # here although k* was proven.
+    # pass holds 1,022,076 states and 4,343,941 edges to its cut at depth
+    # 20, 63 MB, within lop._HELD_BYTES. The golden file was recorded at
+    # commit 0262550, where lop proves it with nodes 7,084,511,036; a cap
+    # below that pass once ended lop unproven here although k* was proven.
     code, out = run_cli(
         capsys, "lop", "--input", str(DATA_DIR / "league30.csv"), "--kind", "matrix"
     )
@@ -954,7 +954,8 @@ def test_league30_lop_matches_its_proven_golden(capsys):
 def test_league32_lop_matches_its_proven_golden(capsys):
     # League 32/1 (tests/test_lop.py::_league, rng seed 1): k* 749.5 with
     # nodes 69,554,109,397, and the largest witness pass of the league
-    # checks, 2,931,525 states, whose keys the pass sorts and merges.
+    # checks, 2,931,511 states and 13,345,609 edges to its cut at depth
+    # 25, whose keys the pass sorts and merges.
     code, out = run_cli(
         capsys, "lop", "--input", str(DATA_DIR / "league32.csv"), "--kind", "matrix"
     )

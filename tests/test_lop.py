@@ -1338,12 +1338,17 @@ class TestWitnessMemo:
         assert not lop._exact_sums(WeightMatrix(w))
         self._assert_equals_oracle(monkeypatch, witness_passes, WeightMatrix(w), "memo")
 
-    def test_tiers_with_upsets_take_the_memo_route(self, monkeypatch, witness_passes):
+    def test_tiers_with_upsets_take_the_memo_past_the_cut(
+        self, monkeypatch, witness_passes
+    ):
         w = _tiered(24, [24, 3, 5, 1], upsets=0.05)
-        # The CI's exact-sum input for the memo route.
+        # The CI's exact-sum input for the memo past the pass's cut: the pass
+        # holds 448 states to depth 9, and the memo the 79 states past it.
         assert np.array_equal(read_matrix_csv(DATA_DIR / "tiers24.csv").weights, w)
         assert lop._exact_sums(WeightMatrix(w))
-        self._assert_equals_oracle(monkeypatch, witness_passes, WeightMatrix(w), "memo")
+        self._assert_equals_oracle(monkeypatch, witness_passes, WeightMatrix(w), "pass")
+        (descent,) = witness_passes
+        assert (descent.cut, len(descent.memo), descent.states) == (9, 79, 448)
 
     @pytest.mark.parametrize("family", ["uniform", "noisy-integer", "tenths"])
     def test_fractional_weights_without_a_table(
@@ -1358,14 +1363,16 @@ class TestWitnessMemo:
     def _assert_equals_oracle(monkeypatch, witness_passes, a: WeightMatrix, route):
         res = solve_lop(a)
         assert res.proven
-        (witness,) = witness_passes
+        (descent,) = witness_passes
         if route == "pass":
-            # One pass, which reached states beyond the root's children.
-            assert any(layer.size for layer in witness.layers[1:])
-            assert not witness.memo
+            # One pass, which reached states beyond the root's children; the
+            # memo answered at most the narrow layers past its cut.
+            assert any(layer.size for layer in descent.layers[1:])
+            assert descent.cut < a.n or not descent.memo
+            assert len(descent.memo) <= witness._TAIL_FACTOR * a.n**2
         else:
             # The pass stopped at its budget and the memo answered.
-            assert witness.layers == [] and witness.memo
+            assert descent.layers == [] and descent.memo
         plain = _solve_with_witness_oracle(monkeypatch, a)
         assert plain.proven
         assert (res.ranking, res.stats.nodes, res.stats.pruned) == (
@@ -1395,24 +1402,35 @@ class TestWitnessMemo:
         assert not res.proven
         assert objective_value(a, res.ranking) == res.optimal_value
         # The witness pass started and stopped at its first deadline check,
-        # before it finished a layer.
+        # before it finished a layer's edges.
         (witness,) = witness_passes
-        assert witness.layers == []
+        assert witness.edges == [] and not witness.memo
 
 
 def _coin19() -> WeightMatrix:
     """A coin tournament with 2 games per pair at n = 19, rng seed 0.
 
-    Many prefixes tie at its optimum: the witness pass holds 68,315 states,
-    up to 17,167 in one layer, over many chunks of states.
+    Many prefixes tie at its optimum: the witness pass holds 68,310 states
+    to its cut at depth 17, up to 17,167 in one layer, over many chunks of
+    states, and 68,316 without the cut.
     """
     return WeightMatrix(_coin_tournament(np.random.default_rng(0), 19, 2))
 
 
+def _blocks(descent: witness.WitnessLayers) -> list[tuple[np.ndarray, ...]]:
+    """A witness pass's edge blocks, one per chunk of each layer's states."""
+    return list(itertools.chain(*descent.edges))
+
+
+def _edge_count(descent: witness.WitnessLayers) -> int:
+    """A witness pass's edges: each block's rows but the one before and the one past."""
+    return sum(index.size - 2 for _, index, _ in _blocks(descent))
+
+
 class TestWitnessLinks:
-    """The forward pass links each child once; the backward pass only
-    gathers over the links, with the depth-first search's witness, nodes
-    and pruned.
+    """The forward pass links each child that reaches the target once, as an
+    edge of its state; the backward pass only gathers over the edges, with
+    the depth-first search's witness, nodes and pruned.
     """
 
     def test_tens_of_thousands_of_states_equal_the_oracle(
@@ -1423,19 +1441,29 @@ class TestWitnessLinks:
         a = _coin19()
         TestWitnessMemo._assert_equals_oracle(monkeypatch, witness_passes, a, "pass")
         (descent,) = witness_passes
-        assert sum(layer.size for layer in descent.layers) == 68_315
+        # The memo answers the 19 states past the cut.
+        assert (descent.cut, len(descent.memo)) == (17, 19)
+        assert sum(layer.size for layer in descent.layers) == 68_310
         assert max(layer.size for layer in descent.layers) > 100 * descent.chunk
-        # Each layer's links: one int32 per item and state.
-        assert [link.shape for link in descent.links] == [
-            (a.n, layer.size) for layer in descent.layers
-        ]
-        assert all(link.dtype == np.int32 for link in descent.links)
+        # 222,376 edges, about 3.3 a state, where an (n, states) grid of
+        # links held 19. Per chunk of states: an int64 offset per state and
+        # one more, and an int32 index and a uint8 position per edge and for
+        # the rows before and past them.
+        assert _edge_count(descent) == 222_376
+        assert len(descent.edges) == descent.cut
+        for keys, blocks in zip(descent.layers, descent.edges):
+            assert len(blocks) == -(-keys.size // descent.chunk)
+            assert sum(offsets.size - 1 for offsets, _, _ in blocks) == keys.size
+            for offsets, index, position in blocks:
+                assert offsets.dtype == np.int64 and offsets[-1] + 2 == index.size
+                assert index.dtype == np.int32 and position.dtype == np.uint8
+                assert index.size == position.size and position.max() == a.n
 
     def test_links_carried_over_many_merges_are_the_same(
         self, monkeypatch, witness_passes
     ):
         # With no floor on a merge and 16 KiB chunks, a large layer merges
-        # many times, and the links made before its last merge are carried
+        # many times, and the edges found before its last merge are carried
         # to its final keys.
         monkeypatch.setattr(witness, "_CHUNK_BYTES", 1 << 14)
         a = _coin19()
@@ -1454,14 +1482,20 @@ class TestWitnessLinks:
             expected.stats.nodes,
             expected.stats.pruned,
         )
-        for old, new in zip(first.layers + first.links, second.layers + second.links):
+        assert len(first.edges) == len(second.edges)
+        held = zip(first.layers + first.results[1:], second.layers + second.results[1:])
+        for old, new in held:
             assert np.array_equal(old, new)
+        for old, new in zip(_blocks(first), _blocks(second)):
+            assert all(map(np.array_equal, old, new))
 
     def test_the_byte_cap_gives_way_to_the_memo(self, monkeypatch, witness_passes):
-        # The pass may hold lop._HELD_BYTES, at 25 + 4n bytes a state for
-        # this exact input, whose keys pack into int64. Here the value layers
-        # and the memo fit in fewer bytes than the pass.
-        a = WeightMatrix(_hidden_order_tournament(np.random.default_rng(0), 20))
+        # The pass and the memo past its cut may hold lop._HELD_BYTES: for
+        # this exact input, whose keys pack into int64, 8 + 24 + 8 bytes a
+        # state, 5 an edge and _MEMO_STATE_BYTES a memo state. Here the value
+        # layers and the memo alone fit in fewer bytes than the pass.
+        monkeypatch.setattr(lop, "_TABLE_MAX_N", 0)
+        a = WeightMatrix(_coin_tournament(np.random.default_rng(2), 16, 2))
 
         def solve():
             res = solve_lop(a)
@@ -1469,30 +1503,46 @@ class TestWitnessLinks:
 
         expected = solve()
         assert expected[-1]
-        states = sum(layer.size for layer in witness_passes[-1].layers)
-        assert witness_passes[-1].form is not None
-        bytes_per_state = 25 + 4 * a.n
-        assert witness._pass_state_bytes(a.n, True) == bytes_per_state
-        monkeypatch.setattr(lop, "_HELD_BYTES", states * bytes_per_state)
+        descent = witness_passes[-1]
+        assert descent.form is not None and descent.cut < a.n and descent.memo
+        assert witness._pass_state_bytes(True) == 8 + 24 + 8
+        assert witness._PASS_EDGE_BYTES == 5
+        states = sum(layer.size for layer in descent.layers)
+        assert descent.held == states * 40 + _edge_count(descent) * 5
+        fit = descent.held + len(descent.memo) * witness._MEMO_STATE_BYTES
+        monkeypatch.setattr(lop, "_HELD_BYTES", fit)
+        assert solve() == expected
+        assert (witness_passes[-1].cut, witness_passes[-1].memo) == (
+            descent.cut,
+            descent.memo,
+        )
+        # One byte under, the memo past the cut gives way, and the pass
+        # resumes from the cut to its last layer.
+        monkeypatch.setattr(lop, "_HELD_BYTES", fit - 1)
+        assert solve() == expected
+        full = witness_passes[-1]
+        assert full.cut == a.n and not full.memo and full.held < fit
+        assert all(np.array_equal(x, y) for x, y in zip(descent.layers, full.layers))
+        # Keys, edges and results; past each chunk's edges two rows more and
+        # an offset more, and past each layer's states a result row more.
+        # The root has no result and the state below the last layer one.
+        held = [*full.layers, *itertools.chain(*_blocks(full)), *full.results[1:]]
+        blocks = len(_blocks(full))
+        assert sum(x.nbytes for x in held) == full.held + 18 * blocks + 24 * a.n
+        # One byte under the whole pass, the memo alone answers.
+        monkeypatch.setattr(lop, "_HELD_BYTES", full.held - 1)
         assert solve() == expected
         descent = witness_passes[-1]
-        assert descent.layers and not descent.memo
-        # Keys, links and results; past its states, each layer's results
-        # hold two entries more.
-        held = [*descent.layers, *descent.links, *itertools.chain(*descent.results)]
-        assert sum(x.nbytes for x in held) == states * bytes_per_state + 34 * (a.n - 1)
-        monkeypatch.setattr(lop, "_HELD_BYTES", states * bytes_per_state - 1)
-        assert solve() == expected
-        descent = witness_passes[-1]
-        assert descent.layers == [] and descent.links == [] and descent.memo
+        assert descent.layers == [] and descent.edges == [] and descent.memo
 
     def test_traced_peak_at_the_cap_stays_near_the_cap(self, monkeypatch):
         a = _coin19()
         search, _, timed_out = lop._value_search(a, None)
         assert not timed_out
         nodes, pruned = search.nodes, search.pruned
-        # The pass's 68,315 states, at the bytes of their int64 keys.
-        budget = 68_315 * witness._pass_state_bytes(a.n, True)
+        # The pass's 68,310 states and 222,376 edges to its cut, and the
+        # memo's 19 states past it.
+        budget = 68_310 * witness._pass_state_bytes(True) + 222_376 * 5 + 19 * 256
         monkeypatch.setattr(lop, "_HELD_BYTES", budget)
         tracemalloc.start()
         try:
@@ -1501,8 +1551,10 @@ class TestWitnessLinks:
         finally:
             tracemalloc.stop()
         assert order is not None and search.nodes > nodes and search.pruned > pruned
-        # 7.45 MB held at the cap; the work arrays and merges add about 5%.
-        assert peak < 1.1 * budget
+        # 3.85 MB held at the cap, 1.02 times that with the rows past each
+        # chunk's edges and layer's states; one backward chunk's gathered
+        # results, 24 bytes an edge, bring the peak to 4.23 MB.
+        assert peak < budget + 8 * witness._CHUNK_BYTES
 
     def test_a_deadline_inside_the_backward_pass_leaves_the_witness_unproven(
         self, monkeypatch, witness_passes
@@ -1516,20 +1568,22 @@ class TestWitnessLinks:
         )
         real_backward = witness.WitnessLayers._backward
 
-        def backward(self):
+        def backward(self, below):
             offset[0] = 2 * limit
-            return real_backward(self)
+            return real_backward(self, below)
 
         monkeypatch.setattr(witness.WitnessLayers, "_backward", backward)
         res = solve_lop(a, SolverConfig(time_limit=limit))
         assert not res.proven
         assert res.optimal_value == expected.optimal_value
         assert objective_value(a, res.ranking) == res.optimal_value
-        # The forward pass finished; the backward pass stopped at its first
-        # deadline check, and the memo did not start.
+        # The forward pass and the memo past its cut finished; the backward
+        # pass stopped at its first deadline check, and the memo alone did
+        # not start.
         descent = witness_passes[-1]
-        assert descent.layers and descent.links
-        assert descent.results == [] and not descent.memo
+        assert descent.layers and descent.edges and descent.cut < a.n
+        assert descent.results == []
+        assert 0 < len(descent.memo) <= witness._TAIL_FACTOR * a.n**2
 
 
 def _tiered(n: int, seed, upsets: float = 0.0) -> np.ndarray:
@@ -1648,13 +1702,19 @@ class TestNarrowWitnessPasses:
     def test_a_pass_over_the_state_cap_leaves_the_witness_unproven(
         self, monkeypatch, witness_passes
     ):
-        # Here the memo needs more bytes than the pass, so a budget that
-        # the pass overruns stops the memo too.
+        # Here the memo needs more bytes than the whole pass, so a budget
+        # that the pass overruns stops the memo too.
         a = WeightMatrix(_hidden_order_tournament(np.random.default_rng(0), 19))
         expected = solve_lop(a)
-        states = sum(layer.size for layer in witness_passes[-1].layers)
         assert witness_passes[-1].form is not None
-        fit = states * witness._pass_state_bytes(a.n, True)
+        # With no room past the cut the memo gives way at once, and the pass
+        # resumes from the cut to its last layer.
+        with monkeypatch.context() as m:
+            m.setattr(witness, "_TAIL_FACTOR", 0)
+            solve_lop(a)
+        full = witness_passes[-1]
+        assert full.cut == a.n and not full.memo
+        fit = full.held
         monkeypatch.setattr(lop, "_HELD_BYTES", fit)
         res = solve_lop(a)
         assert (res.ranking, res.stats.nodes, res.stats.pruned, res.proven) == (
@@ -1731,11 +1791,122 @@ class TestWitnessCounts:
 
         expected = solve()
         # The backward pass checks the counts of each layer below the
-        # first before it adds up to n of them.
-        top = max(int(counts.max()) for *_, counts in witness_passes[0].results[1:])
+        # first, the memo's past the cut among them, before it adds up to n
+        # of them.
+        top = max(int(result.max()) for result in witness_passes[0].results[2:])
         monkeypatch.setattr(witness, "_COUNT_MAX", top * a.n + 1)
         assert solve() == expected
         monkeypatch.setattr(witness, "_COUNT_MAX", top * a.n)
+        with pytest.raises(RankabilityError, match="int64"):
+            solve()
+
+
+class TestWitnessTail:
+    """From the pass's cut on, the memoized search answers the narrow layers
+    left, or past its bound gives way and the pass resumes from the cut,
+    with the memo-free search's witness, nodes and pruned at every cut.
+    """
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(5, 11), seed=st.integers(0, 2**32 - 1), exact=st.booleans())
+    def test_every_cut_equals_the_oracle(self, n, seed, exact):
+        rng = np.random.default_rng(seed)
+        if exact:
+            w = _tournament_with_ties(rng, n, 2)
+        else:
+            w = _random_weights(rng, n, integral=False)
+        a = WeightMatrix(w)
+        assert lop._exact_sums(a) == exact
+        descents = []
+        real_init = witness.WitnessLayers.__init__
+
+        def recording(self, search, target):
+            descents.append(self)
+            real_init(self, search, target)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(lop, "_TABLE_MAX_N", 0)
+            plain = _solve_with_witness_oracle(m, a)
+            expected = (plain.ranking, plain.stats.nodes, plain.stats.pruned)
+            m.setattr(witness.WitnessLayers, "__init__", recording)
+            # Neither the pass's budget nor the memo's bound takes a turn.
+            m.setattr(witness, "_STATES_PER_NODE", 2**n)
+            m.setattr(witness, "_TAIL_FACTOR", 2**n)
+            for cut in [*range(1, n), None]:
+                m.setattr(
+                    witness.WitnessLayers,
+                    "_cuts",
+                    lambda self, depth, size, cut=cut: depth == cut,
+                )
+                res = solve_lop(a)
+                assert res.proven
+                assert (res.ranking, res.stats.nodes, res.stats.pruned) == expected
+                assert descents[-1].cut == (n if cut is None else cut)
+                assert bool(descents[-1].memo) == (cut is not None)
+            # A bound of no state: the memo gives way at its first state, and
+            # the pass resumes from the cut at depth 1 to its last layer.
+            m.setattr(witness, "_TAIL_FACTOR", 0)
+            m.setattr(witness.WitnessLayers, "_cuts", lambda self, depth, size: depth == 1)
+            res = solve_lop(a)
+            assert (res.ranking, res.stats.nodes, res.stats.pruned) == expected
+            descent = descents[-1]
+            assert descent.cut == n and not descent.memo and len(descent.edges) == n
+
+    def test_a_deadline_inside_the_memo_past_the_cut_leaves_the_witness_unproven(
+        self, monkeypatch, witness_passes
+    ):
+        a = WeightMatrix(_hidden_order_tournament(np.random.default_rng(0), 19))
+        expected = solve_lop(a)
+        limit = 10.0
+        offset = [0.0]
+        monkeypatch.setattr(
+            lop, "time", SimpleNamespace(monotonic=lambda: time.monotonic() + offset[0])
+        )
+        real_answer_cut = witness.WitnessLayers._answer_cut
+
+        def answer_cut(self):
+            offset[0] = 2 * limit
+            return real_answer_cut(self)
+
+        monkeypatch.setattr(witness.WitnessLayers, "_answer_cut", answer_cut)
+        res = solve_lop(a, SolverConfig(time_limit=limit))
+        assert not res.proven
+        assert res.optimal_value == expected.optimal_value
+        assert objective_value(a, res.ranking) == res.optimal_value
+        # The forward pass stopped at its cut; the memo read the clock before
+        # its first state and stopped, and the backward pass did not start.
+        descent = witness_passes[-1]
+        assert descent.cut < a.n and len(descent.layers) == descent.cut + 1
+        assert not descent.memo and descent.results == []
+
+    def test_a_count_past_the_limit_in_the_memo_raises(self, monkeypatch, witness_passes):
+        a = WeightMatrix(_hidden_order_tournament(np.random.default_rng(2), 20))
+
+        def solve():
+            res = solve_lop(WeightMatrix(a.weights))
+            return res.ranking, res.stats.nodes, res.stats.pruned, res.proven
+
+        expected = solve()
+        descent = witness_passes[0]
+        assert descent.cut < a.n
+        # The memo's answers at the cut are checked before they are stored
+        # as int64, as the backward pass checks each layer's.
+        top = int(descent.results[descent.cut].max())
+        monkeypatch.setattr(witness, "_COUNT_MAX", top * a.n)
+        with pytest.raises(RankabilityError, match="int64") as raised:
+            solve()
+        assert raised.traceback[-2].name == "_answer_cut"
+        monkeypatch.setattr(witness, "_COUNT_MAX", 2**63 - 1)
+        assert solve() == expected
+        # A count past the int64 range raises the same error, where storing
+        # it would raise OverflowError.
+        real_exists = witness.WitnessLayers._exists
+
+        def exists(self, rem, g):
+            ok, nodes, pruned = real_exists(self, rem, g)
+            return ok, nodes + 2**63, pruned
+
+        monkeypatch.setattr(witness.WitnessLayers, "_exists", exists)
         with pytest.raises(RankabilityError, match="int64"):
             solve()
 
@@ -2111,17 +2282,16 @@ def test_no_state_cap_is_below_the_caps_it_replaced():
     # Every state cap derives from lop._HELD_BYTES. The three caps before it
     # were 2^22 visits a value layer, 2^22 * 33 bytes of witness pass at
     # 33 + 4n bytes a state, and 2^19 memo entries.
-    # Only the pass's bytes a state depend on n: 33 + 4n with complex keys
-    # and 25 + 4n with packed ones.
+    # The pass holds 48 bytes a state with complex keys and 40 with packed
+    # ones, and 5 an edge; with every child linked, n edges a state.
     assert lop._state_cap(value._VISIT_BYTES) >= 1 << 22
     assert lop._state_cap(witness._MEMO_STATE_BYTES) >= 1 << 19
+    assert (witness._pass_state_bytes(False), witness._pass_state_bytes(True)) == (48, 40)
+    assert witness._PASS_EDGE_BYTES == 5
     for n in range(19, lop._MAX_ITEMS + 1):
-        assert witness._pass_state_bytes(n, False) == 33 + 4 * n
-        assert witness._pass_state_bytes(n, True) == 25 + 4 * n
         for packed in (False, True):
-            assert lop._state_cap(witness._pass_state_bytes(n, packed)) >= (
-                (1 << 22) * 33 // (33 + 4 * n)
-            )
+            linked = witness._pass_state_bytes(packed) + n * witness._PASS_EDGE_BYTES
+            assert lop._state_cap(linked) >= (1 << 22) * 33 // (33 + 4 * n)
 
 
 class TestItemLimit:
