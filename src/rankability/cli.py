@@ -7,8 +7,7 @@ same data. Each subcommand defines only the flags it reads; the solver
 flags default to DEFAULT_CONFIG.
 
 Exit codes: 0 proven/ok, 1 input or usage error, 2 unproven result
-(time limit; for enumerate, a list the time limit cut short), 3 oracle
-mismatch.
+(time limit; for enumerate, a list the time limit cut short).
 
 When this module is imported before numpy, the command line owns the
 process: the console script, ``python -m rankability.cli``, or any
@@ -58,7 +57,7 @@ from .errors import (  # noqa: E402
     UndefinedMetricError,
     UnprovenOptimumError,
 )
-from .ktdiam import _kappa_by_pair_search, _solve_with_kappa  # noqa: E402
+from .ktdiam import _solve_with_kappa  # noqa: E402
 from .lop import (  # noqa: E402
     DEFAULT_CONFIG,
     SolverConfig,
@@ -84,7 +83,6 @@ __all__ = ["main"]
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_UNPROVEN = 2
-EXIT_ORACLE = 3
 
 
 class _Parser(argparse.ArgumentParser):
@@ -116,12 +114,6 @@ _FLAGS = {
     "--tie-mode": dict(
         choices=("half", "strict"), default="half",
         help="tie credit in accuracy metrics (default: %(default)s)",
-    ),
-    "--oracle": dict(
-        action="store_true",
-        help="cross-check kappa against the joint branch and bound alone "
-        "(exit 3 on mismatch); above n = 18 that search may not finish "
-        "without --time-limit",
     ),
     "--aliases": dict(
         default=None, metavar="PATH",
@@ -277,9 +269,7 @@ def cmd_kappa(args) -> int:
     """maximal Kendall tau distance between optimal rankings"""
     solver = _solver_config(args)
     matrix = _load_matrix(args)
-    # One deadline for the whole command: the oracle gets the time left.
-    deadline = _deadline(solver)
-    k_star, _, _, kt = _solve_with_kappa(matrix, _remaining(solver, deadline))
+    k_star, _, _, kt = _solve_with_kappa(matrix, solver)
     payload = {
         "command": "kappa",
         "n": matrix.n,
@@ -293,22 +283,6 @@ def cmd_kappa(args) -> int:
         ],
         "proven": kt.proven,
     }
-    oracle_exit = EXIT_OK
-    if args.oracle:
-        reference = _kappa_by_pair_search(
-            matrix, k_star, _remaining(solver, deadline)
-        )
-        if not reference.proven:
-            raise UnprovenOptimumError(
-                "the oracle's joint search did not finish within the time limit"
-            )
-        payload["oracle_kappa"] = int(reference.kappa)
-        if kt.proven and reference.kappa != kt.kappa:
-            sys.stderr.write(
-                f"oracle mismatch: the optima set gave kappa={kt.kappa}, "
-                f"the joint search found kappa={reference.kappa}\n"
-            )
-            oracle_exit = EXIT_ORACLE
     if args.format == "json":
         _emit_json(args, payload)
     else:
@@ -323,8 +297,6 @@ def cmd_kappa(args) -> int:
                 " ".join(map(str, payload["pair"][1])),
             ]],
         )
-    if oracle_exit != EXIT_OK:
-        return oracle_exit
     return EXIT_OK if kt.proven else EXIT_UNPROVEN
 
 
@@ -506,7 +478,7 @@ def cmd_ratings(args) -> int:
 # Each command and the _FLAGS it reads; its docstring is its --help line.
 _COMMANDS = {
     "lop": (cmd_lop, ("--kind", *_SOLVER)),
-    "kappa": (cmd_kappa, ("--kind", *_SOLVER, "--cap", "--oracle")),
+    "kappa": (cmd_kappa, ("--kind", *_SOLVER, "--cap")),
     "enumerate": (cmd_enumerate, ("--kind", *_SOLVER, "--cap")),
     "season": (cmd_season, ("--aliases", *_SOLVER, "--cap", "--tie-mode")),
     "ratings": (cmd_ratings, ("--aliases",)),

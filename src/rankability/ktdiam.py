@@ -2,20 +2,21 @@
 
 When the optima set fits the enumeration cap, kappa comes from scanning
 every pair of the enumerated optima, a block of rows of the order array at
-a time (_max_distance_pair). Otherwise it comes from the coupled binary
-program over two linear orders x and y that must both attain the optimal
-objective value, with the concordance indicators z implied by the
-orientation pair rather than branched on. Its joint branch and bound
-grows both orders position by position, so every generated orientation
-set is transitively closed and the 3-dicycle constraints hold by
-construction. Each side is a prefix in the optima walk's form
-(lop._Core.prefix_form), its children bounded by two lookups in split
-row sums. A node is pruned when the prefix bound of either side drops
-below the optimal value, or when the pairs not yet ordered by both sides
-cannot lift the discordance past the best distance found. The joint
-search reads the deadline every 256 nodes. Season reports and the kappa
-command prove k*, enumerate once and take kappa from those same orders,
-all under one deadline (_solve_with_kappa).
+a time (_max_distance_pair). When the cap or the time limit truncates the
+set (the kappa command's --cap 1 does on any input with two or more
+optima), it comes from the coupled binary program over two linear orders
+x and y that must both attain the optimal objective value, with the
+concordance indicators z implied by the orientation pair rather than
+branched on. Its joint branch and bound grows both orders position by
+position, so every generated orientation set is transitively closed and
+the 3-dicycle constraints hold by construction. Each side is a prefix in
+the optima walk's form (lop._Core.prefix_form), its children bounded by
+two lookups in split row sums. A node is pruned when the prefix bound of
+either side drops below the optimal value, or when the pairs not yet
+ordered by both sides cannot lift the discordance past the best distance
+found. The joint search reads the deadline every 256 nodes. Season
+reports and the kappa command prove k*, enumerate once and take kappa
+from those same orders, all under one deadline (_solve_with_kappa).
 """
 
 from __future__ import annotations
@@ -27,11 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import lop
 from .core import (
     LinearOrder,
     Ranking,
     WeightMatrix,
-    kendall_tau_distance,
+    _check_same_n,
     linear_order_from_ranking,
     ranking_from_order,
     validate_linear_order,
@@ -57,11 +59,6 @@ __all__ = [
     "kt_solution_from_rankings",
     "validate_kt_solution",
 ]
-
-# The pair scan counts distances for a block of rows of the optima at a
-# time, as many rows as keep its work arrays, about 10 bytes per pair of a
-# row and a later optimum, within this many bytes (_max_distance_pair).
-_SCAN_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -116,6 +113,7 @@ class KtValidationReport:
 
 def kt_solution_from_rankings(sigma1: Ranking, sigma2: Ranking) -> KtSolution:
     """Assemble (x, y, z) from two rankings, with z_ij = x_ij * y_ij."""
+    _check_same_n(sigma1.n, sigma2.n, "kt_solution_from_rankings")
     x = linear_order_from_ranking(sigma1)
     y = linear_order_from_ranking(sigma2)
     z = (x.x & y.x).astype(np.int8)
@@ -234,9 +232,10 @@ def _max_distance_pair(
     the first pair that attains each strictly larger distance, which makes
     the returned pair the smallest (first, second) witness under tuple
     comparison. Distances are counted for a block of rows against every
-    later row at once, blocks within _SCAN_BLOCK_BYTES of work arrays. The
-    deadline is checked before each row is read; once it has passed, the
-    best pair so far is returned with completeness False.
+    later row at once, blocks within lop._WALK_CHUNK_BYTES of work arrays,
+    about 10 bytes per pair of a row and a later optimum. The deadline is
+    checked before each row is read; once it has passed, the best pair so
+    far is returned with completeness False.
     """
     orders = np.asarray(orders)
     count = len(orders)
@@ -248,7 +247,7 @@ def _max_distance_pair(
     words = [np.ascontiguousarray(col) for col in padded.view(np.uint64).T]
     ceiling = n * (n - 1) // 2
     # A block's work arrays: the 8-byte words XORed and their counts.
-    block = max(1, _SCAN_BLOCK_BYTES // (10 * count))
+    block = max(1, lop._WALK_CHUNK_BYTES // (10 * count))
     best = 0
     best_a = best_b = 0
 
@@ -305,25 +304,6 @@ def _pair_search(
     return _kt_result(a.n, search.best_kappa, first, second, proven)
 
 
-def _first_optimum(
-    k_star: float, orders: np.ndarray, truncated: bool
-) -> tuple[int, ...]:
-    """The first of the optima that lop._optimal_orders returned for k_star.
-
-    Raises:
-        UnprovenOptimumError: when the deadline passed before any optimal
-            ranking was found.
-        InvalidKStarError: when no ranking attains k_star.
-    """
-    if len(orders):
-        return tuple(orders[0].tolist())
-    if truncated:
-        raise UnprovenOptimumError(
-            "time limit expired before any optimal ranking was recovered"
-        )
-    raise InvalidKStarError(f"no ranking attains the objective value {k_star!r}")
-
-
 def _kappa_from_orders(
     a: WeightMatrix,
     k_star: float,
@@ -334,11 +314,21 @@ def _kappa_from_orders(
     """kappa over the optima that lop._optimal_orders returned for k_star.
 
     A complete set is scanned pair by pair; a truncated one seeds the
-    joint branch and bound with its first order. Raises as _first_optimum.
+    joint branch and bound with its first order.
+
+    Raises:
+        UnprovenOptimumError: when the deadline passed before any optimal
+            ranking was found.
+        InvalidKStarError: when no ranking attains k_star.
     """
-    sigma0 = _first_optimum(k_star, orders, truncated)
+    if not len(orders):
+        if truncated:
+            raise UnprovenOptimumError(
+                "time limit expired before any optimal ranking was recovered"
+            )
+        raise InvalidKStarError(f"no ranking attains the objective value {k_star!r}")
     if truncated:
-        return _pair_search(a, k_star, sigma0, deadline)
+        return _pair_search(a, k_star, tuple(orders[0].tolist()), deadline)
     return _kt_result(a.n, *_max_distance_pair(orders, a.n, deadline))
 
 
@@ -374,22 +364,6 @@ def solve_kt(
     deadline = _deadline(cfg)
     orders, truncated = _optimal_orders(a, k_star, cfg.enumeration_cap, deadline)
     return _kappa_from_orders(a, k_star, orders, truncated, deadline)
-
-
-def _kappa_by_pair_search(
-    a: WeightMatrix, k_star: float, cfg: SolverConfig | None = None
-) -> KtResult:
-    """kappa from the joint branch and bound alone, run from the first optimum.
-
-    Enumerates one optimum and searches from it under cfg.time_limit, on
-    any optima set; the CLI's --oracle check compares this route with the
-    scan of the complete set. Raises as _first_optimum.
-    """
-    cfg = cfg or DEFAULT_CONFIG
-    deadline = _deadline(cfg)
-    orders, truncated = _optimal_orders(a, k_star, 1, deadline)
-    sigma0 = _first_optimum(k_star, orders, truncated)
-    return _pair_search(a, k_star, sigma0, deadline)
 
 
 def _solve_with_kappa(

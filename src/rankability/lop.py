@@ -167,7 +167,9 @@ _VALUE_ARRAYS = 3
 # the rest of at most one chunk's children, a row each of n + 8 (k - 1) + 16
 # bytes with k items left. On a 2-vCPU x86-64 host, 2^18 and 2^22 bytes
 # were no faster on inputs with many optima, and up to 1.4 times slower.
-# The value passes form children in blocks within the same bytes (value.py).
+# The value passes form children in blocks within the same bytes
+# (value.py), and the kappa pair scan counts distances for blocks of rows
+# within them (ktdiam._max_distance_pair).
 _WALK_CHUNK_BYTES = 1 << 20
 _WALK_ARRAYS = 12
 

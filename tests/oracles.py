@@ -23,7 +23,12 @@ from scipy.sparse import coo_array
 from rankability import lop
 from rankability.core import LinearOrder, Ranking, WeightMatrix, ranking_from_order
 from rankability.errors import UnprovenOptimumError
-from rankability.ktdiam import KtSolution, _kappa_from_orders, validate_kt_solution
+from rankability.ktdiam import (
+    KtSolution,
+    _kappa_from_orders,
+    _pair_search,
+    validate_kt_solution,
+)
 from rankability.lop import (
     _deadline,
     _exact_sums,
@@ -552,6 +557,20 @@ def solve_with_kappa_via_solve_lop(a, cfg):
     orders, truncated = _optimal_orders(a, k_star, cfg.enumeration_cap, deadline)
     kt = _kappa_from_orders(a, k_star, orders, truncated, deadline)
     return result, orders, truncated, kt
+
+
+def joint_kappa(a, k_star, deadline=None):
+    """kappa from ktdiam's joint branch and bound alone, on any optima set.
+
+    The route solve_kt takes when the enumeration is truncated, run here
+    from the first optimum whether or not the set fits a cap. Raises
+    UnprovenOptimumError when the deadline passes before that optimum is
+    found.
+    """
+    orders, _ = _optimal_orders(a, k_star, 1, deadline)
+    if not len(orders):
+        raise UnprovenOptimumError("no optimal ranking was found in time")
+    return _pair_search(a, k_star, tuple(orders[0].tolist()), deadline)
 
 
 def _fold(values) -> float:

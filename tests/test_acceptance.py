@@ -34,7 +34,6 @@ from rankability import (
     GameRecord,
     Stage,
 )
-from rankability import ktdiam
 from rankability.cli import main as cli_main
 
 from tests.conftest import (
@@ -49,7 +48,7 @@ from tests.conftest import (
     random_game_set,
     random_half_integer_matrix,
 )
-from tests.oracles import brute_force_kappa, brute_force_lop, order_objective
+from tests.oracles import brute_force_kappa, brute_force_lop, joint_kappa, order_objective
 
 TOL = 1e-9
 
@@ -143,7 +142,7 @@ def test_criterion_05_oracle_equivalence_200_instances():
         _, _, expected_kappa, _ = brute_force_kappa(weights, orders=optimal_orders)
         assert kt.proven
         assert kt.kappa == expected_kappa, f"trial {trial}: kappa"
-        joint = ktdiam._kappa_by_pair_search(matrix, result.optimal_value)
+        joint = joint_kappa(matrix, result.optimal_value)
         assert joint.proven
         assert joint.kappa == expected_kappa, f"trial {trial}: joint kappa"
     elapsed = time.perf_counter() - start

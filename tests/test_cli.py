@@ -23,7 +23,6 @@ from rankability import (
     WeightMatrix,
     cli,
     kt_solution_from_rankings,
-    ktdiam,
     lop,
     ranking_from_order,
     read_feature_table,
@@ -45,7 +44,6 @@ from tests.conftest import (
     DIGRAPH_LAMBDA,
     DIGRAPH_OPTIMA_COUNT,
     DIGRAPH_WEIGHTS,
-    advance_clock_after,
 )
 from tests.test_lop import _league, _league_season_csv, _tenths_tournament
 
@@ -121,14 +119,14 @@ class TestLopCommand:
 
 
 class TestKappaCommand:
-    def test_college_with_oracle(self, capsys):
+    def test_college_with_cap_1(self, capsys):
+        # The cap truncates the six optima, so the joint search finds the pair.
         code, payload = run_json(
-            capsys, "kappa", "--input", COLLEGE, "--kind", "features", "--oracle"
+            capsys, "kappa", "--input", COLLEGE, "--kind", "features", "--cap", "1"
         )
         assert code == 0
         assert payload["kappa"] == 3
         assert payload["concordant_count"] == 42
-        assert payload["oracle_kappa"] == 3
         assert payload["k_star"] == COLLEGE_K_STAR
         first, second = payload["pair"]
         assert tuple(first) in COLLEGE_OPTIMA_ORDERS
@@ -154,48 +152,6 @@ class TestKappaCommand:
         report = validate_kt_solution(matrix, payload["k_star"], solution)
         assert report.feasible
         assert report.passes_optimality_cuts
-
-    def test_oracle_mismatch_exits_3(self, capsys, tmp_path, monkeypatch):
-        import rankability.cli as cli_module
-
-        real_solve = cli_module._solve_with_kappa
-
-        def wrong_kappa(matrix, cfg):
-            result = real_solve(matrix, cfg)
-            kt = result[-1]
-            object.__setattr__(kt, "kappa", kt.kappa + 1)
-            return result
-
-        monkeypatch.setattr(cli_module, "_solve_with_kappa", wrong_kappa)
-        path = write_digraph_csv(tmp_path, 3)
-        code, out = run_cli(capsys, "kappa", "--input", path, "--oracle")
-        assert code == 3
-
-    def test_oracle_out_of_time_exits_2(self, capsys, tmp_path, monkeypatch):
-        import rankability.cli as cli_module
-
-        real_oracle = cli_module._kappa_by_pair_search
-
-        def timed_out_oracle(matrix, k_star, cfg=None):
-            result = real_oracle(matrix, k_star, cfg)
-            object.__setattr__(result, "proven", False)
-            return result
-
-        monkeypatch.setattr(cli_module, "_kappa_by_pair_search", timed_out_oracle)
-        path = write_digraph_csv(tmp_path, 3)
-        code, out = run_cli(capsys, "kappa", "--input", path, "--oracle")
-        assert code == 2
-        assert out == ""
-
-    def test_oracle_shares_the_command_deadline(self, capsys, monkeypatch):
-        # The clock passes the deadline after the main flow, before the oracle.
-        limit = advance_clock_after(monkeypatch, ktdiam._solve_with_kappa, 1.5)
-        code, out = run_cli(
-            capsys, "kappa", "--input", COLLEGE, "--kind", "features",
-            "--oracle", "--time-limit", str(limit),
-        )
-        assert code == 2
-        assert out == ""
 
     def test_unproven_exits_2(self, capsys, tmp_path, hard_matrix_csv):
         code, _ = run_cli(
@@ -501,11 +457,13 @@ SOLVER_FLAGS = ("--time-limit",)
 COMMAND_FLAGS = {
     "lop": (*COMMON_FLAGS, "--kind", *SOLVER_FLAGS),
     "enumerate": (*COMMON_FLAGS, "--kind", *SOLVER_FLAGS, "--cap"),
-    "kappa": (*COMMON_FLAGS, "--kind", *SOLVER_FLAGS, "--cap", "--oracle"),
+    "kappa": (*COMMON_FLAGS, "--kind", *SOLVER_FLAGS, "--cap"),
     "season": (*COMMON_FLAGS, "--aliases", *SOLVER_FLAGS, "--cap", "--tie-mode"),
     "ratings": (*COMMON_FLAGS, "--aliases"),
 }
 
+# A value for every flag, the deleted --tolerance, --seed and --oracle
+# too: each command rejects them (exit 1).
 FLAG_VALUES = {
     "--input": ["y.csv"],
     "--format": ["csv"],

@@ -22,7 +22,11 @@ from rankability.core import (
     write_matrix_csv,
 )
 from rankability.cli import main
-from rankability.errors import InvalidKStarError, UnprovenOptimumError
+from rankability.errors import (
+    DimensionMismatchError,
+    InvalidKStarError,
+    UnprovenOptimumError,
+)
 from rankability.ktdiam import (
     KtResult,
     KtSolution,
@@ -56,6 +60,7 @@ from tests.conftest import (
 )
 from tests.oracles import (
     brute_force_kappa,
+    joint_kappa,
     kendall_distance,
     kt_milp,
     lop_milp,
@@ -124,7 +129,7 @@ class TestSolveKt:
             assert result.kappa == kappa
             assert (result.pair[0].order, result.pair[1].order) == pair
             # The joint branch and bound's pair need not be canonical.
-            joint = ktdiam._kappa_by_pair_search(a, k_star)
+            joint = joint_kappa(a, k_star)
             assert joint.proven
             assert joint.kappa == kappa
 
@@ -168,9 +173,7 @@ class TestSolveKt:
         a = WeightMatrix(wins)
         k_star = solve_lop(a).optimal_value
         try:
-            result = ktdiam._kappa_by_pair_search(
-                a, k_star, SolverConfig(time_limit=0.1)
-            )
+            result = joint_kappa(a, k_star, lop._deadline(SolverConfig(time_limit=0.1)))
         except UnprovenOptimumError:
             pytest.skip("host too slow to recover even one optimum in the limit")
         if result.proven:
@@ -291,7 +294,7 @@ class TestPairMasks:
     # holds every row of these sets.
     @pytest.mark.parametrize("block_bytes", [1, 200])
     def test_scan_blocks_keep_the_canonical_pair(self, monkeypatch, block_bytes):
-        monkeypatch.setattr(ktdiam, "_SCAN_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(lop, "_WALK_CHUNK_BYTES", block_bytes)
         rng = np.random.default_rng(11)
         for _ in range(30):
             n = int(rng.integers(3, 8))
@@ -317,8 +320,8 @@ class TestPairMasks:
 class TestKappaByEnumeration:
     """solve_kt's scan of the complete optima set against the joint search.
 
-    ktdiam._kappa_by_pair_search decides kappa by the joint branch and
-    bound alone, whose pair need not be canonical.
+    tests.oracles.joint_kappa decides kappa by the joint branch and bound
+    alone, whose pair need not be canonical.
     """
 
     def test_matches_solve_kt_on_random_instances(self, monkeypatch):
@@ -336,7 +339,7 @@ class TestKappaByEnumeration:
                     a = WeightMatrix(weights)
                     k_star = solve_lop(a).optimal_value
                     direct = solve_kt(a, k_star)
-                    joint = ktdiam._kappa_by_pair_search(a, k_star)
+                    joint = joint_kappa(a, k_star)
                     assert direct.proven and joint.proven
                     assert direct.kappa == joint.kappa
                     assert kendall_tau_distance(*joint.pair) == joint.kappa
@@ -345,7 +348,7 @@ class TestKappaByEnumeration:
 
     def test_college(self, college_matrix):
         direct = solve_kt(college_matrix, COLLEGE_K_STAR)
-        joint = ktdiam._kappa_by_pair_search(college_matrix, COLLEGE_K_STAR)
+        joint = joint_kappa(college_matrix, COLLEGE_K_STAR)
         assert direct.kappa == joint.kappa == 3
         assert direct.proven and joint.proven
 
@@ -367,6 +370,10 @@ class TestKtSolution:
             z=np.ones((2, 2), dtype=np.int8),
         )
         assert solution.z[0, 0] == 0 and solution.z[1, 1] == 0
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            kt_solution_from_rankings(ranking_from_order((1, 2, 3)), ranking_from_order((1, 2)))
 
 
 class TestValidateKtSolution:
@@ -446,7 +453,7 @@ class TestMediumInstances:
         a = WeightMatrix(wins)
         k_star = solve_lop(a).optimal_value
         direct = solve_kt(a, k_star)
-        joint = ktdiam._kappa_by_pair_search(a, k_star)
+        joint = joint_kappa(a, k_star)
         assert direct.proven and joint.proven
         assert direct.kappa == joint.kappa
         assert kendall_tau_distance(*joint.pair) == joint.kappa
@@ -609,4 +616,9 @@ class TestAgainstBinaryPrograms:
         k_star = lop_milp(w)
         res = solve_lop(WeightMatrix(w))
         assert res.optimal_value == k_star
-        assert solve_kt(WeightMatrix(w), k_star).kappa == kt_milp(w, k_star)
+        kappa = kt_milp(w, k_star)
+        assert solve_kt(WeightMatrix(w), k_star).kappa == kappa
+        # The joint branch and bound, which a cap of 1 sends every set of
+        # two or more optima to.
+        cap1 = SolverConfig(enumeration_cap=1)
+        assert solve_kt(WeightMatrix(w), k_star, cap1).kappa == kappa

@@ -1022,7 +1022,7 @@ class TestOneTablePerMatrix:
             ["lop"],
             ["enumerate"],
             ["kappa"],
-            ["kappa", "--oracle"],
+            ["kappa", "--cap", "1"],
         ],
     )
     def test_each_matrix_command_builds_one(self, table_builds, capsys, argv):
@@ -1174,8 +1174,9 @@ class TestOneSolvePerMatrix:
             (["lop", *hidden], 0, 1, 1),
             (["enumerate", *hidden], 0, 1, 1),
             (["kappa", *hidden], 0, 1, 1),
-            # The oracle's joint search does not finish: exit 2.
-            (["kappa", *hidden, "--oracle", "--time-limit", "5"], 2, 1, 1),
+            # The joint search, which a cap of 1 sends the set to, does not
+            # finish: exit 2.
+            (["kappa", *hidden, "--cap", "1", "--time-limit", "5"], 2, 1, 1),
             (["lop", *tournament], 0, 2, 1),
             (["enumerate", *tournament], 0, 1, 1),
             (["kappa", *tournament], 0, 1, 1),
