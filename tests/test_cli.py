@@ -820,6 +820,7 @@ PINNED_RUNS = [
     ("lop", "hidden32", ()),
     ("lop", "tiers24", ()),
     ("lop", "tournament18", ()),
+    ("lop", "tenths22", ()),
 ]
 
 
@@ -847,6 +848,8 @@ def test_fixture_stdout_is_pinned_byte_for_byte(capsys, command, fixture, extra)
     # value passes and the witness pass. tiers24 has over a million optima,
     # so only its lop output is pinned. tournament18's lop file pins the
     # value passes' nodes and pruned and the table-side witness at n = 18.
+    # tenths22 (a hidden-order tournament weighted in tenths) pins the
+    # witness pass on float sums, whose states are complex keys.
     # The enumerate files pin the optima of a p = 0.5 tournament at n = 18
     # (77, walked with the largest table), of hidden20 (15, walked without
     # one) and of fractional19 (1, walked without one on float sums); the

@@ -2390,6 +2390,21 @@ def test_points16_is_written_by_its_generator(tmp_path):
     assert path.read_bytes() == (DATA_DIR / "points16.csv").read_bytes()
 
 
+def test_tenths22_is_written_by_its_generator(tmp_path):
+    # A hidden-order tournament at n = 22 (rng seed 0) whose games weigh
+    # 0.1 to 0.9, drawn from the same rng: float sums above the table
+    # budget, so the witness pass keys its states as complex numbers. Pinned
+    # by the lop golden file (tests/test_cli.py::PINNED_RUNS).
+    rng = np.random.default_rng(0)
+    w = _hidden_order_tournament(rng, 22) * (rng.integers(1, 10, size=(22, 22)) / 10)
+    a = WeightMatrix(w)
+    assert not lop._exact_sums(a)
+    path = tmp_path / "tenths22.csv"
+    write_matrix_csv(a, path)
+    assert path.read_bytes() == (DATA_DIR / "tenths22.csv").read_bytes()
+    assert np.array_equal(read_matrix_csv(path).weights, w)
+
+
 def _goals(rng: np.random.Generator, edge: float) -> tuple[int, int]:
     """One game's goals, home then away: poisson(2.6 * exp(edge / 2)) and
     poisson(2.6 * exp(-edge / 2)), edge the home strength less the away's.
