@@ -13,11 +13,12 @@ lookups, for every weight type. So does the value proof when every sum of
 the weights is exact, as layered numpy passes over the visits of a
 depth-first search with a dominance memo, with that search's value, order
 and counts (value.prove_value). Only _SplitRows knows how those sums are
-laid out: its one kernel forms the children of numpy arrays of states, and
-one scalar descent (_descend) places the canonical witness's items. For
-other weights the value search is that depth-first search itself, and
-keeps the incremental state with O(n) apply/undo per move, since the value
-it reports is that state's (_Search).
+laid out: its one kernel forms the children of numpy arrays of states (for
+the layered passes in _LayerKernel's chunks), and one scalar descent
+(_descend) places the canonical witness's items. For other weights the
+value search is that depth-first search itself, and keeps the incremental
+state with O(n) apply/undo per move, since the value it reports is that
+state's (_Search).
 
 Above the table budget, the canonical witness reads, for each child it
 tries, the answer of the search for a completion and the nodes and
@@ -167,9 +168,9 @@ _VALUE_ARRAYS = 3
 # the rest of at most one chunk's children, a row each of n + 8 (k - 1) + 16
 # bytes with k items left. On a 2-vCPU x86-64 host, 2^18 and 2^22 bytes
 # were no faster on inputs with many optima, and up to 1.4 times slower.
-# The value passes form children in blocks within the same bytes
-# (value.py), and the kappa pair scan counts distances for blocks of rows
-# within them (ktdiam._max_distance_pair).
+# The value and witness passes take a layer's states in chunks by the same
+# rule, n children a state (_LayerKernel), and the kappa pair scan counts
+# distances for blocks of rows within them (ktdiam._max_distance_pair).
 _WALK_CHUNK_BYTES = 1 << 20
 _WALK_ARRAYS = 12
 
@@ -180,7 +181,8 @@ _WALK_ARRAYS = 12
 # budget over those bytes (_state_cap), read at call time. A phase that
 # would hold more raises _Timeout, and solve_lop reports its incumbent
 # with proven=False. The drop rows and the completion table are the
-# core's, outside the budget. 512 MiB is the least budget tried that lets
+# core's, and the work arrays of a layer's chunk (_LayerKernel) stay within
+# _WALK_CHUNK_BYTES, both outside the budget. 512 MiB is the least budget tried that lets
 # the witness pass prove league 30/1 and 32/1 (tests/test_lop.py::_league,
 # 156 and 472 MB of pass states when it kept an int32 link per item and
 # state); at 256 and 320 MiB 32/1 still ended unproven, later and larger.
@@ -201,27 +203,37 @@ class _PackedKey(NamedTuple):
     code, field), and numpy's int64 sort and binary search serve where a
     lexsort or complex keys would. Only the exact route (_Core.exact)
     packs: there every bound is a multiple of 1/2 below 2^52, so twice the
-    difference of two bounds is an exact integer, the code. pack takes
-    numpy arrays or Python ints.
+    difference of two bounds is an exact integer, the code. Only its
+    methods write or read the layout; pack takes Python ints too.
     """
 
     code_bits: int
     low_bits: int
 
-    @property
-    def shift(self) -> int:
-        """The bits below the set."""
-        return self.code_bits + self.low_bits
-
-    def pack(self, rem, code):
-        """The keys of sets rem and codes code, with low bits 0.
+    def pack(self, rem, code, low=0):
+        """The keys of sets rem, codes code and low fields low.
 
         An int64 array code becomes the keys, so that a layer's keys take
         one temporary beside them.
         """
         code <<= self.low_bits
-        code |= rem << self.shift
+        code |= rem << (self.code_bits + self.low_bits)
+        code |= low
         return code
+
+    def sets(self, keys: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The unplaced sets of keys, written to out when given, which may be keys."""
+        return np.right_shift(keys, self.code_bits + self.low_bits, out=out)
+
+    def codes(self, keys: np.ndarray) -> np.ndarray:
+        """The bound codes of keys, in one pass over them without a low field."""
+        if self.low_bits:
+            keys = keys >> self.low_bits
+        return keys & ((1 << self.code_bits) - 1)
+
+    def lows(self, keys: np.ndarray) -> np.ndarray:
+        """The low fields of keys."""
+        return keys & ((1 << self.low_bits) - 1)
 
 
 def _packed_key(n: int, span: float, low_bits: int = 0) -> _PackedKey | None:
@@ -483,8 +495,8 @@ class _Search:
     Every search stops early one way, by raising _Timeout: the depth-first
     value search (_rec_value) checks the deadline every 256 expanded nodes
     (_tick), the layered passes (value.prove_value and
-    witness.WitnessLayers) before every block of states, and the
-    witness's memoized search every 1024 states. The value passes and the
+    witness.WitnessLayers) before every chunk of states (self.kernel), and
+    the witness's memoized search every 1024 states. The value passes and the
     witness's memo also raise it when their states would fill more than
     _HELD_BYTES (_state_cap); the witness pass past it gives way to the
     memo.
@@ -576,6 +588,10 @@ class _Search:
         self.f -= s_a[v]
         self.u += s_m[v]
 
+    @functools.cached_property
+    def kernel(self) -> _LayerKernel:
+        return _LayerKernel(self)
+
     def _tick(self) -> None:
         self._expanded += 1
         if not self._expanded & 255:
@@ -592,6 +608,7 @@ class _Search:
         self.best_val = start_value
         self.best_order = list(start_order)
         self.child_order = list(start_order)
+        self.__dict__.pop("kernel", None)
         try:
             if self.exact:
                 # Imported here, so that only a value search with exact
@@ -799,6 +816,41 @@ def _split_row_sums(w: np.ndarray) -> _SplitRows:
     at_lo, at_hi = v << h, v << (n - h)
     items = list(zip(range(n), (1 << v).tolist(), at_lo.tolist(), at_hi.tolist()))
     return _SplitRows(lo, hi, lo_view, hi_view, h, (1 << h) - 1, items, at_lo, at_hi)
+
+
+class _LayerKernel:
+    """The children of a layer's states (unplaced set, bound) for the layered passes.
+
+    kept forms them in a (state, position) grid, position j placing order[j]
+    (child_order's j-th item), a chunk of states at a time: as many as keep
+    _WALK_ARRAYS work arrays of 8 bytes a child within _WALK_CHUNK_BYTES.
+    """
+
+    def __init__(self, search: _Search):
+        self.rows, self.deadline = search.core.drops, search.deadline
+        self.order = order = np.array(search.child_order, dtype=np.int64)
+        self.bits = np.left_shift(1, order)
+        self.at_lo, self.at_hi = self.rows.at_lo.take(order), self.rows.at_hi.take(order)
+        self.chunk = max(1, _WALK_CHUNK_BYTES // (_WALK_ARRAYS * 8 * order.size))
+
+    def kept(self, rem: np.ndarray, x: np.ndarray, keep: Callable):
+        """Per chunk of the states (rem, x), the children keep takes.
+
+        keep(child, first) says which of the chunk's grid to keep, its first
+        entry at flat index first in the layer's. Yields the chunk's slice
+        of the states and each kept child's flat index in the chunk's grid,
+        ascending, set and bound; raises _Timeout past the deadline.
+        """
+        n = self.order.size
+        for start in range(0, rem.size, self.chunk):
+            _check_deadline(self.deadline)
+            part = slice(start, min(start + self.chunk, rem.size))
+            child = self.rows.children(rem[part, None], x[part, None], self.at_lo, self.at_hi)
+            at = np.flatnonzero(keep(child, start * n))
+            sets = rem[part].take(at // n)
+            sets ^= self.bits.take(at % n)
+            child = child.ravel().take(at)
+            yield part, at, sets, child
 
 
 class _Subsets(NamedTuple):

@@ -6,19 +6,15 @@ nodes and pruned, of a depth-first branch and bound with a dominance memo
 on the unplaced set (tests/oracles.py::value_search_loop), one layer of
 placed items at a time: a bounded dynamic program over unplaced sets, in
 the manner of Morin and Marsten, "Branch-and-Bound Strategies for Dynamic
-Programming", Operations Research 24(4), 1976.
+Programming", Operations Research 24(4), 1976. The search's layer kernel
+(lop._LayerKernel) forms each layer's children, as for the witness pass.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .lop import _WALK_CHUNK_BYTES, _check_deadline, _packed_key, _Search, _state_cap, _Timeout
-
-# A pass forms the children of a block of a layer's visits at a time, in
-# about this many work arrays of 8 bytes per child, within
-# lop._WALK_CHUNK_BYTES.
-_CHILD_ARRAYS = 6
+from .lop import _check_deadline, _packed_key, _Search, _state_cap, _Timeout
 
 # The bytes a pass holds per visit of its largest layer: its 24 bytes of
 # key, set and bound, and the sort and concatenation temporaries beside
@@ -71,12 +67,12 @@ def prove_value(search: _Search) -> None:
     A visit's key is its parent's position among the expanded visits of
     its layer times n plus its own position in child_order. A pass keeps
     the keys of the expanded visits, to read a leaf's order, and forms
-    children a block of visits at a time, within lop._WALK_CHUNK_BYTES of
-    work arrays, after a deadline check. It raises _Timeout when the
-    deadline has passed or a layer's visits, at _VISIT_BYTES each, would
-    fill more than lop._HELD_BYTES. The leaves of the passes that
-    finished are kept in best_val and best_order; nodes and pruned count
-    every visit of the last pass, finished or not.
+    children a chunk of visits at a time (search.kernel), after a deadline
+    check. It raises _Timeout when the deadline has passed or a layer's
+    visits, at _VISIT_BYTES each, would fill more than lop._HELD_BYTES.
+    The leaves of the passes that finished are kept in best_val and
+    best_order; nodes and pruned count every visit of the last pass,
+    finished or not.
     """
     nodes, pruned = search.nodes, search.pruned
     passes = _Passes(search)
@@ -92,13 +88,7 @@ class _Passes:
 
     def __init__(self, search: _Search):
         self.search = search
-        order = np.array(search.child_order, dtype=np.int64)
-        self.order = order
-        self.rank = np.argsort(order)
-        self.bits = np.left_shift(1, order)
-        self.rows = search.core.drops
-        self.at_lo, self.at_hi = self.rows.at_lo.take(order), self.rows.at_hi.take(order)
-        self.block = max(1, _WALK_CHUNK_BYTES // (_CHILD_ARRAYS * 8 * search.n))
+        self.rank = np.argsort(search.kernel.order)
         self.start = search.best_val
         # The search's leaves found so far, as (value, order), in its order.
         self.leaves: list[tuple[float, list[int]]] = []
@@ -106,7 +96,7 @@ class _Passes:
     def run(self) -> bool:
         """One pass; whether it found leaves that were not known before."""
         search = self.search
-        n = search.n
+        n, kernel = search.n, search.kernel
         leaves = self.leaves
         thresholds = np.array([self.start] + [value for value, _ in leaves])
         # ranks[d, i]: the position in child_order of leaf i's item at depth
@@ -133,21 +123,23 @@ class _Passes:
                 # its child on the leaf's path.
                 keys = layers[d].searchsorted(keys) * n + ranks[d]
             rem, g = rem[expanded], g[expanded]
+
+            def visited(child: np.ndarray, first: int) -> np.ndarray:
+                # The child of key i is checked against thresholds[j], j the
+                # found leaves whose visit at its depth has a key below i.
+                if not keys.size:
+                    return child > thresholds[0]
+                j = keys.searchsorted(np.arange(first, first + child.size))
+                return child > thresholds.take(j).reshape(child.shape)
+
             found, rems, bounds, held = [], [], [], 0
-            for start in range(0, rem.size, self.block):
-                if start:
-                    _check_deadline(search.deadline)
-                part = slice(start, start + self.block)
-                at, child = self._children(
-                    rem[part], g[part], start * n, thresholds, keys
-                )
+            for part, at, sets, child in kernel.kept(rem, g, visited):
                 held += at.size
                 if held > cap:
                     raise _Timeout
-                row, rank = np.divmod(at, n)
-                rems.append(rem[part][row] ^ self.bits[rank])
-                at += start * n
+                at += part.start * n
                 found.append(at)
+                rems.append(sets)
                 bounds.append(child)
             search.pruned -= held
             del rem, g, key
@@ -165,34 +157,10 @@ class _Passes:
             path = [0] * n
             at = int(key[leaf])
             for d in range(n - 1, -1, -1):
-                path[d] = int(self.order[at % n])
+                path[d] = int(kernel.order[at % n])
                 at = int(layers[d][at // n])
             leaves.append((float(g[leaf]), path))
         return bool(records.size)
-
-    def _children(
-        self,
-        rem: np.ndarray,
-        g: np.ndarray,
-        first: int,
-        thresholds: np.ndarray,
-        ancestors: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Which children of the visits (rem, g) the search visits, and their bounds.
-
-        Returns each visited child's index in the (visit, position) grid of
-        the children, and its bound. The child at index i has key first + i
-        and is checked against thresholds[j], j the number of found leaves
-        whose visit at the child's depth has a key below it.
-        """
-        child = self.rows.children(rem[:, None], g[:, None], self.at_lo, self.at_hi)
-        if ancestors.size:
-            j = ancestors.searchsorted(np.arange(first, first + child.size))
-            kept = child > thresholds.take(j).reshape(child.shape)
-        else:
-            kept = child > thresholds[0]
-        at = np.flatnonzero(kept)
-        return at, child.ravel().take(at)
 
 
 def _expanded(rem: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
@@ -219,13 +187,12 @@ def _expanded(rem: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
         code = np.subtract(top, g)
         code *= 2
         code = code.astype(np.int64)
-        # The sorted keys, read as positions and then shifted to sets.
-        sets = form.pack(rem, code)
+        # The sorted keys, read as positions and then in place as sets.
+        sets = form.pack(rem, code, np.arange(size))
         del code
-        sets |= np.arange(size)
         sets.sort()
-        by = sets & ((1 << form.low_bits) - 1)
-        sets >>= form.shift
+        by = form.lows(sets)
+        form.sets(sets, out=sets)
     first = np.empty(size, dtype=bool)
     first[0] = True
     np.not_equal(sets[1:], sets[:-1], out=first[1:])

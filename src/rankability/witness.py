@@ -9,8 +9,9 @@ with an edge list per state to its children in the next layer, and
 backward over those edges. The narrow layers past a cut, and the inputs
 whose pass would hold too much, are answered by that search itself,
 memoized on its state. The pass sorts and searches its states as int64
-keys packed by lop._packed_key where the weights' sums are exact and the
-key fits, and as complex keys otherwise.
+keys packed and read by lop._PackedKey where the weights' sums are exact
+and the key fits, and as complex keys otherwise. The search's layer kernel
+(lop._LayerKernel) forms each layer's children, as for the value passes.
 """
 
 from __future__ import annotations
@@ -20,15 +21,6 @@ import numpy as np
 from . import lop
 from .errors import RankabilityError
 from .lop import _check_deadline, _descend, _packed_key, _Search, _state_cap, _Timeout
-
-# The witness pass takes a layer's states a chunk at a time, so that each
-# work array of one entry per state and item stays within this many bytes,
-# at 8 bytes an entry; a chunk holds about three such arrays at once. On a
-# 2-vCPU x86-64 host, solve_lop over the benchmark's 160 bnb-large inputs
-# (n = 19-22) took 0.96 s with 64 KiB chunks against 1.05 s with 16 KiB
-# (medians of 6 alternating runs), and the bnb-large run's peak RSS went
-# from 40.96 to 41.22 MB (medians of 10, with the heuristic's changes).
-_CHUNK_BYTES = 1 << 16
 
 # The forward pass merges a layer's new children into its keys once they
 # outnumber both the keys so far and this many (1 MiB): each key is sorted
@@ -147,9 +139,9 @@ class WitnessLayers:
     key forms sort as (rem, g) do: the code is exact, and in a complex key
     rem < 2^53 is exact as a double and g is never -0.0 or NaN. So equal
     keys are equal states, found by binary search. Both passes check the
-    deadline before each chunk of states (_Timeout), the memo every 1024
-    states; past lop._HELD_BYTES at _MEMO_STATE_BYTES a state, the memo
-    alone raises it.
+    deadline before each chunk of states (_Timeout; forward, in
+    search.kernel), the memo every 1024 states; past lop._HELD_BYTES at
+    _MEMO_STATE_BYTES a state, the memo alone raises it.
 
     Raises:
         RankabilityError: when a count of the pass could pass _COUNT_MAX.
@@ -162,24 +154,15 @@ class WitnessLayers:
         # already below any target.
         self.rows = rows = search.core.drops
         n = search.n
-        order = np.array(search.child_order, dtype=np.int64)
-        self.bits = np.left_shift(1, order)
         # before[p]: the set of the first p items in child order.
         self.before = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(self.bits, out=self.before[1:])
-        # Arrays over a chunk's children are (state, position): position j
-        # of the child order places order[j].
-        self.at_lo, self.at_hi = rows.at_lo[order], rows.at_hi[order]
+        np.cumsum(search.kernel.bits, out=self.before[1:])
         self.children = [rows.items[v] for v in search.child_order]
         # Every state the pass keeps has target <= g <= the root's bound, so
         # with exact sums its key packs rem and 2 (g - target) when they fit.
         root = search.f + search.u
         self.form = _packed_key(n, 2 * (root - target)) if search.exact else None
         self.state_bytes = _pass_state_bytes(self.form is not None)
-        self.chunk = max(1, _CHUNK_BYTES // (8 * n))
-        # starts[i]: the flat index of a chunk's state i in its (state,
-        # position) arrays.
-        self.starts = np.arange(0, (self.chunk + 1) * n, n)
         self.layers: list[np.ndarray] = []
         self.edges: list[list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = []
         self.results: list[np.ndarray | None] = []
@@ -290,13 +273,13 @@ class WitnessLayers:
         """The unplaced sets of the keys."""
         if self.form is None:
             return keys.real.astype(np.int64)
-        return keys >> self.form.code_bits
+        return self.form.sets(keys)
 
     def _states(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The states (rem, g) of the keys."""
         if self.form is None:
             return self._sets(keys), keys.imag
-        g = (keys & ((1 << self.form.code_bits) - 1)) * 0.5
+        g = self.form.codes(keys) * 0.5
         g += self.target
         return self._sets(keys), g
 
@@ -319,7 +302,7 @@ class WitnessLayers:
         may_cut, and sets cut to its depth. False, keeping nothing, past
         budget states or lop._HELD_BYTES with the edges.
         """
-        search, n = self.search, self.search.n
+        search, n, kernel = self.search, self.search.n, self.search.kernel
         layers, edges, target = self.layers, self.edges, self.target
         if not layers:
             root = np.array([search.f + search.u])
@@ -332,14 +315,9 @@ class WitnessLayers:
             # Per merge: its first block and where the keys before it went.
             keys, found, blocks, merges = layers[-1][:0], [], [], []
             linked = 0
-            for start in range(0, size, self.chunk):
-                _check_deadline(search.deadline)
-                sets = rem[start : start + self.chunk, None]
-                x = g[start : start + self.chunk, None]
-                child = self.rows.children(sets, x, self.at_lo, self.at_hi)
-                # The edges, state by state, each state's in child order.
-                at = np.flatnonzero(child >= target)
-                offsets = at.searchsorted(self.starts[: len(sets) + 1])
+            # The edges, state by state, each state's in child order.
+            for part, at, sets, child in kernel.kept(rem, g, lambda x, _: x >= target):
+                offsets = at.searchsorted(np.arange(0, (part.stop - part.start + 1) * n, n))
                 index = np.empty(at.size + 2, dtype=np.int32)
                 position = np.empty(at.size + 2, dtype=np.uint8)
                 np.remainder(at, n, out=position[1:-1], casting="unsafe")
@@ -349,9 +327,9 @@ class WitnessLayers:
                 if depth == n:
                     index[1:-1] = 0
                     continue
-                found.append(self._keys((sets ^ self.bits).take(at), child.take(at)))
+                found.append(self._keys(sets, child))
                 pending = sum(new.size for new in found)
-                if pending > max(keys.size, _MERGE_KEYS) or start + self.chunk >= size:
+                if pending > max(keys.size, _MERGE_KEYS) or part.stop == size:
                     old = keys
                     keys = _distinct(np.concatenate([keys, *found]))
                     moved = keys.searchsorted(old) if merges else None

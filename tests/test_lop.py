@@ -1437,15 +1437,18 @@ class TestWitnessLinks:
     def test_tens_of_thousands_of_states_equal_the_oracle(
         self, monkeypatch, witness_passes
     ):
-        # 16 KiB chunks, so that the largest layer spans over 100 of them.
-        monkeypatch.setattr(witness, "_CHUNK_BYTES", 1 << 14)
+        # Chunks of 2^11 / n states, 16 KiB of one entry per state and item,
+        # so that the largest layer spans over 100 of them.
+        monkeypatch.setattr(lop, "_WALK_CHUNK_BYTES", 12 << 14)
         a = _coin19()
         TestWitnessMemo._assert_equals_oracle(monkeypatch, witness_passes, a, "pass")
         (descent,) = witness_passes
+        chunk = descent.search.kernel.chunk
+        assert chunk == (1 << 11) // a.n
         # The memo answers the 19 states past the cut.
         assert (descent.cut, len(descent.memo)) == (17, 19)
         assert sum(layer.size for layer in descent.layers) == 68_310
-        assert max(layer.size for layer in descent.layers) > 100 * descent.chunk
+        assert max(layer.size for layer in descent.layers) > 100 * chunk
         # 222,376 edges, about 3.3 a state, where an (n, states) grid of
         # links held 19. Per chunk of states: an int64 offset per state and
         # one more, and an int32 index and a uint8 position per edge and for
@@ -1453,7 +1456,7 @@ class TestWitnessLinks:
         assert _edge_count(descent) == 222_376
         assert len(descent.edges) == descent.cut
         for keys, blocks in zip(descent.layers, descent.edges):
-            assert len(blocks) == -(-keys.size // descent.chunk)
+            assert len(blocks) == -(-keys.size // chunk)
             assert sum(offsets.size - 1 for offsets, _, _ in blocks) == keys.size
             for offsets, index, position in blocks:
                 assert offsets.dtype == np.int64 and offsets[-1] + 2 == index.size
@@ -1463,10 +1466,10 @@ class TestWitnessLinks:
     def test_links_carried_over_many_merges_are_the_same(
         self, monkeypatch, witness_passes
     ):
-        # With no floor on a merge and 16 KiB chunks, a large layer merges
-        # many times, and the edges found before its last merge are carried
-        # to its final keys.
-        monkeypatch.setattr(witness, "_CHUNK_BYTES", 1 << 14)
+        # With no floor on a merge and chunks of 2^11 / n states, a large
+        # layer merges many times, and the edges found before its last merge
+        # are carried to its final keys.
+        monkeypatch.setattr(lop, "_WALK_CHUNK_BYTES", 12 << 14)
         a = _coin19()
         expected = solve_lop(a)
         merges = []
@@ -1554,8 +1557,8 @@ class TestWitnessLinks:
         assert order is not None and search.nodes > nodes and search.pruned > pruned
         # 3.85 MB held at the cap, 1.02 times that with the rows past each
         # chunk's edges and layer's states; one backward chunk's gathered
-        # results, 24 bytes an edge, bring the peak to 4.23 MB.
-        assert peak < budget + 8 * witness._CHUNK_BYTES
+        # results, 24 bytes an edge, bring the peak to 4.29 MB.
+        assert peak < budget + (1 << 19)
 
     def test_a_deadline_inside_the_backward_pass_leaves_the_witness_unproven(
         self, monkeypatch, witness_passes
@@ -2143,6 +2146,49 @@ class TestValuePasses:
         assert not timed_out
         # 209,269 visits in the largest layer: 16.7 MB held at the cap.
         assert peak < 1.1 * budget
+
+
+class TestOneStateChunks:
+    """With lop._WALK_CHUNK_BYTES = 1 the layer kernel (lop._LayerKernel)
+    takes one state a chunk, so every state of a layer but the first starts
+    a chunk: the value passes check each child against the thresholds from
+    the flat index of its chunk's first child, and the witness pass reads
+    its edge offsets and merges its keys across the chunks.
+    """
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(5, 11), seed=st.integers(0, 2**32 - 1), exact=st.booleans())
+    def test_the_passes_equal_the_loops(self, n, seed, exact):
+        rng = np.random.default_rng(seed)
+        if exact:
+            w = _tournament_with_ties(rng, n, 2)
+        else:
+            w = _random_weights(rng, n, integral=False)
+        a = WeightMatrix(w)
+        assert lop._exact_sums(a) == exact
+        heur = [v - 1 for v in heuristic_ranking(a).order]
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(lop, "_WALK_CHUNK_BYTES", 1)
+            m.setattr(lop, "_TABLE_MAX_N", 0)
+            if exact:
+                # The value passes run on exact sums only.
+                passes, loop = _value_runs(w)
+                assert passes == loop
+                passes, loop = _value_runs(w, rng.permutation(n).tolist())
+                assert passes == loop
+            # The witness pass answers every state, to the last layer.
+            m.setattr(witness, "_STATES_PER_NODE", 2**n)
+            m.setattr(witness.WitnessLayers, "_cuts", lambda self, depth, size: False)
+            found = []
+            for descend in (lop._Search.lex_min_witness, lex_min_witness_loop):
+                search = lop._Search(a)
+                assert not search.run_value(heur, order_value_loop(search.w, heur))
+                nodes, pruned = search.nodes, search.pruned
+                order = descend(search, search.best_val)
+                found.append((order, search.nodes - nodes, search.pruned - pruned))
+            assert lop._Search(a).kernel.chunk == 1
+            assert found[0][0] is not None
+            assert found[0] == found[1]
 
 
 class TestPackedKeys:

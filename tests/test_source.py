@@ -65,8 +65,8 @@ _CORE_BUILDERS = {
 }
 
 
-def _builder_calls(node: ast.AST, scope: tuple[str, ...]):
-    """(name, scope) of each call of a _CORE_BUILDERS name below node.
+def _calls(node: ast.AST, scope: tuple[str, ...], names):
+    """(name, scope) of each call below node of a function or method in names.
 
     scope names the classes and functions that enclose the call, outermost
     first.
@@ -78,9 +78,9 @@ def _builder_calls(node: ast.AST, scope: tuple[str, ...]):
         elif isinstance(child, ast.Call):
             func = child.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name in _CORE_BUILDERS:
+            if name in names:
                 yield name, scope
-        yield from _builder_calls(child, inner)
+        yield from _calls(child, inner, names)
 
 
 def test_only_the_core_builds_the_shared_structures():
@@ -89,13 +89,43 @@ def test_only_the_core_builds_the_shared_structures():
     stray = []
     for path in SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for name, scope in _builder_calls(tree, ()):
+        for name, scope in _calls(tree, (), _CORE_BUILDERS):
             allowed = (path.name == "lop.py" and scope[:1] == ("_Core",)) or (
                 path.name == "lop.py" and scope == (_CORE_BUILDERS[name],)
             )
             if not allowed:
                 stray.append(f"{path.name}: {name} in {'.'.join(scope) or 'module'}")
     assert stray == []
+
+
+def test_one_kernel_forms_the_layered_children():
+    # The value passes and the witness pass form their children through
+    # lop._LayerKernel, the optima walk through its own chunks: a third
+    # caller of _SplitRows.children would be a third chunk rule.
+    callers = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        callers += [(path.name, scope) for _, scope in _calls(tree, (), {"children"})]
+    assert sorted(callers) == [
+        ("lop.py", ("_LayerKernel", "kept")),
+        ("lop.py", ("_walk_optima",)),
+    ]
+
+
+@pytest.mark.parametrize("name", ["value.py", "witness.py"])
+def test_only_the_packed_key_reads_its_layout(name):
+    # lop._PackedKey packs and reads the int64 keys; the passes call its
+    # methods rather than shift and mask by its fields.
+    (path,) = [path for path in SOURCES if path.name == name]
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    fields = {"code_bits", "low_bits", "shift"}
+    reads = [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr in fields)
+        or (isinstance(node, ast.Name) and node.id in fields)
+    ]
+    assert reads == [], f"{name}: key layout read at lines {reads}"
 
 
 def test_bad_arguments_raise_one_typed_error():
