@@ -821,6 +821,9 @@ PINNED_RUNS = [
     ("lop", "tiers24", ()),
     ("lop", "tournament18", ()),
     ("lop", "tenths22", ()),
+    ("lop", "tenths17", ()),
+    ("enumerate", "tenths17", ()),
+    ("kappa", "tenths17", ()),
 ]
 
 
@@ -850,6 +853,8 @@ def test_fixture_stdout_is_pinned_byte_for_byte(capsys, command, fixture, extra)
     # value passes' nodes and pruned and the table-side witness at n = 18.
     # tenths22 (a hidden-order tournament weighted in tenths) pins the
     # witness pass on float sums, whose states are complex keys.
+    # tenths17 pins the float64 table route at the uneven split (8 low and
+    # 9 high items) on float sums.
     # The enumerate files pin the optima of a p = 0.5 tournament at n = 18
     # (77, walked with the largest table), of hidden20 (15, walked without
     # one) and of fractional19 (1, walked without one on float sums); the

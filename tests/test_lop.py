@@ -2451,6 +2451,22 @@ def test_tenths22_is_written_by_its_generator(tmp_path):
     assert np.array_equal(read_matrix_csv(path).weights, w)
 
 
+def test_tenths17_is_written_by_its_generator(tmp_path):
+    # A p = 0.5 tournament at n = 17 (rng seed 17) whose games weigh 0.1 to
+    # 0.9, drawn from the same rng: float sums inside the table budget, so
+    # the completion table takes the float64 route at the uneven split,
+    # h = 8 low and m = 9 high items. Pinned by the lop, enumerate and kappa
+    # golden files (tests/test_cli.py::PINNED_RUNS).
+    rng = np.random.default_rng(17)
+    w = _coin_tournament(rng, 17, 1) * (rng.integers(1, 10, size=(17, 17)) / 10)
+    a = WeightMatrix(w)
+    assert not lop._exact_sums(a)
+    path = tmp_path / "tenths17.csv"
+    write_matrix_csv(a, path)
+    assert path.read_bytes() == (DATA_DIR / "tenths17.csv").read_bytes()
+    assert np.array_equal(read_matrix_csv(path).weights, w)
+
+
 def _goals(rng: np.random.Generator, edge: float) -> tuple[int, int]:
     """One game's goals, home then away: poisson(2.6 * exp(edge / 2)) and
     poisson(2.6 * exp(-edge / 2)), edge the home strength less the away's.
