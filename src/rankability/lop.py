@@ -45,15 +45,18 @@ orders and values are those loops' bit for bit.
 
 The completion table is a subset dynamic program read as a grid, a set's
 high items picking the row and its low items the column; it is filled one
-layer of rows at a time, each item's term one numpy operation over whole
-rows or over every row of the layer, from the split row sums the searches
-read (_build_completion_table). The low items' terms run on the layer held
-transposed, a column per row, so that each of their gathers copies one
-contiguous run of the layer's rows per index. With exact sums and twice
-the total within int16 (_Core.narrow), the same steps run in int16 on
-doubled weights, whose every sum is then an exact integer, and the grid is
-halved into the table once at the end: the same bits, from elements a
-quarter the size.
+layer of rows at a time from the split row sums the searches read
+(_build_completion_table). The high items' term is one gather over every
+(row, member) pair of the layer and one max over members; the low items'
+gains are formed once per layer for every size of the low set, so each
+size takes one gather, one add and the max, on the layer held transposed,
+a column per row, so that each gathered index copies one contiguous run
+of the layer's rows. Every work array holds at most a quarter of
+_WALK_CHUNK_BYTES, members or sizes taken in groups where a term holds
+more. With exact sums and twice the total within int16 (_Core.narrow),
+the same steps run in int16 on doubled weights, whose every sum is then
+an exact integer, and the grid is halved into the table once at the end:
+the same bits, from elements a quarter the size.
 
 The optima come from one walk for both routes, with the table and above
 its budget without (_walk_optima): depth first over chunks of prefixes of
@@ -71,6 +74,7 @@ budget with exact sums they read off the core's table (_proven_value).
 
 from __future__ import annotations
 
+import bisect
 import functools
 import numbers
 import time
@@ -104,12 +108,13 @@ __all__ = [
 ]
 
 # Building a completion table holds 2^n * 8 bytes of table, the split row
-# sums (2 * n * 2^ceil(n/2) * 8 bytes) and work arrays the size of a few of
-# the table's row layers. At n = 18 the build's traced peak is about
-# 4.7 MiB on the float64 route and 2.8 MiB on the int16 one, which holds an
-# int16 grid of 0.5 MiB and its work arrays and only then the table;
-# afterwards the matrix's core keeps the table, an array of 2 MiB, and the
-# split row sums as gain rows for the table-side searches, 144 KiB.
+# sums (2 * n * 2^ceil(n/2) * 8 bytes), two of the table's row layers and
+# work arrays of at most a quarter of _WALK_CHUNK_BYTES each. At n = 18 the
+# build's traced peak is about 4.4 MiB on the float64 route and 2.8 MiB on
+# the int16 one, which holds an int16 grid of 0.5 MiB and its work arrays
+# and only then the table; afterwards the matrix's core keeps the table, an
+# array of 2 MiB, and the split row sums as gain rows for the table-side
+# searches, 144 KiB.
 _TABLE_MAX_N = 18
 
 # The most items the searches on split row sums take (_split_row_sums):
@@ -170,7 +175,9 @@ _VALUE_ARRAYS = 3
 # were no faster on inputs with many optima, and up to 1.4 times slower.
 # The value and witness passes take a layer's states in chunks by the same
 # rule, n children a state (_LayerKernel), and the kappa pair scan counts
-# distances for blocks of rows within them (ktdiam._max_distance_pair).
+# distances for blocks of rows within them (ktdiam._max_distance_pair),
+# and the completion table's build keeps each work array within a quarter
+# of it (_build_completion_table).
 _WALK_CHUNK_BYTES = 1 << 20
 _WALK_ARRAYS = 12
 
@@ -779,14 +786,27 @@ def _item_count(n: int) -> int:
     return n
 
 
+@functools.lru_cache(maxsize=4)
+def _without_own_item(k: int) -> np.ndarray:
+    """mask[bit, S]: set S of k items lacks item bit; weight-free, read-only."""
+    mask = (np.arange(1 << k) >> np.arange(k)[:, None]) & 1 == 0
+    mask.flags.writeable = False
+    return mask
+
+
 def _split_row_sums(w: np.ndarray) -> _SplitRows:
     r"""w's row sums split at h = floor(n/2), as _SplitRows.
 
     A search reads each half at its part of rem, which holds v in v's own
-    half (_SplitRows). So in v's own half row v is shifted to hold at a set
-    with v the sum over that set without v, and -inf at a set without v;
-    every other row is unshifted, and the sum has the bits of
-    lo[v, T & low] + hi[v, T >> h] at T = rem \ v.
+    half (_SplitRows). So in v's own half row v holds at a set with v the
+    sum over that set without v, and -inf at a set without v; every other
+    row is as _row_sums adds it, and the sum has the bits of
+    lo[v, T & low] + hi[v, T >> h] at T = rem \ v. The sum over a set with
+    v already has the bits of the sum without v, so the -inf entries are
+    one masked store (_without_own_item): the sum adds w[v, v], +0.0 or
+    -0.0, to a partial sum that starts from +0.0 and adds terms of one
+    sign (nonnegative weights, nonpositive drop rows), so is never -0.0,
+    and adding a zero to a sum that is not -0.0 changes no bit.
 
     The searches index them one entry at a time, as fast as a list of
     Python floats in 8 bytes an entry instead of about 32, and numpy reads
@@ -806,10 +826,8 @@ def _split_row_sums(w: np.ndarray) -> _SplitRows:
         flat = array("d", [0.0]) * (n << part.shape[1])
         sums = np.frombuffer(flat).reshape(n, -1)
         _row_sums(part, sums)
-        for bit in range(part.shape[1]):
-            pairs = sums[first + bit].reshape(-1, 2, 1 << bit)
-            pairs[:, 1] = pairs[:, 0]
-            pairs[:, 0] = -np.inf
+        k = part.shape[1]
+        np.copyto(sums[first : first + k], -np.inf, where=_without_own_item(k))
         halves.append((flat, sums.ravel()))
     (lo, lo_view), (hi, hi_view) = halves
     v = np.arange(n)
@@ -912,32 +930,39 @@ def _build_completion_table(
     high ones. The grid is filled one row layer, the rows B of one size,
     at a time, in two terms:
 
-    - High items: placing j in B leaves row B \ j of the layer before, so
-      the term covers every A in whole-row operations, one per member
-      position of B over all rows of the layer. Their best starts the
-      layer.
+    - High items: placing j in B leaves row B \ j of the layer before. One
+      gather over every (B, j) pair of the layer (_subsets' member-major
+      pairs) forms j's gains over every A, one add puts row B \ j of the
+      grid on them, and one max over the members' axis gives the layer.
     - Low items: for each size of A in turn, placing i in A leaves column
-      A \ i of the same rows, filled one size earlier, so one gather over
-      all (A, i) pairs and all rows of the layer adds the term. For this
-      term the layer is transposed once, after the high items' term, with
-      its columns held by size (_Subsets.order) as its rows: each size is
-      one slice, each gathered index copies the contiguous run of that
-      column's entries over every row of the layer, and the max over
-      members reduces the leading axis. The layer goes back into the grid,
-      in set order, once at the end. i's gain over the row's high items
-      is a gather from the layer's small block of low items' row sums; its
-      gain over A \ i is the same for every row and is gathered once per
-      build.
+      A \ i of the same rows, filled one size earlier. For this term the
+      layer is transposed once, with its columns held by size
+      (_Subsets.order) as its rows: each size is one slice, each gathered
+      index copies the contiguous run of that column's entries over every
+      row of the layer, and the max over members reduces the leading axis.
+      i's gain over the row's high items plus its gain over A \ i is
+      formed once per layer for every (A, i) pair of every size, so each
+      size takes one gather of columns A \ i, one add and the max. The
+      layer goes back into the grid, in set order, once at the end.
+
+    Every work array of a term holds at most a quarter of
+    _WALK_CHUNK_BYTES: a term whose pairs hold more takes its members, or
+    its sizes of A, in groups that fit. On a 2-vCPU x86-64 host, float64
+    builds at n = 16 and 17 took 1.3 to 1.7 times as long with work arrays
+    of 512 KiB or 1 MiB as with 256 KiB, and int16 builds at n = 14-18
+    the same time within 4%.
 
     The (set, member) pairs come from _subsets. The row sums are the split
     row sums of w (_split_row_sums), built once and returned as the gain
     rows: rowsum[v, S \ v] = lo[v, A] + hi[v, B], read at the parent set,
-    since v's own half holds there its sum without v. Each step adds the
-    row sum first and table[rest] after it, as the scalar recurrence does.
-    So for every weight type the table equals the scalar recurrence over
-    the same split row sums (tests/oracles.py::completion_table_split_loop)
-    bit for bit. When every sum of the weights is exact (_exact_sums), any
-    order of adding them gives the same bits, so the table also equals
+    since v's own half holds there its sum without v. Each entry forms the
+    row sum first and then adds it and table[rest], as the scalar
+    recurrence does; one addition has the same bits in either operand
+    order, and max is exact in any grouping. So for every weight type the
+    table equals the scalar recurrence over the same split row sums
+    (tests/oracles.py::completion_table_split_loop) bit for bit. When
+    every sum of the weights is exact (_exact_sums), any order of adding
+    them gives the same bits, so the table also equals
     tests/oracles.py::completion_table_loop bit for bit; otherwise its
     entries are within the rounding that _slack allows for of that
     recurrence over unsplit row sums, and every reader compares them
@@ -971,54 +996,57 @@ def _build_completion_table(
         # The DP fills the returned array in place, through a numpy view of it.
         out = array("d", [0.0]) * (1 << n)
         grid = np.frombuffer(out).reshape(1 << m, 1 << h)
+    most = _WALK_CHUNK_BYTES // 4 // grid.itemsize
     low = _subsets(h)
-    # For each size a of A: its columns by size; for each (A, i) pair, i,
-    # the column of A \ i, and i's gain over A \ i, one per row of the
-    # transposed layer.
-    low_steps = [
-        (
-            slice(low.starts[a], low.starts[a + 1]),
-            items,
-            low.position[rests],
-            lo[items, owners][:, None],
-        )
-        for a, (_, items, rests, owners) in enumerate(low.layers)
-        if a
-    ]
-    # Layer 0 is the row of the empty high set: the empty set adds 0, and
-    # the low-item steps fill the rest of the row.
-    layer = np.full((1, 1 << h), -1 if narrow else -np.inf, grid.dtype)
-    layer[0, 0] = 0.0
-    for b, (rows, items, rests, _) in enumerate(_subsets(m).layers):
+    # Every (A, i) pair, size of A after size: i, the column of A \ i and
+    # i's gain over A \ i. Size a's pairs run from ends[a] to ends[a + 1].
+    _, low_items, low_rests, low_owners = (np.concatenate(x) for x in zip(*low.layers))
+    low_gain = lo[low_items, low_owners][:, None]
+    low_rests = low.position[low_rests]
+    ends = np.cumsum([0] + [x.size for _, x, _, _ in low.layers]).tolist()
+    for b, (rows, items, rests, owners) in enumerate(_subsets(m).layers):
         _check_deadline(deadline)
         count = rows.size
-        for t in range(b):
-            pairs = slice(t * count, (t + 1) * count)
+        if b == 0:
+            # The row of the empty high set: the empty set adds 0, and the
+            # low-item steps fill the rest of the row.
+            layer = np.full((1, 1 << h), -1 if narrow else -np.inf, grid.dtype)
+            layer[0, 0] = 0.0
+        # j's gains over every A, then over B \ j at each row B, for a group
+        # of members at a time; a group of one member is its own best.
+        step = count * max(1, most // (count << h))
+        for start in range(0, b * count, step):
+            pairs = slice(start, start + step)
             v = h + items[pairs]
-            # v's gains over every A, then over B \ v at each row B.
             gain = lo.take(v, axis=0)
-            gain += hi[v, rows][:, None]
+            gain += hi[v, owners[pairs]][:, None]
             gain += grid.take(rests[pairs], axis=0)
-            if t == 0:
-                layer = gain
-            else:
-                np.maximum(layer, gain, out=layer)
+            if step > count:
+                gain = np.maximum.reduce(gain.reshape(-1, count, 1 << h))
+            layer = gain if start == 0 else np.maximum(layer, gain, out=layer)
         # Transposed for the low-item steps, columns by size as rows, so
         # each size is one slice and each (A, i) pair reads a contiguous
         # run of the layer's rows; the store puts it back in set order.
         layer = layer.T.take(low.order, axis=0)
-        # Each low item's gain over the high items of each row B.
-        high_part = hi[:h, rows]
-        for a, (cols, low_items, low_rests, low_gain) in enumerate(low_steps, 1):
+        # i's gain over each row B (axis 1) and over A \ i at each pair
+        # (axis 0), for a run of sizes at a time.
+        high = hi[:h].take(rows, axis=1)
+        first = last = 0
+        span = max(1, most // count)
+        for a in range(1, h + 1):
             _check_deadline(deadline)
-            # i's gain over each row B of the layer (axis 1), then over
-            # A \ i at each pair (axis 0).
-            gain = high_part.take(low_items, axis=0)
-            gain += low_gain
-            gain += layer.take(low_rests, axis=0)
-            best = layer[cols]
-            np.maximum(best, gain.reshape(a, -1, count).max(axis=0), out=best)
+            if ends[a + 1] > last:
+                first = ends[a]
+                last = max(ends[bisect.bisect_right(ends, first + span) - 1], ends[a + 1])
+                part = high.take(low_items[first:last], axis=0)
+                part += low_gain[first:last]
+            gain = layer.take(low_rests[ends[a] : ends[a + 1]], axis=0)
+            gain += part[ends[a] - first : ends[a + 1] - first]
+            best = layer[low.starts[a] : low.starts[a + 1]]
+            np.maximum(best, np.maximum.reduce(gain.reshape(a, -1, count)), out=best)
         grid[rows] = layer.take(low.position, axis=0).T
+        # Freed before the next layer's high-item term.
+        layer = part = gain = best = None
     if narrow:
         # Allocated after the grid steps, so that the peak holds no table of
         # doubles beside their work arrays; halving is exact.

@@ -820,43 +820,49 @@ class TestCompletionTable:
     ):
         # At n = 14 the grid is 2^7 x 2^7: each of its 8 row layers takes a
         # high-item step and 7 low-layer steps, and each step reads the
-        # clock once before it starts. So on all three routes: exact sums
-        # in int16, float sums, and exact sums whose total is too large for
-        # int16 ("wide"), in float64.
-        n = 14
-        steps = 8 + 8 * 7
-        rng = np.random.default_rng(67)
-        if integral:
-            w = _tournament_with_ties(rng, n, 1) * scale
-        else:
-            w = _random_weights(rng, n, integral=False)
-        assert lop._exact_sums(WeightMatrix(w)) == integral
-        narrow = _narrow(w)
-        assert narrow == (integral and scale == 1.0)
-        for passed_after in (0, 1, 8, 9, steps // 2, steps - 1, None):
-            reads = []
-
-            def monotonic():
-                reads.append(None)
-                return 0.0 if passed_after is None or len(reads) <= passed_after else 2.0
-
-            monkeypatch.setattr(lop, "time", SimpleNamespace(monotonic=monotonic))
-            if passed_after is None:
-                lop._build_completion_table(w, 1.0, narrow)
-                assert len(reads) == steps
+        # clock once before it starts. At n = 17 the grid is 2^9 x 2^8, 10
+        # row layers of a high-item step and 8 low-layer steps, and the
+        # steps take their members and sizes of A in groups. So on all
+        # three routes: exact sums in int16, float sums, and exact sums
+        # whose total is too large for int16 ("wide"), in float64.
+        for n in (14, 17):
+            h = n // 2
+            layers = n - h + 1
+            steps = layers + layers * h
+            rng = np.random.default_rng(67)
+            if integral:
+                w = _tournament_with_ties(rng, n, 1) * scale
             else:
-                # The deadline passes after step passed_after; the check
-                # before the next step raises, and no further step runs.
-                with pytest.raises(lop._Timeout):
+                w = _random_weights(rng, n, integral=False)
+            assert lop._exact_sums(WeightMatrix(w)) == integral
+            narrow = _narrow(w)
+            assert narrow == (integral and scale == 1.0)
+            for passed_after in (0, 1, h + 1, h + 2, steps // 2, steps - 1, None):
+                reads = []
+
+                def monotonic():
+                    reads.append(None)
+                    return 0.0 if passed_after is None or len(reads) <= passed_after else 2.0
+
+                monkeypatch.setattr(lop, "time", SimpleNamespace(monotonic=monotonic))
+                if passed_after is None:
                     lop._build_completion_table(w, 1.0, narrow)
-                assert len(reads) == passed_after + 1
+                    assert len(reads) == steps, n
+                else:
+                    # The deadline passes after step passed_after; the check
+                    # before the next step raises, and no further step runs.
+                    with pytest.raises(lop._Timeout):
+                        lop._build_completion_table(w, 1.0, narrow)
+                    assert len(reads) == passed_after + 1, n
 
     @pytest.mark.parametrize("integral", [True, False])
     def test_build_traces_at_most_64_bytes_per_set(self, integral):
         # Every weight type takes the split row sums: no table of row sums
         # over all n items, which alone would take 8 n bytes per set. n = 17
-        # splits unevenly, and n = 18 is the table budget; on the float64
-        # route each traces about 19-20 bytes per set.
+        # splits unevenly, and n = 18 is the table budget. On the float64
+        # route each traces about 17.5-20.5 bytes per set: the table's 8 and
+        # work arrays of at most a quarter of _WALK_CHUNK_BYTES each, where
+        # one of 1 MiB would take it past 24 at n = 16 and 17.
         for n in (16, 17, 18):
             rng = np.random.default_rng(47)
             if integral:
@@ -864,13 +870,15 @@ class TestCompletionTable:
             else:
                 w = _random_weights(rng, n, integral=False)
             assert lop._exact_sums(WeightMatrix(w)) == integral
-            assert _traced_build_peak(w, False) <= 64 << n, n
+            peak = _traced_build_peak(w, False)
+            assert peak <= 64 << n, n
+            assert peak <= 24 << n, n
 
     def test_narrow_build_traces_at_most_16_bytes_per_set(self):
         # The int16 grid and work arrays take a quarter of the float64
         # route's, and the table of doubles comes after the work arrays:
         # exact tournaments trace about 11-13 bytes per set, the float64
-        # route 19-20.
+        # route 17.5-20.5.
         for n in (16, 17, 18):
             w = _tournament_with_ties(np.random.default_rng(47), n, 1)
             assert _narrow(w)
@@ -975,6 +983,57 @@ class TestSplitRows:
             placed = (rem[states] >> items) & 1 == 0
             assert placed.any() and (child[placed] == -np.inf).all()
             assert np.isfinite(child[~placed]).all()
+
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 11])
+    def test_signed_zero_weights_give_the_sums_without_v(self, n):
+        # WeightMatrix takes -0.0 weights and a -0.0 diagonal. Every partial
+        # sum starts from +0.0 and adds terms of one sign, so none is -0.0,
+        # and adding w[v, v], +0.0 or -0.0, changes no bit: at a set with v,
+        # v's own-half row holds the sum over the set, which has the bits of
+        # the sum over the set without v. Checked against sums that skip v,
+        # on the weights and on their drop rows, and through the table on
+        # the int16 and float64 routes.
+        rng = np.random.default_rng(97 + n)
+        for scale in (2.0, 10.0):
+            w = rng.integers(0, 4, size=(n, n)) / scale
+            w[rng.random((n, n)) < 0.3] = -0.0
+            np.fill_diagonal(w, -0.0)
+            a = WeightMatrix(w)
+            assert np.signbit(a.weights.diagonal()).all()
+            for rows in (a.weights, a.weights - np.maximum(a.weights, a.weights.T)):
+                split = lop._split_row_sums(rows)
+                lo, hi = _split_reference(rows)
+                assert np.frombuffer(split.lo).tobytes() == lo.tobytes()
+                assert np.frombuffer(split.hi).tobytes() == hi.tobytes()
+            routes = [True, False] if scale == 2.0 else [False]
+            assert _narrow(a.weights) == (scale == 2.0)
+            for narrow in routes:
+                table, _ = lop._build_completion_table(a.weights, None, narrow)
+                assert _same_bits(table, completion_table_split_loop(a.weights))
+
+
+def _split_reference(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """lo and hi of lop._split_row_sums(rows), one set at a time.
+
+    Each sum adds rows[v, u] over the set's items u other than v, from the
+    highest down, as _row_sums does; -inf in v's own half at a set without v.
+    """
+    n = rows.shape[0]
+    halves = []
+    for first, k in ((0, n // 2), (n // 2, n - n // 2)):
+        half = np.empty((n, 1 << k))
+        for v in range(n):
+            for s in range(1 << k):
+                items = [first + u for u in range(k) if s >> u & 1]
+                total = 0.0
+                for u in reversed(items):
+                    if u != v:
+                        total += float(rows[v, u])
+                own = first <= v < first + k
+                half[v, s] = -np.inf if own and v not in items else total
+        halves.append(half)
+    return halves[0], halves[1]
 
 
 class TestTableRouteImports:
