@@ -818,6 +818,7 @@ PINNED_RUNS = [
     ("lop", "coin19", ()),
     ("lop", "hidden20", ()),
     ("lop", "hidden32", ()),
+    ("lop", "hidden22", ()),
     ("lop", "tiers24", ()),
     ("lop", "tournament18", ()),
     ("lop", "tenths22", ()),
@@ -847,8 +848,10 @@ def test_fixture_stdout_is_pinned_byte_for_byte(capsys, command, fixture, extra)
     # pin the table-free witness and its nodes and pruned, from the witness
     # pass for coin19 and hidden20 and from the memoized search for
     # fractional19 and tiers24. hidden32 (a hidden-order tournament, rng
-    # seed 1) pins the heuristic's whole-order steps at n = 32, with the
-    # value passes and the witness pass. tiers24 has over a million optima,
+    # seed 1) pins the heuristic's steps over windows of 16 positions at
+    # n = 32, with the value passes and the witness pass; hidden22 (rng
+    # seed 2) its whole-order steps on exact sums at n = 22, the most items
+    # they take. tiers24 has over a million optima,
     # so only its lop output is pinned. tournament18's lop file pins the
     # value passes' nodes and pruned and the table-side witness at n = 18.
     # tenths22 (a hidden-order tournament weighted in tenths) pins the

@@ -1314,6 +1314,14 @@ def test_hidden32_is_the_seeded_hidden_order_tournament():
     assert np.array_equal(read_matrix_csv(DATA_DIR / "hidden32.csv").weights, w)
 
 
+def test_hidden22_is_the_seeded_hidden_order_tournament():
+    # tests/data/hidden22.csv, whose lop stdout a golden file pins: exact
+    # sums at lop._HEURISTIC_WHOLE_PASS items, the most at which the
+    # heuristic's local search reads whole orders.
+    w = _hidden_order_tournament(np.random.default_rng(2), 22)
+    assert np.array_equal(read_matrix_csv(DATA_DIR / "hidden22.csv").weights, w)
+
+
 def _hidden_order_games(rng: np.random.Generator, n: int) -> np.ndarray:
     """Win matrix of one round robin with ties (half a point each way)."""
     order = rng.permutation(n)
