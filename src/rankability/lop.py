@@ -38,10 +38,15 @@ every state cap derives from.
 
 The heuristic (heuristic_ranking) runs its 17 starts together as numpy
 arrays: one greedy insertion pass, then insertion local search steps that
-each read a window of every start's positions and move each start's first
-gaining item. Every sum it compares is a cumsum or a fold over the terms
-the scalar loops add, in their order, with masked terms exactly 0.0, so its
-orders and values are those loops' bit for bit.
+each read every position of every active start's order in place (a window
+of them above _HEURISTIC_WHOLE_PASS items) and move each start's first
+gaining item; a start ends in the step that finds no item left to move.
+With exact sums every sum it compares is exact in any order, so it reads
+one row of differences per item and each item's row sum (_PassRows), and
+takes the first best position. Otherwise every sum it compares is a cumsum
+or a fold over the terms the scalar loops add, in their order, with masked
+terms exactly 0.0. On both routes its orders and values are those loops'
+bit for bit.
 
 The completion table is a subset dynamic program read as a grid, a set's
 high items picking the row and its low items the column; it is filled one
@@ -146,23 +151,29 @@ _HEURISTIC_SEED = 0
 # (_local_search_batch): a whole pass up to _HEURISTIC_WHOLE_PASS items,
 # _HEURISTIC_WINDOW above. A smaller window reads fewer positions after a
 # move and a larger one takes fewer steps. On a 2-vCPU x86-64 host, CPU
-# time of 12 hidden-order tournaments per size (p = 0.93, as bnb-large),
-# whole passes against windows of 16, medians of 11 alternating runs: at
-# n = 19 0.022 s against 0.024 s, n = 22 0.029 against 0.031, n = 25 0.033
-# against 0.037, n = 30 0.052 against 0.048, n = 40 0.090 against 0.069;
-# over the 160 bnb-large inputs (n = 19 to 22) 0.34 s against 0.36 s. On
-# uniform integer matrices windows of 16 were ahead from n = 22 (3% there,
-# 38% at n = 40), and windows of 22 took 0.49 s against 0.36 s at n = 100;
-# on a uniform n = 200 matrix windows of 16 took 0.8 s of CPU where whole
-# passes took 7.3 s and the scalar loops 3.2 s.
+# time of heuristic_ranking on 12 inputs per size, whole passes against
+# windows of 16, medians of 11 alternating runs: on hidden-order
+# tournaments (p = 0.93, as bnb-large) 0.0104 s against 0.0129 s at
+# n = 22, 0.0129 against 0.0158 at n = 25, 0.0292 against 0.0344 at
+# n = 30 and 0.048 against 0.055 at n = 40; on uniform integer matrices
+# (weights 0-9) 0.0185 against 0.0210 at n = 22, 0.0383 against 0.0420
+# at n = 25, 0.0345 against 0.0343 at n = 30 and 0.073 against 0.060 at
+# n = 40. Windows of 16 took 0.09 s of CPU on two uniform n = 100
+# matrices where whole passes took 0.26 s, and 0.16 s against 1.08 s on
+# one at n = 200. So with exact sums whole passes are ahead past this
+# bound, up to about n = 28 on uniform inputs. The bound is where steps
+# that add every term in the scalar loops' order, as the float route's
+# do, measured even: 0.0435 against 0.0433 s on the uniform inputs at
+# n = 22, before exact sums had their own route.
 _HEURISTIC_WHOLE_PASS = 22
 _HEURISTIC_WINDOW = 16
 
 # The heuristic runs its starts in chunks, at least one start each, whose
 # arrays stay within this many bytes: a local search step holds about
-# _STEP_ARRAYS arrays of n * window entries per start, and the fold of the
-# objectives _VALUE_ARRAYS arrays of n(n-1)/2, 8 bytes an entry. All 17
-# starts fit one chunk up to n = 143.
+# _STEP_ARRAYS arrays of n * window entries per start on float sums (two
+# with exact sums: the gains, summed in place, and their index), and
+# the fold of the objectives _VALUE_ARRAYS arrays of n(n-1)/2, 8 bytes an
+# entry. All 17 starts fit one chunk up to n = 143.
 _HEURISTIC_CHUNK_BYTES = 1 << 22
 _STEP_ARRAYS = 5
 _VALUE_ARRAYS = 3
@@ -1082,39 +1093,154 @@ def _order_values(w: np.ndarray, orders: np.ndarray) -> np.ndarray:
     return np.cumsum(pairs, axis=1)[:, -1] + 0.0
 
 
-def _greedy_batch(ww: np.ndarray, items: np.ndarray) -> np.ndarray:
+class _PassRows(NamedTuple):
+    """The weights as the heuristic's batched passes read them (_pass_rows).
+
+    With exact sums (_Core.exact): d[v * n + u] = w[u, v] - w[v, u], what v
+    gains by moving below u, and sums[v], the sum of row v, what v gains
+    placed first; ww is None. Otherwise ww[:, v * n + u] = (w[v, u],
+    w[u, v]), the terms that the scalar loops add, and d and sums are None.
+    """
+
+    ww: np.ndarray | None
+    d: np.ndarray | None
+    sums: np.ndarray | None
+
+
+def _pass_rows(a: WeightMatrix) -> _PassRows:
+    """The matrix's rows for the heuristic's passes, on its route (_PassRows)."""
+    w = a.weights
+    if _core(a).exact:
+        return _PassRows(None, (w.T - w).ravel(), w.sum(axis=1))
+    return _PassRows(np.stack([w.ravel(), w.T.ravel()]), None, None)
+
+
+def _greedy_batch(rows: _PassRows, items: np.ndarray) -> np.ndarray:
     """Greedy insertion of each row of items, all rows in one pass; the orders.
 
-    ww stacks the weights and their transpose, flattened: ww[:, v * n + u]
-    is (w[v, u], w[u, v]). Step k places each row's k-th item v before
-    position p of its order where that gains most: v gains w[v, u] over
-    every placed u, and each u it moves below adds w[u, v] - w[v, u]. One
-    cumsum over those 2k terms gives every position's gain (position p at
-    entry k - 1 + p), added in the order of the scalar loop, whose strict
-    test keeps the first best position, as argmax does.
+    Step k places each row's k-th item v before position p of its order
+    where that gains most: v gains w[v, u] over every placed u, and each u
+    it moves below adds w[u, v] - w[v, u]. The scalar loop's strict test
+    keeps the first best position, as argmax does. With exact sums every
+    partial sum is exact, so the w[v, u] over every placed u, the same at
+    every p, can be left out: one cumsum of d over the placed order from a
+    leading 0.0 ranks the positions. Otherwise one cumsum over the loop's
+    2k terms gives every position's gain (position p at entry k - 1 + p),
+    added in the loop's order.
     """
     count, n = items.shape
     orders = np.empty_like(items)
     orders[:, 0] = items[:, 0]
-    gains = np.empty((count, 2 * n))
-    rows = np.arange(count)
+    gains = np.zeros((count, 2 * n if rows.d is None else n + 1))
+    # index[:, :k] = v * n + u for each row's k-th item v and placed u.
+    offsets = items * n
+    index = np.empty_like(items)
+    at_rows = np.arange(count)
     cols = np.arange(1, n)
     for k in range(1, n):
         placed = orders[:, :k]
-        pair = ww.take(items[:, k, None] * n + placed, axis=1, mode="clip")
-        seq = gains[:, : 2 * k]
-        seq[:, :k] = pair[0]
-        np.subtract(pair[1], pair[0], out=seq[:, k:])
-        np.cumsum(seq, axis=1, out=seq)
-        at = seq[:, k - 1 :].argmax(axis=1)
+        pairs = np.add(offsets[:, k, None], placed, out=index[:, :k])
+        if rows.d is None:
+            pair = rows.ww.take(pairs, axis=1, mode="clip")
+            seq = gains[:, : 2 * k]
+            seq[:, :k] = pair[0]
+            np.subtract(pair[1], pair[0], out=seq[:, k:])
+            seq.cumsum(axis=1, out=seq)
+            at = seq[:, k - 1 :].argmax(axis=1)
+        else:
+            seq = gains[:, 1 : k + 1]
+            rows.d.take(pairs, out=seq, mode="clip")
+            seq.cumsum(axis=1, out=seq)
+            at = gains[:, : k + 1].argmax(axis=1)
         np.copyto(orders[:, 1 : k + 1], placed, where=cols[:k] > at[:, None])
-        orders[rows, at] = items[:, k]
+        orders[at_rows, at] = items[:, k]
     return orders
+
+
+@functools.lru_cache(maxsize=16)
+def _sides(n: int) -> np.ndarray:
+    """sides[0][q, i] = 1.0 where q < i and sides[1][q, i] where q > i, read-only."""
+    q = np.arange(n)
+    sides = np.array([q[:, None] < q, q[:, None] > q], dtype=float)
+    sides.flags.writeable = False
+    return sides
+
+
+def _step_gains(
+    rows: _PassRows, view: np.ndarray, at: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """One local search step's insertion gains and current gains.
+
+    view holds the step's orders, one a row. Slot b of order r holds the
+    item v at position at[r, b]; with at None, the slots are the positions
+    in place. Gains come as an array of shape (n + 1, orders, slots): v's
+    gain at position p at entry p up to its own position i and at entry
+    p + 1 after it, entries i and i + 1 both the gain of staying. Current
+    comes as an array of shape (orders, slots): the weight v gains in
+    place, w[u, v] over u above it plus w[v, u] over u below.
+
+    With exact sums, the gains are one cumsum of v's row sum and its d row
+    along the order, and current is v's own entry: every partial sum is a
+    multiple of 1/2 below twice the total, exact in any order. Otherwise
+    each sum is the scalar loop's, bit for bit, from arrays of shape (n,
+    orders, slots) that read u = order[q] at row q:
+
+    - current folds w[u, v] over q < i and w[v, u] over q > i, each with
+      the other terms masked to 0.0;
+    - the gains are the fold of w[v, u] over every q (0.0 at q = i), then
+      its prefix sums with w[u, v] - w[v, u] for every q (0.0 at q = i).
+
+    Each fold is np.add.reduce over an axis other than the last of a
+    C-contiguous array, which adds the terms in index order, and each
+    prefix sum a cumsum, which adds left to right; adding 0.0 changes no
+    sum (-0.0 aside, which compares equal).
+    """
+    size, n = view.shape
+    if at is None:
+        items = view
+    else:
+        items = view.ravel().take(at + (np.arange(size) * n)[:, None])
+    slots = items.shape[1]
+    # index[q, r, b] = v * n + u for v in slot b and u = order[q] of order r.
+    # Every index is in range, so mode="clip" only spares take the bounds
+    # check and the copy it makes of out.
+    index = view.T[:, :, None] + items * n
+    if rows.d is not None:
+        gains = np.empty((n + 1, size, slots))
+        rows.sums.take(items, out=gains[0], mode="clip")
+        rows.d.take(index, out=gains[1:], mode="clip")
+        gains.cumsum(axis=0, out=gains)
+        # The own entry of slot b of order r is gains[at[r, b], r, b].
+        own = np.arange(size * slots).reshape(size, slots)
+        own += (np.arange(n) if at is None else at) * (size * slots)
+        return gains, gains.ravel().take(own)
+    # seq[:n] = w[v, u] and seq[n:] = w[u, v] for u = order[q] at row q.
+    seq = np.empty((2 * n, size, slots))
+    pairs = seq.reshape(2, n, size, slots)
+    rows.ww.take(index, axis=1, out=pairs, mode="clip")
+    del index
+    # parts[0] = w[u, v] above v and parts[1] = w[v, u] below it.
+    sides = _sides(n)
+    if at is None:
+        parts = pairs[::-1] * sides[:, :, None, :]
+    else:
+        parts = sides.take(at, axis=2, mode="clip")
+        parts *= pairs[::-1]
+    folds = np.add.reduce(parts, axis=1)
+    current = folds[0] + folds[1]
+    # gains[0] is the fold of seq[:n], and gains[p] adds the first p
+    # differences to it.
+    fold = np.add.reduce(seq[:n], axis=0)
+    np.subtract(seq[n:], seq[:n], out=seq[n:])
+    gains = seq[n - 1 :]
+    gains[0] = fold
+    np.cumsum(gains, axis=0, out=gains)
+    return gains, current
 
 
 def _first_move(
     gains: np.ndarray,
-    current: list[float],
+    current: list[float] | None,
     flags: list[bool],
     slots: range,
     top: int,
@@ -1123,22 +1249,25 @@ def _first_move(
     """The first flagged slot in slots whose item moves, and the position it moves to.
 
     Slot b holds the item at position top + b of its order; gains[:, b] are
-    its n + 1 insertion gains, the gain at position p at entry p up to its
-    own position and at entry p + 1 after it (entry top + b + 1 repeats the
-    gain of staying). The scalar record rule runs on them: the item moves
-    to the last position that beats the best so far, starting from
-    current[b], by more than slack.
+    its n + 1 insertion gains (_step_gains). The scalar record rule runs on
+    them: the item moves to the last position that beats the best so far,
+    starting from current[b], by more than slack. With exact sums current
+    is None: the slack is 0, so the rule ends at the first maximum, and a
+    flagged slot's maximum beats its own entries, so it moves.
     """
     b = slots.start
     while True in flags[b : slots.stop]:
         b = flags.index(True, b, slots.stop)
         at = top + b
-        best = current[b]
-        best_j = -1
-        for j, gain in enumerate(gains[:, b].tolist()):
-            if gain > best + slack:
-                best = gain
-                best_j = j
+        if current is None:
+            best_j = int(gains[:, b].argmax())
+        else:
+            best = current[b]
+            best_j = -1
+            for j, gain in enumerate(gains[:, b].tolist()):
+                if gain > best + slack:
+                    best = gain
+                    best_j = j
         if best_j >= 0:
             target = best_j if best_j <= at else best_j - 1
             if target != at:
@@ -1148,7 +1277,7 @@ def _first_move(
 
 
 def _local_search_batch(
-    ww: np.ndarray, orders: np.ndarray, slack: float, window: int
+    rows: _PassRows, orders: np.ndarray, slack: float, window: int
 ) -> None:
     """Insertion local search on every row of orders at once, in place.
 
@@ -1159,81 +1288,58 @@ def _local_search_batch(
     position; a pass that moved an item starts another from the top, and
     a pass that moved none ends the search.
 
-    A step reads the window positions after each active order's scan
-    pointer (wrapping into the next pass) as arrays of shape (n, orders,
-    window), item v at position i reading u = order[q] for every q:
-
-    - current, the weight v gains in place: w[u, v] over q < i plus
-      w[v, u] over q > i, each folded over q with the other terms masked
-      to 0.0;
-    - the insertion gains: the fold of w[v, u] over every q (0.0 at
-      q = i), then its prefix sums with w[u, v] - w[v, u] for every q
-      (0.0 at q = i).
-
-    Each fold is np.add.reduce over an axis other than the last of a
-    C-contiguous array, which adds the terms in index order, and each
-    prefix sum a cumsum, which adds left to right; adding 0.0 changes no
-    sum (-0.0 aside, which compares equal), so these are the scalar loop's
-    sums bit for bit and every comparison decides alike. A slot is a mover
-    when some gain beats current by more than slack; the first mover of
-    each order is checked by the record rule (_first_move) and moved, and
-    positions after it are read again from the changed order in the next
-    step.
+    A step forms the gains of window slots of every active order
+    (_step_gains). With window n the slots are the positions in place, and
+    the step checks them from the scan pointer to the end, then, if the
+    pass has moved an item, the positions before it, which the next pass
+    reads first: an order with no mover in either ends in that step. With
+    a smaller window a step reads the window positions after each scan
+    pointer, wrapping into the next pass. A slot is a mover when some gain
+    beats current by more than slack; the first mover of each order is
+    checked by the record rule (_first_move) and moved, and positions after
+    it are read again from the changed order in the next step.
     """
     count, n = orders.shape
     scan = [0] * count
     improved = [False] * count
     active = list(range(count))
-    q = np.arange(n)
-    # The positions a step reads from each scan pointer, and sides[0][q, i]
-    # 1.0 where q < i, sides[1][q, i] where q > i.
-    windows = (q[:, None] + np.arange(window)) % n
-    sides = np.array([q[:, None] < q, q[:, None] > q], dtype=float)
+    whole = window == n
+    # The positions a windowed step reads from each scan pointer.
+    windows = (np.arange(n)[:, None] + np.arange(window)) % n
     while active:
-        size = len(active)
         view = orders[active]
-        at = windows[[scan[r] for r in active]]
-        items = view.ravel().take(at + (np.arange(size) * n)[:, None])
-        # seq[:n] = w[v, u] and seq[n:] = w[u, v] for u = order[q] at row q.
-        # Every index is in range, so mode="clip" only spares take the
-        # bounds check and the copy it makes of out.
-        seq = np.empty((2 * n, size, window))
-        index = view.T[:, :, None] + items * n
-        ww.take(index, axis=1, out=seq.reshape(2, n, size, window), mode="clip")
-        del index
-        # parts[0] = w[u, v] above v and parts[1] = w[v, u] below it.
-        parts = sides.take(at, axis=2, mode="clip")
-        parts *= seq.reshape(2, n, size, window)[::-1]
-        folds = np.add.reduce(parts, axis=1)
-        current = folds[0] + folds[1]
-        # deltas[0] is the fold of seq[:n], and deltas[p] adds the first p
-        # differences to it.
-        fold = np.add.reduce(seq[:n], axis=0)
-        np.subtract(seq[n:], seq[:n], out=seq[n:])
-        deltas = seq[n - 1 :]
-        deltas[0] = fold
-        np.cumsum(deltas, axis=0, out=deltas)
-        movers = (deltas.max(axis=0) > current + slack).tolist()
-        current = current.tolist()
+        at = None if whole else windows[[scan[r] for r in active]]
+        gains, current = _step_gains(rows, view, at)
+        movers = (gains.max(axis=0) > current + slack).tolist()
+        current = [None] * len(active) if rows.d is not None else current.tolist()
         still = []
         for column, r in enumerate(active):
             top = scan[r]
-            gains, cur, flags = deltas[:, column], current[column], movers[column]
-            # Slots up to the end of the pass; the rest wrap into the next.
-            tail = min(window, n - top)
-            move = _first_move(gains, cur, flags, range(tail), top, slack)
-            if move is None and top + tail == n:
+            step = (gains[:, column], current[column], movers[column])
+            if whole:
+                tail, wrapped, base, wrapped_base = range(top, n), range(top), 0, 0
+            else:
+                # Slots up to the end of the pass; the rest wrap into the next.
+                stop = min(window, n - top)
+                tail, wrapped = range(stop), range(stop, window)
+                base, wrapped_base = top, top - n
+            move = _first_move(*step, tail, base, slack)
+            # Past the tail the pass ends: with whole orders, always.
+            if move is None and base + tail.stop == n:
                 if not improved[r]:
                     continue
                 improved[r] = False
-                wrapped = range(tail, window)
-                move = _first_move(gains, cur, flags, wrapped, top - n, slack)
+                move = _first_move(*step, wrapped, wrapped_base, slack)
+                if move is None and whole:
+                    # No position of the order moves: the next pass would
+                    # read it unchanged and end the search.
+                    continue
             if move is None:
                 scan[r] = (top + window) % n
                 still.append(r)
                 continue
             b, target = move
-            at_b = (top + b) % n
+            at_b = (base + b) % n
             order = orders[r].tolist()
             order.insert(target, order.pop(at_b))
             orders[r] = order
@@ -1270,11 +1376,13 @@ def heuristic_ranking(a: WeightMatrix) -> Ranking:
     All starts run together as numpy arrays, in chunks whose arrays stay
     within _HEURISTIC_CHUNK_BYTES: one greedy pass (_greedy_batch),
     one batched local search (_local_search_batch) and one fold of
-    their objectives (_order_values). Every sum is formed by cumsum or by
-    a fold in index order from the same terms, in the same order, as the
-    scalar loops of tests/oracles.py::heuristic_ranking_loop form it, so
-    the orders and their values are those loops' bit for bit, at every
-    weight scale.
+    their objectives (_order_values). With exact sums the passes read the
+    matrix's difference rows (_pass_rows), where every sum is exact in any
+    order; otherwise every sum they compare is formed by cumsum or by a
+    fold in index order from the same terms, in the same order, as the
+    scalar loops of tests/oracles.py::heuristic_ranking_loop form it. The
+    objectives are always so formed. So the orders and their values are
+    those loops' bit for bit, at every weight scale.
     """
     n = a.n
     w = a.weights
@@ -1283,7 +1391,7 @@ def heuristic_ranking(a: WeightMatrix) -> Ranking:
     net = (np.cumsum(w, axis=1)[:, -1] - np.cumsum(w, axis=0)[-1]).tolist()
     net_wins = sorted(range(n), key=lambda v: (-net[v], v))
     starts = np.vstack([net_wins, _random_starts(n, _HEURISTIC_RESTARTS)])
-    ww = np.stack([w.ravel(), w.T.ravel()])
+    rows = _pass_rows(a)
     window = n if n <= _HEURISTIC_WHOLE_PASS else _HEURISTIC_WINDOW
     per_start = 8 * max(_STEP_ARRAYS * n * window, _VALUE_ARRAYS * n * (n - 1) // 2)
     chunk = max(1, _HEURISTIC_CHUNK_BYTES // per_start)
@@ -1292,8 +1400,8 @@ def heuristic_ranking(a: WeightMatrix) -> Ranking:
     best_order: list[int] = []
     best_val = float("-inf")
     for first in range(0, len(starts), chunk):
-        orders = _greedy_batch(ww, starts[first : first + chunk])
-        _local_search_batch(ww, orders, slack, window)
+        orders = _greedy_batch(rows, starts[first : first + chunk])
+        _local_search_batch(rows, orders, slack, window)
         for order, val in zip(orders.tolist(), _order_values(w, orders).tolist()):
             if val > best_val + slack or (
                 abs(val - best_val) <= slack and order < best_order

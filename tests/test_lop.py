@@ -266,54 +266,52 @@ class TestHeuristic:
         "n, count, window",
         [(2, 1, 2), (9, 3, 9), (22, 17, 22), (23, 4, 16), (41, 3, 16)],
     )
-    def test_step_sums_are_the_loops_sums_bit_for_bit(
-        self, monkeypatch, n, count, window
-    ):
-        # With an infinite slack no item moves, so one pass reads every
-        # position of every order once, in steps of window positions (the
-        # last wrapping into the next pass); each step hands each order's
-        # current and insertion gains to lop._first_move. They must be the
-        # scalar loop's sums: weights of 17 orders of magnitude make a
-        # fold in any other order round differently.
+    def test_step_sums_are_the_loops_sums_bit_for_bit(self, n, count, window):
+        # Float sums: weights of 17 orders of magnitude make a fold in any
+        # other order than the scalar loop's round differently.
         rng = np.random.default_rng(n)
         w = rng.random((n, n)) * 10.0 ** rng.integers(-8, 9, (n, n))
         np.fill_diagonal(w, 0.0)
-        orders = np.array([rng.permutation(n) for _ in range(count)])
-        seen = []
-        real = lop._first_move
+        a = WeightMatrix(w)
+        assert not lop._core(a).exact
+        _assert_step_sums_are_the_loops(a, rng, count, window)
 
-        def spy(gains, current, flags, slots, top, slack):
-            seen.append((top, gains.copy(), list(current)))
-            return real(gains, current, flags, slots, top, slack)
+    @pytest.mark.parametrize(
+        "n, count, window",
+        [(2, 1, 2), (9, 3, 9), (22, 17, 22), (23, 4, 16), (41, 3, 16)],
+    )
+    def test_exact_step_sums_are_the_loops_sums_bit_for_bit(self, n, count, window):
+        # Exact sums: halves with -0.0 entries, the diagonal among them,
+        # and a total near 2^50, below the exact route's bound of 2^51.
+        rng = np.random.default_rng(n)
+        w = rng.integers(0, 2**52 // (n * (n - 1)), (n, n)) / 2.0
+        w[rng.random((n, n)) < 0.2] = -0.0
+        np.fill_diagonal(w, -0.0)
+        a = WeightMatrix(w)
+        assert lop._core(a).exact and a.total_sum() > 2.0**48
+        _assert_step_sums_are_the_loops(a, rng, count, window)
 
-        monkeypatch.setattr(lop, "_first_move", spy)
-        ww = np.stack([w.ravel(), w.T.ravel()])
-        lop._local_search_batch(ww, orders.copy(), float("inf"), window)
-        rows = w.tolist()
-        steps = -(-n // window)
-        assert len(seen) == steps * count
-        for call, (top, gains, current) in enumerate(seen):
-            order = orders[call % count].tolist()
-            assert top == call // count * window
-            for b in range(window):
-                i = (top + b) % n
-                v = order[i]
-                rest = order[:i] + order[i + 1 :]
-                cur = lop._fold(rows[u][v] for u in order[:i]) + lop._fold(
-                    rows[v][u] for u in order[i + 1 :]
-                )
-                delta = lop._fold(rows[v][u] for u in rest)
-                loop = [delta]
-                for u in rest:
-                    delta += rows[u][v] - rows[v][u]
-                    loop.append(delta)
-                # The step also reads v's own position, adding 0.0 there.
-                loop.insert(i + 1, loop[i])
-                # Adding 0.0 only turns -0.0 into 0.0, so compare x + 0.0.
-                assert (current[b] + 0.0).hex() == (cur + 0.0).hex()
-                assert [(x + 0.0).hex() for x in gains[:, b].tolist()] == [
-                    (x + 0.0).hex() for x in loop
-                ]
+    @pytest.mark.parametrize("weight", [1.0, 0.1])
+    def test_a_start_with_no_mover_left_ends_in_that_step(self, monkeypatch, weight):
+        # The transitive tournament 0 > 1 > ... > 4 from 0 1 3 2 4: the only
+        # mover is item 3, mid-pass, which moves below 2. The next step reads
+        # the rest of that pass and the positions before the move, which the
+        # next pass would read first; none moves, so the search ends there,
+        # in 2 steps, without a third that reads the same order again. A
+        # weight of 0.1 takes the float route, 1.0 the exact one.
+        n = 5
+        w = np.triu(np.full((n, n), weight), 1)
+        a = WeightMatrix(w)
+        assert lop._core(a).exact == (weight == 1.0)
+        steps = []
+        real = lop._step_gains
+        monkeypatch.setattr(
+            lop, "_step_gains", lambda *args: steps.append(1) or real(*args)
+        )
+        orders = np.array([[0, 1, 3, 2, 4]])
+        lop._local_search_batch(lop._pass_rows(a), orders, lop._slack(a), n)
+        assert orders.tolist() == [[0, 1, 2, 3, 4]]
+        assert len(steps) == 2
 
     @pytest.mark.parametrize("restarts", [0, lop._HEURISTIC_RESTARTS])
     def test_random_starts_are_the_seeded_draws(self, restarts):
@@ -332,7 +330,9 @@ class TestHeuristic:
         seen = []
         real = lop._greedy_batch
         monkeypatch.setattr(
-            lop, "_greedy_batch", lambda ww, items: seen.append(items) or real(ww, items)
+            lop,
+            "_greedy_batch",
+            lambda rows, items: seen.append(items) or real(rows, items),
         )
         for restarts in (3, lop._HEURISTIC_RESTARTS, 0, 3):
             monkeypatch.setattr(lop, "_HEURISTIC_RESTARTS", restarts)
@@ -357,6 +357,58 @@ class TestHeuristic:
             tracemalloc.stop()
         assert peak - before <= lop._HEURISTIC_CHUNK_BYTES + (1 << 20)
         assert ranking == heuristic_ranking_loop(a)
+
+
+def _assert_step_sums_are_the_loops(
+    a: WeightMatrix, rng: np.random.Generator, count: int, window: int
+) -> None:
+    """Each slot's gains and current gain in one step are the scalar loop's sums.
+
+    The steps read every position of count random orders: in place when
+    window is n, else from scan pointers window positions apart, order r's
+    r positions on, each window wrapping past the end of the order
+    (lop._step_gains). A gain or current gain must have the bits of the
+    loop's sum, and with exact sums each slot's own entry must be its
+    current gain.
+    """
+    n = a.n
+    rows = lop._pass_rows(a)
+    orders = np.array([rng.permutation(n) for _ in range(count)])
+    w = a.weights.tolist()
+    if window == n:
+        reads = [(None, [list(range(n))] * count)]
+    else:
+        reads = []
+        for top in range(0, n, window):
+            positions = [
+                [(top + r + b) % n for b in range(window)] for r in range(count)
+            ]
+            reads.append((np.array(positions), positions))
+    for at, positions in reads:
+        gains, current = lop._step_gains(rows, orders, at)
+        assert gains.shape == (n + 1, count, len(positions[0]))
+        assert current.shape == (count, len(positions[0]))
+        for r, order in enumerate(orders.tolist()):
+            for b, i in enumerate(positions[r]):
+                v = order[i]
+                rest = order[:i] + order[i + 1 :]
+                cur = lop._fold(w[u][v] for u in order[:i]) + lop._fold(
+                    w[v][u] for u in order[i + 1 :]
+                )
+                delta = lop._fold(w[v][u] for u in rest)
+                loop = [delta]
+                for u in rest:
+                    delta += w[u][v] - w[v][u]
+                    loop.append(delta)
+                # The step also reads v's own position, adding 0.0 there.
+                loop.insert(i + 1, loop[i])
+                # Adding 0.0 only turns -0.0 into 0.0, so compare x + 0.0.
+                assert (current[r, b] + 0.0).hex() == (cur + 0.0).hex()
+                assert [(x + 0.0).hex() for x in gains[:, r, b].tolist()] == [
+                    (x + 0.0).hex() for x in loop
+                ]
+                if rows.d is not None:
+                    assert current[r, b] == gains[i, r, b]
 
 
 def _assert_heuristic_matches_loops(w: np.ndarray, restarts: int) -> None:
