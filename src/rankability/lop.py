@@ -222,7 +222,7 @@ class _PackedKey(NamedTuple):
     lexsort or complex keys would. Only the exact route (_Core.exact)
     packs: there every bound is a multiple of 1/2 below 2^52, so twice the
     difference of two bounds is an exact integer, the code. Only its
-    methods write or read the layout; pack takes Python ints too.
+    methods write or read the layout.
     """
 
     code_bits: int
@@ -875,9 +875,10 @@ class _LayerKernel:
             _check_deadline(self.deadline)
             part = slice(start, min(start + self.chunk, rem.size))
             child = self.rows.children(rem[part, None], x[part, None], self.at_lo, self.at_hi)
-            at = np.flatnonzero(keep(child, start * n))
-            sets = rem[part].take(at // n)
-            sets ^= self.bits.take(at % n)
+            at = keep(child, start * n).ravel().nonzero()[0]
+            parent, position = np.divmod(at, n)
+            sets = rem[part].take(parent)
+            sets ^= self.bits.take(position)
             child = child.ravel().take(at)
             yield part, at, sets, child
 
@@ -1090,7 +1091,7 @@ def _order_values(w: np.ndarray, orders: np.ndarray) -> np.ndarray:
     index += orders[:, below]
     pairs = w.ravel().take(index, mode="clip")
     del index
-    return np.cumsum(pairs, axis=1)[:, -1] + 0.0
+    return pairs.cumsum(axis=1)[:, -1] + 0.0
 
 
 class _PassRows(NamedTuple):
@@ -1234,7 +1235,7 @@ def _step_gains(
     np.subtract(seq[n:], seq[:n], out=seq[n:])
     gains = seq[n - 1 :]
     gains[0] = fold
-    np.cumsum(gains, axis=0, out=gains)
+    gains.cumsum(axis=0, out=gains)
     return gains, current
 
 
@@ -1384,6 +1385,15 @@ def heuristic_ranking(a: WeightMatrix) -> Ranking:
     objectives are always so formed. So the orders and their values are
     those loops' bit for bit, at every weight scale.
     """
+    order, _ = _heuristic(a)
+    return ranking_from_order([v + 1 for v in order])
+
+
+def _heuristic(a: WeightMatrix) -> tuple[list[int], float]:
+    """heuristic_ranking's order, of items 0 to n - 1, and its objective.
+
+    The objective is the fold (_order_values) that ranked the starts.
+    """
     n = a.n
     w = a.weights
     slack = _slack(a)
@@ -1409,9 +1419,10 @@ def heuristic_ranking(a: WeightMatrix) -> Ranking:
                 best_val = val
                 best_order = order
     reverse = best_order[::-1]
-    if _order_values(w, np.array([reverse]))[0] > best_val:
-        best_order = reverse
-    return ranking_from_order([v + 1 for v in best_order])
+    reverse_val = float(_order_values(w, np.array([reverse]))[0])
+    if reverse_val > best_val:
+        return reverse, reverse_val
+    return best_order, best_val
 
 
 def prefix_upper_bound(a: WeightMatrix, partial: Sequence[int]) -> float:
@@ -1439,20 +1450,18 @@ def prefix_upper_bound(a: WeightMatrix, partial: Sequence[int]) -> float:
 def _value_search(a: WeightMatrix, deadline: float | None) -> tuple[_Search, float, bool]:
     """Value phase of solve_lop: the heuristic incumbent, then branch and bound.
 
-    The incumbent's value is the heuristic's own fold (_order_values), the
-    bits it ranked its starts by, read again for the one order that
-    heuristic_ranking returns. Returns the search, whose best_val and
-    best_order hold the best value and order found, the heuristic's value,
-    and whether the deadline stopped the search before it was exhausted.
+    The incumbent and its value come from _heuristic, the value as the
+    fold (_order_values) that ranked the starts. Returns the search, whose
+    best_val and best_order hold the best value and order found, the
+    heuristic's value, and whether the deadline stopped the search before
+    it was exhausted.
 
     Raises:
         TooManyItemsError: above _MAX_ITEMS items, before the heuristic.
     """
     _item_count(a.n)
-    heur = heuristic_ranking(a)
+    heur_order, heur_val = _heuristic(a)
     search = _Search(a, deadline)
-    heur_order = [v - 1 for v in heur.order]
-    heur_val = float(_order_values(a.weights, np.array([heur_order]))[0])
     timed_out = search.run_value(heur_order, heur_val)
     return search, heur_val, timed_out
 
@@ -1582,7 +1591,7 @@ def _walk_optima(
             keep = child >= target
         else:
             keep = child + completions[rem[:, None] ^ bits[item]] >= target
-        kept = np.flatnonzero(keep)
+        kept = keep.ravel().nonzero()[0]
         if not kept.size:
             continue
         parent, col = np.divmod(kept, k)

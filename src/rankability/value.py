@@ -152,7 +152,7 @@ class _Passes:
         search.nodes += rem.size
         # The records among the leaves, from the start value on.
         best = np.maximum.accumulate(np.concatenate(([self.start], g)))
-        records = np.flatnonzero(g > best[:-1])[len(leaves) :]
+        records = (g > best[:-1]).nonzero()[0][len(leaves) :]
         for leaf in records.tolist():
             path = [0] * n
             at = int(key[leaf])
@@ -200,10 +200,10 @@ def _expanded(rem: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
     # Each position less size times its set's rank: every set's values lie
     # below those of the sets before it, so a running minimum restarts at
     # each set.
-    at = np.cumsum(first)
+    at = first.cumsum()
     at *= -size
     at += by
     np.equal(np.minimum.accumulate(at), at, out=first)
     keep = np.zeros(size, dtype=bool)
     keep[by[first]] = True
-    return np.flatnonzero(keep)
+    return keep.nonzero()[0]

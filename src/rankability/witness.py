@@ -6,15 +6,19 @@ to k*, and counts the nodes and pruned children of a depth-first search
 for that completion. WitnessLayers reads the same answers and counts
 from one pass over that search's states: forward, each layer's states
 with an edge list per state to its children in the next layer, and
-backward over those edges. The narrow layers past a cut, and the inputs
-whose pass would hold too much, are answered by that search itself,
-memoized on its state. The pass sorts and searches its states as int64
-keys packed and read by lop._PackedKey where the weights' sums are exact
-and the key fits, and as complex keys otherwise. The search's layer kernel
-(lop._LayerKernel) forms each layer's children, as for the value passes.
+backward over those edges; the descent then reads each answer at the
+edge to it from the state its path stands on. The narrow layers past a
+cut, and the inputs whose pass would hold too much, are answered by that
+search itself, memoized on its state. The pass sorts and ranks its states
+as int64 keys packed and read by lop._PackedKey where the weights' sums
+are exact and the key fits, and as complex keys otherwise. The search's
+layer kernel (lop._LayerKernel) forms each layer's children, as for the
+value passes.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
@@ -23,8 +27,9 @@ from .errors import RankabilityError
 from .lop import _check_deadline, _descend, _packed_key, _Search, _state_cap, _Timeout
 
 # The forward pass merges a layer's new children into its keys once they
-# outnumber both the keys so far and this many (1 MiB): each key is sorted
-# a bounded number of times, and only larger layers carry edges forward.
+# outnumber both the keys so far and this many (1 MiB), ranking all the
+# merged keys with one argsort (_ranked): each key is ranked a bounded
+# number of times, and only larger layers carry edges forward.
 _MERGE_KEYS = 1 << 16
 
 # The witness pass holds every state that reaches the target, while they
@@ -70,16 +75,29 @@ class _GiveWay(Exception):
     """The memo past the cut passed its bound: the pass resumes from the cut."""
 
 
-def _distinct(x: np.ndarray) -> np.ndarray:
-    """The distinct values of x, ascending; sorts x in place.
+def _ranked(parts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys of parts, ascending, and each key's row among them.
 
+    The rows follow the keys of parts in order. parts is emptied once its
+    keys are joined, so that no array outlives its last read. One argsort
+    ranks every key: in sorted order a key takes a new row where it
+    differs from the key before it, and one scatter writes each row back
+    to the key's own place. The rows are int32, as the edges hold them.
     np.unique would do, but its first call imports numpy.ma, about 1.5 MB.
     """
-    x.sort()
-    keep = np.empty(x.size, dtype=bool)
-    keep[:1] = True
-    np.not_equal(x[1:], x[:-1], out=keep[1:])
-    return x[keep]
+    keys = np.concatenate(parts)
+    parts.clear()
+    by = keys.argsort()
+    keys = keys.take(by)
+    new = np.empty(keys.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    keys = keys[new]
+    # The first key takes row 0: count the new rows after it.
+    new[:1] = False
+    rows = np.empty(new.size, dtype=np.int32)
+    rows[by] = new.cumsum(dtype=np.int32)
+    return keys, rows
 
 
 def _pass_state_bytes(packed: bool) -> int:
@@ -121,7 +139,8 @@ class WitnessLayers:
     is complex, rem + g i. Forward (_forward), each layer holds the
     distinct children of the layer before that reach target, and each of
     its states a list of edges, the children that reach target in child
-    order, each with its index in the next layer and its position. The
+    order, each with its position and its index in the next layer, the
+    rank of its key among that layer's (_ranked). The
     forward pass stops at the first layer from depth 2 on that holds at
     most n states (_cuts): the search memoized on (rem, g) (_exists)
     answers that layer's states and everything below them, while it
@@ -132,16 +151,18 @@ class WitnessLayers:
     Past lop._HELD_BYTES the pass gives way to the memo alone, which holds
     only the states it visits. descend places the smallest item whose
     child reaches target and is ok, adding the nodes and pruned of every
-    child it tries that reaches target but not of a last one.
+    child it tries that reaches target but not of a last one. Each such
+    child is an edge of the state its path stands on, so it reads the
+    answer at that edge's index (_path), and from the cut on the memo's.
 
     Children are formed with the same additions, so the witness, nodes
     and pruned are the depth-first search's for every weight type. Both
     key forms sort as (rem, g) do: the code is exact, and in a complex key
     rem < 2^53 is exact as a double and g is never -0.0 or NaN. So equal
-    keys are equal states, found by binary search. Both passes check the
-    deadline before each chunk of states (_Timeout; forward, in
-    search.kernel), the memo every 1024 states; past lop._HELD_BYTES at
-    _MEMO_STATE_BYTES a state, the memo alone raises it.
+    keys are equal states, and a key's rank is its state's row. Both
+    passes check the deadline before each chunk of states (_Timeout;
+    forward, in search.kernel), the memo every 1024 states; past
+    lop._HELD_BYTES at _MEMO_STATE_BYTES a state, the memo alone raises it.
 
     Raises:
         RankabilityError: when a count of the pass could pass _COUNT_MAX.
@@ -156,7 +177,7 @@ class WitnessLayers:
         n = search.n
         # before[p]: the set of the first p items in child order.
         self.before = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(search.kernel.bits, out=self.before[1:])
+        search.kernel.bits.cumsum(out=self.before[1:])
         self.children = [rows.items[v] for v in search.child_order]
         # Every state the pass keeps has target <= g <= the root's bound, so
         # with exact sums its key packs rem and 2 (g - target) when they fit.
@@ -182,7 +203,7 @@ class WitnessLayers:
         while self._forward(budget):
             try:
                 self._backward(self._answer_cut())
-                return self._place(self._lookup)
+                return self._place(self._path())
             except _GiveWay:
                 # Forget what the memo found and its placements, and resume
                 # the pass from the cut to the last layer.
@@ -209,21 +230,40 @@ class WitnessLayers:
         root = search.f + search.u
         return _descend(self.rows, search.rem_mask, root, search.prefix, reaches)
 
-    def _lookup(self, rem: int, g: float) -> tuple[bool, int, int]:
-        """The answer, nodes and pruned at a state that reaches target.
+    def _path(self) -> Callable[[int, float], tuple[bool, int, int]]:
+        """The descent's answers: the pass's, and from the cut on the memo's.
 
-        The pass's, or from the cut on the memo's.
+        The descent asks only about children that reach target of the state
+        its path stands on, and moves to the first that is ok. Each is one
+        of that state's edges: the first question at a depth maps its at
+        most n edges, by position in the child order, to their rows in the
+        next layer, where the results hold the answer.
         """
-        depth = self.search.n - rem.bit_count()
-        if depth >= self.cut:
-            return self._exists(rem, g)
-        keys = self.layers[depth]
-        if self.form is None:
-            key = complex(rem, g)
-        else:
-            key = self.form.pack(rem, int(2 * (g - self.target)))
-        ok, nodes, pruned = self.results[depth][int(keys.searchsorted(key))].tolist()
-        return bool(ok), nodes, pruned
+        n, kernel = self.search.n, self.search.kernel
+        slot = {bit: p for p, bit in enumerate(kernel.bits.tolist())}
+        # The row and unplaced set of the path state, and its edges' rows.
+        path = [0, self.search.rem_mask]
+        rows: dict[int, int] = {}
+
+        def state(rem: int, g: float) -> tuple[bool, int, int]:
+            depth = n - rem.bit_count()
+            if depth >= self.cut:
+                return self._exists(rem, g)
+            row, parent = path
+            if not rows:
+                block, i = divmod(row, kernel.chunk)
+                offsets, index, position = self.edges[depth - 1][block]
+                first, last = offsets[i : i + 2].tolist()
+                edges = slice(first + 1, last + 1)
+                rows.update(zip(position[edges].tolist(), index[edges].tolist()))
+            at = rows[slot[parent ^ rem]]
+            ok, nodes, pruned = self.results[depth][at].tolist()
+            if ok:
+                path[:] = at, rem
+                rows.clear()
+            return bool(ok), nodes, pruned
+
+        return state
 
     def _exists(self, rem: int, g: float) -> tuple[bool, int, int]:
         """The depth-first search's answer, nodes and pruned at (rem, g), memoized."""
@@ -330,13 +370,16 @@ class WitnessLayers:
                 found.append(self._keys(sets, child))
                 pending = sum(new.size for new in found)
                 if pending > max(keys.size, _MERGE_KEYS) or part.stop == size:
-                    old = keys
-                    keys = _distinct(np.concatenate([keys, *found]))
-                    moved = keys.searchsorted(old) if merges else None
-                    merges.append((len(blocks) - len(found), moved))
-                    for (_, index, _), new in zip(blocks[-len(found) :], found):
-                        index[1:-1] = keys.searchsorted(new)
-                    found = []
+                    start, sizes = keys.size, [new.size for new in found]
+                    # Only parts holds the keys, so _ranked drops them once joined.
+                    parts, keys, found = [keys, *found], None, []
+                    keys, rows = _ranked(parts)
+                    moved = rows[:start].copy() if merges else None
+                    merges.append((len(blocks) - len(sizes), moved))
+                    for (_, index, _), count in zip(blocks[-len(sizes) :], sizes):
+                        index[1:-1] = rows[start : start + count]
+                        start += count
+                    del rows
                     if self._over(keys.size, linked, budget):
                         return self._drop()
             # Carry the indices of earlier merges to the last merge's keys.
@@ -418,7 +461,7 @@ class WitnessLayers:
                 got = below.take(index, axis=0)
                 # The search takes children up to the first ok one, row
                 # first, or to tails where none is ok.
-                hit = np.flatnonzero(got[:, 0])
+                hit = got[:, 0].nonzero()[0]
                 first = hit[hit.searchsorted(heads, side="right")]
                 ok = first <= tails
                 end = np.where(ok, first, tails)
@@ -426,7 +469,7 @@ class WitnessLayers:
                 # column 0. The running sums may wrap in int64, but each
                 # state's difference is exact, as its sum fits
                 # (_check_counts).
-                sums = np.cumsum(got, axis=0, out=got)
+                sums = got.cumsum(axis=0, out=got)
                 out = result[start:stop]
                 np.subtract(sums.take(end, axis=0), sums.take(heads, axis=0), out=out)
                 out[:, 1] += 1

@@ -414,16 +414,16 @@ def _assert_step_sums_are_the_loops(
 def _assert_heuristic_matches_loops(w: np.ndarray, restarts: int) -> None:
     """heuristic_ranking equals the scalar loops' ranking, its value their bits.
 
-    The value is the one _value_search gives the branch and bound and
-    reports as heuristic_value.
+    The value is the one _heuristic gives _value_search, for the branch and
+    bound and to report as heuristic_value.
     """
     with pytest.MonkeyPatch.context() as m:
         m.setattr(lop, "_HEURISTIC_RESTARTS", restarts)
         a = WeightMatrix(w)
         ranking = heuristic_ranking(a)
         assert ranking == heuristic_ranking_loop(a)
-    order = [v - 1 for v in ranking.order]
-    value = float(lop._order_values(a.weights, np.array([order]))[0])
+        order, value = lop._heuristic(a)
+    assert order == [v - 1 for v in ranking.order]
     assert value.hex() == order_value_loop(a.weights.tolist(), order).hex()
 
 
@@ -1163,13 +1163,13 @@ class TestOneTablePerMatrix:
 def search_calls(monkeypatch):
     """Count each phase of the exact core as it runs.
 
-    Heuristic incumbents (heuristic_ranking), value proofs (run_value),
+    Heuristic incumbents (_heuristic), value proofs (run_value),
     canonical witness searches (lex_min_witness), completion table builds
     (_build_completion_table) and enumerations (_walk_optima).
     """
     calls: dict[str, int] = {}
     for owner, name in (
-        (lop, "heuristic_ranking"),
+        (lop, "_heuristic"),
         (lop._Search, "run_value"),
         (lop._Search, "lex_min_witness"),
         (lop, "_build_completion_table"),
@@ -1189,7 +1189,7 @@ def search_calls(monkeypatch):
 # Inside the table budget with exact sums, k* is the table's last entry: one
 # table build and one enumeration, and no heuristic, value search or witness.
 _TABLE_ROUTE = {
-    "heuristic_ranking": 0,
+    "_heuristic": 0,
     "run_value": 0,
     "lex_min_witness": 0,
     "_build_completion_table": 1,
@@ -1200,7 +1200,7 @@ _TABLE_ROUTE = {
 def _search_route(tables: int) -> dict[str, int]:
     """Counts when k* comes from the heuristic and the value branch and bound."""
     return {
-        "heuristic_ranking": 1,
+        "_heuristic": 1,
         "run_value": 1,
         "lex_min_witness": 0,
         "_build_completion_table": tables,
@@ -1592,10 +1592,10 @@ class TestWitnessLinks:
         a = _coin19()
         expected = solve_lop(a)
         merges = []
-        real_distinct = witness._distinct
+        real_ranked = witness._ranked
         monkeypatch.setattr(witness, "_MERGE_KEYS", 0)
         monkeypatch.setattr(
-            witness, "_distinct", lambda x: merges.append(x.size) or real_distinct(x)
+            witness, "_ranked", lambda parts: merges.append(len(parts)) or real_ranked(parts)
         )
         res = solve_lop(a)
         first, second = witness_passes
@@ -2271,8 +2271,9 @@ class TestOneStateChunks:
     """With lop._WALK_CHUNK_BYTES = 1 the layer kernel (lop._LayerKernel)
     takes one state a chunk, so every state of a layer but the first starts
     a chunk: the value passes check each child against the thresholds from
-    the flat index of its chunk's first child, and the witness pass reads
-    its edge offsets and merges its keys across the chunks.
+    the flat index of its chunk's first child, the witness pass reads its
+    edge offsets and merges its keys across the chunks, and the descent
+    finds its path state's edges in the block of its row.
     """
 
     @settings(max_examples=30, deadline=None)
@@ -2295,19 +2296,25 @@ class TestOneStateChunks:
                 assert passes == loop
                 passes, loop = _value_runs(w, rng.permutation(n).tolist())
                 assert passes == loop
-            # The witness pass answers every state, to the last layer.
             m.setattr(witness, "_STATES_PER_NODE", 2**n)
+            loop = _witness_run(a, heur, lex_min_witness_loop)
+            assert loop[0] is not None
+            # With the cut rule as it is, the descent reads the pass's edges,
+            # one state's edges a block, down to the cut and the memo past it.
+            assert _witness_run(a, heur, lop._Search.lex_min_witness) == loop
+            # Without a cut, the pass answers every state, to the last layer.
             m.setattr(witness.WitnessLayers, "_cuts", lambda self, depth, size: False)
-            found = []
-            for descend in (lop._Search.lex_min_witness, lex_min_witness_loop):
-                search = lop._Search(a)
-                assert not search.run_value(heur, order_value_loop(search.w, heur))
-                nodes, pruned = search.nodes, search.pruned
-                order = descend(search, search.best_val)
-                found.append((order, search.nodes - nodes, search.pruned - pruned))
+            assert _witness_run(a, heur, lop._Search.lex_min_witness) == loop
             assert lop._Search(a).kernel.chunk == 1
-            assert found[0][0] is not None
-            assert found[0] == found[1]
+
+
+def _witness_run(a: WeightMatrix, heur: list[int], descend):
+    """descend's witness after the value search from heur, and its nodes and pruned."""
+    search = lop._Search(a)
+    assert not search.run_value(heur, order_value_loop(search.w, heur))
+    nodes, pruned = search.nodes, search.pruned
+    order = descend(search, search.best_val)
+    return order, search.nodes - nodes, search.pruned - pruned
 
 
 class TestPackedKeys:

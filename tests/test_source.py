@@ -128,6 +128,51 @@ def test_only_the_packed_key_reads_its_layout(name):
     assert reads == [], f"{name}: key layout read at lines {reads}"
 
 
+# The layer loops call ndarray methods, not numpy's Python-level wrappers
+# of them: np.flatnonzero runs 7 Python frames around the same C call, and
+# np.cumsum 3, a fixed cost on every small layer. None stands for the whole
+# module.
+_LAYER_LOOPS = {
+    "value.py": None,
+    "witness.py": None,
+    "lop.py": {"_LayerKernel.kept", "_walk_optima", "_step_gains", "_order_values"},
+}
+
+
+def _definitions(tree: ast.Module):
+    """(qualified name, node) of each module-level function and method."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for inner in node.body:
+                if isinstance(inner, ast.FunctionDef):
+                    yield f"{node.name}.{inner.name}", inner
+
+
+@pytest.mark.parametrize("name", sorted(_LAYER_LOOPS))
+def test_the_layer_loops_call_array_methods(name):
+    (path,) = [path for path in SOURCES if path.name == name]
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    functions = _LAYER_LOOPS[name]
+    if functions is None:
+        scopes = [tree]
+    else:
+        scopes = [node for qualname, node in _definitions(tree) if qualname in functions]
+        assert len(scopes) == len(functions)
+    calls = [
+        node.lineno
+        for scope in scopes
+        for node in ast.walk(scope)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in {"flatnonzero", "cumsum"}
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "np"
+    ]
+    assert calls == [], f"{name}: np.flatnonzero or np.cumsum at lines {calls}"
+
+
 def test_bad_arguments_raise_one_typed_error():
     # A RankabilityError that is also a ValueError, so callers that catch
     # ValueError keep working.
