@@ -125,8 +125,8 @@ class _PairSearch:
 
     Both rankings are built position by position in lockstep, so the
     3-dicycle constraints hold by construction. Each side is a prefix in
-    the optima walk's form (lop._Core.prefix_form): its unplaced set, one
-    scalar and its items. A child is kept while its bound reaches k* minus
+    the optima walk's form (lop._Core.prefix_form): its unplaced set, its
+    g = f + u and its items. A child is kept while its bound reaches k* minus
     the slack, and a leaf counts when its scalar is within the slack of k*. A
     pair is pruned when its reach, C(n, 2) less the pairs both sides have
     ordered alike, counted by popcounts of item masks, cannot pass the

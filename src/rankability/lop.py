@@ -8,17 +8,18 @@ core that every search of one matrix shares (_Core), its completion table,
 the table-free witness search above the table budget, enumeration of all
 optimal rankings, and the degree of linearity. The witness search, the
 enumeration and the kappa pair search keep a prefix as its unplaced set
-and one scalar, and read each child's bound from split row sums in two
-lookups, for every weight type. So does the value proof when every sum of
-the weights is exact, as layered numpy passes over the visits of a
-depth-first search with a dominance memo, with that search's value, order
-and counts (value.prove_value). Only _SplitRows knows how those sums are
-laid out: its one kernel forms the children of numpy arrays of states (for
-the layered passes in _LayerKernel's chunks), and one scalar descent
-(_descend) places the canonical witness's items. For other weights the
-value search is that depth-first search itself, and keeps the incremental
-state with O(n) apply/undo per move, since the value it reports is that
-state's (_Search).
+and one scalar, g = f + u, and read each child's bound from one row set,
+the core's drop rows, in two lookups, plus the completion table's entry
+inside its budget, for every weight type. So does the value proof when
+every sum of the weights is exact, as layered numpy passes over the visits
+of a depth-first search with a dominance memo, with that search's value,
+order and counts (value.prove_value). Only _SplitRows knows how those sums
+are laid out: its one kernel forms the children of numpy arrays of states,
+in _LayerKernel's chunks for the layered passes and the optima walk, and
+one scalar descent (_descend) places the canonical witness's items. For
+other weights the value search is that depth-first search itself, and
+keeps the incremental state with O(n) apply/undo per move, since the value
+it reports is that state's (_Search).
 
 Above the table budget, the canonical witness reads, for each child it
 tries, the answer of the search for a completion and the nodes and
@@ -50,31 +51,34 @@ bit for bit.
 
 The completion table is a subset dynamic program read as a grid, a set's
 high items picking the row and its low items the column; it is filled one
-layer of rows at a time from the split row sums the searches read
-(_build_completion_table). The high items' term is one gather over every
-(row, member) pair of the layer and one max over members; the low items'
-gains are formed once per layer for every size of the low set, so each
-size takes one gather, one add and the max, on the layer held transposed,
-a column per row, so that each gathered index copies one contiguous run
-of the layer's rows. Every work array holds at most a quarter of
-_WALK_CHUNK_BYTES, members or sizes taken in groups where a term holds
-more. With exact sums and twice the total within int16 (_Core.narrow),
-the same steps run in int16 on doubled weights, whose every sum is then
-an exact integer, and the grid is halved into the table once at the end:
-the same bits, from elements a quarter the size.
+layer of rows at a time from the drop rows the searches read, each entry
+the best drop sum of an ordering of its set (_build_completion_table).
+The high items' term is one gather over every (row, member) pair of the
+layer and one max over members; the low items' row sums are formed once
+per layer for every size of the low set, so each size takes one gather,
+one add and the max, on the layer held transposed, a column per row, so
+that each gathered index copies one contiguous run of the layer's rows.
+Every work array holds at most a quarter of _WALK_CHUNK_BYTES, members or
+sizes taken in groups where a term holds more. With exact sums and twice
+the total within int16 (_Core.narrow), the same steps run in int16 on
+doubled drop rows, whose every sum is then an exact integer, and the grid
+is halved into the table once at the end: the same bits, from elements a
+quarter the size.
 
 The optima come from one walk for both routes, with the table and above
 its budget without (_walk_optima): depth first over chunks of prefixes of
-one depth, every child of a chunk formed, bounded and kept by numpy
-operations over the whole chunk, with the additions of a search over one
-prefix at a time, so the orders and the truncated flag are that search's
-for every weight type. The kept children come out in lexicographic order
-and are walked before the rest of their parents' chunk, so the optima
-arrive sorted, held as one small-integer array rather than a tuple each.
+one depth, every child of a chunk formed by the layer kernel and bounded
+and kept by numpy operations over the whole chunk, with the additions of
+a search over one prefix at a time, so the orders and the truncated flag
+are that search's for every weight type. The kept children come out in
+lexicographic order and are walked before the rest of their parents'
+chunk, so the optima arrive sorted, held as one small-integer array
+rather than a tuple each.
 
 enumerate_optima, degree_of_linearity and the kappa and season routines
 need only the proven value k*, not a witness, which inside the table
-budget with exact sums they read off the core's table (_proven_value).
+budget with exact sums is the root bound plus the core's table entry for
+the full set (_proven_value).
 """
 
 from __future__ import annotations
@@ -112,14 +116,13 @@ __all__ = [
     "degree_of_linearity",
 ]
 
-# Building a completion table holds 2^n * 8 bytes of table, the split row
-# sums (2 * n * 2^ceil(n/2) * 8 bytes), two of the table's row layers and
-# work arrays of at most a quarter of _WALK_CHUNK_BYTES each. At n = 18 the
-# build's traced peak is about 4.4 MiB on the float64 route and 2.8 MiB on
-# the int16 one, which holds an int16 grid of 0.5 MiB and its work arrays
-# and only then the table; afterwards the matrix's core keeps the table, an
-# array of 2 MiB, and the split row sums as gain rows for the table-side
-# searches, 144 KiB.
+# Building a completion table holds 2^n * 8 bytes of table, two of the
+# table's row layers and work arrays of at most a quarter of
+# _WALK_CHUNK_BYTES each, beside the core's drop rows (2 * n * 2^ceil(n/2)
+# * 8 bytes, 144 KiB at n = 18). At n = 18 the build's traced peak is about
+# 4.3 MiB on the float64 route and 2.7 MiB on the int16 one, which holds an
+# int16 grid of 0.5 MiB and its work arrays and only then the table;
+# afterwards the matrix's core keeps the table, an array of 2 MiB.
 _TABLE_MAX_N = 18
 
 # The most items the searches on split row sums take (_split_row_sums):
@@ -151,21 +154,18 @@ _HEURISTIC_SEED = 0
 # (_local_search_batch): a whole pass up to _HEURISTIC_WHOLE_PASS items,
 # _HEURISTIC_WINDOW above. A smaller window reads fewer positions after a
 # move and a larger one takes fewer steps. On a 2-vCPU x86-64 host, CPU
-# time of heuristic_ranking on 12 inputs per size, whole passes against
-# windows of 16, medians of 11 alternating runs: on hidden-order
-# tournaments (p = 0.93, as bnb-large) 0.0104 s against 0.0129 s at
-# n = 22, 0.0129 against 0.0158 at n = 25, 0.0292 against 0.0344 at
-# n = 30 and 0.048 against 0.055 at n = 40; on uniform integer matrices
-# (weights 0-9) 0.0185 against 0.0210 at n = 22, 0.0383 against 0.0420
-# at n = 25, 0.0345 against 0.0343 at n = 30 and 0.073 against 0.060 at
-# n = 40. Windows of 16 took 0.09 s of CPU on two uniform n = 100
-# matrices where whole passes took 0.26 s, and 0.16 s against 1.08 s on
-# one at n = 200. So with exact sums whole passes are ahead past this
-# bound, up to about n = 28 on uniform inputs. The bound is where steps
-# that add every term in the scalar loops' order, as the float route's
-# do, measured even: 0.0435 against 0.0433 s on the uniform inputs at
-# n = 22, before exact sums had their own route.
-_HEURISTIC_WHOLE_PASS = 22
+# time of the heuristic on 12 inputs per size, whole passes against
+# windows of 16, medians of 11 alternating runs. With exact sums: on
+# hidden-order tournaments (p = 0.93, as bnb-large) 0.0110 s against
+# 0.0136 s at n = 23 and 0.0292 against 0.0344 at n = 30; on uniform
+# integer matrices (weights 0-9) 0.0313 against 0.0321 at n = 28, even at
+# 29 and 30. On float sums (the same families in tenths, two such runs):
+# 0.83-0.98 of the windows' time at every n = 23-27 on both, and at
+# n = 28 0.89-0.96 on hidden-order and 1.00-1.02 on uniform ones. So whole
+# passes are ahead up to this bound on both routes. Windows of 16 took
+# 0.09 s of CPU on two uniform n = 100 matrices where whole passes took
+# 0.26 s, and 0.16 s against 1.08 s on one at n = 200.
+_HEURISTIC_WHOLE_PASS = 27
 _HEURISTIC_WINDOW = 16
 
 # The heuristic runs its starts in chunks, at least one start each, whose
@@ -178,14 +178,14 @@ _HEURISTIC_CHUNK_BYTES = 1 << 22
 _STEP_ARRAYS = 5
 _VALUE_ARRAYS = 3
 
-# The optima walk expands one chunk of prefixes at a time, at most as many
-# as keep its children's work arrays, about _WALK_ARRAYS arrays of 8 bytes
-# a child, within this many bytes (_walk_optima). Besides, each depth holds
-# the rest of at most one chunk's children, a row each of n + 8 (k - 1) + 16
-# bytes with k items left. On a 2-vCPU x86-64 host, 2^18 and 2^22 bytes
-# were no faster on inputs with many optima, and up to 1.4 times slower.
-# The value and witness passes take a layer's states in chunks by the same
-# rule, n children a state (_LayerKernel), and the kappa pair scan counts
+# The layer kernel expands one chunk of states at a time, at most as many
+# as keep their children's work arrays, about _WALK_ARRAYS arrays of 8
+# bytes a child and n children a state, within this many bytes
+# (_LayerKernel): for the value and witness passes and the optima walk,
+# each of whose depths besides holds the kept children of at most one
+# chunk, a row each of n + 16 bytes (_walk_optima). On a 2-vCPU x86-64
+# host, 2^18 and 2^22 bytes were no faster for the walk on inputs with
+# many optima, and up to 1.4 times slower. The kappa pair scan counts
 # distances for blocks of rows within them (ktdiam._max_distance_pair),
 # and the completion table's build keeps each work array within a quarter
 # of it (_build_completion_table).
@@ -377,10 +377,10 @@ class _Core:
     whether _exact_sums holds; narrow, whether the completion table is
     built in int16 (_build_completion_table); eps, the slack through which
     every search, the heuristic and the validator compare objective sums
-    (_slack); and, built on first use, the bound-side searches' root bound
-    and drop rows, which live as long as the matrix (their bytes are at
-    _MAX_ITEMS), and the completion table. The unplaced-set searches start
-    from prefix_form.
+    (_slack); and, built on first use, the root bound and the drop rows,
+    which live as long as the matrix (their bytes are at _MAX_ITEMS), and
+    the completion table on those drop rows. Every search of unplaced sets
+    reads the one row set and its one scalar, g = f + u, from prefix_form.
     """
 
     def __init__(self, a: WeightMatrix):
@@ -388,7 +388,6 @@ class _Core:
         self.weights = a.weights
         self.exact = _exact_sums(a)
         self.table: array[float] | None = None
-        self.gains: _SplitRows | None = None
         # With exact sums every sum is exact and ties are equal. Otherwise
         # every sum or bound the searches compare is built from about 4 n^2
         # roundings, each of a value below twice the total in magnitude and
@@ -401,8 +400,8 @@ class _Core:
         # scale.
         total = a.total_sum()
         # With exact sums every sum the table build forms is a multiple of
-        # 1/2 of at most the total, so doubled it is exact in int16 up to
-        # this total (_build_completion_table).
+        # 1/2 of at least minus the total, so doubled it is exact in int16,
+        # above its least value, up to this total (_build_completion_table).
         self.narrow = self.exact and 2.0 * total <= np.iinfo(np.int16).max
         self.eps = 0.0 if self.exact else total * a.n * a.n * 2.0**-40
         if self.eps == np.inf:
@@ -424,39 +423,31 @@ class _Core:
 
     @functools.cached_property
     def drops(self) -> _SplitRows:
-        """Split row sums of w - max(w, w.T), the bound-side searches' rows."""
+        """Split row sums of w - max(w, w.T), which every unplaced-set search reads."""
         w = self.weights
         return _split_row_sums(w - np.maximum(w, w.T))
 
     def completion(self, deadline: float | None) -> array[float] | None:
-        """The exact completion table, or None above _TABLE_MAX_N.
+        """The completion table on the drop rows, or None above _TABLE_MAX_N.
 
-        Built with its gain rows (gains), the split row sums of w that the
-        table-side searches read; a build that the deadline stops keeps
-        neither. Raises _Timeout once the deadline has passed, also when the
-        table exists, so that a search phase starting after its deadline
-        does no work.
+        A build that the deadline stops keeps none. Raises _Timeout once the
+        deadline has passed, also when the table exists, so that a search
+        phase starting after its deadline does no work.
         """
         if len(self.weights) > _TABLE_MAX_N:
             return None
         _check_deadline(deadline)
         if self.table is None:
-            self.table, self.gains = _build_completion_table(
-                self.weights, deadline, self.narrow
-            )
+            self.table = _build_completion_table(self.drops, deadline, self.narrow)
         return self.table
 
     def prefix_form(self, deadline: float | None) -> tuple:
-        """The empty prefix in the unplaced-set form (_Search) as (scalar, rows, table).
+        """The empty prefix in the unplaced-set form (_Search) as (g, drops, table).
 
-        With the completion table: f = 0.0, the gain rows and the table.
-        Above its budget: g = f + u = root, the drop rows and None. Raises
-        _Timeout as completion does.
+        g = f + u = root, the drop rows, and the completion table, None
+        above its budget. Raises _Timeout as completion does.
         """
-        table = self.completion(deadline)
-        if table is None:
-            return self.root, self.drops, None
-        return 0.0, self.gains, table
+        return self.root, self.drops, self.completion(deadline)
 
 
 def _core(a: WeightMatrix) -> _Core:
@@ -492,12 +483,13 @@ class _Search:
     an admissible upper bound on any completion of the current prefix.
 
     The unplaced-set form keeps a search state as the unplaced set and one
-    scalar, and reads a child's term in two lookups in split row sums, at
-    the halves of the parent's unplaced set (_SplitRows). Bound-side
-    searches keep g = f + u; placing v next adds the row sum of v's drop
-    row, w - max(w, w.T), over the items left after it, and g == f at a
-    leaf. Table-side searches keep f; placing v next adds v's gain row sum,
-    the split row sums of w kept with the table. Both are the core's.
+    scalar, g = f + u, and reads a child's term in two lookups in the
+    core's drop rows, split row sums of w - max(w, w.T), at the halves of
+    the parent's unplaced set (_SplitRows): placing v next adds v's drop
+    row sum over the items left after it, and g == f at a leaf. With the
+    completion table a child's bound adds the table's entry, the best drop
+    sum of an ordering of the items left after it; without, its g is its
+    bound.
 
     The witness search takes this form for every weight type, as do the
     optima walk (_walk_optima) over whole chunks of prefixes and the kappa
@@ -608,7 +600,7 @@ class _Search:
 
     @functools.cached_property
     def kernel(self) -> _LayerKernel:
-        return _LayerKernel(self)
+        return _LayerKernel(self.core.drops, self.child_order, self.deadline)
 
     def _tick(self) -> None:
         self._expanded += 1
@@ -700,7 +692,7 @@ class _Search:
         def reaches(t: int, child: float) -> bool:
             return child + table[t] >= target
 
-        return _descend(self.core.gains, self.rem_mask, self.f, self.prefix, reaches)
+        return _descend(self.core.drops, self.rem_mask, self.root, self.prefix, reaches)
 
 
 def _descend(
@@ -848,18 +840,20 @@ def _split_row_sums(w: np.ndarray) -> _SplitRows:
 
 
 class _LayerKernel:
-    """The children of a layer's states (unplaced set, bound) for the layered passes.
+    """The children of states (unplaced set, bound) for the layered passes and the walk.
 
-    kept forms them in a (state, position) grid, position j placing order[j]
-    (child_order's j-th item), a chunk of states at a time: as many as keep
-    _WALK_ARRAYS work arrays of 8 bytes a child within _WALK_CHUNK_BYTES.
+    kept forms them in a (state, position) grid, position j placing
+    order[j], from split row sums rows, a chunk of states at a time: as
+    many as keep _WALK_ARRAYS work arrays of 8 bytes a child within
+    _WALK_CHUNK_BYTES. A placed item's child is -inf (_SplitRows.children),
+    so order may list every item.
     """
 
-    def __init__(self, search: _Search):
-        self.rows, self.deadline = search.core.drops, search.deadline
-        self.order = order = np.array(search.child_order, dtype=np.int64)
+    def __init__(self, rows: _SplitRows, order: Sequence[int], deadline: float | None):
+        self.rows, self.deadline = rows, deadline
+        self.order = order = np.array(order, dtype=np.int64)
         self.bits = np.left_shift(1, order)
-        self.at_lo, self.at_hi = self.rows.at_lo.take(order), self.rows.at_hi.take(order)
+        self.at_lo, self.at_hi = rows.at_lo.take(order), rows.at_hi.take(order)
         self.chunk = max(1, _WALK_CHUNK_BYTES // (_WALK_ARRAYS * 8 * order.size))
 
     def kept(self, rem: np.ndarray, x: np.ndarray, keep: Callable):
@@ -929,13 +923,18 @@ def _subsets(m: int) -> _Subsets:
 
 
 def _build_completion_table(
-    w: np.ndarray, deadline: float | None, narrow: bool
-) -> tuple:
-    r"""table[S] = best objective an ordering of item set S can add.
+    drops: _SplitRows, deadline: float | None, narrow: bool
+) -> array[float]:
+    r"""table[S] = best sum of drop rows an ordering of item set S can add.
 
-    Subset dynamic program: table[S] is the best over v in S of placing v
-    above the rest of S, worth rowsum[v, S \ v] + table[S \ v], where
-    rowsum[v, T] is the weight v gains over the items of T.
+    drops are the core's drop rows (_Core.drops), split row sums of
+    w - max(w, w.T): an ordering's drop sum is its objective over S less
+    the pair maxima inside S, so a search's bound g plus the entry for the
+    items left is the bound f plus the best completion, and k* is the
+    root bound plus the full set's entry. Subset dynamic program: table[S]
+    is the best over v in S of placing v above the rest of S, worth
+    rowsum[v, S \ v] + table[S \ v], where rowsum[v, T] is v's drop row
+    sum over the items of T.
 
     The table is read as a grid T[B, A] of 2^(n-h) rows by 2^h columns,
     h = floor(n/2): S = B * 2^h + A, with A the set's low items and B its
@@ -944,15 +943,15 @@ def _build_completion_table(
 
     - High items: placing j in B leaves row B \ j of the layer before. One
       gather over every (B, j) pair of the layer (_subsets' member-major
-      pairs) forms j's gains over every A, one add puts row B \ j of the
-      grid on them, and one max over the members' axis gives the layer.
+      pairs) forms j's row sums over every A, one add puts row B \ j of
+      the grid on them, and one max over the members' axis gives the layer.
     - Low items: for each size of A in turn, placing i in A leaves column
       A \ i of the same rows, filled one size earlier. For this term the
       layer is transposed once, with its columns held by size
       (_Subsets.order) as its rows: each size is one slice, each gathered
       index copies the contiguous run of that column's entries over every
       row of the layer, and the max over members reduces the leading axis.
-      i's gain over the row's high items plus its gain over A \ i is
+      i's row sum over the row's high items plus its row sum over A \ i is
       formed once per layer for every (A, i) pair of every size, so each
       size takes one gather of columns A \ i, one add and the max. The
       layer goes back into the grid, in set order, once at the end.
@@ -964,45 +963,44 @@ def _build_completion_table(
     of 512 KiB or 1 MiB as with 256 KiB, and int16 builds at n = 14-18
     the same time within 4%.
 
-    The (set, member) pairs come from _subsets. The row sums are the split
-    row sums of w (_split_row_sums), built once and returned as the gain
-    rows: rowsum[v, S \ v] = lo[v, A] + hi[v, B], read at the parent set,
-    since v's own half holds there its sum without v. Each entry forms the
-    row sum first and then adds it and table[rest], as the scalar
-    recurrence does; one addition has the same bits in either operand
-    order, and max is exact in any grouping. So for every weight type the
-    table equals the scalar recurrence over the same split row sums
+    The (set, member) pairs come from _subsets. rowsum[v, S \ v] =
+    lo[v, A] + hi[v, B], read at the parent set, since v's own half holds
+    there its sum without v. Each entry forms the row sum first and then
+    adds it and table[rest], as the scalar recurrence does; one addition
+    has the same bits in either operand order, and max is exact in any
+    grouping. So for every weight type the table equals the scalar
+    recurrence over the same split row sums
     (tests/oracles.py::completion_table_split_loop) bit for bit. When
     every sum of the weights is exact (_exact_sums), any order of adding
-    them gives the same bits, so the table also equals
-    tests/oracles.py::completion_table_loop bit for bit; otherwise its
-    entries are within the rounding that _slack allows for of that
-    recurrence over unsplit row sums, and every reader compares them
-    within it.
+    them gives the same bits, so the table plus the pair maxima inside
+    each set also equals tests/oracles.py::completion_table_loop; otherwise
+    its entries are within the rounding that _slack allows for of that
+    recurrence, and every reader compares them within it.
 
     narrow, which only the core decides (_Core.narrow), takes the same
-    steps in int16 on doubled weights. The weights are nonnegative, so
-    every sum a step forms is the value of an ordering of a subset, a row
-    sum or a row sum plus a table entry, at most the total. With exact sums
-    each is a multiple of 1/2, so when twice the total fits in int16 each
-    doubled sum is an exact integer, and the halved grid has the bits of
-    the float64 one. No step reads the split rows' -inf entries, and layer
-    0's initial entries never win a maximum, so -1 stands for both.
+    steps in int16 on doubled rows. Every sum a step forms is the drop sum
+    of an ordering of a subset, a row sum or a row sum plus a table entry,
+    between minus the total and 0. With exact sums each is a multiple of
+    1/2, so when twice the total fits in int16 each doubled sum is an
+    exact integer above int16's least value, and the halved grid has the
+    bits of the float64 one. No step reads the split rows' -inf entries,
+    and layer 0's initial entries never win a maximum, so the least value
+    stands for both.
 
     Returns the table as an array('d'), which the searches index one entry
-    at a time, and the gain rows, float64 on both routes. Raises _Timeout
-    before any step of the grid, the high term of a layer or one size of A,
-    once the deadline has passed.
+    at a time. Raises _Timeout before any step of the grid, the high term
+    of a layer or one size of A, once the deadline has passed.
     """
-    n = w.shape[0]
-    gains = _split_row_sums(w)
-    h = gains.h
+    n = len(drops.items)
+    h = drops.h
     m = n - h
-    lo = gains.lo_view.reshape(n, 1 << h)
-    hi = gains.hi_view.reshape(n, 1 << m)
+    lo = drops.lo_view.reshape(n, 1 << h)
+    hi = drops.hi_view.reshape(n, 1 << m)
+    least = -np.inf
     if narrow:
-        # Doubled, with the -inf entries as -1.
-        lo, hi = (np.maximum(2.0 * x, -1.0).astype(np.int16) for x in (lo, hi))
+        # Doubled, with the -inf entries as int16's least value.
+        least = np.iinfo(np.int16).min
+        lo, hi = (np.maximum(2.0 * x, least).astype(np.int16) for x in (lo, hi))
         grid = np.empty((1 << m, 1 << h), np.int16)
     else:
         # The DP fills the returned array in place, through a numpy view of it.
@@ -1011,7 +1009,7 @@ def _build_completion_table(
     most = _WALK_CHUNK_BYTES // 4 // grid.itemsize
     low = _subsets(h)
     # Every (A, i) pair, size of A after size: i, the column of A \ i and
-    # i's gain over A \ i. Size a's pairs run from ends[a] to ends[a + 1].
+    # i's row sum over A \ i. Size a's pairs run from ends[a] to ends[a + 1].
     _, low_items, low_rests, low_owners = (np.concatenate(x) for x in zip(*low.layers))
     low_gain = lo[low_items, low_owners][:, None]
     low_rests = low.position[low_rests]
@@ -1022,10 +1020,10 @@ def _build_completion_table(
         if b == 0:
             # The row of the empty high set: the empty set adds 0, and the
             # low-item steps fill the rest of the row.
-            layer = np.full((1, 1 << h), -1 if narrow else -np.inf, grid.dtype)
+            layer = np.full((1, 1 << h), least, grid.dtype)
             layer[0, 0] = 0.0
-        # j's gains over every A, then over B \ j at each row B, for a group
-        # of members at a time; a group of one member is its own best.
+        # j's row sums over every A, then over B \ j at each row B, for a
+        # group of members at a time; a group of one member is its own best.
         step = count * max(1, most // (count << h))
         for start in range(0, b * count, step):
             pairs = slice(start, start + step)
@@ -1040,7 +1038,7 @@ def _build_completion_table(
         # each size is one slice and each (A, i) pair reads a contiguous
         # run of the layer's rows; the store puts it back in set order.
         layer = layer.T.take(low.order, axis=0)
-        # i's gain over each row B (axis 1) and over A \ i at each pair
+        # i's row sum over each row B (axis 1) and over A \ i at each pair
         # (axis 0), for a run of sizes at a time.
         high = hi[:h].take(rows, axis=1)
         first = last = 0
@@ -1064,7 +1062,7 @@ def _build_completion_table(
         # doubles beside their work arrays; halving is exact.
         out = array("d", [0.0]) * (1 << n)
         np.multiply(grid.ravel(), 0.5, out=np.frombuffer(out))
-    return out, gains
+    return out
 
 
 @functools.lru_cache(maxsize=16)
@@ -1469,17 +1467,19 @@ def _value_search(a: WeightMatrix, deadline: float | None) -> tuple[_Search, flo
 def _proven_value(a: WeightMatrix, deadline: float | None) -> float:
     """The optimal objective value k*, proven before deadline, without a witness.
 
-    Inside the table budget with exact sums, k* is the completion table's
-    entry for the full set; no heuristic and no branch and bound run.
-    There any summation order gives the same bits, so the value equals
-    solve_lop's. Otherwise it comes from solve_lop's value phase.
+    Inside the table budget with exact sums, k* is the root bound plus the
+    completion table's entry for the full set; no heuristic and no branch
+    and bound run. There any summation order gives the same bits, so the
+    value equals solve_lop's. Otherwise it comes from solve_lop's value
+    phase.
 
     Raises:
         UnprovenOptimumError: when the deadline passes first.
     """
-    if a.n <= _TABLE_MAX_N and _core(a).exact:
+    core = _core(a)
+    if a.n <= _TABLE_MAX_N and core.exact:
         try:
-            return _core(a).completion(deadline)[-1]
+            return core.root + core.completion(deadline)[-1]
         except _Timeout:
             pass
     else:
@@ -1524,35 +1524,22 @@ def solve_lop(a: WeightMatrix, cfg: SolverConfig | None = None) -> LopResult:
     )
 
 
-@functools.lru_cache(maxsize=None)
-def _other_columns(k: int) -> np.ndarray:
-    """others[j]: the columns 0..k-1 other than j, ascending, for each j < k."""
-    cols = np.arange(k - 1)
-    others = cols + (cols >= np.arange(k)[:, None])
-    others.flags.writeable = False
-    return others
-
-
 def _walk_optima(
     core: _Core, k_star: float, limit: int, deadline: float | None
 ) -> tuple[np.ndarray, bool]:
     """Optimal 0-based orders in lexicographic sequence, up to limit of them.
 
-    A depth-first walk over chunks of prefixes of one depth, in
-    lexicographic order, each prefix a row of its order, its unplaced items
-    in ascending order, its unplaced set and its scalar. It starts from the
-    core's empty prefix in the unplaced-set form (_Core.prefix_form): with
-    a table, f and the gain rows, and a child's bound adds the table's
-    entry for the items left after it; without, g = f + u and the drop
-    rows, and a child's scalar is its bound. For the first rows
-    of the top chunk, every child's scalar is its parent's plus two lookups,
-    in numpy operations over a (rows, unplaced items) grid: the additions of
-    the depth-first search over one prefix at a time
-    (tests/oracles.py::enumerate_leaves_loop), in the same order, so the
-    same bits. Children whose bound reaches k_star - eps are kept, at the
-    last position those within eps of k_star; the grid lists them parent
-    first, item second, which is lexicographic order, and they are pushed
-    above the rest of their parents' chunk, which they all precede.
+    A depth-first walk over chunks of prefixes of one depth, each a row of
+    its order, its unplaced set and its g = f + u, from the core's empty
+    prefix (_Core.prefix_form). The layer kernel forms each chunk's
+    children over all n items in ascending order, a placed item's -inf,
+    with the additions of the depth-first search over one prefix at a time
+    (tests/oracles.py::enumerate_leaves_loop), so the same bits. A child
+    is kept when its bound, g plus the table's entry for the items left
+    after it where there is a table, reaches k_star - eps, and at the last
+    position when its g is within eps of k_star. They come parent first,
+    item second, which is lexicographic order, and are walked before the
+    rest of their parents' chunk, which they all precede.
 
     Returns the orders as an (count, n) int8 array and whether the walk
     stopped early: on reaching limit orders, or when the deadline, checked
@@ -1560,54 +1547,53 @@ def _walk_optima(
     _Timeout as prefix_form does.
     """
     root, rows, table = core.prefix_form(deadline)
-    completions = None if table is None else np.frombuffer(table)
     n = len(rows.items)
-    items = np.arange(n)
-    bits = 1 << items
+    kernel = _LayerKernel(rows, range(n), deadline)
+    completions = None if table is None else np.frombuffer(table)
     target = k_star - core.eps
-    # A chunk's orders are full width; positions from its depth on are unset.
+
+    def layer(depth: int, rem: np.ndarray, g: np.ndarray):
+        """The kernel's chunks of the kept children of the prefixes (rem, g) of depth."""
+
+        def keep(child: np.ndarray, first: int) -> np.ndarray:
+            if depth == n - 1:
+                # The bound at a leaf adds table[0] = 0.0: its g alone.
+                return (child >= target) & (np.abs(child - k_star) <= core.eps)
+            if completions is not None:
+                first //= n
+                rest = rem[first : first + len(child), None] ^ kernel.bits
+                child = child + completions.take(rest)
+            return child >= target
+
+        return kernel.kept(rem, g, keep)
+
+    # Each entry holds the prefixes of one depth, full width with positions
+    # from the depth on unset, and their children's chunks still to walk.
     full = np.array([(1 << n) - 1])
-    stack = [(0, np.zeros((1, n), np.int8), items[None], full, np.array([root]))]
+    stack = [(np.zeros((1, n), np.int8), layer(0, full, np.array([root])))]
     leaves = [np.empty((0, n), np.int8)]
     found = 0
-    while stack:
-        if deadline is not None and time.monotonic() > deadline:
-            return np.concatenate(leaves), True
-        depth, orders, item, rem, x = stack.pop()
-        k = n - depth
-        chunk = max(1, _WALK_CHUNK_BYTES // (_WALK_ARRAYS * 8 * k))
-        if rem.size > chunk:
-            stack.append((depth, orders[chunk:], item[chunk:], rem[chunk:], x[chunk:]))
-            orders, item, rem, x = orders[:chunk], item[:chunk], rem[:chunk], x[:chunk]
-        # child[r, j]: row r's scalar after placing its j-th unplaced item.
-        child = rows.children(
-            rem[:, None], x[:, None], rows.at_lo.take(item), rows.at_hi.take(item)
-        )
-        depth += 1
-        if depth == n:
-            # The bound at a leaf adds table[0] = 0.0: its scalar alone.
-            keep = (child >= target) & (np.abs(child - k_star) <= core.eps)
-        elif completions is None:
-            keep = child >= target
-        else:
-            keep = child + completions[rem[:, None] ^ bits[item]] >= target
-        kept = keep.ravel().nonzero()[0]
-        if not kept.size:
-            continue
-        parent, col = np.divmod(kept, k)
-        placed = item.ravel()[kept]
-        kids = orders.take(parent, axis=0)
-        kids[:, depth - 1] = placed
-        if depth < n:
-            left = item[parent[:, None], _other_columns(k)[col]]
-            stack.append(
-                (depth, kids, left, rem[parent] ^ bits[placed], child.ravel()[kept])
-            )
-            continue
-        leaves.append(kids)
-        found += kept.size
-        if found >= limit:
-            return np.concatenate(leaves)[:limit], True
+    try:
+        while stack:
+            orders, chunks = stack[-1]
+            step = next(chunks, None)
+            if step is None:
+                stack.pop()
+                continue
+            part, at, sets, child = step
+            depth = len(stack)
+            parent, item = np.divmod(at, n)
+            kids = orders[part].take(parent, axis=0)
+            kids[:, depth - 1] = item
+            if depth < n:
+                stack.append((kids, layer(depth, sets, child)))
+                continue
+            leaves.append(kids)
+            found += at.size
+            if found >= limit:
+                return np.concatenate(leaves)[:limit], True
+    except _Timeout:
+        return np.concatenate(leaves), True
     return np.concatenate(leaves), False
 
 

@@ -171,15 +171,21 @@ def _expanded(rem: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
     it comes before every earlier visit of its set. From _PACKED_VISITS
     visits, where the set, twice the bound's drop below the layer's
     largest and the position fit one key (lop._packed_key), the keys are
-    unique and one np.sort orders them; otherwise np.lexsort does.
+    unique and one np.sort orders them; where only the set and that code
+    fit, as on the widest layers at n = 36, a stable argsort of those keys
+    does; otherwise np.lexsort does.
     """
     size = rem.size
     if size == 1:
         return np.zeros(1, dtype=np.int64)
-    form = None
+    form = unique = None
     if size >= _PACKED_VISITS:
         top = g.max()
-        form = _packed_key(n, 2 * (top - g.min()), (size - 1).bit_length())
+        span = 2 * (top - g.min())
+        # With the position the keys are unique; without, a stable sort
+        # keeps the positions' order among equal keys.
+        unique = _packed_key(n, span, (size - 1).bit_length())
+        form = unique or _packed_key(n, span)
     if form is None:
         by = np.lexsort((-g, rem))
         sets = rem[by]
@@ -187,11 +193,15 @@ def _expanded(rem: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
         code = np.subtract(top, g)
         code *= 2
         code = code.astype(np.int64)
-        # The sorted keys, read as positions and then in place as sets.
-        sets = form.pack(rem, code, np.arange(size))
+        sets = form.pack(rem, code, np.arange(size) if unique else 0)
         del code
-        sets.sort()
-        by = form.lows(sets)
+        if unique:
+            # The sorted keys, read as positions and then in place as sets.
+            sets.sort()
+            by = form.lows(sets)
+        else:
+            by = sets.argsort(kind="stable")
+            sets = sets[by]
         form.sets(sets, out=sets)
     first = np.empty(size, dtype=bool)
     first[0] = True

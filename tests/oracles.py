@@ -284,23 +284,23 @@ def completion_table_loop(weights: np.ndarray) -> array[float]:
     return array("d", table)
 
 
-def completion_table_split_loop(weights: np.ndarray) -> array[float]:
-    r"""Completion table by the scalar recurrence over the split row sums.
+def completion_table_split_loop(rows: np.ndarray) -> array[float]:
+    r"""Completion table by the scalar recurrence over the split row sums of rows.
 
     table[S] = max over v in S of (lo[v, S & low] + hi[v, S >> h]) +
-    table[S \ v], with lo and hi from lop._split_row_sums(w), read at the
-    parent set S as the searches read them. The solver's build adds these
-    terms in this order for every weight type, so the two are equal bit for
-    bit also where the sums are not exact. Returned as an array('d') like
-    the solver's.
+    table[S \ v], with lo and hi from lop._split_row_sums(rows), read at
+    the parent set S as the searches read them. The solver's build, on the
+    drop rows w - max(w, w.T), adds these terms in this order for every
+    weight type, so the two are equal bit for bit also where the sums are
+    not exact. Returned as an array('d') like the solver's.
     """
-    rows = _split_row_sums(weights)
-    table = [0.0] * (1 << weights.shape[0])
+    split = _split_row_sums(rows)
+    table = [0.0] * (1 << rows.shape[0])
     for s in range(1, len(table)):
-        low, high = s & rows.low, s >> rows.h
+        low, high = s & split.low, s >> split.h
         table[s] = max(
-            rows.lo[at_lo + low] + rows.hi[at_hi + high] + table[s ^ bit]
-            for _, bit, at_lo, at_hi in rows.items
+            split.lo[at_lo + low] + split.hi[at_hi + high] + table[s ^ bit]
+            for _, bit, at_lo, at_hi in split.items
             if s & bit
         )
     return array("d", table)
@@ -497,10 +497,10 @@ def enumerate_leaves_loop(
 
     lop._walk_optima as a depth-first search over one prefix at a time, on
     a lop._Search's unplaced-set form, from the core's empty prefix
-    (lop._Core.prefix_form): with the completion table, f and the gain
-    rows; without, g = f + u and the drop rows. Returns the orders and
-    whether the cap or the deadline (checked every 256 nodes) stopped it.
-    Reference for the walk's orders and flags.
+    (lop._Core.prefix_form): g = f + u, the drop rows and, inside its
+    budget, the completion table. Returns the orders and whether the cap
+    or the deadline (checked every 256 nodes) stopped it. Reference for
+    the walk's orders and flags.
     """
     search.reset()
     found: list[tuple[int, ...]] = []
@@ -513,7 +513,7 @@ def enumerate_leaves_loop(
 
 
 def _rec_enum(search, rem, x, k_star, cap, found, rows, table) -> None:
-    """Collect the optimal leaves below unplaced set rem and scalar x.
+    """Collect the optimal leaves below unplaced set rem and bound g = x.
 
     With a table, a child's bound adds the table's entry for the items left
     after it; without, a child's x is its bound. A child is kept while its

@@ -825,6 +825,9 @@ PINNED_RUNS = [
     ("lop", "tenths17", ()),
     ("enumerate", "tenths17", ()),
     ("kappa", "tenths17", ()),
+    ("lop", "halves16", ()),
+    ("enumerate", "halves16", ()),
+    ("kappa", "halves16", ()),
 ]
 
 
@@ -850,14 +853,15 @@ def test_fixture_stdout_is_pinned_byte_for_byte(capsys, command, fixture, extra)
     # fractional19 and tiers24. hidden32 (a hidden-order tournament, rng
     # seed 1) pins the heuristic's steps over windows of 16 positions at
     # n = 32, with the value passes and the witness pass; hidden22 (rng
-    # seed 2) its whole-order steps on exact sums at n = 22, the most items
-    # they take. tiers24 has over a million optima,
+    # seed 2) its whole-order steps on exact sums at n = 22. tiers24 has
+    # over a million optima,
     # so only its lop output is pinned. tournament18's lop file pins the
     # value passes' nodes and pruned and the table-side witness at n = 18.
     # tenths22 (a hidden-order tournament weighted in tenths) pins the
     # witness pass on float sums, whose states are complex keys.
     # tenths17 pins the float64 table route at the uneven split (8 low and
-    # 9 high items) on float sums.
+    # 9 high items) on float sums. halves16 pins the int16 table route
+    # where doubled drop sums of -1 lie beside its least value.
     # The enumerate files pin the optima of a p = 0.5 tournament at n = 18
     # (77, walked with the largest table), of hidden20 (15, walked without
     # one) and of fractional19 (1, walked without one on float sums); the

@@ -209,18 +209,18 @@ class TestHeuristic:
         a = random_half_integer_matrix(rng, 8)
         assert heuristic_ranking(a) == heuristic_ranking(a)
 
-    # n = 22 and 23 lie on either side of the step window's rule: whole
+    # n = 27 and 28 lie on either side of the step window's rule: whole
     # passes up to lop._HEURISTIC_WHOLE_PASS, windows of
     # lop._HEURISTIC_WINDOW above; 40 and 41 on either side of
     # lop._MAX_ITEMS, which the heuristic does not enforce.
     @settings(max_examples=40, deadline=None)
     @given(
-        n=st.integers(2, 25),
+        n=st.integers(2, 30),
         seed=st.integers(0, 2**32 - 1),
         restarts=st.sampled_from((0, lop._HEURISTIC_RESTARTS)),
     )
-    @example(n=22, seed=1, restarts=lop._HEURISTIC_RESTARTS)
-    @example(n=23, seed=1, restarts=lop._HEURISTIC_RESTARTS)
+    @example(n=27, seed=1, restarts=lop._HEURISTIC_RESTARTS)
+    @example(n=28, seed=1, restarts=lop._HEURISTIC_RESTARTS)
     @example(n=40, seed=1, restarts=lop._HEURISTIC_RESTARTS)
     @example(n=41, seed=1, restarts=lop._HEURISTIC_RESTARTS)
     def test_batched_passes_match_the_loops_on_half_integral_weights(
@@ -232,13 +232,13 @@ class TestHeuristic:
     @settings(max_examples=60, deadline=None)
     @given(
         family=st.sampled_from(("uniform", "noisy-integer", "tenths")),
-        n=st.integers(2, 25),
+        n=st.integers(2, 30),
         exponent=st.integers(0, 12),
         seed=st.integers(0, 2**32 - 1),
         restarts=st.sampled_from((0, lop._HEURISTIC_RESTARTS)),
     )
-    @example(family="uniform", n=22, exponent=0, seed=2, restarts=16)
-    @example(family="tenths", n=23, exponent=9, seed=5, restarts=16)
+    @example(family="uniform", n=27, exponent=0, seed=2, restarts=16)
+    @example(family="tenths", n=28, exponent=9, seed=5, restarts=16)
     @example(family="uniform", n=40, exponent=0, seed=2, restarts=16)
     @example(family="uniform", n=41, exponent=0, seed=2, restarts=16)
     @example(family="noisy-integer", n=40, exponent=6, seed=3, restarts=16)
@@ -252,7 +252,7 @@ class TestHeuristic:
 
     @pytest.mark.parametrize("restarts", [0, lop._HEURISTIC_RESTARTS])
     @pytest.mark.parametrize("weight", [0.0, 1.0, 0.1])
-    @pytest.mark.parametrize("n", [2, 7, 20, 22, 23, 40, 41])
+    @pytest.mark.parametrize("n", [2, 7, 20, 22, 23, 27, 28, 40, 41])
     def test_batched_passes_match_the_loops_on_constant_weights(
         self, n, weight, restarts
     ):
@@ -689,6 +689,45 @@ class TestOptimaWalk:
         assert 0 < counts[len(counts) // 2] < len(full)
         assert orders.tolist() == full.tolist()
 
+    @pytest.mark.parametrize("table_free", [False, True], ids=["table", "drop_rows"])
+    def test_one_row_chunks_equal_the_loop(self, table_free, monkeypatch):
+        # The layer kernel's least chunk, one prefix, on both routes.
+        monkeypatch.setattr(lop, "_WALK_CHUNK_BYTES", 1)
+        rng = np.random.default_rng(67)
+        for family in ("integer", "tenths", "equal") * 3:
+            n = int(rng.integers(3, 8))
+            if family == "equal":
+                w = _every_weight_equal(n)
+            else:
+                w = rng.integers(0, 4, (n, n)) * (0.1 if family == "tenths" else 1.0)
+                np.fill_diagonal(w, 0.0)
+            for cap in (1, 5, 10**6):
+                walk, loop = _walk_and_loop(w, cap, table_free)
+                assert walk == loop
+
+    @pytest.mark.parametrize("table_free", [False, True], ids=["table", "drop_rows"])
+    def test_a_deadline_after_the_first_chunk_of_leaves_keeps_its_orders(
+        self, table_free, monkeypatch
+    ):
+        # Every order of 6 items is optimal. Chunks of 360 prefixes put each
+        # depth up to 4 in one chunk and the 720 prefixes of depth 5 in two,
+        # so the walk reads the clock once per depth before the first chunk
+        # of leaves, and once more, past the deadline, after it; the table,
+        # built already, reads it once before the walk.
+        n = 6
+        a = WeightMatrix(_every_weight_equal(n))
+        k_star = lop._proven_value(a, None)
+        full, _ = lop._optimal_orders(a, k_star, 10**6, None)
+        monkeypatch.setattr(lop, "_WALK_CHUNK_BYTES", 360 * lop._WALK_ARRAYS * 8 * n)
+        if table_free:
+            monkeypatch.setattr(lop, "_TABLE_MAX_N", 0)
+        reads = n + (0 if table_free else 1)
+        clock = itertools.chain([0.0] * reads, itertools.repeat(np.inf))
+        monkeypatch.setattr(lop, "time", SimpleNamespace(monotonic=lambda: next(clock)))
+        orders, truncated = lop._optimal_orders(a, k_star, 10**6, 1.0)
+        assert truncated
+        assert orders.tolist() == full[:360].tolist()
+
     def test_the_walk_to_the_cap_traces_under_64_mib(self):
         n = 12
         a = WeightMatrix(_every_weight_equal(n))
@@ -767,9 +806,9 @@ def table_builds(monkeypatch):
     builds: list[int] = []
     real = lop._build_completion_table
 
-    def counting(w, deadline, narrow):
-        builds.append(w.shape[0])
-        return real(w, deadline, narrow)
+    def counting(drops, deadline, narrow):
+        builds.append(len(drops.items))
+        return real(drops, deadline, narrow)
 
     monkeypatch.setattr(lop, "_build_completion_table", counting)
     return builds
@@ -778,6 +817,31 @@ def table_builds(monkeypatch):
 def _narrow(w: np.ndarray) -> bool:
     """Whether the core builds w's completion table in int16."""
     return lop._core(WeightMatrix(w)).narrow
+
+
+def _drops(w: np.ndarray) -> np.ndarray:
+    """The drop rows w - max(w, w.T), the matrix the completion table sums over."""
+    return w - np.maximum(w, w.T)
+
+
+def _table(w: np.ndarray, narrow: bool, deadline: float | None = None):
+    """w's completion table, built on its drop rows, in int16 when narrow."""
+    return lop._build_completion_table(lop._split_row_sums(_drops(w)), deadline, narrow)
+
+
+def _pair_maxima(w: np.ndarray) -> np.ndarray:
+    """M[S]: the sum of max(w[i, j], w[j, i]) over the pairs inside each set S.
+
+    A set whose highest item is v holds the pairs of the set without v and
+    v's pairs with the items below it. An exact table plus M is the table
+    of best objectives (tests/oracles.py::completion_table_loop).
+    """
+    pair_max = np.maximum(w, w.T)
+    m = np.zeros(1)
+    for v in range(w.shape[0]):
+        below = (np.arange(m.size)[:, None] >> np.arange(v)) & 1
+        m = np.concatenate([m, m + (below * pair_max[v, :v]).sum(axis=1)])
+    return m
 
 
 def _same_bits(table, expected) -> bool:
@@ -794,16 +858,18 @@ class TestCompletionTable:
         for n in (2, 3, 5, 6, 7, 8):
             w = _random_weights(rng, n, integral)
             assert _narrow(w) == integral
-            table, _ = lop._build_completion_table(w, None, integral)
+            table = _table(w, integral)
             assert len(table) == 1 << n
+            # Each entry is the best objective less the pair maxima inside the set.
+            objectives = np.add(table, _pair_maxima(w))
             for s in range(1 << n):
                 items = [v for v in range(n) if s >> v & 1]
                 _, values = all_objectives(w[np.ix_(items, items)])
                 best = float(values.max())
                 if integral:
-                    assert table[s] == best
+                    assert objectives[s] == best
                 else:
-                    assert table[s] == pytest.approx(best, rel=1e-12, abs=1e-12)
+                    assert objectives[s] == pytest.approx(best, rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_exact_build_equals_the_scalar_recurrence(self, n):
@@ -820,8 +886,8 @@ class TestCompletionTable:
             # same bits.
             assert n == 1 or _narrow(w)
             for narrow in (True, False):
-                table, _ = lop._build_completion_table(w, None, narrow)
-                assert table == completion_table_loop(w)
+                objectives = np.add(_table(w, narrow), _pair_maxima(w))
+                assert np.array_equal(objectives, completion_table_loop(w))
 
     @pytest.mark.parametrize("n", range(13, 19))
     def test_exact_build_equals_the_layered_build(self, n):
@@ -834,34 +900,33 @@ class TestCompletionTable:
             assert lop._exact_sums(WeightMatrix(w))
             assert _narrow(w)
             for narrow in (True, False):
-                table, _ = lop._build_completion_table(w, None, narrow)
-                assert table == completion_table_by_layers(w)
+                objectives = np.add(_table(w, narrow), _pair_maxima(w))
+                assert np.array_equal(objectives, completion_table_by_layers(w))
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_fractional_build_equals_the_split_recurrence(self, n):
         # Sums that are not exact keep the bits of their order of addition:
         # the build adds each split row sum's halves, then table[rest], as
-        # the scalar recurrence over the same split row sums does. Compared
+        # the scalar recurrence over the same split drop rows does. Compared
         # as int64 so that every bit counts.
         rng = np.random.default_rng(71 + n)
         for _ in range(3):
             w = _random_weights(rng, n, integral=False)
             assert n == 1 or not lop._exact_sums(WeightMatrix(w))
-            table, _ = lop._build_completion_table(w, None, False)
-            assert _same_bits(table, completion_table_split_loop(w))
+            assert _same_bits(_table(w, False), completion_table_split_loop(_drops(w)))
 
     @pytest.mark.parametrize("n", [2, 4, 9, 11, 12, 13, 14, 15, 16])
     def test_fractional_build_is_within_the_slack_of_the_references(self, n):
-        # The build adds split row sums, the references row sums over all n
-        # items, so the last bits may differ; every reader of the table
-        # compares its entries within _slack. Up to n = 11 the reference is
-        # the scalar recurrence, above it the layered build.
+        # The build adds split drop row sums, the references row sums of w
+        # over all n items, so the last bits may differ; every reader of
+        # the table compares its entries within _slack. Up to n = 11 the
+        # reference is the scalar recurrence, above it the layered build.
         w = _random_weights(np.random.default_rng(61 + n), n, integral=False)
         a = WeightMatrix(w)
         assert not lop._exact_sums(a)
         reference = completion_table_loop(w) if n <= 11 else completion_table_by_layers(w)
-        table, _ = lop._build_completion_table(w, None, False)
-        assert np.max(np.abs(np.subtract(table, reference))) <= lop._slack(a)
+        objectives = np.add(_table(w, False), _pair_maxima(w))
+        assert np.max(np.abs(objectives - reference)) <= lop._slack(a)
 
     @pytest.mark.parametrize(
         "integral, scale", [(True, 1.0), (False, 1.0), (True, 2500.0)],
@@ -898,13 +963,13 @@ class TestCompletionTable:
 
                 monkeypatch.setattr(lop, "time", SimpleNamespace(monotonic=monotonic))
                 if passed_after is None:
-                    lop._build_completion_table(w, 1.0, narrow)
+                    _table(w, narrow, 1.0)
                     assert len(reads) == steps, n
                 else:
                     # The deadline passes after step passed_after; the check
                     # before the next step raises, and no further step runs.
                     with pytest.raises(lop._Timeout):
-                        lop._build_completion_table(w, 1.0, narrow)
+                        _table(w, narrow, 1.0)
                     assert len(reads) == passed_after + 1, n
 
     @pytest.mark.parametrize("integral", [True, False])
@@ -912,7 +977,7 @@ class TestCompletionTable:
         # Every weight type takes the split row sums: no table of row sums
         # over all n items, which alone would take 8 n bytes per set. n = 17
         # splits unevenly, and n = 18 is the table budget. On the float64
-        # route each traces about 17.5-20.5 bytes per set: the table's 8 and
+        # route each traces about 16.8-19.5 bytes per set: the table's 8 and
         # work arrays of at most a quarter of _WALK_CHUNK_BYTES each, where
         # one of 1 MiB would take it past 24 at n = 16 and 17.
         for n in (16, 17, 18):
@@ -929,8 +994,8 @@ class TestCompletionTable:
     def test_narrow_build_traces_at_most_16_bytes_per_set(self):
         # The int16 grid and work arrays take a quarter of the float64
         # route's, and the table of doubles comes after the work arrays:
-        # exact tournaments trace about 11-13 bytes per set, the float64
-        # route 17.5-20.5.
+        # exact tournaments trace about 10.6-12.4 bytes per set, the float64
+        # route 16.8-19.5.
         for n in (16, 17, 18):
             w = _tournament_with_ties(np.random.default_rng(47), n, 1)
             assert _narrow(w)
@@ -943,17 +1008,14 @@ class TestCompletionTable:
     def test_the_core_builds_in_int16_while_twice_the_total_fits(
         self, case, narrow, monkeypatch
     ):
-        # Twice the total 16383.5 is 32767, the int16 maximum. Every weight
-        # agrees with the order 1, 2, 3, 4, so the full set's entry is the
-        # total: the int16 grid's last entry is its maximum.
-        w = np.array([
-            [0.0, 4000.0, 1000.5, 3000.0],
-            [0.0, 0.0, 2000.0, 1500.0],
-            [0.0, 0.0, 0.0, 4883.0],
-            [0.0, 0.0, 0.0, 0.0],
-        ])
+        # Twice the total 16383.5 is 32767, the int16 maximum. Item 1 loses
+        # every game, so placing it first drops the whole total: doubled,
+        # -32767, one above int16's least value, which stands for -inf.
+        # Ranked last it agrees with every game, so k* is the total.
+        w = np.zeros((4, 4))
+        w[1:, 0] = (8000.0, 4000.5, 4383.0)
         if case == "half above it":
-            w[2, 3] += 0.5
+            w[3, 0] += 0.5
         elif case == "all zero":
             w[:] = 0.0
         a = WeightMatrix(w)
@@ -961,38 +1023,57 @@ class TestCompletionTable:
         routes = []
         real = lop._build_completion_table
 
-        def recording(w, deadline, narrow):
+        def recording(drops, deadline, narrow):
             routes.append(narrow)
-            return real(w, deadline, narrow)
+            return real(drops, deadline, narrow)
 
         monkeypatch.setattr(lop, "_build_completion_table", recording)
-        table = lop._core(a).completion(None)
+        core = lop._core(a)
+        table = core.completion(None)
         assert routes == [narrow]
-        assert _same_bits(table, completion_table_loop(w))
-        if case != "all zero":
-            assert table[-1] == a.total_sum()
+        assert np.array_equal(np.add(table, _pair_maxima(w)), completion_table_loop(w))
+        assert core.root + table[-1] == a.total_sum()
         if case == "half above it":
-            # The limit is tight: in int16 the full set's best ordering,
-            # doubled 32768, would wrap, and a worse one would win.
-            wrapped, _ = real(w, None, True)
-            assert wrapped[-1] < table[-1]
+            # Doubled, that first placement drops 32768, int16's least value
+            # itself; 1/2 more would wrap to 32767 in int16, a sum that then
+            # wins the full set's maximum.
+            w[3, 0] += 0.5
+            wrapped = real(lop._split_row_sums(_drops(w)), None, True)
+            assert wrapped[-1] > 0.0 == _table(w, False)[-1]
 
     def test_one_item_builds_alike_on_both_routes(self):
         # WeightMatrix takes at least two items, so no core picks a route
         # for one; its table, [0, 0], comes out of both.
         w = np.zeros((1, 1))
         for narrow in (True, False):
-            table, _ = lop._build_completion_table(w, None, narrow)
-            assert _same_bits(table, completion_table_loop(w))
+            assert _same_bits(_table(w, narrow), completion_table_loop(w))
+
+    @pytest.mark.parametrize("n", [4, 5, 8, 11, 14, 17])
+    def test_drop_sums_of_minus_a_half_build_alike_on_both_routes(self, n):
+        # Pairs whose weights differ by 1/2 drop -1 doubled, an entry the
+        # int16 route must keep apart from its least value, which stands for
+        # -inf; the float64 route gives the same bits, and up to n = 11 the
+        # split recurrence does too.
+        for seed in range(3):
+            w = _halves_tournament(np.random.default_rng(seed), n)
+            assert _narrow(w) and (_drops(w) == -0.5).any()
+            table = _table(w, True)
+            assert _same_bits(table, _table(w, False))
+            if n <= 11:
+                assert _same_bits(table, completion_table_split_loop(_drops(w)))
 
 
 def _traced_build_peak(w: np.ndarray, narrow: bool) -> int:
-    """Bytes the build's traced heap peaks at above where it started."""
+    """Bytes the build's traced heap peaks at above where it started.
+
+    The drop rows, which the core keeps, are built before the trace.
+    """
+    drops = lop._split_row_sums(_drops(w))
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         before, _ = tracemalloc.get_traced_memory()
-        lop._build_completion_table(w, None, narrow)
+        lop._build_completion_table(drops, None, narrow)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1061,8 +1142,8 @@ class TestSplitRows:
             routes = [True, False] if scale == 2.0 else [False]
             assert _narrow(a.weights) == (scale == 2.0)
             for narrow in routes:
-                table, _ = lop._build_completion_table(a.weights, None, narrow)
-                assert _same_bits(table, completion_table_split_loop(a.weights))
+                table = _table(a.weights, narrow)
+                assert _same_bits(table, completion_table_split_loop(_drops(a.weights)))
 
 
 def _split_reference(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -1262,11 +1343,10 @@ class TestOneSolvePerMatrix:
         assert search_calls == _search_route(tables=0)
 
     def test_each_structure_is_built_once(self, monkeypatch, capsys):
-        # Builds of split row sums (drop rows, or gain rows with the table)
-        # and tests of _exact_sums, per command: each matrix's core makes
-        # each once. lop on tournament18 builds both kinds of rows: drop
-        # rows for the value passes, gain rows with the table for the
-        # witness.
+        # Builds of split row sums (the drop rows) and tests of _exact_sums,
+        # per command: each matrix's core makes each once. lop on
+        # tournament18 reads the same drop rows in the value passes, the
+        # table build and the witness.
         calls = {"_split_row_sums": 0, "_exact_sums": 0}
         for name in calls:
             real = getattr(lop, name)
@@ -1288,7 +1368,7 @@ class TestOneSolvePerMatrix:
             # The joint search, which a cap of 1 sends the set to, does not
             # finish: exit 2.
             (["kappa", *hidden, "--cap", "1", "--time-limit", "5"], 2, 1, 1),
-            (["lop", *tournament], 0, 2, 1),
+            (["lop", *tournament], 0, 1, 1),
             (["enumerate", *tournament], 0, 1, 1),
             (["kappa", *tournament], 0, 1, 1),
             (["kappa", *tournament, "--cap", "10"], 0, 1, 1),
@@ -1368,8 +1448,8 @@ def test_hidden32_is_the_seeded_hidden_order_tournament():
 
 def test_hidden22_is_the_seeded_hidden_order_tournament():
     # tests/data/hidden22.csv, whose lop stdout a golden file pins: exact
-    # sums at lop._HEURISTIC_WHOLE_PASS items, the most at which the
-    # heuristic's local search reads whole orders.
+    # sums at n = 22, where the heuristic's local search reads whole
+    # orders.
     w = _hidden_order_tournament(np.random.default_rng(2), 22)
     assert np.array_equal(read_matrix_csv(DATA_DIR / "hidden22.csv").weights, w)
 
@@ -2351,11 +2431,12 @@ class TestPackedKeys:
         assert lexsorts == (not packs)
         assert np.array_equal(got, expanded_lexsort(rem, g))
 
-    @settings(max_examples=200, deadline=None)
-    @given(data=st.data())
-    def test_layers_with_repeats_and_ties_equal_the_reference(self, data):
-        # Few distinct sets and bounds: repeated sets, tied bounds, and
-        # layers of a single visit.
+    @staticmethod
+    def _repeats_and_ties(data) -> tuple[int, np.ndarray, np.ndarray]:
+        """A layer (n, rem, g) of few distinct sets and bounds.
+
+        Repeated sets, tied bounds, and layers of a single visit.
+        """
         n = data.draw(st.integers(1, lop._MAX_ITEMS), label="n")
         size = data.draw(st.integers(1, 64), label="size")
         pool = data.draw(st.lists(st.integers(0, 2**n - 1), min_size=1, max_size=6))
@@ -2365,8 +2446,29 @@ class TestPackedKeys:
         )
         halves = data.draw(st.lists(st.integers(0, 12), min_size=size, max_size=size))
         base = data.draw(st.integers(0, 2**40), label="base")
-        g = (np.array(halves) + base) / 2
+        return n, rem, (np.array(halves) + base) / 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_layers_with_repeats_and_ties_equal_the_reference(self, data):
+        n, rem, g = self._repeats_and_ties(data)
         got, lexsorts = self._expanded_and_lexsorts(rem, g, n)
+        assert lexsorts == 0
+        assert np.array_equal(got, expanded_lexsort(rem, g))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_set_and_code_keys_keep_tied_visits_in_order(self, data):
+        # Keys without the position, as where it would not fit: visits of
+        # one set and tied bounds must stay in position order.
+        n, rem, g = self._repeats_and_ties(data)
+
+        def without_positions(n, span, low_bits=0):
+            return None if low_bits else lop._packed_key(n, span)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(value, "_packed_key", without_positions)
+            got, lexsorts = self._expanded_and_lexsorts(rem, g, n)
         assert lexsorts == 0
         assert np.array_equal(got, expanded_lexsort(rem, g))
 
@@ -2374,14 +2476,17 @@ class TestPackedKeys:
     @given(
         n=st.integers(10, lop._MAX_ITEMS),
         size=st.integers(2, 64),
-        over=st.integers(0, 1),
+        over=st.integers(0, 2),
         data=st.data(),
     )
     def test_keys_of_63_bits_pack_and_one_bit_more_falls_back(self, n, size, over, data):
-        # The set's n bits, the position's and the code's add up to 63 + over;
-        # the widest code is 2^(code_bits - 1), twice the widest bound drop.
+        # The set's n bits, the position's and the code's add up to 63 +
+        # over, where over 1 leaves the set's and the code's within 63 bits,
+        # a key without the position; with over 2 those alone take 64 bits,
+        # and np.lexsort sorts. The widest code is 2^(code_bits - 1), twice
+        # the widest bound drop.
         position_bits = (size - 1).bit_length()
-        code_bits = 63 + over - n - position_bits
+        code_bits = 63 + min(over, 1) - n - (position_bits if over < 2 else 0)
         assume(1 <= code_bits <= 52)
         widest = 2 ** (code_bits - 1)
         codes = data.draw(
@@ -2397,9 +2502,11 @@ class TestPackedKeys:
             dtype=np.int64,
         ) << (n - 2)
         g = (2.0**51 - codes) / 2
-        assert (lop._packed_key(n, 2 * (g.max() - g.min()), position_bits) is None) == over
+        span = 2 * (g.max() - g.min())
+        assert (lop._packed_key(n, span, position_bits) is None) == (over > 0)
+        assert (lop._packed_key(n, span) is None) == (over == 2)
         got, lexsorts = self._expanded_and_lexsorts(rem, g, n)
-        assert lexsorts == over
+        assert lexsorts == (over == 2)
         assert np.array_equal(got, expanded_lexsort(rem, g))
 
     def test_codes_too_wide_for_63_bits_take_the_fallbacks(self, witness_passes):
@@ -2409,8 +2516,8 @@ class TestPackedKeys:
         a = read_matrix_csv(DATA_DIR / "hidden20.csv")
         scaled = WeightMatrix(a.weights * 2.0**40)
         assert lop._core(scaled).exact and scaled.total_sum() < lop._EXACT_TOTAL
-        # Each value layer of two or more visits: whether its key fits, and
-        # how many np.lexsort calls it made.
+        # Each value layer of two or more visits: whether a key fits, with
+        # the position or without, and how many np.lexsort calls it made.
         layers = []
         real = value._expanded
 
@@ -2419,7 +2526,7 @@ class TestPackedKeys:
             if rem.size > 1:
                 span = 2 * (g.max() - g.min())
                 fits = lop._packed_key(n, span, (rem.size - 1).bit_length()) is not None
-                layers.append((fits, lexsorts))
+                layers.append((fits or lop._packed_key(n, span) is not None, lexsorts))
             assert np.array_equal(got, expanded_lexsort(rem, g))
             return got
 
@@ -2560,6 +2667,31 @@ def test_points16_is_written_by_its_generator(tmp_path):
     path = tmp_path / "points16.csv"
     write_matrix_csv(a, path)
     assert path.read_bytes() == (DATA_DIR / "points16.csv").read_bytes()
+
+
+def _halves_tournament(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Each pair weighted integers(0, 4, 2) / 2, w[i, j] then w[j, i].
+
+    Pairs come in itertools.combinations order. Sums are exact, and many
+    pairs differ by 1/2, whose doubled drop row entry is -1.
+    """
+    w = np.zeros((n, n))
+    for i, j in itertools.combinations(range(n), 2):
+        w[i, j], w[j, i] = rng.integers(0, 4, 2) / 2
+    return w
+
+
+def test_halves16_is_written_by_its_generator(tmp_path):
+    # Halves at n = 16 (rng seed 1), total 191, 45 pairs differing by 1/2:
+    # the int16 table route on doubled drop sums of -1, pinned by the lop,
+    # enumerate and kappa golden files (tests/test_cli.py::PINNED_RUNS).
+    w = _halves_tournament(np.random.default_rng(1), 16)
+    a = WeightMatrix(w)
+    assert lop._exact_sums(a) and _narrow(w)
+    assert (np.abs(w - w.T) == 0.5).sum() == 2 * 45
+    path = tmp_path / "halves16.csv"
+    write_matrix_csv(a, path)
+    assert path.read_bytes() == (DATA_DIR / "halves16.csv").read_bytes()
 
 
 def test_tenths22_is_written_by_its_generator(tmp_path):
@@ -2781,8 +2913,9 @@ class TestWeightScale:
     )
     def test_results_equal_those_with_the_scalar_recurrence_table(self, family, scale):
         # Without exact sums the table's last bits differ from the scalar
-        # recurrence's; its readers compare within the slack, so the value,
-        # ranking, stats, optima and kappa pair come out the same.
+        # recurrence's over unsplit drop rows; its readers compare within
+        # the slack, so the value, ranking, stats, optima and kappa pair
+        # come out the same.
         cfg = SolverConfig(enumeration_cap=2000)
         for n, seed in itertools.product(range(3, 12), range(2)):
             w = _scaled_weights(family, n, scale, 100 * seed + n)
@@ -2793,7 +2926,7 @@ class TestWeightScale:
                 if recurrence:
                     core = lop._core(a)
                     core.completion(None)
-                    core.table = completion_table_loop(w)
+                    core.table = completion_table_loop(_drops(w))
                 found = solve_lop(a)
                 results.append((
                     found.optimal_value,

@@ -55,14 +55,9 @@ def test_no_absolute_tolerances(path):
     assert lines == [], f"{path.name}: float literals below 1e-6 at lines {lines}"
 
 
-# The builders of what every exact search of a matrix shares, and the one
-# function outside lop._Core that may call each: the table build makes its
-# own gain rows.
-_CORE_BUILDERS = {
-    "_exact_sums": None,
-    "_build_completion_table": None,
-    "_split_row_sums": "_build_completion_table",
-}
+# The builders of what every exact search of a matrix shares, which only
+# lop._Core calls.
+_CORE_BUILDERS = {"_exact_sums", "_build_completion_table", "_split_row_sums"}
 
 
 def _calls(node: ast.AST, scope: tuple[str, ...], names):
@@ -90,26 +85,20 @@ def test_only_the_core_builds_the_shared_structures():
     for path in SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for name, scope in _calls(tree, (), _CORE_BUILDERS):
-            allowed = (path.name == "lop.py" and scope[:1] == ("_Core",)) or (
-                path.name == "lop.py" and scope == (_CORE_BUILDERS[name],)
-            )
-            if not allowed:
+            if (path.name, scope[:1]) != ("lop.py", ("_Core",)):
                 stray.append(f"{path.name}: {name} in {'.'.join(scope) or 'module'}")
     assert stray == []
 
 
 def test_one_kernel_forms_the_layered_children():
-    # The value passes and the witness pass form their children through
-    # lop._LayerKernel, the optima walk through its own chunks: a third
-    # caller of _SplitRows.children would be a third chunk rule.
+    # The value passes, the witness pass and the optima walk form their
+    # children through lop._LayerKernel: a second caller of
+    # _SplitRows.children would be a second chunk rule.
     callers = []
     for path in SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         callers += [(path.name, scope) for _, scope in _calls(tree, (), {"children"})]
-    assert sorted(callers) == [
-        ("lop.py", ("_LayerKernel", "kept")),
-        ("lop.py", ("_walk_optima",)),
-    ]
+    assert callers == [("lop.py", ("_LayerKernel", "kept"))]
 
 
 @pytest.mark.parametrize("name", ["value.py", "witness.py"])
