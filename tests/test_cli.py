@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -828,12 +829,20 @@ PINNED_RUNS = [
     ("lop", "halves16", ()),
     ("enumerate", "halves16", ()),
     ("kappa", "halves16", ()),
+    ("enumerate", "tournament18", ("--format", "csv")),
+    ("kappa", "halves16", ("--cap", "1")),
 ]
 
 
 def golden_name(command: str, fixture: str, extra: tuple[str, ...]) -> str:
     """lop-tenths7, or kappa-tournament18-cap10 with extra ("--cap", "10")."""
     return f"{command}-{fixture}" + "".join(extra).replace("--", "-")
+
+
+def golden_file(command: str, fixture: str, extra: tuple[str, ...]) -> Path:
+    """The golden file of a pinned run: .csv under --format csv, else .json."""
+    suffix = ".csv" if "csv" in extra else ".json"
+    return DATA_DIR / "golden" / (golden_name(command, fixture, extra) + suffix)
 
 
 @pytest.mark.parametrize(
@@ -866,15 +875,17 @@ def test_fixture_stdout_is_pinned_byte_for_byte(capsys, command, fixture, extra)
     # (77, walked with the largest table), of hidden20 (15, walked without
     # one) and of fractional19 (1, walked without one on float sums); the
     # kappa files pin the pair scan over those optima, and with a cap of 10
-    # on tournament18's 77 optima the joint branch and bound's pair. The
-    # expected files were recorded once and must not change.
+    # on tournament18's 77 optima the joint branch and bound's pair; with a
+    # cap of 1 on halves16 the joint search reads an int16 table whose
+    # doubled entries are odd. enumerate-tournament18-formatcsv pins the
+    # CSV rows of the walk's orders. The expected files were recorded once
+    # and must not change.
     code, out = run_cli(
         capsys, command, "--input", str(DATA_DIR / f"{fixture}.csv"), "--kind", "matrix",
         *extra,
     )
     assert code == 0
-    expected = DATA_DIR / "golden" / f"{golden_name(command, fixture, extra)}.json"
-    assert out.encode() == expected.read_bytes()
+    assert out.encode() == golden_file(command, fixture, extra).read_bytes()
 
 
 def test_season_stdout_is_pinned_byte_for_byte(capsys):
@@ -883,6 +894,17 @@ def test_season_stdout_is_pinned_byte_for_byte(capsys):
     code, out = run_cli(capsys, "season", "--input", str(DATA_DIR / "multi_season.csv"))
     assert code == 0
     expected = DATA_DIR / "golden" / "season-multi_season.json"
+    assert out.encode() == expected.read_bytes()
+
+
+def test_season_csv_is_pinned_byte_for_byte(capsys):
+    # The season flow's CSV rows over the same seasons. Recorded once and
+    # must not change.
+    code, out = run_cli(
+        capsys, "season", "--input", str(DATA_DIR / "multi_season.csv"), "--format", "csv"
+    )
+    assert code == 0
+    expected = DATA_DIR / "golden" / "season-multi_season.csv"
     assert out.encode() == expected.read_bytes()
 
 
