@@ -178,40 +178,76 @@ def _ranking_payload(ranking) -> list[int]:
     return [int(v) for v in ranking.order]
 
 
-def _orders_json(orders, n: int) -> str:
-    """json.dumps(orders, indent=2), indented as the value of a top-level key.
+# enumerate formats and writes its orders this many rows at a time, so
+# that only one block of them is ever held as Python lists and text: at
+# the default cap of 1,000,000 orders the whole list and its string took
+# about 1 GB.
+_BLOCK_ROWS = 8192
 
-    orders is a list of orders of the items 1..n.
+
+def _item_texts(n: int):
+    """The text of each item 1..n, by item: formatting the ints costs more than the rest."""
+    return [str(v) for v in range(n + 1)].__getitem__
+
+
+def _order_blocks(orders):
+    """The rows of an array of orders as lists of ints, _BLOCK_ROWS rows at a time."""
+    for start in range(0, len(orders), _BLOCK_ROWS):
+        yield orders[start : start + _BLOCK_ROWS].tolist()
+
+
+def _enumerate_json(head: dict, orders, n: int):
+    """json.dumps(payload, indent=2) + "\\n" in parts, a block of orders at a time.
+
+    payload is head with the orders of the items 1..n, as lists, under the
+    last key "rankings". With indent set, json.dumps runs its pure-Python
+    encoder, several times slower on many orders.
     """
-    if not orders:
-        return "[]"
-    # Formatting the ints costs more than the rest: each item's text is
-    # made once.
-    item = [str(v) for v in range(n + 1)].__getitem__
-    rows = "\n    ],\n    [\n      ".join(
-        [",\n      ".join(map(item, order)) for order in orders]
-    )
-    return "[\n    [\n      " + rows + "\n    ]\n  ]"
+    item = _item_texts(n)
+    yield json.dumps(head, indent=2)[:-2] + ',\n  "rankings": ['
+    between = "\n    ],\n    [\n      "
+    for start, block in enumerate(_order_blocks(orders)):
+        yield between if start else "\n    [\n      "
+        yield between.join([",\n      ".join(map(item, order)) for order in block])
+    yield "\n    ]\n  ]\n}\n" if len(orders) else "]\n}\n"
 
 
-def _emit(args, text: str) -> None:
+def _ranking_rows(orders, n: int):
+    """Each block of enumerate's CSV rows: the 1-based index and the order's items."""
+    item = _item_texts(n)
+    for start, block in enumerate(_order_blocks(orders)):
+        first = start * _BLOCK_ROWS + 1
+        yield [[i, " ".join(map(item, order))] for i, order in enumerate(block, first)]
+
+
+def _emit(args, parts) -> None:
+    """Write each text of parts in turn, to stdout or to the --output file."""
     if args.output is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
     else:
         with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(parts)
 
 
 def _emit_json(args, payload) -> None:
-    _emit(args, json.dumps(payload, indent=2) + "\n")
+    _emit(args, [json.dumps(payload, indent=2) + "\n"])
 
 
-def _emit_csv(args, header, rows) -> None:
+def _csv_text(header, blocks):
+    """The CSV text of header, then of each block of rows, block by block."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
-    _emit(args, buffer.getvalue())
+    for rows in blocks:
+        writer.writerows(rows)
+        yield buffer.getvalue()
+        buffer.seek(0)
+        buffer.truncate()
+    yield buffer.getvalue()
+
+
+def _emit_csv(args, header, rows) -> None:
+    _emit(args, _csv_text(header, [rows]))
 
 
 def _csv_cell(value):
@@ -304,9 +340,9 @@ def cmd_enumerate(args) -> int:
     """list every optimal ranking"""
     solver = _solver_config(args)
     matrix = _load_matrix(args)
-    # The orders as rows of ints, without a Ranking each.
+    # The orders as rows of ints, without a Ranking each, written only once
+    # the walk has returned.
     orders, truncated = _enumerate_orders(matrix, solver)
-    orders = orders.tolist()
     if args.format == "json":
         head = {
             "command": "enumerate",
@@ -315,22 +351,9 @@ def cmd_enumerate(args) -> int:
             "count": len(orders),
             "truncated": truncated,
         }
-        # The bytes of json.dumps(payload, indent=2) with the orders as its
-        # last key, "rankings". With indent set, json.dumps runs its
-        # pure-Python encoder, several times slower on many orders.
-        _emit(
-            args,
-            json.dumps(head, indent=2)[:-2]
-            + ',\n  "rankings": '
-            + _orders_json(orders, matrix.n)
-            + "\n}\n",
-        )
+        _emit(args, _enumerate_json(head, orders, matrix.n))
     else:
-        _emit_csv(
-            args,
-            ["index", "ranking"],
-            [[idx + 1, " ".join(map(str, order))] for idx, order in enumerate(orders)],
-        )
+        _emit(args, _csv_text(["index", "ranking"], _ranking_rows(orders, matrix.n)))
     # A list cut by the cap holds exactly cap orders, so a truncated list
     # shorter than that was cut by the time limit.
     if truncated and len(orders) < solver.enumeration_cap:

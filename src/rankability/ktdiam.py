@@ -152,6 +152,7 @@ class _PairSearch:
 
     def run(self) -> None:
         root, self.rows, self.table = self.core.prefix_form(self.deadline)
+        self.unit = self.core.unit
         n = len(self.rows.items)
         # below[s][v]: the items side s ranks below v, set as it places v.
         self.below = ([0] * n, [0] * n)
@@ -164,7 +165,7 @@ class _PairSearch:
 
     def _children(self, rem: int, x: float, items: list) -> list:
         """(v, bit, rem without v, scalar) of each child kept, in the order of items."""
-        rows, table = self.rows, self.table
+        rows, table, unit = self.rows, self.table, self.unit
         target = self.k_star - self.eps
         lo, hi = rows.lo, rows.hi
         low, high = rem & rows.low, rem >> rows.h
@@ -173,7 +174,7 @@ class _PairSearch:
             if rem & bit:
                 t = rem ^ bit
                 child = x + (lo[at_lo + low] + hi[at_hi + high])
-                if (child if table is None else child + table[t]) >= target:
+                if (child if table is None else child + table[t] * unit) >= target:
                     kept.append((v, bit, t, child))
         return kept
 

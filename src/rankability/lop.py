@@ -62,8 +62,8 @@ Every work array holds at most a quarter of _WALK_CHUNK_BYTES, members or
 sizes taken in groups where a term holds more. With exact sums and twice
 the total within int16 (_Core.narrow), the same steps run in int16 on
 doubled drop rows, whose every sum is then an exact integer, and the grid
-is halved into the table once at the end: the same bits, from elements a
-quarter the size.
+stays the table: a quarter the size, each entry times _Core.unit (1/2)
+the float64 route's bits.
 
 The optima come from one walk for both routes, with the table and above
 its budget without (_walk_optima): depth first over chunks of prefixes of
@@ -116,13 +116,13 @@ __all__ = [
     "degree_of_linearity",
 ]
 
-# Building a completion table holds 2^n * 8 bytes of table, two of the
-# table's row layers and work arrays of at most a quarter of
-# _WALK_CHUNK_BYTES each, beside the core's drop rows (2 * n * 2^ceil(n/2)
-# * 8 bytes, 144 KiB at n = 18). At n = 18 the build's traced peak is about
-# 4.3 MiB on the float64 route and 2.7 MiB on the int16 one, which holds an
-# int16 grid of 0.5 MiB and its work arrays and only then the table;
-# afterwards the matrix's core keeps the table, an array of 2 MiB.
+# Building a completion table holds its table, 2^n entries of 8 bytes on
+# the float64 route and 2 on the int16 one, two of the table's row layers
+# and work arrays of at most a quarter of _WALK_CHUNK_BYTES each, beside
+# the core's drop rows (2 * n * 2^ceil(n/2) * 8 bytes, 144 KiB at n = 18).
+# At n = 18 the build's traced peak is about 4.3 MiB on the float64 route
+# and 1.2 MiB on the int16 one; afterwards the matrix's core keeps the
+# table, 2 MiB or 0.5 MiB.
 _TABLE_MAX_N = 18
 
 # The most items the searches on split row sums take (_split_row_sums):
@@ -381,13 +381,17 @@ class _Core:
     which live as long as the matrix (their bytes are at _MAX_ITEMS), and
     the completion table on those drop rows. Every search of unplaced sets
     reads the one row set and its one scalar, g = f + u, from prefix_form.
+
+    The table is in the format narrow picks, an array('h') of doubled drop
+    sums, 2 bytes a set, or an array('d') of drop sums; its readers take an
+    entry times unit, and none of them looks at the format itself.
     """
 
     def __init__(self, a: WeightMatrix):
         # The weights, not the matrix, which keeps the core.
         self.weights = a.weights
         self.exact = _exact_sums(a)
-        self.table: array[float] | None = None
+        self.table: array | None = None
         # With exact sums every sum is exact and ties are equal. Otherwise
         # every sum or bound the searches compare is built from about 4 n^2
         # roundings, each of a value below twice the total in magnitude and
@@ -410,6 +414,11 @@ class _Core:
             # orders are finite and normal they give the same bits.
             self.eps = total * 2.0**-40 * a.n * a.n
 
+    @property
+    def unit(self) -> float:
+        """A table entry's worth in drop sums: 0.5, exactly, for a doubled int16 entry."""
+        return 0.5 if self.narrow else 1.0
+
     @functools.cached_property
     def root(self) -> float:
         """u at the empty prefix: half the fold of the pair maxima, added as _fold adds.
@@ -427,7 +436,7 @@ class _Core:
         w = self.weights
         return _split_row_sums(w - np.maximum(w, w.T))
 
-    def completion(self, deadline: float | None) -> array[float] | None:
+    def completion(self, deadline: float | None) -> array | None:
         """The completion table on the drop rows, or None above _TABLE_MAX_N.
 
         A build that the deadline stops keeps none. Raises _Timeout once the
@@ -445,7 +454,8 @@ class _Core:
         """The empty prefix in the unplaced-set form (_Search) as (g, drops, table).
 
         g = f + u = root, the drop rows, and the completion table, None
-        above its budget. Raises _Timeout as completion does.
+        above its budget, each entry of which times unit is a drop sum.
+        Raises _Timeout as completion does.
         """
         return self.root, self.drops, self.completion(deadline)
 
@@ -689,8 +699,10 @@ class _Search:
 
             return WitnessLayers(self, target).descend()
 
+        unit = self.core.unit
+
         def reaches(t: int, child: float) -> bool:
-            return child + table[t] >= target
+            return child + table[t] * unit >= target
 
         return _descend(self.core.drops, self.rem_mask, self.root, self.prefix, reaches)
 
@@ -924,7 +936,7 @@ def _subsets(m: int) -> _Subsets:
 
 def _build_completion_table(
     drops: _SplitRows, deadline: float | None, narrow: bool
-) -> array[float]:
+) -> array:
     r"""table[S] = best sum of drop rows an ordering of item set S can add.
 
     drops are the core's drop rows (_Core.drops), split row sums of
@@ -987,9 +999,13 @@ def _build_completion_table(
     and layer 0's initial entries never win a maximum, so the least value
     stands for both.
 
-    Returns the table as an array('d'), which the searches index one entry
-    at a time. Raises _Timeout before any step of the grid, the high term
-    of a layer or one size of A, once the deadline has passed.
+    Returns the grid's own storage, filled in place through its numpy
+    view: on the int16 route an array('h') of the doubled entries, 2 bytes
+    a set, whose every entry halved is the float64 route's entry bit for
+    bit, else an array('d'). The searches index it one entry at a time
+    and read an entry times _Core.unit. Raises _Timeout before any step
+    of the grid, the high term of a layer or one size of A, once the
+    deadline has passed.
     """
     n = len(drops.items)
     h = drops.h
@@ -1001,11 +1017,11 @@ def _build_completion_table(
         # Doubled, with the -inf entries as int16's least value.
         least = np.iinfo(np.int16).min
         lo, hi = (np.maximum(2.0 * x, least).astype(np.int16) for x in (lo, hi))
-        grid = np.empty((1 << m, 1 << h), np.int16)
+        out = array("h", [0]) * (1 << n)
     else:
-        # The DP fills the returned array in place, through a numpy view of it.
         out = array("d", [0.0]) * (1 << n)
-        grid = np.frombuffer(out).reshape(1 << m, 1 << h)
+    # The DP fills the returned array in place, through a numpy view of it.
+    grid = np.frombuffer(out, out.typecode).reshape(1 << m, 1 << h)
     most = _WALK_CHUNK_BYTES // 4 // grid.itemsize
     low = _subsets(h)
     # Every (A, i) pair, size of A after size: i, the column of A \ i and
@@ -1057,11 +1073,6 @@ def _build_completion_table(
         grid[rows] = layer.take(low.position, axis=0).T
         # Freed before the next layer's high-item term.
         layer = part = gain = best = None
-    if narrow:
-        # Allocated after the grid steps, so that the peak holds no table of
-        # doubles beside their work arrays; halving is exact.
-        out = array("d", [0.0]) * (1 << n)
-        np.multiply(grid.ravel(), 0.5, out=np.frombuffer(out))
     return out
 
 
@@ -1479,7 +1490,7 @@ def _proven_value(a: WeightMatrix, deadline: float | None) -> float:
     core = _core(a)
     if a.n <= _TABLE_MAX_N and core.exact:
         try:
-            return core.root + core.completion(deadline)[-1]
+            return core.root + core.completion(deadline)[-1] * core.unit
         except _Timeout:
             pass
     else:
@@ -1549,7 +1560,8 @@ def _walk_optima(
     root, rows, table = core.prefix_form(deadline)
     n = len(rows.items)
     kernel = _LayerKernel(rows, range(n), deadline)
-    completions = None if table is None else np.frombuffer(table)
+    completions = None if table is None else np.frombuffer(table, table.typecode)
+    unit = core.unit
     target = k_star - core.eps
 
     def layer(depth: int, rem: np.ndarray, g: np.ndarray):
@@ -1562,7 +1574,7 @@ def _walk_optima(
             if completions is not None:
                 first //= n
                 rest = rem[first : first + len(child), None] ^ kernel.bits
-                child = child + completions.take(rest)
+                child = child + completions.take(rest) * unit
             return child >= target
 
         return kernel.kept(rem, g, keep)

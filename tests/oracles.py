@@ -533,7 +533,7 @@ def _rec_enum(search, rem, x, k_star, cap, found, rows, table) -> None:
         if rem & bit:
             t = rem ^ bit
             child = x + (lo[at_lo + low] + hi[at_hi + high])
-            bound = child if table is None else child + table[t]
+            bound = child if table is None else child + table[t] * search.core.unit
             if bound >= target:
                 search.prefix.append(v)
                 _rec_enum(search, t, child, k_star, cap, found, rows, table)

@@ -305,6 +305,51 @@ class TestEnumerateCommand:
         assert rows[1] == ["1", "1 2 3"]
 
 
+    @pytest.mark.parametrize(
+        "count",
+        [0, 1, cli._BLOCK_ROWS - 1, cli._BLOCK_ROWS, cli._BLOCK_ROWS + 1, 2 * cli._BLOCK_ROWS + 1],
+    )
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
+    def test_blocks_of_orders_write_the_whole_output(
+        self, capsys, tmp_path, monkeypatch, count, to_file
+    ):
+        # enumerate formats and writes its orders a block of rows at a
+        # time; the bytes must be json.dumps(payload, indent=2) and the CSV
+        # rows of the whole list, at the block's edges and on both sides.
+        path = str(DATA_DIR / "hidden20.csv")
+        matrix = read_matrix_csv(path)
+        rng = np.random.default_rng(count)
+        orders = np.array(
+            [rng.permutation(matrix.n) + 1 for _ in range(count)], np.int8
+        ).reshape(count, matrix.n)
+        monkeypatch.setattr(cli, "_enumerate_orders", lambda a, cfg: (orders.copy(), False))
+        rows = orders.tolist()
+        payload = {
+            "command": "enumerate",
+            "n": matrix.n,
+            "labels": None,
+            "count": count,
+            "truncated": False,
+            "rankings": rows,
+        }
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerows(
+            [["index", "ranking"]]
+            + [[k + 1, " ".join(map(str, order))] for k, order in enumerate(rows)]
+        )
+        expected = {"json": json.dumps(payload, indent=2) + "\n", "csv": buffer.getvalue()}
+        for fmt, text in expected.items():
+            target = tmp_path / f"optima.{fmt}"
+            argv = ["--output", str(target)] if to_file else []
+            code, out = run_cli(
+                capsys, "enumerate", "--input", path, "--format", fmt, *argv
+            )
+            assert code == 0
+            got = target.read_text(encoding="utf-8") if to_file else out
+            # As lines, which pytest reports by the first that differs.
+            assert got.splitlines(keepends=True) == text.splitlines(keepends=True)
+
+
 class TestSeasonCommand:
     def test_digraph3_season_json(self, capsys):
         code, payload = run_json(

@@ -824,9 +824,18 @@ def _drops(w: np.ndarray) -> np.ndarray:
     return w - np.maximum(w, w.T)
 
 
-def _table(w: np.ndarray, narrow: bool, deadline: float | None = None):
-    """w's completion table, built on its drop rows, in int16 when narrow."""
-    return lop._build_completion_table(lop._split_row_sums(_drops(w)), deadline, narrow)
+def _entries(table, unit: float) -> np.ndarray:
+    """A completion table's entries in drop-sum units, each stored entry times unit."""
+    return np.frombuffer(table, table.typecode) * unit
+
+
+def _table(w: np.ndarray, narrow: bool, deadline: float | None = None) -> np.ndarray:
+    """w's completion table, built on its drop rows, in int16 when narrow.
+
+    Read in drop-sum units: the int16 route stores each entry doubled.
+    """
+    table = lop._build_completion_table(lop._split_row_sums(_drops(w)), deadline, narrow)
+    return _entries(table, 0.5 if narrow else 1.0)
 
 
 def _pair_maxima(w: np.ndarray) -> np.ndarray:
@@ -991,15 +1000,14 @@ class TestCompletionTable:
             assert peak <= 64 << n, n
             assert peak <= 24 << n, n
 
-    def test_narrow_build_traces_at_most_16_bytes_per_set(self):
-        # The int16 grid and work arrays take a quarter of the float64
-        # route's, and the table of doubles comes after the work arrays:
-        # exact tournaments trace about 10.6-12.4 bytes per set, the float64
-        # route 16.8-19.5.
+    def test_narrow_build_traces_at_most_8_bytes_per_set(self):
+        # The int16 grid is the table, and it and the work arrays take a
+        # quarter of the float64 route's: exact tournaments trace about
+        # 4.9-7.8 bytes per set, the float64 route 16.8-19.5.
         for n in (16, 17, 18):
             w = _tournament_with_ties(np.random.default_rng(47), n, 1)
             assert _narrow(w)
-            assert _traced_build_peak(w, True) <= 16 << n, n
+            assert _traced_build_peak(w, True) <= 8 << n, n
 
     @pytest.mark.parametrize(
         "case, narrow",
@@ -1029,7 +1037,7 @@ class TestCompletionTable:
 
         monkeypatch.setattr(lop, "_build_completion_table", recording)
         core = lop._core(a)
-        table = core.completion(None)
+        table = _entries(core.completion(None), core.unit)
         assert routes == [narrow]
         assert np.array_equal(np.add(table, _pair_maxima(w)), completion_table_loop(w))
         assert core.root + table[-1] == a.total_sum()
@@ -1039,7 +1047,7 @@ class TestCompletionTable:
             # wins the full set's maximum.
             w[3, 0] += 0.5
             wrapped = real(lop._split_row_sums(_drops(w)), None, True)
-            assert wrapped[-1] > 0.0 == _table(w, False)[-1]
+            assert _entries(wrapped, 0.5)[-1] > 0.0 == _table(w, False)[-1]
 
     def test_one_item_builds_alike_on_both_routes(self):
         # WeightMatrix takes at least two items, so no core picks a route
@@ -2679,6 +2687,60 @@ def _halves_tournament(rng: np.random.Generator, n: int) -> np.ndarray:
     for i, j in itertools.combinations(range(n), 2):
         w[i, j], w[j, i] = rng.integers(0, 4, 2) / 2
     return w
+
+
+def _table_readers(w: np.ndarray, narrow: bool) -> tuple:
+    """What the four table readers give on w, from a table built as narrow says.
+
+    narrow is set on a fresh core before it builds its table, so False
+    forces the float64 route on sums the core would take in int16. Returns
+    the table's typecode, k* (_proven_value), the walk's orders and flag,
+    the table-descent witness (lex_min_witness) and the joint search's
+    kappa and pair (ktdiam._pair_search, from the first order).
+    """
+    a = WeightMatrix(w)
+    core = lop._core(a)
+    core.narrow = narrow
+    k_star = lop._proven_value(a, None)
+    # The value passes read no table; checked first, since the joint search
+    # from a k* below the optimum can run for very long.
+    assert k_star == solve_lop(WeightMatrix(w)).optimal_value
+    orders, truncated = lop._optimal_orders(a, k_star, 2000, None)
+    witness = lop._Search(a).lex_min_witness(k_star)
+    kt = ktdiam._pair_search(a, k_star, tuple(orders[0].tolist()), None)
+    return core.table.typecode, k_star, orders.tobytes(), truncated, witness, kt
+
+
+class TestNarrowTable:
+    """The int16 table: what the core keeps, and what its readers make of it."""
+
+    @pytest.mark.parametrize("n", [2, 9, 16, 18])
+    def test_a_narrow_core_keeps_two_bytes_a_set_and_a_float_core_eight(self, n):
+        w = _halves_tournament(np.random.default_rng(n), n)
+        narrow = WeightMatrix(w)
+        # Twice this total is past int16's maximum.
+        w[1, 0] += 16384.0
+        wide = WeightMatrix(w)
+        for a, typecode, size in ((narrow, "h", 2), (wide, "d", 8)):
+            core = lop._core(a)
+            assert core.narrow == (typecode == "h")
+            table = core.completion(None)
+            assert (table.typecode, table.itemsize, len(table)) == (typecode, size, 1 << n)
+
+    @pytest.mark.parametrize("n", range(4, 18))
+    def test_every_reader_gives_the_same_from_int16_and_float64(self, n):
+        # Every int16 entry is twice an exact drop sum, so each reader's
+        # entry times the core's unit has the float64 entry's bits: k*, the
+        # walk's orders, the witness and the joint search's pair agree.
+        for seed in range(2):
+            w = _halves_tournament(np.random.default_rng(100 * n + seed), n)
+            assert _narrow(w) and (_drops(w) == -0.5).any()
+            narrow, wide = _table_readers(w, True), _table_readers(w, False)
+            assert (narrow[0], wide[0]) == ("h", "d")
+            assert narrow[1:] == wide[1:]
+            k_star, orders, truncated, witness, kt = narrow[1:]
+            assert kt.proven and not truncated
+            assert witness == (np.frombuffer(orders, np.int8)[:n] - 1).tolist()
 
 
 def test_halves16_is_written_by_its_generator(tmp_path):

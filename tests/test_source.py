@@ -101,6 +101,38 @@ def test_one_kernel_forms_the_layered_children():
     assert callers == [("lop.py", ("_LayerKernel", "kept"))]
 
 
+def _scoped_attributes(node: ast.AST, scope: tuple[str, ...], names):
+    """(attribute node, scope) of each read of an attribute in names below node."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = (*scope, child.name)
+        elif isinstance(child, ast.Attribute) and child.attr in names:
+            yield child, scope
+        yield from _scoped_attributes(child, inner, names)
+
+
+def test_only_the_core_knows_the_completion_table_format():
+    # _Core.narrow picks the table's format and _Core.unit reads its
+    # entries in drop-sum units. A reader that looked at narrow, or at a
+    # typecode other than to view the table's own buffer, would be a second
+    # owner of the format.
+    stray = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        views = {
+            id(arg)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "frombuffer"
+            for arg in node.args
+        }
+        for node, scope in _scoped_attributes(tree, (), {"narrow", "typecode"}):
+            core = (path.name, scope[:1]) == ("lop.py", ("_Core",))
+            if node.attr == "narrow" and not core or node.attr == "typecode" and id(node) not in views:
+                stray.append(f"{path.name}:{node.lineno} {node.attr} in {'.'.join(scope)}")
+    assert stray == []
+
+
 @pytest.mark.parametrize("name", ["value.py", "witness.py"])
 def test_only_the_packed_key_reads_its_layout(name):
     # lop._PackedKey packs and reads the int64 keys; the passes call its
