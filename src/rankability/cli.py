@@ -212,12 +212,18 @@ def _enumerate_json(head: dict, orders, n: int):
     yield "\n    ]\n  ]\n}\n" if len(orders) else "]\n}\n"
 
 
-def _ranking_rows(orders, n: int):
-    """Each block of enumerate's CSV rows: the 1-based index and the order's items."""
+def _ranking_csv(orders, n: int):
+    """enumerate's CSV text in parts: the header, then a block of rows at a time.
+
+    A row is the 1-based index and the order's items joined by spaces,
+    which csv.writer never quotes, so the rows are joined as text, as
+    _enumerate_json joins its orders.
+    """
     item = _item_texts(n)
+    yield "index,ranking\n"
     for start, block in enumerate(_order_blocks(orders)):
-        first = start * _BLOCK_ROWS + 1
-        yield [[i, " ".join(map(item, order))] for i, order in enumerate(block, first)]
+        rows = enumerate(block, start * _BLOCK_ROWS + 1)
+        yield "".join([f"{i},{' '.join(map(item, order))}\n" for i, order in rows])
 
 
 def _emit(args, parts) -> None:
@@ -233,21 +239,13 @@ def _emit_json(args, payload) -> None:
     _emit(args, [json.dumps(payload, indent=2) + "\n"])
 
 
-def _csv_text(header, blocks):
-    """The CSV text of header, then of each block of rows, block by block."""
+def _emit_csv(args, header, rows) -> None:
+    """Write header and rows as CSV text, in one pass over the few rows."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
-    for rows in blocks:
-        writer.writerows(rows)
-        yield buffer.getvalue()
-        buffer.seek(0)
-        buffer.truncate()
-    yield buffer.getvalue()
-
-
-def _emit_csv(args, header, rows) -> None:
-    _emit(args, _csv_text(header, [rows]))
+    writer.writerows(rows)
+    _emit(args, [buffer.getvalue()])
 
 
 def _csv_cell(value):
@@ -353,7 +351,7 @@ def cmd_enumerate(args) -> int:
         }
         _emit(args, _enumerate_json(head, orders, matrix.n))
     else:
-        _emit(args, _csv_text(["index", "ranking"], _ranking_rows(orders, matrix.n)))
+        _emit(args, _ranking_csv(orders, matrix.n))
     # A list cut by the cap holds exactly cap orders, so a truncated list
     # shorter than that was cut by the time limit.
     if truncated and len(orders) < solver.enumeration_cap:

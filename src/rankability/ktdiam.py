@@ -10,11 +10,11 @@ concordance indicators z implied by the orientation pair rather than
 branched on. Its joint branch and bound grows both orders position by
 position, so every generated orientation set is transitively closed and
 the 3-dicycle constraints hold by construction. Each side is a prefix in
-the optima walk's form (lop._Core.prefix_form), its children bounded by
-two lookups in split row sums. A node is pruned when the prefix bound of
-either side drops below the optimal value, or when the pairs not yet
-ordered by both sides cannot lift the discordance past the best distance
-found. The joint search reads the deadline every 256 nodes. Season
+the optima walk's form, from the core's root bound, drop rows and table
+(lop._Core), its children bounded by two lookups in split row sums. A
+node is pruned when the prefix bound of either side drops below the
+optimal value, or when the pairs not yet ordered by both sides cannot
+lift the discordance past the best distance found. The joint search reads the deadline every 256 nodes. Season
 reports and the kappa command prove k*, enumerate once and take kappa
 from those same orders, all under one deadline (_solve_with_kappa).
 """
@@ -125,10 +125,10 @@ class _PairSearch:
 
     Both rankings are built position by position in lockstep, so the
     3-dicycle constraints hold by construction. Each side is a prefix in
-    the optima walk's form (lop._Core.prefix_form): its unplaced set, its
-    g = f + u and its items. A child is kept while its bound reaches k* minus
-    the slack, and a leaf counts when its scalar is within the slack of k*. A
-    pair is pruned when its reach, C(n, 2) less the pairs both sides have
+    the optima walk's form, from the core's root bound, drop rows and table
+    (lop._Core): its unplaced set, its g = f + u and its items. A child is
+    kept while its bound reaches k* minus the slack, and a leaf counts when
+    its scalar is within the slack of k*. A pair is pruned when its reach, C(n, 2) less the pairs both sides have
     ordered alike, counted by popcounts of item masks, cannot pass the
     incumbent; at a leaf the reach is the distance. The search starts from
     (sigma0, sigma0) at distance 0 and reads the deadline every 256 nodes,
@@ -151,8 +151,9 @@ class _PairSearch:
         self.best_pair = (sigma0, sigma0)
 
     def run(self) -> None:
-        root, self.rows, self.table = self.core.prefix_form(self.deadline)
-        self.unit = self.core.unit
+        core = self.core
+        root, self.rows, self.table = core.root, core.drops, core.completion(self.deadline)
+        self.unit = core.unit
         n = len(self.rows.items)
         # below[s][v]: the items side s ranks below v, set as it places v.
         self.below = ([0] * n, [0] * n)

@@ -29,13 +29,12 @@ prefixes tie at the optimum one layered numpy pass finds them for every
 state that reaches the target: forward over those states, keeping for
 each state the list of its edges, its children in the next layer that
 reach the target, then backward along those edges for each state's
-answer and counts. The forward pass stops at the first narrow layer,
-from which that search itself answers, memoized on the state, within a
-bound of order n^2 states; past the bound the pass resumes from there.
-Where many prefixes tie, the pass stops at its budget and the memoized
-search answers for the whole descent. The pass, the memo and each layer
-of the value passes hold at most _HELD_BYTES of states, one budget that
-every state cap derives from.
+answer and counts. The forward pass stops at the first narrow layer, or
+else at the one before the last, from which that search itself answers,
+memoized on the state. Where many prefixes tie, the pass stops at its
+budget and the memoized search answers for the whole descent. The pass,
+the memo and each layer of the value passes hold at most _HELD_BYTES of
+states, one budget that every state cap derives from.
 
 The heuristic (heuristic_ranking) runs its 17 starts together as numpy
 arrays: one greedy insertion pass, then insertion local search steps that
@@ -196,7 +195,8 @@ _WALK_ARRAYS = 12
 # a layer of the value proof (value.py), the table-free witness pass or
 # the witness's memoized search (witness.py). Each phase states the bytes
 # it holds per state where it builds them, and its state cap is this
-# budget over those bytes (_state_cap), read at call time. A phase that
+# budget over those bytes (_state_cap), read at call time; the witness's
+# memo gets the budget less the bytes its pass holds. A phase that
 # would hold more raises _Timeout, and solve_lop reports its incumbent
 # with proven=False. The drop rows and the completion table are the
 # core's, and the work arrays of a layer's chunk (_LayerKernel) stay within
@@ -380,7 +380,8 @@ class _Core:
     (_slack); and, built on first use, the root bound and the drop rows,
     which live as long as the matrix (their bytes are at _MAX_ITEMS), and
     the completion table on those drop rows. Every search of unplaced sets
-    reads the one row set and its one scalar, g = f + u, from prefix_form.
+    reads the one row set, and starts from its one scalar g = f + u = root
+    at the full set.
 
     The table is in the format narrow picks, an array('h') of doubled drop
     sums, 2 bytes a set, or an array('d') of drop sums; its readers take an
@@ -450,15 +451,6 @@ class _Core:
             self.table = _build_completion_table(self.drops, deadline, self.narrow)
         return self.table
 
-    def prefix_form(self, deadline: float | None) -> tuple:
-        """The empty prefix in the unplaced-set form (_Search) as (g, drops, table).
-
-        g = f + u = root, the drop rows, and the completion table, None
-        above its budget, each entry of which times unit is a drop sum.
-        Raises _Timeout as completion does.
-        """
-        return self.root, self.drops, self.completion(deadline)
-
 
 def _core(a: WeightMatrix) -> _Core:
     """The matrix's _Core, made on first use."""
@@ -503,14 +495,16 @@ class _Search:
 
     The witness search takes this form for every weight type, as do the
     optima walk (_walk_optima) over whole chunks of prefixes and the kappa
-    joint search (ktdiam._PairSearch), both from _Core.prefix_form, since
-    they report only orders, chosen within the slack. The value search
-    takes it when _exact_sums holds (self.exact), where every such sum is
-    exact, as the layered passes of value.prove_value. Otherwise it
-    keeps apply/undo with O(n) updates of per-item sums per move (s_a and
-    s_m, built on first use): the last bits of f depend on the order of
-    the additions and subtractions that led to it, and solve_lop reports
-    f, so only that sequence reproduces it.
+    joint search (ktdiam._PairSearch), since they report only orders,
+    chosen within the slack. The value search takes it when _exact_sums
+    holds (self.exact), where every such sum is exact, as the layered
+    passes of value.prove_value. Each of these starts from the core's root
+    bound at the full set. Otherwise the value search is depth-first over
+    the fields f, u, rem_mask and prefix (reset), and keeps apply/undo with
+    O(n) updates of per-item sums per move (s_a and s_m, built on first
+    use): the last bits of f depend on the order of the additions and
+    subtractions that led to it, and solve_lop reports f, so only that
+    sequence reproduces it.
 
     Every search stops early one way, by raising _Timeout: the depth-first
     value search (_rec_value) checks the deadline every 256 expanded nodes
@@ -518,8 +512,8 @@ class _Search:
     witness.WitnessLayers) before every chunk of states (self.kernel), and
     the witness's memoized search every 1024 states. The value passes and the
     witness's memo also raise it when their states would fill more than
-    _HELD_BYTES (_state_cap); the witness pass past it gives way to the
-    memo.
+    _HELD_BYTES, the memo's less the bytes the witness pass holds; the
+    witness pass past it gives way to the memo.
     """
 
     def __init__(self, a: WeightMatrix, deadline: float | None = None):
@@ -684,10 +678,9 @@ class _Search:
         memoized on its state, or from the memoized search alone
         (witness.WitnessLayers), whose nodes and pruned it adds for every
         child it tries. Every weight type takes this route. Raises
-        _Timeout when the deadline passes first or the memo alone would
-        hold more states than its cap.
+        _Timeout when the deadline passes first or the memo would hold
+        more states than the bytes the pass left.
         """
-        self.reset()
         target = k_star - self.eps
         table = self.core.completion(self.deadline)
         if table is None:
@@ -704,19 +697,19 @@ class _Search:
         def reaches(t: int, child: float) -> bool:
             return child + table[t] * unit >= target
 
-        return _descend(self.core.drops, self.rem_mask, self.root, self.prefix, reaches)
+        return _descend(self.core.drops, self.root, reaches)
 
 
-def _descend(
-    rows: _SplitRows, rem: int, x: float, prefix: list[int], reaches: Callable
-) -> list[int] | None:
-    """prefix completed by the smallest items that reach, from unplaced set rem.
+def _descend(rows: _SplitRows, x: float, reaches: Callable) -> list[int] | None:
+    """The order of the smallest items that reach, from the empty prefix at scalar x.
 
-    Each position takes the smallest unplaced item v whose child, scalar x
-    plus v's row sum, passes reaches(rem without v, child). Returns a copy
-    of the full prefix, or None where no child passes.
+    Each position takes the smallest unplaced item v whose child, the
+    scalar so far plus v's row sum over the unplaced set rem, passes
+    reaches(rem without v, child). Returns the order, or None where no
+    child passes.
     """
     lo, hi = rows.lo, rows.hi
+    rem, prefix = (1 << len(rows.items)) - 1, []
     while rem:
         low, high = rem & rows.low, rem >> rows.h
         for v, bit, at_lo, at_hi in rows.items:
@@ -729,7 +722,7 @@ def _descend(
             return None
         prefix.append(v)
         rem, x = t, child
-    return prefix.copy()
+    return prefix
 
 
 def _row_sums(w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -1542,22 +1535,23 @@ def _walk_optima(
 
     A depth-first walk over chunks of prefixes of one depth, each a row of
     its order, its unplaced set and its g = f + u, from the core's empty
-    prefix (_Core.prefix_form). The layer kernel forms each chunk's
-    children over all n items in ascending order, a placed item's -inf,
-    with the additions of the depth-first search over one prefix at a time
-    (tests/oracles.py::enumerate_leaves_loop), so the same bits. A child
-    is kept when its bound, g plus the table's entry for the items left
-    after it where there is a table, reaches k_star - eps, and at the last
-    position when its g is within eps of k_star. They come parent first,
-    item second, which is lexicographic order, and are walked before the
-    rest of their parents' chunk, which they all precede.
+    prefix: its root bound, drop rows and table. The layer kernel forms
+    each chunk's children over all n items in ascending order, a placed
+    item's -inf, with the additions of the depth-first search over one
+    prefix at a time (tests/oracles.py::enumerate_leaves_loop), so the
+    same bits. A child is kept when its bound, g plus the table's entry
+    for the items left after it where there is a table, reaches
+    k_star - eps, and at the last position when its g is within eps of
+    k_star. They come parent first, item second, which is lexicographic
+    order, and are walked before the rest of their parents' chunk, which
+    they all precede.
 
     Returns the orders as an (count, n) int8 array and whether the walk
     stopped early: on reaching limit orders, or when the deadline, checked
     before each chunk, has passed, with the orders found so far. Raises
-    _Timeout as prefix_form does.
+    _Timeout as _Core.completion does.
     """
-    root, rows, table = core.prefix_form(deadline)
+    root, rows, table = core.root, core.drops, core.completion(deadline)
     n = len(rows.items)
     kernel = _LayerKernel(rows, range(n), deadline)
     completions = None if table is None else np.frombuffer(table, table.typecode)

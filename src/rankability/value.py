@@ -104,8 +104,8 @@ class _Passes:
         ranks = self.rank[np.array([o for _, o in leaves], dtype=np.int64)]
         ranks = ranks.reshape(-1, n).T
         keys = np.zeros(len(leaves), dtype=np.int64)
-        rem = np.array([search.rem_mask], dtype=np.int64)
-        g = np.array([search.f + search.u])
+        rem = np.array([(1 << n) - 1], dtype=np.int64)
+        g = np.array([search.root])
         key = np.zeros(1, dtype=np.int64)
         # layers[d]: the keys of the visits expanded at depth d.
         layers = []

@@ -7,13 +7,15 @@ for that completion. WitnessLayers reads the same answers and counts
 from one pass over that search's states: forward, each layer's states
 with an edge list per state to its children in the next layer, and
 backward over those edges; the descent then reads each answer at the
-edge to it from the state its path stands on. The narrow layers past a
-cut, and the inputs whose pass would hold too much, are answered by that
-search itself, memoized on its state. The pass sorts and ranks its states
-as int64 keys packed and read by lop._PackedKey where the weights' sums
-are exact and the key fits, and as complex keys otherwise. The search's
-layer kernel (lop._LayerKernel) forms each layer's children, as for the
-value passes.
+edge to it from the state its path stands on. The pass always ends at a
+cut, the first narrow layer or else the one before the last. That search
+itself, memoized on its state, answers the cut's states and everything
+below them, and the whole descent on the inputs whose pass would hold
+too much; the memo gets the bytes the pass left. The pass sorts and
+ranks its states as int64 keys packed and read by lop._PackedKey where
+the weights' sums are exact and the key fits, and as complex keys
+otherwise. The search's layer kernel (lop._LayerKernel) forms each
+layer's children, as for the value passes.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from . import lop
 from .errors import RankabilityError
-from .lop import _check_deadline, _descend, _packed_key, _Search, _state_cap, _Timeout
+from .lop import _check_deadline, _descend, _packed_key, _Search, _Timeout
 
 # The forward pass merges a layer's new children into its keys once they
 # outnumber both the keys so far and this many (1 MiB), ranking all the
@@ -42,18 +44,6 @@ _MERGE_KEYS = 1 << 16
 # long before the pass would fill the budget.
 _STATES_PER_NODE = 4
 
-# The memo answers the layers past the pass's cut while it holds at most
-# _TAIL_FACTOR n^2 states at n items; past that it gives way and the pass
-# resumes from the cut, so a tail that widens again costs at most that
-# many memo states. A narrow layer costs the pass about 80 us, forward and
-# backward, whatever its size, and the memo about 4 us a state: over the
-# benchmark's 160 bnb-large inputs the cut took 1,680 layers from the pass
-# and gave the memo 7,258 states, 45 an input (median; at most 68, where
-# n^2 >= 361), and the witness phase went from 450 to 338 ms (2-vCPU
-# x86-64 host). League 30/1 and 32/1, coin19.csv and hidden32.csv leave
-# the memo 9 to 43 states.
-_TAIL_FACTOR = 1
-
 # The bytes the memoized search holds per state: a dict entry keyed by the
 # tuple (rem, g), whose value is the tuple of its answer and counts. Its
 # traced peak over its states was 214.7 bytes on coin19.csv (313,295
@@ -69,10 +59,6 @@ _PASS_EDGE_BYTES = 5
 # The witness pass keeps its nodes and pruned per state as int64. A layer
 # whose states could add up more than this raises rather than wraps.
 _COUNT_MAX = 2**63 - 1
-
-
-class _GiveWay(Exception):
-    """The memo past the cut passed its bound: the pass resumes from the cut."""
 
 
 def _ranked(parts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -131,8 +117,8 @@ class WitnessLayers:
 
     descend reads them from one pass over the states that reach target, a
     subset DP (Held and Karp) bounded by target, while those number at
-    most _STATES_PER_NODE per node of the value search and, with the memo
-    below, fill at most lop._HELD_BYTES: _pass_state_bytes a state, a
+    most _STATES_PER_NODE per node of the value search and fill at most
+    lop._HELD_BYTES: _pass_state_bytes a state, a
     sorted key, answer and counts and an edge offset, and _PASS_EDGE_BYTES
     an edge. With exact sums, where rem and the code 2 (g - target) fit 63
     bits (lop._packed_key, form), the key is that one int64; otherwise it
@@ -140,20 +126,22 @@ class WitnessLayers:
     distinct children of the layer before that reach target, and each of
     its states a list of edges, the children that reach target in child
     order, each with its position and its index in the next layer, the
-    rank of its key among that layer's (_ranked). The
-    forward pass stops at the first layer from depth 2 on that holds at
-    most n states (_cuts): the search memoized on (rem, g) (_exists)
-    answers that layer's states and everything below them, while it
-    holds at most _TAIL_FACTOR n^2 states; past that it gives way
-    (_GiveWay) and the pass resumes from the cut. Backward (_backward),
-    each state's answer, nodes and pruned come from its first ok edge,
-    the edges up to it and the unplaced items before it.
-    Past lop._HELD_BYTES the pass gives way to the memo alone, which holds
-    only the states it visits. descend places the smallest item whose
-    child reaches target and is ok, adding the nodes and pruned of every
-    child it tries that reaches target but not of a last one. Each such
-    child is an edge of the state its path stands on, so it reads the
-    answer at that edge's index (_path), and from the cut on the memo's.
+    rank of its key among that layer's (_ranked). The forward pass stops
+    at its cut, the first layer from depth 2 on that holds at most n
+    states (_cuts), or else the layer at depth n - 1: the search memoized
+    on (rem, g) (_exists) answers that layer's states and everything
+    below them. With exact sums the layer at depth n - 1 holds at most n
+    states, as each state there that reaches k* has g = k*, so only float
+    sums reach that fallback. Backward (_backward), each state's answer,
+    nodes and pruned come from its first ok edge, the edges up to it and
+    the unplaced items before it. Past lop._HELD_BYTES the pass gives way
+    to the memo alone, which holds only the states it visits. Either way
+    the memo holds at most the bytes the pass left, at _MEMO_STATE_BYTES a
+    state. descend places the smallest item whose child reaches target
+    and is ok, adding the nodes and pruned of every child it tries that
+    reaches target but not of a last one. Each such child is an edge of
+    the state its path stands on, so it reads the answer at that edge's
+    index (_path), and from the cut on the memo's.
 
     Children are formed with the same additions, so the witness, nodes
     and pruned are the depth-first search's for every weight type. Both
@@ -161,8 +149,8 @@ class WitnessLayers:
     rem < 2^53 is exact as a double and g is never -0.0 or NaN. So equal
     keys are equal states, and a key's rank is its state's row. Both
     passes check the deadline before each chunk of states (_Timeout;
-    forward, in search.kernel), the memo every 1024 states; past
-    lop._HELD_BYTES at _MEMO_STATE_BYTES a state, the memo alone raises it.
+    forward, in search.kernel), the memo every 1024 states; past its
+    bytes the memo raises it too.
 
     Raises:
         RankabilityError: when a count of the pass could pass _COUNT_MAX.
@@ -181,37 +169,27 @@ class WitnessLayers:
         self.children = [rows.items[v] for v in search.child_order]
         # Every state the pass keeps has target <= g <= the root's bound, so
         # with exact sums its key packs rem and 2 (g - target) when they fit.
-        root = search.f + search.u
-        self.form = _packed_key(n, 2 * (root - target)) if search.exact else None
+        self.form = _packed_key(n, 2 * (search.root - target)) if search.exact else None
         self.state_bytes = _pass_state_bytes(self.form is not None)
         self.layers: list[np.ndarray] = []
         self.edges: list[list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = []
         self.results: list[np.ndarray | None] = []
         self.states = self.held = 0
-        # The first depth the memo answers; n while the pass runs to the end.
-        self.cut = n
-        self.may_cut = True
+        # The depth of the pass's last layer, whose states the memo answers.
+        self.cut = 0
         self.memo: dict[tuple[int, float], tuple[bool, int, int]] = {}
-        self.memo_cap = _state_cap(_MEMO_STATE_BYTES)
-        self.overrun: type[Exception] = _Timeout
+        self.memo_cap = 0
 
     def descend(self) -> list[int] | None:
         """lex_min_witness's placements, from the pass and its memo, or the memo alone."""
         search = self.search
-        budget = _STATES_PER_NODE * (search.nodes + search.n)
-        nodes, pruned, placed = search.nodes, search.pruned, len(search.prefix)
-        while self._forward(budget):
-            try:
-                self._backward(self._answer_cut())
-                return self._place(self._path())
-            except _GiveWay:
-                # Forget what the memo found and its placements, and resume
-                # the pass from the cut to the last layer.
-                search.nodes, search.pruned = nodes, pruned
-                del search.prefix[placed:]
-                self.memo, self.results, self.may_cut = {}, [], False
-        self.memo_cap, self.overrun = _state_cap(_MEMO_STATE_BYTES), _Timeout
-        return self._place(self._exists)
+        passed = self._forward(_STATES_PER_NODE * (search.nodes + search.n))
+        # The memo gets the bytes the pass left: all of them once it dropped.
+        self.memo_cap = (lop._HELD_BYTES - self.held) // _MEMO_STATE_BYTES
+        if not passed:
+            return self._place(self._exists)
+        self._backward(self._answer_cut())
+        return self._place(self._path())
 
     def _place(self, state) -> list[int] | None:
         """The descent, with state(rem, g) the answer and counts at a child that reaches."""
@@ -227,8 +205,7 @@ class WitnessLayers:
             search.pruned += pruned
             return ok
 
-        root = search.f + search.u
-        return _descend(self.rows, search.rem_mask, root, search.prefix, reaches)
+        return _descend(self.rows, search.root, reaches)
 
     def _path(self) -> Callable[[int, float], tuple[bool, int, int]]:
         """The descent's answers: the pass's, and from the cut on the memo's.
@@ -242,7 +219,7 @@ class WitnessLayers:
         n, kernel = self.search.n, self.search.kernel
         slot = {bit: p for p, bit in enumerate(kernel.bits.tolist())}
         # The row and unplaced set of the path state, and its edges' rows.
-        path = [0, self.search.rem_mask]
+        path = [0, (1 << n) - 1]
         rows: dict[int, int] = {}
 
         def state(rem: int, g: float) -> tuple[bool, int, int]:
@@ -292,7 +269,7 @@ class WitnessLayers:
         # its size takes every value here: the cap holds exactly, and the
         # clock is read every 1024 states.
         if len(memo) >= self.memo_cap:
-            raise self.overrun
+            raise _Timeout
         if not len(memo) & 1023:
             _check_deadline(self.search.deadline)
         memo[rem, g] = result = ok, nodes, pruned
@@ -324,32 +301,35 @@ class WitnessLayers:
         return self._sets(keys), g
 
     def _cuts(self, depth: int, size: int) -> bool:
-        """Whether the memo answers a new layer of size states at depth, and all below."""
+        """Whether the memo answers a new layer of size states at depth, and all below.
+
+        A narrow layer costs the pass about 80 us, forward and backward,
+        whatever its size, and the memo about 4 us a state (2-vCPU x86-64
+        host): on the benchmark's 160 bnb-large inputs the memo past the
+        cut holds 45 states an input (median; at most 68).
+        """
         return depth >= 2 and size <= self.search.n
 
     def _forward(self, budget: int) -> bool:
-        """The layers after the last one kept, and their edges, to the cut or the end.
+        """The layers from the root to the cut, and their edges.
 
         layers[d] holds the sorted keys of the states after placing d
         items, and edges[d] their edges, a block (offsets, index, position)
         per chunk of states: a chunk's state i has the edges at rows
         offsets[i] + 1 to offsets[i + 1] of index and position, its
         children that reach target in child order, each with its index in
-        layers[d + 1], or 0 for rem empty below layer n - 1, and its
-        position in the child order. Rows 0 and -1 stand before and past
-        the chunk's edges, at index the row past the next layer's states
-        and at position n. Stops at the first new layer that _cuts while
-        may_cut, and sets cut to its depth. False, keeping nothing, past
-        budget states or lop._HELD_BYTES with the edges.
+        layers[d + 1] and its position in the child order. Rows 0 and -1
+        stand before and past the chunk's edges, at index the row past the
+        next layer's states and at position n. Stops at the first new
+        layer that _cuts, or else at depth n - 1, and sets cut to its depth.
+        False, keeping nothing, past budget states or lop._HELD_BYTES with
+        the edges.
         """
         search, n, kernel = self.search, self.search.n, self.search.kernel
         layers, edges, target = self.layers, self.edges, self.target
-        if not layers:
-            root = np.array([search.f + search.u])
-            layers.append(self._keys(np.array([search.rem_mask]), root))
-            self.states, self.held = 1, self.state_bytes
-        while len(edges) < n:
-            depth = len(edges) + 1
+        layers.append(self._keys(np.array([(1 << n) - 1]), np.array([search.root])))
+        self.states, self.held = 1, self.state_bytes
+        for depth in range(1, n):
             rem, g = self._states(layers[-1])
             size = rem.size
             # Per merge: its first block and where the keys before it went.
@@ -364,9 +344,6 @@ class WitnessLayers:
                 position[0] = position[-1] = n
                 blocks.append((offsets, index, position))
                 linked += at.size
-                if depth == n:
-                    index[1:-1] = 0
-                    continue
                 found.append(self._keys(sets, child))
                 pending = sum(new.size for new in found)
                 if pending > max(keys.size, _MERGE_KEYS) or part.stop == size:
@@ -388,23 +365,17 @@ class WitnessLayers:
                 ahead = moved if ahead is None else ahead.take(moved)
                 for _, index, _ in blocks[begin:end]:
                     index[1:-1] = ahead.take(index[1:-1])
-            past = 1 if depth == n else keys.size
             for _, index, _ in blocks:
-                index[0] = index[-1] = past
-            if depth == n:
-                keys = keys[:0]
+                index[0] = index[-1] = keys.size
             if self._over(keys.size, linked, budget):
                 return self._drop()
             self.states += keys.size
             self.held += keys.size * self.state_bytes + linked * _PASS_EDGE_BYTES
             edges.append(blocks)
-            if depth == n:
-                break
             layers.append(keys)
-            if self.may_cut and self._cuts(depth, keys.size):
+            if self._cuts(depth, keys.size) or depth == n - 1:
                 self.cut = depth
-                return True
-        self.cut = n
+                break
         return True
 
     def _over(self, states: int, linked: int, budget: int) -> bool:
@@ -419,21 +390,14 @@ class WitnessLayers:
         return False
 
     def _answer_cut(self) -> np.ndarray:
-        """The results of the cut layer, from the memo, or of rem empty below the last.
+        """The results of the cut layer, from the memo.
 
         One row per state, (ok, nodes, pruned), and one row more, (1, 0, 0),
         past the last, which every backward step reads past a chunk's edges.
         """
-        n = self.search.n
-        if self.cut == n:
-            return np.array([[1, 1, 0], [1, 0, 0]], dtype=np.int64)
-        # The memo's states count against the bytes the pass left.
-        room = (lop._HELD_BYTES - self.held) // _MEMO_STATE_BYTES
-        self.memo_cap = min(_TAIL_FACTOR * n * n, room)
-        self.overrun = _GiveWay
         rem, g = self._states(self.layers[self.cut])
         answers = [self._exists(r, x) for r, x in zip(rem.tolist(), g.tolist())]
-        _check_counts(max((max(c[1:]) for c in answers), default=0), n)
+        _check_counts(max((max(c[1:]) for c in answers), default=0), self.search.n)
         return np.array([*answers, (1, 0, 0)], dtype=np.int64)
 
     def _backward(self, below: np.ndarray) -> None:
@@ -441,7 +405,7 @@ class WitnessLayers:
 
         results[d] holds (ok, nodes, pruned) for each state of layers[d]
         and one row more, (1, 0, 0), as below does, for d from 1 to the
-        cut, or n; results[0] is not read.
+        cut; results[0] is not read.
         """
         search, n = self.search, self.search.n
         results: list[np.ndarray | None] = [None] * len(self.edges) + [below]

@@ -497,15 +497,16 @@ def enumerate_leaves_loop(
 
     lop._walk_optima as a depth-first search over one prefix at a time, on
     a lop._Search's unplaced-set form, from the core's empty prefix
-    (lop._Core.prefix_form): g = f + u, the drop rows and, inside its
-    budget, the completion table. Returns the orders and whether the cap
-    or the deadline (checked every 256 nodes) stopped it. Reference for
-    the walk's orders and flags.
+    (lop._Core): g = f + u = root, the drop rows and, inside its budget,
+    the completion table. Returns the orders and whether the cap or the
+    deadline (checked every 256 nodes) stopped it. Reference for the
+    walk's orders and flags.
     """
     search.reset()
     found: list[tuple[int, ...]] = []
     try:
-        x, rows, table = search.core.prefix_form(search.deadline)
+        core = search.core
+        x, rows, table = core.root, core.drops, core.completion(search.deadline)
         _rec_enum(search, search.rem_mask, x, k_star, cap, found, rows, table)
         return found, False
     except (_CapReached, lop._Timeout):

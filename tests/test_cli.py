@@ -843,7 +843,10 @@ def test_league32_is_written_by_its_generator(tmp_path):
     assert path.read_bytes() == (DATA_DIR / "league32.csv").read_bytes()
 
 
-# (command, fixture, extra arguments) of each run pinned by a golden file.
+# (command, fixture, extra arguments) of each run pinned by a golden file:
+# lop, enumerate and kappa read tests/data/<fixture>.csv as a matrix, and
+# season as games. The console job of the CI replays them through the
+# installed rankability script (python -m tests.test_cli lists them).
 PINNED_RUNS = [
     ("lop", "tenths7", ()),
     ("lop", "tenths16", ()),
@@ -876,6 +879,9 @@ PINNED_RUNS = [
     ("kappa", "halves16", ()),
     ("enumerate", "tournament18", ("--format", "csv")),
     ("kappa", "halves16", ("--cap", "1")),
+    ("season", "multi_season", ()),
+    ("season", "multi_season", ("--format", "csv")),
+    ("season", "league20_games", ()),
 ]
 
 
@@ -888,6 +894,12 @@ def golden_file(command: str, fixture: str, extra: tuple[str, ...]) -> Path:
     """The golden file of a pinned run: .csv under --format csv, else .json."""
     suffix = ".csv" if "csv" in extra else ".json"
     return DATA_DIR / "golden" / (golden_name(command, fixture, extra) + suffix)
+
+
+def pinned_argv(command: str, fixture: str, extra: tuple[str, ...]) -> list[str]:
+    """The arguments of a pinned run after the program's name."""
+    kind = () if command == "season" else ("--kind", "matrix")
+    return [command, "--input", str(DATA_DIR / f"{fixture}.csv"), *kind, *extra]
 
 
 @pytest.mark.parametrize(
@@ -923,44 +935,15 @@ def test_fixture_stdout_is_pinned_byte_for_byte(capsys, command, fixture, extra)
     # on tournament18's 77 optima the joint branch and bound's pair; with a
     # cap of 1 on halves16 the joint search reads an int16 table whose
     # doubled entries are odd. enumerate-tournament18-formatcsv pins the
-    # CSV rows of the walk's orders. The expected files were recorded once
-    # and must not change.
-    code, out = run_cli(
-        capsys, command, "--input", str(DATA_DIR / f"{fixture}.csv"), "--kind", "matrix",
-        *extra,
-    )
+    # CSV rows of the walk's orders. The season files pin the season flow
+    # over several seasons, in JSON and as CSV rows (each season's
+    # completion table, optima walk and kappa), and a 20-team season above
+    # the table budget (value passes, table-free witness and optima walk;
+    # 5,994 optima, kappa 32). The expected files were recorded once and
+    # must not change.
+    code, out = run_cli(capsys, *pinned_argv(command, fixture, extra))
     assert code == 0
     assert out.encode() == golden_file(command, fixture, extra).read_bytes()
-
-
-def test_season_stdout_is_pinned_byte_for_byte(capsys):
-    # The season flow over several seasons: each season's completion table,
-    # optima walk and kappa. Recorded once and must not change.
-    code, out = run_cli(capsys, "season", "--input", str(DATA_DIR / "multi_season.csv"))
-    assert code == 0
-    expected = DATA_DIR / "golden" / "season-multi_season.json"
-    assert out.encode() == expected.read_bytes()
-
-
-def test_season_csv_is_pinned_byte_for_byte(capsys):
-    # The season flow's CSV rows over the same seasons. Recorded once and
-    # must not change.
-    code, out = run_cli(
-        capsys, "season", "--input", str(DATA_DIR / "multi_season.csv"), "--format", "csv"
-    )
-    assert code == 0
-    expected = DATA_DIR / "golden" / "season-multi_season.csv"
-    assert out.encode() == expected.read_bytes()
-
-
-def test_league20_season_stdout_is_pinned_byte_for_byte(capsys):
-    # A 20-team season, above the table budget: season_report's value
-    # passes, table-free witness and optima walk (5,994 optima, kappa 32).
-    # Recorded once and must not change.
-    code, out = run_cli(capsys, "season", "--input", str(DATA_DIR / "league20_games.csv"))
-    assert code == 0
-    expected = DATA_DIR / "golden" / "season-league20.json"
-    assert out.encode() == expected.read_bytes()
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -1001,3 +984,9 @@ def test_league32_lop_matches_its_proven_golden(capsys):
     )
     assert code == 0
     assert out.encode() == (DATA_DIR / "golden" / "lop-league32.json").read_bytes()
+
+
+if __name__ == "__main__":
+    # One line per pinned run: its golden file, then its arguments.
+    for run in PINNED_RUNS:
+        print(golden_file(*run), *pinned_argv(*run))

@@ -1573,11 +1573,13 @@ class TestWitnessMemo:
         assert res.proven
         (descent,) = witness_passes
         if route == "pass":
-            # One pass, which reached states beyond the root's children; the
-            # memo answered at most the narrow layers past its cut.
+            # One pass, which reached states beyond the root's children and
+            # ended at its cut; the memo answered the layers past it, in the
+            # bytes the pass left.
             assert any(layer.size for layer in descent.layers[1:])
-            assert descent.cut < a.n or not descent.memo
-            assert len(descent.memo) <= witness._TAIL_FACTOR * a.n**2
+            assert descent.cut < a.n and len(descent.layers) == descent.cut + 1
+            room = lop._HELD_BYTES - descent.held
+            assert descent.memo and descent.memo_cap == room // witness._MEMO_STATE_BYTES
         else:
             # The pass stopped at its budget and the memo answered.
             assert descent.layers == [] and descent.memo
@@ -1701,50 +1703,55 @@ class TestWitnessLinks:
             assert all(map(np.array_equal, old, new))
 
     def test_the_byte_cap_gives_way_to_the_memo(self, monkeypatch, witness_passes):
-        # The pass and the memo past its cut may hold lop._HELD_BYTES: for
-        # this exact input, whose keys pack into int64, 8 + 24 + 8 bytes a
-        # state, 5 an edge and _MEMO_STATE_BYTES a memo state. Here the value
-        # layers and the memo alone fit in fewer bytes than the pass.
+        # The memo past the cut gets the bytes of lop._HELD_BYTES the pass
+        # left, and past the pass's own bytes the pass gives way to the memo
+        # alone: for this exact input, whose keys pack into int64, 8 + 24 +
+        # 8 bytes a state, 5 an edge and _MEMO_STATE_BYTES a memo state. Here
+        # the value layers and the memo alone fit in fewer bytes than the pass.
         monkeypatch.setattr(lop, "_TABLE_MAX_N", 0)
         a = WeightMatrix(_coin_tournament(np.random.default_rng(2), 16, 2))
-
-        def solve():
-            res = solve_lop(a)
-            return res.ranking, res.stats.nodes, res.stats.pruned, res.proven
-
-        expected = solve()
-        assert expected[-1]
+        expected = solve_lop(a)
+        assert expected.proven
+        proven = expected.ranking, expected.stats.nodes, expected.stats.pruned, True
         descent = witness_passes[-1]
         assert descent.form is not None and descent.cut < a.n and descent.memo
         assert witness._pass_state_bytes(True) == 8 + 24 + 8
         assert witness._PASS_EDGE_BYTES == 5
         states = sum(layer.size for layer in descent.layers)
         assert descent.held == states * 40 + _edge_count(descent) * 5
-        fit = descent.held + len(descent.memo) * witness._MEMO_STATE_BYTES
-        monkeypatch.setattr(lop, "_HELD_BYTES", fit)
-        assert solve() == expected
-        assert (witness_passes[-1].cut, witness_passes[-1].memo) == (
-            descent.cut,
-            descent.memo,
-        )
-        # One byte under, the memo past the cut gives way, and the pass
-        # resumes from the cut to its last layer.
-        monkeypatch.setattr(lop, "_HELD_BYTES", fit - 1)
-        assert solve() == expected
-        full = witness_passes[-1]
-        assert full.cut == a.n and not full.memo and full.held < fit
-        assert all(np.array_equal(x, y) for x, y in zip(descent.layers, full.layers))
         # Keys, edges and results; past each chunk's edges two rows more and
         # an offset more, and past each layer's states a result row more.
-        # The root has no result and the state below the last layer one.
-        held = [*full.layers, *itertools.chain(*_blocks(full)), *full.results[1:]]
-        blocks = len(_blocks(full))
-        assert sum(x.nbytes for x in held) == full.held + 18 * blocks + 24 * a.n
-        # One byte under the whole pass, the memo alone answers.
-        monkeypatch.setattr(lop, "_HELD_BYTES", full.held - 1)
-        assert solve() == expected
-        descent = witness_passes[-1]
-        assert descent.layers == [] and descent.edges == [] and descent.memo
+        # The cut layer's states have no offsets and the root no result.
+        held = [*descent.layers, *itertools.chain(*_blocks(descent)), *descent.results[1:]]
+        extra = 18 * len(_blocks(descent)) + 24 * descent.cut
+        spare = 8 * descent.layers[-1].size + 24
+        assert sum(x.nbytes for x in held) == descent.held + extra - spare
+
+        def solve():
+            res = solve_lop(a)
+            return res.ranking, res.stats.nodes, res.stats.pruned, res.proven
+
+        # The pass's bytes and exactly the memo's states prove the witness.
+        fit = descent.held + len(descent.memo) * witness._MEMO_STATE_BYTES
+        monkeypatch.setattr(lop, "_HELD_BYTES", fit)
+        assert solve() == proven
+        assert (witness_passes[-1].cut, witness_passes[-1].memo) == (descent.cut, descent.memo)
+        # One byte under, the memo past the cut overruns at its last state:
+        # the result is unproven, with k* kept and attained by its ranking.
+        monkeypatch.setattr(lop, "_HELD_BYTES", fit - 1)
+        res = solve_lop(a)
+        assert not res.proven
+        assert res.optimal_value == expected.optimal_value
+        assert objective_value(a, res.ranking) == res.optimal_value
+        over = witness_passes[-1]
+        assert over.cut == descent.cut and len(over.layers) == len(descent.layers)
+        assert len(over.memo) == over.memo_cap == len(descent.memo) - 1
+        # One byte under the pass, the memo alone answers in all the bytes.
+        monkeypatch.setattr(lop, "_HELD_BYTES", descent.held - 1)
+        assert solve() == proven
+        alone = witness_passes[-1]
+        assert alone.layers == [] and alone.edges == [] and alone.memo
+        assert alone.memo_cap == (descent.held - 1) // witness._MEMO_STATE_BYTES
 
     def test_traced_peak_at_the_cap_stays_near_the_cap(self, monkeypatch):
         a = _coin19()
@@ -1793,8 +1800,7 @@ class TestWitnessLinks:
         # not start.
         descent = witness_passes[-1]
         assert descent.layers and descent.edges and descent.cut < a.n
-        assert descent.results == []
-        assert 0 < len(descent.memo) <= witness._TAIL_FACTOR * a.n**2
+        assert descent.results == [] and descent.memo
 
 
 def _tiered(n: int, seed, upsets: float = 0.0) -> np.ndarray:
@@ -1910,38 +1916,6 @@ class TestNarrowWitnessPasses:
                 res.proven,
             )
 
-    def test_a_pass_over_the_state_cap_leaves_the_witness_unproven(
-        self, monkeypatch, witness_passes
-    ):
-        # Here the memo needs more bytes than the whole pass, so a budget
-        # that the pass overruns stops the memo too.
-        a = WeightMatrix(_hidden_order_tournament(np.random.default_rng(0), 19))
-        expected = solve_lop(a)
-        assert witness_passes[-1].form is not None
-        # With no room past the cut the memo gives way at once, and the pass
-        # resumes from the cut to its last layer.
-        with monkeypatch.context() as m:
-            m.setattr(witness, "_TAIL_FACTOR", 0)
-            solve_lop(a)
-        full = witness_passes[-1]
-        assert full.cut == a.n and not full.memo
-        fit = full.held
-        monkeypatch.setattr(lop, "_HELD_BYTES", fit)
-        res = solve_lop(a)
-        assert (res.ranking, res.stats.nodes, res.stats.pruned, res.proven) == (
-            expected.ranking,
-            expected.stats.nodes,
-            expected.stats.pruned,
-            True,
-        )
-        monkeypatch.setattr(lop, "_HELD_BYTES", fit - 1)
-        res = solve_lop(a)
-        assert not res.proven
-        descent = witness_passes[-1]
-        assert descent.layers == [] and len(descent.memo) == descent.memo_cap
-        assert res.optimal_value == expected.optimal_value
-        assert objective_value(a, res.ranking) == res.optimal_value
-
     def test_the_memo_over_its_entry_cap_leaves_the_witness_unproven(
         self, monkeypatch, witness_passes
     ):
@@ -2013,8 +1987,7 @@ class TestWitnessCounts:
 
 
 class TestWitnessTail:
-    """From the pass's cut on, the memoized search answers the narrow layers
-    left, or past its bound gives way and the pass resumes from the cut,
+    """From the pass's cut on, the memoized search answers the layers left,
     with the memo-free search's witness, nodes and pruned at every cut.
     """
 
@@ -2030,6 +2003,7 @@ class TestWitnessTail:
         assert lop._exact_sums(a) == exact
         descents = []
         real_init = witness.WitnessLayers.__init__
+        real_cuts = witness.WitnessLayers._cuts
 
         def recording(self, search, target):
             descents.append(self)
@@ -2040,28 +2014,24 @@ class TestWitnessTail:
             plain = _solve_with_witness_oracle(m, a)
             expected = (plain.ranking, plain.stats.nodes, plain.stats.pruned)
             m.setattr(witness.WitnessLayers, "__init__", recording)
-            # Neither the pass's budget nor the memo's bound takes a turn.
+            # The pass's budget does not take a turn.
             m.setattr(witness, "_STATES_PER_NODE", 2**n)
-            m.setattr(witness, "_TAIL_FACTOR", 2**n)
             for cut in [*range(1, n), None]:
-                m.setattr(
-                    witness.WitnessLayers,
-                    "_cuts",
-                    lambda self, depth, size, cut=cut: depth == cut,
-                )
+                if cut is None:
+                    m.setattr(witness.WitnessLayers, "_cuts", real_cuts)
+                else:
+                    m.setattr(
+                        witness.WitnessLayers,
+                        "_cuts",
+                        lambda self, depth, size, cut=cut: depth == cut,
+                    )
                 res = solve_lop(a)
                 assert res.proven
                 assert (res.ranking, res.stats.nodes, res.stats.pruned) == expected
-                assert descents[-1].cut == (n if cut is None else cut)
-                assert bool(descents[-1].memo) == (cut is not None)
-            # A bound of no state: the memo gives way at its first state, and
-            # the pass resumes from the cut at depth 1 to its last layer.
-            m.setattr(witness, "_TAIL_FACTOR", 0)
-            m.setattr(witness.WitnessLayers, "_cuts", lambda self, depth, size: depth == 1)
-            res = solve_lop(a)
-            assert (res.ranking, res.stats.nodes, res.stats.pruned) == expected
-            descent = descents[-1]
-            assert descent.cut == n and not descent.memo and len(descent.edges) == n
+                descent = descents[-1]
+                # Unforced, the pass stops by depth n - 1 all the same.
+                assert descent.cut == (cut or descent.cut) and 1 <= descent.cut <= n - 1
+                assert len(descent.edges) == descent.cut and descent.memo
 
     def test_a_deadline_inside_the_memo_past_the_cut_leaves_the_witness_unproven(
         self, monkeypatch, witness_passes
@@ -2390,7 +2360,8 @@ class TestOneStateChunks:
             # With the cut rule as it is, the descent reads the pass's edges,
             # one state's edges a block, down to the cut and the memo past it.
             assert _witness_run(a, heur, lop._Search.lex_min_witness) == loop
-            # Without a cut, the pass answers every state, to the last layer.
+            # Without a narrow layer, the pass answers every state to depth
+            # n - 1, and the memo the states there.
             m.setattr(witness.WitnessLayers, "_cuts", lambda self, depth, size: False)
             assert _witness_run(a, heur, lop._Search.lex_min_witness) == loop
             assert lop._Search(a).kernel.chunk == 1

@@ -149,6 +149,24 @@ def test_only_the_packed_key_reads_its_layout(name):
     assert reads == [], f"{name}: key layout read at lines {reads}"
 
 
+# lop._Search's depth-first state: only its value search without exact
+# sums, and the oracles in the tests, walk it.
+_DEPTH_FIRST_FIELDS = {
+    "f", "u", "rem_mask", "prefix", "in_rem", "s_a", "s_m", "apply", "undo", "reset"
+}
+
+
+@pytest.mark.parametrize("name", ["value.py", "witness.py"])
+def test_the_passes_start_from_the_core(name):
+    # The value passes, the witness pass and its descent start from the
+    # core's root bound at the full set. A read of the depth-first fields
+    # would be a second start state, which lex_min_witness once reset.
+    (path,) = [path for path in SOURCES if path.name == name]
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    reads = [node.lineno for node, _ in _scoped_attributes(tree, (), _DEPTH_FIRST_FIELDS)]
+    assert reads == [], f"{name}: depth-first fields read at lines {reads}"
+
+
 # The layer loops call ndarray methods, not numpy's Python-level wrappers
 # of them: np.flatnonzero runs 7 Python frames around the same C call, and
 # np.cumsum 3, a fixed cost on every small layer. None stands for the whole
