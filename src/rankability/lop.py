@@ -38,9 +38,9 @@ states, one budget that every state cap derives from.
 
 The heuristic (heuristic_ranking) runs its 17 starts together as numpy
 arrays: one greedy insertion pass, then insertion local search steps that
-each read every position of every active start's order in place (a window
-of them above _HEURISTIC_WHOLE_PASS items) and move each start's first
-gaining item; a start ends in the step that finds no item left to move.
+each read every position of every active start's order in place, n^2
+entries a start, and move each start's first gaining item; a start ends
+in the step that finds no item left to move.
 With exact sums every sum it compares is exact in any order, so it reads
 one row of differences per item and each item's row sum (_PassRows), and
 takes the first best position. Otherwise every sum it compares is a cumsum
@@ -65,7 +65,7 @@ stays the table: a quarter the size, each entry times _Core.unit (1/2)
 the float64 route's bits.
 
 The optima come from one walk for both routes, with the table and above
-its budget without (_walk_optima): depth first over chunks of prefixes of
+its budget without (_optimal_orders): depth first over chunks of prefixes of
 one depth, every child of a chunk formed by the layer kernel and bounded
 and kept by numpy operations over the whole chunk, with the additions of
 a search over one prefix at a time, so the orders and the truncated flag
@@ -149,30 +149,13 @@ _EXACT_TOTAL = 2.0**51
 _HEURISTIC_RESTARTS = 16
 _HEURISTIC_SEED = 0
 
-# Positions of each start that one batched step of the heuristic reads
-# (_local_search_batch): a whole pass up to _HEURISTIC_WHOLE_PASS items,
-# _HEURISTIC_WINDOW above. A smaller window reads fewer positions after a
-# move and a larger one takes fewer steps. On a 2-vCPU x86-64 host, CPU
-# time of the heuristic on 12 inputs per size, whole passes against
-# windows of 16, medians of 11 alternating runs. With exact sums: on
-# hidden-order tournaments (p = 0.93, as bnb-large) 0.0110 s against
-# 0.0136 s at n = 23 and 0.0292 against 0.0344 at n = 30; on uniform
-# integer matrices (weights 0-9) 0.0313 against 0.0321 at n = 28, even at
-# 29 and 30. On float sums (the same families in tenths, two such runs):
-# 0.83-0.98 of the windows' time at every n = 23-27 on both, and at
-# n = 28 0.89-0.96 on hidden-order and 1.00-1.02 on uniform ones. So whole
-# passes are ahead up to this bound on both routes. Windows of 16 took
-# 0.09 s of CPU on two uniform n = 100 matrices where whole passes took
-# 0.26 s, and 0.16 s against 1.08 s on one at n = 200.
-_HEURISTIC_WHOLE_PASS = 27
-_HEURISTIC_WINDOW = 16
-
 # The heuristic runs its starts in chunks, at least one start each, whose
 # arrays stay within this many bytes: a local search step holds about
-# _STEP_ARRAYS arrays of n * window entries per start on float sums (two
-# with exact sums: the gains, summed in place, and their index), and
-# the fold of the objectives _VALUE_ARRAYS arrays of n(n-1)/2, 8 bytes an
-# entry. All 17 starts fit one chunk up to n = 143.
+# _STEP_ARRAYS arrays of n * n entries per start on float sums (two with
+# exact sums: the gains, summed in place, and their index), and the fold
+# of the objectives _VALUE_ARRAYS arrays of n(n-1)/2, 8 bytes an entry.
+# All 17 starts share one chunk up to n = 78; n = 200 runs 9 chunks of at
+# most 2.
 _HEURISTIC_CHUNK_BYTES = 1 << 22
 _STEP_ARRAYS = 5
 _VALUE_ARRAYS = 3
@@ -182,7 +165,7 @@ _VALUE_ARRAYS = 3
 # bytes a child and n children a state, within this many bytes
 # (_LayerKernel): for the value and witness passes and the optima walk,
 # each of whose depths besides holds the kept children of at most one
-# chunk, a row each of n + 16 bytes (_walk_optima). On a 2-vCPU x86-64
+# chunk, a row each of n + 16 bytes (_optimal_orders). On a 2-vCPU x86-64
 # host, 2^18 and 2^22 bytes were no faster for the walk on inputs with
 # many optima, and up to 1.4 times slower. The kappa pair scan counts
 # distances for blocks of rows within them (ktdiam._max_distance_pair),
@@ -244,9 +227,7 @@ class _PackedKey(NamedTuple):
         return np.right_shift(keys, self.code_bits + self.low_bits, out=out)
 
     def codes(self, keys: np.ndarray) -> np.ndarray:
-        """The bound codes of keys, in one pass over them without a low field."""
-        if self.low_bits:
-            keys = keys >> self.low_bits
+        """The bound codes of keys packed without a low field, in one pass."""
         return keys & ((1 << self.code_bits) - 1)
 
     def lows(self, keys: np.ndarray) -> np.ndarray:
@@ -494,7 +475,7 @@ class _Search:
     bound.
 
     The witness search takes this form for every weight type, as do the
-    optima walk (_walk_optima) over whole chunks of prefixes and the kappa
+    optima walk (_optimal_orders) over whole chunks of prefixes and the kappa
     joint search (ktdiam._PairSearch), since they report only orders,
     chosen within the slack. The value search takes it when _exact_sums
     holds (self.exact), where every such sum is exact, as the layered
@@ -1169,24 +1150,21 @@ def _sides(n: int) -> np.ndarray:
     return sides
 
 
-def _step_gains(
-    rows: _PassRows, view: np.ndarray, at: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray]:
+def _step_gains(rows: _PassRows, view: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One local search step's insertion gains and current gains.
 
-    view holds the step's orders, one a row. Slot b of order r holds the
-    item v at position at[r, b]; with at None, the slots are the positions
-    in place. Gains come as an array of shape (n + 1, orders, slots): v's
-    gain at position p at entry p up to its own position i and at entry
-    p + 1 after it, entries i and i + 1 both the gain of staying. Current
-    comes as an array of shape (orders, slots): the weight v gains in
-    place, w[u, v] over u above it plus w[v, u] over u below.
+    view holds the step's orders, one a row. Gains come as an array of shape
+    (n + 1, orders, n): for the item v at position i of an order, its gain
+    at position p at entry p up to i and at entry p + 1 after it, entries i
+    and i + 1 both the gain of staying. Current comes as an array of shape
+    (orders, n): the weight v gains in place, w[u, v] over u above it plus
+    w[v, u] over u below.
 
     With exact sums, the gains are one cumsum of v's row sum and its d row
     along the order, and current is v's own entry: every partial sum is a
     multiple of 1/2 below twice the total, exact in any order. Otherwise
     each sum is the scalar loop's, bit for bit, from arrays of shape (n,
-    orders, slots) that read u = order[q] at row q:
+    orders, n) that read u = order[q] at row q:
 
     - current folds w[u, v] over q < i and w[v, u] over q > i, each with
       the other terms masked to 0.0;
@@ -1199,36 +1177,24 @@ def _step_gains(
     sum (-0.0 aside, which compares equal).
     """
     size, n = view.shape
-    if at is None:
-        items = view
-    else:
-        items = view.ravel().take(at + (np.arange(size) * n)[:, None])
-    slots = items.shape[1]
-    # index[q, r, b] = v * n + u for v in slot b and u = order[q] of order r.
-    # Every index is in range, so mode="clip" only spares take the bounds
-    # check and the copy it makes of out.
-    index = view.T[:, :, None] + items * n
+    # index[q, r, i] = v * n + u for v = order[i] and u = order[q] of order
+    # r. Every index is in range, so mode="clip" only spares take the
+    # bounds check and the copy it makes of out.
+    index = view.T[:, :, None] + view * n
     if rows.d is not None:
-        gains = np.empty((n + 1, size, slots))
-        rows.sums.take(items, out=gains[0], mode="clip")
+        gains = np.empty((n + 1, size, n))
+        rows.sums.take(view, out=gains[0], mode="clip")
         rows.d.take(index, out=gains[1:], mode="clip")
         gains.cumsum(axis=0, out=gains)
-        # The own entry of slot b of order r is gains[at[r, b], r, b].
-        own = np.arange(size * slots).reshape(size, slots)
-        own += (np.arange(n) if at is None else at) * (size * slots)
-        return gains, gains.ravel().take(own)
+        # The own entry of position i of order r is gains[i, r, i].
+        return gains, gains.diagonal(axis1=0, axis2=2)
     # seq[:n] = w[v, u] and seq[n:] = w[u, v] for u = order[q] at row q.
-    seq = np.empty((2 * n, size, slots))
-    pairs = seq.reshape(2, n, size, slots)
+    seq = np.empty((2 * n, size, n))
+    pairs = seq.reshape(2, n, size, n)
     rows.ww.take(index, axis=1, out=pairs, mode="clip")
     del index
     # parts[0] = w[u, v] above v and parts[1] = w[v, u] below it.
-    sides = _sides(n)
-    if at is None:
-        parts = pairs[::-1] * sides[:, :, None, :]
-    else:
-        parts = sides.take(at, axis=2, mode="clip")
-        parts *= pairs[::-1]
+    parts = pairs[::-1] * _sides(n)[:, :, None, :]
     folds = np.add.reduce(parts, axis=1)
     current = folds[0] + folds[1]
     # gains[0] is the fold of seq[:n], and gains[p] adds the first p
@@ -1245,43 +1211,39 @@ def _first_move(
     gains: np.ndarray,
     current: list[float] | None,
     flags: list[bool],
-    slots: range,
-    top: int,
+    positions: range,
     slack: float,
 ) -> tuple[int, int] | None:
-    """The first flagged slot in slots whose item moves, and the position it moves to.
+    """The first flagged position in positions whose item moves, and where to.
 
-    Slot b holds the item at position top + b of its order; gains[:, b] are
-    its n + 1 insertion gains (_step_gains). The scalar record rule runs on
-    them: the item moves to the last position that beats the best so far,
-    starting from current[b], by more than slack. With exact sums current
-    is None: the slack is 0, so the rule ends at the first maximum, and a
-    flagged slot's maximum beats its own entries, so it moves.
+    gains[:, i] are the n + 1 insertion gains of the item at position i
+    (_step_gains). The scalar record rule runs on them: the item moves to
+    the last position that beats the best so far, starting from current[i],
+    by more than slack. With exact sums current is None: the slack is 0, so
+    the rule ends at the first maximum, and a flagged position's maximum
+    beats its own entries, so it moves.
     """
-    b = slots.start
-    while True in flags[b : slots.stop]:
-        b = flags.index(True, b, slots.stop)
-        at = top + b
+    i = positions.start
+    while True in flags[i : positions.stop]:
+        i = flags.index(True, i, positions.stop)
         if current is None:
-            best_j = int(gains[:, b].argmax())
+            best_j = int(gains[:, i].argmax())
         else:
-            best = current[b]
+            best = current[i]
             best_j = -1
-            for j, gain in enumerate(gains[:, b].tolist()):
+            for j, gain in enumerate(gains[:, i].tolist()):
                 if gain > best + slack:
                     best = gain
                     best_j = j
         if best_j >= 0:
-            target = best_j if best_j <= at else best_j - 1
-            if target != at:
-                return b, target
-        b += 1
+            target = best_j if best_j <= i else best_j - 1
+            if target != i:
+                return i, target
+        i += 1
     return None
 
 
-def _local_search_batch(
-    rows: _PassRows, orders: np.ndarray, slack: float, window: int
-) -> None:
+def _local_search_batch(rows: _PassRows, orders: np.ndarray, slack: float) -> None:
     """Insertion local search on every row of orders at once, in place.
 
     Each order is scanned position by position, as the scalar loop does:
@@ -1291,65 +1253,45 @@ def _local_search_batch(
     position; a pass that moved an item starts another from the top, and
     a pass that moved none ends the search.
 
-    A step forms the gains of window slots of every active order
-    (_step_gains). With window n the slots are the positions in place, and
-    the step checks them from the scan pointer to the end, then, if the
-    pass has moved an item, the positions before it, which the next pass
-    reads first: an order with no mover in either ends in that step. With
-    a smaller window a step reads the window positions after each scan
-    pointer, wrapping into the next pass. A slot is a mover when some gain
-    beats current by more than slack; the first mover of each order is
-    checked by the record rule (_first_move) and moved, and positions after
-    it are read again from the changed order in the next step.
+    A step forms the gains of every position of every active order in
+    place (_step_gains), and checks them from the scan pointer to the end,
+    then, if the pass has moved an item, the positions before it, which the
+    next pass reads first: an order with no mover in either ends in that
+    step. A position is a mover when some gain beats current by more than
+    slack; the first mover of each order is checked by the record rule
+    (_first_move) and moved, and positions after it are read again from the
+    changed order in the next step.
     """
     count, n = orders.shape
     scan = [0] * count
     improved = [False] * count
     active = list(range(count))
-    whole = window == n
-    # The positions a windowed step reads from each scan pointer.
-    windows = (np.arange(n)[:, None] + np.arange(window)) % n
     while active:
-        view = orders[active]
-        at = None if whole else windows[[scan[r] for r in active]]
-        gains, current = _step_gains(rows, view, at)
+        gains, current = _step_gains(rows, orders[active])
         movers = (gains.max(axis=0) > current + slack).tolist()
         current = [None] * len(active) if rows.d is not None else current.tolist()
         still = []
         for column, r in enumerate(active):
             top = scan[r]
             step = (gains[:, column], current[column], movers[column])
-            if whole:
-                tail, wrapped, base, wrapped_base = range(top, n), range(top), 0, 0
-            else:
-                # Slots up to the end of the pass; the rest wrap into the next.
-                stop = min(window, n - top)
-                tail, wrapped = range(stop), range(stop, window)
-                base, wrapped_base = top, top - n
-            move = _first_move(*step, tail, base, slack)
-            # Past the tail the pass ends: with whole orders, always.
-            if move is None and base + tail.stop == n:
+            move = _first_move(*step, range(top, n), slack)
+            if move is None:
+                # The pass ends; one that moved no item ends the search, and
+                # with no mover before the pointer either the next pass
+                # would read the order unchanged and end it.
                 if not improved[r]:
                     continue
-                improved[r] = False
-                move = _first_move(*step, wrapped, wrapped_base, slack)
-                if move is None and whole:
-                    # No position of the order moves: the next pass would
-                    # read it unchanged and end the search.
+                move = _first_move(*step, range(top), slack)
+                if move is None:
                     continue
-            if move is None:
-                scan[r] = (top + window) % n
-                still.append(r)
-                continue
-            b, target = move
-            at_b = (base + b) % n
+            at, target = move
             order = orders[r].tolist()
-            order.insert(target, order.pop(at_b))
+            order.insert(target, order.pop(at))
             orders[r] = order
             # The scan goes on after the moved position; past the last
             # position the pass ends, having moved an item.
-            scan[r] = (at_b + 1) % n
-            improved[r] = at_b + 1 < n
+            scan[r] = (at + 1) % n
+            improved[r] = at + 1 < n
             still.append(r)
         active = still
 
@@ -1378,11 +1320,12 @@ def heuristic_ranking(a: WeightMatrix) -> Ranking:
 
     All starts run together as numpy arrays, in chunks whose arrays stay
     within _HEURISTIC_CHUNK_BYTES: one greedy pass (_greedy_batch),
-    one batched local search (_local_search_batch) and one fold of
-    their objectives (_order_values). With exact sums the passes read the
-    matrix's difference rows (_pass_rows), where every sum is exact in any
-    order; otherwise every sum they compare is formed by cumsum or by a
-    fold in index order from the same terms, in the same order, as the
+    one batched local search (_local_search_batch), whose steps read n^2
+    entries a start at any n, and one fold of their objectives
+    (_order_values). With exact sums the passes read the matrix's
+    difference rows (_pass_rows), where every sum is exact in any order;
+    otherwise every sum they compare is formed by cumsum or by a fold in
+    index order from the same terms, in the same order, as the
     scalar loops of tests/oracles.py::heuristic_ranking_loop form it. The
     objectives are always so formed. So the orders and their values are
     those loops' bit for bit, at every weight scale.
@@ -1404,8 +1347,7 @@ def _heuristic(a: WeightMatrix) -> tuple[list[int], float]:
     net_wins = sorted(range(n), key=lambda v: (-net[v], v))
     starts = np.vstack([net_wins, _random_starts(n, _HEURISTIC_RESTARTS)])
     rows = _pass_rows(a)
-    window = n if n <= _HEURISTIC_WHOLE_PASS else _HEURISTIC_WINDOW
-    per_start = 8 * max(_STEP_ARRAYS * n * window, _VALUE_ARRAYS * n * (n - 1) // 2)
+    per_start = 8 * max(_STEP_ARRAYS * n * n, _VALUE_ARRAYS * n * (n - 1) // 2)
     chunk = max(1, _HEURISTIC_CHUNK_BYTES // per_start)
     # Every order is worth at least 0, so the first start always replaces
     # this placeholder.
@@ -1413,7 +1355,7 @@ def _heuristic(a: WeightMatrix) -> tuple[list[int], float]:
     best_val = float("-inf")
     for first in range(0, len(starts), chunk):
         orders = _greedy_batch(rows, starts[first : first + chunk])
-        _local_search_batch(rows, orders, slack, window)
+        _local_search_batch(rows, orders, slack)
         for order, val in zip(orders.tolist(), _order_values(w, orders).tolist()):
             if val > best_val + slack or (
                 abs(val - best_val) <= slack and order < best_order
@@ -1528,10 +1470,10 @@ def solve_lop(a: WeightMatrix, cfg: SolverConfig | None = None) -> LopResult:
     )
 
 
-def _walk_optima(
-    core: _Core, k_star: float, limit: int, deadline: float | None
+def _optimal_orders(
+    a: WeightMatrix, k_star: float, cap: int, deadline: float | None
 ) -> tuple[np.ndarray, bool]:
-    """Optimal 0-based orders in lexicographic sequence, up to limit of them.
+    """Optimal 1-based order forms in lexicographic sequence, up to cap.
 
     A depth-first walk over chunks of prefixes of one depth, each a row of
     its order, its unplaced set and its g = f + u, from the core's empty
@@ -1546,13 +1488,19 @@ def _walk_optima(
     order, and are walked before the rest of their parents' chunk, which
     they all precede.
 
-    Returns the orders as an (count, n) int8 array and whether the walk
-    stopped early: on reaching limit orders, or when the deadline, checked
-    before each chunk, has passed, with the orders found so far. Raises
-    _Timeout as _Core.completion does.
+    Returns the orders as an (count, n) int8 array, one order per row, and
+    truncated: whether more than cap optima exist (the walk looks for one
+    past the cap) or the deadline, checked before each chunk, stopped it,
+    with the orders found so far. Raises nothing, so a deadline that has
+    already passed gives no orders and truncated=True.
     """
-    root, rows, table = core.root, core.drops, core.completion(deadline)
-    n = len(rows.items)
+    core = _core(a)
+    n = a.n
+    try:
+        table = core.completion(deadline)
+    except _Timeout:
+        return np.empty((0, n), np.int8), True
+    root, rows = core.root, core.drops
     kernel = _LayerKernel(rows, range(n), deadline)
     completions = None if table is None else np.frombuffer(table, table.typecode)
     unit = core.unit
@@ -1579,6 +1527,7 @@ def _walk_optima(
     stack = [(np.zeros((1, n), np.int8), layer(0, full, np.array([root])))]
     leaves = [np.empty((0, n), np.int8)]
     found = 0
+    truncated = False
     try:
         while stack:
             orders, chunks = stack[-1]
@@ -1596,28 +1545,12 @@ def _walk_optima(
                 continue
             leaves.append(kids)
             found += at.size
-            if found >= limit:
-                return np.concatenate(leaves)[:limit], True
+            if found > cap:
+                truncated = True
+                break
     except _Timeout:
-        return np.concatenate(leaves), True
-    return np.concatenate(leaves), False
-
-
-def _optimal_orders(
-    a: WeightMatrix, k_star: float, cap: int, deadline: float | None
-) -> tuple[np.ndarray, bool]:
-    """Optimal 1-based order forms in lexicographic sequence, up to cap.
-
-    Returns the orders as an (count, n) int8 array, one order per row, and
-    truncated: whether more than cap optima exist (the walk looks for one
-    past the cap) or the deadline stopped it. Raises nothing, so a
-    deadline that has already passed gives no orders and truncated=True.
-    """
-    try:
-        orders, truncated = _walk_optima(_core(a), k_star, cap + 1, deadline)
-    except _Timeout:
-        return np.empty((0, a.n), np.int8), True
-    orders = orders[:cap]
+        truncated = True
+    orders = np.concatenate(leaves)[:cap]
     orders += 1
     return orders, truncated
 
@@ -1625,7 +1558,7 @@ def _optimal_orders(
 def enumerate_optima(a: WeightMatrix, cfg: SolverConfig | None = None) -> OptimaSet:
     """Collect every ranking whose objective equals the proven optimum.
 
-    A depth-first walk over chunks of prefixes (_walk_optima) keeps a
+    A depth-first walk over chunks of prefixes (_optimal_orders) keeps a
     prefix only while its upper bound stays within the comparison slack of
     the optimal value: 0 when every weight is a multiple of 1/2, else
     n^2 * 2^-40 of the total weight. Each chunk's children are kept in

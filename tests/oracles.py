@@ -495,7 +495,7 @@ def enumerate_leaves_loop(
 ) -> tuple[list[tuple[int, ...]], bool]:
     """All optimal 0-based orders in lexicographic sequence, up to cap.
 
-    lop._walk_optima as a depth-first search over one prefix at a time, on
+    lop._optimal_orders as a depth-first search over one prefix at a time, on
     a lop._Search's unplaced-set form, from the core's empty prefix
     (lop._Core): g = f + u = root, the drop rows and, inside its budget,
     the completion table. Returns the orders and whether the cap or the

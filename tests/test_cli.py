@@ -917,9 +917,9 @@ def test_fixture_stdout_is_pinned_byte_for_byte(capsys, command, fixture, extra)
     # pin the table-free witness and its nodes and pruned, from the witness
     # pass for coin19 and hidden20 and from the memoized search for
     # fractional19 and tiers24. hidden32 (a hidden-order tournament, rng
-    # seed 1) pins the heuristic's steps over windows of 16 positions at
-    # n = 32, with the value passes and the witness pass; hidden22 (rng
-    # seed 2) its whole-order steps on exact sums at n = 22. tiers24 has
+    # seed 1) pins the heuristic's whole-order steps at n = 32, with the
+    # value passes and the witness pass; hidden22 (rng seed 2) the same
+    # steps on exact sums at n = 22. tiers24 has
     # over a million optima,
     # so only its lop output is pinned. tournament18's lop file pins the
     # value passes' nodes and pruned and the table-side witness at n = 18.

@@ -209,10 +209,9 @@ class TestHeuristic:
         a = random_half_integer_matrix(rng, 8)
         assert heuristic_ranking(a) == heuristic_ranking(a)
 
-    # n = 27 and 28 lie on either side of the step window's rule: whole
-    # passes up to lop._HEURISTIC_WHOLE_PASS, windows of
-    # lop._HEURISTIC_WINDOW above; 40 and 41 on either side of
-    # lop._MAX_ITEMS, which the heuristic does not enforce.
+    # n = 27 and 28 are league sizes; 40 and 41 lie on either side of
+    # lop._MAX_ITEMS, which the heuristic does not enforce, and 60 past
+    # every size the exact searches take.
     @settings(max_examples=40, deadline=None)
     @given(
         n=st.integers(2, 30),
@@ -223,6 +222,7 @@ class TestHeuristic:
     @example(n=28, seed=1, restarts=lop._HEURISTIC_RESTARTS)
     @example(n=40, seed=1, restarts=lop._HEURISTIC_RESTARTS)
     @example(n=41, seed=1, restarts=lop._HEURISTIC_RESTARTS)
+    @example(n=60, seed=1, restarts=lop._HEURISTIC_RESTARTS)
     def test_batched_passes_match_the_loops_on_half_integral_weights(
         self, n, seed, restarts
     ):
@@ -263,33 +263,31 @@ class TestHeuristic:
         _assert_heuristic_matches_loops(w, restarts)
 
     @pytest.mark.parametrize(
-        "n, count, window",
-        [(2, 1, 2), (9, 3, 9), (22, 17, 22), (23, 4, 16), (41, 3, 16)],
+        "n, count, seed", [(2, 1, 2), (9, 3, 9), (22, 17, 22), (23, 4, 16), (41, 3, 16)]
     )
-    def test_step_sums_are_the_loops_sums_bit_for_bit(self, n, count, window):
+    def test_step_sums_are_the_loops_sums_bit_for_bit(self, n, count, seed):
         # Float sums: weights of 17 orders of magnitude make a fold in any
         # other order than the scalar loop's round differently.
-        rng = np.random.default_rng(n)
+        rng = np.random.default_rng(seed)
         w = rng.random((n, n)) * 10.0 ** rng.integers(-8, 9, (n, n))
         np.fill_diagonal(w, 0.0)
         a = WeightMatrix(w)
         assert not lop._core(a).exact
-        _assert_step_sums_are_the_loops(a, rng, count, window)
+        _assert_step_sums_are_the_loops(a, rng, count)
 
     @pytest.mark.parametrize(
-        "n, count, window",
-        [(2, 1, 2), (9, 3, 9), (22, 17, 22), (23, 4, 16), (41, 3, 16)],
+        "n, count, seed", [(2, 1, 2), (9, 3, 9), (22, 17, 22), (23, 4, 16), (41, 3, 16)]
     )
-    def test_exact_step_sums_are_the_loops_sums_bit_for_bit(self, n, count, window):
+    def test_exact_step_sums_are_the_loops_sums_bit_for_bit(self, n, count, seed):
         # Exact sums: halves with -0.0 entries, the diagonal among them,
         # and a total near 2^50, below the exact route's bound of 2^51.
-        rng = np.random.default_rng(n)
+        rng = np.random.default_rng(seed)
         w = rng.integers(0, 2**52 // (n * (n - 1)), (n, n)) / 2.0
         w[rng.random((n, n)) < 0.2] = -0.0
         np.fill_diagonal(w, -0.0)
         a = WeightMatrix(w)
         assert lop._core(a).exact and a.total_sum() > 2.0**48
-        _assert_step_sums_are_the_loops(a, rng, count, window)
+        _assert_step_sums_are_the_loops(a, rng, count)
 
     @pytest.mark.parametrize("weight", [1.0, 0.1])
     def test_a_start_with_no_mover_left_ends_in_that_step(self, monkeypatch, weight):
@@ -309,7 +307,7 @@ class TestHeuristic:
             lop, "_step_gains", lambda *args: steps.append(1) or real(*args)
         )
         orders = np.array([[0, 1, 3, 2, 4]])
-        lop._local_search_batch(lop._pass_rows(a), orders, lop._slack(a), n)
+        lop._local_search_batch(lop._pass_rows(a), orders, lop._slack(a))
         assert orders.tolist() == [[0, 1, 2, 3, 4]]
         assert len(steps) == 2
 
@@ -342,7 +340,7 @@ class TestHeuristic:
             assert np.array_equal(starts[1:], lop._random_starts(a.n, restarts))
 
     def test_traced_peak_stays_within_the_chunk_bytes_at_n_200(self):
-        # At n = 200 the 17 starts run in chunks of 8, 8 and 1. Outside the
+        # At n = 200 the 17 starts run in 9 chunks of at most 2. Outside the
         # chunks the call holds the weights stacked with their transpose
         # and the pair indices of the objective fold, 3 n^2 entries of 8
         # bytes (0.92 MiB here), and arrays of n entries per start.
@@ -360,55 +358,42 @@ class TestHeuristic:
 
 
 def _assert_step_sums_are_the_loops(
-    a: WeightMatrix, rng: np.random.Generator, count: int, window: int
+    a: WeightMatrix, rng: np.random.Generator, count: int
 ) -> None:
-    """Each slot's gains and current gain in one step are the scalar loop's sums.
+    """Each position's gains and current gain in one step are the scalar loop's sums.
 
-    The steps read every position of count random orders: in place when
-    window is n, else from scan pointers window positions apart, order r's
-    r positions on, each window wrapping past the end of the order
+    One step reads every position of count random orders in place
     (lop._step_gains). A gain or current gain must have the bits of the
-    loop's sum, and with exact sums each slot's own entry must be its
+    loop's sum, and with exact sums each position's own entry must be its
     current gain.
     """
     n = a.n
     rows = lop._pass_rows(a)
     orders = np.array([rng.permutation(n) for _ in range(count)])
     w = a.weights.tolist()
-    if window == n:
-        reads = [(None, [list(range(n))] * count)]
-    else:
-        reads = []
-        for top in range(0, n, window):
-            positions = [
-                [(top + r + b) % n for b in range(window)] for r in range(count)
+    gains, current = lop._step_gains(rows, orders)
+    assert gains.shape == (n + 1, count, n)
+    assert current.shape == (count, n)
+    for r, order in enumerate(orders.tolist()):
+        for i, v in enumerate(order):
+            rest = order[:i] + order[i + 1 :]
+            cur = lop._fold(w[u][v] for u in order[:i]) + lop._fold(
+                w[v][u] for u in order[i + 1 :]
+            )
+            delta = lop._fold(w[v][u] for u in rest)
+            loop = [delta]
+            for u in rest:
+                delta += w[u][v] - w[v][u]
+                loop.append(delta)
+            # The step also reads v's own position, adding 0.0 there.
+            loop.insert(i + 1, loop[i])
+            # Adding 0.0 only turns -0.0 into 0.0, so compare x + 0.0.
+            assert (current[r, i] + 0.0).hex() == (cur + 0.0).hex()
+            assert [(x + 0.0).hex() for x in gains[:, r, i].tolist()] == [
+                (x + 0.0).hex() for x in loop
             ]
-            reads.append((np.array(positions), positions))
-    for at, positions in reads:
-        gains, current = lop._step_gains(rows, orders, at)
-        assert gains.shape == (n + 1, count, len(positions[0]))
-        assert current.shape == (count, len(positions[0]))
-        for r, order in enumerate(orders.tolist()):
-            for b, i in enumerate(positions[r]):
-                v = order[i]
-                rest = order[:i] + order[i + 1 :]
-                cur = lop._fold(w[u][v] for u in order[:i]) + lop._fold(
-                    w[v][u] for u in order[i + 1 :]
-                )
-                delta = lop._fold(w[v][u] for u in rest)
-                loop = [delta]
-                for u in rest:
-                    delta += w[u][v] - w[v][u]
-                    loop.append(delta)
-                # The step also reads v's own position, adding 0.0 there.
-                loop.insert(i + 1, loop[i])
-                # Adding 0.0 only turns -0.0 into 0.0, so compare x + 0.0.
-                assert (current[r, b] + 0.0).hex() == (cur + 0.0).hex()
-                assert [(x + 0.0).hex() for x in gains[:, r, b].tolist()] == [
-                    (x + 0.0).hex() for x in loop
-                ]
-                if rows.d is not None:
-                    assert current[r, b] == gains[i, r, b]
+            if rows.d is not None:
+                assert current[r, i] == gains[i, r, i]
 
 
 def _assert_heuristic_matches_loops(w: np.ndarray, restarts: int) -> None:
@@ -1254,7 +1239,8 @@ def search_calls(monkeypatch):
 
     Heuristic incumbents (_heuristic), value proofs (run_value),
     canonical witness searches (lex_min_witness), completion table builds
-    (_build_completion_table) and enumerations (_walk_optima).
+    (_build_completion_table) and enumerations (_optimal_orders, which
+    ktdiam calls by its own name).
     """
     calls: dict[str, int] = {}
     for owner, name in (
@@ -1262,7 +1248,8 @@ def search_calls(monkeypatch):
         (lop._Search, "run_value"),
         (lop._Search, "lex_min_witness"),
         (lop, "_build_completion_table"),
-        (lop, "_walk_optima"),
+        (lop, "_optimal_orders"),
+        (ktdiam, "_optimal_orders"),
     ):
         calls[name] = 0
         real = getattr(owner, name)
@@ -1282,7 +1269,7 @@ _TABLE_ROUTE = {
     "run_value": 0,
     "lex_min_witness": 0,
     "_build_completion_table": 1,
-    "_walk_optima": 1,
+    "_optimal_orders": 1,
 }
 
 
@@ -1293,7 +1280,7 @@ def _search_route(tables: int) -> dict[str, int]:
         "run_value": 1,
         "lex_min_witness": 0,
         "_build_completion_table": tables,
-        "_walk_optima": 1,
+        "_optimal_orders": 1,
     }
 
 
@@ -1391,13 +1378,13 @@ class TestOneSolvePerMatrix:
 
     def test_degree_of_linearity_reads_the_table(self, search_calls):
         degree_of_linearity(WeightMatrix(COLLEGE_WEIGHTS))
-        assert search_calls == {**_TABLE_ROUTE, "_walk_optima": 0}
+        assert search_calls == {**_TABLE_ROUTE, "_optimal_orders": 0}
         for name in search_calls:
             search_calls[name] = 0
         degree_of_linearity(_fractional_college())
         assert search_calls == {
             **_search_route(tables=0),
-            "_walk_optima": 0,
+            "_optimal_orders": 0,
         }
 
 
@@ -1448,8 +1435,9 @@ def _hidden_order_tournament(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def test_hidden32_is_the_seeded_hidden_order_tournament():
     # tests/data/hidden32.csv, whose lop stdout a golden file pins: n = 32
-    # lies between the sizes of the other golden files and lop._MAX_ITEMS,
-    # where the heuristic steps over windows of lop._HEURISTIC_WINDOW.
+    # lies between the sizes of the other golden files and lop._MAX_ITEMS:
+    # the largest n at which a golden file pins the heuristic's whole-order
+    # steps.
     w = _hidden_order_tournament(np.random.default_rng(1), 32)
     assert np.array_equal(read_matrix_csv(DATA_DIR / "hidden32.csv").weights, w)
 

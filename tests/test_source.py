@@ -174,7 +174,7 @@ def test_the_passes_start_from_the_core(name):
 _LAYER_LOOPS = {
     "value.py": None,
     "witness.py": None,
-    "lop.py": {"_LayerKernel.kept", "_walk_optima", "_step_gains", "_order_values"},
+    "lop.py": {"_LayerKernel.kept", "_optimal_orders", "_step_gains", "_order_values"},
 }
 
 
