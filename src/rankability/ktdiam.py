@@ -282,8 +282,6 @@ def _max_distance_pair(
 def _kt_result(
     n: int, kappa: int, first: tuple[int, ...], second: tuple[int, ...], proven: bool
 ) -> KtResult:
-    if first > second:
-        first, second = second, first
     return KtResult(
         kappa=kappa,
         pair=(ranking_from_order(first), ranking_from_order(second)),

@@ -39,8 +39,9 @@ states, one budget that every state cap derives from.
 The heuristic (heuristic_ranking) runs its 17 starts together as numpy
 arrays: one greedy insertion pass, then insertion local search steps that
 each read every position of every active start's order in place, n^2
-entries a start, and move each start's first gaining item; a start ends
-in the step that finds no item left to move.
+entries a start, and move each start's first gaining item from its scan
+pointer to where the scalar record rule ends on that item's gains; a
+start ends in the step that finds no item left to move.
 With exact sums every sum it compares is exact in any order, so it reads
 one row of differences per item and each item's row sum (_PassRows), and
 takes the first best position. Otherwise every sum it compares is a cumsum
@@ -1207,40 +1208,24 @@ def _step_gains(rows: _PassRows, view: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return gains, current
 
 
-def _first_move(
-    gains: np.ndarray,
-    current: list[float] | None,
-    flags: list[bool],
-    positions: range,
-    slack: float,
-) -> tuple[int, int] | None:
-    """The first flagged position in positions whose item moves, and where to.
+def _record(gains: np.ndarray, current: float | None, slack: float) -> int:
+    """The entry where the scalar record rule ends on one position's gains.
 
-    gains[:, i] are the n + 1 insertion gains of the item at position i
-    (_step_gains). The scalar record rule runs on them: the item moves to
-    the last position that beats the best so far, starting from current[i],
-    by more than slack. With exact sums current is None: the slack is 0, so
-    the rule ends at the first maximum, and a flagged position's maximum
-    beats its own entries, so it moves.
+    gains are the n + 1 insertion gains of the item at one position i
+    (_step_gains). The rule takes the last entry that beats the best so
+    far, starting from current, by more than slack. With exact sums current
+    is None: the slack is 0, so the rule ends at the first maximum. On a
+    mover (_local_search_batch) it ends at neither entry i nor i + 1, so
+    the item moves: both are the gain of staying, equal to current on the
+    exact route and within rounding far below slack of it otherwise.
     """
-    i = positions.start
-    while True in flags[i : positions.stop]:
-        i = flags.index(True, i, positions.stop)
-        if current is None:
-            best_j = int(gains[:, i].argmax())
-        else:
-            best = current[i]
-            best_j = -1
-            for j, gain in enumerate(gains[:, i].tolist()):
-                if gain > best + slack:
-                    best = gain
-                    best_j = j
-        if best_j >= 0:
-            target = best_j if best_j <= i else best_j - 1
-            if target != i:
-                return i, target
-        i += 1
-    return None
+    if current is None:
+        return int(gains.argmax())
+    best, best_j = current, -1
+    for j, gain in enumerate(gains.tolist()):
+        if gain > best + slack:
+            best, best_j = gain, j
+    return best_j
 
 
 def _local_search_batch(rows: _PassRows, orders: np.ndarray, slack: float) -> None:
@@ -1258,9 +1243,10 @@ def _local_search_batch(rows: _PassRows, orders: np.ndarray, slack: float) -> No
     then, if the pass has moved an item, the positions before it, which the
     next pass reads first: an order with no mover in either ends in that
     step. A position is a mover when some gain beats current by more than
-    slack; the first mover of each order is checked by the record rule
-    (_first_move) and moved, and positions after it are read again from the
-    changed order in the next step.
+    slack. The first mover of each order, from the scan pointer and then
+    from the top, moves where the record rule ends on its gains (_record),
+    which is never its own place, and positions after it are read again
+    from the changed order in the next step.
     """
     count, n = orders.shape
     scan = [0] * count
@@ -1269,24 +1255,22 @@ def _local_search_batch(rows: _PassRows, orders: np.ndarray, slack: float) -> No
     while active:
         gains, current = _step_gains(rows, orders[active])
         movers = (gains.max(axis=0) > current + slack).tolist()
-        current = [None] * len(active) if rows.d is not None else current.tolist()
         still = []
         for column, r in enumerate(active):
-            top = scan[r]
-            step = (gains[:, column], current[column], movers[column])
-            move = _first_move(*step, range(top, n), slack)
-            if move is None:
+            flags, top = movers[column], scan[r]
+            if True in flags[top:]:
+                at = flags.index(True, top)
+            elif improved[r] and True in flags:
+                at = flags.index(True)
+            else:
                 # The pass ends; one that moved no item ends the search, and
                 # with no mover before the pointer either the next pass
                 # would read the order unchanged and end it.
-                if not improved[r]:
-                    continue
-                move = _first_move(*step, range(top), slack)
-                if move is None:
-                    continue
-            at, target = move
+                continue
+            best = None if rows.d is not None else float(current[column, at])
+            j = _record(gains[:, column, at], best, slack)
             order = orders[r].tolist()
-            order.insert(target, order.pop(at))
+            order.insert(j if j <= at else j - 1, order.pop(at))
             orders[r] = order
             # The scan goes on after the moved position; past the last
             # position the pass ends, having moved an item.
@@ -1440,9 +1424,10 @@ def solve_lop(a: WeightMatrix, cfg: SolverConfig | None = None) -> LopResult:
 
     Proves optimality by exhausting the branch-and-bound tree, then
     reports the lexicographically smallest optimal order. When the
-    configured time limit expires before both are done, the best
-    incumbent is returned with proven=False; the reported value is always
-    attained by the reported ranking.
+    configured time limit expires before both are done, or the witness
+    search finds no order, the best incumbent is returned with
+    proven=False; the reported value is always attained by the reported
+    ranking.
     """
     cfg = cfg or DEFAULT_CONFIG
     start = time.monotonic()
@@ -1453,11 +1438,12 @@ def solve_lop(a: WeightMatrix, cfg: SolverConfig | None = None) -> LopResult:
         try:
             witness = search.lex_min_witness(best_val)
         except _Timeout:
+            witness = None
+        if witness is None:
             # The value is proven, but the incumbent need not be canonical.
             proven = False
         else:
-            if witness is not None:
-                best_order = witness
+            best_order = witness
     ranking = ranking_from_order([v + 1 for v in best_order])
     stats = SearchStats(
         nodes=search.nodes,

@@ -6,21 +6,19 @@ to k*, and counts the nodes and pruned children of a depth-first search
 for that completion. WitnessLayers reads the same answers and counts
 from one pass over that search's states: forward, each layer's states
 with an edge list per state to its children in the next layer, and
-backward over those edges; the descent then reads each answer at the
-edge to it from the state its path stands on. The pass always ends at a
-cut, the first narrow layer or else the one before the last. That search
-itself, memoized on its state, answers the cut's states and everything
-below them, and the whole descent on the inputs whose pass would hold
-too much; the memo gets the bytes the pass left. The pass sorts and
-ranks its states as int64 keys packed and read by lop._PackedKey where
-the weights' sums are exact and the key fits, and as complex keys
-otherwise. The search's layer kernel (lop._LayerKernel) forms each
-layer's children, as for the value passes.
+backward over those edges; the descent then finds each answer by its
+state's key, with one binary search in that state's layer. The pass
+always ends at a cut, the first narrow layer or else the one before the
+last. That search itself, memoized on its state, answers the cut's
+states and everything below them, and the whole descent on the inputs
+whose pass would hold too much; the memo gets the bytes the pass left.
+The pass sorts and ranks its states as int64 keys packed and read by
+lop._PackedKey where the weights' sums are exact and the key fits, and
+as complex keys otherwise. The search's layer kernel (lop._LayerKernel)
+forms each layer's children, as for the value passes.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
@@ -139,9 +137,9 @@ class WitnessLayers:
     the memo holds at most the bytes the pass left, at _MEMO_STATE_BYTES a
     state. descend places the smallest item whose child reaches target
     and is ok, adding the nodes and pruned of every child it tries that
-    reaches target but not of a last one. Each such child is an edge of
-    the state its path stands on, so it reads the answer at that edge's
-    index (_path), and from the cut on the memo's.
+    reaches target but not of a last one. Before the cut each such child
+    is a state of the pass's layer at its depth, so it reads the answer at
+    its key's row there (_lookup), and from the cut on the memo's.
 
     Children are formed with the same additions, so the witness, nodes
     and pruned are the depth-first search's for every weight type. Both
@@ -189,7 +187,7 @@ class WitnessLayers:
         if not passed:
             return self._place(self._exists)
         self._backward(self._answer_cut())
-        return self._place(self._path())
+        return self._place(self._lookup)
 
     def _place(self, state) -> list[int] | None:
         """The descent, with state(rem, g) the answer and counts at a child that reaches."""
@@ -207,40 +205,23 @@ class WitnessLayers:
 
         return _descend(self.rows, search.root, reaches)
 
-    def _path(self) -> Callable[[int, float], tuple[bool, int, int]]:
-        """The descent's answers: the pass's, and from the cut on the memo's.
+    def _lookup(self, rem: int, g: float) -> tuple[bool, int, int]:
+        """The answer and counts at (rem, g): the pass's, and from the cut on the memo's.
 
-        The descent asks only about children that reach target of the state
-        its path stands on, and moves to the first that is ok. Each is one
-        of that state's edges: the first question at a depth maps its at
-        most n edges, by position in the child order, to their rows in the
-        next layer, where the results hold the answer.
+        The descent asks only about children that reach target of states
+        that do, so before the cut the state is in the pass's layer at its
+        depth, and one binary search finds its key's row of the results.
         """
-        n, kernel = self.search.n, self.search.kernel
-        slot = {bit: p for p, bit in enumerate(kernel.bits.tolist())}
-        # The row and unplaced set of the path state, and its edges' rows.
-        path = [0, (1 << n) - 1]
-        rows: dict[int, int] = {}
-
-        def state(rem: int, g: float) -> tuple[bool, int, int]:
-            depth = n - rem.bit_count()
-            if depth >= self.cut:
-                return self._exists(rem, g)
-            row, parent = path
-            if not rows:
-                block, i = divmod(row, kernel.chunk)
-                offsets, index, position = self.edges[depth - 1][block]
-                first, last = offsets[i : i + 2].tolist()
-                edges = slice(first + 1, last + 1)
-                rows.update(zip(position[edges].tolist(), index[edges].tolist()))
-            at = rows[slot[parent ^ rem]]
-            ok, nodes, pruned = self.results[depth][at].tolist()
-            if ok:
-                path[:] = at, rem
-                rows.clear()
-            return bool(ok), nodes, pruned
-
-        return state
+        depth = self.search.n - rem.bit_count()
+        if depth >= self.cut:
+            return self._exists(rem, g)
+        if self.form is not None:
+            key = self.form.pack(rem, int(2 * (g - self.target)))
+        else:
+            key = complex(rem, g)
+        row = self.layers[depth].searchsorted(key)
+        ok, nodes, pruned = self.results[depth][row].tolist()
+        return bool(ok), nodes, pruned
 
     def _exists(self, rem: int, g: float) -> tuple[bool, int, int]:
         """The depth-first search's answer, nodes and pruned at (rem, g), memoized."""
@@ -332,8 +313,7 @@ class WitnessLayers:
         for depth in range(1, n):
             rem, g = self._states(layers[-1])
             size = rem.size
-            # Per merge: its first block and where the keys before it went.
-            keys, found, blocks, merges = layers[-1][:0], [], [], []
+            keys, found, blocks = layers[-1][:0], [], []
             linked = 0
             # The edges, state by state, each state's in child order.
             for part, at, sets, child in kernel.kept(rem, g, lambda x, _: x >= target):
@@ -351,24 +331,19 @@ class WitnessLayers:
                     # Only parts holds the keys, so _ranked drops them once joined.
                     parts, keys, found = [keys, *found], None, []
                     keys, rows = _ranked(parts)
-                    moved = rows[:start].copy() if merges else None
-                    merges.append((len(blocks) - len(sizes), moved))
-                    for (_, index, _), count in zip(blocks[-len(sizes) :], sizes):
+                    # The blocks before this merge index the old keys, the
+                    # first start rows: move them to those keys' new rows.
+                    fresh = len(blocks) - len(sizes)
+                    for _, index, _ in blocks[:fresh]:
+                        index[1:-1] = rows.take(index[1:-1])
+                    for (_, index, _), count in zip(blocks[fresh:], sizes):
                         index[1:-1] = rows[start : start + count]
                         start += count
                     del rows
                     if self._over(keys.size, linked, budget):
                         return self._drop()
-            # Carry the indices of earlier merges to the last merge's keys.
-            ahead = None
-            for (begin, _), (end, moved) in reversed(list(zip(merges, merges[1:]))):
-                ahead = moved if ahead is None else ahead.take(moved)
-                for _, index, _ in blocks[begin:end]:
-                    index[1:-1] = ahead.take(index[1:-1])
             for _, index, _ in blocks:
                 index[0] = index[-1] = keys.size
-            if self._over(keys.size, linked, budget):
-                return self._drop()
             self.states += keys.size
             self.held += keys.size * self.state_bytes + linked * _PASS_EDGE_BYTES
             edges.append(blocks)

@@ -882,6 +882,8 @@ PINNED_RUNS = [
     ("season", "multi_season", ()),
     ("season", "multi_season", ("--format", "csv")),
     ("season", "league20_games", ()),
+    ("kappa", "tournament18", ("--format", "csv")),
+    ("season", "multi_season", ("--cap", "1", "--format", "csv")),
 ]
 
 
@@ -935,10 +937,12 @@ def test_fixture_stdout_is_pinned_byte_for_byte(capsys, command, fixture, extra)
     # on tournament18's 77 optima the joint branch and bound's pair; with a
     # cap of 1 on halves16 the joint search reads an int16 table whose
     # doubled entries are odd. enumerate-tournament18-formatcsv pins the
-    # CSV rows of the walk's orders. The season files pin the season flow
-    # over several seasons, in JSON and as CSV rows (each season's
-    # completion table, optima walk and kappa), and a 20-team season above
-    # the table budget (value passes, table-free witness and optima walk;
+    # CSV rows of the walk's orders, and kappa-tournament18-formatcsv the
+    # CSV row of the pair. The season files pin the season flow over
+    # several seasons, in JSON and as CSV rows (each season's completion
+    # table, optima walk and kappa), the empty optima_count cell of seasons
+    # truncated by a cap of 1, and a 20-team season above the table budget
+    # (value passes and optima walk, whose first order is the witness;
     # 5,994 optima, kappa 32). The expected files were recorded once and
     # must not change.
     code, out = run_cli(capsys, *pinned_argv(command, fixture, extra))

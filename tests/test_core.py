@@ -334,6 +334,16 @@ class TestLinearOrder:
         lo = linear_order_from_ranking(ranking_from_order((2, 4, 1, 3)))
         assert validate_linear_order(lo) == []
 
+    @pytest.mark.parametrize("x", [[[0, 1, 0], [0, 0, 1]], [0, 1], [[[0]]]])
+    def test_a_matrix_that_is_not_square_is_refused(self, x):
+        with pytest.raises(DimensionMismatchError, match=r"square"):
+            LinearOrder(x)
+
+    @pytest.mark.parametrize("entry", [2, -1])
+    def test_an_entry_other_than_0_or_1_is_refused(self, entry):
+        with pytest.raises(InfeasibleSolutionError, match=r"0 or 1"):
+            LinearOrder([[0, entry], [0, 0]])
+
 
 class TestMatrixCsv:
     def test_round_trip_with_labels(self, tmp_path, college_matrix):
@@ -434,6 +444,21 @@ class TestMatrixCsv:
         path.write_text("")
         with pytest.raises(MalformedInputError):
             read_matrix_csv(path)
+
+    @pytest.mark.parametrize("names", ["A,B,C", "A", ",A,B,C"])
+    def test_rejects_a_labels_line_with_another_count_than_the_rows(self, tmp_path, names):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"labels:{names}\n0,1\n2,0\n")
+        count = len(names.lstrip(",").split(","))
+        with pytest.raises(MalformedInputError, match=rf"{count} names for 2 rows"):
+            read_matrix_csv(path)
+
+    def test_a_leading_empty_name_is_dropped(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("labels:,A,B\n0,1\n2,0\n")
+        a = read_matrix_csv(path)
+        assert a.labels == ("A", "B")
+        assert np.array_equal(a.weights, [[0, 1], [2, 0]])
 
 
 class TestProperties:

@@ -190,6 +190,36 @@ class TestSolveLop:
             res = solve_lop(a)
             assert res.optimal_value >= a.total_sum() / 2 - 1e-9
 
+    def test_no_witness_leaves_the_value_unproven(self, monkeypatch):
+        # proven=True means the ranking is the canonical witness too: when
+        # the witness search finds no order, the value is still proven, but
+        # the incumbent is reported with proven=False.
+        a = WeightMatrix(_coin_tournament(np.random.default_rng(12), 9, 3))
+        expected = solve_lop(a)
+        assert expected.proven
+        monkeypatch.setattr(lop._Search, "lex_min_witness", lambda self, k_star: None)
+        res = solve_lop(a)
+        assert not res.proven
+        assert res.optimal_value == expected.optimal_value
+        assert objective_value(a, res.ranking) == res.optimal_value
+
+    @pytest.mark.parametrize("n", [6, 7, 8, 9])
+    def test_the_float_search_replaces_a_poor_incumbent(self, n):
+        # Tenths take the depth-first value search (_Search._rec_value).
+        # Started from the reverse of an optimum, it must replace the
+        # incumbent at a leaf with an order worth k*.
+        w = _tenths_tournament(np.random.default_rng(60 + n), n)
+        a = WeightMatrix(w)
+        assert not lop._core(a).exact
+        k_star, optima = brute_force_lop(w)
+        start = [v - 1 for v in reversed(optima[0])]
+        start_value = order_value_loop(w.tolist(), start)
+        search = lop._Search(a)
+        assert not search.run_value(start, start_value)
+        assert search.best_val > start_value + search.eps
+        assert abs(search.best_val - k_star) <= search.eps
+        assert abs(order_value_loop(w.tolist(), search.best_order) - k_star) <= search.eps
+
 
 class TestHeuristic:
     def test_acyclic_input_is_solved_exactly(self, digraphs):
@@ -310,6 +340,27 @@ class TestHeuristic:
         lop._local_search_batch(lop._pass_rows(a), orders, lop._slack(a))
         assert orders.tolist() == [[0, 1, 2, 3, 4]]
         assert len(steps) == 2
+
+    @pytest.mark.parametrize("tenths", [False, True])
+    def test_the_reverse_of_the_best_order_wins_when_it_is_worth_more(
+        self, monkeypatch, tenths
+    ):
+        # Every start ends as the reverse of an optimum, so the best order
+        # found is worth less than its own reverse, which is returned.
+        rng = np.random.default_rng(14)
+        w = _tenths_tournament(rng, 8) if tenths else _coin_tournament(rng, 8, 1)
+        a = WeightMatrix(w)
+        assert lop._core(a).exact != tenths
+        k_star, optima = brute_force_lop(w)
+        best = [v - 1 for v in optima[0]]
+        monkeypatch.setattr(
+            lop, "_greedy_batch", lambda rows, items: np.tile(best[::-1], (len(items), 1))
+        )
+        monkeypatch.setattr(lop, "_local_search_batch", lambda rows, orders, slack: None)
+        order, val = lop._heuristic(a)
+        assert order == best
+        assert val == lop._order_values(w, np.array([best]))[0]
+        assert abs(val - k_star) <= lop._slack(a)
 
     @pytest.mark.parametrize("restarts", [0, lop._HEURISTIC_RESTARTS])
     def test_random_starts_are_the_seeded_draws(self, restarts):
@@ -2318,8 +2369,9 @@ class TestOneStateChunks:
     takes one state a chunk, so every state of a layer but the first starts
     a chunk: the value passes check each child against the thresholds from
     the flat index of its chunk's first child, the witness pass reads its
-    edge offsets and merges its keys across the chunks, and the descent
-    finds its path state's edges in the block of its row.
+    edge offsets and merges its keys across the chunks, moving the edges
+    of earlier chunks to the merged keys' rows at each merge, and the
+    descent finds each state's row by its key.
     """
 
     @settings(max_examples=30, deadline=None)

@@ -100,6 +100,10 @@ class TestGameSet:
         with pytest.raises(MalformedInputError):
             GameSet(teams=("B", "A"), games=())
 
+    def test_no_teams_rejected(self):
+        with pytest.raises(EmptyDataError, match="at least one team"):
+            GameSet(teams=(), games=())
+
     def test_game_with_unlisted_team_rejected(self):
         with pytest.raises(MalformedInputError):
             GameSet(teams=("A", "B"), games=(_game("A", "C", 1, 0),))
@@ -193,6 +197,12 @@ class TestReadGamesCsv:
         )
         with pytest.raises(MalformedInputError, match="line 2"):
             read_games_csv(bad)
+
+    def test_an_empty_file_is_empty(self, tmp_path):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        with pytest.raises(EmptyDataError, match="empty file"):
+            read_games_csv(empty)
 
     def test_header_only_is_empty(self, tmp_path):
         empty = tmp_path / "empty.csv"
@@ -387,6 +397,23 @@ class TestReadAliasCsv:
         assert read_alias_csv(plain) == {"A": "B"}
         assert read_alias_csv(marked) == {"A": "B"}
 
+    def test_an_empty_file_is_empty(self, tmp_path):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        with pytest.raises(EmptyDataError, match="empty file"):
+            read_alias_csv(empty)
+
+    def test_a_row_of_one_cell_is_refused(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("raw_name,canonical_name\nA,B\nC\n")
+        with pytest.raises(MalformedInputError, match="line 3: expected two columns"):
+            read_alias_csv(bad)
+
+    def test_blank_rows_are_skipped(self, tmp_path):
+        path = tmp_path / "aliases.csv"
+        path.write_text("raw_name,canonical_name\n\nA,B\n , \n,\nC,D\n")
+        assert read_alias_csv(path) == {"A": "B", "C": "D"}
+
 
 class TestReadFeatureTable:
     def test_college_matrix_reproduced(self):
@@ -442,6 +469,19 @@ class TestReadFeatureTable:
         path.write_text("item,f1\nA,1\n")
         with pytest.raises(EmptyDataError):
             read_feature_table(path)
+
+    def test_an_empty_file_is_empty(self, tmp_path):
+        path = tmp_path / "features.csv"
+        path.write_text("")
+        with pytest.raises(EmptyDataError, match="empty file"):
+            read_feature_table(path)
+
+    def test_blank_rows_are_skipped(self, tmp_path):
+        path = tmp_path / "features.csv"
+        path.write_text("item,f1,f2\n\nA,1,2\n , ,\n,,\nB,1,5\n\n")
+        expected = tmp_path / "plain.csv"
+        expected.write_text("item,f1,f2\nA,1,2\nB,1,5\n")
+        assert read_feature_table(path) == read_feature_table(expected)
 
 
 def _random_schedule(rng: np.random.Generator) -> tuple[GameSet, bool]:
