@@ -19,19 +19,25 @@ starts and exits lean, with every printed byte the same:
   already set), so no worker thread spins while the interpreter imports;
   the commands' matrices are small. The variable stays in os.environ,
   so child processes inherit it.
-- gc.freeze() takes the objects made so far out of every later
-  collection, the last one at interpreter exit included: the imports'
-  objects, and whatever a script built before importing this module.
+- it imports only what its command runs: main() imports the command's
+  modules (_COMMANDS) once the arguments are parsed, so ratings loads no
+  solver.
+- no collection runs while it imports; after the imports gc.freeze()
+  takes the objects made so far out of every later collection, the last
+  one at interpreter exit included, and the collector is on again before
+  the command runs. Frozen are the imports' objects, and whatever a
+  script built before importing this module.
 
 Imported after numpy (tests, notebooks, a script that calls main), it
-changes neither the environment nor the collector. Every solver module
-is imported here, not per command, so that no command's first call
-pays for compiling one.
+changes neither the environment nor the collector, and it imports every
+command's modules at once, so that no command's first call pays for
+compiling one.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import gc
@@ -50,33 +56,29 @@ if _OWNS_PROCESS and not any(v in os.environ for v in _BLAS_THREAD_VARS):
     # Read when numpy first loads OpenBLAS, so it must be set before that.
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-from .core import WeightMatrix, read_matrix_csv  # noqa: E402
-from .errors import (  # noqa: E402
-    EmptyDataError,
-    RankabilityError,
-    UndefinedMetricError,
-    UnprovenOptimumError,
-)
-from .ktdiam import _solve_with_kappa  # noqa: E402
-from .lop import (  # noqa: E402
-    DEFAULT_CONFIG,
-    SolverConfig,
-    _deadline,
-    _enumerate_orders,
-    _remaining,
-    solve_lop,
-)
-from .rating import colley_ratings, massey_ratings, ranking_from_ratings  # noqa: E402
-from .sports import (  # noqa: E402
-    Stage,
-    read_alias_csv,
-    read_feature_table,
-    read_games_csv,
-    season_report,
-)
 
-if _OWNS_PROCESS:
-    gc.freeze()
+@contextlib.contextmanager
+def _importing():
+    """In an owned process, run the block with the collector off, then freeze and enable it."""
+    if _OWNS_PROCESS:
+        gc.disable()
+    try:
+        yield
+    finally:
+        if _OWNS_PROCESS:
+            gc.freeze()
+            gc.enable()
+
+
+with _importing():
+    from .core import DEFAULT_CONFIG, SolverConfig, WeightMatrix, read_matrix_csv
+    from .errors import (
+        EmptyDataError, RankabilityError, UndefinedMetricError, UnprovenOptimumError,
+    )
+
+    if not _OWNS_PROCESS:
+        # Every command's modules, so that no command's first call compiles one.
+        from . import ktdiam, lop, rating, sports  # noqa: F401
 
 __all__ = ["main"]
 
@@ -133,9 +135,9 @@ def _build_parser() -> _Parser:
     """
     parser = _Parser(prog="rankability", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (run, flags) in _COMMANDS.items():
+    for name, (run, flags, modules) in _COMMANDS.items():
         p = sub.add_parser(name, help=run.__doc__)
-        p.set_defaults(run=run)
+        p.set_defaults(run=run, modules=modules)
         p.add_argument("--input", required=True, help="input CSV path")
         p.add_argument(
             "--format", choices=("json", "csv"), default="json",
@@ -159,6 +161,8 @@ def _solver_config(args) -> SolverConfig:
 
 def _load_matrix(args) -> WeightMatrix:
     if args.kind == "features":
+        from .sports import read_feature_table
+
         return read_feature_table(args.input)
     return read_matrix_csv(args.input)
 
@@ -166,6 +170,8 @@ def _load_matrix(args) -> WeightMatrix:
 def _load_seasons(args):
     """The file's seasons; EmptyDataError names the first without regular
     games, which both game commands need."""
+    from .sports import Stage, read_alias_csv, read_games_csv
+
     aliases = read_alias_csv(args.aliases) if args.aliases else None
     seasons = read_games_csv(args.input, aliases)
     for gs in seasons:
@@ -260,6 +266,8 @@ def _csv_cell(value):
 
 def cmd_lop(args) -> int:
     """solve for an optimal ranking and the degree of linearity"""
+    from .lop import solve_lop
+
     solver = _solver_config(args)
     matrix = _load_matrix(args)
     total = matrix.total_sum()
@@ -301,6 +309,8 @@ def cmd_lop(args) -> int:
 
 def cmd_kappa(args) -> int:
     """maximal Kendall tau distance between optimal rankings"""
+    from .ktdiam import _solve_with_kappa
+
     solver = _solver_config(args)
     matrix = _load_matrix(args)
     k_star, _, _, kt = _solve_with_kappa(matrix, solver)
@@ -336,6 +346,8 @@ def cmd_kappa(args) -> int:
 
 def cmd_enumerate(args) -> int:
     """list every optimal ranking"""
+    from .lop import _enumerate_orders
+
     solver = _solver_config(args)
     matrix = _load_matrix(args)
     # The orders as rows of ints, without a Ranking each, written only once
@@ -388,6 +400,9 @@ def _season_payload(report) -> dict:
 
 def cmd_season(args) -> int:
     """per-season rankability report from game data"""
+    from .lop import _deadline, _remaining
+    from .sports import season_report
+
     solver = _solver_config(args)
     seasons = _load_seasons(args)
     # One deadline for the whole file: each report gets the time left.
@@ -448,6 +463,9 @@ def cmd_season(args) -> int:
 
 def cmd_ratings(args) -> int:
     """Colley and Massey ratings from game data"""
+    from .rating import colley_ratings, massey_ratings, ranking_from_ratings
+    from .sports import Stage
+
     seasons = _load_seasons(args)
     blocks = []
     for gs in seasons:
@@ -496,19 +514,28 @@ def cmd_ratings(args) -> int:
     return EXIT_OK
 
 
-# Each command and the _FLAGS it reads; its docstring is its --help line.
+# Each command, the _FLAGS it reads and the modules it imports, sports too
+# for --kind features; its docstring is its --help line.
 _COMMANDS = {
-    "lop": (cmd_lop, ("--kind", *_SOLVER)),
-    "kappa": (cmd_kappa, ("--kind", *_SOLVER, "--cap")),
-    "enumerate": (cmd_enumerate, ("--kind", *_SOLVER, "--cap")),
-    "season": (cmd_season, ("--aliases", *_SOLVER, "--cap", "--tie-mode")),
-    "ratings": (cmd_ratings, ("--aliases",)),
+    "lop": (cmd_lop, ("--kind", *_SOLVER), ("lop",)),
+    "kappa": (cmd_kappa, ("--kind", *_SOLVER, "--cap"), ("ktdiam",)),
+    "enumerate": (cmd_enumerate, ("--kind", *_SOLVER, "--cap"), ("lop",)),
+    "season": (cmd_season, ("--aliases", *_SOLVER, "--cap", "--tie-mode"), ("ktdiam", "sports")),
+    "ratings": (cmd_ratings, ("--aliases",), ("rating", "sports")),
 }
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    modules = [f"{__package__}.{module}" for module in args.modules]
+    if getattr(args, "kind", None) == "features":
+        modules.append(f"{__package__}.sports")
+    # Only a call that loads a module freezes, not the garbage of earlier calls.
+    if any(module not in sys.modules for module in modules):
+        with _importing():
+            for module in modules:
+                __import__(module)  # the import statement's path, which -X importtime logs
     try:
         return args.run(args)
     except UnprovenOptimumError as exc:

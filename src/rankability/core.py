@@ -479,3 +479,30 @@ def write_matrix_csv(a: WeightMatrix, path) -> None:
             fh.write("labels:" + ",".join(a.labels) + "\n")
         for row in a.weights:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
+
+
+@dataclass(frozen=True)
+class SolverConfig:
+    """Limits shared by every exact search in the package.
+
+    The search is single-threaded and its heuristic restarts from a fixed
+    seed, so reported witnesses and statistics are reproducible by
+    construction. Which objective values count as equal is not set here:
+    the comparison slack is worked out from the matrix (lop._slack).
+    """
+
+    time_limit: float | None = None
+    enumeration_cap: int = 1_000_000
+
+    def __post_init__(self):
+        limit, cap = self.time_limit, self.enumeration_cap
+        # bool passes both number checks, and True would run as 1.
+        if limit is not None and (
+            isinstance(limit, bool) or not (isinstance(limit, numbers.Real) and limit > 0)
+        ):
+            raise InvalidArgumentError("time_limit must be a positive number when set")
+        if isinstance(cap, bool) or not isinstance(cap, numbers.Integral) or cap < 1:
+            raise InvalidArgumentError("enumeration_cap must be an integer of at least 1")
+
+
+DEFAULT_CONFIG = SolverConfig()

@@ -85,7 +85,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-import numbers
 import time
 from array import array
 from dataclasses import dataclass, replace
@@ -93,9 +92,11 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import Ranking, WeightMatrix, _integral, ranking_from_order
+# SolverConfig and DEFAULT_CONFIG are core's, so the CLI parser needs no solver.
+from .core import (
+    DEFAULT_CONFIG, Ranking, SolverConfig, WeightMatrix, _integral, ranking_from_order,
+)
 from .errors import (
-    InvalidArgumentError,
     MalformedPermutationError,
     RankabilityError,
     TooManyItemsError,
@@ -248,33 +249,6 @@ def _packed_key(n: int, span: float, low_bits: int = 0) -> _PackedKey | None:
     if n + code_bits + low_bits > 63:
         return None
     return _PackedKey(code_bits, low_bits)
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Limits shared by every exact search in the package.
-
-    The search is single-threaded and its heuristic restarts from a fixed
-    seed, so reported witnesses and statistics are reproducible by
-    construction. Which objective values count as equal is not set here:
-    the comparison slack is worked out from the matrix (_slack).
-    """
-
-    time_limit: float | None = None
-    enumeration_cap: int = 1_000_000
-
-    def __post_init__(self):
-        limit, cap = self.time_limit, self.enumeration_cap
-        # bool passes both number checks, and True would run as 1.
-        if limit is not None and (
-            isinstance(limit, bool) or not (isinstance(limit, numbers.Real) and limit > 0)
-        ):
-            raise InvalidArgumentError("time_limit must be a positive number when set")
-        if isinstance(cap, bool) or not isinstance(cap, numbers.Integral) or cap < 1:
-            raise InvalidArgumentError("enumeration_cap must be an integer of at least 1")
-
-
-DEFAULT_CONFIG = SolverConfig()
 
 
 @dataclass(frozen=True)

@@ -17,10 +17,14 @@ import csv
 from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from itertools import compress
+from operator import itemgetter
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import Ranking, WeightMatrix, _integral, ranking_from_order
+from .core import (
+    DEFAULT_CONFIG, Ranking, SolverConfig, WeightMatrix, _integral, ranking_from_order,
+)
 from .errors import (
     DimensionMismatchError,
     EmptyDataError,
@@ -28,9 +32,10 @@ from .errors import (
     MalformedInputError,
     UndefinedMetricError,
 )
-from .ktdiam import KtResult, _solve_with_kappa
-from .lop import DEFAULT_CONFIG, SolverConfig
 from .rating import colley_ratings, massey_ratings, ranking_from_ratings
+
+if TYPE_CHECKING:
+    from .ktdiam import KtResult
 
 __all__ = [
     "Stage",
@@ -145,10 +150,11 @@ class GameSet:
         index = {team: pos for pos, team in enumerate(teams)}
         outcomes = _rows
         if outcomes is None:
+            playoff = Stage.PLAYOFF  # read once: each read is an enum lookup
             try:
                 outcomes = np.array(
                     [(index[g.team_a], index[g.team_b], g.score_a - g.score_b,
-                      g.stage is Stage.PLAYOFF) for g in games],
+                      g.stage is playoff) for g in games],
                     dtype=np.int64,
                 ).reshape(-1, 4)
             except KeyError as exc:
@@ -243,7 +249,9 @@ def read_games_csv(path, aliases: dict[str, str] | None = None) -> tuple[GameSet
             the line number.
         EmptyDataError: no data rows.
     """
-    aliases = aliases or {}
+    # Each raw team name's canonical name, from the alias map or else the
+    # name as first read, so that the records share one string per team.
+    names = dict(aliases or {})
     by_season: dict[int, list[GameRecord]] = {}
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
@@ -260,28 +268,25 @@ def read_games_csv(path, aliases: dict[str, str] | None = None) -> tuple[GameSet
             raise MalformedInputError(
                 f"{path}: header is missing columns {', '.join(missing)}"
             )
-        season, stage, team_a, team_b, score_a, score_b = (
-            column[c] for c in _REQUIRED_GAME_COLUMNS
-        )
+        # A row's required cells, and all its named cells, each in one call.
+        required = itemgetter(*(column[c] for c in _REQUIRED_GAME_COLUMNS))
+        named = itemgetter(*column.values())
         date = column.get("date")
-        named = tuple(column.values())
         width = len(header)
         for row in reader:
             # Missing cells read as empty; cells past the header are ignored.
-            row += [""] * (width - len(row))
-            if not any(row[pos].strip() for pos in named):
+            if len(row) < width:
+                row += [""] * (width - len(row))
+            season, stage, name_a, name_b, score_a, score_b = map(str.strip, required(row))
+            # Blank when no named cell holds more than whitespace.
+            if not season and not "".join(named(row)).strip():
                 continue
             try:
-                name_a = row[team_a].strip()
-                name_b = row[team_b].strip()
                 record = GameRecord(
-                    season=int(row[season].strip()),
-                    stage=row[stage].strip().lower(),
-                    team_a=aliases.get(name_a, name_a),
-                    team_b=aliases.get(name_b, name_b),
-                    score_a=int(row[score_a].strip()),
-                    score_b=int(row[score_b].strip()),
-                    date=None if date is None else row[date].strip() or None,
+                    int(season), stage.lower(),
+                    names.setdefault(name_a, name_a), names.setdefault(name_b, name_b),
+                    int(score_a), int(score_b),
+                    None if date is None else row[date].strip() or None,
                 )
             except (ValueError, MalformedInputError) as exc:
                 raise MalformedInputError(
@@ -490,6 +495,8 @@ def foresight_divergence(
         UnprovenOptimumError: the optimal value was not proven, or no
             optimal ranking recovered, within the time limit.
     """
+    from .ktdiam import _solve_with_kappa  # as in season_report
+
     cfg = cfg or DEFAULT_CONFIG
     matrix = build_win_matrix(gs, Stage.REGULAR)
     kt = _solve_with_kappa(matrix, cfg)[3]
@@ -574,6 +581,9 @@ def season_report(
         UnprovenOptimumError: the optimal value was not proven, or no
             optimal ranking recovered, within the time limit.
     """
+    # Imported here, so that reading games and rating teams load no solver.
+    from .ktdiam import _solve_with_kappa
+
     cfg = cfg or DEFAULT_CONFIG
     seasons = gs.seasons
     if len(seasons) > 1:

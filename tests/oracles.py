@@ -6,11 +6,13 @@ kt_milp solve the paper's binary programs with an outside solver, so they
 check k* and kappa above that. The loop and composition references
 restate a solver route in its plain form; the per-game loops restate the
 win matrix, the accuracies and the Colley and Massey systems that the
-sports and rating modules read from a game set's outcome table.
+sports and rating modules read from a game set's outcome table, and
+read_games_csv_dict reads a games file as a csv.DictReader does.
 """
 
 from __future__ import annotations
 
+import csv
 import functools
 import itertools
 import operator
@@ -22,7 +24,7 @@ from scipy.sparse import coo_array
 
 from rankability import lop
 from rankability.core import LinearOrder, Ranking, WeightMatrix, ranking_from_order
-from rankability.errors import UnprovenOptimumError
+from rankability.errors import EmptyDataError, MalformedInputError, UnprovenOptimumError
 from rankability.ktdiam import (
     KtSolution,
     _kappa_from_orders,
@@ -37,6 +39,7 @@ from rankability.lop import (
     _split_row_sums,
     solve_lop,
 )
+from rankability.sports import _REQUIRED_GAME_COLUMNS, GameRecord, game_set_from_records
 
 
 @functools.lru_cache(maxsize=None)
@@ -778,3 +781,40 @@ def massey_loop(gs) -> tuple[np.ndarray, bool]:
         rhs[-1] = 0.0
         values[idx] = np.linalg.solve(system, rhs)
     return values, len(components) == 1
+
+
+def read_games_csv_dict(path, aliases=None):
+    """sports.read_games_csv over a csv.DictReader: a dict per row keyed by
+    the header, with its keys and cells stripped and cells past the header
+    dropped; a row whose cells are all blank is skipped."""
+    aliases = aliases or {}
+    by_season = {}
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.DictReader(handle)
+        if reader.fieldnames is None:
+            raise EmptyDataError(f"{path}: empty file")
+        fields = [name.strip() for name in reader.fieldnames]
+        missing = [c for c in _REQUIRED_GAME_COLUMNS if c not in fields]
+        if missing:
+            raise MalformedInputError(f"{path}: header is missing columns {', '.join(missing)}")
+        for row in reader:
+            values = {k.strip(): (v or "").strip() for k, v in row.items() if k is not None}
+            if not any(values.values()):
+                continue
+            try:
+                name_a, name_b = values["team_a"], values["team_b"]
+                record = GameRecord(
+                    season=int(values["season"]),
+                    stage=values["stage"].lower(),
+                    team_a=aliases.get(name_a, name_a),
+                    team_b=aliases.get(name_b, name_b),
+                    score_a=int(values["score_a"]),
+                    score_b=int(values["score_b"]),
+                    date=values.get("date") or None,
+                )
+            except (ValueError, MalformedInputError) as exc:
+                raise MalformedInputError(f"{path}: line {reader.line_num}: {exc}") from exc
+            by_season.setdefault(record.season, []).append(record)
+    if not by_season:
+        raise EmptyDataError(f"{path}: no game rows")
+    return tuple(game_set_from_records(by_season[season]) for season in sorted(by_season))

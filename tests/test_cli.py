@@ -322,7 +322,8 @@ class TestEnumerateCommand:
         orders = np.array(
             [rng.permutation(matrix.n) + 1 for _ in range(count)], np.int8
         ).reshape(count, matrix.n)
-        monkeypatch.setattr(cli, "_enumerate_orders", lambda a, cfg: (orders.copy(), False))
+        # The command imports the walk from lop when it runs.
+        monkeypatch.setattr(lop, "_enumerate_orders", lambda a, cfg: (orders.copy(), False))
         rows = orders.tolist()
         payload = {
             "command": "enumerate",
@@ -442,14 +443,16 @@ class TestSeasonCommand:
             lop, "time", SimpleNamespace(monotonic=lambda: time.monotonic() + offset[0])
         )
         reports = []
+        season_report = sports.season_report
 
         def slow_report(gs, cfg, tie_mode):
             assert cfg.time_limit <= limit
-            reports.append(sports.season_report(gs, cfg, tie_mode=tie_mode))
+            reports.append(season_report(gs, cfg, tie_mode=tie_mode))
             offset[0] += 1.5 * limit
             return reports[-1]
 
-        monkeypatch.setattr(cli, "season_report", slow_report)
+        # The command imports season_report from sports when it runs.
+        monkeypatch.setattr(sports, "season_report", slow_report)
         code, out = run_cli(
             capsys, "season", "--input", str(DATA_DIR / "multi_season.csv"),
             "--time-limit", str(limit),
@@ -722,16 +725,30 @@ class TestDeterminism:
 
 
 # Runs the command line's main() on its arguments in a fresh interpreter
-# and writes, as JSON on its last stderr line, the exit code,
-# OPENBLAS_NUM_THREADS, the frozen object count, the thread count (None
-# off Linux) and whether the environment is as it was before the import.
+# and writes, as JSON on its last stderr line, the exit code (argparse's
+# too), OPENBLAS_NUM_THREADS, the frozen object count, the thread count
+# (None off Linux), whether the environment is as it was before the
+# import, the rankability modules loaded, those imported while the
+# collector was on, and whether it was on after the import and at the end.
 # The command's own output goes to stdout.
 _RULES_PROBE = """\
 import gc, json, os, sys
 {before}
 environ = dict(os.environ)
+collecting = []
+
+class Watch:
+    def find_spec(self, name, path=None, target=None):
+        if name.startswith("rankability") and gc.isenabled():
+            collecting.append(name)
+
+sys.meta_path.insert(0, Watch())
 from rankability.cli import main
-code = main(sys.argv[1:])
+imported = {{"gc": gc.isenabled(), "frozen": gc.get_freeze_count()}}
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
 sys.stdout.flush()
 tasks = "/proc/self/task"
 sys.stderr.write(json.dumps({{
@@ -740,6 +757,10 @@ sys.stderr.write(json.dumps({{
     "frozen": gc.get_freeze_count(),
     "threads": len(os.listdir(tasks)) if os.path.isdir(tasks) else None,
     "environ_kept": dict(os.environ) == environ,
+    "modules": sorted(m for m in sys.modules if m.startswith("rankability.")),
+    "imported_collecting": collecting,
+    "imported": imported,
+    "gc": gc.isenabled(),
 }}) + "\\n")
 """
 
@@ -780,6 +801,12 @@ OWNED_GOLDEN_RUNS = [
 ]
 
 
+# The modules a host process's import of the CLI loads for every command,
+# and the searches' modules, which an owned ratings run must not load.
+_COMMAND_MODULES = ("cli", "core", "errors", "ktdiam", "lop", "rating", "sports")
+_SEARCH_MODULES = ("lop", "ktdiam", "value", "witness")
+
+
 class TestProcessRules:
     """A process the CLI owns (it imported the CLI before numpy) starts and
     exits lean; one that imported numpy first is left as it was."""
@@ -808,6 +835,76 @@ class TestProcessRules:
         assert probe["blas"] is None
         assert probe["environ_kept"]
         assert probe["frozen"] == 0
+
+    def test_an_owned_ratings_loads_no_solver(self):
+        modules = set(_probe_process_rules()["modules"])
+        assert {f"rankability.{m}" for m in ("core", "errors", "rating", "sports")} <= modules
+        assert not {f"rankability.{m}" for m in _SEARCH_MODULES} & modules
+
+    def test_an_owned_season_loads_no_value_or_witness_pass(self):
+        # Every season of multi_season.csv is inside the table budget.
+        probe, _ = _run_probe(("season", *_input("multi_season.csv"), "--output", os.devnull))
+        assert probe["code"] == 0
+        modules = set(probe["modules"])
+        assert {"rankability.lop", "rankability.ktdiam"} <= modules
+        assert not {"rankability.value", "rankability.witness"} & modules
+
+    def test_imported_after_numpy_it_loads_every_command_module(self):
+        # ratings itself runs no solver, so these came with the import.
+        modules = set(_probe_process_rules(before="import numpy")["modules"])
+        assert {f"rankability.{m}" for m in _COMMAND_MODULES} <= modules
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (("ratings", *_input("multi_season.csv"), "--output", os.devnull), 0),
+            (("season", *_input("multi_season.csv"), "--output", os.devnull), 0),
+            (("ratings", *_input("no_such_file.csv")), 1),
+            (("lop", *_input("college_features.csv"), "--kind", "features"), 0),
+            (("kappa", *_input("tenths7.csv")), 0),
+            (("enumerate", *_input("tenths7.csv")), 0),
+        ],
+        ids=["ratings", "season", "missing-file", "lop-features", "kappa", "enumerate"],
+    )
+    def test_an_owned_run_imports_with_the_collector_off(self, argv, code):
+        probe, _ = _run_probe(argv)
+        assert probe["code"] == code
+        # Only the package and the CLI module itself start with it on; lop
+        # loads its value and witness passes itself, when a search needs one.
+        passes = ("rankability.value", "rankability.witness")
+        collecting = [m for m in probe["imported_collecting"] if m not in passes]
+        assert collecting == ["rankability", "rankability.cli"]
+        assert probe["imported"]["gc"] and probe["imported"]["frozen"] > 0
+        assert probe["gc"] and probe["frozen"] > 0
+
+    def test_a_later_main_in_the_process_freezes_nothing(self):
+        # The first call imports and freezes; a second imports nothing, so
+        # it leaves the first command's garbage to the collector.
+        argv = ["ratings", *_input("multi_season.csv"), "--output", os.devnull]
+        code = (
+            "import gc, sys\n"
+            "from rankability.cli import main\n"
+            f"main({argv!r})\n"
+            "frozen = gc.get_freeze_count()\n"
+            f"main({argv!r})\n"
+            "print(frozen, gc.get_freeze_count(), gc.isenabled())\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        first, second, collecting = result.stdout.split()
+        # Frozen objects can still be freed, so the count may only drop.
+        assert int(first) > 0 and int(second) <= int(first) and collecting == "True"
+
+    @pytest.mark.parametrize("command", ["", *cli._COMMANDS], ids=lambda c: c or "top-level")
+    def test_help_is_the_same_in_an_owned_and_a_host_process(self, command):
+        argv = (command, "--help") if command else ("--help",)
+        owned, owned_out = _run_probe(argv, COLUMNS="80")
+        host, host_out = _run_probe(argv, before="import numpy", COLUMNS="80")
+        assert owned["code"] == host["code"] == 0
+        assert owned_out == host_out
+        assert b"usage: rankability" in owned_out
 
     @pytest.mark.parametrize(
         "argv, golden", OWNED_GOLDEN_RUNS, ids=[golden for _, golden in OWNED_GOLDEN_RUNS]

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
+import random
 import time
 
 import numpy as np
@@ -24,6 +27,7 @@ from rankability.errors import (
 from rankability.lop import SolverConfig, solve_lop
 from rankability.rating import colley_ratings, massey_ratings
 from rankability.sports import (
+    _REQUIRED_GAME_COLUMNS,
     GameRecord,
     GameSet,
     Stage,
@@ -52,6 +56,7 @@ from tests.oracles import (
     massey_loop,
     max_hindsight,
     ranking_accuracy_loop,
+    read_games_csv_dict,
     win_matrix_loop,
 )
 
@@ -373,6 +378,78 @@ class TestReadGamesCsvRows:
             (2000, Stage.PLAYOFF, "A", "B", 2, 0, None),
             (2001, Stage.REGULAR, "B", "A", 3, 1, None),
         ]
+
+
+# Each games-CSV column's good cells, then cells that are bad or odd in it.
+_GOOD_AND_ODD_CELLS = {
+    "season": (("2001", "2002", " 2003 "), ("", "x", "1.5", "1_0", "-4")),
+    "stage": (("regular", "playoff", " Playoff", "REGULAR "), ("", "final")),
+    "score_a": (("0", "1", "2", "3", " 4 "), ("", "-1", "x", "2.0")),
+    "score_b": (("0", "1", "2", "5", "7 "), ("", "-2", "y")),
+    "date": (("", "2001-05-06", " 2001-05-07 "), ("d\ne",)),
+    "venue": (("", "Home", "x\ny"), (" ",)),
+}
+_TEAMS = ("A", "B", "C", " D ", "E\nF", "G,H")
+
+
+def _games_csv_text(rng: random.Random) -> str:
+    """A games file with a shuffled header, some names repeated, padded or
+    left out, and rows that are full, short, long, blank, one cell only,
+    quoted over lines or with bad cells."""
+    names = [n for n in (*_REQUIRED_GAME_COLUMNS, "date", "venue") if rng.random() < 0.98]
+    names += rng.choices(names or ["venue"], k=rng.choice((0, 0, 1, 2)))
+    rng.shuffle(names)
+    header = [f" {n}" if rng.random() < 0.1 else n for n in names]
+    rows = [header]
+    for _ in range(rng.randint(0, 6)):
+        kind = rng.random()
+        if kind < 0.08:
+            row = []
+        elif kind < 0.16:
+            row = [rng.choice(("", " ", "\t")) for _ in header]
+        elif kind < 0.19:
+            row = [""] * len(header)
+            if row:
+                row[rng.randrange(len(row))] = "1"
+        else:
+            teams = dict(zip(("team_a", "team_b"), rng.sample(_TEAMS, 2)))
+            row = []
+            for name in names:
+                if name in teams:
+                    cell = teams[name] if rng.random() > 0.02 else rng.choice(("", "A"))
+                else:
+                    good, odd = _GOOD_AND_ODD_CELLS[name]
+                    cell = rng.choice(good if rng.random() > 0.02 else odd)
+                row.append(cell)
+            if rng.random() < 0.1:
+                row = row[: rng.randrange(len(row) + 1)]
+            if rng.random() < 0.1:
+                row += ["9", "x\ny"][: rng.randint(1, 2)]
+        rows.append(row)
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator=rng.choice(("\n", "\r\n"))).writerows(rows)
+    return ("\ufeff" if rng.random() < 0.1 else "") + buffer.getvalue()
+
+
+def test_read_games_csv_reads_as_the_dict_reader(tmp_path):
+    # 200 seeded files: the same GameSets as tests/oracles.py's
+    # csv.DictReader reading, or the same error, line number included.
+    rng = random.Random(20_011)
+    path = tmp_path / "games.csv"
+    outcomes = []
+    for _ in range(200):
+        path.write_text(_games_csv_text(rng), encoding="utf-8", newline="")
+        aliases = rng.choice((None, None, {"A": "B"}, {"C": "Z", "G,H": "A"}))
+        results = []
+        for reader in (read_games_csv, read_games_csv_dict):
+            try:
+                results.append(reader(path, aliases))
+            except Exception as exc:  # the exception itself is compared
+                results.append((type(exc), str(exc)))
+        assert results[0] == results[1], path.read_text(encoding="utf-8")
+        outcomes.append(isinstance(results[0][0], GameSet))
+    # Files read and files refused are both common enough to compare.
+    assert 40 <= sum(outcomes) <= 160
 
 
 class TestReadAliasCsv:
