@@ -19,19 +19,20 @@ starts and exits lean, with every printed byte the same:
   already set), so no worker thread spins while the interpreter imports;
   the commands' matrices are small. The variable stays in os.environ,
   so child processes inherit it.
-- it imports only what its command runs: main() imports the command's
-  modules (_COMMANDS) once the arguments are parsed, so ratings loads no
-  solver.
-- no collection runs while it imports; after the imports gc.freeze()
-  takes the objects made so far out of every later collection, the last
-  one at interpreter exit included, and the collector is on again before
-  the command runs. Frozen are the imports' objects, and whatever a
-  script built before importing this module.
+- it imports only what its command runs: each command imports its
+  modules when it runs, so ratings loads no solver.
+- no collection runs while the CLI imports or while main() runs the
+  command, its imports included; after each, gc.freeze() takes the
+  objects made so far out of every later collection, the last one at
+  interpreter exit included, and the collector is on again, on every
+  way out. Frozen are the imports' objects, whatever the commands left,
+  and whatever a script built before importing this module.
 
 Imported after numpy (tests, notebooks, a script that calls main), it
 changes neither the environment nor the collector, and it imports every
-command's modules at once, so that no command's first call pays for
-compiling one.
+command's modules at once, so that no command's first call compiles one;
+only lop's value and witness passes load on the first search that needs
+one.
 """
 
 from __future__ import annotations
@@ -77,7 +78,8 @@ with _importing():
     )
 
     if not _OWNS_PROCESS:
-        # Every command's modules, so that no command's first call compiles one.
+        # Every command's modules, so that no command's first call compiles
+        # one; lop loads its value and witness passes when a search needs one.
         from . import ktdiam, lop, rating, sports  # noqa: F401
 
 __all__ = ["main"]
@@ -123,8 +125,6 @@ _FLAGS = {
     ),
 }
 
-_SOLVER = ("--time-limit",)
-
 
 @functools.cache
 def _build_parser() -> _Parser:
@@ -135,9 +135,9 @@ def _build_parser() -> _Parser:
     """
     parser = _Parser(prog="rankability", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (run, flags, modules) in _COMMANDS.items():
+    for name, (run, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=run.__doc__)
-        p.set_defaults(run=run, modules=modules)
+        p.set_defaults(run=run)
         p.add_argument("--input", required=True, help="input CSV path")
         p.add_argument(
             "--format", choices=("json", "csv"), default="json",
@@ -241,19 +241,6 @@ def _emit(args, parts) -> None:
             handle.writelines(parts)
 
 
-def _emit_json(args, payload) -> None:
-    _emit(args, [json.dumps(payload, indent=2) + "\n"])
-
-
-def _emit_csv(args, header, rows) -> None:
-    """Write header and rows as CSV text, in one pass over the few rows."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    _emit(args, [buffer.getvalue()])
-
-
 def _csv_cell(value):
     if value is None:
         return ""
@@ -261,7 +248,21 @@ def _csv_cell(value):
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
+    if isinstance(value, list):  # a ranking's items
+        return " ".join(map(str, value))
     return value
+
+
+def _emit_report(args, payload, header, rows) -> None:
+    """Write payload as indented JSON, or header and rows as CSV, as --format asks."""
+    if args.format == "json":
+        _emit(args, [json.dumps(payload, indent=2) + "\n"])
+        return
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_csv_cell(v) for v in row] for row in rows)
+    _emit(args, [buffer.getvalue()])
 
 
 def cmd_lop(args) -> int:
@@ -291,19 +292,8 @@ def cmd_lop(args) -> int:
             "heuristic_value": float(result.stats.heuristic_value),
         },
     }
-    if args.format == "json":
-        _emit_json(args, payload)
-    else:
-        _emit_csv(
-            args,
-            ["k_star", "lambda", "proven", "ranking"],
-            [[
-                _csv_cell(payload["k_star"]),
-                _csv_cell(payload["lambda"]),
-                _csv_cell(payload["proven"]),
-                " ".join(map(str, payload["ranking"])),
-            ]],
-        )
+    header = ["k_star", "lambda", "proven", "ranking"]
+    _emit_report(args, payload, header, [[payload[key] for key in header]])
     return EXIT_OK if result.proven else EXIT_UNPROVEN
 
 
@@ -327,20 +317,10 @@ def cmd_kappa(args) -> int:
         ],
         "proven": kt.proven,
     }
-    if args.format == "json":
-        _emit_json(args, payload)
-    else:
-        _emit_csv(
-            args,
-            ["kappa", "concordant_count", "proven", "first", "second"],
-            [[
-                payload["kappa"],
-                payload["concordant_count"],
-                _csv_cell(payload["proven"]),
-                " ".join(map(str, payload["pair"][0])),
-                " ".join(map(str, payload["pair"][1])),
-            ]],
-        )
+    _emit_report(
+        args, payload, ["kappa", "concordant_count", "proven", "first", "second"],
+        [[payload["kappa"], payload["concordant_count"], kt.proven, *payload["pair"]]],
+    )
     return EXIT_OK if kt.proven else EXIT_UNPROVEN
 
 
@@ -398,6 +378,21 @@ def _season_payload(report) -> dict:
     }
 
 
+def _season_row(report) -> list:
+    """A season's CSV cells; the foresight ones are empty without playoff games."""
+    fore = [""] * 6
+    if report.witness_foresight is not None:
+        fore = [
+            *report.foresight.values(), *report.witness_foresight,
+            report.foresight_divergence,
+        ]
+    return [
+        report.season, report.lambda_, report.kappa, report.k_star,
+        *report.hindsight.values(), *fore,
+        report.optima_count, report.proven, report.truncated,
+    ]
+
+
 def cmd_season(args) -> int:
     """per-season rankability report from game data"""
     from .lop import _deadline, _remaining
@@ -411,53 +406,19 @@ def cmd_season(args) -> int:
         season_report(gs, _remaining(solver, deadline), tie_mode=args.tie_mode)
         for gs in seasons
     ]
-    if args.format == "json":
-        _emit_json(
-            args,
-            {
-                "command": "season",
-                "tie_mode": args.tie_mode,
-                "seasons": [_season_payload(r) for r in reports],
-            },
-        )
-    else:
-        header = [
-            "season", "lambda", "kappa", "k_star",
-            "hind_opt", "hind_colley", "hind_massey",
-            "fore_opt", "fore_colley", "fore_massey",
-            "fore_opt_a", "fore_opt_b", "fore_abs_diff",
-            "optima_count", "proven", "truncated",
-        ]
-        rows = []
-        for report in reports:
-            if report.witness_foresight is not None:
-                fore_a, fore_b = report.witness_foresight
-                rows_fore = [
-                    _csv_cell(report.foresight["optimal"]),
-                    _csv_cell(report.foresight["colley"]),
-                    _csv_cell(report.foresight["massey"]),
-                    _csv_cell(fore_a),
-                    _csv_cell(fore_b),
-                    _csv_cell(report.foresight_divergence),
-                ]
-            else:
-                rows_fore = ["", "", "", "", "", ""]
-            rows.append(
-                [
-                    report.season,
-                    _csv_cell(report.lambda_),
-                    report.kappa,
-                    _csv_cell(report.k_star),
-                    _csv_cell(report.hindsight["optimal"]),
-                    _csv_cell(report.hindsight["colley"]),
-                    _csv_cell(report.hindsight["massey"]),
-                    *rows_fore,
-                    _csv_cell(report.optima_count),
-                    _csv_cell(report.proven),
-                    _csv_cell(report.truncated),
-                ]
-            )
-        _emit_csv(args, header, rows)
+    payload = {
+        "command": "season",
+        "tie_mode": args.tie_mode,
+        "seasons": [_season_payload(r) for r in reports],
+    }
+    header = [
+        "season", "lambda", "kappa", "k_star",
+        "hind_opt", "hind_colley", "hind_massey",
+        "fore_opt", "fore_colley", "fore_massey",
+        "fore_opt_a", "fore_opt_b", "fore_abs_diff",
+        "optima_count", "proven", "truncated",
+    ]
+    _emit_report(args, payload, header, map(_season_row, reports))
     return EXIT_OK if all(r.proven for r in reports) else EXIT_UNPROVEN
 
 
@@ -467,83 +428,64 @@ def cmd_ratings(args) -> int:
     from .sports import Stage
 
     seasons = _load_seasons(args)
-    blocks = []
+    blocks, rows = [], []
     for gs in seasons:
         regular = gs.filter_stage(Stage.REGULAR)
         colley = colley_ratings(regular)
         massey = massey_ratings(regular)
-        blocks.append(
-            {
-                "season": gs.seasons[0],
-                "teams": list(gs.teams),
-                "colley": {
-                    "values": [float(v) for v in colley.values],
-                    "ranking": _ranking_payload(ranking_from_ratings(colley)),
-                },
-                "massey": {
-                    "values": [float(v) for v in massey.values],
-                    "ranking": _ranking_payload(ranking_from_ratings(massey)),
-                    "connected": massey.connected,
-                },
-            }
-        )
-    if args.format == "json":
-        _emit_json(args, {"command": "ratings", "seasons": blocks})
-    else:
-        rows = []
-        for block in blocks:
-            colley_rank = {team: pos for pos, team in enumerate(block["colley"]["ranking"], 1)}
-            massey_rank = {team: pos for pos, team in enumerate(block["massey"]["ranking"], 1)}
-            for idx, team in enumerate(block["teams"], 1):
-                rows.append(
-                    [
-                        block["season"],
-                        team,
-                        _csv_cell(block["colley"]["values"][idx - 1]),
-                        _csv_cell(block["massey"]["values"][idx - 1]),
-                        colley_rank[idx],
-                        massey_rank[idx],
-                    ]
-                )
-        _emit_csv(
-            args,
-            ["season", "team", "colley_rating", "massey_rating",
-             "colley_rank", "massey_rank"],
-            rows,
-        )
+        colley_ranking = ranking_from_ratings(colley)
+        massey_ranking = ranking_from_ratings(massey)
+        block = {
+            "season": gs.seasons[0],
+            "teams": list(gs.teams),
+            "colley": {
+                "values": [float(v) for v in colley.values],
+                "ranking": _ranking_payload(colley_ranking),
+            },
+            "massey": {
+                "values": [float(v) for v in massey.values],
+                "ranking": _ranking_payload(massey_ranking),
+                "connected": massey.connected,
+            },
+        }
+        blocks.append(block)
+        rows += [
+            [block["season"], *cells]
+            for cells in zip(
+                gs.teams, block["colley"]["values"], block["massey"]["values"],
+                colley_ranking.position, massey_ranking.position,
+            )
+        ]
+    _emit_report(
+        args, {"command": "ratings", "seasons": blocks},
+        ["season", "team", "colley_rating", "massey_rating", "colley_rank", "massey_rank"],
+        rows,
+    )
     return EXIT_OK
 
 
-# Each command, the _FLAGS it reads and the modules it imports, sports too
-# for --kind features; its docstring is its --help line.
+# Each command and the _FLAGS it reads; its docstring is its --help line.
 _COMMANDS = {
-    "lop": (cmd_lop, ("--kind", *_SOLVER), ("lop",)),
-    "kappa": (cmd_kappa, ("--kind", *_SOLVER, "--cap"), ("ktdiam",)),
-    "enumerate": (cmd_enumerate, ("--kind", *_SOLVER, "--cap"), ("lop",)),
-    "season": (cmd_season, ("--aliases", *_SOLVER, "--cap", "--tie-mode"), ("ktdiam", "sports")),
-    "ratings": (cmd_ratings, ("--aliases",), ("rating", "sports")),
+    "lop": (cmd_lop, ("--kind", "--time-limit")),
+    "kappa": (cmd_kappa, ("--kind", "--time-limit", "--cap")),
+    "enumerate": (cmd_enumerate, ("--kind", "--time-limit", "--cap")),
+    "season": (cmd_season, ("--aliases", "--time-limit", "--cap", "--tie-mode")),
+    "ratings": (cmd_ratings, ("--aliases",)),
 }
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    modules = [f"{__package__}.{module}" for module in args.modules]
-    if getattr(args, "kind", None) == "features":
-        modules.append(f"{__package__}.sports")
-    # Only a call that loads a module freezes, not the garbage of earlier calls.
-    if any(module not in sys.modules for module in modules):
-        with _importing():
-            for module in modules:
-                __import__(module)  # the import statement's path, which -X importtime logs
-    try:
-        return args.run(args)
-    except UnprovenOptimumError as exc:
-        sys.stderr.write(f"rankability {args.command}: {exc}\n")
-        return EXIT_UNPROVEN
-    except (RankabilityError, ValueError, OSError) as exc:
-        sys.stderr.write(f"rankability {args.command}: {exc}\n")
-        return EXIT_INPUT
+    args = _build_parser().parse_args(argv)
+    # The command imports its own modules, so they load with the collector off too.
+    with _importing():
+        try:
+            return args.run(args)
+        except UnprovenOptimumError as exc:
+            sys.stderr.write(f"rankability {args.command}: {exc}\n")
+            return EXIT_UNPROVEN
+        except (RankabilityError, ValueError, OSError) as exc:
+            sys.stderr.write(f"rankability {args.command}: {exc}\n")
+            return EXIT_INPUT
 
 
 if __name__ == "__main__":

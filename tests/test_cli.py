@@ -855,6 +855,23 @@ class TestProcessRules:
         assert {f"rankability.{m}" for m in _COMMAND_MODULES} <= modules
 
     @pytest.mark.parametrize(
+        "argv, loaded",
+        [
+            (("lop", *_input("tenths7.csv")), set()),
+            (("enumerate", *_input("tenths7.csv")), set()),
+            (("kappa", *_input("tenths7.csv")), set()),
+            # The feature table's reader is in sports, which imports rating.
+            (("lop", *_input("college_features.csv"), "--kind", "features"),
+             {"rankability.sports", "rankability.rating"}),
+        ],
+        ids=["lop", "enumerate", "kappa", "lop-features"],
+    )
+    def test_an_owned_matrix_command_loads_game_modules_for_features_only(self, argv, loaded):
+        probe, _ = _run_probe((*argv, "--output", os.devnull))
+        assert probe["code"] == 0
+        assert {"rankability.sports", "rankability.rating"} & set(probe["modules"]) == loaded
+
+    @pytest.mark.parametrize(
         "argv, code",
         [
             (("ratings", *_input("multi_season.csv"), "--output", os.devnull), 0),
@@ -863,39 +880,53 @@ class TestProcessRules:
             (("lop", *_input("college_features.csv"), "--kind", "features"), 0),
             (("kappa", *_input("tenths7.csv")), 0),
             (("enumerate", *_input("tenths7.csv")), 0),
+            # Past the table budget: lop loads its value and witness passes.
+            (("lop", *_input("hidden20.csv")), 0),
+            (("season", *_input("league20_games.csv"), "--output", os.devnull), 0),
         ],
-        ids=["ratings", "season", "missing-file", "lop-features", "kappa", "enumerate"],
+        ids=[
+            "ratings", "season", "missing-file", "lop-features", "kappa", "enumerate",
+            "lop-hidden20", "season-league20",
+        ],
     )
     def test_an_owned_run_imports_with_the_collector_off(self, argv, code):
         probe, _ = _run_probe(argv)
         assert probe["code"] == code
-        # Only the package and the CLI module itself start with it on; lop
-        # loads its value and witness passes itself, when a search needs one.
-        passes = ("rankability.value", "rankability.witness")
-        collecting = [m for m in probe["imported_collecting"] if m not in passes]
-        assert collecting == ["rankability", "rankability.cli"]
+        # Only the package and the CLI module itself start with it on.
+        assert probe["imported_collecting"] == ["rankability", "rankability.cli"]
         assert probe["imported"]["gc"] and probe["imported"]["frozen"] > 0
         assert probe["gc"] and probe["frozen"] > 0
 
-    def test_a_later_main_in_the_process_freezes_nothing(self):
-        # The first call imports and freezes; a second imports nothing, so
-        # it leaves the first command's garbage to the collector.
-        argv = ["ratings", *_input("multi_season.csv"), "--output", os.devnull]
-        code = (
-            "import gc, sys\n"
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["lop", *_input("hidden20.csv"), "--output", os.devnull], 0),
+            (["lop", *_input("no_such_file.csv")], 1),
+            (["lop", *_input("hidden20.csv"), "--time-limit", "0.001"], 2),
+        ],
+        ids=["ok", "missing-file", "unproven"],
+    )
+    def test_each_main_runs_without_collections_then_freezes(self, argv, code):
+        # Two calls in one owned process, the second with every module loaded;
+        # with the collector on, each lop on hidden20.csv ran a collection.
+        probe = (
+            "import gc, json, sys\n"
             "from rankability.cli import main\n"
-            f"main({argv!r})\n"
-            "frozen = gc.get_freeze_count()\n"
-            f"main({argv!r})\n"
-            "print(frozen, gc.get_freeze_count(), gc.isenabled())\n"
+            "calls = []\n"
+            "for _ in range(2):\n"
+            "    before = [g['collections'] for g in gc.get_stats()]\n"
+            "    code = main(sys.argv[1:])\n"
+            "    after = [g['collections'] for g in gc.get_stats()]\n"
+            "    calls.append([code, before == after, gc.isenabled(), gc.get_freeze_count()])\n"
+            "sys.stderr.write(json.dumps(calls) + '\\n')\n"
         )
         result = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+            [sys.executable, "-c", probe, *argv], capture_output=True, text=True, timeout=60
         )
         assert result.returncode == 0, result.stderr
-        first, second, collecting = result.stdout.split()
-        # Frozen objects can still be freed, so the count may only drop.
-        assert int(first) > 0 and int(second) <= int(first) and collecting == "True"
+        calls = json.loads(result.stderr.splitlines()[-1])
+        for call_code, no_collection, collecting, frozen in calls:
+            assert call_code == code and no_collection and collecting and frozen > 0
 
     @pytest.mark.parametrize("command", ["", *cli._COMMANDS], ids=lambda c: c or "top-level")
     def test_help_is_the_same_in_an_owned_and_a_host_process(self, command):
